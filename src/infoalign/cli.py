@@ -22,7 +22,7 @@ import numpy as np
 from . import diffcore as dc
 from . import mibounds, synth
 from .ctxgraph import ContextGraph, NodeKind, build_graph_from_tables
-from .errors import InfoAlignError
+from .errors import InfoAlignError, LengthMismatchError
 from .evalkit import (
     LabeledSet,
     ProbeConfig,
@@ -33,7 +33,6 @@ from .evalkit import (
 )
 from .fingerprint import morgan_fingerprint
 from .model import (
-    DecoderRegistry,
     ModelConfig,
     WalkConfig,
     embed,
@@ -263,6 +262,8 @@ def cmd_eval(args) -> int:
     })
     _ids, emb = _read_matrix_tsv(args.embeddings)
     _lids, labels = _read_matrix_tsv(args.labels)
+    if len(labels) != len(emb):
+        raise LengthMismatchError(f"{len(labels)} label rows for {len(emb)} embeddings")
     task_types = [t.strip() for t in opt.task_types.split(",")]
     if len(task_types) == 1 and labels.shape[1] > 1:
         task_types = task_types * labels.shape[1]
@@ -308,7 +309,7 @@ def cmd_mi_bench(args) -> int:
     })
     if opt.exact is False:
         raise InfoAlignError("only exact-mode verification is supported; drop --no-exact")
-    rng = np.random.Generator(np.random.Philox(key=[int(opt.seed) & ((1 << 64) - 1), 0]))
+    rng = dc.seeded_rng(int(opt.seed))
     joints = [mibounds.random_joint(rng, int(opt.nz), int(opt.ny))
               for _ in range(int(opt.num_joints))]
     critic_rng = rng if opt.random_critic else None

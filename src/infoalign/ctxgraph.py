@@ -22,7 +22,6 @@ from . import serialize
 from .errors import (
     DuplicateIdError,
     FinalizedError,
-    IncompatibleMergeError,
     MixedDimensionsError,
     SelfLoopError,
     TableFormatError,
@@ -231,96 +230,6 @@ class ContextGraph:
             self.add_edge(a, b, Relation.SIMILARITY, s)
             added += 1
         return added
-
-    def merge_gene_morphology(self, gene_id: str, morph_id: str) -> str:
-        """Fold a perturbation-linked morphology node into a featureless gene node.
-
-        The gene node takes over the morphology feature vector; edges of both
-        originals re-attach to the gene id, duplicates collapsing to the max
-        weight. The edge(s) between the two originals disappear.
-        """
-        self._check_mutable()
-        gene = self.node(gene_id)
-        morph = self.node(morph_id)
-        if gene.kind is not NodeKind.GENE:
-            raise IncompatibleMergeError(f"{gene_id!r} is not a gene node")
-        if morph.kind is not NodeKind.CELL_MORPHOLOGY:
-            raise IncompatibleMergeError(f"{morph_id!r} is not a cell-morphology node")
-        if gene.modality_dim != 0:
-            raise IncompatibleMergeError(f"gene {gene_id!r} already carries features")
-        pair = _pair_key(gene_id, morph_id)
-        linked = any(
-            k[:2] == pair and k[2] is Relation.PERTURBATION for k in self._edges
-        )
-        if not linked:
-            raise IncompatibleMergeError(
-                f"no genetic-perturbation record links {gene_id!r} and {morph_id!r}"
-            )
-
-        gene.features = morph.features.copy()
-        moved = {}
-        for (a, b, rel), w in list(self._edges.items()):
-            if morph_id not in (a, b):
-                continue
-            del self._edges[(a, b, rel)]
-            other = b if a == morph_id else a
-            if other == gene_id:
-                continue  # would become a self-loop
-            lo, hi = _pair_key(gene_id, other)
-            moved[(lo, hi, rel)] = max(w, moved.get((lo, hi, rel), 0.0))
-        for key, w in moved.items():
-            self._edges[key] = max(w, self._edges.get(key, 0.0))
-        del self._nodes[morph_id]
-        return gene_id
-
-    def attach_gene_expression_node(
-        self,
-        molecule_id: str,
-        profile,
-        top_fraction: float = 0.01,
-        gene_ids: Optional[Sequence[str]] = None,
-    ) -> str:
-        """Summarize a differential-expression profile as a new node.
-
-        The profile is min-max scaled over its own entries and attached to the
-        molecule by a weight-1 perturbation edge. The top ``top_fraction``
-        entries by absolute raw value additionally create gene-molecule edges,
-        for indices whose gene id (from ``gene_ids``) exists in the graph.
-        Zero entries never create links. Default fraction 0.01; the sources
-        this models report both a 1% and a 5% rule, so it stays a parameter.
-        """
-        self._check_mutable()
-        mol = self.node(molecule_id)
-        profile = np.asarray(profile, dtype=np.float64)
-        if profile.ndim != 1 or not np.all(np.isfinite(profile)):
-            raise ValueError("profile must be a finite 1-D vector")
-
-        base = f"{molecule_id}.gexp"
-        node_id = base
-        suffix = 1
-        while node_id in self._nodes:
-            suffix += 1
-            node_id = f"{base}{suffix}"
-        # scale over the vector's own entries
-        lo, hi = profile.min(), profile.max()
-        scaled = (profile - lo) / (hi - lo) if hi > lo else np.zeros_like(profile)
-        self.add_node(
-            NodeRecord(node_id, NodeKind.GENE_EXPRESSION, scaled.astype(np.float32),
-                       source_tag=mol.source_tag)
-        )
-        self.add_perturbation_edge(molecule_id, node_id)
-
-        k = math.ceil(top_fraction * len(profile))
-        order = sorted(range(len(profile)), key=lambda i: (-abs(profile[i]), i))
-        for idx in order[:k]:
-            if profile[idx] == 0.0:
-                break  # sorted by |value|; the rest are zeros too
-            gid = gene_ids[idx] if gene_ids is not None else None
-            if gid is not None and gid in self._nodes and gid != molecule_id:
-                self._edges.setdefault(
-                    _pair_key(molecule_id, gid) + (Relation.GENE_MOLECULE,), 1.0
-                )
-        return node_id
 
     # --- finalize --------------------------------------------------------
 

@@ -1,15 +1,13 @@
 """Minimal dense-array reverse-mode autodiff, parameter store, and Adam.
 
-64-bit accumulation is the default (the gradient checks demand it); float32
-storage is opt-in per ParamStore. The primitive set is deliberately small:
-matmul, broadcast add/mul, elementwise (relu, sigmoid, exp, log, tanh,
-softplus), reductions, concat, row gather and index-scatter-add for message
+Every array is float64 (the gradient checks demand it). The primitive set is
+deliberately small: matmul, broadcast add/mul, negation, elementwise (relu,
+exp, softplus), sum reduction, row gather and index-scatter-add for message
 passing, and clip. Every primitive has a finite-difference test.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -22,9 +20,18 @@ MAGIC = b"IAPT"
 # Debug assertion: ops refuse to emit NaN/Inf when enabled.
 CHECK_FINITE = True
 
-# exp/sigmoid inputs are clamped here to avoid overflow; log inputs are
-# clamped to exp(-_EXP_CLAMP) away from zero.
+# exp inputs, and the logistic inside the softplus gradient, are clamped here
+# to avoid overflow.
 _EXP_CLAMP = 36.7
+
+
+def seeded_rng(seed: int, stream: int = 0) -> np.random.Generator:
+    """Counter-based Philox generator keyed by (seed mod 2**64, stream).
+
+    Distinct streams under one seed are independent, and every draw is
+    reproducible bit-exactly across runs and platforms.
+    """
+    return np.random.Generator(np.random.Philox(key=[seed & ((1 << 64) - 1), stream]))
 
 
 def _check(data: np.ndarray):
@@ -37,8 +44,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "_parents", "_bw")
 
-    def __init__(self, data, parents=(), bw=None, dtype=np.float64):
-        self.data = np.asarray(data, dtype=dtype)
+    def __init__(self, data, parents=(), bw=None):
+        self.data = np.asarray(data, dtype=np.float64)
         _check(self.data)
         self.grad: Optional[np.ndarray] = None
         self._parents = parents
@@ -77,22 +84,22 @@ class Tensor:
     # --- operator sugar ---
 
     def __add__(self, other):
-        return add(self, _lift(other, self.data.dtype))
+        return add(self, _lift(other))
 
     def __radd__(self, other):
-        return add(_lift(other, self.data.dtype), self)
+        return add(_lift(other), self)
 
     def __sub__(self, other):
-        return add(self, neg(_lift(other, self.data.dtype)))
+        return add(self, neg(_lift(other)))
 
     def __rsub__(self, other):
-        return add(_lift(other, self.data.dtype), neg(self))
+        return add(_lift(other), neg(self))
 
     def __mul__(self, other):
-        return mul(self, _lift(other, self.data.dtype))
+        return mul(self, _lift(other))
 
     def __rmul__(self, other):
-        return mul(_lift(other, self.data.dtype), self)
+        return mul(_lift(other), self)
 
     def __neg__(self):
         return neg(self)
@@ -104,12 +111,12 @@ class Tensor:
         return float(self.data)
 
 
-def _lift(x, dtype) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x), dtype=dtype)
+def _lift(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def constant(x, dtype=np.float64) -> Tensor:
-    return Tensor(np.asarray(x), dtype=dtype)
+def constant(x) -> Tensor:
+    return Tensor(x)
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -180,32 +187,10 @@ def relu(a: Tensor) -> Tensor:
     return out
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = np.clip(a.data, -_EXP_CLAMP, _EXP_CLAMP)
-    s = 1.0 / (1.0 + np.exp(-x))
-    out = Tensor(s, (a,))
-    out._bw = lambda g: a.grad.__iadd__(g * s * (1.0 - s))
-    return out
-
-
 def exp(a: Tensor) -> Tensor:
     e = np.exp(np.clip(a.data, -_EXP_CLAMP, _EXP_CLAMP))
     out = Tensor(e, (a,))
     out._bw = lambda g: a.grad.__iadd__(g * e)
-    return out
-
-
-def log(a: Tensor) -> Tensor:
-    x = np.maximum(a.data, np.exp(-_EXP_CLAMP))
-    out = Tensor(np.log(x), (a,))
-    out._bw = lambda g: a.grad.__iadd__(g / x)
-    return out
-
-
-def tanh(a: Tensor) -> Tensor:
-    t = np.tanh(a.data)
-    out = Tensor(t, (a,))
-    out._bw = lambda g: a.grad.__iadd__(g * (1.0 - t * t))
     return out
 
 
@@ -225,26 +210,6 @@ def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
         else:
             gexp = g if keepdims else np.expand_dims(g, axis)
             a.grad += np.broadcast_to(gexp, a.shape)
-
-    out._bw = bw
-    return out
-
-
-def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    n = a.data.size if axis is None else a.shape[axis]
-    return mul(tsum(a, axis, keepdims), constant(1.0 / n, a.data.dtype))
-
-
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis), tuple(parts))
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def bw(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            p.grad += g[tuple(sl)]
 
     out._bw = bw
     return out
@@ -282,19 +247,13 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return out
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    out = Tensor(a.data.reshape(shape), (a,))
-    out._bw = lambda g: a.grad.__iadd__(g.reshape(a.shape))
-    return out
-
-
 def bce_with_logits(logits: Tensor, targets) -> Tensor:
     """Elementwise binary cross-entropy for soft targets in [0, 1].
 
     softplus(l) - l * y, the numerically stable form; summing is left to the
     caller.
     """
-    y = constant(np.asarray(targets), logits.data.dtype)
+    y = constant(targets)
     if y.shape != logits.shape:
         raise ShapeMismatchError(f"bce: logits {logits.shape} vs targets {y.shape}")
     return softplus(logits) - mul(logits, y)
@@ -310,15 +269,14 @@ class ParamStore:
     runs and platforms.
     """
 
-    def __init__(self, seed: int = 0, dtype=np.float64):
+    def __init__(self, seed: int = 0):
         self.seed = int(seed)
-        self.dtype = np.dtype(dtype)
         self.params: Dict[str, np.ndarray] = {}
         self.grads: Dict[str, np.ndarray] = {}
         self._m: Dict[str, np.ndarray] = {}
         self._v: Dict[str, np.ndarray] = {}
         self.step = 0
-        self._rng = np.random.Generator(np.random.Philox(key=[self.seed & ((1 << 64) - 1), 0]))
+        self._rng = seeded_rng(self.seed)
 
     def add(self, name: str, shape, init: str = "glorot") -> np.ndarray:
         if name in self.params:
@@ -333,18 +291,15 @@ class ParamStore:
             arr = np.zeros(shape)
         else:
             raise ValueError(f"unknown init {init!r}")
-        self.params[name] = arr.astype(self.dtype)
-        self.grads[name] = np.zeros(shape, dtype=self.dtype)
-        self._m[name] = np.zeros(shape, dtype=self.dtype)
-        self._v[name] = np.zeros(shape, dtype=self.dtype)
-        return self.params[name]
-
-    def has(self, name: str) -> bool:
-        return name in self.params
+        self.params[name] = arr
+        self.grads[name] = np.zeros(shape)
+        self._m[name] = np.zeros(shape)
+        self._v[name] = np.zeros(shape)
+        return arr
 
     def bind(self) -> Dict[str, Tensor]:
         """Leaf tensors for one forward/backward pass."""
-        return {name: Tensor(arr, dtype=self.dtype) for name, arr in self.params.items()}
+        return {name: Tensor(arr) for name, arr in self.params.items()}
 
     def accumulate(self, bound: Dict[str, Tensor], scale: float = 1.0):
         """Add the bound leaves' gradients into the store's gradient slots."""
@@ -364,17 +319,15 @@ def init_mlp(store: ParamStore, prefix: str, sizes: Sequence[int]):
         store.add(f"{prefix}.b{i}", (sizes[i + 1],), init="zeros")
 
 
-def mlp_forward(bound: Dict[str, Tensor], prefix: str, x: Tensor,
-                activation: str = "relu") -> Tensor:
-    """Affine + activation stack; the final layer stays linear."""
-    act = {"relu": relu, "tanh": tanh, "sigmoid": sigmoid}[activation]
+def mlp_forward(bound: Dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
+    """Affine + ReLU stack; the final layer stays linear."""
     i = 0
     h = x
     while f"{prefix}.w{i}" in bound:
         last = f"{prefix}.w{i + 1}" not in bound
         h = add(matmul(h, bound[f"{prefix}.w{i}"]), bound[f"{prefix}.b{i}"])
         if not last:
-            h = act(h)
+            h = relu(h)
         i += 1
     if i == 0:
         raise KeyError(f"no parameters found under prefix {prefix!r}")
@@ -406,7 +359,7 @@ def save_params(path, store: ParamStore, manifest: Optional[dict] = None):
     meta = {
         "manifest": manifest or {},
         "names": names,
-        "dtype": store.dtype.str,
+        "dtype": "<f8",
         "seed": store.seed,
         "step": store.step,
     }
@@ -423,18 +376,13 @@ def save_params(path, store: ParamStore, manifest: Optional[dict] = None):
 def load_params(path):
     """Returns (ParamStore, manifest dict)."""
     meta, arrays = serialize.read_container(path, MAGIC)
-    store = ParamStore(seed=meta["seed"], dtype=np.dtype(meta["dtype"]))
+    store = ParamStore(seed=meta["seed"])
     store.step = meta["step"]
     names = meta["names"]
     k = len(names)
     for i, name in enumerate(names):
-        store.params[name] = arrays[i].astype(store.dtype)
+        store.params[name] = arrays[i].astype(np.float64)
         store.grads[name] = np.zeros_like(store.params[name])
-        store._m[name] = arrays[k + i].astype(store.dtype)
-        store._v[name] = arrays[2 * k + i].astype(store.dtype)
+        store._m[name] = arrays[k + i].astype(np.float64)
+        store._v[name] = arrays[2 * k + i].astype(np.float64)
     return store, meta["manifest"]
-
-
-def manifest_of(path) -> dict:
-    meta, _ = serialize.read_container(path, MAGIC)
-    return meta["manifest"]

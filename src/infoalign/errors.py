@@ -59,10 +59,6 @@ class MixedDimensionsError(InfoAlignError):
     """Similarity edges require one feature dimensionality per node kind."""
 
 
-class IncompatibleMergeError(InfoAlignError):
-    """Gene/morphology merge preconditions violated."""
-
-
 class CorruptFileError(InfoAlignError):
     """Binary file failed magic/version/checksum validation."""
 

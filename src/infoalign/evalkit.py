@@ -10,11 +10,10 @@ relevant item per query, NDCG@k is 1/log2(1+rank).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import diffcore as dc
 from .ctxgraph import NodeKind
@@ -23,6 +22,7 @@ from .errors import (
     LengthMismatchError,
     SingleClassError,
     TooFewError,
+    UnknownNodeError,
 )
 from .model import DecoderRegistry, gin_encode
 from .molparse import MolecularGraph
@@ -42,7 +42,10 @@ def auc(scores, labels) -> float:
     nneg = len(labels) - npos
     if npos == 0 or nneg == 0:
         raise SingleClassError("AUC needs at least one positive and one negative")
-    ranks = rankdata(scores)  # average ranks give ties 1/2 credit
+    # average ranks give ties 1/2 credit: a block of c tied scores ending at
+    # rank e shares the rank e - (c - 1) / 2
+    _, tie_block, tie_counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(tie_counts) - (tie_counts - 1) / 2.0)[tie_block]
     return float((ranks[pos].sum() - npos * (npos + 1) / 2) / (npos * nneg))
 
 
@@ -60,8 +63,7 @@ def split_random(n_items: int, ratios=(0.6, 0.15, 0.25), seed: int = 0):
         raise TooFewError(f"need >= 3 items to split, got {n_items}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError("ratios must sum to 1")
-    rng = np.random.Generator(np.random.Philox(key=[seed & ((1 << 64) - 1), 0]))
-    perm = rng.permutation(n_items)
+    perm = dc.seeded_rng(seed).permutation(n_items)
     n_train = int(round(ratios[0] * n_items))
     n_valid = int(round(ratios[1] * n_items))
     n_train = max(1, min(n_train, n_items - 2))
@@ -76,15 +78,18 @@ def split_random(n_items: int, ratios=(0.6, 0.15, 0.25), seed: int = 0):
 @dataclass
 class LabeledSet:
     embeddings: np.ndarray           # (N, D)
-    labels: np.ndarray               # (N, T)
+    labels: np.ndarray               # (N, T), or (N,) for a single task
     task_types: List[str]            # per task, "classification" or "regression"
     mask: Optional[np.ndarray] = None  # (N, T) availability; default all observed
 
     def __post_init__(self):
         self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
-        self.labels = np.atleast_2d(np.asarray(self.labels, dtype=np.float64))
-        if self.labels.shape[0] != self.embeddings.shape[0]:
-            self.labels = self.labels.T
+        self.labels = np.asarray(self.labels, dtype=np.float64)
+        if self.labels.ndim == 1:
+            self.labels = self.labels[:, None]
+        if self.labels.ndim != 2 or self.labels.shape[0] != self.embeddings.shape[0]:
+            raise LengthMismatchError(
+                f"labels of shape {self.labels.shape} for {self.embeddings.shape[0]} embeddings")
         if self.mask is None:
             self.mask = np.ones(self.labels.shape, dtype=bool)
         else:
@@ -235,6 +240,12 @@ def match_zero_shot(store: dc.ParamStore, registry: DecoderRegistry,
         raise DimensionMismatchError("candidates must be a 2-D matrix")
     if len(candidate_ids) != candidates.shape[0]:
         raise DimensionMismatchError("candidate_ids length != candidate rows")
+    if len(true_ids) != len(queries):
+        raise LengthMismatchError(f"{len(true_ids)} true ids for {len(queries)} queries")
+    known = set(candidate_ids)
+    for tid in true_ids:
+        if tid not in known:
+            raise UnknownNodeError(f"true id {tid!r} is not a candidate id")
     dim = candidates.shape[1]
     prefix = registry.prefix(NodeKind.CELL_MORPHOLOGY, dim)  # NoDecoderError if absent
 

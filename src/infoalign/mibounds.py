@@ -18,11 +18,11 @@ form, saturating at log K) is E[h] - E[log mean_i e^{h(z, y_i)}].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import BatchTooSmallError
 
@@ -161,9 +161,10 @@ def _compositions(total: int, parts: int) -> np.ndarray:
 
 def _log_multinomial_pmf(counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
     n = counts.sum(axis=1)
+    log_factorial = np.array([math.lgamma(i + 1) for i in range(int(n.max()) + 1)])
     logp = np.where(probs > 0, np.log(np.maximum(probs, 1e-300)), -np.inf)
     term = np.where(counts > 0, counts * logp[None, :], 0.0)
-    return (gammaln(n + 1) - gammaln(counts + 1).sum(axis=1) + term.sum(axis=1))
+    return (log_factorial[n] - log_factorial[counts].sum(axis=1) + term.sum(axis=1))
 
 
 def i_nce_exact(jt: JointTable, h: np.ndarray, K: int) -> float:
@@ -219,7 +220,8 @@ def i_nce(jt: JointTable, h: np.ndarray, K: int,
     """Multi-sample contrastive lower bound; exact unless trials are given."""
     if trials is None:
         return i_nce_exact(jt, h, K)
-    assert rng is not None
+    if rng is None:
+        raise ValueError("sampling mode (trials given) needs an rng")
     return i_nce_samples(jt, h, K, trials, rng)[0]
 
 

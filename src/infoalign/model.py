@@ -20,7 +20,6 @@ from .ctxgraph import ContextGraph, NodeKind
 from .errors import NoDecoderError, PathMismatchError, ShapeMismatchError
 from .molparse import BondOrder, MolecularGraph
 from .walker import WalkConfig, WalkPath, batch_walks
-from .fingerprint import morgan_fingerprint
 
 _ELEMENT_INDEX = {e: i for i, e in enumerate(("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"))}
 _BOND_INDEX = {
@@ -300,10 +299,8 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig,
     mols = graph.molecule_ids()
     if not mols:
         raise ValueError("graph has no molecule nodes")
-    shuffle_rng = np.random.Generator(
-        np.random.Philox(key=[cfg.seed & ((1 << 64) - 1), _SHUFFLE_STREAM]))
-    noise_rng = np.random.Generator(
-        np.random.Philox(key=[cfg.seed & ((1 << 64) - 1), _NOISE_STREAM]))
+    shuffle_rng = dc.seeded_rng(cfg.seed, _SHUFFLE_STREAM)
+    noise_rng = dc.seeded_rng(cfg.seed, _NOISE_STREAM)
 
     epoch_logs: List[LossBreakdown] = []
     for epoch in range(cfg.epochs):

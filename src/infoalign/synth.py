@@ -11,12 +11,13 @@ perturbation edges. The downstream label is the cluster id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence
 
 import numpy as np
 
+from .diffcore import seeded_rng
 from .molparse import parse_smiles
 
 # Motifs differ by one heteroatom or a small structural feature so that the
@@ -85,7 +86,7 @@ def _decorate(motif: str, rng: np.random.Generator, lo: int, hi: int) -> str:
 
 
 def generate(spec: SyntheticSpec) -> SyntheticData:
-    rng = np.random.Generator(np.random.Philox(key=[spec.seed & ((1 << 64) - 1), 0]))
+    rng = seeded_rng(spec.seed)
     morph_centroids = rng.uniform(0.1, 0.9, size=(spec.clusters, spec.morph_dim))
     gexp_centroids = rng.uniform(0.1, 0.9, size=(spec.clusters, spec.gexp_dim))
 

@@ -20,6 +20,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .ctxgraph import ContextGraph, NodeKind
+from .diffcore import seeded_rng
 from .errors import IsolatedNodeError, NotAMoleculeError
 
 
@@ -98,11 +99,6 @@ def sample_walk(g: ContextGraph, start: str, cfg: WalkConfig,
     return WalkPath(nodes, weights, truncated=truncated)
 
 
-def walk_rng(seed: int, stream: int) -> np.random.Generator:
-    """Independent counter-based stream for one start index."""
-    return np.random.Generator(np.random.Philox(key=[seed & ((1 << 64) - 1), stream]))
-
-
 def batch_walks(g: ContextGraph, starts: Sequence[str], cfg: WalkConfig) -> List[WalkPath]:
     """walks_per_molecule paths per start, grouped in starts order.
 
@@ -111,7 +107,7 @@ def batch_walks(g: ContextGraph, starts: Sequence[str], cfg: WalkConfig) -> List
     """
     out: List[WalkPath] = []
     for idx, start in enumerate(starts):
-        rng = walk_rng(cfg.seed, idx)
+        rng = seeded_rng(cfg.seed, idx)
         for _ in range(cfg.walks_per_molecule):
             out.append(sample_walk(g, start, cfg, rng))
     return out

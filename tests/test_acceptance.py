@@ -58,7 +58,6 @@ from infoalign.model import (
 )
 from infoalign.molparse import parse_smiles
 from infoalign.synth import SyntheticSpec, generate, write_tables
-from infoalign.walker import WalkPath, sample_walk, transition, walk_rng
 
 from tests.test_evalkit import auc_pairwise_oracle, rerank_oracle
 from tests.test_mibounds import gaussian_mi_quadrature
@@ -129,14 +128,13 @@ def test_gradient_integrity():
     loss pass central finite-difference checks at relative error < 1e-4.
     Runtime < 2 min."""
     t0 = time.monotonic()
-    from tests.test_diffcore import test_primitive_gradients, test_log_gradient
+    from tests.test_diffcore import test_primitive_gradients
     import tests.test_diffcore as td
     for mark in test_primitive_gradients.pytestmark:
         if mark.name == "parametrize":
             for param in mark.args[1]:
                 name, build = param
                 test_primitive_gradients(name, build)
-    test_log_gradient()
     from tests.test_model import (
         test_encoder_gradient_finite_difference,
         test_loss_gradient_finite_difference,

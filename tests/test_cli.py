@@ -2,11 +2,15 @@
 byte-identical determinism of primary outputs."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import infoalign
 from infoalign.cli import main
 
 TOY_NODES = """\
@@ -203,6 +207,33 @@ def test_eval_report(tmp_path):
     assert rep["test"]["aggregates"]["mean_auc"] > 0.9
 
 
+def test_eval_label_rows_mismatch_exit_1(tmp_path, capsys):
+    (tmp_path / "emb.tsv").write_text("\n".join(f"{i}\t{i % 2}" for i in range(10)) + "\n")
+    (tmp_path / "lab.tsv").write_text("\n".join(str(i % 2) for i in range(7)) + "\n")
+    assert run(["eval", "--embeddings", tmp_path / "emb.tsv",
+                "--labels", tmp_path / "lab.tsv", "--out", tmp_path / "r.json"]) == 1
+    assert "7 label rows for 10 embeddings" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("true_ids,message", [
+    ("c1\n", "1 true ids for 2 queries"),
+    ("c1\nzz\n", "true id 'zz' is not a candidate id"),
+])
+def test_match_bad_true_ids_exit_1(synth_graph, tmp_path, capsys, true_ids, message):
+    ck = tmp_path / "ck.iapt"
+    assert run(["pretrain", "--graph", synth_graph, "--out", ck,
+                "--epochs", 1, *PRETRAIN_SMALL]) == 0
+    (tmp_path / "cands.tsv").write_text("c0\t" + "\t".join(["0.5"] * 6) + "\n"
+                                        "c1\t" + "\t".join(["0.1"] * 6) + "\n")
+    (tmp_path / "q.smi").write_text("CCO\nCCN\n")
+    (tmp_path / "true.txt").write_text(true_ids)
+    assert run(["match", "--checkpoint", ck, "--queries", tmp_path / "q.smi",
+                "--candidates", tmp_path / "cands.tsv",
+                "--true-ids", tmp_path / "true.txt", "--out", tmp_path / "m.json"]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_match_report(synth_graph, tmp_path):
     ck = tmp_path / "ck.iapt"
     assert run(["pretrain", "--graph", synth_graph, "--out", ck,
@@ -237,6 +268,16 @@ def test_mi_bench_exact_zero_violations(tmp_path):
 def test_mi_bench_rejects_no_exact(tmp_path, capsys):
     assert run(["mi-bench", "--no-exact", "--out", tmp_path / "mi.json"]) == 1
     assert "exact" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(infoalign.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, infoalign.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_unknown_flag_exit_2(capsys):

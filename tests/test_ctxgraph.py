@@ -20,7 +20,6 @@ from infoalign.errors import (
     CorruptFileError,
     DuplicateIdError,
     FinalizedError,
-    IncompatibleMergeError,
     MixedDimensionsError,
     SelfLoopError,
     TableFormatError,
@@ -216,100 +215,6 @@ def test_zero_norm_rows_skipped():
     g.add_node(rec("b", feats=(1.0, 0.0)))
     g.add_node(rec("c", feats=(1.0, 0.0)))
     assert g.build_similarity_edges(NodeKind.CELL_MORPHOLOGY, keep_fraction=1.0) == 1
-
-
-# --- merge ----------------------------------------------------------------------
-
-def make_merge_graph():
-    g = ContextGraph()
-    g.add_node(NodeRecord("gene1", NodeKind.GENE, np.zeros(0, dtype=np.float32)))
-    g.add_node(rec("morph1", feats=(0.1, 0.9)))
-    g.add_node(rec("other", feats=(0.5, 0.5)))
-    g.add_perturbation_edge("gene1", "morph1")
-    return g
-
-
-def test_merge_gene_morphology():
-    g = make_merge_graph()
-    g.add_edge("morph1", "other", Relation.SIMILARITY, 0.9)
-    before = g.num_nodes()
-    g.merge_gene_morphology("gene1", "morph1")
-    assert g.num_nodes() == before - 1
-    assert not g.has_node("morph1")
-    gene = g.node("gene1")
-    assert gene.kind is NodeKind.GENE
-    assert np.allclose(gene.features, [0.1, 0.9])
-    # re-attached edge
-    assert (min("gene1", "other"), max("gene1", "other"), Relation.SIMILARITY) in g._edges
-
-
-def test_merge_max_weight_collapse():
-    g = make_merge_graph()
-    g.add_edge("gene1", "other", Relation.SIMILARITY, 0.5)
-    g.add_edge("morph1", "other", Relation.SIMILARITY, 0.9)
-    g.merge_gene_morphology("gene1", "morph1")
-    key = (min("gene1", "other"), max("gene1", "other"), Relation.SIMILARITY)
-    assert g._edges[key] == pytest.approx(0.9)
-
-
-def test_merge_errors():
-    g = make_merge_graph()
-    with pytest.raises(UnknownNodeError):
-        g.merge_gene_morphology("gene1", "nope")
-    with pytest.raises(IncompatibleMergeError):
-        g.merge_gene_morphology("other", "morph1")   # not a gene
-    g2 = ContextGraph()
-    g2.add_node(NodeRecord("g", NodeKind.GENE, np.zeros(0, dtype=np.float32)))
-    g2.add_node(rec("m"))
-    with pytest.raises(IncompatibleMergeError):
-        g2.merge_gene_morphology("g", "m")  # no perturbation link
-
-
-# --- gene-expression attachment ---------------------------------------------------
-
-def test_attach_gene_expression_basic():
-    g = ContextGraph()
-    g.add_node(mol("m1"))
-    profile = np.arange(10.0)
-    nid = g.attach_gene_expression_node("m1", profile)
-    assert nid == "m1.gexp"
-    node = g.node(nid)
-    assert node.kind is NodeKind.GENE_EXPRESSION
-    assert node.features.min() == 0.0 and node.features.max() == 1.0
-    assert (min("m1", nid), max("m1", nid), Relation.PERTURBATION) in g._edges
-
-
-def test_attach_top_fraction_link_count():
-    """978-length profile, fraction 0.01 -> ceil(9.78) = 10 candidate links."""
-    g = ContextGraph()
-    g.add_node(mol("m1"))
-    rng = np.random.default_rng(5)
-    gene_ids = [f"g{i:03d}" for i in range(978)]
-    for gid in gene_ids:
-        g.add_node(NodeRecord(gid, NodeKind.GENE, np.zeros(0, dtype=np.float32)))
-    profile = rng.standard_normal(978)
-    g.attach_gene_expression_node("m1", profile, top_fraction=0.01, gene_ids=gene_ids)
-    gm = [k for k in g._edges if k[2] is Relation.GENE_MOLECULE]
-    assert len(gm) == 10
-    # sort oracle: the linked genes are the 10 largest |profile| entries
-    top = sorted(range(978), key=lambda i: (-abs(profile[i]), i))[:10]
-    expect = {tuple(sorted(("m1", gene_ids[i]))) + (Relation.GENE_MOLECULE,) for i in top}
-    assert set(gm) == expect
-
-
-def test_attach_zero_profile_no_links():
-    g = ContextGraph()
-    g.add_node(mol("m1"))
-    g.add_node(NodeRecord("g000", NodeKind.GENE, np.zeros(0, dtype=np.float32)))
-    g.attach_gene_expression_node("m1", np.zeros(20), top_fraction=0.5,
-                                  gene_ids=["g000"] * 20)
-    assert not [k for k in g._edges if k[2] is Relation.GENE_MOLECULE]
-
-
-def test_attach_unknown_molecule():
-    g = ContextGraph()
-    with pytest.raises(UnknownNodeError):
-        g.attach_gene_expression_node("nope", np.ones(5))
 
 
 # --- finalize / stats / persistence ------------------------------------------------

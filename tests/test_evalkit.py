@@ -13,6 +13,7 @@ from infoalign.errors import (
     NoDecoderError,
     SingleClassError,
     TooFewError,
+    UnknownNodeError,
 )
 from infoalign.evalkit import (
     CLASSIFICATION,
@@ -205,6 +206,18 @@ def test_probe_single_class_task_skipped():
     assert "mean_auc" not in rep["aggregates"]
 
 
+def test_labeled_set_label_shapes():
+    emb = np.zeros((5, 2))
+    assert LabeledSet(emb, np.arange(5.0), [CLASSIFICATION]).labels.shape == (5, 1)
+    # a task-major (T, N) table is rejected, not transposed
+    with pytest.raises(LengthMismatchError):
+        LabeledSet(emb, np.zeros((2, 5)), [CLASSIFICATION, CLASSIFICATION])
+    with pytest.raises(LengthMismatchError):
+        LabeledSet(emb, np.zeros((4, 1)), [CLASSIFICATION])
+    with pytest.raises(LengthMismatchError):
+        LabeledSet(emb, np.arange(4.0), [CLASSIFICATION])
+
+
 def test_probe_head_save_load(tmp_path):
     train = separable_set(n=100, seed=9)
     head = probe_train(train, ProbeConfig(epochs=20))
@@ -334,3 +347,8 @@ def test_match_errors():
         match_zero_shot(store, reg, [], np.zeros((2, 6)), ["only-one"], [])
     with pytest.raises(NoDecoderError):
         match_zero_shot(store, reg, [], np.zeros((2, 7)), ["a", "b"], [])
+    query = [parse_smiles("CCO")]
+    with pytest.raises(LengthMismatchError):
+        match_zero_shot(store, reg, query * 2, np.zeros((2, 6)), ["a", "b"], ["a"])
+    with pytest.raises(UnknownNodeError, match="'z' is not a candidate id"):
+        match_zero_shot(store, reg, query, np.zeros((2, 6)), ["a", "b"], ["z"])

@@ -2,6 +2,8 @@
 saturation behavior, Gaussian closed form vs quadrature, and Monte Carlo
 agreement with exact-mode values."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
@@ -9,6 +11,8 @@ from scipy.integrate import dblquad
 from infoalign.errors import BatchTooSmallError
 from infoalign.mibounds import (
     JointTable,
+    _compositions,
+    _log_multinomial_pmf,
     critic_to_conditional,
     gaussian_mi,
     i_dlb,
@@ -209,6 +213,24 @@ def test_nce_dispatch():
     rng = np.random.default_rng(12)
     val = i_nce(jt, h, 4, trials=50, rng=rng)
     assert np.isfinite(val)
+    with pytest.raises(ValueError, match="rng"):
+        i_nce(jt, h, 4, trials=50)
+
+
+@pytest.mark.parametrize("K", [2, 8, 32])
+def test_multinomial_pmf_matches_factorial_oracle(K):
+    """The pmf over all count vectors of K-1 draws sums to 1 and equals
+    n! / prod(c_i!) * prod(p_i^c_i) computed with exact integer factorials."""
+    probs = np.array([0.1, 0.2, 0.3, 0.4])
+    counts = _compositions(K - 1, len(probs))
+    pmf = np.exp(_log_multinomial_pmf(counts, probs))
+    assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+    for row, got in zip(counts, pmf):
+        coef = math.factorial(K - 1)
+        for c in row:
+            coef //= math.factorial(int(c))
+        expect = coef * math.prod(p ** int(c) for p, c in zip(probs, row))
+        assert got == pytest.approx(expect, rel=1e-12, abs=1e-300)
 
 
 # --- Gaussian closed form ------------------------------------------------------------

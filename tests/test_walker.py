@@ -7,7 +7,8 @@ from scipy.stats import chisquare
 
 from infoalign.ctxgraph import ContextGraph, NodeKind, NodeRecord, Relation
 from infoalign.errors import IsolatedNodeError, NotAMoleculeError
-from infoalign.walker import WalkConfig, WalkPath, batch_walks, sample_walk, transition, walk_rng
+from infoalign.diffcore import seeded_rng
+from infoalign.walker import WalkConfig, WalkPath, batch_walks, sample_walk, transition
 
 
 def feat(v=0.5):
@@ -68,7 +69,7 @@ def test_walk_config_validation():
 
 def test_single_neighbor_deterministic():
     g = line_graph([0.7])
-    rng = walk_rng(0, 0)
+    rng = seeded_rng(0, 0)
     for _ in range(10):
         nxt, w = transition(g, "m0", rng)
         assert nxt == "c0" and w == pytest.approx(0.7)
@@ -79,13 +80,13 @@ def test_isolated_node():
     g.add_node(NodeRecord("m0", NodeKind.MOLECULE, np.zeros(0, dtype=np.float32), smiles="C"))
     g.finalize()
     with pytest.raises(IsolatedNodeError):
-        transition(g, "m0", walk_rng(0, 0))
+        transition(g, "m0", seeded_rng(0, 0))
 
 
 def test_transition_weight_proportional_frequencies():
     """Weights 0.9/0.3 -> probabilities 0.75/0.25, binomial 3-sigma check."""
     g = star_graph([0.9, 0.3])
-    rng = walk_rng(42, 0)
+    rng = seeded_rng(42, 0)
     n = 100_000
     hits = sum(transition(g, "m0", rng)[0] == "c0" for _ in range(n))
     p = 0.75
@@ -97,7 +98,7 @@ def test_transition_chi_square_many_weights():
     """Chi-square goodness of fit at p > 0.001 over 1e5 draws."""
     weights = [0.9, 0.5, 0.25, 0.1, 0.05]
     g = star_graph(weights)
-    rng = walk_rng(7, 0)
+    rng = seeded_rng(7, 0)
     n = 100_000
     counts = {f"c{i}": 0 for i in range(len(weights))}
     for _ in range(n):
@@ -110,7 +111,7 @@ def test_transition_chi_square_many_weights():
 
 def test_uniform_mode():
     g = star_graph([0.9, 0.1])
-    rng = walk_rng(3, 0)
+    rng = seeded_rng(3, 0)
     n = 50_000
     hits = sum(transition(g, "m0", rng, weight_proportional=False)[0] == "c0"
                for _ in range(n))
@@ -123,7 +124,7 @@ def test_uniform_mode():
 def test_walk_structure_and_alphas():
     g = line_graph([1.0, 0.8, 0.5])
     cfg = WalkConfig(length=4)
-    p = sample_walk(g, "m0", cfg, walk_rng(0, 0))
+    p = sample_walk(g, "m0", cfg, seeded_rng(0, 0))
     assert len(p.nodes) == 4
     assert len(p.edge_weights) == 3
     # on a line the first step is forced: alphas follow the traversed weights
@@ -138,14 +139,14 @@ def test_walk_length_two_perturbation():
     g.add_node(NodeRecord("c0", NodeKind.CELL_MORPHOLOGY, feat()))
     g.add_perturbation_edge("m0", "c0")
     g.finalize()
-    p = sample_walk(g, "m0", WalkConfig(length=2), walk_rng(0, 0))
+    p = sample_walk(g, "m0", WalkConfig(length=2), seeded_rng(0, 0))
     assert p.targets() == [("c0", 1.0)]
 
 
 def test_walk_start_must_be_molecule():
     g = line_graph([0.5])
     with pytest.raises(NotAMoleculeError):
-        sample_walk(g, "c0", WalkConfig(length=2), walk_rng(0, 0))
+        sample_walk(g, "c0", WalkConfig(length=2), seeded_rng(0, 0))
 
 
 def test_position_distribution_matches_markov_chain():
@@ -165,7 +166,7 @@ def test_position_distribution_matches_markov_chain():
     n_walks = 10_000
     length = 4
     counts = np.zeros((length, 5))
-    rng = walk_rng(11, 0)
+    rng = seeded_rng(11, 0)
     for _ in range(n_walks):
         p = sample_walk(g, "m0", WalkConfig(length=length), rng)
         for pos, nid in enumerate(p.nodes):
@@ -242,5 +243,5 @@ def test_dead_end_truncation():
     # walk bounces back instead of truncating.
     g.add_perturbation_edge("m0", "c0")
     g.finalize()
-    p = sample_walk(g, "m0", WalkConfig(length=5), walk_rng(0, 0))
+    p = sample_walk(g, "m0", WalkConfig(length=5), seeded_rng(0, 0))
     assert len(p.nodes) == 5 and not p.truncated  # bouncing is allowed
