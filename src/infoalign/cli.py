@@ -22,7 +22,7 @@ import numpy as np
 from . import diffcore as dc
 from . import mibounds, synth
 from .ctxgraph import ContextGraph, NodeKind, build_graph_from_tables
-from .errors import InfoAlignError, LengthMismatchError
+from .errors import InfoAlignError, LengthMismatchError, TableFormatError
 from .evalkit import (
     LabeledSet,
     ProbeConfig,
@@ -237,10 +237,15 @@ def cmd_embed(args) -> int:
 
 
 def _read_matrix_tsv(path):
-    """Rows of floats; a non-numeric first column is treated as an id column."""
+    """Rows of floats; a non-numeric first column is treated as an id column.
+
+    A table with no rows, or with rows of different lengths, raises
+    TableFormatError naming the file (and the line).
+    """
     ids, rows = [], []
+    first = None  # (line number, value count) of the first row
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
@@ -251,7 +256,15 @@ def _read_matrix_tsv(path):
             except ValueError:
                 ids.append(cols[0])
                 cols = cols[1:]
-            rows.append([float(c) for c in cols])
+            row = [float(c) for c in cols]
+            if first is None:
+                first = (lineno, len(row))
+            elif len(row) != first[1]:
+                raise TableFormatError(f"{path} line {lineno}: {len(row)} values, "
+                                       f"but line {first[0]} has {first[1]}")
+            rows.append(row)
+    if not rows:
+        raise TableFormatError(f"{path}: no data rows")
     return ids, np.array(rows, dtype=np.float64)
 
 

@@ -6,6 +6,11 @@ feature vectors of nodes visited by a context-graph walk. The loss averages
 the alpha-weighted reconstruction NLLs over the path length and adds a
 beta-weighted KL to the standard-normal prior. The start molecule's own
 fingerprint is always a target with alpha = 1.
+
+Training evaluates a whole minibatch in one tape (`batch_loss`): the
+molecules are encoded together as one block-diagonal graph and every target
+of one (kind, dim) is decoded as one matrix. `infoalign_loss` computes the
+same loss for a single walk and is kept as its reference.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import diffcore as dc
-from .ctxgraph import ContextGraph, NodeKind
+from .ctxgraph import ContextGraph, NodeKind, NodeRecord
 from .errors import NoDecoderError, PathMismatchError, ShapeMismatchError
 from .molparse import BondOrder, MolecularGraph
 from .walker import WalkConfig, WalkPath, batch_walks
@@ -29,6 +34,9 @@ _BOND_INDEX = {
     BondOrder.AROMATIC: 3,
 }
 ATOM_FEATURE_DIM = len(_ELEMENT_INDEX) + 5 + 1 + 6  # element, charge in [-2,2], aromatic, degree 0-5
+_CHARGE_BASE = len(_ELEMENT_INDEX)
+_AROMATIC_COL = _CHARGE_BASE + 5
+_DEGREE_BASE = _AROMATIC_COL + 1
 NUM_BOND_TYPES = 4
 
 LOGVAR_CLAMP = 10.0
@@ -58,8 +66,8 @@ class ModelConfig:
 
 @dataclass
 class EncoderOutput:
-    mu: dc.Tensor      # shape (1, D)
-    logvar: dc.Tensor  # shape (1, D), clamped to [-10, 10]
+    mu: dc.Tensor      # shape (molecules, D)
+    logvar: dc.Tensor  # shape (molecules, D), clamped to [-10, 10]
 
     @property
     def mu_array(self) -> np.ndarray:
@@ -75,18 +83,17 @@ class LossBreakdown:
 
 
 def atom_feature_matrix(g: MolecularGraph) -> np.ndarray:
-    n = len(g.atoms)
-    x = np.zeros((n, ATOM_FEATURE_DIM), dtype=np.float64)
+    degree = [0] * len(g.atoms)
+    for bond in g.bonds:
+        degree[bond.a] += 1
+        degree[bond.b] += 1
+    x = np.zeros((len(g.atoms), ATOM_FEATURE_DIM), dtype=np.float64)
     for a in g.atoms:
-        base = 0
-        x[a.index, _ELEMENT_INDEX[a.element]] = 1.0
-        base += len(_ELEMENT_INDEX)
-        charge = int(np.clip(a.formal_charge, -2, 2))
-        x[a.index, base + charge + 2] = 1.0
-        base += 5
-        x[a.index, base] = float(a.aromatic)
-        base += 1
-        x[a.index, base + min(g.degree(a.index), 5)] = 1.0
+        row = x[a.index]
+        row[_ELEMENT_INDEX[a.element]] = 1.0
+        row[_CHARGE_BASE + min(max(a.formal_charge, -2), 2) + 2] = 1.0
+        row[_AROMATIC_COL] = float(a.aromatic)
+        row[_DEGREE_BASE + min(degree[a.index], 5)] = 1.0
     return x
 
 
@@ -99,6 +106,20 @@ def directed_edges(g: MolecularGraph) -> Tuple[np.ndarray, np.ndarray, np.ndarra
         order += [code, code]
     return (np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp),
             np.array(order, dtype=np.intp))
+
+
+@dataclass(frozen=True)
+class MolArrays:
+    """Encoder inputs of one molecule: atom features and directed bonds."""
+
+    x: np.ndarray      # (atoms, ATOM_FEATURE_DIM)
+    src: np.ndarray
+    dst: np.ndarray
+    order: np.ndarray  # bond type code per directed edge
+
+
+def mol_arrays(g: MolecularGraph) -> MolArrays:
+    return MolArrays(atom_feature_matrix(g), *directed_edges(g))
 
 
 class DecoderRegistry:
@@ -165,19 +186,25 @@ def _infer_num_layers(bound: Dict[str, dc.Tensor]) -> int:
     return n
 
 
-def gin_encode(g: MolecularGraph, bound: Dict[str, dc.Tensor],
-               num_layers: Optional[int] = None) -> EncoderOutput:
-    """Sum-readout GIN encoder producing the latent Gaussian parameters.
+def encode_batch(mols: Sequence[MolArrays], bound: Dict[str, dc.Tensor],
+                 num_layers: Optional[int] = None) -> EncoderOutput:
+    """Sum-readout GIN encoder over a batch of molecules; row k is mols[k].
 
     Per layer: h_v <- MLP(h_v + sum_{u in N(v)} (h_u + bond_embed(uv))),
-    i.e. the (1 + eps) factor with eps fixed at 0.
+    i.e. the (1 + eps) factor with eps fixed at 0. The molecules form one
+    block-diagonal graph (edge indices offset per molecule), and the readout
+    sums each molecule's atom rows.
     """
     if num_layers is None:
         num_layers = _infer_num_layers(bound)
-    n = len(g.atoms)
-    x = dc.constant(atom_feature_matrix(g))
-    h = dc.matmul(x, bound["atom_embed"])
-    src, dst, order = directed_edges(g)
+    counts = [len(m.x) for m in mols]
+    offsets = np.cumsum([0] + counts[:-1])
+    n = sum(counts)
+    src = np.concatenate([m.src + off for m, off in zip(mols, offsets)])
+    dst = np.concatenate([m.dst + off for m, off in zip(mols, offsets)])
+    order = np.concatenate([m.order for m in mols])
+    segment = np.repeat(np.arange(len(mols)), counts)
+    h = dc.matmul(dc.constant(np.concatenate([m.x for m in mols])), bound["atom_embed"])
     for layer in range(num_layers):
         if len(src):
             msgs = dc.add(dc.gather_rows(h, src),
@@ -185,16 +212,24 @@ def gin_encode(g: MolecularGraph, bound: Dict[str, dc.Tensor],
             agg = dc.scatter_add_rows(msgs, dst, n)
             h = dc.add(agg, h)
         h = dc.mlp_forward(bound, f"gin.l{layer}", h)
-    readout = dc.tsum(h, axis=0, keepdims=True)
+    readout = dc.scatter_add_rows(h, segment, len(mols))
     mu = dc.mlp_forward(bound, "head_mu", readout)
     logvar = dc.clip(dc.mlp_forward(bound, "head_logvar", readout),
                      -LOGVAR_CLAMP, LOGVAR_CLAMP)
     return EncoderOutput(mu, logvar)
 
 
+def gin_encode(g: MolecularGraph, bound: Dict[str, dc.Tensor],
+               num_layers: Optional[int] = None) -> EncoderOutput:
+    """`encode_batch` of one molecule: mu and logvar of shape (1, D)."""
+    return encode_batch([mol_arrays(g)], bound, num_layers)
+
+
 def reparameterize(out: EncoderOutput, noise) -> dc.Tensor:
-    """z = mu + exp(logvar / 2) * noise."""
-    noise = np.asarray(noise, dtype=np.float64).reshape(1, -1)
+    """z = mu + exp(logvar / 2) * noise; a 1-D noise vector is one row."""
+    noise = np.asarray(noise, dtype=np.float64)
+    if noise.ndim == 1:
+        noise = noise.reshape(1, -1)
     if noise.shape != out.mu.shape:
         raise ShapeMismatchError(f"noise {noise.shape} vs mu {out.mu.shape}")
     std = dc.exp(dc.mul(out.logvar, dc.constant(0.5)))
@@ -202,10 +237,22 @@ def reparameterize(out: EncoderOutput, noise) -> dc.Tensor:
 
 
 def kl_standard_normal(out: EncoderOutput) -> dc.Tensor:
-    """KL(N(mu, diag exp(logvar)) || N(0, I)), summed over dimensions."""
+    """KL(N(mu, diag exp(logvar)) || N(0, I)), summed over dimensions and rows."""
     mu2 = dc.mul(out.mu, out.mu)
     inner = dc.add(dc.add(mu2, dc.exp(out.logvar)), dc.neg(out.logvar))
     return dc.mul(dc.tsum(inner + dc.constant(-1.0)), dc.constant(0.5))
+
+
+def _nll_terms(logits: dc.Tensor, y: np.ndarray, likelihood: str) -> dc.Tensor:
+    """Per-element NLL of the targets y under the decoder outputs."""
+    if logits.shape != y.shape:
+        raise ShapeMismatchError(f"decoder output {logits.shape} vs target {y.shape}")
+    if likelihood == "bernoulli":
+        return dc.bce_with_logits(logits, y)
+    if likelihood == "gaussian":
+        diff = dc.add(logits, dc.constant(-y))
+        return dc.mul(dc.mul(diff, diff), dc.constant(0.5))
+    raise ValueError(f"unknown likelihood {likelihood!r}")
 
 
 def decode_nll(z: dc.Tensor, target_features: np.ndarray, kind: NodeKind,
@@ -219,15 +266,14 @@ def decode_nll(z: dc.Tensor, target_features: np.ndarray, kind: NodeKind,
     """
     y = np.asarray(target_features, dtype=np.float64).reshape(1, -1)
     prefix = registry.prefix(kind, y.shape[1])
-    logits = dc.mlp_forward(bound, prefix, z)
-    if logits.shape != y.shape:
-        raise ShapeMismatchError(f"decoder output {logits.shape} vs target {y.shape}")
-    if likelihood == "bernoulli":
-        return dc.tsum(dc.bce_with_logits(logits, y))
-    if likelihood == "gaussian":
-        diff = dc.add(logits, dc.constant(-y))
-        return dc.mul(dc.tsum(dc.mul(diff, diff)), dc.constant(0.5))
-    raise ValueError(f"unknown likelihood {likelihood!r}")
+    return dc.tsum(_nll_terms(dc.mlp_forward(bound, prefix, z), y, likelihood))
+
+
+def _start_molecule(graph: ContextGraph, node_id: str) -> NodeRecord:
+    rec = graph.node(node_id)
+    if rec.kind is not NodeKind.MOLECULE or rec.mol is None:
+        raise PathMismatchError(f"path must start at a molecule node, got {node_id!r}")
+    return rec
 
 
 def infoalign_loss(graph: ContextGraph, path: WalkPath,
@@ -240,9 +286,7 @@ def infoalign_loss(graph: ContextGraph, path: WalkPath,
     the path node count and the targets are the start molecule's own features
     (alpha = 1) plus every walked node with its cumulative path weight.
     """
-    start = graph.node(path.nodes[0])
-    if start.kind is not NodeKind.MOLECULE or start.mol is None:
-        raise PathMismatchError(f"path must start at a molecule node, got {path.nodes[0]!r}")
+    start = _start_molecule(graph, path.nodes[0])
     out = gin_encode(start.mol, bound)
     z = reparameterize(out, noise)
     kl = kl_standard_normal(out)
@@ -277,6 +321,74 @@ def infoalign_loss(graph: ContextGraph, path: WalkPath,
     return total, breakdown
 
 
+def batch_loss(graph: ContextGraph, starts: Sequence[str], paths: Sequence[WalkPath],
+               bound: Dict[str, dc.Tensor], registry: DecoderRegistry,
+               beta: float, noise, likelihood: str = "bernoulli",
+               cache: Optional[Dict[str, MolArrays]] = None
+               ) -> Tuple[dc.Tensor, LossBreakdown]:
+    """Mean over `starts` of the mean `infoalign_loss` of each one's walks.
+
+    `paths` holds the same number of walks per start, grouped in starts
+    order, and `noise` one row per path. The whole batch is one tape: the
+    start molecules are encoded once, together, and every target of one
+    (kind, dim) is decoded as one matrix, each row weighted by
+    alpha / (L * walks per start * starts) with L its own walk's node count.
+    The breakdown holds the same batch means. `cache` maps molecule ids to
+    their encoder inputs and is filled as molecules are first seen.
+    """
+    if not starts or len(paths) % len(starts):
+        raise ValueError(f"{len(paths)} paths for {len(starts)} start molecules")
+    per_mol = len(paths) // len(starts)
+    recs = [_start_molecule(graph, s) for s in starts]
+    for w, path in enumerate(paths):
+        if path.nodes[0] != starts[w // per_mol]:
+            raise PathMismatchError(f"path {w} starts at {path.nodes[0]!r}, "
+                                    f"expected {starts[w // per_mol]!r}")
+    if cache is None:
+        cache = {}
+    for s, rec in zip(starts, recs):
+        if s not in cache:
+            cache[s] = mol_arrays(rec.mol)
+    out = encode_batch([cache[s] for s in starts], bound)
+    walk_mol = np.repeat(np.arange(len(starts)), per_mol)
+    z = reparameterize(EncoderOutput(dc.gather_rows(out.mu, walk_mol),
+                                     dc.gather_rows(out.logvar, walk_mol)), noise)
+    kl = kl_standard_normal(out)
+    total = dc.mul(kl, dc.constant(beta / len(starts)))
+
+    # (kind, dim) -> (walk index, features, alpha, walk node count) per target
+    targets: Dict[Tuple[NodeKind, int], list] = {}
+    for w, path in enumerate(paths):
+        for nid, alpha in [(path.nodes[0], 1.0)] + path.targets():
+            rec = graph.node(nid)
+            targets.setdefault((rec.kind, rec.modality_dim), []).append(
+                (w, rec.features, alpha, len(path.nodes)))
+
+    scale = 1.0 / len(paths)
+    recon: Dict[str, float] = {}
+    recon_total = 0.0
+    for (kind, dim), rows in targets.items():
+        walk_idx, feats, alpha, length = zip(*rows)
+        alpha = np.array(alpha)
+        weight = alpha * scale / np.array(length, dtype=np.float64)
+        logits = dc.mlp_forward(bound, registry.prefix(kind, dim),
+                                dc.gather_rows(z, walk_idx))
+        nll = _nll_terms(logits, np.array(feats, dtype=np.float64), likelihood)
+        term = dc.tsum(dc.mul(nll, dc.constant(weight[:, None])))
+        total = dc.add(total, term)
+        row_nll = nll.data.sum(axis=1)
+        recon[kind.value] = recon.get(kind.value, 0.0) + float(alpha @ row_nll) * scale
+        recon_total += term.item()
+    kl_mean = kl.item() / len(starts)
+    breakdown = LossBreakdown(
+        recon_per_modality=recon,
+        kl=kl_mean,
+        beta=beta,
+        total=recon_total + beta * kl_mean,
+    )
+    return total, breakdown
+
+
 # --- training ----------------------------------------------------------------
 
 def pretrain(graph: ContextGraph, cfg: ModelConfig,
@@ -285,13 +397,23 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig,
              log_fn=None) -> Tuple[dc.ParamStore, DecoderRegistry, List[LossBreakdown]]:
     """Joint encoder/decoder optimization over all molecule nodes.
 
-    Epochs iterate molecules in a seeded shuffled order; each molecule
-    contributes the mean loss of its sampled walks, batches average molecule
-    losses before one Adam step. Passing an existing store resumes training
-    (the step counter continues). Returns per-epoch mean loss breakdowns.
+    Epochs iterate molecules in a seeded shuffled order and sample
+    walks_per_molecule walks from each. Each minibatch is one `batch_loss`
+    tape, one backward pass and one Adam step on the mean over its molecules
+    of each molecule's mean walk loss; the reparameterization noise is one
+    (walks, latent_dim) draw per minibatch. Encoder inputs are built once per
+    molecule per call. Passing an existing store resumes training (the step
+    counter continues). Every featured (kind, dim) of the graph needs a
+    decoder in the registry, or NoDecoderError is raised before any step.
+    Returns per-epoch mean loss breakdowns.
     """
+    needed = DecoderRegistry.from_graph(graph)
     if registry is None:
-        registry = DecoderRegistry.from_graph(graph)
+        registry = needed
+    for key in needed.keys():
+        if key not in registry.keys():
+            raise NoDecoderError(f"graph nodes of kind {key[0]!r} with {key[1]} features "
+                                 f"have no decoder; decoders: {registry.keys()}")
     if store is None:
         store = dc.ParamStore(seed=cfg.seed)
         init_model(store, cfg, registry)
@@ -301,44 +423,37 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig,
         raise ValueError("graph has no molecule nodes")
     shuffle_rng = dc.seeded_rng(cfg.seed, _SHUFFLE_STREAM)
     noise_rng = dc.seeded_rng(cfg.seed, _NOISE_STREAM)
+    per_mol = cfg.walk.walks_per_molecule
+    cache: Dict[str, MolArrays] = {}
 
     epoch_logs: List[LossBreakdown] = []
     for epoch in range(cfg.epochs):
         order = [mols[i] for i in shuffle_rng.permutation(len(mols))]
         walk_cfg = WalkConfig(
             length=cfg.walk.length,
-            walks_per_molecule=cfg.walk.walks_per_molecule,
+            walks_per_molecule=per_mol,
             seed=cfg.walk.seed + 7919 * (epoch + 1),
             weight_proportional=cfg.walk.weight_proportional,
         )
         walks = batch_walks(graph, order, walk_cfg)
-        per_mol = cfg.walk.walks_per_molecule
 
         sums: Dict[str, float] = {}
         kl_sum = 0.0
         total_sum = 0.0
         for b0 in range(0, len(order), cfg.batch_size):
             batch = order[b0 : b0 + cfg.batch_size]
-            for k, mol_id in enumerate(batch):
-                idx = (b0 + k) * per_mol
-                bound = store.bind()
-                mol_terms = []
-                for path in walks[idx : idx + per_mol]:
-                    noise = noise_rng.standard_normal(cfg.latent_dim)
-                    loss, br = infoalign_loss(graph, path, bound, registry,
-                                              cfg.beta, noise, cfg.likelihood)
-                    mol_terms.append(loss)
-                    for kind, v in br.recon_per_modality.items():
-                        sums[kind] = sums.get(kind, 0.0) + v / per_mol
-                    kl_sum += br.kl / per_mol
-                    total_sum += br.total / per_mol
-                acc = mol_terms[0]
-                for t in mol_terms[1:]:
-                    acc = dc.add(acc, t)
-                mol_loss = dc.mul(acc, dc.constant(1.0 / per_mol))
-                mol_loss.backward()
-                store.accumulate(bound, scale=1.0 / len(batch))
+            paths = walks[b0 * per_mol : (b0 + len(batch)) * per_mol]
+            noise = noise_rng.standard_normal((len(paths), cfg.latent_dim))
+            bound = store.bind()
+            loss, br = batch_loss(graph, batch, paths, bound, registry, cfg.beta,
+                                  noise, cfg.likelihood, cache)
+            loss.backward()
+            store.accumulate(bound)
             dc.adam_step(store, lr=cfg.lr)
+            for kind, v in br.recon_per_modality.items():
+                sums[kind] = sums.get(kind, 0.0) + v * len(batch)
+            kl_sum += br.kl * len(batch)
+            total_sum += br.total * len(batch)
         n = len(order)
         epoch_br = LossBreakdown(
             recon_per_modality={k: v / n for k, v in sums.items()},

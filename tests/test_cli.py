@@ -166,6 +166,23 @@ def test_pretrain_resume_continues(synth_graph, tmp_path):
     assert load_checkpoint(ck2)[0].step > step1
 
 
+def test_pretrain_resume_onto_graph_without_decoder_exit_1(synth_graph, tmp_path, capsys):
+    ck = tmp_path / "ck.iapt"
+    assert run(["pretrain", "--graph", synth_graph, "--out", ck,
+                "--epochs", 1, *PRETRAIN_SMALL]) == 0
+    out = tmp_path / "synth7"
+    assert run(["synth", "--out", out, "--clusters", 2, "--per-cluster", 6,
+                "--morph-dim", 7, "--gexp-dim", 6, "--seed", 0]) == 0
+    other = tmp_path / "g7.ctxg"
+    assert run(["build-graph", "--nodes", out / "nodes.tsv",
+                "--edges", out / "edges.tsv", "--fp-bits", 64, "--out", other]) == 0
+    ck2 = tmp_path / "ck2.iapt"
+    assert run(["pretrain", "--graph", other, "--out", ck2,
+                "--resume", ck, "--epochs", 1, *PRETRAIN_SMALL]) == 1
+    assert "'cell_morphology' with 7 features have no decoder" in capsys.readouterr().err
+    assert not ck2.exists() and not Path(f"{ck2}.log.tsv").exists()
+
+
 def test_pretrain_beta_sweep_file_counts(synth_graph, tmp_path):
     ck = tmp_path / "sweep.iapt"
     assert run(["pretrain", "--graph", synth_graph, "--out", ck,
@@ -213,6 +230,26 @@ def test_eval_label_rows_mismatch_exit_1(tmp_path, capsys):
     assert run(["eval", "--embeddings", tmp_path / "emb.tsv",
                 "--labels", tmp_path / "lab.tsv", "--out", tmp_path / "r.json"]) == 1
     assert "7 label rows for 10 embeddings" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_eval_empty_tables_exit_1(tmp_path, capsys):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("# no rows\n\n")
+    assert run(["eval", "--embeddings", empty, "--labels", empty,
+                "--out", tmp_path / "r.json"]) == 1
+    err = capsys.readouterr().err
+    assert f"{empty}: no data rows" in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_eval_ragged_table_names_line_and_counts(tmp_path, capsys):
+    (tmp_path / "emb.tsv").write_text("0.1\t0.2\t0.3\n# comment\n0.4\t0.5\n0.6\t0.7\t0.8\n")
+    (tmp_path / "lab.tsv").write_text("0\n1\n0\n")
+    assert run(["eval", "--embeddings", tmp_path / "emb.tsv",
+                "--labels", tmp_path / "lab.tsv", "--out", tmp_path / "r.json"]) == 1
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'emb.tsv'} line 3: 2 values, but line 1 has 3" in err
     assert not (tmp_path / "r.json").exists()
 
 

@@ -1,31 +1,42 @@
-"""Model tests: encoder symmetry, reparameterization statistics, KL closed
-form vs a quadrature oracle, decoder NLL oracle, loss gradients and
-decomposition, training determinism, and checkpoint round-trips."""
+"""Model tests: atom features, encoder symmetry and batching,
+reparameterization statistics, KL closed form vs a quadrature oracle, decoder
+NLL oracle, loss gradients and decomposition, the batched training step vs the
+per-walk loss, training determinism, and checkpoint round-trips."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import infoalign.diffcore as dc
-from infoalign.ctxgraph import ContextGraph, NodeKind, NodeRecord
+from infoalign.ctxgraph import ContextGraph, NodeKind, NodeRecord, Relation
 from infoalign.errors import NoDecoderError, PathMismatchError, ShapeMismatchError
 from infoalign.model import (
+    _NOISE_STREAM,
+    _SHUFFLE_STREAM,
+    ATOM_FEATURE_DIM,
     DecoderRegistry,
     EncoderOutput,
+    LossBreakdown,
     ModelConfig,
+    atom_feature_matrix,
+    batch_loss,
     decode_nll,
     embed,
+    encode_batch,
     gin_encode,
     infoalign_loss,
     init_model,
     kl_standard_normal,
     load_checkpoint,
+    mol_arrays,
     pretrain,
     reparameterize,
     save_checkpoint,
 )
 from infoalign.molparse import parse_smiles
-from infoalign.walker import WalkConfig, WalkPath
+from infoalign.walker import WalkConfig, WalkPath, batch_walks
 from tests.test_fingerprint import permute_graph
 
 
@@ -63,6 +74,54 @@ def make_store(cfg, graph):
     return store, registry
 
 
+# --- atom features ------------------------------------------------------------------
+
+def reference_atom_features(g):
+    """Per-atom features with the degree taken from MolecularGraph.degree()."""
+    elements = ("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I")
+    x = np.zeros((len(g.atoms), ATOM_FEATURE_DIM))
+    for a in g.atoms:
+        x[a.index, elements.index(a.element)] = 1.0
+        x[a.index, 10 + min(max(a.formal_charge, -2), 2) + 2] = 1.0
+        x[a.index, 15] = float(a.aromatic)
+        x[a.index, 16 + min(g.degree(a.index), 5)] = 1.0
+    return x
+
+
+@st.composite
+def smiles_strings(draw):
+    """Chains with branches, bond orders, charges and at most one ring."""
+    atom = st.sampled_from(["C", "N", "O", "S", "Cl", "c", "[N+]", "[O-]", "[NH3+]"])
+    n = draw(st.integers(1, 10))
+    ring = {}
+    if n >= 3 and draw(st.booleans()):
+        i = draw(st.integers(0, n - 3))
+        ring = {i: "1", draw(st.integers(i + 2, n - 1)): "1"}
+    parts = []
+    for k in range(n):
+        bond = draw(st.sampled_from(["", "=", "#"])) if k else ""
+        branches = "".join(f"({draw(atom)})" for _ in range(draw(st.integers(0, 4))))
+        parts.append(bond + draw(atom) + ring.get(k, "") + branches)
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("smi", ["C", "CCO", "c1ccccc1", "CC(=O)Oc1ccccc1C(=O)O",
+                                 "C(C)(C)(C)(C)(C)C", "[NH4+]", "OCC(O)(N)C1CC1[O-]"])
+def test_atom_features_match_degree_reference(smi):
+    g = parse_smiles(smi)
+    assert np.array_equal(atom_feature_matrix(g), reference_atom_features(g))
+
+
+@settings(max_examples=200, deadline=None)
+@given(smiles_strings())
+def test_atom_features_match_degree_reference_fuzzed(smi):
+    g = parse_smiles(smi)
+    x = atom_feature_matrix(g)
+    assert np.array_equal(x, reference_atom_features(g))
+    assert np.array_equal(x[:, 16:].argmax(axis=1),
+                          [min(g.degree(i), 5) for i in range(len(g.atoms))])
+
+
 # --- encoder ---------------------------------------------------------------------
 
 def test_encoder_permutation_invariance():
@@ -79,6 +138,19 @@ def test_encoder_permutation_invariance():
             out = gin_encode(permute_graph(mol, perm), bound)
             assert np.allclose(out.mu.data, base.mu.data, rtol=1e-9)
             assert np.allclose(out.logvar.data, base.logvar.data, rtol=1e-9)
+
+
+def test_encode_batch_rows_equal_single_molecule_encodes():
+    cfg = small_cfg()
+    store, _ = make_store(cfg, tiny_graph())
+    bound = store.bind()
+    mols = [parse_smiles(s) for s in ["C", "CC(C)CC(=O)O", "c1ccc(N)cc1", "O", "OCC(O)CO"]]
+    out = encode_batch([mol_arrays(m) for m in mols], bound)
+    assert out.mu.shape == out.logvar.shape == (len(mols), cfg.latent_dim)
+    for k, mol in enumerate(mols):
+        one = gin_encode(mol, bound)
+        np.testing.assert_allclose(out.mu.data[k], one.mu.data[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.logvar.data[k], one.logvar.data[0], rtol=0, atol=1e-12)
 
 
 def test_encoder_zero_heads_give_zero_outputs():
@@ -357,6 +429,193 @@ def test_loss_gradient_finite_difference():
         assert rel < 1e-4, (pname, rel)
         checked += 1
     assert checked >= 5
+
+
+# --- batched step vs the per-walk loss -------------------------------------------------
+
+def walk_graph(n_mols=7):
+    """Molecules with their own morphology node, three shared gene-expression
+    nodes, and a ring of weighted morphology similarity edges, so walks mix
+    three decoders and alphas below 1."""
+    from infoalign.fingerprint import morgan_fingerprint
+    rng = np.random.default_rng(3)
+    smiles = ["CCO", "CCN", "c1ccccc1", "CC(C)O", "CCCC", "OCCO", "CC=O", "CSC"]
+    g = ContextGraph()
+    for j in range(3):
+        g.add_node(NodeRecord(f"g{j}", NodeKind.GENE_EXPRESSION,
+                              rng.uniform(0, 1, 4).astype(np.float32)))
+    for i in range(n_mols):
+        smi = smiles[i % len(smiles)]
+        mol = parse_smiles(smi)
+        g.add_node(NodeRecord(f"m{i}", NodeKind.MOLECULE,
+                              morgan_fingerprint(mol, 2, 64).to_float(), smiles=smi, mol=mol))
+        g.add_node(NodeRecord(f"c{i}", NodeKind.CELL_MORPHOLOGY,
+                              rng.uniform(0, 1, 5).astype(np.float32)))
+        g.add_perturbation_edge(f"m{i}", f"c{i}")
+        g.add_perturbation_edge(f"m{i}", f"g{i % 3}")
+    for i in range(n_mols):
+        g.add_edge(f"c{i}", f"c{(i + 1) % n_mols}", Relation.SIMILARITY, 0.5 + 0.1 * (i % 3))
+    return g.finalize()
+
+
+def per_walk_mean(g, starts, paths, store, reg, beta, noise, likelihood):
+    """Batch mean of per-walk infoalign_loss: total, KL, recon and gradients."""
+    scale = 1.0 / len(paths)
+    grads = {name: np.zeros_like(arr) for name, arr in store.params.items()}
+    total = kl = 0.0
+    recon = {}
+    for w, path in enumerate(paths):
+        bound = store.bind()
+        loss, br = infoalign_loss(g, path, bound, reg, beta, noise[w], likelihood)
+        loss.backward()
+        for name, leaf in bound.items():
+            if leaf.grad is not None:
+                grads[name] += scale * leaf.grad
+        total += scale * br.total
+        kl += scale * br.kl
+        for kind, v in br.recon_per_modality.items():
+            recon[kind] = recon.get(kind, 0.0) + scale * v
+    return total, kl, recon, grads
+
+
+def truncated_paths():
+    """Walks of 4, 2, 2 and 3 nodes, two of them cut short at a dead end."""
+    starts = ["m0", "m1"]
+    paths = [WalkPath(["m0", "c0", "c1", "m1"], [1.0, 0.6, 1.0]),
+             WalkPath(["m0", "g0"], [1.0], truncated=True),
+             WalkPath(["m1", "c1"], [1.0], truncated=True),
+             WalkPath(["m1", "g1", "m4"], [1.0, 1.0])]
+    return starts, paths
+
+
+def sampled_paths(g):
+    starts = ["m3", "m0", "m5"]
+    return starts, batch_walks(g, starts, WalkConfig(length=4, walks_per_molecule=3, seed=1))
+
+
+@pytest.mark.parametrize("likelihood", ["bernoulli", "gaussian"])
+@pytest.mark.parametrize("beta", [1e-9, 1.0])
+@pytest.mark.parametrize("make_paths", [sampled_paths, lambda g: truncated_paths()],
+                         ids=["sampled", "truncated"])
+def test_batch_loss_equals_per_walk_mean(likelihood, beta, make_paths):
+    cfg = small_cfg(likelihood=likelihood)
+    g = walk_graph()
+    store, reg = make_store(cfg, g)
+    starts, paths = make_paths(g)
+    noise = np.random.default_rng(4).standard_normal((len(paths), cfg.latent_dim))
+    total, kl, recon, grads = per_walk_mean(g, starts, paths, store, reg, beta, noise,
+                                            likelihood)
+
+    bound = store.bind()
+    loss, br = batch_loss(g, starts, paths, bound, reg, beta, noise, likelihood)
+    loss.backward()
+    assert loss.item() == pytest.approx(total, rel=0, abs=1e-10)
+    assert br.total == pytest.approx(total, rel=0, abs=1e-10)
+    assert br.kl == pytest.approx(kl, rel=0, abs=1e-10)
+    assert br.beta == beta
+    assert br.recon_per_modality.keys() == recon.keys() == {
+        "molecule", "cell_morphology", "gene_expression"}
+    for kind, v in recon.items():
+        assert br.recon_per_modality[kind] == pytest.approx(v, rel=0, abs=1e-10), kind
+    for name, leaf in bound.items():
+        got = leaf.grad if leaf.grad is not None else np.zeros_like(grads[name])
+        np.testing.assert_allclose(got, grads[name], rtol=0, atol=1e-10, err_msg=name)
+
+
+def test_batch_loss_rejects_misgrouped_paths():
+    cfg = small_cfg()
+    g = walk_graph()
+    store, reg = make_store(cfg, g)
+    starts, paths = truncated_paths()
+    noise = np.zeros((len(paths), cfg.latent_dim))
+    with pytest.raises(PathMismatchError):
+        batch_loss(g, starts[::-1], paths, store.bind(), reg, 0.0, noise)
+    with pytest.raises(PathMismatchError):
+        batch_loss(g, ["c0"], [WalkPath(["c0", "m0"], [1.0])], store.bind(), reg, 0.0,
+                   noise[:1])
+    with pytest.raises(ValueError):
+        batch_loss(g, starts, paths[:3], store.bind(), reg, 0.0, noise[:3])
+    with pytest.raises(ShapeMismatchError):
+        batch_loss(g, starts, paths, store.bind(), reg, 0.0, noise[:3])
+
+
+def reference_pretrain(graph, cfg):
+    """The per-walk training loop that `pretrain` batches: one tape per walk,
+    one backward pass per molecule, one Adam step per minibatch."""
+    registry = DecoderRegistry.from_graph(graph)
+    store = dc.ParamStore(seed=cfg.seed)
+    init_model(store, cfg, registry)
+    mols = graph.molecule_ids()
+    shuffle_rng = dc.seeded_rng(cfg.seed, _SHUFFLE_STREAM)
+    noise_rng = dc.seeded_rng(cfg.seed, _NOISE_STREAM)
+    per_mol = cfg.walk.walks_per_molecule
+    logs = []
+    for epoch in range(cfg.epochs):
+        order = [mols[i] for i in shuffle_rng.permutation(len(mols))]
+        walks = batch_walks(graph, order, WalkConfig(
+            length=cfg.walk.length, walks_per_molecule=per_mol,
+            seed=cfg.walk.seed + 7919 * (epoch + 1),
+            weight_proportional=cfg.walk.weight_proportional))
+        sums, kl_sum, total_sum = {}, 0.0, 0.0
+        for b0 in range(0, len(order), cfg.batch_size):
+            batch = order[b0 : b0 + cfg.batch_size]
+            for k in range(len(batch)):
+                idx = (b0 + k) * per_mol
+                bound = store.bind()
+                acc = None
+                for path in walks[idx : idx + per_mol]:
+                    noise = noise_rng.standard_normal(cfg.latent_dim)
+                    loss, br = infoalign_loss(graph, path, bound, registry, cfg.beta,
+                                              noise, cfg.likelihood)
+                    acc = loss if acc is None else dc.add(acc, loss)
+                    for kind, v in br.recon_per_modality.items():
+                        sums[kind] = sums.get(kind, 0.0) + v / per_mol
+                    kl_sum += br.kl / per_mol
+                    total_sum += br.total / per_mol
+                dc.mul(acc, dc.constant(1.0 / per_mol)).backward()
+                store.accumulate(bound, scale=1.0 / len(batch))
+            dc.adam_step(store, lr=cfg.lr)
+        n = len(order)
+        logs.append(LossBreakdown({k: v / n for k, v in sums.items()}, kl_sum / n,
+                                  cfg.beta, total_sum / n))
+    return store, logs
+
+
+@pytest.mark.parametrize("likelihood,beta", [("bernoulli", 1e-9), ("gaussian", 1.0)])
+def test_pretrain_matches_per_walk_reference(likelihood, beta):
+    """7 molecules in batches of 3 (the last batch holds one), 3 walks each."""
+    g = walk_graph(n_mols=7)
+    cfg = small_cfg(likelihood=likelihood, beta=beta, epochs=2, batch_size=3, lr=5e-3,
+                    walk=WalkConfig(length=4, walks_per_molecule=3, seed=2))
+    store, _, logs = pretrain(g, cfg)
+    ref, ref_logs = reference_pretrain(g, cfg)
+    assert store.step == ref.step == 2 * 3
+    for name, arr in ref.params.items():
+        np.testing.assert_allclose(store.params[name], arr, rtol=0, atol=1e-10, err_msg=name)
+    for got, want in zip(logs, ref_logs, strict=True):
+        assert got.total == pytest.approx(want.total, rel=1e-10)
+        assert got.kl == pytest.approx(want.kl, rel=1e-10)
+        assert got.recon_per_modality == pytest.approx(want.recon_per_modality, rel=1e-10)
+
+
+def test_pretrain_missing_decoder_fails_before_training(monkeypatch):
+    import infoalign.model
+
+    def no_walks(*_args):
+        raise AssertionError("walks sampled before the decoder check")
+
+    monkeypatch.setattr(infoalign.model, "batch_walks", no_walks)
+    g = tiny_graph()
+    cfg = small_cfg()
+    reg = DecoderRegistry()
+    reg.register(NodeKind.MOLECULE, 64)
+    store = dc.ParamStore(seed=cfg.seed)
+    init_model(store, cfg, reg)
+    before = {name: arr.copy() for name, arr in store.params.items()}
+    with pytest.raises(NoDecoderError, match="'cell_morphology' with 5 features"):
+        pretrain(g, cfg, store=store, registry=reg)
+    assert store.step == 0
+    assert all(np.array_equal(store.params[name], arr) for name, arr in before.items())
 
 
 # --- pretrain / embed / checkpoints -----------------------------------------------------
