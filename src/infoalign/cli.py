@@ -321,7 +321,7 @@ def cmd_mi_bench(args) -> int:
         "seed": 0, "tol": 1e-9, "random_critic": False, "exact": True,
     })
     if opt.exact is False:
-        raise InfoAlignError("only exact-mode verification is supported; drop --no-exact")
+        raise InfoAlignError('only exact-mode verification is supported; drop "exact": false')
     rng = dc.seeded_rng(int(opt.seed))
     joints = [mibounds.random_joint(rng, int(opt.nz), int(opt.ny))
               for _ in range(int(opt.num_joints))]
@@ -448,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ny", type=int)
     p.add_argument("--k")
     p.add_argument("--tol", type=float)
-    p.add_argument("--exact", action=argparse.BooleanOptionalAction)
+    p.add_argument("--exact", action="store_true", default=None,
+                   help="exact-mode verification, the only mode (the default)")
     p.add_argument("--random-critic", dest="random_critic",
                    action=argparse.BooleanOptionalAction)
     p.add_argument("--out", required=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +31,8 @@ from .fingerprint import morgan_fingerprint
 from .molparse import MolecularGraph, parse_smiles
 
 MAGIC = b"CTXG"
+# Rows of the cosine matrix computed at a time by build_similarity_edges.
+_SIM_BLOCK = 512
 
 
 class NodeKind(Enum):
@@ -59,9 +61,22 @@ class NodeRecord:
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float32)
 
+    def molecule(self) -> Optional[MolecularGraph]:
+        """The molecular graph, parsed from `smiles` on first use."""
+        if self.mol is None and self.smiles and self.kind is NodeKind.MOLECULE:
+            self.mol = parse_smiles(self.smiles)
+        return self.mol
+
     @property
     def modality_dim(self) -> int:
         return len(self.features)
+
+
+class Adjacency(NamedTuple):
+    """A node's effective neighbors in id order, with cumulative weights."""
+    ids: List[str]
+    weights: List[float]
+    cdf: List[float]
 
 
 @dataclass(frozen=True)
@@ -98,13 +113,24 @@ def _pair_key(a: str, b: str) -> Tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
+def _top_pairs(s: np.ndarray, rank_i: np.ndarray, rank_j: np.ndarray, keep: int) -> np.ndarray:
+    """Indices of the best `keep` pairs by (-s, lo id, hi id), best first.
+
+    rank_i and rank_j are each endpoint's position in sorted-id order, so
+    comparing (lo rank, hi rank) equals comparing the id pairs.
+    """
+    lo = np.minimum(rank_i, rank_j)
+    hi = np.maximum(rank_i, rank_j)
+    return np.lexsort((hi, lo, -s))[:keep]
+
+
 class ContextGraph:
     def __init__(self):
         self._nodes: Dict[str, NodeRecord] = {}
         # (id_lo, id_hi, relation) -> weight
         self._edges: Dict[Tuple[str, str, Relation], float] = {}
         self._finalized = False
-        self._adjacency: Dict[str, List[Tuple[str, float]]] = {}
+        self._adjacency: Dict[str, Adjacency] = {}
         self._stats: Optional[dict] = None
 
     # --- accessors -------------------------------------------------------
@@ -144,10 +170,17 @@ class ContextGraph:
 
     def neighbors(self, node_id: str) -> List[Tuple[str, float]]:
         """Effective neighbors (max weight per pair); requires a finalized graph."""
+        adj = self.adjacency(node_id)
+        return list(zip(adj.ids, adj.weights))
+
+    def adjacency(self, node_id: str) -> Adjacency:
+        """The walker's table for one node; requires a finalized graph."""
         if not self._finalized:
-            raise FinalizedError("neighbors() requires a finalized graph")
-        self.node(node_id)
-        return self._adjacency.get(node_id, [])
+            raise FinalizedError("neighbors are available after finalize()")
+        try:
+            return self._adjacency[node_id]
+        except KeyError:
+            raise UnknownNodeError(f"unknown node id {node_id!r}") from None
 
     # --- mutation --------------------------------------------------------
 
@@ -155,12 +188,14 @@ class ContextGraph:
         if self._finalized:
             raise FinalizedError("graph is finalized; mutation rejected")
 
-    def add_node(self, rec: NodeRecord) -> str:
+    def _check_new_id(self, node_id: str):
         self._check_mutable()
-        if rec.id in self._nodes:
-            raise DuplicateIdError(f"node id {rec.id!r} already present")
-        if rec.kind is NodeKind.MOLECULE and rec.mol is None and rec.smiles:
-            rec.mol = parse_smiles(rec.smiles)
+        if node_id in self._nodes:
+            raise DuplicateIdError(f"node id {node_id!r} already present")
+
+    def add_node(self, rec: NodeRecord) -> str:
+        self._check_new_id(rec.id)
+        rec.molecule()
         self._nodes[rec.id] = rec
         return rec.id
 
@@ -190,8 +225,14 @@ class ContextGraph:
         filters apply). Ties break by lexicographic id pair so builds are
         deterministic. Nodes with zero-norm features cannot define a cosine
         and are skipped. Returns the number of edges added.
+
+        The cosines are computed _SIM_BLOCK rows at a time against the rows
+        that follow, and each block keeps only its own best `keep` candidates
+        before the global cut, so memory is O(n * _SIM_BLOCK + blocks * keep).
         """
         self._check_mutable()
+        if keep_fraction < 0:
+            raise ValueError(f"keep_fraction must be >= 0, got {keep_fraction}")
         recs = [r for r in self._nodes.values() if r.kind is kind and r.modality_dim > 0]
         dims = {r.modality_dim for r in recs}
         if len(dims) > 1:
@@ -206,28 +247,33 @@ class ContextGraph:
         ok = norms > 0
         unit = np.zeros_like(feats)
         unit[ok] = feats[ok] / norms[ok, None]
-        sims = unit @ unit.T
+        ids = [r.id for r in recs]
+        rank = np.empty(n, dtype=np.int64)
+        rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
 
         total_pairs = n * (n - 1) // 2
         keep = math.ceil(keep_fraction * total_pairs)
-        candidates = []
-        for i in range(n):
-            if not ok[i]:
-                continue
-            for j in range(i + 1, n):
-                if not ok[j]:
-                    continue
-                s = min(float(sims[i, j]), 1.0)
-                if s >= 1.0 - 1e-12:
-                    s = 1.0  # identical directions must yield exactly weight 1
-                if s >= threshold:
-                    candidates.append((-s, _pair_key(recs[i].id, recs[j].id), s))
-        candidates.sort(key=lambda c: (c[0], c[1]))
+        # Per row block: the candidates of pairs (i, j > i) with i in the
+        # block, cut to the block's best `keep` by (-s, lo id, hi id).
+        parts = []
+        for start in range(0, n, _SIM_BLOCK):
+            stop = min(start + _SIM_BLOCK, n)
+            sims = np.minimum(unit[start:stop] @ unit[start:].T, 1.0)
+            sims[sims >= 1.0 - 1e-12] = 1.0  # identical directions must yield exactly weight 1
+            upper = np.arange(start, n)[None, :] > np.arange(start, stop)[:, None]
+            mask = upper & (sims >= threshold) & ok[start:stop, None] & ok[None, start:]
+            li, lj = np.nonzero(mask)
+            i, j, s = li + start, lj + start, sims[li, lj]
+            part = _top_pairs(s, rank[i], rank[j], keep)
+            parts.append((i[part], j[part], s[part]))
+        i, j, s = (np.concatenate(col) for col in zip(*parts))
+        best = _top_pairs(s, rank[i], rank[j], keep)
         added = 0
-        for _, (a, b), s in candidates[:keep]:
+        for bi, bj, bs in zip(i[best].tolist(), j[best].tolist(), s[best].tolist()):
+            a, b = _pair_key(ids[bi], ids[bj])
             if (a, b, Relation.SIMILARITY) in self._edges:
                 continue
-            self.add_edge(a, b, Relation.SIMILARITY, s)
+            self.add_edge(a, b, Relation.SIMILARITY, bs)
             added += 1
         return added
 
@@ -250,9 +296,12 @@ class ContextGraph:
                 raise ValueError(f"edge ({a}, {b}) weight {w} outside (0, 1]")
             adjacency[a][b] = max(w, adjacency[a].get(b, 0.0))
             adjacency[b][a] = max(w, adjacency[b].get(a, 0.0))
-        self._adjacency = {
-            nid: sorted(nbrs.items()) for nid, nbrs in adjacency.items()
-        }
+        self._adjacency = {}
+        for nid, nbrs in adjacency.items():
+            ids = sorted(nbrs)
+            weights = [nbrs[k] for k in ids]
+            cdf = np.cumsum(np.array(weights, dtype=np.float64)).tolist()
+            self._adjacency[nid] = Adjacency(ids, weights, cdf)
         node_counts: Dict[str, int] = {}
         for rec in self._nodes.values():
             node_counts[rec.kind.value] = node_counts.get(rec.kind.value, 0) + 1
@@ -318,6 +367,8 @@ class ContextGraph:
 
     @classmethod
     def load(cls, path) -> "ContextGraph":
+        """Read a saved graph. Molecule SMILES are parsed on first use
+        (`NodeRecord.molecule`), not here: walking needs none of them."""
         meta, arrays = serialize.read_container(path, MAGIC)
         flat = arrays[0].astype(np.float32)
         g = cls()
@@ -326,11 +377,10 @@ class ContextGraph:
             dim = nm["dim"]
             feats = flat[offset : offset + dim]
             offset += dim
-            g.add_node(
-                NodeRecord(
-                    nm["id"], NodeKind(nm["kind"]), feats,
-                    source_tag=nm["source_tag"], smiles=nm["smiles"],
-                )
+            g._check_new_id(nm["id"])
+            g._nodes[nm["id"]] = NodeRecord(
+                nm["id"], NodeKind(nm["kind"]), feats,
+                source_tag=nm["source_tag"], smiles=nm["smiles"],
             )
         for a, b, rel, w in meta["edges"]:
             g._edges[(a, b, Relation(rel))] = float(w)

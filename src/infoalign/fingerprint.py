@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Set
+from typing import List, Set, Tuple
 
 import numpy as np
 
@@ -62,11 +62,15 @@ def environment_identifiers(g: MolecularGraph, radius: int) -> Set[int]:
     subsequent round hashes the previous identifier with the sorted
     (bond code, neighbor identifier) pairs.
     """
-    degrees = [g.degree(i) for i in range(len(g.atoms))]
+    # (neighbor, order) per atom in bond order, as MolecularGraph.neighbors() lists them
+    adjacency: List[List[Tuple[int, BondOrder]]] = [[] for _ in g.atoms]
+    for bond in g.bonds:
+        adjacency[bond.a].append((bond.b, bond.order))
+        adjacency[bond.b].append((bond.a, bond.order))
     ids = [
         _fnv1a(
             a.element.encode("ascii")
-            + struct.pack("<iBI", a.formal_charge, int(a.aromatic), degrees[a.index])
+            + struct.pack("<iBI", a.formal_charge, int(a.aromatic), len(adjacency[a.index]))
         )
         for a in g.atoms
     ]
@@ -75,7 +79,7 @@ def environment_identifiers(g: MolecularGraph, radius: int) -> Set[int]:
         nxt = []
         for i in range(len(g.atoms)):
             env = sorted(
-                (_BOND_CODE[order], ids[j]) for j, order in g.neighbors(i)
+                (_BOND_CODE[order], ids[j]) for j, order in adjacency[i]
             )
             blob = struct.pack("<Q", ids[i]) + b"".join(
                 struct.pack("<BQ", code, nid) for code, nid in env

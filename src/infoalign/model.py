@@ -271,7 +271,7 @@ def decode_nll(z: dc.Tensor, target_features: np.ndarray, kind: NodeKind,
 
 def _start_molecule(graph: ContextGraph, node_id: str) -> NodeRecord:
     rec = graph.node(node_id)
-    if rec.kind is not NodeKind.MOLECULE or rec.mol is None:
+    if rec.kind is not NodeKind.MOLECULE or rec.molecule() is None:
         raise PathMismatchError(f"path must start at a molecule node, got {node_id!r}")
     return rec
 

@@ -3,12 +3,15 @@ block, then raw little-endian arrays.
 
 Both the context-graph cache ("CTXG") and model checkpoints ("IAPT") use this
 layout. The metadata records each array's dtype and shape, so the payload can
-be reconstructed bit-exactly.
+be reconstructed bit-exactly. Writes are atomic: a temp file next to the
+target is renamed over it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 import zlib
 from typing import List, Tuple
@@ -31,10 +34,20 @@ def write_container(path, magic: bytes, meta: dict, arrays: List[np.ndarray]) ->
     meta_blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
     payload = b"".join(a.astype(a.dtype.newbyteorder("<")).tobytes() for a in arrays)
     crc = zlib.crc32(meta_blob + payload) & 0xFFFFFFFF
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(magic, VERSION, len(meta_blob), len(payload), crc))
-        fh.write(meta_blob)
-        fh.write(payload)
+    # Write a sibling temp file and rename it over `path`, so a failed write
+    # leaves the previous file as it was.
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_HEADER.pack(magic, VERSION, len(meta_blob), len(payload), crc))
+            fh.write(meta_blob)
+            fh.write(payload)
+            fh.flush()
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def read_container(path, magic: bytes) -> Tuple[dict, List[np.ndarray]]:

@@ -14,6 +14,7 @@ independent streams regardless of scheduling.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
@@ -58,18 +59,20 @@ class WalkPath:
 
 def transition(g: ContextGraph, current: str, rng: np.random.Generator,
                weight_proportional: bool = True) -> Tuple[str, float]:
-    """One weighted step; returns (next node id, traversed effective weight)."""
-    nbrs = g.neighbors(current)
-    if not nbrs:
+    """One weighted step; returns (next node id, traversed effective weight).
+
+    The cumulative weights come from the table `finalize()` built, and
+    bisect_right on them picks what np.searchsorted(side="right") would.
+    """
+    adj = g.adjacency(current)
+    n = len(adj.ids)
+    if not n:
         raise IsolatedNodeError(f"node {current!r} has no neighbors")
-    weights = np.array([w for _, w in nbrs], dtype=np.float64)
     if weight_proportional:
-        cdf = np.cumsum(weights)
-        idx = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-        idx = min(idx, len(nbrs) - 1)
+        idx = min(bisect.bisect_right(adj.cdf, rng.random() * adj.cdf[-1]), n - 1)
     else:
-        idx = int(rng.integers(len(nbrs)))
-    return nbrs[idx][0], nbrs[idx][1]
+        idx = int(rng.integers(n))
+    return adj.ids[idx], adj.weights[idx]
 
 
 def sample_walk(g: ContextGraph, start: str, cfg: WalkConfig,

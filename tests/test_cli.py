@@ -303,8 +303,19 @@ def test_mi_bench_exact_zero_violations(tmp_path):
 
 
 def test_mi_bench_rejects_no_exact(tmp_path, capsys):
-    assert run(["mi-bench", "--no-exact", "--out", tmp_path / "mi.json"]) == 1
-    assert "exact" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run(["mi-bench", "--no-exact", "--out", tmp_path / "mi.json"])
+    assert exc.value.code == 2
+    assert "--no-exact" in capsys.readouterr().err
+
+
+def test_mi_bench_config_exact_false_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"exact": False}))
+    out = tmp_path / "mi.json"
+    assert run(["mi-bench", "--config", cfg, "--out", out]) == 1
+    assert "only exact-mode verification is supported" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_import_loads_no_scipy():
@@ -315,6 +326,27 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def readme_commands():
+    """Each `infoalign ...` command of README.md's sh blocks, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in text.split("```sh\n")[1:]:
+        joined = block.split("```")[0].replace("\\\n", " ")
+        commands += [line.split()[1:] for line in joined.splitlines()
+                     if line.startswith("infoalign ")]
+    return commands
+
+
+def test_readme_commands_parse():
+    from infoalign.cli import build_parser
+    commands = readme_commands()
+    assert len(commands) >= 9
+    assert {argv[0] for argv in commands} >= {"synth", "build-graph", "walk", "pretrain",
+                                              "mi-bench"}
+    for argv in commands:
+        build_parser().parse_args(argv)  # exits 2 on an unknown or missing flag
 
 
 def test_unknown_flag_exit_2(capsys):

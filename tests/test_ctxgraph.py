@@ -209,6 +209,125 @@ def test_similarity_matches_brute_force_oracle(seed):
         assert got[k] == pytest.approx(expected[k], abs=1e-12)
 
 
+def reference_similarity_edges(g, kind, threshold=0.8, keep_fraction=0.005):
+    """The per-pair loop that build_similarity_edges replaced: {id pair: weight},
+    in the order the edges are added."""
+    recs = [r for r in g._nodes.values() if r.kind is kind and r.modality_dim > 0]
+    n = len(recs)
+    feats = np.stack([r.features.astype(np.float64) for r in recs])
+    norms = np.linalg.norm(feats, axis=1)
+    ok = norms > 0
+    unit = np.zeros_like(feats)
+    unit[ok] = feats[ok] / norms[ok, None]
+    sims = unit @ unit.T
+    keep = math.ceil(keep_fraction * (n * (n - 1) // 2))
+    candidates = []
+    for i in range(n):
+        if not ok[i]:
+            continue
+        for j in range(i + 1, n):
+            if not ok[j]:
+                continue
+            s = min(float(sims[i, j]), 1.0)
+            if s >= 1.0 - 1e-12:
+                s = 1.0
+            if s >= threshold:
+                candidates.append((-s, tuple(sorted((recs[i].id, recs[j].id))), s))
+    candidates.sort(key=lambda c: (c[0], c[1]))
+    return {pair: s for _, pair, s in candidates[:keep]}
+
+
+def similarity_edges(g):
+    return {(a, b): w for (a, b, r), w in g._edges.items() if r is Relation.SIMILARITY}
+
+
+def assert_matches_reference(feats, ids, keep_fraction, threshold=0.8, ulps=0):
+    g = ContextGraph()
+    for nid, f in zip(ids, feats):
+        g.add_node(rec(nid, feats=f))
+    expected = reference_similarity_edges(g, NodeKind.CELL_MORPHOLOGY, threshold, keep_fraction)
+    added = g.build_similarity_edges(NodeKind.CELL_MORPHOLOGY, threshold, keep_fraction)
+    got = similarity_edges(g)
+    assert added == len(expected)
+    assert list(got) == list(expected)  # same edges, added in the same order
+    if ulps:
+        assert all(abs(got[k] - expected[k]) <= ulps * np.spacing(expected[k]) for k in got)
+    else:
+        assert all(got[k] == expected[k] for k in got)  # exact, not approx
+    return expected
+
+
+def clustered(rng, n, d, spread):
+    centres = rng.uniform(0.0, 1.0, size=(4, d))
+    return np.clip(centres[rng.integers(0, 4, n)] + spread * rng.standard_normal((n, d)), 0, 1)
+
+
+def test_similarity_reference_duplicate_vectors():
+    """Exact s = 1.0 ties between copies, broken by id pair."""
+    rng = np.random.default_rng(0)
+    base = rng.uniform(0.1, 1.0, size=(6, 5))
+    feats = np.concatenate([base, base, 2 * base / 3, base[:3]])  # scaled copies too
+    ids = [f"d{i:02d}" for i in range(len(feats))]
+    expected = assert_matches_reference(feats, ids, 0.05)
+    assert 1.0 in expected.values()
+
+
+def test_similarity_reference_lexicographic_ids():
+    """Ids whose lexicographic order differs from insertion order ("n10" < "n9")."""
+    rng = np.random.default_rng(1)
+    feats = clustered(rng, 60, 6, 0.1)
+    ids = [f"n{i}" for i in range(60)]
+    feats[[9, 10, 11, 40]] = feats[2]  # ties that the id order must break
+    assert_matches_reference(feats, ids, 0.02)
+    rng.shuffle(ids)
+    assert_matches_reference(feats, ids, 0.02)
+
+
+def test_similarity_reference_zero_norm_rows():
+    rng = np.random.default_rng(2)
+    feats = clustered(rng, 40, 4, 0.15)
+    feats[[0, 7, 8, 39]] = 0.0
+    ids = [f"z{i:02d}" for i in range(40)]
+    expected = assert_matches_reference(feats, ids, 0.1)
+    assert not any({"z00", "z07", "z08", "z39"} & set(pair) for pair in expected)
+    # at threshold 0 a zero row's cosine of 0 would pass, so only the norm check excludes it
+    feats = rng.uniform(0.1, 1.0, size=(40, 4))
+    feats[[0, 7, 8, 39]] = 0.0
+    expected = assert_matches_reference(feats, ids, 1.0, threshold=0.0)
+    assert len(expected) == 36 * 35 // 2
+
+
+def test_similarity_reference_keep_cut_inside_tie_group():
+    """More exact ties than `keep`: the id pair decides which survive."""
+    feats = np.array([[1.0, 0.5]] * 12 + [[0.5, 1.0]] * 3 + [[0.9, 0.55]] * 2)
+    ids = [f"t{i}" for i in range(len(feats))]
+    n_pairs = len(feats) * (len(feats) - 1) // 2
+    keep = 20  # the first group alone has 66 pairs at s = 1.0
+    expected = assert_matches_reference(feats, ids, keep / n_pairs)
+    assert len(expected) == keep and set(expected.values()) == {1.0}
+
+
+@pytest.mark.parametrize("extra,ulps", [(176, 0), (13, 1)])
+def test_similarity_reference_more_than_two_blocks(extra, ulps):
+    """n past two row blocks, with duplicates, zero rows and a tie-heavy cut.
+
+    The reference takes its cosines from one symmetric product (BLAS syrk),
+    the blocks from row-block products (gemm). With OpenBLAS both compute
+    every dot product with the same kernel when n is a multiple of 8, so
+    the weights are bit-equal; for other n the last n % 8 columns go
+    through other kernels and a weight can differ in its last bit.
+    """
+    from infoalign.ctxgraph import _SIM_BLOCK
+    n = 2 * _SIM_BLOCK + extra
+    rng = np.random.default_rng(extra)
+    feats = clustered(rng, n, 16, 0.2)
+    feats[rng.choice(n, 100, replace=False)] = feats[5]  # more s = 1.0 pairs than keep
+    feats[rng.choice(n, 5, replace=False)] = 0.0
+    ids = [f"b{i}" for i in range(n)]
+    rng.shuffle(ids)
+    assert_matches_reference(feats, ids, 0.005, ulps=ulps)
+
+
 def test_zero_norm_rows_skipped():
     g = ContextGraph()
     g.add_node(rec("a", feats=(0.0, 0.0)))
@@ -260,6 +379,29 @@ def test_save_load_round_trip(tmp_path):
     p2 = tmp_path / "g2.ctxg"
     g2.save(p2)
     assert p.read_bytes() == p2.read_bytes()
+
+
+def test_load_parses_each_molecule_once_on_first_use(tmp_path, monkeypatch):
+    import infoalign.ctxgraph as ctxgraph
+
+    g = build_random_graph(seed=1)
+    p = tmp_path / "g.ctxg"
+    g.save(p)
+    calls = []
+    parse = ctxgraph.parse_smiles
+
+    def counting_parse(smiles):
+        calls.append(smiles)
+        return parse(smiles)
+
+    monkeypatch.setattr(ctxgraph, "parse_smiles", counting_parse)
+    g2 = ContextGraph.load(p)
+    assert calls == []
+    rec = g2.node("m03")
+    mol = rec.molecule()
+    assert rec.molecule() is mol and rec.mol is mol
+    assert calls == ["CCO"]
+    assert [a.element for a in mol.atoms] == [a.element for a in g.node("m03").mol.atoms]
 
 
 def test_load_corrupt(tmp_path):

@@ -1,8 +1,11 @@
 """Fingerprint tests backed by an environment-enumeration oracle and random
 atom permutations."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from infoalign.errors import ZeroVectorError
 from infoalign.fingerprint import (
@@ -12,6 +15,7 @@ from infoalign.fingerprint import (
     morgan_fingerprint,
 )
 from infoalign.molparse import Bond, MolecularGraph, parse_smiles
+from tests.test_molparse import smiles_strings
 
 
 def permute_graph(g: MolecularGraph, perm) -> MolecularGraph:
@@ -82,6 +86,48 @@ def test_environment_oracle_distinct_count():
         idents = environment_identifiers(g, 2)
         expected = len({i % 1024 for i in idents})
         assert morgan_fingerprint(g, 2, 1024).count() == expected
+
+
+def reference_environment_identifiers(g: MolecularGraph, radius: int):
+    """environment_identifiers with MolecularGraph.degree() and neighbors() per atom."""
+    from infoalign.fingerprint import _BOND_CODE, _fnv1a
+    ids = [
+        _fnv1a(a.element.encode("ascii")
+               + struct.pack("<iBI", a.formal_charge, int(a.aromatic), g.degree(a.index)))
+        for a in g.atoms
+    ]
+    collected = set(ids)
+    for _ in range(radius):
+        nxt = []
+        for i in range(len(g.atoms)):
+            env = sorted((_BOND_CODE[order], ids[j]) for j, order in g.neighbors(i))
+            blob = struct.pack("<Q", ids[i]) + b"".join(
+                struct.pack("<BQ", code, nid) for code, nid in env)
+            nxt.append(_fnv1a(blob))
+        ids = nxt
+        collected.update(ids)
+    return collected
+
+
+@pytest.mark.parametrize("smi", ["C", "CCO", "c1ccccc1", "CC(=O)Oc1ccccc1C(=O)O",
+                                 "C(C)(C)(C)(C)(C)C", "[NH4+]", "OCC(O)(N)C1CC1[O-]",
+                                 "C1CC2CCC1CC2", "N#CC(=O)[O-]"])
+def test_identifiers_match_degree_reference(smi):
+    g = parse_smiles(smi)
+    for radius in range(4):
+        assert environment_identifiers(g, radius) == reference_environment_identifiers(g, radius)
+    expect = np.zeros(1024, dtype=bool)
+    for ident in reference_environment_identifiers(g, 2):
+        expect[ident % 1024] = True
+    assert np.array_equal(morgan_fingerprint(g, 2, 1024).bits, expect)
+
+
+@settings(max_examples=200, deadline=None)
+@given(smiles_strings())
+def test_identifiers_match_degree_reference_fuzzed(smi):
+    g = parse_smiles(smi)
+    for radius in (0, 1, 3):
+        assert environment_identifiers(g, radius) == reference_environment_identifiers(g, radius)
 
 
 def test_nbits_validation():

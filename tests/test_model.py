@@ -6,7 +6,6 @@ per-walk loss, training determinism, and checkpoint round-trips."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import infoalign.diffcore as dc
@@ -38,6 +37,7 @@ from infoalign.model import (
 from infoalign.molparse import parse_smiles
 from infoalign.walker import WalkConfig, WalkPath, batch_walks
 from tests.test_fingerprint import permute_graph
+from tests.test_molparse import smiles_strings
 
 
 def small_cfg(**kw):
@@ -86,23 +86,6 @@ def reference_atom_features(g):
         x[a.index, 15] = float(a.aromatic)
         x[a.index, 16 + min(g.degree(a.index), 5)] = 1.0
     return x
-
-
-@st.composite
-def smiles_strings(draw):
-    """Chains with branches, bond orders, charges and at most one ring."""
-    atom = st.sampled_from(["C", "N", "O", "S", "Cl", "c", "[N+]", "[O-]", "[NH3+]"])
-    n = draw(st.integers(1, 10))
-    ring = {}
-    if n >= 3 and draw(st.booleans()):
-        i = draw(st.integers(0, n - 3))
-        ring = {i: "1", draw(st.integers(i + 2, n - 1)): "1"}
-    parts = []
-    for k in range(n):
-        bond = draw(st.sampled_from(["", "=", "#"])) if k else ""
-        branches = "".join(f"({draw(atom)})" for _ in range(draw(st.integers(0, 4))))
-        parts.append(bond + draw(atom) + ring.get(k, "") + branches)
-    return "".join(parts)
 
 
 @pytest.mark.parametrize("smi", ["C", "CCO", "c1ccccc1", "CC(=O)Oc1ccccc1C(=O)O",

@@ -28,6 +28,23 @@ def bond_set(g):
     return {(b.a, b.b, b.order) for b in g.bonds}
 
 
+@st.composite
+def smiles_strings(draw):
+    """Chains with branches, bond orders, charges and at most one ring."""
+    atom = st.sampled_from(["C", "N", "O", "S", "Cl", "c", "[N+]", "[O-]", "[NH3+]"])
+    n = draw(st.integers(1, 10))
+    ring = {}
+    if n >= 3 and draw(st.booleans()):
+        i = draw(st.integers(0, n - 3))
+        ring = {i: "1", draw(st.integers(i + 2, n - 1)): "1"}
+    parts = []
+    for k in range(n):
+        bond = draw(st.sampled_from(["", "=", "#"])) if k else ""
+        branches = "".join(f"({draw(atom)})" for _ in range(draw(st.integers(0, 4))))
+        parts.append(bond + draw(atom) + ring.get(k, "") + branches)
+    return "".join(parts)
+
+
 # --- independent oracle: brute-force isomorphism over all permutations --------
 
 def brute_force_isomorphic(g1: MolecularGraph, g2: MolecularGraph) -> bool:

@@ -67,3 +67,44 @@ def test_bit_flip(tmp_path):
     p.write_bytes(bytes(raw))
     with pytest.raises(CorruptFileError, match="checksum"):
         read_container(p, b"TEST")
+
+
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    """A write that raises midway leaves the old file intact and no temp file."""
+    import builtins
+
+    import infoalign.serialize as ser
+
+    p = tmp_path / "c.bin"
+    write_container(p, b"TEST", {"k": 1}, [np.arange(5.0)])
+    before = p.read_bytes()
+
+    class FailingFile:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 2:
+                raise OSError("disk full")
+            return self.fh.write(data)
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+    monkeypatch.setattr(ser, "open", lambda *a, **k: FailingFile(builtins.open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        write_container(p, b"TEST", {"k": 2}, [np.arange(9.0)])
+    assert p.read_bytes() == before
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["c.bin"]
+    monkeypatch.undo()
+    write_container(p, b"TEST", {"k": 2}, [np.arange(9.0)])
+    assert read_container(p, b"TEST")[0] == {"k": 2}
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["c.bin"]

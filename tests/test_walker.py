@@ -8,6 +8,7 @@ from scipy.stats import chisquare
 from infoalign.ctxgraph import ContextGraph, NodeKind, NodeRecord, Relation
 from infoalign.errors import IsolatedNodeError, NotAMoleculeError
 from infoalign.diffcore import seeded_rng
+import infoalign.walker as walker
 from infoalign.walker import WalkConfig, WalkPath, batch_walks, sample_walk, transition
 
 
@@ -245,3 +246,74 @@ def test_dead_end_truncation():
     g.finalize()
     p = sample_walk(g, "m0", WalkConfig(length=5), seeded_rng(0, 0))
     assert len(p.nodes) == 5 and not p.truncated  # bouncing is allowed
+
+
+def reference_transition(g, current, rng, weight_proportional=True):
+    """The transition that rebuilt the weight array and its cumsum every step."""
+    nbrs = g.neighbors(current)
+    if not nbrs:
+        raise IsolatedNodeError(f"node {current!r} has no neighbors")
+    weights = np.array([w for _, w in nbrs], dtype=np.float64)
+    if weight_proportional:
+        cdf = np.cumsum(weights)
+        idx = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+        idx = min(idx, len(nbrs) - 1)
+    else:
+        idx = int(rng.integers(len(nbrs)))
+    return nbrs[idx][0], nbrs[idx][1]
+
+
+def many_weights_graph():
+    """30 molecules and 40 profiles, each node with several neighbors whose
+    weights are all distinct."""
+    rng = np.random.default_rng(123)
+    g = ContextGraph()
+    mols = [f"m{i}" for i in range(30)]
+    profs = [f"p{i}" for i in range(40)]
+    for m in mols:
+        g.add_node(NodeRecord(m, NodeKind.MOLECULE, np.zeros(0, dtype=np.float32), smiles="C"))
+    for p in profs:
+        g.add_node(NodeRecord(p, NodeKind.CELL_MORPHOLOGY, feat()))
+    nodes = mols + profs
+    for a in nodes:
+        for b in rng.choice(nodes, size=int(rng.integers(2, 9)), replace=False):
+            if a != b:
+                g.add_edge(a, str(b), Relation.SIMILARITY, float(rng.uniform(1e-3, 1.0)))
+    return g.finalize(), mols
+
+
+@pytest.mark.parametrize("weight_proportional", [True, False])
+def test_batch_walks_match_reference_transition(monkeypatch, weight_proportional):
+    g, mols = many_weights_graph()
+    weights = [w for m in mols for _, w in g.neighbors(m)]
+    assert len(set(weights)) > 100
+    runs = {}
+    for step in (transition, reference_transition):
+        monkeypatch.setattr(walker, "transition", step)
+        runs[step] = [batch_walks(g, mols, WalkConfig(length=6, walks_per_molecule=3, seed=seed,
+                                                      weight_proportional=weight_proportional))
+                      for seed in range(20)]
+    for got, want in zip(runs[transition], runs[reference_transition]):
+        assert [p.nodes for p in got] == [p.nodes for p in want]
+        assert [p.edge_weights for p in got] == [p.edge_weights for p in want]
+        assert [p.alphas for p in got] == [p.alphas for p in want]
+        assert [p.truncated for p in got] == [p.truncated for p in want]
+
+
+def test_load_then_walk_parses_no_smiles(tmp_path, monkeypatch):
+    import infoalign.ctxgraph as ctxgraph
+
+    g, mols = many_weights_graph()
+    path = tmp_path / "g.ctxg"
+    g.save(path)
+    want = batch_walks(g, mols, WalkConfig(length=5, walks_per_molecule=2, seed=4))
+
+    def no_parse(smiles):
+        raise AssertionError(f"parse_smiles({smiles!r}) called")
+
+    monkeypatch.setattr(ctxgraph, "parse_smiles", no_parse)
+    loaded = ContextGraph.load(path)
+    got = batch_walks(loaded, mols, WalkConfig(length=5, walks_per_molecule=2, seed=4))
+    assert [p.nodes for p in got] == [p.nodes for p in want]
+    assert [p.alphas for p in got] == [p.alphas for p in want]
+    assert all(loaded.node(m).mol is None for m in mols)
