@@ -20,7 +20,6 @@ from .ctxgraph import (
 )
 from .walker import WalkConfig, WalkPath, batch_walks, sample_walk
 from .model import (
-    DecoderRegistry,
     ModelConfig,
     embed,
     infoalign_loss,
@@ -59,7 +58,7 @@ __all__ = [
     "ContextGraph", "NodeKind", "NodeRecord", "Relation", "WeightedEdge",
     "build_graph_from_tables", "min_max_scale",
     "WalkConfig", "WalkPath", "batch_walks", "sample_walk",
-    "DecoderRegistry", "ModelConfig", "embed", "infoalign_loss",
+    "ModelConfig", "embed", "infoalign_loss",
     "load_checkpoint", "pretrain", "save_checkpoint",
     "JointTable", "gaussian_mi", "i_dlb", "i_eub", "i_nce", "i_nwj",
     "prop1_report", "true_mi",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -58,12 +59,24 @@ def _load_config_file(args) -> dict:
 
 
 def _resolve(args, defaults: dict) -> SimpleNamespace:
-    """flags > config file > defaults, for the keys listed in `defaults`."""
+    """flags > config file > defaults, for the keys listed in `defaults`.
+
+    Each value is converted to the type of its default (int, float or str);
+    bools and keys whose default is None are taken as they are.
+    """
     cfg = _load_config_file(args)
     merged = {}
     for key, default in defaults.items():
         flag = getattr(args, key, None)
-        merged[key] = flag if flag is not None else cfg.get(key, default)
+        value = flag if flag is not None else cfg.get(key, default)
+        convert = type(default)
+        if convert in (int, float, str):
+            try:
+                value = convert(value)
+            except (TypeError, ValueError):
+                raise InfoAlignError(f"config key {key!r}: cannot convert {value!r} "
+                                     f"to {convert.__name__}") from None
+        merged[key] = value
     return SimpleNamespace(**merged)
 
 
@@ -90,9 +103,9 @@ def cmd_build_graph(args) -> int:
     kinds = [NodeKind(k) for k in opt.similarity_kinds.split(",") if k]
     g = build_graph_from_tables(
         args.nodes, args.edges,
-        fp_radius=int(opt.fp_radius), fp_bits=int(opt.fp_bits),
+        fp_radius=opt.fp_radius, fp_bits=opt.fp_bits,
         similarity_kinds=kinds,
-        threshold=float(opt.threshold), keep_fraction=float(opt.keep_fraction),
+        threshold=opt.threshold, keep_fraction=opt.keep_fraction,
     )
     g.save(args.out)
     stats = g.stats()
@@ -109,11 +122,11 @@ def cmd_synth(args) -> int:
     })
     motifs = opt.motifs.split(",") if isinstance(opt.motifs, str) else opt.motifs
     spec = synth.SyntheticSpec(
-        clusters=int(opt.clusters), per_cluster=int(opt.per_cluster),
-        noise=float(opt.noise), morph_dim=int(opt.morph_dim),
-        gexp_dim=int(opt.gexp_dim), seed=int(opt.seed), motifs=motifs,
-        decoration_min=int(opt.decoration_min),
-        decoration_max=int(opt.decoration_max),
+        clusters=opt.clusters, per_cluster=opt.per_cluster,
+        noise=opt.noise, morph_dim=opt.morph_dim,
+        gexp_dim=opt.gexp_dim, seed=opt.seed, motifs=motifs,
+        decoration_min=opt.decoration_min,
+        decoration_max=opt.decoration_max,
     )
     data = synth.generate(spec)
     paths = synth.write_tables(data, args.out)
@@ -135,8 +148,8 @@ def cmd_walk(args) -> int:
     g = ContextGraph.load(args.graph)
     starts = g.molecule_ids() if args.starts == "all" else args.starts.split(",")
     cfg = WalkConfig(
-        length=int(opt.length), walks_per_molecule=int(opt.walks_per_molecule),
-        seed=int(opt.seed), weight_proportional=not opt.uniform,
+        length=opt.length, walks_per_molecule=opt.walks_per_molecule,
+        seed=opt.seed, weight_proportional=not opt.uniform,
     )
     walks = batch_walks(g, starts, cfg)
     lines = ["start\twalk\tnodes\tweights\talphas\ttruncated"]
@@ -163,7 +176,7 @@ def cmd_fingerprint(args) -> int:
         raise InfoAlignError("fingerprint needs --smiles or --input")
     lines = []
     for i, smi in enumerate(entries):
-        fp = morgan_fingerprint(parse_smiles(smi), int(opt.radius), int(opt.nbits))
+        fp = morgan_fingerprint(parse_smiles(smi), opt.radius, opt.nbits)
         lines.append(f"{i}\t{smi}\t{fp.count()}\t{fp.to_hex()}")
     out = "\n".join(lines) + "\n"
     if args.out:
@@ -175,16 +188,16 @@ def cmd_fingerprint(args) -> int:
 
 def _model_config(opt) -> ModelConfig:
     return ModelConfig(
-        latent_dim=int(opt.latent_dim), num_layers=int(opt.num_layers),
-        hidden=int(opt.hidden), decoder_hidden=int(opt.decoder_hidden),
-        beta=float(opt.beta), likelihood=opt.likelihood,
-        fp_radius=int(opt.fp_radius), fp_bits=int(opt.fp_bits),
-        epochs=int(opt.epochs), batch_size=int(opt.batch_size),
-        lr=float(opt.lr), seed=int(opt.seed),
+        latent_dim=opt.latent_dim, num_layers=opt.num_layers,
+        hidden=opt.hidden, decoder_hidden=opt.decoder_hidden,
+        beta=opt.beta, likelihood=opt.likelihood,
+        fp_radius=opt.fp_radius, fp_bits=opt.fp_bits,
+        epochs=opt.epochs, batch_size=opt.batch_size,
+        lr=opt.lr, seed=opt.seed,
         walk=WalkConfig(
-            length=int(opt.walk_length),
-            walks_per_molecule=int(opt.walks_per_molecule),
-            seed=int(opt.seed),
+            length=opt.walk_length,
+            walks_per_molecule=opt.walks_per_molecule,
+            seed=opt.seed,
             weight_proportional=not opt.uniform,
         ),
     )
@@ -200,18 +213,18 @@ _PRETRAIN_DEFAULTS = {
 
 
 def _run_pretrain(graph, cfg: ModelConfig, out: str, resume: str | None):
-    store = registry = None
+    store = None
     if resume:
-        store, cfg_loaded, registry = load_checkpoint(resume)
+        store, cfg_loaded = load_checkpoint(resume)
         cfg_loaded.epochs = cfg.epochs
         cfg_loaded.lr = cfg.lr
         cfg = cfg_loaded
     rows = ["epoch\ttotal\tkl\tbeta\trecon"]
-    store, registry, logs = pretrain(graph, cfg, store=store, registry=registry)
+    store, logs = pretrain(graph, cfg, store=store)
     for e, br in enumerate(logs):
         recon = ";".join(f"{k}={v:.8g}" for k, v in sorted(br.recon_per_modality.items()))
         rows.append(f"{e}\t{br.total:.8g}\t{br.kl:.8g}\t{br.beta:.8g}\t{recon}")
-    save_checkpoint(out, store, cfg, registry, graph)
+    save_checkpoint(out, store, cfg, graph)
     Path(out + ".log.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
@@ -228,7 +241,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    store, _cfg, _registry = load_checkpoint(args.checkpoint)
+    store, _cfg = load_checkpoint(args.checkpoint)
     mols = [parse_smiles(s) for s in read_smiles_file(args.input)]
     z = embed(store, mols)
     lines = ["\t".join(f"{v:.12g}" for v in row) for row in z]
@@ -239,8 +252,8 @@ def cmd_embed(args) -> int:
 def _read_matrix_tsv(path):
     """Rows of floats; a non-numeric first column is treated as an id column.
 
-    A table with no rows, or with rows of different lengths, raises
-    TableFormatError naming the file (and the line).
+    A table with no rows, with rows of different lengths, or with a value
+    that is not finite raises TableFormatError naming the file (and the line).
     """
     ids, rows = [], []
     first = None  # (line number, value count) of the first row
@@ -257,6 +270,8 @@ def _read_matrix_tsv(path):
                 ids.append(cols[0])
                 cols = cols[1:]
             row = [float(c) for c in cols]
+            if not all(map(math.isfinite, row)):
+                raise TableFormatError(f"{path} line {lineno}: non-finite value")
             if first is None:
                 first = (lineno, len(row))
             elif len(row) != first[1]:
@@ -280,11 +295,11 @@ def cmd_eval(args) -> int:
     task_types = [t.strip() for t in opt.task_types.split(",")]
     if len(task_types) == 1 and labels.shape[1] > 1:
         task_types = task_types * labels.shape[1]
-    tr, va, te = split_random(len(emb), seed=int(opt.seed))
+    tr, va, te = split_random(len(emb), seed=opt.seed)
     head = probe_train(
         LabeledSet(emb[tr], labels[tr], task_types),
-        ProbeConfig(hidden=int(opt.probe_hidden), epochs=int(opt.probe_epochs),
-                    lr=float(opt.probe_lr), seed=int(opt.seed)),
+        ProbeConfig(hidden=opt.probe_hidden, epochs=opt.probe_epochs,
+                    lr=opt.probe_lr, seed=opt.seed),
     )
     report = {
         "train_size": len(tr), "valid_size": len(va), "test_size": len(te),
@@ -297,14 +312,14 @@ def cmd_eval(args) -> int:
 
 def cmd_match(args) -> int:
     opt = _resolve(args, {"k": "1,10"})
-    store, _cfg, registry = load_checkpoint(args.checkpoint)
+    store, _cfg = load_checkpoint(args.checkpoint)
     queries = [parse_smiles(s) for s in read_smiles_file(args.queries)]
     cand_ids, cand = _read_matrix_tsv(args.candidates)
     if any(i is None for i in cand_ids):
         raise InfoAlignError("candidate table needs an id column")
     true_ids = [l.strip() for l in Path(args.true_ids).read_text(encoding="utf-8").splitlines()
                 if l.strip()]
-    res = match_zero_shot(store, registry, queries, cand, cand_ids, true_ids,
+    res = match_zero_shot(store, queries, cand, cand_ids, true_ids,
                           k_list=_ints(opt.k))
     report = {
         "ndcg": {str(k): v for k, v in res["ndcg"].items()},
@@ -322,11 +337,11 @@ def cmd_mi_bench(args) -> int:
     })
     if opt.exact is False:
         raise InfoAlignError('only exact-mode verification is supported; drop "exact": false')
-    rng = dc.seeded_rng(int(opt.seed))
-    joints = [mibounds.random_joint(rng, int(opt.nz), int(opt.ny))
-              for _ in range(int(opt.num_joints))]
+    rng = dc.seeded_rng(opt.seed)
+    joints = [mibounds.random_joint(rng, opt.nz, opt.ny)
+              for _ in range(opt.num_joints)]
     critic_rng = rng if opt.random_critic else None
-    report = mibounds.prop1_report(joints, _ints(opt.k), tol=float(opt.tol),
+    report = mibounds.prop1_report(joints, _ints(opt.k), tol=opt.tol,
                                    critic_rng=critic_rng)
     _write_json(args.out, report)
     return 0 if report["pass"] else 1

@@ -11,6 +11,7 @@ relations is seen by the walker as one effective edge at the max weight.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -288,7 +289,7 @@ class ContextGraph:
             return self
         for rec in self._nodes.values():
             f = rec.features
-            if len(f) and (f.min() < 0.0 or f.max() > 1.0):
+            if len(f) and not (f.min() >= 0.0 and f.max() <= 1.0):  # also NaN
                 raise ValueError(f"node {rec.id!r} has features outside [0, 1]")
         adjacency: Dict[str, Dict[str, float]] = {nid: {} for nid in self._nodes}
         for (a, b, _rel), w in self._edges.items():
@@ -300,8 +301,7 @@ class ContextGraph:
         for nid, nbrs in adjacency.items():
             ids = sorted(nbrs)
             weights = [nbrs[k] for k in ids]
-            cdf = np.cumsum(np.array(weights, dtype=np.float64)).tolist()
-            self._adjacency[nid] = Adjacency(ids, weights, cdf)
+            self._adjacency[nid] = Adjacency(ids, weights, list(itertools.accumulate(weights)))
         node_counts: Dict[str, int] = {}
         for rec in self._nodes.values():
             node_counts[rec.kind.value] = node_counts.get(rec.kind.value, 0) + 1
@@ -417,6 +417,8 @@ def load_node_table(path, fp_radius: int = 2, fp_bits: int = 1024) -> List[NodeR
                     feats = np.array([float(c) for c in cols[3:]], dtype=np.float64)
                 except ValueError:
                     raise TableFormatError(f"{path}:{lineno}: malformed feature value") from None
+                if not np.isfinite(feats).all():
+                    raise TableFormatError(f"{path}:{lineno}: non-finite feature value")
                 raw.append((lineno, nid, kind, tag, feats))
 
     # group non-molecule rows by (kind, dim) and scale per dimension

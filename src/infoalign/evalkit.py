@@ -24,7 +24,7 @@ from .errors import (
     TooFewError,
     UnknownNodeError,
 )
-from .model import DecoderRegistry, gin_encode
+from .model import decoder_prefix, gin_encode
 from .molparse import MolecularGraph
 
 CLASSIFICATION = "classification"
@@ -223,8 +223,7 @@ class RankingResult:
     true_rank: int  # 1-based
 
 
-def match_zero_shot(store: dc.ParamStore, registry: DecoderRegistry,
-                    queries: Sequence[MolecularGraph],
+def match_zero_shot(store: dc.ParamStore, queries: Sequence[MolecularGraph],
                     candidates: np.ndarray,
                     candidate_ids: Sequence[str],
                     true_ids: Sequence[str],
@@ -246,8 +245,7 @@ def match_zero_shot(store: dc.ParamStore, registry: DecoderRegistry,
     for tid in true_ids:
         if tid not in known:
             raise UnknownNodeError(f"true id {tid!r} is not a candidate id")
-    dim = candidates.shape[1]
-    prefix = registry.prefix(NodeKind.CELL_MORPHOLOGY, dim)  # NoDecoderError if absent
+    prefix = decoder_prefix(store.params, NodeKind.CELL_MORPHOLOGY, candidates.shape[1])
 
     bound = store.bind()
     id_order = np.argsort(np.asarray(candidate_ids, dtype=object))

@@ -2,7 +2,9 @@
 
 A GIN message-passing encoder maps a molecular graph to a diagonal-Gaussian
 latent (mu, log-variance); per-modality MLP decoders reconstruct the [0,1]
-feature vectors of nodes visited by a context-graph walk. The loss averages
+feature vectors of nodes visited by a context-graph walk. There is one decoder
+per (node kind, feature dimension), and its parameters, `dec.<kind>.<dim>.*`,
+are the only record of which decoders a model has. The loss averages
 the alpha-weighted reconstruction NLLs over the path length and adds a
 beta-weighted KL to the standard-normal prior. The start molecule's own
 fingerprint is always a target with alpha = 1.
@@ -16,7 +18,7 @@ same loss for a single walk and is kept as its reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,10 +71,6 @@ class EncoderOutput:
     mu: dc.Tensor      # shape (molecules, D)
     logvar: dc.Tensor  # shape (molecules, D), clamped to [-10, 10]
 
-    @property
-    def mu_array(self) -> np.ndarray:
-        return self.mu.data[0].copy()
-
 
 @dataclass
 class LossBreakdown:
@@ -122,46 +120,33 @@ def mol_arrays(g: MolecularGraph) -> MolArrays:
     return MolArrays(atom_feature_matrix(g), *directed_edges(g))
 
 
-class DecoderRegistry:
-    """Maps (node kind, feature dimension) to a decoder parameter prefix."""
-
-    def __init__(self):
-        self._keys: List[Tuple[str, int]] = []
-
-    def register(self, kind: NodeKind, dim: int):
-        key = (kind.value, int(dim))
-        if key not in self._keys:
-            self._keys.append(key)
-            self._keys.sort()
-
-    def keys(self) -> List[Tuple[str, int]]:
-        return list(self._keys)
-
-    def prefix(self, kind: NodeKind, dim: int) -> str:
-        key = (kind.value, int(dim))
-        if key not in self._keys:
-            raise NoDecoderError(f"no decoder registered for {key}")
-        return f"dec.{key[0]}.{key[1]}"
-
-    @classmethod
-    def from_keys(cls, keys: Sequence[Sequence]) -> "DecoderRegistry":
-        reg = cls()
-        for kind, dim in keys:
-            reg.register(NodeKind(kind), dim)
-        return reg
-
-    @classmethod
-    def from_graph(cls, graph: ContextGraph) -> "DecoderRegistry":
-        reg = cls()
-        for nid in graph.node_ids():
-            rec = graph.node(nid)
-            if rec.modality_dim > 0:
-                reg.register(rec.kind, rec.modality_dim)
-        return reg
+def feature_keys(graph: ContextGraph) -> List[Tuple[str, int]]:
+    """Sorted (kind, dim) of the graph's nodes that have features."""
+    return sorted({(rec.kind.value, rec.modality_dim)
+                   for rec in map(graph.node, graph.node_ids()) if rec.modality_dim > 0})
 
 
-def init_model(store: dc.ParamStore, cfg: ModelConfig, registry: DecoderRegistry):
-    """Create all encoder/decoder parameters (deterministic order)."""
+def decoder_keys(store: dc.ParamStore) -> List[Tuple[str, int]]:
+    """Sorted (kind, dim) of the store's `dec.<kind>.<dim>.*` parameters."""
+    keys = set()
+    for name in store.params:
+        if name.startswith("dec."):
+            _, kind, dim, _ = name.split(".")
+            keys.add((kind, int(dim)))
+    return sorted(keys)
+
+
+def decoder_prefix(params: Mapping[str, object], kind: NodeKind, dim: int) -> str:
+    """`dec.<kind>.<dim>`; NoDecoderError if `params` has no such decoder."""
+    key = (kind.value, int(dim))
+    prefix = f"dec.{key[0]}.{key[1]}"
+    if f"{prefix}.w0" not in params:
+        raise NoDecoderError(f"no decoder registered for {key}")
+    return prefix
+
+
+def init_model(store: dc.ParamStore, cfg: ModelConfig, decoders: Sequence[Tuple[str, int]]):
+    """Create the encoder and one decoder per (kind, dim) key, in a fixed order."""
     store.add("atom_embed", (ATOM_FEATURE_DIM, cfg.hidden))
     for layer in range(cfg.num_layers):
         store.add(f"bond_embed.l{layer}", (NUM_BOND_TYPES, cfg.hidden))
@@ -175,7 +160,7 @@ def init_model(store: dc.ParamStore, cfg: ModelConfig, registry: DecoderRegistry
     store.params["head_mu.w0"] *= 0.1
     store.params["head_logvar.w0"][...] = 0.0
     store.params["head_logvar.b0"][...] = LOGVAR_INIT
-    for kind, dim in registry.keys():
+    for kind, dim in decoders:
         dc.init_mlp(store, f"dec.{kind}.{dim}", [cfg.latent_dim, cfg.decoder_hidden, dim])
 
 
@@ -186,17 +171,15 @@ def _infer_num_layers(bound: Dict[str, dc.Tensor]) -> int:
     return n
 
 
-def encode_batch(mols: Sequence[MolArrays], bound: Dict[str, dc.Tensor],
-                 num_layers: Optional[int] = None) -> EncoderOutput:
+def encode_batch(mols: Sequence[MolArrays], bound: Dict[str, dc.Tensor]) -> EncoderOutput:
     """Sum-readout GIN encoder over a batch of molecules; row k is mols[k].
 
     Per layer: h_v <- MLP(h_v + sum_{u in N(v)} (h_u + bond_embed(uv))),
     i.e. the (1 + eps) factor with eps fixed at 0. The molecules form one
     block-diagonal graph (edge indices offset per molecule), and the readout
-    sums each molecule's atom rows.
+    sums each molecule's atom rows. The depth is the number of `gin.l<n>`
+    layers in `bound`.
     """
-    if num_layers is None:
-        num_layers = _infer_num_layers(bound)
     counts = [len(m.x) for m in mols]
     offsets = np.cumsum([0] + counts[:-1])
     n = sum(counts)
@@ -205,7 +188,7 @@ def encode_batch(mols: Sequence[MolArrays], bound: Dict[str, dc.Tensor],
     order = np.concatenate([m.order for m in mols])
     segment = np.repeat(np.arange(len(mols)), counts)
     h = dc.matmul(dc.constant(np.concatenate([m.x for m in mols])), bound["atom_embed"])
-    for layer in range(num_layers):
+    for layer in range(_infer_num_layers(bound)):
         if len(src):
             msgs = dc.add(dc.gather_rows(h, src),
                           dc.gather_rows(bound[f"bond_embed.l{layer}"], order))
@@ -219,10 +202,9 @@ def encode_batch(mols: Sequence[MolArrays], bound: Dict[str, dc.Tensor],
     return EncoderOutput(mu, logvar)
 
 
-def gin_encode(g: MolecularGraph, bound: Dict[str, dc.Tensor],
-               num_layers: Optional[int] = None) -> EncoderOutput:
+def gin_encode(g: MolecularGraph, bound: Dict[str, dc.Tensor]) -> EncoderOutput:
     """`encode_batch` of one molecule: mu and logvar of shape (1, D)."""
-    return encode_batch([mol_arrays(g)], bound, num_layers)
+    return encode_batch([mol_arrays(g)], bound)
 
 
 def reparameterize(out: EncoderOutput, noise) -> dc.Tensor:
@@ -256,8 +238,7 @@ def _nll_terms(logits: dc.Tensor, y: np.ndarray, likelihood: str) -> dc.Tensor:
 
 
 def decode_nll(z: dc.Tensor, target_features: np.ndarray, kind: NodeKind,
-               bound: Dict[str, dc.Tensor], registry: DecoderRegistry,
-               likelihood: str = "bernoulli") -> dc.Tensor:
+               bound: Dict[str, dc.Tensor], likelihood: str = "bernoulli") -> dc.Tensor:
     """Negative log-likelihood of one target vector under its decoder.
 
     Bernoulli treats [0,1]-scaled features as soft labels (per-dimension BCE
@@ -265,7 +246,7 @@ def decode_nll(z: dc.Tensor, target_features: np.ndarray, kind: NodeKind,
     squared error on the linear outputs.
     """
     y = np.asarray(target_features, dtype=np.float64).reshape(1, -1)
-    prefix = registry.prefix(kind, y.shape[1])
+    prefix = decoder_prefix(bound, kind, y.shape[1])
     return dc.tsum(_nll_terms(dc.mlp_forward(bound, prefix, z), y, likelihood))
 
 
@@ -277,8 +258,7 @@ def _start_molecule(graph: ContextGraph, node_id: str) -> NodeRecord:
 
 
 def infoalign_loss(graph: ContextGraph, path: WalkPath,
-                   bound: Dict[str, dc.Tensor], registry: DecoderRegistry,
-                   beta: float, noise,
+                   bound: Dict[str, dc.Tensor], beta: float, noise,
                    likelihood: str = "bernoulli") -> Tuple[dc.Tensor, LossBreakdown]:
     """Path-reconstruction loss for the molecule at the start of the walk.
 
@@ -302,7 +282,7 @@ def infoalign_loss(graph: ContextGraph, path: WalkPath,
     recon: Dict[str, float] = {}
     weighted_terms: List[dc.Tensor] = []
     for feats, kind, alpha in targets:
-        nll = decode_nll(z, feats, kind, bound, registry, likelihood)
+        nll = decode_nll(z, feats, kind, bound, likelihood)
         term = dc.mul(nll, dc.constant(alpha))
         weighted_terms.append(term)
         recon[kind.value] = recon.get(kind.value, 0.0) + term.item()
@@ -322,8 +302,8 @@ def infoalign_loss(graph: ContextGraph, path: WalkPath,
 
 
 def batch_loss(graph: ContextGraph, starts: Sequence[str], paths: Sequence[WalkPath],
-               bound: Dict[str, dc.Tensor], registry: DecoderRegistry,
-               beta: float, noise, likelihood: str = "bernoulli",
+               bound: Dict[str, dc.Tensor], beta: float, noise,
+               likelihood: str = "bernoulli",
                cache: Optional[Dict[str, MolArrays]] = None
                ) -> Tuple[dc.Tensor, LossBreakdown]:
     """Mean over `starts` of the mean `infoalign_loss` of each one's walks.
@@ -371,7 +351,7 @@ def batch_loss(graph: ContextGraph, starts: Sequence[str], paths: Sequence[WalkP
         walk_idx, feats, alpha, length = zip(*rows)
         alpha = np.array(alpha)
         weight = alpha * scale / np.array(length, dtype=np.float64)
-        logits = dc.mlp_forward(bound, registry.prefix(kind, dim),
+        logits = dc.mlp_forward(bound, decoder_prefix(bound, kind, dim),
                                 dc.gather_rows(z, walk_idx))
         nll = _nll_terms(logits, np.array(feats, dtype=np.float64), likelihood)
         term = dc.tsum(dc.mul(nll, dc.constant(weight[:, None])))
@@ -393,8 +373,7 @@ def batch_loss(graph: ContextGraph, starts: Sequence[str], paths: Sequence[WalkP
 
 def pretrain(graph: ContextGraph, cfg: ModelConfig,
              store: Optional[dc.ParamStore] = None,
-             registry: Optional[DecoderRegistry] = None,
-             log_fn=None) -> Tuple[dc.ParamStore, DecoderRegistry, List[LossBreakdown]]:
+             log_fn=None) -> Tuple[dc.ParamStore, List[LossBreakdown]]:
     """Joint encoder/decoder optimization over all molecule nodes.
 
     Epochs iterate molecules in a seeded shuffled order and sample
@@ -403,20 +382,20 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig,
     of each molecule's mean walk loss; the reparameterization noise is one
     (walks, latent_dim) draw per minibatch. Encoder inputs are built once per
     molecule per call. Passing an existing store resumes training (the step
-    counter continues). Every featured (kind, dim) of the graph needs a
-    decoder in the registry, or NoDecoderError is raised before any step.
-    Returns per-epoch mean loss breakdowns.
+    counter continues); a new store gets one decoder per featured (kind, dim)
+    of the graph. Every featured (kind, dim) of the graph needs a decoder in
+    the store, or NoDecoderError is raised before any step.
+    Returns the store and the per-epoch mean loss breakdowns.
     """
-    needed = DecoderRegistry.from_graph(graph)
-    if registry is None:
-        registry = needed
-    for key in needed.keys():
-        if key not in registry.keys():
-            raise NoDecoderError(f"graph nodes of kind {key[0]!r} with {key[1]} features "
-                                 f"have no decoder; decoders: {registry.keys()}")
+    needed = feature_keys(graph)
     if store is None:
         store = dc.ParamStore(seed=cfg.seed)
-        init_model(store, cfg, registry)
+        init_model(store, cfg, needed)
+    decoders = decoder_keys(store)
+    for key in needed:
+        if key not in decoders:
+            raise NoDecoderError(f"graph nodes of kind {key[0]!r} with {key[1]} features "
+                                 f"have no decoder; decoders: {decoders}")
 
     mols = graph.molecule_ids()
     if not mols:
@@ -445,8 +424,8 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig,
             paths = walks[b0 * per_mol : (b0 + len(batch)) * per_mol]
             noise = noise_rng.standard_normal((len(paths), cfg.latent_dim))
             bound = store.bind()
-            loss, br = batch_loss(graph, batch, paths, bound, registry, cfg.beta,
-                                  noise, cfg.likelihood, cache)
+            loss, br = batch_loss(graph, batch, paths, bound, cfg.beta, noise,
+                                  cfg.likelihood, cache)
             loss.backward()
             store.accumulate(bound)
             dc.adam_step(store, lr=cfg.lr)
@@ -464,36 +443,21 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig,
         epoch_logs.append(epoch_br)
         if log_fn is not None:
             log_fn(epoch, epoch_br)
-    return store, registry, epoch_logs
+    return store, epoch_logs
 
 
 def embed(store: dc.ParamStore, molecules: Sequence[MolecularGraph]) -> np.ndarray:
     """Deterministic embeddings: the posterior means, one row per input."""
     bound = store.bind()
-    rows = [gin_encode(mol, bound).mu_array for mol in molecules]
+    rows = [gin_encode(mol, bound).mu.data[0] for mol in molecules]
     return np.stack(rows) if rows else np.zeros((0, 0))
 
 
-def build_manifest(cfg: ModelConfig, registry: DecoderRegistry,
+def build_manifest(cfg: ModelConfig, store: dc.ParamStore,
                    graph: Optional[ContextGraph] = None) -> dict:
-    m = {
-        "model": {
-            "latent_dim": cfg.latent_dim,
-            "num_layers": cfg.num_layers,
-            "hidden": cfg.hidden,
-            "decoder_hidden": cfg.decoder_hidden,
-            "beta": cfg.beta,
-            "likelihood": cfg.likelihood,
-            "fp_radius": cfg.fp_radius,
-            "fp_bits": cfg.fp_bits,
-            "epochs": cfg.epochs,
-            "batch_size": cfg.batch_size,
-            "lr": cfg.lr,
-            "seed": cfg.seed,
-        },
-        "walk": asdict(cfg.walk),
-        "decoders": registry.keys(),
-    }
+    model = asdict(cfg)
+    walk = model.pop("walk")
+    m = {"model": model, "walk": walk, "decoders": decoder_keys(store)}
     if graph is not None:
         m["graph_checksum"] = graph.checksum()
     return m
@@ -506,12 +470,10 @@ def config_from_manifest(manifest: dict) -> ModelConfig:
 
 
 def save_checkpoint(path, store: dc.ParamStore, cfg: ModelConfig,
-                    registry: DecoderRegistry, graph: Optional[ContextGraph] = None):
-    dc.save_params(path, store, build_manifest(cfg, registry, graph))
+                    graph: Optional[ContextGraph] = None):
+    dc.save_params(path, store, build_manifest(cfg, store, graph))
 
 
-def load_checkpoint(path) -> Tuple[dc.ParamStore, ModelConfig, DecoderRegistry]:
+def load_checkpoint(path) -> Tuple[dc.ParamStore, ModelConfig]:
     store, manifest = dc.load_params(path)
-    cfg = config_from_manifest(manifest)
-    registry = DecoderRegistry.from_keys(manifest["decoders"])
-    return store, cfg, registry
+    return store, config_from_manifest(manifest)

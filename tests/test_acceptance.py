@@ -51,6 +51,7 @@ from infoalign.mibounds import (
 from infoalign.model import (
     ModelConfig,
     WalkConfig,
+    decoder_keys,
     init_model,
     kl_standard_normal,
     pretrain,
@@ -280,16 +281,16 @@ def recovery_runs(tmp_path_factory):
     out = {"trained_auc": [], "random_auc": [],
            "recon_low": [], "recon_high": [], "kl_low": [], "kl_high": []}
     for seed in range(N_SEEDS):
-        store, reg, logs = pretrain(g, _recovery_cfg(seed, beta=1e-9))
+        store, logs = pretrain(g, _recovery_cfg(seed, beta=1e-9))
         out["trained_auc"].append(_probe_auc(embed(store, mols), labels, seed))
         out["recon_low"].append(sum(logs[-1].recon_per_modality.values()))
         out["kl_low"].append(logs[-1].kl)
 
         store_r = dc.ParamStore(seed=seed + 1000)
-        init_model(store_r, _recovery_cfg(seed, beta=1e-9), reg)
+        init_model(store_r, _recovery_cfg(seed, beta=1e-9), decoder_keys(store))
         out["random_auc"].append(_probe_auc(embed(store_r, mols), labels, seed))
 
-        _, _, logs_hi = pretrain(g, _recovery_cfg(seed, beta=1.0))
+        _, logs_hi = pretrain(g, _recovery_cfg(seed, beta=1.0))
         out["recon_high"].append(sum(logs_hi[-1].recon_per_modality.values()))
         out["kl_high"].append(logs_hi[-1].kl)
     out["elapsed"] = time.monotonic() - t0
@@ -335,7 +336,7 @@ def test_zero_shot_hit1_on_noise_free_graph(tmp_path):
     cfg = ModelConfig(latent_dim=8, num_layers=2, hidden=32, decoder_hidden=32,
                       beta=1e-9, fp_bits=64, epochs=10, batch_size=4, lr=5e-3,
                       seed=0, walk=WalkConfig(length=4, walks_per_molecule=4, seed=0))
-    store, reg, _ = pretrain(g, cfg)
+    store, _ = pretrain(g, cfg)
     # at noise 0 same-cluster morphology vectors are identical, so the pool is
     # one candidate per cluster; each query's own vector IS its cluster's entry
     per = 20
@@ -344,7 +345,7 @@ def test_zero_shot_hit1_on_noise_free_graph(tmp_path):
     ids = ["cluster0", "cluster1"]
     queries = [parse_smiles(s) for s in data.smiles]
     true_ids = [ids[c] for c in data.cluster_of]
-    res = match_zero_shot(store, reg, queries, cands, ids, true_ids, k_list=(1,))
+    res = match_zero_shot(store, queries, cands, ids, true_ids, k_list=(1,))
     assert res["hit"][1] == 1.0
 
 

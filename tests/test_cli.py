@@ -67,6 +67,19 @@ def test_build_graph_malformed_weight_names_line(toy_tables, tmp_path, capsys):
     assert "2" in err and "bad_edges" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_build_graph_non_finite_feature_exit_1(tmp_path, capsys, value):
+    nodes = tmp_path / "nodes.tsv"
+    nodes.write_text(TOY_NODES.replace("0.8\t0.2", f"{value}\t0.2"), encoding="utf-8")
+    edges = tmp_path / "edges.tsv"
+    edges.write_text(TOY_EDGES, encoding="utf-8")
+    out = tmp_path / "g.ctxg"
+    assert run(["build-graph", "--nodes", nodes, "--edges", edges, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert f"{nodes}:4: non-finite feature value" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_build_graph_rebuild_bit_identical(toy_tables, tmp_path):
     nodes, edges = toy_tables
     a, b = tmp_path / "a.ctxg", tmp_path / "b.ctxg"
@@ -253,6 +266,17 @@ def test_eval_ragged_table_names_line_and_counts(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_eval_non_finite_value_names_line(tmp_path, capsys, value):
+    (tmp_path / "emb.tsv").write_text(f"0.1\t0.2\n0.3\t{value}\n0.5\t0.6\n")
+    (tmp_path / "lab.tsv").write_text("0\n1\n0\n")
+    assert run(["eval", "--embeddings", tmp_path / "emb.tsv",
+                "--labels", tmp_path / "lab.tsv", "--out", tmp_path / "r.json"]) == 1
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'emb.tsv'} line 2: non-finite value" in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("true_ids,message", [
     ("c1\n", "1 true ids for 2 queries"),
     ("c1\nzz\n", "true id 'zz' is not a candidate id"),
@@ -372,6 +396,22 @@ def test_config_file_precedence(tmp_path, capsys):
                 "--nbits", 128]) == 0
     hex128 = capsys.readouterr().out.strip().split("\t")[3]
     assert len(hex128) == 128 // 4
+
+
+@pytest.mark.parametrize("command,config", [
+    (["pretrain", "--graph", "{graph}", "--out", "ck.iapt"], {"latent_dim": [1]}),
+    (["fingerprint", "--smiles", "CCO"], {"nbits": "many"}),
+    (["mi-bench", "--out", "mi.json"], {"tol": {}}),
+], ids=["pretrain", "fingerprint", "mi-bench"])
+def test_config_value_unconvertible_exit_1(synth_graph, tmp_path, capsys, monkeypatch,
+                                           command, config):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    argv = [a.format(graph=synth_graph) for a in command]
+    assert run([*argv, "--config", "cfg.json"]) == 1
+    err = capsys.readouterr().err
+    key, value = next(iter(config.items()))
+    assert f"config key {key!r}: cannot convert {value!r}" in err and "Traceback" not in err
 
 
 def test_config_env_var(tmp_path, capsys, monkeypatch):

@@ -366,6 +366,14 @@ def test_finalize_validates_ranges():
         g.finalize()
 
 
+def test_finalize_rejects_nan_features():
+    g = ContextGraph()
+    g.add_node(NodeRecord("nan", NodeKind.CELL_MORPHOLOGY,
+                          np.array([0.5, np.nan], dtype=np.float32)))
+    with pytest.raises(ValueError, match="outside"):
+        g.finalize()
+
+
 def test_save_load_round_trip(tmp_path):
     g = build_random_graph(seed=1)
     p = tmp_path / "g.ctxg"

@@ -30,7 +30,7 @@ from infoalign.evalkit import (
     probe_train,
     split_random,
 )
-from infoalign.model import DecoderRegistry
+from infoalign.model import decoder_prefix
 from infoalign.molparse import parse_smiles
 
 
@@ -287,22 +287,19 @@ def matcher_fixture(dim=6, latent=4, seed=0):
     from infoalign.walker import WalkConfig
     cfg = ModelConfig(latent_dim=latent, num_layers=2, hidden=8, decoder_hidden=6,
                       fp_bits=32, walk=WalkConfig())
-    reg = DecoderRegistry()
-    reg.register(NodeKind.MOLECULE, 32)
-    reg.register(NodeKind.CELL_MORPHOLOGY, dim)
     store = dc.ParamStore(seed=seed)
-    init_model(store, cfg, reg)
-    return store, reg
+    init_model(store, cfg, [("cell_morphology", dim), ("molecule", 32)])
+    return store
 
 
 def test_match_zero_shot_deterministic_and_ranked():
-    store, reg = matcher_fixture()
+    store = matcher_fixture()
     rng = np.random.default_rng(14)
     queries = [parse_smiles(s) for s in ("CCO", "CCN")]
     cands = rng.uniform(0, 1, size=(5, 6))
     ids = [f"c{i}" for i in range(5)]
-    out1 = match_zero_shot(store, reg, queries, cands, ids, ["c3", "c0"])
-    out2 = match_zero_shot(store, reg, queries, cands, ids, ["c3", "c0"])
+    out1 = match_zero_shot(store, queries, cands, ids, ["c3", "c0"])
+    out2 = match_zero_shot(store, queries, cands, ids, ["c3", "c0"])
     for r1, r2 in zip(out1["results"], out2["results"]):
         assert r1.ranked_ids == r2.ranked_ids and r1.scores == r2.scores
     for r in out1["results"]:
@@ -315,15 +312,15 @@ def test_match_zero_shot_deterministic_and_ranked():
 def test_match_scores_equal_decoder_likelihood():
     """Matcher scores equal the Bernoulli log-likelihood up to the per-query
     constant, computed independently."""
-    store, reg = matcher_fixture()
+    store = matcher_fixture()
     from infoalign.model import gin_encode
     rng = np.random.default_rng(15)
     mol = parse_smiles("c1ccccc1")
     cands = rng.uniform(0, 1, size=(4, 6))
     ids = [f"c{i}" for i in range(4)]
-    out = match_zero_shot(store, reg, [mol], cands, ids, ["c2"])
+    out = match_zero_shot(store, [mol], cands, ids, ["c2"])
     mu = gin_encode(mol, store.bind()).mu
-    logits = dc.mlp_forward(store.bind(), reg.prefix(NodeKind.CELL_MORPHOLOGY, 6), mu).data[0]
+    logits = dc.mlp_forward(store.bind(), decoder_prefix(store.params, NodeKind.CELL_MORPHOLOGY, 6), mu).data[0]
     for r_id, sc in zip(out["results"][0].ranked_ids, out["results"][0].scores):
         y = cands[ids.index(r_id)]
         ll = float(np.sum(y * logits - np.logaddexp(0.0, logits)))
@@ -331,24 +328,24 @@ def test_match_scores_equal_decoder_likelihood():
 
 
 def test_match_tie_breaks_by_candidate_id():
-    store, reg = matcher_fixture()
+    store = matcher_fixture()
     cands = np.tile(np.random.default_rng(16).uniform(0, 1, 6), (3, 1))
     ids = ["b", "c", "a"]  # identical vectors -> identical scores
-    out = match_zero_shot(store, reg, [parse_smiles("CCO")], cands, ids, ["a"])
+    out = match_zero_shot(store, [parse_smiles("CCO")], cands, ids, ["a"])
     assert out["results"][0].ranked_ids == ["a", "b", "c"]
     assert out["results"][0].true_rank == 1
 
 
 def test_match_errors():
-    store, reg = matcher_fixture()
+    store = matcher_fixture()
     with pytest.raises(DimensionMismatchError):
-        match_zero_shot(store, reg, [], np.zeros(3), [], [])
+        match_zero_shot(store, [], np.zeros(3), [], [])
     with pytest.raises(DimensionMismatchError):
-        match_zero_shot(store, reg, [], np.zeros((2, 6)), ["only-one"], [])
+        match_zero_shot(store, [], np.zeros((2, 6)), ["only-one"], [])
     with pytest.raises(NoDecoderError):
-        match_zero_shot(store, reg, [], np.zeros((2, 7)), ["a", "b"], [])
+        match_zero_shot(store, [], np.zeros((2, 7)), ["a", "b"], [])
     query = [parse_smiles("CCO")]
     with pytest.raises(LengthMismatchError):
-        match_zero_shot(store, reg, query * 2, np.zeros((2, 6)), ["a", "b"], ["a"])
+        match_zero_shot(store, query * 2, np.zeros((2, 6)), ["a", "b"], ["a"])
     with pytest.raises(UnknownNodeError, match="'z' is not a candidate id"):
-        match_zero_shot(store, reg, query, np.zeros((2, 6)), ["a", "b"], ["z"])
+        match_zero_shot(store, query, np.zeros((2, 6)), ["a", "b"], ["z"])

@@ -15,15 +15,17 @@ from infoalign.model import (
     _NOISE_STREAM,
     _SHUFFLE_STREAM,
     ATOM_FEATURE_DIM,
-    DecoderRegistry,
     EncoderOutput,
     LossBreakdown,
     ModelConfig,
     atom_feature_matrix,
     batch_loss,
     decode_nll,
+    decoder_keys,
+    decoder_prefix,
     embed,
     encode_batch,
+    feature_keys,
     gin_encode,
     infoalign_loss,
     init_model,
@@ -68,10 +70,9 @@ def tiny_graph(n_mols=6, seed=0, fp_bits=64):
 
 
 def make_store(cfg, graph):
-    registry = DecoderRegistry.from_graph(graph)
     store = dc.ParamStore(seed=cfg.seed)
-    init_model(store, cfg, registry)
-    return store, registry
+    init_model(store, cfg, feature_keys(graph))
+    return store
 
 
 # --- atom features ------------------------------------------------------------------
@@ -110,7 +111,7 @@ def test_atom_features_match_degree_reference_fuzzed(smi):
 def test_encoder_permutation_invariance():
     cfg = small_cfg()
     g = tiny_graph()
-    store, _ = make_store(cfg, g)
+    store = make_store(cfg, g)
     bound = store.bind()
     rng = np.random.default_rng(1)
     for smi in ["CC(C)CC(=O)O", "c1ccc(N)cc1", "OCC(O)CO"]:
@@ -125,7 +126,7 @@ def test_encoder_permutation_invariance():
 
 def test_encode_batch_rows_equal_single_molecule_encodes():
     cfg = small_cfg()
-    store, _ = make_store(cfg, tiny_graph())
+    store = make_store(cfg, tiny_graph())
     bound = store.bind()
     mols = [parse_smiles(s) for s in ["C", "CC(C)CC(=O)O", "c1ccc(N)cc1", "O", "OCC(O)CO"]]
     out = encode_batch([mol_arrays(m) for m in mols], bound)
@@ -139,7 +140,7 @@ def test_encode_batch_rows_equal_single_molecule_encodes():
 def test_encoder_zero_heads_give_zero_outputs():
     cfg = small_cfg()
     g = tiny_graph()
-    store, _ = make_store(cfg, g)
+    store = make_store(cfg, g)
     store.params["head_mu.w0"][...] = 0.0
     store.params["head_mu.b0"][...] = 0.0
     store.params["head_logvar.w0"][...] = 0.0
@@ -152,7 +153,7 @@ def test_encoder_zero_heads_give_zero_outputs():
 def test_encoder_logvar_clamped():
     cfg = small_cfg()
     g = tiny_graph()
-    store, _ = make_store(cfg, g)
+    store = make_store(cfg, g)
     store.params["head_logvar.b0"][...] = 1e4
     out = gin_encode(parse_smiles("CCO"), store.bind())
     assert out.logvar.data.max() <= 10.0
@@ -162,7 +163,7 @@ def test_encoder_gradient_finite_difference():
     """Gradient of ||mu||^2 w.r.t. every encoder parameter, rel err < 1e-4."""
     cfg = small_cfg(latent_dim=4, num_layers=2, hidden=6)
     g = tiny_graph()
-    store, _ = make_store(cfg, g)
+    store = make_store(cfg, g)
     mol = parse_smiles("CC(=O)O")
 
     def loss_value():
@@ -280,45 +281,43 @@ def test_kl_zero_iff_standard():
 
 # --- decoder NLL -----------------------------------------------------------------------
 
-def registry_with_decoder(dim=5, hidden=6, latent=4, seed=0):
-    reg = DecoderRegistry()
-    reg.register(NodeKind.CELL_MORPHOLOGY, dim)
+def store_with_decoder(dim=5, hidden=6, latent=4, seed=0):
     store = dc.ParamStore(seed=seed)
-    dc.init_mlp(store, reg.prefix(NodeKind.CELL_MORPHOLOGY, dim), [latent, hidden, dim])
-    return reg, store
+    dc.init_mlp(store, f"dec.cell_morphology.{dim}", [latent, hidden, dim])
+    return store
 
 
 def test_decode_nll_saturated_correct():
-    reg, store = registry_with_decoder(dim=3, latent=2)
-    prefix = reg.prefix(NodeKind.CELL_MORPHOLOGY, 3)
+    store = store_with_decoder(dim=3, latent=2)
+    prefix = decoder_prefix(store.params, NodeKind.CELL_MORPHOLOGY, 3)
     store.params[f"{prefix}.w0"][...] = 0.0
     store.params[f"{prefix}.b0"][...] = 0.0
     store.params[f"{prefix}.w1"][...] = 0.0
     store.params[f"{prefix}.b1"][...] = 36.0
     z = dc.constant(np.zeros((1, 2)))
-    nll = decode_nll(z, np.ones(3), NodeKind.CELL_MORPHOLOGY, store.bind(), reg)
+    nll = decode_nll(z, np.ones(3), NodeKind.CELL_MORPHOLOGY, store.bind())
     assert nll.item() < 3e-10
 
 
 def test_decode_nll_zero_logits_ln2():
-    reg, store = registry_with_decoder(dim=4, latent=2)
-    prefix = reg.prefix(NodeKind.CELL_MORPHOLOGY, 4)
+    store = store_with_decoder(dim=4, latent=2)
+    prefix = decoder_prefix(store.params, NodeKind.CELL_MORPHOLOGY, 4)
     for name in (f"{prefix}.w0", f"{prefix}.b0", f"{prefix}.w1", f"{prefix}.b1"):
         store.params[name][...] = 0.0
     z = dc.constant(np.random.default_rng(3).standard_normal((1, 2)))
     nll = decode_nll(z, np.random.default_rng(4).uniform(0, 1, 4),
-                     NodeKind.CELL_MORPHOLOGY, store.bind(), reg)
+                     NodeKind.CELL_MORPHOLOGY, store.bind())
     assert nll.item() == pytest.approx(4 * np.log(2), abs=1e-12)
 
 
 def test_decode_nll_matches_scalar_oracle():
-    reg, store = registry_with_decoder(dim=5, latent=4, seed=2)
+    store = store_with_decoder(dim=5, latent=4, seed=2)
     bound = store.bind()
     rng = np.random.default_rng(5)
     z = dc.constant(rng.standard_normal((1, 4)))
     y = rng.uniform(0, 1, 5)
-    got = decode_nll(z, y, NodeKind.CELL_MORPHOLOGY, bound, reg).item()
-    logits = dc.mlp_forward(bound, reg.prefix(NodeKind.CELL_MORPHOLOGY, 5), z).data[0]
+    got = decode_nll(z, y, NodeKind.CELL_MORPHOLOGY, bound).item()
+    logits = dc.mlp_forward(bound, decoder_prefix(bound, NodeKind.CELL_MORPHOLOGY, 5), z).data[0]
     expect = 0.0
     for l, t in zip(logits, y):
         p = 1.0 / (1.0 + np.exp(-l))
@@ -327,10 +326,10 @@ def test_decode_nll_matches_scalar_oracle():
 
 
 def test_decode_nll_no_decoder():
-    reg, store = registry_with_decoder(dim=5)
+    store = store_with_decoder(dim=5)
     with pytest.raises(NoDecoderError):
         decode_nll(dc.constant(np.zeros((1, 4))), np.ones(7),
-                   NodeKind.CELL_MORPHOLOGY, store.bind(), reg)
+                   NodeKind.CELL_MORPHOLOGY, store.bind())
 
 
 # --- loss -----------------------------------------------------------------------------
@@ -339,10 +338,10 @@ def test_loss_breakdown_decomposition():
     """total equals (1/L) sum alpha*NLL + beta*KL to 1e-12."""
     cfg = small_cfg(beta=0.1)
     g = tiny_graph()
-    store, reg = make_store(cfg, g)
+    store = make_store(cfg, g)
     path = WalkPath(["m0", "c0", "m0"], [1.0, 1.0])
     bound = store.bind()
-    total, br = infoalign_loss(g, path, bound, reg, beta=0.1,
+    total, br = infoalign_loss(g, path, bound, beta=0.1,
                                noise=np.zeros(cfg.latent_dim))
     assert total.item() == pytest.approx(br.total, abs=1e-12)
     assert br.total == pytest.approx(
@@ -354,16 +353,16 @@ def test_loss_formula_weighted_terms():
     """Direct formula check: NLLs {a at alpha 1, b at alpha 0.5}, L=2, beta 0.1."""
     cfg = small_cfg(beta=0.1)
     g = tiny_graph()
-    store, reg = make_store(cfg, g)
+    store = make_store(cfg, g)
     path = WalkPath(["m0", "c0"], [0.5])
     bound = store.bind()
-    total, br = infoalign_loss(g, path, bound, reg, beta=0.1,
+    total, br = infoalign_loss(g, path, bound, beta=0.1,
                                noise=np.zeros(cfg.latent_dim))
     # recompute the pieces independently
     out = gin_encode(g.node("m0").mol, bound)
     z = reparameterize(out, np.zeros(cfg.latent_dim))
-    nll_self = decode_nll(z, g.node("m0").features, NodeKind.MOLECULE, bound, reg).item()
-    nll_c = decode_nll(z, g.node("c0").features, NodeKind.CELL_MORPHOLOGY, bound, reg).item()
+    nll_self = decode_nll(z, g.node("m0").features, NodeKind.MOLECULE, bound).item()
+    nll_c = decode_nll(z, g.node("c0").features, NodeKind.CELL_MORPHOLOGY, bound).item()
     kl = kl_standard_normal(out).item()
     assert total.item() == pytest.approx((1.0 * nll_self + 0.5 * nll_c) / 2 + 0.1 * kl,
                                          abs=1e-10)
@@ -372,9 +371,9 @@ def test_loss_formula_weighted_terms():
 def test_loss_rejects_non_molecule_start():
     cfg = small_cfg()
     g = tiny_graph()
-    store, reg = make_store(cfg, g)
+    store = make_store(cfg, g)
     with pytest.raises(PathMismatchError):
-        infoalign_loss(g, WalkPath(["c0", "m0"], [1.0]), store.bind(), reg,
+        infoalign_loss(g, WalkPath(["c0", "m0"], [1.0]), store.bind(),
                        beta=0.0, noise=np.zeros(cfg.latent_dim))
 
 
@@ -382,16 +381,16 @@ def test_loss_gradient_finite_difference():
     """Loss gradient vs central differences for every parameter block."""
     cfg = small_cfg(latent_dim=4, num_layers=1, hidden=5, decoder_hidden=4, fp_bits=64)
     g = tiny_graph(n_mols=3, fp_bits=64)
-    store, reg = make_store(cfg, g)
+    store = make_store(cfg, g)
     path = WalkPath(["m0", "c0", "m0"], [1.0, 1.0])
     noise = np.random.default_rng(0).standard_normal(cfg.latent_dim)
 
     def loss_value():
-        t, _ = infoalign_loss(g, path, store.bind(), reg, beta=0.05, noise=noise)
+        t, _ = infoalign_loss(g, path, store.bind(), beta=0.05, noise=noise)
         return t.item()
 
     bound = store.bind()
-    total, _ = infoalign_loss(g, path, bound, reg, beta=0.05, noise=noise)
+    total, _ = infoalign_loss(g, path, bound, beta=0.05, noise=noise)
     total.backward()
 
     eps = 1e-6
@@ -441,7 +440,7 @@ def walk_graph(n_mols=7):
     return g.finalize()
 
 
-def per_walk_mean(g, starts, paths, store, reg, beta, noise, likelihood):
+def per_walk_mean(g, starts, paths, store, beta, noise, likelihood):
     """Batch mean of per-walk infoalign_loss: total, KL, recon and gradients."""
     scale = 1.0 / len(paths)
     grads = {name: np.zeros_like(arr) for name, arr in store.params.items()}
@@ -449,7 +448,7 @@ def per_walk_mean(g, starts, paths, store, reg, beta, noise, likelihood):
     recon = {}
     for w, path in enumerate(paths):
         bound = store.bind()
-        loss, br = infoalign_loss(g, path, bound, reg, beta, noise[w], likelihood)
+        loss, br = infoalign_loss(g, path, bound, beta, noise[w], likelihood)
         loss.backward()
         for name, leaf in bound.items():
             if leaf.grad is not None:
@@ -483,14 +482,14 @@ def sampled_paths(g):
 def test_batch_loss_equals_per_walk_mean(likelihood, beta, make_paths):
     cfg = small_cfg(likelihood=likelihood)
     g = walk_graph()
-    store, reg = make_store(cfg, g)
+    store = make_store(cfg, g)
     starts, paths = make_paths(g)
     noise = np.random.default_rng(4).standard_normal((len(paths), cfg.latent_dim))
-    total, kl, recon, grads = per_walk_mean(g, starts, paths, store, reg, beta, noise,
+    total, kl, recon, grads = per_walk_mean(g, starts, paths, store, beta, noise,
                                             likelihood)
 
     bound = store.bind()
-    loss, br = batch_loss(g, starts, paths, bound, reg, beta, noise, likelihood)
+    loss, br = batch_loss(g, starts, paths, bound, beta, noise, likelihood)
     loss.backward()
     assert loss.item() == pytest.approx(total, rel=0, abs=1e-10)
     assert br.total == pytest.approx(total, rel=0, abs=1e-10)
@@ -508,26 +507,25 @@ def test_batch_loss_equals_per_walk_mean(likelihood, beta, make_paths):
 def test_batch_loss_rejects_misgrouped_paths():
     cfg = small_cfg()
     g = walk_graph()
-    store, reg = make_store(cfg, g)
+    store = make_store(cfg, g)
     starts, paths = truncated_paths()
     noise = np.zeros((len(paths), cfg.latent_dim))
     with pytest.raises(PathMismatchError):
-        batch_loss(g, starts[::-1], paths, store.bind(), reg, 0.0, noise)
+        batch_loss(g, starts[::-1], paths, store.bind(), 0.0, noise)
     with pytest.raises(PathMismatchError):
-        batch_loss(g, ["c0"], [WalkPath(["c0", "m0"], [1.0])], store.bind(), reg, 0.0,
+        batch_loss(g, ["c0"], [WalkPath(["c0", "m0"], [1.0])], store.bind(), 0.0,
                    noise[:1])
     with pytest.raises(ValueError):
-        batch_loss(g, starts, paths[:3], store.bind(), reg, 0.0, noise[:3])
+        batch_loss(g, starts, paths[:3], store.bind(), 0.0, noise[:3])
     with pytest.raises(ShapeMismatchError):
-        batch_loss(g, starts, paths, store.bind(), reg, 0.0, noise[:3])
+        batch_loss(g, starts, paths, store.bind(), 0.0, noise[:3])
 
 
 def reference_pretrain(graph, cfg):
     """The per-walk training loop that `pretrain` batches: one tape per walk,
     one backward pass per molecule, one Adam step per minibatch."""
-    registry = DecoderRegistry.from_graph(graph)
     store = dc.ParamStore(seed=cfg.seed)
-    init_model(store, cfg, registry)
+    init_model(store, cfg, feature_keys(graph))
     mols = graph.molecule_ids()
     shuffle_rng = dc.seeded_rng(cfg.seed, _SHUFFLE_STREAM)
     noise_rng = dc.seeded_rng(cfg.seed, _NOISE_STREAM)
@@ -548,8 +546,8 @@ def reference_pretrain(graph, cfg):
                 acc = None
                 for path in walks[idx : idx + per_mol]:
                     noise = noise_rng.standard_normal(cfg.latent_dim)
-                    loss, br = infoalign_loss(graph, path, bound, registry, cfg.beta,
-                                              noise, cfg.likelihood)
+                    loss, br = infoalign_loss(graph, path, bound, cfg.beta, noise,
+                                              cfg.likelihood)
                     acc = loss if acc is None else dc.add(acc, loss)
                     for kind, v in br.recon_per_modality.items():
                         sums[kind] = sums.get(kind, 0.0) + v / per_mol
@@ -570,7 +568,7 @@ def test_pretrain_matches_per_walk_reference(likelihood, beta):
     g = walk_graph(n_mols=7)
     cfg = small_cfg(likelihood=likelihood, beta=beta, epochs=2, batch_size=3, lr=5e-3,
                     walk=WalkConfig(length=4, walks_per_molecule=3, seed=2))
-    store, _, logs = pretrain(g, cfg)
+    store, logs = pretrain(g, cfg)
     ref, ref_logs = reference_pretrain(g, cfg)
     assert store.step == ref.step == 2 * 3
     for name, arr in ref.params.items():
@@ -590,13 +588,11 @@ def test_pretrain_missing_decoder_fails_before_training(monkeypatch):
     monkeypatch.setattr(infoalign.model, "batch_walks", no_walks)
     g = tiny_graph()
     cfg = small_cfg()
-    reg = DecoderRegistry()
-    reg.register(NodeKind.MOLECULE, 64)
     store = dc.ParamStore(seed=cfg.seed)
-    init_model(store, cfg, reg)
+    init_model(store, cfg, [("molecule", 64)])
     before = {name: arr.copy() for name, arr in store.params.items()}
     with pytest.raises(NoDecoderError, match="'cell_morphology' with 5 features"):
-        pretrain(g, cfg, store=store, registry=reg)
+        pretrain(g, cfg, store=store)
     assert store.step == 0
     assert all(np.array_equal(store.params[name], arr) for name, arr in before.items())
 
@@ -608,8 +604,8 @@ def test_pretrain_deterministic_checkpoint(tmp_path):
     cfg = small_cfg(epochs=2)
     p1, p2 = tmp_path / "a.iapt", tmp_path / "b.iapt"
     for p in (p1, p2):
-        store, reg, logs = pretrain(g, cfg)
-        save_checkpoint(p, store, cfg, reg, g)
+        store, logs = pretrain(g, cfg)
+        save_checkpoint(p, store, cfg, g)
         assert len(logs) == cfg.epochs
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -619,7 +615,7 @@ def test_pretrain_loss_decreases():
     ok = 0
     for seed in range(5):
         cfg = small_cfg(epochs=4, seed=seed, lr=5e-3)
-        _, _, logs = pretrain(g, cfg)
+        _, logs = pretrain(g, cfg)
         if logs[-1].total < logs[0].total:
             ok += 1
     assert ok >= 4
@@ -628,16 +624,16 @@ def test_pretrain_loss_decreases():
 def test_pretrain_resume_continues_steps(tmp_path):
     g = tiny_graph()
     cfg = small_cfg(epochs=1)
-    store, reg, _ = pretrain(g, cfg)
+    store, _ = pretrain(g, cfg)
     step_before = store.step
-    store2, _, _ = pretrain(g, cfg, store=store, registry=reg)
+    store2, _ = pretrain(g, cfg, store=store)
     assert store2.step > step_before
 
 
 def test_embed_properties():
     g = tiny_graph()
     cfg = small_cfg()
-    store, reg, _ = pretrain(g, cfg)
+    store, _ = pretrain(g, cfg)
     mols = [parse_smiles(s) for s in ["CCO", "CCN", "c1ccccc1"]]
     z1 = embed(store, mols)
     z2 = embed(store, mols)
@@ -650,11 +646,11 @@ def test_embed_properties():
 def test_checkpoint_manifest_round_trip(tmp_path):
     g = tiny_graph()
     cfg = small_cfg(beta=1e-5)
-    store, reg, _ = pretrain(g, cfg)
+    store, _ = pretrain(g, cfg)
     p = tmp_path / "ck.iapt"
-    save_checkpoint(p, store, cfg, reg, g)
-    store2, cfg2, reg2 = load_checkpoint(p)
+    save_checkpoint(p, store, cfg, g)
+    store2, cfg2 = load_checkpoint(p)
     assert cfg2 == cfg
-    assert reg2.keys() == reg.keys()
+    assert decoder_keys(store2) == decoder_keys(store)
     mols = [parse_smiles("CCO")]
     assert np.array_equal(embed(store, mols), embed(store2, mols))
