@@ -62,7 +62,8 @@ def _resolve(args, defaults: dict) -> SimpleNamespace:
     """flags > config file > defaults, for the keys listed in `defaults`.
 
     Each value is converted to the type of its default (int, float or str);
-    bools and keys whose default is None are taken as they are.
+    bools and keys whose default is None are taken as they are, and the
+    commands reading the latter check their type.
     """
     cfg = _load_config_file(args)
     merged = {}
@@ -121,6 +122,10 @@ def cmd_synth(args) -> int:
         "decoration_min": 3, "decoration_max": 10,
     })
     motifs = opt.motifs.split(",") if isinstance(opt.motifs, str) else opt.motifs
+    if motifs is not None and not (isinstance(motifs, list)
+                                   and all(isinstance(m, str) for m in motifs)):
+        raise InfoAlignError(f"config key 'motifs': expected a string or a list of strings, "
+                             f"got {opt.motifs!r}")
     spec = synth.SyntheticSpec(
         clusters=opt.clusters, per_cluster=opt.per_cluster,
         noise=opt.noise, morph_dim=opt.morph_dim,
@@ -230,6 +235,9 @@ def _run_pretrain(graph, cfg: ModelConfig, out: str, resume: str | None):
 
 def cmd_pretrain(args) -> int:
     opt = _resolve(args, _PRETRAIN_DEFAULTS)
+    if opt.beta_sweep is not None and not isinstance(opt.beta_sweep, str):
+        raise InfoAlignError(f"config key 'beta_sweep': expected a comma-separated string, "
+                             f"got {opt.beta_sweep!r}")
     graph = ContextGraph.load(args.graph)
     if opt.beta_sweep:
         for beta in _floats(opt.beta_sweep):

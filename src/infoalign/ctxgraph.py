@@ -449,7 +449,8 @@ def load_node_table(path, fp_radius: int = 2, fp_bits: int = 1024) -> List[NodeR
 def load_edge_table(path) -> List[Tuple[str, str, Relation, float]]:
     """Parse an edge TSV: src_id, dst_id, relation, weight.
 
-    The weight column is ignored and forced to 1.0 for perturbation rows.
+    The weight column is ignored and forced to 1.0 for perturbation rows;
+    on other rows a weight that is not finite raises TableFormatError.
     """
     out = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -471,6 +472,8 @@ def load_edge_table(path) -> List[Tuple[str, str, Relation, float]]:
                 raise TableFormatError(f"{path}:{lineno}: malformed weight {w_str!r}") from None
             if rel is Relation.PERTURBATION:
                 w = 1.0
+            elif not math.isfinite(w):
+                raise TableFormatError(f"{path}:{lineno}: non-finite weight")
             out.append((src, dst, rel, w))
     return out
 

@@ -35,7 +35,7 @@ def seeded_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def _check(data: np.ndarray):
-    if CHECK_FINITE and not np.all(np.isfinite(data)):
+    if CHECK_FINITE and not np.isfinite(data).all():
         raise FloatingPointError("non-finite value produced by a primitive op")
 
 

@@ -19,6 +19,7 @@ from . import diffcore as dc
 from .ctxgraph import NodeKind
 from .errors import (
     DimensionMismatchError,
+    DuplicateIdError,
     LengthMismatchError,
     SingleClassError,
     TooFewError,
@@ -218,8 +219,6 @@ def hit_at_k(rank: int, k: int) -> float:
 @dataclass
 class RankingResult:
     query_index: int
-    ranked_ids: List[str]
-    scores: List[float]
     true_rank: int  # 1-based
 
 
@@ -228,11 +227,14 @@ def match_zero_shot(store: dc.ParamStore, queries: Sequence[MolecularGraph],
                     candidate_ids: Sequence[str],
                     true_ids: Sequence[str],
                     k_list: Sequence[int] = (1, 10)) -> Dict:
-    """Rank morphology candidates for each query molecule.
+    """Rank morphology candidates for each query molecule and report the true rank.
 
     Each candidate is scored by the morphology decoder's Bernoulli
     log-likelihood of the candidate vector given the query's mean embedding
-    (no sampling, so retrieval is deterministic); ties break by candidate id.
+    (no sampling, so retrieval is deterministic). A query's true rank is 1
+    plus the number of candidates scoring above its true candidate, plus the
+    number scoring the same whose id sorts before the true id: ties break by
+    candidate id. Candidate ids must be distinct.
     """
     candidates = np.asarray(candidates, dtype=np.float64)
     if candidates.ndim != 2:
@@ -241,14 +243,18 @@ def match_zero_shot(store: dc.ParamStore, queries: Sequence[MolecularGraph],
         raise DimensionMismatchError("candidate_ids length != candidate rows")
     if len(true_ids) != len(queries):
         raise LengthMismatchError(f"{len(true_ids)} true ids for {len(queries)} queries")
-    known = set(candidate_ids)
+    column = {cid: i for i, cid in enumerate(candidate_ids)}
+    if len(column) != len(candidate_ids):
+        raise DuplicateIdError("candidate ids must be distinct")
     for tid in true_ids:
-        if tid not in known:
+        if tid not in column:
             raise UnknownNodeError(f"true id {tid!r} is not a candidate id")
     prefix = decoder_prefix(store.params, NodeKind.CELL_MORPHOLOGY, candidates.shape[1])
 
     bound = store.bind()
-    id_order = np.argsort(np.asarray(candidate_ids, dtype=object))
+    # each candidate's position in candidate-id order
+    id_rank = np.empty(len(candidate_ids), dtype=np.int64)
+    id_rank[np.argsort(np.asarray(candidate_ids, dtype=object))] = np.arange(len(candidate_ids))
     results: List[RankingResult] = []
     ndcg_sums = {k: 0.0 for k in k_list}
     hit_sums = {k: 0.0 for k in k_list}
@@ -257,11 +263,11 @@ def match_zero_shot(store: dc.ParamStore, queries: Sequence[MolecularGraph],
         logits = dc.mlp_forward(bound, prefix, mu).data[0]
         # log-likelihood = -(sum softplus(l) - l . y); the first term is per-query constant
         scores = candidates @ logits - np.logaddexp(0.0, logits).sum()
-        # stable sort: candidate-id order first, then descending score
-        order = id_order[np.argsort(-scores[id_order], kind="stable")]
-        ranked_ids = [candidate_ids[i] for i in order]
-        true_rank = ranked_ids.index(true_ids[qi]) + 1
-        results.append(RankingResult(qi, ranked_ids, [float(scores[i]) for i in order], true_rank))
+        t = column[true_ids[qi]]
+        s_t = scores[t]
+        true_rank = 1 + int(np.count_nonzero(scores > s_t)
+                            + np.count_nonzero((scores == s_t) & (id_rank < id_rank[t])))
+        results.append(RankingResult(qi, true_rank))
         for k in k_list:
             ndcg_sums[k] += ndcg_at_k(true_rank, k)
             hit_sums[k] += hit_at_k(true_rank, k)

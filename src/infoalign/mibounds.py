@@ -1,14 +1,11 @@
 """Mutual-information estimators and the bound-hierarchy verification harness.
 
 Ground truth comes from small discrete joint distributions where MI is an
-exact sum. Estimators come in two modes:
-
-* exact mode evaluates every expectation by exhaustive summation (for the
-  multi-sample contrastive bound this means enumerating the multinomial
-  count vectors of the K-1 marginal samples), eliminating estimator variance
-  so the chain  true MI >= decoder lower bound >= contrastive lower bound
-  can be asserted at near-equality tolerances;
-* sampling mode draws batches and reports estimates with standard errors.
+exact sum. Every estimator is exact: it evaluates each expectation by
+exhaustive summation (for the multi-sample contrastive bound this means
+enumerating the multinomial count vectors of the K-1 marginal samples), so
+there is no estimator variance and the chain  true MI >= decoder lower bound
+>= contrastive lower bound  can be asserted at near-equality tolerances.
 
 The decoder lower bound (DLB) is E[log q(y|z)] + H(Y); the encoder upper
 bound (EUB) is the mean posterior-to-prior KL; the NWJ bound is
@@ -18,6 +15,8 @@ form, saturating at log K) is E[h] - E[log mean_i e^{h(z, y_i)}].
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -59,11 +58,6 @@ class JointTable:
         py = self.py
         mask = py > 0
         return float(-np.sum(py[mask] * np.log(py[mask])))
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n rows of (z index, y index)."""
-        flat = rng.choice(self.p.size, size=n, p=self.p.ravel())
-        return np.stack(np.unravel_index(flat, self.p.shape), axis=1)
 
 
 def random_joint(rng: np.random.Generator, nz: int, ny: int) -> JointTable:
@@ -108,16 +102,11 @@ def critic_to_conditional(jt: JointTable, h: np.ndarray) -> np.ndarray:
 
 # --- decoder lower bound / encoder upper bound --------------------------------
 
-def i_dlb(jt: JointTable, q: np.ndarray,
-          samples: Optional[np.ndarray] = None) -> float:
-    """E[log q(y|z)] + H(Y); exact over the joint unless samples are given."""
+def i_dlb(jt: JointTable, q: np.ndarray) -> float:
+    """E[log q(y|z)] + H(Y), summed over the joint."""
     q = np.asarray(q, dtype=np.float64)
     logq = np.log(np.maximum(q, 1e-300))
-    if samples is None:
-        mean_logq = float(np.sum(jt.p * logq))
-    else:
-        mean_logq = float(np.mean(logq[samples[:, 0], samples[:, 1]]))
-    return mean_logq + jt.entropy_y()
+    return float(np.sum(jt.p * logq)) + jt.entropy_y()
 
 
 def i_eub(mus, logvars) -> float:
@@ -130,33 +119,28 @@ def i_eub(mus, logvars) -> float:
 
 # --- NWJ ----------------------------------------------------------------------
 
-def i_nwj(jt: JointTable, h: np.ndarray,
-          samples: Optional[np.ndarray] = None,
-          marginal_samples: Optional[np.ndarray] = None) -> float:
+def i_nwj(jt: JointTable, h: np.ndarray) -> float:
     """E[h] - e^{-1} E_z[Ztilde(z)] with Ztilde(z) = E_y[e^h]."""
     h = np.asarray(h, dtype=np.float64)
     ztilde = np.exp(h) @ jt.py
-    if samples is None:
-        return float(np.sum(jt.p * h) - np.exp(-1.0) * np.dot(jt.pz, ztilde))
-    pos = float(np.mean(h[samples[:, 0], samples[:, 1]]))
-    zs = samples[:, 0] if marginal_samples is None else marginal_samples
-    return pos - float(np.exp(-1.0) * np.mean(ztilde[zs]))
+    return float(np.sum(jt.p * h) - np.exp(-1.0) * np.dot(jt.pz, ztilde))
 
 
 # --- multi-sample contrastive bound --------------------------------------------
 
+@functools.lru_cache(maxsize=32)
 def _compositions(total: int, parts: int) -> np.ndarray:
-    """All count vectors of length `parts` summing to `total`."""
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    rows = []
-    for first in range(total + 1):
-        rest = _compositions(total - first, parts - 1)
-        block = np.empty((len(rest), parts), dtype=np.int64)
-        block[:, 0] = first
-        block[:, 1:] = rest
-        rows.append(block)
-    return np.concatenate(rows, axis=0)
+    """All count vectors of length `parts` summing to `total`, in lexicographic order.
+
+    Stars and bars: the parts-1 bar positions among total+parts-1 slots, taken
+    in lexicographic order, give the counts in lexicographic order. The array
+    is cached and shared by every caller, so it is read-only.
+    """
+    slots = total + parts - 1
+    bars = np.array(list(itertools.combinations(range(slots), parts - 1)), dtype=np.int64)
+    counts = np.diff(np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, slots)), axis=1) - 1
+    counts.setflags(write=False)
+    return counts
 
 
 def _log_multinomial_pmf(counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -198,31 +182,8 @@ def i_nce_exact(jt: JointTable, h: np.ndarray, K: int) -> float:
     return total
 
 
-def i_nce_samples(jt: JointTable, h: np.ndarray, K: int, trials: int,
-                  rng: np.random.Generator) -> tuple[float, float]:
-    """Monte Carlo batch estimate; returns (mean, standard error)."""
-    if K < 2:
-        raise BatchTooSmallError(f"contrastive bound needs K >= 2, got {K}")
-    h = np.asarray(h, dtype=np.float64)
-    vals = np.empty(trials)
-    for t in range(trials):
-        batch = jt.sample(K, rng)
-        scores = h[np.ix_(batch[:, 0], batch[:, 1])]  # (K, K): z_i rows, y_j cols
-        diag = np.diag(scores)
-        logm = np.log(np.mean(np.exp(scores), axis=1))
-        vals[t] = float(np.mean(diag - logm))
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-
-
-def i_nce(jt: JointTable, h: np.ndarray, K: int,
-          trials: Optional[int] = None,
-          rng: Optional[np.random.Generator] = None) -> float:
-    """Multi-sample contrastive lower bound; exact unless trials are given."""
-    if trials is None:
-        return i_nce_exact(jt, h, K)
-    if rng is None:
-        raise ValueError("sampling mode (trials given) needs an rng")
-    return i_nce_samples(jt, h, K, trials, rng)[0]
+# The exported name of the contrastive bound.
+i_nce = i_nce_exact
 
 
 # --- Gaussian family ------------------------------------------------------------

@@ -80,6 +80,19 @@ def test_build_graph_non_finite_feature_exit_1(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_build_graph_non_finite_edge_weight_exit_1(tmp_path, capsys, value):
+    nodes = tmp_path / "nodes.tsv"
+    nodes.write_text(TOY_NODES, encoding="utf-8")
+    edges = tmp_path / "edges.tsv"
+    edges.write_text(TOY_EDGES + f"c0\tc1\tsimilarity\t{value}\n", encoding="utf-8")
+    out = tmp_path / "g.ctxg"
+    assert run(["build-graph", "--nodes", nodes, "--edges", edges, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert f"{edges}:5: non-finite weight" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_build_graph_rebuild_bit_identical(toy_tables, tmp_path):
     nodes, edges = toy_tables
     a, b = tmp_path / "a.ctxg", tmp_path / "b.ctxg"
@@ -412,6 +425,25 @@ def test_config_value_unconvertible_exit_1(synth_graph, tmp_path, capsys, monkey
     err = capsys.readouterr().err
     key, value = next(iter(config.items()))
     assert f"config key {key!r}: cannot convert {value!r}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,config,expected", [
+    (["pretrain", "--graph", "{graph}", "--out", "ck.iapt"], {"beta_sweep": [0.1, 1]},
+     "expected a comma-separated string"),
+    (["synth", "--out", "synthdir"], {"motifs": 5}, "expected a string or a list of strings"),
+    (["synth", "--out", "synthdir"], {"motifs": ["CC", 5]},
+     "expected a string or a list of strings"),
+], ids=["pretrain-beta_sweep", "synth-motifs", "synth-motifs-list"])
+def test_config_none_default_wrong_type_exit_1(synth_graph, tmp_path, capsys, monkeypatch,
+                                               command, config, expected):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    argv = [a.format(graph=synth_graph) for a in command]
+    assert run([*argv, "--config", "cfg.json"]) == 1
+    err = capsys.readouterr().err
+    key, value = next(iter(config.items()))
+    assert f"config key {key!r}: {expected}, got {value!r}" in err and "Traceback" not in err
+    assert not any(tmp_path.glob("ck.iapt*")) and not (tmp_path / "synthdir").exists()
 
 
 def test_config_env_var(tmp_path, capsys, monkeypatch):

@@ -4,11 +4,14 @@ brute-force re-ranking oracle, and matcher determinism."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import infoalign.diffcore as dc
 from infoalign.ctxgraph import NodeKind
 from infoalign.errors import (
     DimensionMismatchError,
+    DuplicateIdError,
     LengthMismatchError,
     NoDecoderError,
     SingleClassError,
@@ -30,7 +33,7 @@ from infoalign.evalkit import (
     probe_train,
     split_random,
 )
-from infoalign.model import decoder_prefix
+from infoalign.model import decoder_prefix, gin_encode
 from infoalign.molparse import parse_smiles
 
 
@@ -292,48 +295,99 @@ def matcher_fixture(dim=6, latent=4, seed=0):
     return store
 
 
+def reference_true_rank(scores, candidate_ids, true_id):
+    """The 1-based rank of `true_id` in the full ranking: a stable sort by
+    descending score over the candidates in id order."""
+    id_order = np.argsort(np.asarray(candidate_ids, dtype=object))
+    order = id_order[np.argsort(-np.asarray(scores)[id_order], kind="stable")]
+    return [candidate_ids[i] for i in order].index(true_id) + 1
+
+
+def matcher_scores(store, mol, cands):
+    """Candidate scores as the matcher computes them, and the decoder logits."""
+    bound = store.bind()
+    prefix = decoder_prefix(store.params, NodeKind.CELL_MORPHOLOGY, cands.shape[1])
+    logits = dc.mlp_forward(bound, prefix, gin_encode(mol, bound).mu).data[0]
+    return cands @ logits - np.logaddexp(0.0, logits).sum(), logits
+
+
 def test_match_zero_shot_deterministic_and_ranked():
     store = matcher_fixture()
     rng = np.random.default_rng(14)
     queries = [parse_smiles(s) for s in ("CCO", "CCN")]
     cands = rng.uniform(0, 1, size=(5, 6))
     ids = [f"c{i}" for i in range(5)]
-    out1 = match_zero_shot(store, queries, cands, ids, ["c3", "c0"])
-    out2 = match_zero_shot(store, queries, cands, ids, ["c3", "c0"])
-    for r1, r2 in zip(out1["results"], out2["results"]):
-        assert r1.ranked_ids == r2.ranked_ids and r1.scores == r2.scores
-    for r in out1["results"]:
-        assert sorted(r.scores, reverse=True) == r.scores
-        assert r.ranked_ids[r.true_rank - 1] == ["c3", "c0"][r.query_index]
+    true = ["c3", "c0"]
+    out1 = match_zero_shot(store, queries, cands, ids, true)
+    out2 = match_zero_shot(store, queries, cands, ids, true)
+    assert out1 == out2
+    ranks = [r.true_rank for r in out1["results"]]
+    assert ranks == [reference_true_rank(matcher_scores(store, mol, cands)[0], ids, tid)
+                     for mol, tid in zip(queries, true)]
     assert set(out1["ndcg"]) == {1, 10} and set(out1["hit"]) == {1, 10}
+    assert out1["ndcg"][10] == np.mean([ndcg_at_k(r, 10) for r in ranks])
     assert out1["hit"][10] == 1.0  # only 5 candidates
 
 
 def test_match_scores_equal_decoder_likelihood():
-    """Matcher scores equal the Bernoulli log-likelihood up to the per-query
-    constant, computed independently."""
+    """Ranks follow the Bernoulli log-likelihood of each candidate, computed
+    independently: every candidate taken as the true one gets the oracle's rank."""
     store = matcher_fixture()
-    from infoalign.model import gin_encode
     rng = np.random.default_rng(15)
     mol = parse_smiles("c1ccccc1")
     cands = rng.uniform(0, 1, size=(4, 6))
     ids = [f"c{i}" for i in range(4)]
-    out = match_zero_shot(store, [mol], cands, ids, ["c2"])
-    mu = gin_encode(mol, store.bind()).mu
-    logits = dc.mlp_forward(store.bind(), decoder_prefix(store.params, NodeKind.CELL_MORPHOLOGY, 6), mu).data[0]
-    for r_id, sc in zip(out["results"][0].ranked_ids, out["results"][0].scores):
-        y = cands[ids.index(r_id)]
-        ll = float(np.sum(y * logits - np.logaddexp(0.0, logits)))
-        assert sc == pytest.approx(ll, abs=1e-9)
+    out = match_zero_shot(store, [mol] * 4, cands, ids, ids)
+    scores, logits = matcher_scores(store, mol, cands)
+    ll = np.array([np.sum(y * logits - np.logaddexp(0.0, logits)) for y in cands])
+    assert scores == pytest.approx(ll, abs=1e-9)
+    assert [r.true_rank for r in out["results"]] == [
+        reference_true_rank(ll, ids, tid) for tid in ids]
+    assert sorted(r.true_rank for r in out["results"]) == [1, 2, 3, 4]
 
 
 def test_match_tie_breaks_by_candidate_id():
     store = matcher_fixture()
     cands = np.tile(np.random.default_rng(16).uniform(0, 1, 6), (3, 1))
     ids = ["b", "c", "a"]  # identical vectors -> identical scores
-    out = match_zero_shot(store, [parse_smiles("CCO")], cands, ids, ["a"])
-    assert out["results"][0].ranked_ids == ["a", "b", "c"]
-    assert out["results"][0].true_rank == 1
+    mol = parse_smiles("CCO")
+    out = match_zero_shot(store, [mol] * 3, cands, ids, ids)
+    assert [r.true_rank for r in out["results"]] == [2, 3, 1]
+    scores, _ = matcher_scores(store, mol, cands)
+    assert [reference_true_rank(scores, ids, tid) for tid in ids] == [2, 3, 1]
+
+
+@st.composite
+def tie_heavy_candidates(draw):
+    """Candidate rows drawn from a pool of at most 3 vectors, so scores tie
+    often, under distinct ids "n<k>" in an order that is neither the input
+    order nor numeric ("n10" sorts before "n9")."""
+    n = draw(st.integers(1, 14))
+    pool = draw(st.lists(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                                  min_size=6, max_size=6), min_size=1, max_size=3))
+    cands = np.array([pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n)])
+    ids = [f"n{k}" for k in draw(st.lists(st.integers(0, 30), min_size=n, max_size=n,
+                                          unique=True))]
+    true = draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2))
+    return cands, ids, true
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_candidates())
+def test_match_true_rank_equals_argsort_oracle(case):
+    cands, ids, true = case
+    store = matcher_fixture()
+    queries = [parse_smiles("CCO"), parse_smiles("c1ccccc1N")]
+    out = match_zero_shot(store, queries, cands, ids, true)
+    assert [r.true_rank for r in out["results"]] == [
+        reference_true_rank(matcher_scores(store, mol, cands)[0], ids, tid)
+        for mol, tid in zip(queries, true)]
+
+
+def test_match_duplicate_candidate_ids_rejected():
+    store = matcher_fixture()
+    with pytest.raises(DuplicateIdError, match="distinct"):
+        match_zero_shot(store, [parse_smiles("CCO")], np.zeros((2, 6)), ["a", "a"], ["a"])
 
 
 def test_match_errors():

@@ -1,6 +1,6 @@
 """MI estimator tests: exact MI oracles, bound ordering at tight tolerance,
-saturation behavior, Gaussian closed form vs quadrature, and Monte Carlo
-agreement with exact-mode values."""
+saturation behavior, Gaussian closed form vs quadrature, and the cached
+composition table against its recursive reference."""
 
 import math
 
@@ -19,7 +19,6 @@ from infoalign.mibounds import (
     i_eub,
     i_nce,
     i_nce_exact,
-    i_nce_samples,
     i_nwj,
     optimal_critic,
     prop1_report,
@@ -97,14 +96,6 @@ def test_dlb_never_exceeds_mi():
         h = rng.normal(size=(3, 4))
         q = critic_to_conditional(jt, h)
         assert i_dlb(jt, q) <= true_mi(jt) + 1e-12
-
-
-def test_dlb_sampled_converges():
-    rng = np.random.default_rng(4)
-    jt = random_joint(rng, 3, 3)
-    q = critic_to_conditional(jt, optimal_critic(jt))
-    samples = jt.sample(200_000, rng)
-    assert i_dlb(jt, q, samples) == pytest.approx(true_mi(jt), abs=0.02)
 
 
 # --- encoder upper bound -----------------------------------------------------------
@@ -192,29 +183,40 @@ def test_nce_k_validation():
     jt = diagonal_joint(2)
     with pytest.raises(BatchTooSmallError):
         i_nce_exact(jt, np.zeros((2, 2)), 1)
-    with pytest.raises(BatchTooSmallError):
-        i_nce_samples(jt, np.zeros((2, 2)), 1, 10, np.random.default_rng(0))
-
-
-def test_nce_samples_agree_with_exact():
-    rng = np.random.default_rng(11)
-    jt = random_joint(rng, 3, 3)
-    h = optimal_critic(jt)
-    for K in (2, 8):
-        exact = i_nce_exact(jt, h, K)
-        mean, se = i_nce_samples(jt, h, K, 4000, rng)
-        assert abs(mean - exact) < 5 * max(se, 1e-3)
 
 
 def test_nce_dispatch():
     jt = diagonal_joint(3)
     h = optimal_critic(jt)
     assert i_nce(jt, h, 4) == pytest.approx(i_nce_exact(jt, h, 4), abs=0)
-    rng = np.random.default_rng(12)
-    val = i_nce(jt, h, 4, trials=50, rng=rng)
-    assert np.isfinite(val)
-    with pytest.raises(ValueError, match="rng"):
-        i_nce(jt, h, 4, trials=50)
+
+
+def compositions_reference(total, parts):
+    """All count vectors of `parts` entries summing to `total`, by recursion
+    on the first entry, in lexicographic order."""
+    if parts == 1:
+        return np.array([[total]], dtype=np.int64)
+    rows = []
+    for first in range(total + 1):
+        rest = compositions_reference(total - first, parts - 1)
+        block = np.empty((len(rest), parts), dtype=np.int64)
+        block[:, 0] = first
+        block[:, 1:] = rest
+        rows.append(block)
+    return np.concatenate(rows, axis=0)
+
+
+def test_compositions_equal_recursive_reference_and_read_only():
+    for total in range(32):
+        for parts in range(1, 6):
+            got = _compositions(total, parts)
+            expect = compositions_reference(total, parts)
+            assert got.dtype == expect.dtype and got.shape == expect.shape
+            assert np.array_equal(got, expect), (total, parts)
+            # the cached array is shared by every caller
+            assert _compositions(total, parts) is got
+            with pytest.raises(ValueError):
+                got[0, 0] = 1
 
 
 @pytest.mark.parametrize("K", [2, 8, 32])
