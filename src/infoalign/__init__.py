@@ -7,7 +7,7 @@ probing, zero-shot matching, and mutual-information bound benchmarks.
 """
 
 from .errors import InfoAlignError
-from .molparse import MolecularGraph, parse_smiles, graph_signature, read_smiles_file
+from .molparse import MolecularGraph, parse_smiles, read_smiles_file
 from .fingerprint import BitFingerprint, morgan_fingerprint, cosine
 from .ctxgraph import (
     ContextGraph,
@@ -53,7 +53,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "InfoAlignError",
-    "MolecularGraph", "parse_smiles", "graph_signature", "read_smiles_file",
+    "MolecularGraph", "parse_smiles", "read_smiles_file",
     "BitFingerprint", "morgan_fingerprint", "cosine",
     "ContextGraph", "NodeKind", "NodeRecord", "Relation", "WeightedEdge",
     "build_graph_from_tables", "min_max_scale",

@@ -61,9 +61,10 @@ def _load_config_file(args) -> dict:
 def _resolve(args, defaults: dict) -> SimpleNamespace:
     """flags > config file > defaults, for the keys listed in `defaults`.
 
-    Each value is converted to the type of its default (int, float or str);
-    bools and keys whose default is None are taken as they are, and the
-    commands reading the latter check their type.
+    Each value is converted to the type of its default (int, float or str),
+    except that a list or dict is never taken as a string; bools and keys
+    whose default is None are taken as they are, and the commands reading
+    the latter check their type.
     """
     cfg = _load_config_file(args)
     merged = {}
@@ -71,6 +72,8 @@ def _resolve(args, defaults: dict) -> SimpleNamespace:
         flag = getattr(args, key, None)
         value = flag if flag is not None else cfg.get(key, default)
         convert = type(default)
+        if convert is str and isinstance(value, (list, dict)):
+            raise InfoAlignError(f"config key {key!r}: expected a string, got {value!r}")
         if convert in (int, float, str):
             try:
                 value = convert(value)
@@ -251,6 +254,8 @@ def cmd_pretrain(args) -> int:
 def cmd_embed(args) -> int:
     store, _cfg = load_checkpoint(args.checkpoint)
     mols = [parse_smiles(s) for s in read_smiles_file(args.input)]
+    if not mols:
+        raise InfoAlignError(f"{args.input}: no molecules")
     z = embed(store, mols)
     lines = ["\t".join(f"{v:.12g}" for v in row) for row in z]
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -322,6 +327,8 @@ def cmd_match(args) -> int:
     opt = _resolve(args, {"k": "1,10"})
     store, _cfg = load_checkpoint(args.checkpoint)
     queries = [parse_smiles(s) for s in read_smiles_file(args.queries)]
+    if not queries:
+        raise InfoAlignError(f"{args.queries}: no molecules")
     cand_ids, cand = _read_matrix_tsv(args.candidates)
     if any(i is None for i in cand_ids):
         raise InfoAlignError("candidate table needs an id column")

@@ -10,7 +10,6 @@ silently mis-parsed.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Tuple
@@ -275,52 +274,6 @@ def parse_smiles(text: str) -> MolecularGraph:
     if not atoms:
         raise SmilesSyntaxError("no atoms parsed")
     return MolecularGraph(atoms, bonds)
-
-
-def graph_signature(g: MolecularGraph) -> str:
-    """Canonical text key, equal for isomorphic atom relabelings.
-
-    Weisfeiler-Leman color refinement to a fixed point; final key hashes the
-    sorted multiset of stable colors together with the recolored edge set.
-    Color ids are assigned by sorting the distinct color descriptors, so the
-    result is independent of atom order and of Python hash randomization.
-    """
-    n = len(g.atoms)
-    adj: List[List[Tuple[int, str]]] = [[] for _ in range(n)]
-    for bond in g.bonds:
-        adj[bond.a].append((bond.b, bond.order.value))
-        adj[bond.b].append((bond.a, bond.order.value))
-
-    descriptors = [
-        (a.element, a.formal_charge, a.aromatic) for a in g.atoms
-    ]
-    colors = _canonical_ids(descriptors)
-    for _ in range(n):
-        refined = [
-            (colors[i], tuple(sorted((order, colors[j]) for j, order in adj[i])))
-            for i in range(n)
-        ]
-        new_colors = _canonical_ids(refined)
-        if new_colors == colors:
-            break
-        colors = new_colors
-
-    # Fixed-point colors lose the raw atom descriptors, so fold them back in.
-    parts = sorted(
-        f"{g.atoms[i].element},{g.atoms[i].formal_charge},{int(g.atoms[i].aromatic)},{colors[i]}"
-        for i in range(n)
-    )
-    edge_parts = sorted(
-        f"{min(colors[b.a], colors[b.b])}-{max(colors[b.a], colors[b.b])}:{b.order.value}"
-        for b in g.bonds
-    )
-    blob = "|".join(parts) + "||" + "|".join(edge_parts)
-    return hashlib.sha256(blob.encode("ascii")).hexdigest()
-
-
-def _canonical_ids(descriptors: list) -> List[int]:
-    order = {d: i for i, d in enumerate(sorted(set(descriptors)))}
-    return [order[d] for d in descriptors]
 
 
 def read_smiles_file(path) -> List[str]:

@@ -328,6 +328,27 @@ def test_match_report(synth_graph, tmp_path):
     assert set(rep["hit"]) == {"1", "10"}
 
 
+@pytest.mark.parametrize("command", ["embed", "match"])
+def test_no_molecules_exit_1(synth_graph, tmp_path, capsys, command):
+    ck = tmp_path / "ck.iapt"
+    assert run(["pretrain", "--graph", synth_graph, "--out", ck,
+                "--epochs", 1, *PRETRAIN_SMALL]) == 0
+    smi = tmp_path / "empty.smi"
+    smi.write_text("# no molecules\n\n")
+    out = tmp_path / "out"
+    if command == "embed":
+        argv = ["embed", "--checkpoint", ck, "--input", smi, "--out", out]
+    else:
+        (tmp_path / "cands.tsv").write_text("c0\t" + "\t".join(["0.5"] * 6) + "\n")
+        (tmp_path / "true.txt").write_text("")
+        argv = ["match", "--checkpoint", ck, "--queries", smi,
+                "--candidates", tmp_path / "cands.tsv",
+                "--true-ids", tmp_path / "true.txt", "--out", out]
+    assert run(argv) == 1
+    assert f"{smi}: no molecules" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- mi-bench / plumbing ------------------------------------------------------------------
 
 def test_mi_bench_exact_zero_violations(tmp_path):
@@ -425,6 +446,25 @@ def test_config_value_unconvertible_exit_1(synth_graph, tmp_path, capsys, monkey
     err = capsys.readouterr().err
     key, value = next(iter(config.items()))
     assert f"config key {key!r}: cannot convert {value!r}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,config", [
+    (["mi-bench", "--out", "mi.json"], {"k": [2, 8]}),
+    (["build-graph", "--nodes", "{nodes}", "--edges", "{edges}", "--out", "g.ctxg"],
+     {"similarity_kinds": ["cell_morphology"]}),
+], ids=["mi-bench-k", "build-graph-similarity_kinds"])
+def test_config_string_key_wrong_type_exit_1(toy_tables, tmp_path, capsys, monkeypatch,
+                                             command, config):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    nodes, edges = toy_tables
+    argv = [a.format(nodes=nodes, edges=edges) for a in command]
+    assert run([*argv, "--config", "cfg.json"]) == 1
+    err = capsys.readouterr().err
+    key, value = next(iter(config.items()))
+    assert f"config key {key!r}: expected a string, got {value!r}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "mi.json").exists() and not any(tmp_path.glob("g.ctxg*"))
 
 
 @pytest.mark.parametrize("command,config,expected", [

@@ -384,6 +384,25 @@ def test_match_true_rank_equals_argsort_oracle(case):
         for mol, tid in zip(queries, true)]
 
 
+# 21 queries: a full block of 16 and a second of 5, with bond-free molecules.
+MATCH_QUERIES = ["CCO", "C", "c1ccccc1N", "O", "CC(=O)O", "CCN", "OCC(O)CO", "N",
+                 "CC(C)CC(=O)O", "C1CC1", "N#CC#N", "CSC", "ClC(Cl)(Cl)Cl", "[NH4+]",
+                 "CC=O", "NCCN", "S", "c1ccccc1", "CC(C)O", "F", "OCCO"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(tie_heavy_candidates(), st.integers(0, 2**32 - 1))
+def test_match_true_rank_equals_argsort_oracle_across_blocks(case, seed):
+    cands, ids, _ = case
+    store = matcher_fixture()
+    queries = [parse_smiles(s) for s in MATCH_QUERIES]
+    true = list(np.random.default_rng(seed).choice(ids, size=len(queries)))
+    out = match_zero_shot(store, queries, cands, ids, true)
+    assert [r.true_rank for r in out["results"]] == [
+        reference_true_rank(matcher_scores(store, mol, cands)[0], ids, tid)
+        for mol, tid in zip(queries, true)]
+
+
 def test_match_duplicate_candidate_ids_rejected():
     store = matcher_fixture()
     with pytest.raises(DuplicateIdError, match="distinct"):

@@ -643,6 +643,38 @@ def test_embed_properties():
     assert np.array_equal(perm, z1[[2, 0, 1]])
 
 
+# Two blocks of 16 and a last block of one: a first block of varied molecules
+# ("C" and "O" have no bonds), a second block of single-atom molecules only,
+# so a whole block has no edges, then one more molecule.
+EMBED_SMILES = (["CCO", "C", "c1ccccc1", "O", "CC(=O)O", "CCN", "OCC(O)CO", "c1ccc(N)cc1",
+                 "CC(C)CC(=O)O", "C1CC1", "N#CC#N", "CSC", "ClC(Cl)(Cl)Cl", "[NH4+]",
+                 "CC=O", "NCCN"]
+                + ["C", "O", "N", "S", "F", "Cl", "[NH4+]", "[O-]"] * 2
+                + ["CC(C)O"])
+
+
+@pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 33])
+def test_embed_rows_equal_single_molecule_encodes(n):
+    cfg = small_cfg()
+    store = make_store(cfg, tiny_graph())
+    mols = [parse_smiles(s) for s in EMBED_SMILES[:n]]
+    z = embed(store, mols)
+    assert z.shape == (n, cfg.latent_dim)
+    bound = store.bind()
+    for k, mol in enumerate(mols):
+        np.testing.assert_allclose(z[k], gin_encode(mol, bound).mu.data[0], rtol=0, atol=1e-12)
+
+
+def test_embed_row_does_not_depend_on_its_block():
+    """Rotating a 20-molecule input by 4 moves molecules between the 16-row
+    and the 4-row block, and each keeps its exact mu."""
+    store = make_store(small_cfg(), tiny_graph())
+    mols = [parse_smiles(s) for s in EMBED_SMILES[:20]]
+    z = embed(store, mols)
+    rotated = embed(store, mols[4:] + mols[:4])
+    assert np.array_equal(rotated, np.concatenate([z[4:], z[:4]]))
+
+
 def test_checkpoint_manifest_round_trip(tmp_path):
     g = tiny_graph()
     cfg = small_cfg(beta=1e-5)
