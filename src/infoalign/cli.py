@@ -2,9 +2,10 @@
 
 Subcommands: build-graph, synth, walk, fingerprint, pretrain, embed, eval,
 match, mi-bench. Every command accepts --config (a JSON file, also settable
-via the INFOALIGN_CONFIG environment variable), --seed where meaningful, and
---out. Precedence: command-line flags > config file > built-in defaults.
-Primary outputs are deterministic given identical inputs and seed. Exit
+via the INFOALIGN_CONFIG environment variable) and --out; the commands that
+draw random numbers (synth, walk, pretrain, eval, mi-bench) accept --seed.
+Precedence: command-line flags > config file > built-in defaults. Primary
+outputs are deterministic given identical inputs and seed. Exit
 codes: 0 success, 1 domain error, 2 usage error.
 """
 
@@ -364,9 +365,10 @@ def cmd_mi_bench(args) -> int:
 
 # --- parser ----------------------------------------------------------------------
 
-def _add_common(p):
+def _add_common(p, seed=False):
     p.add_argument("--config", help=f"JSON config file (or ${CONFIG_ENV})")
-    p.add_argument("--seed", type=int)
+    if seed:
+        p.add_argument("--seed", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_build_graph)
 
     p = sub.add_parser("synth", help="generate planted-cluster node/edge/label tables")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--clusters", type=int)
     p.add_argument("--per-cluster", dest="per_cluster", type=int)
@@ -401,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("walk", help="sample weighted random walks from molecule nodes")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--starts", default="all", help='comma-separated node ids or "all"')
     p.add_argument("--length", type=int)
@@ -420,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_fingerprint)
 
     p = sub.add_parser("pretrain", help="pretrain the encoder on a context graph")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--resume", help="checkpoint to continue from")
@@ -449,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_embed)
 
     p = sub.add_parser("eval", help="probe frozen embeddings against labels")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--task-types", dest="task_types",
@@ -472,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_match)
 
     p = sub.add_parser("mi-bench", help="verify the mutual-information bound hierarchy")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--num-joints", dest="num_joints", type=int)
     p.add_argument("--nz", type=int)
     p.add_argument("--ny", type=int)

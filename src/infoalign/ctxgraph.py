@@ -149,9 +149,6 @@ class ContextGraph:
         except KeyError:
             raise UnknownNodeError(f"unknown node id {node_id!r}") from None
 
-    def has_node(self, node_id: str) -> bool:
-        return node_id in self._nodes
-
     def num_nodes(self) -> int:
         return len(self._nodes)
 

@@ -4,6 +4,12 @@ Every array is float64 (the gradient checks demand it). The primitive set is
 deliberately small: matmul, broadcast add/mul, negation, elementwise (relu,
 exp, softplus), sum reduction, row gather and index-scatter-add for message
 passing, and clip. Every primitive has a finite-difference test.
+
+Primitives do not check their outputs. Finiteness is checked where values
+leave the tape: `backward` raises FloatingPointError for a non-finite loss or
+leaf gradient, and the callers that return forward values (embeddings,
+matching logits, probe predictions) check them with `require_finite`.
+Checkpoints are checked as they are loaded.
 """
 
 from __future__ import annotations
@@ -13,12 +19,9 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import serialize
-from .errors import ShapeMismatchError
+from .errors import CorruptFileError, ShapeMismatchError
 
 MAGIC = b"IAPT"
-
-# Debug assertion: ops refuse to emit NaN/Inf when enabled.
-CHECK_FINITE = True
 
 # exp inputs, and the logistic inside the softplus gradient, are clamped here
 # to avoid overflow.
@@ -34,9 +37,11 @@ def seeded_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed & ((1 << 64) - 1), stream]))
 
 
-def _check(data: np.ndarray):
-    if CHECK_FINITE and not np.isfinite(data).all():
-        raise FloatingPointError("non-finite value produced by a primitive op")
+def require_finite(data: np.ndarray, what: str) -> np.ndarray:
+    """`data`, or FloatingPointError naming `what` if it holds a NaN or Inf."""
+    if not np.isfinite(data).all():
+        raise FloatingPointError(f"non-finite {what}")
+    return data
 
 
 class Tensor:
@@ -46,7 +51,6 @@ class Tensor:
 
     def __init__(self, data, parents=(), bw=None):
         self.data = np.asarray(data, dtype=np.float64)
-        _check(self.data)
         self.grad: Optional[np.ndarray] = None
         self._parents = parents
         self._bw = bw
@@ -58,6 +62,13 @@ class Tensor:
     # --- graph traversal ---
 
     def backward(self, seed: Optional[np.ndarray] = None):
+        """Gradients of this node into every node of its tape.
+
+        A node's gradient is allocated when its first contribution arrives.
+        Raises FloatingPointError if this node's value or a leaf's gradient
+        is not finite.
+        """
+        require_finite(self.data, "loss")
         if seed is None:
             seed = np.ones_like(self.data)
         topo: List[Tensor] = []
@@ -75,44 +86,22 @@ class Tensor:
             for p in node._parents:
                 stack.append((p, False))
         for node in topo:
-            node.grad = np.zeros_like(node.data)
+            node.grad = None
         self.grad = np.asarray(seed, dtype=self.data.dtype)
         for node in reversed(topo):
             if node._bw is not None:
                 node._bw(node.grad)
-
-    # --- operator sugar ---
-
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
-    def __sub__(self, other):
-        return add(self, neg(_lift(other)))
-
-    def __rsub__(self, other):
-        return add(_lift(other), neg(self))
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
+            else:
+                require_finite(node.grad, "leaf gradient")
 
     def item(self) -> float:
         return float(self.data)
 
 
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _acc(t: Tensor, g: np.ndarray):
+    """Add g to t's gradient. The first g is kept as it is, so nothing adds in
+    place: `add` hands the same buffer to both of its parents."""
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def constant(x) -> Tensor:
@@ -139,8 +128,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(data, (a, b))
 
     def bw(g):
-        a.grad += _unbroadcast(g, a.shape)
-        b.grad += _unbroadcast(g, b.shape)
+        _acc(a, _unbroadcast(g, a.shape))
+        _acc(b, _unbroadcast(g, b.shape))
 
     out._bw = bw
     return out
@@ -148,7 +137,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def neg(a: Tensor) -> Tensor:
     out = Tensor(-a.data, (a,))
-    out._bw = lambda g: a.grad.__iadd__(-g)
+    out._bw = lambda g: _acc(a, -g)
     return out
 
 
@@ -160,8 +149,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(data, (a, b))
 
     def bw(g):
-        a.grad += _unbroadcast(g * b.data, a.shape)
-        b.grad += _unbroadcast(g * a.data, b.shape)
+        _acc(a, _unbroadcast(g * b.data, a.shape))
+        _acc(b, _unbroadcast(g * a.data, b.shape))
 
     out._bw = bw
     return out
@@ -173,8 +162,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data, (a, b))
 
     def bw(g):
-        a.grad += g @ b.data.T
-        b.grad += a.data.T @ g
+        _acc(a, g @ b.data.T)
+        _acc(b, a.data.T @ g)
 
     out._bw = bw
     return out
@@ -183,21 +172,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0), (a,))
     # subgradient at 0 is 0
-    out._bw = lambda g: a.grad.__iadd__(g * (a.data > 0))
+    out._bw = lambda g: _acc(a, g * (a.data > 0))
     return out
 
 
 def exp(a: Tensor) -> Tensor:
     e = np.exp(np.clip(a.data, -_EXP_CLAMP, _EXP_CLAMP))
     out = Tensor(e, (a,))
-    out._bw = lambda g: a.grad.__iadd__(g * e)
+    out._bw = lambda g: _acc(a, g * e)
     return out
 
 
 def softplus(a: Tensor) -> Tensor:
     out = Tensor(np.logaddexp(0.0, a.data), (a,))
     s = 1.0 / (1.0 + np.exp(-np.clip(a.data, -_EXP_CLAMP, _EXP_CLAMP)))
-    out._bw = lambda g: a.grad.__iadd__(g * s)
+    out._bw = lambda g: _acc(a, g * s)
     return out
 
 
@@ -206,10 +195,10 @@ def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
 
     def bw(g):
         if axis is None:
-            a.grad += np.broadcast_to(g, a.shape)
+            _acc(a, np.broadcast_to(g, a.shape))
         else:
             gexp = g if keepdims else np.expand_dims(g, axis)
-            a.grad += np.broadcast_to(gexp, a.shape)
+            _acc(a, np.broadcast_to(gexp, a.shape))
 
     out._bw = bw
     return out
@@ -221,7 +210,11 @@ def gather_rows(a: Tensor, index) -> Tensor:
     out = Tensor(a.data[index], (a,))
 
     def bw(g):
-        np.add.at(a.grad, index, g)
+        # into a copy of the running gradient, which keeps the order of the
+        # sums: adding a separate scatter afterwards moves the last bits
+        grad = np.zeros_like(a.data) if a.grad is None else a.grad.copy()
+        np.add.at(grad, index, g)
+        a.grad = grad
 
     out._bw = bw
     return out
@@ -235,7 +228,7 @@ def scatter_add_rows(a: Tensor, index, num_rows: int) -> Tensor:
     data = np.zeros((num_rows,) + a.shape[1:], dtype=a.data.dtype)
     np.add.at(data, index, a.data)
     out = Tensor(data, (a,))
-    out._bw = lambda g: a.grad.__iadd__(g[index])
+    out._bw = lambda g: _acc(a, g[index])
     return out
 
 
@@ -243,7 +236,7 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp with pass-through gradient inside [lo, hi], zero outside."""
     out = Tensor(np.clip(a.data, lo, hi), (a,))
     mask = (a.data >= lo) & (a.data <= hi)
-    out._bw = lambda g: a.grad.__iadd__(g * mask)
+    out._bw = lambda g: _acc(a, g * mask)
     return out
 
 
@@ -256,7 +249,7 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
     y = constant(targets)
     if y.shape != logits.shape:
         raise ShapeMismatchError(f"bce: logits {logits.shape} vs targets {y.shape}")
-    return softplus(logits) - mul(logits, y)
+    return add(softplus(logits), neg(mul(logits, y)))
 
 
 # --- parameters, MLP, optimizer ----------------------------------------------
@@ -374,12 +367,22 @@ def save_params(path, store: ParamStore, manifest: Optional[dict] = None):
 
 
 def load_params(path):
-    """Returns (ParamStore, manifest dict)."""
+    """Returns (ParamStore, manifest dict).
+
+    Raises CorruptFileError naming the file and the array if a parameter or
+    an Adam moment holds a NaN or Inf.
+    """
     meta, arrays = serialize.read_container(path, MAGIC)
     store = ParamStore(seed=meta["seed"])
     store.step = meta["step"]
     names = meta["names"]
     k = len(names)
+    if len(arrays) != 3 * k:
+        raise CorruptFileError(f"{path}: {len(arrays)} arrays for {k} parameters")
+    for j, arr in enumerate(arrays):
+        if not np.isfinite(arr).all():
+            what = ("parameter", "Adam first moment of", "Adam second moment of")[j // k]
+            raise CorruptFileError(f"{path}: {what} {names[j % k]!r} is not finite")
     for i, name in enumerate(names):
         store.params[name] = arrays[i].astype(np.float64)
         store.grads[name] = np.zeros_like(store.params[name])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -83,7 +83,6 @@ class LabeledSet:
     embeddings: np.ndarray           # (N, D)
     labels: np.ndarray               # (N, T), or (N,) for a single task
     task_types: List[str]            # per task, "classification" or "regression"
-    mask: Optional[np.ndarray] = None  # (N, T) availability; default all observed
 
     def __post_init__(self):
         self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
@@ -93,12 +92,6 @@ class LabeledSet:
         if self.labels.ndim != 2 or self.labels.shape[0] != self.embeddings.shape[0]:
             raise LengthMismatchError(
                 f"labels of shape {self.labels.shape} for {self.embeddings.shape[0]} embeddings")
-        if self.mask is None:
-            self.mask = np.ones(self.labels.shape, dtype=bool)
-        else:
-            self.mask = np.asarray(self.mask, dtype=bool)
-        if self.labels.shape != self.mask.shape:
-            raise LengthMismatchError("labels and mask shapes differ")
         if len(self.task_types) != self.labels.shape[1]:
             raise LengthMismatchError("task_types length != task count")
 
@@ -115,33 +108,23 @@ class ProbeConfig:
 class ProbeHead:
     store: dc.ParamStore
     task_types: List[str]
-    input_dim: int
 
     def predict(self, embeddings: np.ndarray) -> np.ndarray:
+        """Probabilities for classification tasks, values for regression ones;
+        FloatingPointError if one is not finite."""
         bound = self.store.bind()
         out = dc.mlp_forward(bound, "probe", dc.constant(np.asarray(embeddings, dtype=np.float64)))
         pred = out.data.copy()
         for t, kind in enumerate(self.task_types):
             if kind == CLASSIFICATION:
                 pred[:, t] = 1.0 / (1.0 + np.exp(-np.clip(pred[:, t], -36.7, 36.7)))
-        return pred
-
-    def save(self, path):
-        dc.save_params(path, self.store, {
-            "task_types": self.task_types, "input_dim": self.input_dim,
-        })
-
-    @classmethod
-    def load(cls, path) -> "ProbeHead":
-        store, manifest = dc.load_params(path)
-        return cls(store, manifest["task_types"], manifest["input_dim"])
+        return dc.require_finite(pred, "probe prediction")
 
 
 def probe_train(train: LabeledSet, cfg: ProbeConfig = ProbeConfig()) -> ProbeHead:
     """Fit a small MLP head on frozen embeddings (full-batch Adam).
 
-    Classification tasks use BCE on logits, regression squared error; masked
-    entries contribute nothing.
+    Classification tasks use BCE on logits, regression squared error.
     """
     n, d = train.embeddings.shape
     t = train.labels.shape[1]
@@ -150,9 +133,7 @@ def probe_train(train: LabeledSet, cfg: ProbeConfig = ProbeConfig()) -> ProbeHea
     dc.init_mlp(store, "probe", sizes)
 
     x = train.embeddings
-    y = np.where(train.mask, train.labels, 0.0)
-    m = train.mask.astype(np.float64)
-    denom = max(m.sum(), 1.0)
+    y = train.labels
     is_cls = np.array([k == CLASSIFICATION for k in train.task_types], dtype=np.float64)
 
     for _ in range(cfg.epochs):
@@ -165,11 +146,11 @@ def probe_train(train: LabeledSet, cfg: ProbeConfig = ProbeConfig()) -> ProbeHea
             dc.mul(bce, dc.constant(is_cls[None, :])),
             dc.mul(sq, dc.constant(1.0 - is_cls[None, :])),
         )
-        loss = dc.mul(dc.tsum(dc.mul(per_entry, dc.constant(m))), dc.constant(1.0 / denom))
+        loss = dc.mul(dc.tsum(per_entry), dc.constant(1.0 / y.size))
         loss.backward()
         store.accumulate(bound)
         dc.adam_step(store, lr=cfg.lr)
-    return ProbeHead(store, list(train.task_types), d)
+    return ProbeHead(store, list(train.task_types))
 
 
 def probe_eval(head: ProbeHead, test: LabeledSet,
@@ -183,17 +164,16 @@ def probe_eval(head: ProbeHead, test: LabeledSet,
     per_task = []
     aucs, maes = [], []
     for t, kind in enumerate(test.task_types):
-        obs = test.mask[:, t]
-        entry: Dict = {"task": t, "type": kind, "n": int(obs.sum())}
+        entry: Dict = {"task": t, "type": kind, "n": len(test.labels)}
         if kind == CLASSIFICATION:
             try:
-                entry["auc"] = auc(pred[obs, t], test.labels[obs, t])
+                entry["auc"] = auc(pred[:, t], test.labels[:, t])
                 aucs.append(entry["auc"])
             except SingleClassError:
                 warnings.warn(f"task {t}: single class in test set, skipped")
                 entry["auc"] = None
         else:
-            entry["mae"] = mae(pred[obs, t], test.labels[obs, t])
+            entry["mae"] = mae(pred[:, t], test.labels[:, t])
             maes.append(entry["mae"])
         per_task.append(entry)
     aggregates: Dict = {}
@@ -238,7 +218,8 @@ def match_zero_shot(store: dc.ParamStore, queries: Sequence[MolecularGraph],
     mat-vec against the candidates. A query's true rank is 1
     plus the number of candidates scoring above its true candidate, plus the
     number scoring the same whose id sorts before the true id: ties break by
-    candidate id. Candidate ids must be distinct.
+    candidate id. Candidate ids must be distinct. Raises FloatingPointError
+    if a decoder logit is not finite.
     """
     candidates = np.asarray(candidates, dtype=np.float64)
     if candidates.ndim != 2:
@@ -259,7 +240,7 @@ def match_zero_shot(store: dc.ParamStore, queries: Sequence[MolecularGraph],
     id_rank = np.empty(len(candidate_ids), dtype=np.int64)
     id_rank[np.argsort(np.asarray(candidate_ids, dtype=object))] = np.arange(len(candidate_ids))
     mu = dc.constant(embed(store, queries))
-    logits = dc.mlp_forward(store.bind(), prefix, mu).data
+    logits = dc.require_finite(dc.mlp_forward(store.bind(), prefix, mu).data, "decoder logit")
     softplus = np.logaddexp(0.0, logits)
     results: List[RankingResult] = []
     ndcg_sums = {k: 0.0 for k in k_list}

@@ -227,7 +227,7 @@ def kl_standard_normal(out: EncoderOutput) -> dc.Tensor:
     """KL(N(mu, diag exp(logvar)) || N(0, I)), summed over dimensions and rows."""
     mu2 = dc.mul(out.mu, out.mu)
     inner = dc.add(dc.add(mu2, dc.exp(out.logvar)), dc.neg(out.logvar))
-    return dc.mul(dc.tsum(inner + dc.constant(-1.0)), dc.constant(0.5))
+    return dc.mul(dc.tsum(dc.add(inner, dc.constant(-1.0))), dc.constant(0.5))
 
 
 def _nll_terms(logits: dc.Tensor, y: np.ndarray, likelihood: str) -> dc.Tensor:
@@ -459,7 +459,7 @@ def embed(store: dc.ParamStore, molecules: Sequence[MolecularGraph]) -> np.ndarr
     molecule's own `gin_encode` up to the head matmuls: a block of two or
     more rows goes through BLAS gemm, a 1-row block (a last block of one
     molecule) through gemv, so `mu` can differ in its last bits (up to about
-    2e-15) between the two.
+    2e-15) between the two. Raises FloatingPointError if a row is not finite.
     """
     bound = store.bind()
     blocks = [encode_batch([mol_arrays(g) for g in molecules[b0 : b0 + _EMBED_BLOCK]],
@@ -467,7 +467,7 @@ def embed(store: dc.ParamStore, molecules: Sequence[MolecularGraph]) -> np.ndarr
               for b0 in range(0, len(molecules), _EMBED_BLOCK)]
     if not blocks:
         return np.zeros((0, store.params["head_mu.w0"].shape[1]))
-    return np.concatenate(blocks)
+    return dc.require_finite(np.concatenate(blocks), "embedding")
 
 
 def build_manifest(cfg: ModelConfig, store: dc.ParamStore,

@@ -80,7 +80,8 @@ def sample_walk(g: ContextGraph, start: str, cfg: WalkConfig,
     """Walk cfg.length nodes from a molecule node.
 
     A dead end truncates the path (flagged) rather than restarting, which
-    would skew the visit distribution. Repeated nodes stay on the path as
+    would skew the visit distribution; a molecule with no neighbors gives a
+    truncated path of itself alone. Repeated nodes stay on the path as
     separate targets with their own alphas.
     """
     rec = g.node(start)
@@ -93,8 +94,6 @@ def sample_walk(g: ContextGraph, start: str, cfg: WalkConfig,
         try:
             nxt, w = transition(g, nodes[-1], rng, cfg.weight_proportional)
         except IsolatedNodeError:
-            if len(nodes) == 1:
-                raise
             truncated = True
             break
         nodes.append(nxt)

@@ -141,6 +141,24 @@ def test_walk_output_structure(toy_tables, tmp_path):
         assert len(cols[3].split("|")) == len(nodes_seq) - 1
 
 
+def test_isolated_molecule_walks_and_trains(toy_tables, tmp_path):
+    """A molecule with no context edges gets a 1-node truncated walk and
+    trains on its own fingerprint."""
+    nodes, edges = toy_tables
+    nodes.write_text(TOY_NODES + "molX\tmolecule\tsyn\tCCO\n", encoding="utf-8")
+    g = make_graph(tmp_path, toy_tables)
+    out = tmp_path / "walks.tsv"
+    assert run(["walk", "--graph", g, "--length", 3, "--walks-per-molecule", 2,
+                "--out", out]) == 0
+    rows = [line.split("\t") for line in out.read_text().splitlines()[1:]]
+    assert [r for r in rows if r[0] == "molX"] == [["molX", str(k), "molX", "", "", "1"]
+                                                   for k in range(2)]
+    ck = tmp_path / "ck.iapt"
+    assert run(["pretrain", "--graph", g, "--out", ck, "--epochs", 1,
+                *PRETRAIN_SMALL]) == 0
+    assert ck.exists()
+
+
 def test_fingerprint_stdout(capsys):
     assert run(["fingerprint", "--smiles", "CCO", "--nbits", 64]) == 0
     out = capsys.readouterr().out.strip().split("\t")
@@ -349,6 +367,35 @@ def test_no_molecules_exit_1(synth_graph, tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["embed", "match", "pretrain --resume"])
+@pytest.mark.parametrize("array", ["params", "_m"])
+def test_non_finite_checkpoint_exit_1(synth_graph, tmp_path, capsys, command, array):
+    import infoalign.diffcore as dc
+    ck = tmp_path / "ck.iapt"
+    assert run(["pretrain", "--graph", synth_graph, "--out", ck,
+                "--epochs", 1, *PRETRAIN_SMALL]) == 0
+    store, manifest = dc.load_params(ck)
+    getattr(store, array)["atom_embed"][3, 1] = np.nan
+    dc.save_params(ck, store, manifest)
+    (tmp_path / "q.smi").write_text("CCO\nCCN\n")
+    (tmp_path / "cands.tsv").write_text("c0\t" + "\t".join(["0.5"] * 6) + "\n")
+    (tmp_path / "true.txt").write_text("c0\nc0\n")
+    out = tmp_path / "out"
+    argv = {
+        "embed": ["embed", "--checkpoint", ck, "--input", tmp_path / "q.smi", "--out", out],
+        "match": ["match", "--checkpoint", ck, "--queries", tmp_path / "q.smi",
+                  "--candidates", tmp_path / "cands.tsv", "--true-ids", tmp_path / "true.txt",
+                  "--out", out],
+        "pretrain --resume": ["pretrain", "--graph", synth_graph, "--resume", ck,
+                              "--epochs", 1, *PRETRAIN_SMALL, "--out", out],
+    }[command]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    label = "parameter" if array == "params" else "Adam first moment of"
+    assert f"{ck}: {label} 'atom_embed' is not finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # --- mi-bench / plumbing ------------------------------------------------------------------
 
 def test_mi_bench_exact_zero_violations(tmp_path):
@@ -411,6 +458,20 @@ def test_unknown_flag_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["walk", "--graph", "x", "--out", "y", "--bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["build-graph", "--nodes", "n", "--edges", "e", "--out", "g"],
+    ["fingerprint", "--smiles", "CCO"],
+    ["embed", "--checkpoint", "c", "--input", "i", "--out", "o"],
+    ["match", "--checkpoint", "c", "--queries", "q", "--candidates", "c", "--true-ids", "t",
+     "--out", "o"],
+], ids=lambda argv: argv[0])
+def test_seed_rejected_where_unused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--seed", 3])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 def test_missing_subcommand_exit_2():

@@ -65,6 +65,7 @@ def test_square_gradient_closed_form():
     ("tsum_axis", lambda t: dc.tsum(dc.mul(dc.tsum(t, axis=0, keepdims=True), _c((1, 4), 22)))),
     ("gather", lambda t: dc.tsum(dc.mul(dc.gather_rows(t, [0, 2, 2, 1]), _c((4, 4), 25)))),
     ("scatter", lambda t: dc.tsum(dc.mul(dc.scatter_add_rows(t, [1, 0, 1], 2), _c((2, 4), 26)))),
+    ("clip", lambda t: dc.tsum(dc.mul(dc.clip(t, -0.5, 0.5), _c((3, 4), 27)))),
     ("bce", lambda t: dc.tsum(dc.bce_with_logits(t, np.full((3, 4), 0.3)))),
 ])
 def test_primitive_gradients(name, build):
@@ -103,12 +104,53 @@ def test_shape_mismatch_errors():
         dc.matmul(dc.constant(np.ones((2, 3))), dc.constant(np.ones((2, 3))))
 
 
-def test_finite_check():
-    with pytest.raises(FloatingPointError):
-        dc.Tensor(np.array([np.nan]))
-    # overflow paths are clamped, not NaN
-    t = dc.exp(dc.constant(np.array([1e6])))
-    assert np.all(np.isfinite(t.data))
+def test_backward_rejects_non_finite_loss():
+    x = dc.Tensor(np.array([1.0, 2.0]))
+    loss = dc.tsum(dc.mul(x, dc.constant(np.array([np.nan, 1.0]))))
+    with pytest.raises(FloatingPointError, match="non-finite loss"):
+        loss.backward()
+
+
+def test_backward_rejects_non_finite_leaf_gradient():
+    # clip hides the inf in the forward pass; the gradient 0 * inf is NaN
+    x = dc.Tensor(np.array([2.0]))
+    loss = dc.tsum(dc.clip(dc.mul(x, dc.constant(np.array([np.inf]))), -1.0, 1.0))
+    assert loss.item() == 1.0
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(FloatingPointError, match="non-finite leaf gradient"):
+        loss.backward()
+
+
+def test_exp_overflow_clamped_finite():
+    x = dc.Tensor(np.array([1e6, -1e6]))
+    y = dc.exp(x)
+    assert np.all(np.isfinite(y.data))
+    dc.tsum(y).backward()
+    assert np.all(np.isfinite(x.grad))
+
+
+def test_backward_shared_gradient_buffer_not_aliased():
+    """add hands one buffer to both parents; later sums must not write into it."""
+    for late in (lambda x: dc.mul(x, dc.constant(np.array([7.0, 11.0]))),
+                 lambda x: dc.scatter_add_rows(dc.mul(dc.gather_rows(x, [1, 0, 1]),
+                                                      dc.constant(np.array([4.0, 7.0, 7.0]))),
+                                               [0, 1, 1], 2)):
+        x = dc.Tensor(np.array([1.0, 2.0]))
+        y = dc.Tensor(np.array([3.0, 4.0]))
+        s = dc.add(x, y)
+        loss = dc.tsum(dc.add(dc.mul(s, dc.constant(np.array([2.0, 5.0]))), late(x)))
+        loss.backward()
+        assert np.array_equal(x.grad, [9.0, 16.0])
+        assert np.array_equal(y.grad, [2.0, 5.0])
+
+
+def test_backward_twice_gives_same_gradient():
+    x = dc.Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]))
+    loss = dc.tsum(dc.gather_rows(dc.mul(x, x), [0, 1, 1]))
+    loss.backward()
+    first = x.grad.copy()
+    loss.backward()
+    assert np.array_equal(x.grad, first)
 
 
 def test_bce_matches_scalar_oracle():
@@ -246,6 +288,19 @@ def test_checkpoint_round_trip(tmp_path):
     p2 = tmp_path / "ck2.iapt"
     dc.save_params(p2, store2, {"note": "x"})
     assert p.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("array,label", [(0, "parameter"), (1, "Adam first moment of"),
+                                         (2, "Adam second moment of")])
+def test_checkpoint_non_finite_value_names_array(tmp_path, array, label):
+    store = dc.ParamStore(seed=1)
+    dc.init_mlp(store, "f", [3, 2])
+    (store.params, store._m, store._v)[array]["f.w0"][1, 0] = np.nan
+    p = tmp_path / "nan.iapt"
+    dc.save_params(p, store)
+    with pytest.raises(CorruptFileError, match=f"{label} 'f.w0' is not finite") as exc:
+        dc.load_params(p)
+    assert str(p) in str(exc.value)
 
 
 def test_checkpoint_wrong_magic(tmp_path):

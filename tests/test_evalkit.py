@@ -23,7 +23,6 @@ from infoalign.evalkit import (
     REGRESSION,
     LabeledSet,
     ProbeConfig,
-    ProbeHead,
     auc,
     hit_at_k,
     mae,
@@ -160,23 +159,6 @@ def test_probe_regression_task():
     assert rep["aggregates"]["mean_mae"] == rep["per_task"][0]["mae"]
 
 
-def test_probe_mask_excludes_entries():
-    rng = np.random.default_rng(6)
-    emb = rng.normal(size=(50, 4))
-    y = rng.integers(0, 2, size=(50, 1)).astype(float)
-    mask = np.ones((50, 1), dtype=bool)
-    mask[:25] = False
-    # corrupt the masked half with an insane value; training must ignore it
-    y_bad = y.copy()
-    y_bad[:25] = 1e6
-    clean = probe_train(LabeledSet(emb, y, [CLASSIFICATION],
-                                   mask=mask), ProbeConfig(epochs=50))
-    dirty = probe_train(LabeledSet(emb, y_bad, [CLASSIFICATION],
-                                   mask=mask), ProbeConfig(epochs=50))
-    x = rng.normal(size=(10, 4))
-    assert np.allclose(clean.predict(x), dirty.predict(x))
-
-
 def test_probe_threshold_aggregates():
     """Two tasks with AUC {~high, ~low}: fraction-above thresholds count right."""
     rng = np.random.default_rng(7)
@@ -221,15 +203,11 @@ def test_labeled_set_label_shapes():
         LabeledSet(emb, np.arange(4.0), [CLASSIFICATION])
 
 
-def test_probe_head_save_load(tmp_path):
-    train = separable_set(n=100, seed=9)
-    head = probe_train(train, ProbeConfig(epochs=20))
-    p = tmp_path / "probe.iapt"
-    head.save(p)
-    head2 = ProbeHead.load(p)
-    x = np.random.default_rng(10).normal(size=(7, 8))
-    assert np.array_equal(head.predict(x), head2.predict(x))
-    assert head2.task_types == head.task_types and head2.input_dim == 8
+def test_probe_predict_rejects_non_finite():
+    head = probe_train(separable_set(n=100, seed=9), ProbeConfig(epochs=5))
+    head.store.params["probe.b0"][0] = np.nan
+    with pytest.raises(FloatingPointError, match="non-finite probe prediction"):
+        head.predict(np.zeros((3, 8)))
 
 
 def test_probe_train_deterministic():
@@ -407,6 +385,13 @@ def test_match_duplicate_candidate_ids_rejected():
     store = matcher_fixture()
     with pytest.raises(DuplicateIdError, match="distinct"):
         match_zero_shot(store, [parse_smiles("CCO")], np.zeros((2, 6)), ["a", "a"], ["a"])
+
+
+def test_match_rejects_non_finite_logits():
+    store = matcher_fixture()
+    store.params[decoder_prefix(store.params, NodeKind.CELL_MORPHOLOGY, 6) + ".b1"][4] = np.nan
+    with pytest.raises(FloatingPointError, match="non-finite decoder logit"):
+        match_zero_shot(store, [parse_smiles("CCO")], np.zeros((2, 6)), ["a", "b"], ["a"])
 
 
 def test_match_errors():

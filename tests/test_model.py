@@ -504,6 +504,41 @@ def test_batch_loss_equals_per_walk_mean(likelihood, beta, make_paths):
         np.testing.assert_allclose(got, grads[name], rtol=0, atol=1e-10, err_msg=name)
 
 
+@pytest.mark.parametrize("likelihood", ["bernoulli", "gaussian"])
+def test_batch_loss_isolated_molecule_trains_on_own_fingerprint(likelihood):
+    """A molecule with no context edges walks a 1-node path: its only target
+    is its own fingerprint (alpha = 1, L = 1)."""
+    from infoalign.fingerprint import morgan_fingerprint
+    from infoalign.walker import sample_walk
+    g = ContextGraph()
+    for i, smi in enumerate(["CCO", "CCN", "c1ccccc1"]):
+        mol = parse_smiles(smi)
+        g.add_node(NodeRecord(f"m{i}", NodeKind.MOLECULE,
+                              morgan_fingerprint(mol, 2, 64).to_float(), smiles=smi, mol=mol))
+    g.add_node(NodeRecord("c0", NodeKind.CELL_MORPHOLOGY, np.linspace(0, 1, 5)))
+    g.add_perturbation_edge("m0", "c0")
+    g.add_perturbation_edge("m2", "c0")
+    g.finalize()
+    isolated = sample_walk(g, "m1", WalkConfig(length=4), dc.seeded_rng(0))
+    assert isolated.nodes == ["m1"] and isolated.alphas == [] and isolated.truncated
+    starts = ["m0", "m1", "m2"]
+    paths = [WalkPath(["m0", "c0", "m2"], [1.0, 1.0]), isolated,
+             WalkPath(["m2", "c0"], [1.0], truncated=True)]
+    cfg = small_cfg(likelihood=likelihood)
+    store = make_store(cfg, g)
+    noise = np.random.default_rng(5).standard_normal((len(paths), cfg.latent_dim))
+    total, kl, recon, grads = per_walk_mean(g, starts, paths, store, 1.0, noise, likelihood)
+    bound = store.bind()
+    loss, br = batch_loss(g, starts, paths, bound, 1.0, noise, likelihood)
+    loss.backward()
+    assert loss.item() == pytest.approx(total, rel=0, abs=1e-10)
+    assert br.kl == pytest.approx(kl, rel=0, abs=1e-10)
+    for kind, v in recon.items():
+        assert br.recon_per_modality[kind] == pytest.approx(v, rel=0, abs=1e-10), kind
+    for name, leaf in bound.items():
+        np.testing.assert_allclose(leaf.grad, grads[name], rtol=0, atol=1e-10, err_msg=name)
+
+
 def test_batch_loss_rejects_misgrouped_paths():
     cfg = small_cfg()
     g = walk_graph()
@@ -663,6 +698,13 @@ def test_embed_rows_equal_single_molecule_encodes(n):
     bound = store.bind()
     for k, mol in enumerate(mols):
         np.testing.assert_allclose(z[k], gin_encode(mol, bound).mu.data[0], rtol=0, atol=1e-12)
+
+
+def test_embed_rejects_non_finite_weight():
+    store = make_store(small_cfg(), tiny_graph())
+    store.params["head_mu.b0"][2] = np.nan
+    with pytest.raises(FloatingPointError, match="non-finite embedding"):
+        embed(store, [parse_smiles("CCO")])
 
 
 def test_embed_row_does_not_depend_on_its_block():
