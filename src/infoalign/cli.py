@@ -2,10 +2,21 @@
 
 Subcommands: build-graph, synth, walk, fingerprint, pretrain, embed, eval,
 match, mi-bench. Every command accepts --config (a JSON file, also settable
-via the INFOALIGN_CONFIG environment variable) and --out; the commands that
-draw random numbers (synth, walk, pretrain, eval, mi-bench) accept --seed.
-Precedence: command-line flags > config file > built-in defaults. Primary
-outputs are deterministic given identical inputs and seed. Exit
+via the INFOALIGN_CONFIG environment variable) and --out. A command's
+settings are the keys of its `OPTIONS` entry, each both a flag
+(`--key-with-dashes`) and a config key; the commands that draw random numbers
+(synth, walk, pretrain, eval, mi-bench) have a `seed`. Precedence:
+command-line flags > config file > built-in defaults. A config value takes
+its default's type; a bool key takes only JSON true or false.
+
+`pretrain --resume` starts from the checkpoint's config. It takes epochs and
+lr from the flags, config or defaults, applies each other training key that
+a flag or the config gives (beta, batch_size, seed, walk_length,
+walks_per_molecule, uniform; a beta sweep gives beta), and keeps the
+checkpoint's value of every key not given. A given architecture key that
+disagrees with the checkpoint is an error.
+
+Primary outputs are deterministic given identical inputs and seed. Exit
 codes: 0 success, 1 domain error, 2 usage error.
 """
 
@@ -16,6 +27,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -34,18 +46,45 @@ from .evalkit import (
     split_random,
 )
 from .fingerprint import morgan_fingerprint
-from .model import (
-    ModelConfig,
-    WalkConfig,
-    embed,
-    load_checkpoint,
-    pretrain,
-    save_checkpoint,
-)
+from .model import ModelConfig, embed, load_checkpoint, pretrain, save_checkpoint
 from .molparse import parse_smiles, read_smiles_file
-from .walker import batch_walks
+from .walker import WalkConfig, batch_walks
 
 CONFIG_ENV = "INFOALIGN_CONFIG"
+
+# Each command's settings and their defaults. Every key is a flag and a config
+# key; the flag takes its default's type, where a bool gives --x/--no-x and a
+# None default a string.
+OPTIONS = {
+    "build-graph": {"similarity_kinds": "", "threshold": 0.8, "keep_fraction": 0.005,
+                    "fp_radius": 2, "fp_bits": 1024},
+    "synth": {"seed": 0, "clusters": 2, "per_cluster": 100, "noise": 0.1,
+              "morph_dim": 16, "gexp_dim": 16, "motifs": None,
+              "decoration_min": 3, "decoration_max": 10},
+    "walk": {"seed": 0, "length": 4, "walks_per_molecule": 2, "uniform": False},
+    "fingerprint": {"radius": 2, "nbits": 1024},
+    "pretrain": {"seed": 0, "latent_dim": 64, "num_layers": 3, "hidden": 128,
+                 "decoder_hidden": 64, "beta": 1e-9, "beta_sweep": None,
+                 "likelihood": "bernoulli", "fp_radius": 2, "fp_bits": 1024,
+                 "epochs": 10, "batch_size": 32, "lr": 1e-3,
+                 "walk_length": 4, "walks_per_molecule": 2, "uniform": False},
+    "embed": {},
+    "eval": {"seed": 0, "task_types": "classification", "probe_hidden": 0,
+             "probe_epochs": 200, "probe_lr": 0.05},
+    "match": {"k": "1,10"},
+    "mi-bench": {"seed": 0, "num_joints": 20, "nz": 4, "ny": 4, "k": "2,8,32",
+                 "tol": 1e-9, "exact": True, "random_critic": False},
+}
+
+# Flag arguments that differ from the rule above. `--exact` has no --no-exact:
+# exact mode is the only mode.
+_FLAG_ARGS = {
+    "beta_sweep": {"help": "comma-separated beta values"},
+    "likelihood": {"choices": ["bernoulli", "gaussian"]},
+    "task_types": {"help": "comma-separated: classification|regression per task"},
+    "exact": {"action": "store_true", "default": None,
+              "help": "exact-mode verification, the only mode (the default)"},
+}
 
 
 def _load_config_file(args) -> dict:
@@ -59,30 +98,35 @@ def _load_config_file(args) -> dict:
     return cfg
 
 
-def _resolve(args, defaults: dict) -> SimpleNamespace:
-    """flags > config file > defaults, for the keys listed in `defaults`.
+def _resolve(args) -> tuple[SimpleNamespace, set]:
+    """The values of `OPTIONS[args.command]`: flags > config file > defaults.
 
-    Each value is converted to the type of its default (int, float or str),
-    except that a list or dict is never taken as a string; bools and keys
-    whose default is None are taken as they are, and the commands reading
-    the latter check their type.
+    Returns the values and the set of keys that a flag or the config gave.
+    A given value takes its default's type: an int, float or string is
+    converted (a list or dict is never taken as a string), a bool must be
+    true or false, and a key whose default is None is taken as it is, for
+    the command reading it to check.
     """
-    cfg = _load_config_file(args)
-    merged = {}
-    for key, default in defaults.items():
-        flag = getattr(args, key, None)
-        value = flag if flag is not None else cfg.get(key, default)
-        convert = type(default)
-        if convert is str and isinstance(value, (list, dict)):
+    options = OPTIONS[args.command]
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    given = {k: v for k, v in {**_load_config_file(args), **flags}.items() if k in options}
+    values = dict(options)
+    for key, value in given.items():
+        convert = type(options[key])
+        if convert is bool:
+            if not isinstance(value, bool):
+                raise InfoAlignError(f"config key {key!r}: expected true or false, "
+                                     f"got {value!r}")
+        elif convert is str and isinstance(value, (list, dict)):
             raise InfoAlignError(f"config key {key!r}: expected a string, got {value!r}")
-        if convert in (int, float, str):
+        elif convert in (int, float, str):
             try:
                 value = convert(value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise InfoAlignError(f"config key {key!r}: cannot convert {value!r} "
                                      f"to {convert.__name__}") from None
-        merged[key] = value
-    return SimpleNamespace(**merged)
+        values[key] = value
+    return SimpleNamespace(**values), set(given)
 
 
 def _write_json(path, obj):
@@ -101,10 +145,7 @@ def _ints(csv: str):
 # --- subcommands ---------------------------------------------------------------
 
 def cmd_build_graph(args) -> int:
-    opt = _resolve(args, {
-        "threshold": 0.8, "keep_fraction": 0.005,
-        "fp_radius": 2, "fp_bits": 1024, "similarity_kinds": "",
-    })
+    opt, _given = _resolve(args)
     kinds = [NodeKind(k) for k in opt.similarity_kinds.split(",") if k]
     g = build_graph_from_tables(
         args.nodes, args.edges,
@@ -120,23 +161,13 @@ def cmd_build_graph(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    opt = _resolve(args, {
-        "clusters": 2, "per_cluster": 100, "noise": 0.1,
-        "morph_dim": 16, "gexp_dim": 16, "seed": 0, "motifs": None,
-        "decoration_min": 3, "decoration_max": 10,
-    })
+    opt, _given = _resolve(args)
     motifs = opt.motifs.split(",") if isinstance(opt.motifs, str) else opt.motifs
     if motifs is not None and not (isinstance(motifs, list)
                                    and all(isinstance(m, str) for m in motifs)):
         raise InfoAlignError(f"config key 'motifs': expected a string or a list of strings, "
                              f"got {opt.motifs!r}")
-    spec = synth.SyntheticSpec(
-        clusters=opt.clusters, per_cluster=opt.per_cluster,
-        noise=opt.noise, morph_dim=opt.morph_dim,
-        gexp_dim=opt.gexp_dim, seed=opt.seed, motifs=motifs,
-        decoration_min=opt.decoration_min,
-        decoration_max=opt.decoration_max,
-    )
+    spec = synth.SyntheticSpec(**{**vars(opt), "motifs": motifs})
     data = synth.generate(spec)
     paths = synth.write_tables(data, args.out)
     manifest = {
@@ -151,9 +182,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_walk(args) -> int:
-    opt = _resolve(args, {
-        "length": 4, "walks_per_molecule": 2, "seed": 0, "uniform": False,
-    })
+    opt, _given = _resolve(args)
     g = ContextGraph.load(args.graph)
     starts = g.molecule_ids() if args.starts == "all" else args.starts.split(",")
     cfg = WalkConfig(
@@ -176,7 +205,7 @@ def cmd_walk(args) -> int:
 
 
 def cmd_fingerprint(args) -> int:
-    opt = _resolve(args, {"radius": 2, "nbits": 1024})
+    opt, _given = _resolve(args)
     if args.smiles:
         entries = [args.smiles]
     elif args.input:
@@ -195,39 +224,39 @@ def cmd_fingerprint(args) -> int:
     return 0
 
 
-def _model_config(opt) -> ModelConfig:
-    return ModelConfig(
-        latent_dim=opt.latent_dim, num_layers=opt.num_layers,
-        hidden=opt.hidden, decoder_hidden=opt.decoder_hidden,
-        beta=opt.beta, likelihood=opt.likelihood,
-        fp_radius=opt.fp_radius, fp_bits=opt.fp_bits,
-        epochs=opt.epochs, batch_size=opt.batch_size,
-        lr=opt.lr, seed=opt.seed,
-        walk=WalkConfig(
-            length=opt.walk_length,
-            walks_per_molecule=opt.walks_per_molecule,
-            seed=opt.seed,
-            weight_proportional=not opt.uniform,
-        ),
-    )
+# Keys that fix the model's shape; a resumed run must agree with its checkpoint.
+_ARCHITECTURE = ("latent_dim", "num_layers", "hidden", "decoder_hidden", "likelihood",
+                 "fp_radius", "fp_bits")
+_MODEL_KEYS = {f.name for f in fields(ModelConfig)} - {"walk"}
+_WALK_KEYS = {"walk_length": "length", "walks_per_molecule": "walks_per_molecule",
+              "seed": "seed"}
 
 
-_PRETRAIN_DEFAULTS = {
-    "latent_dim": 64, "num_layers": 3, "hidden": 128, "decoder_hidden": 64,
-    "beta": 1e-9, "likelihood": "bernoulli", "fp_radius": 2, "fp_bits": 1024,
-    "epochs": 10, "batch_size": 32, "lr": 1e-3, "seed": 0,
-    "walk_length": 4, "walks_per_molecule": 2, "uniform": False,
-    "beta_sweep": None,
-}
+def _model_config(base: ModelConfig, opt, keys) -> ModelConfig:
+    """`base` with the `pretrain` values of `keys` applied; `seed` seeds the walks too."""
+    model = {k: getattr(opt, k) for k in keys if k in _MODEL_KEYS}
+    walk = {field: getattr(opt, k) for k, field in _WALK_KEYS.items() if k in keys}
+    if "uniform" in keys:
+        walk["weight_proportional"] = not opt.uniform
+    return replace(base, walk=replace(base.walk, **walk), **model)
 
 
-def _run_pretrain(graph, cfg: ModelConfig, out: str, resume: str | None):
-    store = None
+def _run_pretrain(graph, opt, given: set, out: str, resume: str | None):
+    """Train and write the checkpoint `out` and its log.
+
+    A fresh run takes every key of `opt`; a resumed run starts from the
+    checkpoint's config and takes epochs, lr and the `given` keys.
+    """
     if resume:
-        store, cfg_loaded = load_checkpoint(resume)
-        cfg_loaded.epochs = cfg.epochs
-        cfg_loaded.lr = cfg.lr
-        cfg = cfg_loaded
+        store, base = load_checkpoint(resume)
+        for key in _ARCHITECTURE:
+            if key in given and getattr(opt, key) != getattr(base, key):
+                raise InfoAlignError(f"{key} {getattr(opt, key)!r} disagrees with "
+                                     f"{getattr(base, key)!r} in the checkpoint {resume}")
+        keys = given | {"epochs", "lr"}
+    else:
+        store, base, keys = None, ModelConfig(), OPTIONS["pretrain"]
+    cfg = _model_config(base, opt, keys)
     rows = ["epoch\ttotal\tkl\tbeta\trecon"]
     store, logs = pretrain(graph, cfg, store=store)
     for e, br in enumerate(logs):
@@ -238,7 +267,7 @@ def _run_pretrain(graph, cfg: ModelConfig, out: str, resume: str | None):
 
 
 def cmd_pretrain(args) -> int:
-    opt = _resolve(args, _PRETRAIN_DEFAULTS)
+    opt, given = _resolve(args)
     if opt.beta_sweep is not None and not isinstance(opt.beta_sweep, str):
         raise InfoAlignError(f"config key 'beta_sweep': expected a comma-separated string, "
                              f"got {opt.beta_sweep!r}")
@@ -246,9 +275,10 @@ def cmd_pretrain(args) -> int:
     if opt.beta_sweep:
         for beta in _floats(opt.beta_sweep):
             opt.beta = beta
-            _run_pretrain(graph, _model_config(opt), f"{args.out}.beta{beta:g}", args.resume)
+            _run_pretrain(graph, opt, given | {"beta"}, f"{args.out}.beta{beta:g}",
+                          args.resume)
     else:
-        _run_pretrain(graph, _model_config(opt), args.out, args.resume)
+        _run_pretrain(graph, opt, given, args.out, args.resume)
     return 0
 
 
@@ -298,10 +328,7 @@ def _read_matrix_tsv(path):
 
 
 def cmd_eval(args) -> int:
-    opt = _resolve(args, {
-        "seed": 0, "probe_hidden": 0, "probe_epochs": 200, "probe_lr": 0.05,
-        "task_types": "classification",
-    })
+    opt, _given = _resolve(args)
     _ids, emb = _read_matrix_tsv(args.embeddings)
     _lids, labels = _read_matrix_tsv(args.labels)
     if len(labels) != len(emb):
@@ -325,7 +352,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_match(args) -> int:
-    opt = _resolve(args, {"k": "1,10"})
+    opt, _given = _resolve(args)
     store, _cfg = load_checkpoint(args.checkpoint)
     queries = [parse_smiles(s) for s in read_smiles_file(args.queries)]
     if not queries:
@@ -340,18 +367,15 @@ def cmd_match(args) -> int:
     report = {
         "ndcg": {str(k): v for k, v in res["ndcg"].items()},
         "hit": {str(k): v for k, v in res["hit"].items()},
-        "ranks": [r.true_rank for r in res["results"]],
+        "ranks": res["ranks"],
     }
     _write_json(args.out, report)
     return 0
 
 
 def cmd_mi_bench(args) -> int:
-    opt = _resolve(args, {
-        "num_joints": 20, "nz": 4, "ny": 4, "k": "2,8,32",
-        "seed": 0, "tol": 1e-9, "random_critic": False, "exact": True,
-    })
-    if opt.exact is False:
+    opt, _given = _resolve(args)
+    if not opt.exact:
         raise InfoAlignError('only exact-mode verification is supported; drop "exact": false')
     rng = dc.seeded_rng(opt.seed)
     joints = [mibounds.random_joint(rng, opt.nz, opt.ny)
@@ -365,10 +389,16 @@ def cmd_mi_bench(args) -> int:
 
 # --- parser ----------------------------------------------------------------------
 
-def _add_common(p, seed=False):
+def _add_options(p, command: str):
     p.add_argument("--config", help=f"JSON config file (or ${CONFIG_ENV})")
-    if seed:
-        p.add_argument("--seed", type=int)
+    for key, default in OPTIONS[command].items():
+        if isinstance(default, bool):
+            kwargs = {"action": argparse.BooleanOptionalAction}
+        elif isinstance(default, (int, float)):
+            kwargs = {"type": type(default)}
+        else:
+            kwargs = {}
+        p.add_argument("--" + key.replace("_", "-"), **{**kwargs, **_FLAG_ARGS.get(key, {})})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,116 +406,57 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Cellular-context molecular pretraining toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build-graph", help="build and persist a context graph from TSV tables")
-    _add_common(p)
+    def command(name, fn, summary):
+        p = sub.add_parser(name, help=summary)
+        _add_options(p, name)
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("build-graph", cmd_build_graph,
+                "build and persist a context graph from TSV tables")
     p.add_argument("--nodes", required=True)
     p.add_argument("--edges", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--stats")
-    p.add_argument("--similarity-kinds", dest="similarity_kinds")
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--keep-fraction", dest="keep_fraction", type=float)
-    p.add_argument("--fp-radius", dest="fp_radius", type=int)
-    p.add_argument("--fp-bits", dest="fp_bits", type=int)
-    p.set_defaults(fn=cmd_build_graph)
 
-    p = sub.add_parser("synth", help="generate planted-cluster node/edge/label tables")
-    _add_common(p, seed=True)
+    p = command("synth", cmd_synth, "generate planted-cluster node/edge/label tables")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--clusters", type=int)
-    p.add_argument("--per-cluster", dest="per_cluster", type=int)
-    p.add_argument("--noise", type=float)
-    p.add_argument("--morph-dim", dest="morph_dim", type=int)
-    p.add_argument("--gexp-dim", dest="gexp_dim", type=int)
-    p.add_argument("--motifs")
-    p.add_argument("--decoration-min", dest="decoration_min", type=int)
-    p.add_argument("--decoration-max", dest="decoration_max", type=int)
-    p.set_defaults(fn=cmd_synth)
 
-    p = sub.add_parser("walk", help="sample weighted random walks from molecule nodes")
-    _add_common(p, seed=True)
+    p = command("walk", cmd_walk, "sample weighted random walks from molecule nodes")
     p.add_argument("--graph", required=True)
     p.add_argument("--starts", default="all", help='comma-separated node ids or "all"')
-    p.add_argument("--length", type=int)
-    p.add_argument("--walks-per-molecule", dest="walks_per_molecule", type=int)
-    p.add_argument("--uniform", action=argparse.BooleanOptionalAction)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_walk)
 
-    p = sub.add_parser("fingerprint", help="Morgan fingerprints for SMILES inputs")
-    _add_common(p)
+    p = command("fingerprint", cmd_fingerprint, "Morgan fingerprints for SMILES inputs")
     p.add_argument("--smiles")
     p.add_argument("--input", help="file with one SMILES per line")
-    p.add_argument("--radius", type=int)
-    p.add_argument("--nbits", type=int)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_fingerprint)
 
-    p = sub.add_parser("pretrain", help="pretrain the encoder on a context graph")
-    _add_common(p, seed=True)
+    p = command("pretrain", cmd_pretrain, "pretrain the encoder on a context graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--resume", help="checkpoint to continue from")
-    p.add_argument("--latent-dim", dest="latent_dim", type=int)
-    p.add_argument("--num-layers", dest="num_layers", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--decoder-hidden", dest="decoder_hidden", type=int)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--beta-sweep", dest="beta_sweep", help="comma-separated beta values")
-    p.add_argument("--likelihood", choices=["bernoulli", "gaussian"])
-    p.add_argument("--fp-radius", dest="fp_radius", type=int)
-    p.add_argument("--fp-bits", dest="fp_bits", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--walk-length", dest="walk_length", type=int)
-    p.add_argument("--walks-per-molecule", dest="walks_per_molecule", type=int)
-    p.add_argument("--uniform", action=argparse.BooleanOptionalAction)
-    p.set_defaults(fn=cmd_pretrain)
 
-    p = sub.add_parser("embed", help="posterior-mean embeddings for SMILES inputs")
-    _add_common(p)
+    p = command("embed", cmd_embed, "posterior-mean embeddings for SMILES inputs")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_embed)
 
-    p = sub.add_parser("eval", help="probe frozen embeddings against labels")
-    _add_common(p, seed=True)
+    p = command("eval", cmd_eval, "probe frozen embeddings against labels")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--task-types", dest="task_types",
-                   help="comma-separated: classification|regression per task")
-    p.add_argument("--probe-hidden", dest="probe_hidden", type=int)
-    p.add_argument("--probe-epochs", dest="probe_epochs", type=int)
-    p.add_argument("--probe-lr", dest="probe_lr", type=float)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("match", help="zero-shot molecule-to-morphology matching")
-    _add_common(p)
+    p = command("match", cmd_match, "zero-shot molecule-to-morphology matching")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--queries", required=True, help="SMILES file, one per line")
     p.add_argument("--candidates", required=True, help="TSV: id then features")
-    p.add_argument("--true-ids", dest="true_ids", required=True,
+    p.add_argument("--true-ids", required=True,
                    help="file with one true candidate id per query")
-    p.add_argument("--k")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_match)
 
-    p = sub.add_parser("mi-bench", help="verify the mutual-information bound hierarchy")
-    _add_common(p, seed=True)
-    p.add_argument("--num-joints", dest="num_joints", type=int)
-    p.add_argument("--nz", type=int)
-    p.add_argument("--ny", type=int)
-    p.add_argument("--k")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--exact", action="store_true", default=None,
-                   help="exact-mode verification, the only mode (the default)")
-    p.add_argument("--random-critic", dest="random_critic",
-                   action=argparse.BooleanOptionalAction)
+    p = command("mi-bench", cmd_mi_bench, "verify the mutual-information bound hierarchy")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_mi_bench)
 
     return ap
 
@@ -495,7 +466,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (InfoAlignError, ValueError, OSError) as exc:
+    except (InfoAlignError, ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

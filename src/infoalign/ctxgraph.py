@@ -155,13 +155,12 @@ class ContextGraph:
     def num_edges(self) -> int:
         return len(self._edges)
 
+    def _sorted_edges(self) -> List[Tuple[Tuple[str, str, Relation], float]]:
+        """`((a, b, relation), weight)` items ordered by a, b and relation value."""
+        return sorted(self._edges.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].value))
+
     def edges(self) -> List[WeightedEdge]:
-        return [
-            WeightedEdge(a, b, rel, w)
-            for (a, b, rel), w in sorted(
-                self._edges.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].value)
-            )
-        ]
+        return [WeightedEdge(a, b, rel, w) for (a, b, rel), w in self._sorted_edges()]
 
     def molecule_ids(self) -> List[str]:
         return [nid for nid, rec in self._nodes.items() if rec.kind is NodeKind.MOLECULE]
@@ -321,7 +320,7 @@ class ContextGraph:
         h = hashlib.sha256()
         for nid, rec in sorted(self._nodes.items()):
             h.update(f"{nid}:{rec.kind.value}:{rec.modality_dim};".encode("utf-8"))
-        for (a, b, rel), w in sorted(self._edges.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].value)):
+        for (a, b, rel), w in self._sorted_edges():
             h.update(f"{a}-{b}:{rel.value}:{w!r};".encode("utf-8"))
         return h.hexdigest()
 
@@ -348,12 +347,7 @@ class ContextGraph:
                 }
             )
             feature_blobs.append(rec.features)
-        edges_meta = [
-            [a, b, rel.value, w]
-            for (a, b, rel), w in sorted(
-                self._edges.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].value)
-            )
-        ]
+        edges_meta = [[a, b, rel.value, w] for (a, b, rel), w in self._sorted_edges()]
         flat = (
             np.concatenate(feature_blobs).astype("<f4")
             if feature_blobs and sum(len(f) for f in feature_blobs)

@@ -198,12 +198,6 @@ def hit_at_k(rank: int, k: int) -> float:
     return 1.0 if rank <= k else 0.0
 
 
-@dataclass
-class RankingResult:
-    query_index: int
-    true_rank: int  # 1-based
-
-
 def match_zero_shot(store: dc.ParamStore, queries: Sequence[MolecularGraph],
                     candidates: np.ndarray,
                     candidate_ids: Sequence[str],
@@ -242,7 +236,7 @@ def match_zero_shot(store: dc.ParamStore, queries: Sequence[MolecularGraph],
     mu = dc.constant(embed(store, queries))
     logits = dc.require_finite(dc.mlp_forward(store.bind(), prefix, mu).data, "decoder logit")
     softplus = np.logaddexp(0.0, logits)
-    results: List[RankingResult] = []
+    ranks: List[int] = []
     ndcg_sums = {k: 0.0 for k in k_list}
     hit_sums = {k: 0.0 for k in k_list}
     for qi in range(len(queries)):
@@ -252,13 +246,13 @@ def match_zero_shot(store: dc.ParamStore, queries: Sequence[MolecularGraph],
         s_t = scores[t]
         true_rank = 1 + int(np.count_nonzero(scores > s_t)
                             + np.count_nonzero((scores == s_t) & (id_rank < id_rank[t])))
-        results.append(RankingResult(qi, true_rank))
+        ranks.append(true_rank)
         for k in k_list:
             ndcg_sums[k] += ndcg_at_k(true_rank, k)
             hit_sums[k] += hit_at_k(true_rank, k)
     nq = max(len(queries), 1)
     return {
-        "results": results,
+        "ranks": ranks,
         "ndcg": {k: ndcg_sums[k] / nq for k in k_list},
         "hit": {k: hit_sums[k] / nq for k in k_list},
     }

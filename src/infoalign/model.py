@@ -17,6 +17,7 @@ same loss for a single walk and is kept as its reference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, asdict
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -69,6 +70,14 @@ class ModelConfig:
     lr: float = 1e-3
     seed: int = 0
     walk: WalkConfig = field(default_factory=WalkConfig)
+
+    def __post_init__(self):
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
+        if not 0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
 
 
 @dataclass
@@ -389,7 +398,8 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig,
     molecule per call. Passing an existing store resumes training (the step
     counter continues); a new store gets one decoder per featured (kind, dim)
     of the graph. Every featured (kind, dim) of the graph needs a decoder in
-    the store, or NoDecoderError is raised before any step.
+    the store, or NoDecoderError is raised before any step. A non-finite loss
+    or gradient raises FloatingPointError naming the epoch and the batch.
     Returns the store and the per-epoch mean loss breakdowns.
     """
     needed = feature_keys(graph)
@@ -431,7 +441,11 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig,
             bound = store.bind()
             loss, br = batch_loss(graph, batch, paths, bound, cfg.beta, noise,
                                   cfg.likelihood, cache)
-            loss.backward()
+            try:
+                loss.backward()
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"{exc} in epoch {epoch}, "
+                                         f"batch {b0 // cfg.batch_size}") from None
             store.accumulate(bound)
             dc.adam_step(store, lr=cfg.lr)
             for kind, v in br.recon_per_modality.items():

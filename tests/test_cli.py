@@ -237,6 +237,97 @@ def test_pretrain_beta_sweep_file_counts(synth_graph, tmp_path):
         assert Path(f"{ck}.beta{tag}.log.tsv").exists(), tag
 
 
+def test_pretrain_resume_keeps_checkpoint_config(synth_graph, tmp_path):
+    """A resume given only --epochs continues the checkpoint's config at the
+    default lr: the same bytes as continuing it through the library."""
+    from infoalign.ctxgraph import ContextGraph
+    from infoalign.model import load_checkpoint, pretrain, save_checkpoint
+    ck = tmp_path / "ck.iapt"
+    assert run(["pretrain", "--graph", synth_graph, "--out", ck, "--epochs", 1, "--seed", 3,
+                "--uniform", "--beta", 0.01, "--lr", 5e-3, *PRETRAIN_SMALL]) == 0
+    ck2 = tmp_path / "ck2.iapt"
+    assert run(["pretrain", "--graph", synth_graph, "--out", ck2, "--resume", ck,
+                "--epochs", 1]) == 0
+    store, cfg = load_checkpoint(ck)
+    cfg.epochs, cfg.lr = 1, 1e-3
+    graph = ContextGraph.load(synth_graph)
+    store, _ = pretrain(graph, cfg, store=store)
+    save_checkpoint(tmp_path / "lib.iapt", store, cfg, graph)
+    assert ck2.read_bytes() == (tmp_path / "lib.iapt").read_bytes()
+
+
+def test_pretrain_resume_applies_given_training_keys(synth_graph, tmp_path):
+    from infoalign.model import WalkConfig, load_checkpoint
+    ck = tmp_path / "ck.iapt"
+    assert run(["pretrain", "--graph", synth_graph, "--out", ck,
+                "--epochs", 1, *PRETRAIN_SMALL]) == 0
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"walk_length": 3, "beta": 0.25}))
+    ck2 = tmp_path / "ck2.iapt"
+    assert run(["pretrain", "--graph", synth_graph, "--out", ck2, "--resume", ck,
+                "--config", cfg_file, "--beta", 0.5, "--batch-size", 4, "--seed", 9,
+                "--walks-per-molecule", 3, "--uniform", "--epochs", 2, "--lr", 0.01,
+                "--latent-dim", 6]) == 0
+    cfg = load_checkpoint(ck2)[1]
+    assert (cfg.beta, cfg.batch_size, cfg.seed, cfg.epochs, cfg.lr) == (0.5, 4, 9, 2, 0.01)
+    assert cfg.walk == WalkConfig(length=3, walks_per_molecule=3, seed=9,
+                                  weight_proportional=False)
+    assert (cfg.latent_dim, cfg.num_layers, cfg.hidden, cfg.fp_bits) == (6, 2, 8, 64)
+    assert [r.split("\t")[3] for r in Path(f"{ck2}.log.tsv").read_text().splitlines()[1:]] \
+        == ["0.5", "0.5"]
+
+
+def test_pretrain_resume_beta_sweep_distinct(synth_graph, tmp_path):
+    """Each beta of a sweep over one resumed checkpoint trains at that beta."""
+    from infoalign.model import load_checkpoint
+    ck = tmp_path / "ck.iapt"
+    assert run(["pretrain", "--graph", synth_graph, "--out", ck,
+                "--epochs", 1, *PRETRAIN_SMALL]) == 0
+    sweep = tmp_path / "sweep.iapt"
+    assert run(["pretrain", "--graph", synth_graph, "--out", sweep, "--resume", ck,
+                "--epochs", 2, "--beta-sweep", "1e-9,1"]) == 0
+    low, high = Path(f"{sweep}.beta1e-09"), Path(f"{sweep}.beta1")
+    assert low.read_bytes() != high.read_bytes()
+    for path, beta in ((low, 1e-9), (high, 1.0)):
+        rows = Path(f"{path}.log.tsv").read_text().splitlines()[1:]
+        assert [float(r.split("\t")[3]) for r in rows] == [beta, beta]
+        assert load_checkpoint(path)[1].beta == beta
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    (["--latent-dim", 4], {}, "latent_dim 4 disagrees with 6"),
+    ([], {"likelihood": "gaussian"}, "likelihood 'gaussian' disagrees with 'bernoulli'"),
+    (["--fp-bits", 128, "--beta-sweep", "0.1,1"], {}, "fp_bits 128 disagrees with 64"),
+], ids=["latent_dim-flag", "likelihood-config", "fp_bits-sweep"])
+def test_pretrain_resume_architecture_disagrees_exit_1(synth_graph, tmp_path, capsys,
+                                                       argv, config, message):
+    ck = tmp_path / "ck.iapt"
+    assert run(["pretrain", "--graph", synth_graph, "--out", ck,
+                "--epochs", 1, *PRETRAIN_SMALL]) == 0
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    ck2 = tmp_path / "ck2.iapt"
+    assert run(["pretrain", "--graph", synth_graph, "--out", ck2, "--resume", ck,
+                "--config", tmp_path / "cfg.json", "--epochs", 1, *argv]) == 1
+    err = capsys.readouterr().err
+    assert f"{message} in the checkpoint {ck}" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("ck2.iapt*"))
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--lr", 1e200], "non-finite loss in epoch 0, batch 1"),
+    (["--lr", -1], "lr must be finite and positive, got -1.0"),
+    (["--beta", "nan"], "beta must be finite and >= 0, got nan"),
+    (["--batch-size", 0], "batch size must be >= 1, got 0"),
+], ids=["lr-diverges", "lr-negative", "beta-nan", "batch_size-0"])
+def test_pretrain_bad_or_diverging_run_exit_1(synth_graph, tmp_path, capsys, argv, message):
+    ck = tmp_path / "ck.iapt"
+    assert run(["pretrain", "--graph", synth_graph, "--out", ck,
+                "--epochs", 1, *PRETRAIN_SMALL, *argv]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("ck.iapt*"))
+
+
 def test_embed_three_molecules(synth_graph, tmp_path):
     ck = tmp_path / "ck.iapt"
     assert run(["pretrain", "--graph", synth_graph, "--out", ck,
@@ -545,6 +636,23 @@ def test_config_none_default_wrong_type_exit_1(synth_graph, tmp_path, capsys, mo
     key, value = next(iter(config.items()))
     assert f"config key {key!r}: {expected}, got {value!r}" in err and "Traceback" not in err
     assert not any(tmp_path.glob("ck.iapt*")) and not (tmp_path / "synthdir").exists()
+
+
+@pytest.mark.parametrize("command,config", [
+    (["walk", "--graph", "{graph}", "--out", "out"], {"uniform": "false"}),
+    (["mi-bench", "--out", "out"], {"random_critic": "false"}),
+    (["mi-bench", "--out", "out"], {"exact": 0}),
+], ids=["walk-uniform", "mi-bench-random_critic", "mi-bench-exact"])
+def test_config_bool_key_takes_only_true_or_false(synth_graph, tmp_path, capsys, monkeypatch,
+                                                  command, config):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    argv = [a.format(graph=synth_graph) for a in command]
+    assert run([*argv, "--config", "cfg.json"]) == 1
+    err = capsys.readouterr().err
+    key, value = next(iter(config.items()))
+    assert f"config key {key!r}: expected true or false, got {value!r}" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 def test_config_env_var(tmp_path, capsys, monkeypatch):

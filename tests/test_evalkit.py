@@ -299,7 +299,7 @@ def test_match_zero_shot_deterministic_and_ranked():
     out1 = match_zero_shot(store, queries, cands, ids, true)
     out2 = match_zero_shot(store, queries, cands, ids, true)
     assert out1 == out2
-    ranks = [r.true_rank for r in out1["results"]]
+    ranks = out1["ranks"]
     assert ranks == [reference_true_rank(matcher_scores(store, mol, cands)[0], ids, tid)
                      for mol, tid in zip(queries, true)]
     assert set(out1["ndcg"]) == {1, 10} and set(out1["hit"]) == {1, 10}
@@ -319,9 +319,9 @@ def test_match_scores_equal_decoder_likelihood():
     scores, logits = matcher_scores(store, mol, cands)
     ll = np.array([np.sum(y * logits - np.logaddexp(0.0, logits)) for y in cands])
     assert scores == pytest.approx(ll, abs=1e-9)
-    assert [r.true_rank for r in out["results"]] == [
+    assert out["ranks"] == [
         reference_true_rank(ll, ids, tid) for tid in ids]
-    assert sorted(r.true_rank for r in out["results"]) == [1, 2, 3, 4]
+    assert sorted(out["ranks"]) == [1, 2, 3, 4]
 
 
 def test_match_tie_breaks_by_candidate_id():
@@ -330,7 +330,7 @@ def test_match_tie_breaks_by_candidate_id():
     ids = ["b", "c", "a"]  # identical vectors -> identical scores
     mol = parse_smiles("CCO")
     out = match_zero_shot(store, [mol] * 3, cands, ids, ids)
-    assert [r.true_rank for r in out["results"]] == [2, 3, 1]
+    assert out["ranks"] == [2, 3, 1]
     scores, _ = matcher_scores(store, mol, cands)
     assert [reference_true_rank(scores, ids, tid) for tid in ids] == [2, 3, 1]
 
@@ -357,7 +357,7 @@ def test_match_true_rank_equals_argsort_oracle(case):
     store = matcher_fixture()
     queries = [parse_smiles("CCO"), parse_smiles("c1ccccc1N")]
     out = match_zero_shot(store, queries, cands, ids, true)
-    assert [r.true_rank for r in out["results"]] == [
+    assert out["ranks"] == [
         reference_true_rank(matcher_scores(store, mol, cands)[0], ids, tid)
         for mol, tid in zip(queries, true)]
 
@@ -376,7 +376,7 @@ def test_match_true_rank_equals_argsort_oracle_across_blocks(case, seed):
     queries = [parse_smiles(s) for s in MATCH_QUERIES]
     true = list(np.random.default_rng(seed).choice(ids, size=len(queries)))
     out = match_zero_shot(store, queries, cands, ids, true)
-    assert [r.true_rank for r in out["results"]] == [
+    assert out["ranks"] == [
         reference_true_rank(matcher_scores(store, mol, cands)[0], ids, tid)
         for mol, tid in zip(queries, true)]
 
