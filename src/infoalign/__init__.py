@@ -18,7 +18,7 @@ from .ctxgraph import (
     build_graph_from_tables,
     min_max_scale,
 )
-from .walker import WalkConfig, WalkPath, batch_walks, sample_walk
+from .walker import WalkBatch, WalkConfig, WalkPath, batch_walks
 from .model import (
     ModelConfig,
     embed,
@@ -57,7 +57,7 @@ __all__ = [
     "BitFingerprint", "morgan_fingerprint", "cosine",
     "ContextGraph", "NodeKind", "NodeRecord", "Relation", "WeightedEdge",
     "build_graph_from_tables", "min_max_scale",
-    "WalkConfig", "WalkPath", "batch_walks", "sample_walk",
+    "WalkBatch", "WalkConfig", "WalkPath", "batch_walks",
     "ModelConfig", "embed", "infoalign_loss",
     "load_checkpoint", "pretrain", "save_checkpoint",
     "JointTable", "gaussian_mi", "i_dlb", "i_eub", "i_nce", "i_nwj",

@@ -102,10 +102,11 @@ def _resolve(args) -> tuple[SimpleNamespace, set]:
     """The values of `OPTIONS[args.command]`: flags > config file > defaults.
 
     Returns the values and the set of keys that a flag or the config gave.
-    A given value takes its default's type: an int, float or string is
-    converted (a list or dict is never taken as a string), a bool must be
-    true or false, and a key whose default is None is taken as it is, for
-    the command reading it to check.
+    A given value takes its default's type: a string key takes only a
+    string, an int key an integer, an integral number or a string of one, a
+    float key a number or a string of one, a bool key only true or false,
+    and a key whose default is None is taken as it is, for the command
+    reading it to check.
     """
     options = OPTIONS[args.command]
     flags = {k: v for k, v in vars(args).items() if v is not None}
@@ -117,9 +118,14 @@ def _resolve(args) -> tuple[SimpleNamespace, set]:
             if not isinstance(value, bool):
                 raise InfoAlignError(f"config key {key!r}: expected true or false, "
                                      f"got {value!r}")
-        elif convert is str and isinstance(value, (list, dict)):
-            raise InfoAlignError(f"config key {key!r}: expected a string, got {value!r}")
-        elif convert in (int, float, str):
+        elif convert is str:
+            if not isinstance(value, str):
+                raise InfoAlignError(f"config key {key!r}: expected a string, got {value!r}")
+        elif convert in (int, float):
+            if isinstance(value, bool) or (convert is int and isinstance(value, float)
+                                           and not value.is_integer()):
+                expected = "an integer" if convert is int else "a number"
+                raise InfoAlignError(f"config key {key!r}: expected {expected}, got {value!r}")
             try:
                 value = convert(value)
             except (TypeError, ValueError, OverflowError):
@@ -190,18 +196,28 @@ def cmd_walk(args) -> int:
         seed=opt.seed, weight_proportional=not opt.uniform,
     )
     walks = batch_walks(g, starts, cfg)
+    ids = np.array(walks.ids, dtype=object)[walks.nodes].tolist()
+    weights, alphas = _float_texts(walks.weights), _float_texts(walks.alphas)
     lines = ["start\twalk\tnodes\tweights\talphas\ttruncated"]
     per = cfg.walks_per_molecule
-    for i, w in enumerate(walks):
+    for i, n in enumerate(walks.sizes.tolist()):
         lines.append("\t".join([
             starts[i // per], str(i % per),
-            "|".join(w.nodes),
-            "|".join(f"{x:.12g}" for x in w.edge_weights),
-            "|".join(f"{x:.12g}" for x in w.alphas),
-            "1" if w.truncated else "0",
+            "|".join(ids[i][:n]),
+            "|".join(weights[i][: n - 1]),
+            "|".join(alphas[i][: n - 1]),
+            "1" if n < cfg.length else "0",
         ]))
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
+
+
+def _float_texts(x: np.ndarray) -> list:
+    """The rows of `x` as lists of `f"{v:.12g}"` texts, each distinct value
+    formatted once."""
+    values, inverse = np.unique(x, return_inverse=True)
+    texts = np.array([f"{v:.12g}" for v in values.tolist()], dtype=object)
+    return texts[inverse.reshape(x.shape)].tolist()
 
 
 def cmd_fingerprint(args) -> int:

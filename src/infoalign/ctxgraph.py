@@ -5,13 +5,13 @@ Nodes carry [0,1]-scaled feature vectors; undirected edges carry weights in
 (0,1]. Perturbation edges are always weight 1. Similarity edges come from a
 cosine threshold (0.8) combined with a top-fraction sparsity filter (keep
 0.5% of all intra-kind pairs). After ``finalize()`` the graph is immutable
-and exposes an adjacency index for the walker; a pair connected by several
-relations is seen by the walker as one effective edge at the max weight.
+and exposes its effective neighbours as CSR arrays for the walker; a pair
+connected by several relations is seen by the walker as one effective edge
+at the max weight.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -73,11 +73,20 @@ class NodeRecord:
         return len(self.features)
 
 
-class Adjacency(NamedTuple):
-    """A node's effective neighbors in id order, with cumulative weights."""
+class CsrAdjacency(NamedTuple):
+    """Every node's effective neighbours as compressed sparse rows.
+
+    Row i is node ids[i] (insertion order; `index` inverts `ids`). Its
+    neighbours are neighbors[indptr[i]:indptr[i + 1]], node indices in id
+    order, with `weights` the max weight over the pair's relations and `cdf`
+    the running sum of those weights within the row, added left to right.
+    """
     ids: List[str]
-    weights: List[float]
-    cdf: List[float]
+    index: Dict[str, int]
+    indptr: np.ndarray
+    neighbors: np.ndarray
+    weights: np.ndarray
+    cdf: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -96,14 +105,19 @@ def min_max_scale(columns) -> np.ndarray:
     """Scale each column to [0,1] by (x - min) / (max - min).
 
     Constant columns map to all-zeros (the scaler is undefined at max == min;
-    zero is the conservative no-signal choice).
+    zero is the conservative no-signal choice). A column whose max - min is
+    not finite raises ValueError.
     """
     x = np.asarray(columns, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError("expected a matrix with at least one row")
     lo = x.min(axis=0)
     hi = x.max(axis=0)
-    span = hi - lo
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = hi - lo
+    wide = np.flatnonzero(~np.isfinite(span))
+    if len(wide):
+        raise ValueError(f"column {wide[0]}: max - min is not a finite float")
     out = np.zeros_like(x)
     nonconst = span > 0
     out[:, nonconst] = (x[:, nonconst] - lo[nonconst]) / span[nonconst]
@@ -131,7 +145,7 @@ class ContextGraph:
         # (id_lo, id_hi, relation) -> weight
         self._edges: Dict[Tuple[str, str, Relation], float] = {}
         self._finalized = False
-        self._adjacency: Dict[str, Adjacency] = {}
+        self._csr: Optional[CsrAdjacency] = None
         self._stats: Optional[dict] = None
 
     # --- accessors -------------------------------------------------------
@@ -166,18 +180,20 @@ class ContextGraph:
         return [nid for nid, rec in self._nodes.items() if rec.kind is NodeKind.MOLECULE]
 
     def neighbors(self, node_id: str) -> List[Tuple[str, float]]:
-        """Effective neighbors (max weight per pair); requires a finalized graph."""
-        adj = self.adjacency(node_id)
-        return list(zip(adj.ids, adj.weights))
+        """Effective neighbors (max weight per pair) in id order; requires a
+        finalized graph."""
+        csr = self.csr()
+        self.node(node_id)
+        i = csr.index[node_id]
+        lo, hi = csr.indptr[i], csr.indptr[i + 1]
+        return list(zip([csr.ids[j] for j in csr.neighbors[lo:hi].tolist()],
+                        csr.weights[lo:hi].tolist()))
 
-    def adjacency(self, node_id: str) -> Adjacency:
-        """The walker's table for one node; requires a finalized graph."""
+    def csr(self) -> CsrAdjacency:
+        """The walker's neighbour arrays; requires a finalized graph."""
         if not self._finalized:
             raise FinalizedError("neighbors are available after finalize()")
-        try:
-            return self._adjacency[node_id]
-        except KeyError:
-            raise UnknownNodeError(f"unknown node id {node_id!r}") from None
+        return self._csr
 
     # --- mutation --------------------------------------------------------
 
@@ -283,21 +299,8 @@ class ContextGraph:
         """
         if self._finalized:
             return self
-        for rec in self._nodes.values():
-            f = rec.features
-            if len(f) and not (f.min() >= 0.0 and f.max() <= 1.0):  # also NaN
-                raise ValueError(f"node {rec.id!r} has features outside [0, 1]")
-        adjacency: Dict[str, Dict[str, float]] = {nid: {} for nid in self._nodes}
-        for (a, b, _rel), w in self._edges.items():
-            if not (0.0 < w <= 1.0):
-                raise ValueError(f"edge ({a}, {b}) weight {w} outside (0, 1]")
-            adjacency[a][b] = max(w, adjacency[a].get(b, 0.0))
-            adjacency[b][a] = max(w, adjacency[b].get(a, 0.0))
-        self._adjacency = {}
-        for nid, nbrs in adjacency.items():
-            ids = sorted(nbrs)
-            weights = [nbrs[k] for k in ids]
-            self._adjacency[nid] = Adjacency(ids, weights, list(itertools.accumulate(weights)))
+        self._check_features()
+        self._csr = self._build_csr()
         node_counts: Dict[str, int] = {}
         for rec in self._nodes.values():
             node_counts[rec.kind.value] = node_counts.get(rec.kind.value, 0) + 1
@@ -312,6 +315,49 @@ class ContextGraph:
         }
         self._finalized = True
         return self
+
+    def _check_features(self) -> None:
+        """ValueError naming the first node with a feature outside [0, 1] (or NaN)."""
+        feats = [rec.features for rec in self._nodes.values()]
+        flat = np.concatenate(feats) if feats else np.zeros(0, dtype=np.float32)
+        bad = np.flatnonzero(~((flat >= 0.0) & (flat <= 1.0)))
+        if len(bad):
+            ends = np.cumsum([len(f) for f in feats])
+            node = list(self._nodes)[int(np.searchsorted(ends, bad[0], side="right"))]
+            raise ValueError(f"node {node!r} has features outside [0, 1]")
+
+    def _build_csr(self) -> CsrAdjacency:
+        """Both directions of every edge, sorted by (node, neighbour id), one
+        entry per pair at its max weight, and each row's running weight sum."""
+        ids = list(self._nodes)
+        index = {nid: i for i, nid in enumerate(ids)}
+        n, m = len(ids), len(self._edges)
+        a = np.fromiter((index[key[0]] for key in self._edges), dtype=np.intp, count=m)
+        b = np.fromiter((index[key[1]] for key in self._edges), dtype=np.intp, count=m)
+        w = np.fromiter(self._edges.values(), dtype=np.float64, count=m)
+        bad = np.flatnonzero(~((w > 0.0) & (w <= 1.0)))
+        if len(bad):
+            (lo, hi, _rel), weight = list(self._edges.items())[bad[0]]
+            raise ValueError(f"edge ({lo}, {hi}) weight {weight} outside (0, 1]")
+        rank = np.empty(n, dtype=np.intp)
+        rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
+        src, dst, w = np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([w, w])
+        order = np.lexsort((rank[dst], src))
+        src, dst, w = src[order], dst[order], w[order]
+        first = np.ones(len(src), dtype=bool)
+        first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        pairs = np.flatnonzero(first)
+        weights = np.maximum.reduceat(w, pairs) if len(pairs) else w
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(src[pairs], minlength=n), out=indptr[1:])
+        # Column by column, so each row adds its weights in the order
+        # itertools.accumulate would, and its sums keep the same bits.
+        degree = np.diff(indptr)
+        cdf = weights.copy()
+        for k in range(1, int(degree.max(initial=0))):
+            at = indptr[:-1][degree > k] + k
+            cdf[at] += cdf[at - 1]
+        return CsrAdjacency(ids, index, indptr, dst[pairs], weights, cdf)
 
     def checksum(self) -> str:
         """Content hash over node ids/kinds and the edge set (not features)."""
@@ -418,8 +464,11 @@ def load_node_table(path, fp_radius: int = 2, fp_bits: int = 1024) -> List[NodeR
         if kind is not NodeKind.MOLECULE:
             groups.setdefault((kind, len(payload)), []).append(i)
     scaled: Dict[int, np.ndarray] = {}
-    for (_kind, _dim), idxs in groups.items():
-        mat = min_max_scale(np.stack([raw[i][4] for i in idxs]))
+    for (kind, _dim), idxs in groups.items():
+        try:
+            mat = min_max_scale(np.stack([raw[i][4] for i in idxs]))
+        except ValueError as exc:
+            raise TableFormatError(f"{path}: {kind.value} features, {exc}") from None
         for row, i in enumerate(idxs):
             scaled[i] = mat[row]
 
@@ -441,7 +490,7 @@ def load_edge_table(path) -> List[Tuple[str, str, Relation, float]]:
     """Parse an edge TSV: src_id, dst_id, relation, weight.
 
     The weight column is ignored and forced to 1.0 for perturbation rows;
-    on other rows a weight that is not finite raises TableFormatError.
+    on other rows a weight outside (0, 1] raises TableFormatError.
     """
     out = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -465,6 +514,8 @@ def load_edge_table(path) -> List[Tuple[str, str, Relation, float]]:
                 w = 1.0
             elif not math.isfinite(w):
                 raise TableFormatError(f"{path}:{lineno}: non-finite weight")
+            elif not 0.0 < w <= 1.0:
+                raise TableFormatError(f"{path}:{lineno}: weight {w_str!r} outside (0, 1]")
             out.append((src, dst, rel, w))
     return out
 

@@ -69,10 +69,6 @@ class TableFormatError(InfoAlignError):
 
 # --- walker ---
 
-class IsolatedNodeError(InfoAlignError):
-    """Random-walk transition requested from a node with no neighbors."""
-
-
 class NotAMoleculeError(InfoAlignError):
     """Walk start node is not a molecule."""
 

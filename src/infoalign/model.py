@@ -334,10 +334,16 @@ def batch_loss(graph: ContextGraph, starts: Sequence[str], paths: Sequence[WalkP
         raise ValueError(f"{len(paths)} paths for {len(starts)} start molecules")
     per_mol = len(paths) // len(starts)
     recs = [_start_molecule(graph, s) for s in starts]
+    # (kind, dim) -> (walk index, features, alpha, walk node count) per target
+    targets: Dict[Tuple[NodeKind, int], list] = {}
     for w, path in enumerate(paths):
         if path.nodes[0] != starts[w // per_mol]:
             raise PathMismatchError(f"path {w} starts at {path.nodes[0]!r}, "
                                     f"expected {starts[w // per_mol]!r}")
+        for nid, alpha in [(path.nodes[0], 1.0)] + path.targets():
+            rec = graph.node(nid)
+            targets.setdefault((rec.kind, rec.modality_dim), []).append(
+                (w, rec.features, alpha, len(path.nodes)))
     if cache is None:
         cache = {}
     for s, rec in zip(starts, recs):
@@ -349,14 +355,6 @@ def batch_loss(graph: ContextGraph, starts: Sequence[str], paths: Sequence[WalkP
                                      dc.gather_rows(out.logvar, walk_mol)), noise)
     kl = kl_standard_normal(out)
     total = dc.mul(kl, dc.constant(beta / len(starts)))
-
-    # (kind, dim) -> (walk index, features, alpha, walk node count) per target
-    targets: Dict[Tuple[NodeKind, int], list] = {}
-    for w, path in enumerate(paths):
-        for nid, alpha in [(path.nodes[0], 1.0)] + path.targets():
-            rec = graph.node(nid)
-            targets.setdefault((rec.kind, rec.modality_dim), []).append(
-                (w, rec.features, alpha, len(path.nodes)))
 
     scale = 1.0 / len(paths)
     recon: Dict[str, float] = {}
@@ -438,16 +436,19 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig,
             batch = order[b0 : b0 + cfg.batch_size]
             paths = walks[b0 * per_mol : (b0 + len(batch)) * per_mol]
             noise = noise_rng.standard_normal((len(paths), cfg.latent_dim))
-            bound = store.bind()
-            loss, br = batch_loss(graph, batch, paths, bound, cfg.beta, noise,
-                                  cfg.likelihood, cache)
-            try:
-                loss.backward()
-            except FloatingPointError as exc:
-                raise FloatingPointError(f"{exc} in epoch {epoch}, "
-                                         f"batch {b0 // cfg.batch_size}") from None
-            store.accumulate(bound)
-            dc.adam_step(store, lr=cfg.lr)
+            # A diverging step is reported once, by the finiteness check on
+            # the loss, not by numpy's warnings from the ops before it.
+            with np.errstate(over="ignore", invalid="ignore"):
+                bound = store.bind()
+                loss, br = batch_loss(graph, batch, paths, bound, cfg.beta, noise,
+                                      cfg.likelihood, cache)
+                try:
+                    loss.backward()
+                except FloatingPointError as exc:
+                    raise FloatingPointError(f"{exc} in epoch {epoch}, "
+                                             f"batch {b0 // cfg.batch_size}") from None
+                store.accumulate(bound)
+                dc.adam_step(store, lr=cfg.lr)
             for kind, v in br.recon_per_modality.items():
                 sums[kind] = sums.get(kind, 0.0) + v * len(batch)
             kl_sum += br.kl * len(batch)

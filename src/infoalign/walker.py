@@ -7,22 +7,33 @@ mode is available behind a flag since the source phrasing is ambiguous).
 Each visited node carries a cumulative path weight: alpha of the (i+1)-th
 node is the product of the first i traversed edge weights.
 
-RNG: numpy's Philox counter-based generator, keyed per (seed, start index),
-so batches are reproducible bit-exactly and walks for different starts are
-independent streams regardless of scheduling.
+RNG contract. Start i of a batch draws from its own Philox stream, keyed by
+(seed, i), so walks for different starts are independent streams and a
+start's walks do not depend on the starts after it. A start with neighbors
+draws one block `rng.random((walks_per_molecule, length - 1))`, the same
+numbers in the same order as one `rng.random()` per step, walk after walk,
+and step k of its walk j uses u = block[j, k]. With n neighbors in id order
+and `cdf` their running weight sum, the weight-proportional step takes
+neighbor min(bisect_right(cdf, u * cdf[-1]), n - 1), and the uniform step
+neighbor min(int(u * n), n - 1). A start with no neighbors draws nothing and
+gives walks of itself alone, flagged truncated. Edges are undirected, so any
+node a step reaches has a neighbor and no other walk is cut short.
+
+All walks of a batch take each step together over the graph's CSR arrays
+(`ContextGraph.csr`); the result is a `WalkBatch` of those arrays.
 """
 
 from __future__ import annotations
 
-import bisect
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .ctxgraph import ContextGraph, NodeKind
 from .diffcore import seeded_rng
-from .errors import IsolatedNodeError, NotAMoleculeError
+from .errors import NotAMoleculeError
 
 
 @dataclass
@@ -57,59 +68,89 @@ class WalkPath:
         return list(zip(self.nodes[1:], self.alphas))
 
 
-def transition(g: ContextGraph, current: str, rng: np.random.Generator,
-               weight_proportional: bool = True) -> Tuple[str, float]:
-    """One weighted step; returns (next node id, traversed effective weight).
+@dataclass(eq=False)
+class WalkBatch(Sequence):
+    """Walks as arrays, and a sequence of `WalkPath` views of them.
 
-    The cumulative weights come from the table `finalize()` built, and
-    bisect_right on them picks what np.searchsorted(side="right") would.
+    Row i is walk i: its first sizes[i] entries of `nodes` (indices into
+    `ids`) and the first sizes[i] - 1 of `weights` and `alphas`. A walk
+    shorter than the row is truncated; the rest of its row is padding.
+    Slicing gives a `WalkBatch` of the same arrays' rows.
     """
-    adj = g.adjacency(current)
-    n = len(adj.ids)
-    if not n:
-        raise IsolatedNodeError(f"node {current!r} has no neighbors")
-    if weight_proportional:
-        idx = min(bisect.bisect_right(adj.cdf, rng.random() * adj.cdf[-1]), n - 1)
-    else:
-        idx = int(rng.integers(n))
-    return adj.ids[idx], adj.weights[idx]
+
+    ids: List[str]
+    nodes: np.ndarray    # (walks, length) node indices
+    weights: np.ndarray  # (walks, length - 1) traversed effective weights
+    alphas: np.ndarray   # (walks, length - 1) running products of `weights`
+    sizes: np.ndarray    # (walks,) node count of each walk
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return WalkBatch(self.ids, self.nodes[i], self.weights[i], self.alphas[i],
+                             self.sizes[i])
+        i = range(len(self))[i]  # IndexError past either end
+        return next(iter(self[i : i + 1]))
+
+    def __iter__(self):
+        rows = zip(self.nodes.tolist(), self.weights.tolist(), self.alphas.tolist(),
+                   self.sizes.tolist())
+        for nodes, weights, alphas, n in rows:
+            yield WalkPath([self.ids[j] for j in nodes[:n]], weights[: n - 1], alphas[: n - 1],
+                           truncated=n < len(nodes))
 
 
-def sample_walk(g: ContextGraph, start: str, cfg: WalkConfig,
-                rng: np.random.Generator) -> WalkPath:
-    """Walk cfg.length nodes from a molecule node.
-
-    A dead end truncates the path (flagged) rather than restarting, which
-    would skew the visit distribution; a molecule with no neighbors gives a
-    truncated path of itself alone. Repeated nodes stay on the path as
-    separate targets with their own alphas.
-    """
-    rec = g.node(start)
-    if rec.kind is not NodeKind.MOLECULE:
-        raise NotAMoleculeError(f"walk start {start!r} has kind {rec.kind.value}")
-    nodes = [start]
-    weights: List[float] = []
-    truncated = False
-    while len(nodes) < cfg.length:
-        try:
-            nxt, w = transition(g, nodes[-1], rng, cfg.weight_proportional)
-        except IsolatedNodeError:
-            truncated = True
-            break
-        nodes.append(nxt)
-        weights.append(w)
-    return WalkPath(nodes, weights, truncated=truncated)
+def _bisect_right(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, x: np.ndarray,
+                  rounds: int) -> np.ndarray:
+    """Per row r, bisect.bisect_right(a, x[r], lo[r], hi[r]); `rounds` must be
+    at least the bit length of the longest hi - lo."""
+    last = len(a) - 1
+    for _ in range(rounds):
+        mid = (lo + hi) >> 1  # == lo == hi once a row is done, and then kept
+        left = x < a[np.minimum(mid, last)]
+        lo = np.where(left, lo, np.minimum(mid + 1, hi))
+        hi = np.where(left, mid, hi)
+    return lo
 
 
-def batch_walks(g: ContextGraph, starts: Sequence[str], cfg: WalkConfig) -> List[WalkPath]:
+def batch_walks(g: ContextGraph, starts: Sequence[str], cfg: WalkConfig) -> WalkBatch:
     """walks_per_molecule paths per start, grouped in starts order.
 
-    Deterministic given (seed, starts order); each start index gets its own
-    RNG stream, so results are order-stable under any scheduling.
+    Deterministic given (seed, starts order), by the RNG contract in the
+    module docstring. Every start must be a molecule node.
     """
-    out: List[WalkPath] = []
-    for idx, start in enumerate(starts):
-        rng = seeded_rng(cfg.seed, idx)
-        for _ in range(cfg.walks_per_molecule):
-            out.append(sample_walk(g, start, cfg, rng))
-    return out
+    csr = g.csr()
+    for s in starts:
+        kind = g.node(s).kind
+        if kind is not NodeKind.MOLECULE:
+            raise NotAMoleculeError(f"walk start {s!r} has kind {kind.value}")
+    per, steps = cfg.walks_per_molecule, cfg.length - 1
+    first = np.array([csr.index[s] for s in starts], dtype=np.intp)
+    degree = np.diff(csr.indptr)
+    live = np.flatnonzero(degree[first] > 0)
+    u = np.empty((len(live), per, steps))
+    for row, i in enumerate(live.tolist()):
+        u[row] = seeded_rng(cfg.seed, i).random((per, steps))
+    u = u.reshape(-1, steps)
+    walking = (live[:, None] * per + np.arange(per)).ravel()
+
+    nodes = np.repeat(first, per)[:, None].repeat(cfg.length, axis=1)
+    weights = np.ones((len(nodes), steps))
+    cur = nodes[walking, 0]
+    rounds = int(degree.max(initial=0)).bit_length()
+    for k in range(steps):
+        lo, hi = csr.indptr[cur], csr.indptr[cur + 1]
+        if cfg.weight_proportional:
+            pos = _bisect_right(csr.cdf, lo, hi, u[:, k] * csr.cdf[hi - 1], rounds)
+            pos = np.minimum(pos, hi - 1)
+        else:
+            n = hi - lo
+            pos = lo + np.minimum((u[:, k] * n).astype(np.intp), n - 1)
+        cur = csr.neighbors[pos]
+        nodes[walking, k + 1] = cur
+        weights[walking, k] = csr.weights[pos]
+    sizes = np.ones(len(nodes), dtype=np.intp)
+    sizes[walking] = cfg.length
+    return WalkBatch(csr.ids, nodes, weights, np.cumprod(weights, axis=1), sizes)

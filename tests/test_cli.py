@@ -1,14 +1,19 @@
 """CLI tests: subcommand behavior, exit codes, config precedence, and
 byte-identical determinism of primary outputs."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import infoalign
 from infoalign.cli import main
@@ -91,6 +96,32 @@ def test_build_graph_non_finite_edge_weight_exit_1(tmp_path, capsys, value):
     err = capsys.readouterr().err
     assert f"{edges}:5: non-finite weight" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("weight", ["0", "-0.25", "1.5"])
+def test_build_graph_out_of_range_edge_weight_names_line(tmp_path, capsys, weight):
+    nodes, edges = tmp_path / "n.tsv", tmp_path / "e.tsv"
+    nodes.write_text(TOY_NODES, encoding="utf-8")
+    edges.write_text(TOY_EDGES + f"c0\tc1\tsimilarity\t{weight}\n", encoding="utf-8")
+    assert run(["build-graph", "--nodes", nodes, "--edges", edges,
+                "--out", tmp_path / "g.ctxg"]) == 1
+    err = capsys.readouterr().err
+    assert f"{edges}:5: weight {weight!r} outside (0, 1]" in err
+
+
+def test_build_graph_feature_range_past_float_exit_1(tmp_path, capsys):
+    """Columns whose max - min overflows cannot be min-max scaled."""
+    nodes, edges = tmp_path / "n.tsv", tmp_path / "e.tsv"
+    nodes.write_text(TOY_NODES + "c2\tcell_morphology\ttoy\t1e308\t0\t0\n"
+                     "c3\tcell_morphology\ttoy\t-1e308\t0\t0\n", encoding="utf-8")
+    edges.write_text(TOY_EDGES, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["build-graph", "--nodes", nodes, "--edges", edges,
+                    "--out", tmp_path / "g.ctxg"]) == 1
+    err = capsys.readouterr().err
+    assert f"{nodes}: cell_morphology features, column 0: max - min is not a finite float" \
+        in err
 
 
 def test_build_graph_rebuild_bit_identical(toy_tables, tmp_path):
@@ -326,6 +357,19 @@ def test_pretrain_bad_or_diverging_run_exit_1(synth_graph, tmp_path, capsys, arg
     err = capsys.readouterr().err
     assert f"error: {message}" in err and "Traceback" not in err
     assert not list(tmp_path.glob("ck.iapt*"))
+
+
+def test_pretrain_diverging_run_stderr_is_one_line(synth_graph, tmp_path, capfd):
+    """In a process of its own, where numpy's warnings print as they would for
+    a user, a diverging run writes only its error line to stderr."""
+    src = Path(infoalign.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    argv = ["pretrain", "--graph", synth_graph, "--out", tmp_path / "ck.iapt",
+            "--epochs", 1, *PRETRAIN_SMALL, "--lr", 1e200]
+    code = subprocess.call([sys.executable, "-m", "infoalign.cli", *map(str, argv)], env=env)
+    assert code == 1
+    assert capfd.readouterr().err == "error: non-finite loss in epoch 0, batch 1\n"
 
 
 def test_embed_three_molecules(synth_graph, tmp_path):
@@ -604,7 +648,12 @@ def test_config_value_unconvertible_exit_1(synth_graph, tmp_path, capsys, monkey
     (["mi-bench", "--out", "mi.json"], {"k": [2, 8]}),
     (["build-graph", "--nodes", "{nodes}", "--edges", "{edges}", "--out", "g.ctxg"],
      {"similarity_kinds": ["cell_morphology"]}),
-], ids=["mi-bench-k", "build-graph-similarity_kinds"])
+    (["mi-bench", "--out", "mi.json"], {"k": None}),
+    (["build-graph", "--nodes", "{nodes}", "--edges", "{edges}", "--out", "g.ctxg"],
+     {"similarity_kinds": True}),
+    (["mi-bench", "--out", "mi.json"], {"k": 8}),
+], ids=["mi-bench-k", "build-graph-similarity_kinds", "mi-bench-k-null",
+        "build-graph-similarity_kinds-true", "mi-bench-k-number"])
 def test_config_string_key_wrong_type_exit_1(toy_tables, tmp_path, capsys, monkeypatch,
                                              command, config):
     monkeypatch.chdir(tmp_path)
@@ -655,6 +704,22 @@ def test_config_bool_key_takes_only_true_or_false(synth_graph, tmp_path, capsys,
     assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key,value,expected", [
+    ("nz", 2.7, "an integer"), ("nz", -0.5, "an integer"), ("num_joints", True, "an integer"),
+    ("tol", False, "a number"),
+])
+def test_config_number_key_fractional_or_bool_exit_1(tmp_path, capsys, monkeypatch,
+                                                     key, value, expected):
+    """The flag `--nz 2.7` exits 2; the config value must not be truncated
+    either, nor a bool taken as 0 or 1."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+    assert run(["mi-bench", "--out", "mi.json", "--config", "cfg.json"]) == 1
+    err = capsys.readouterr().err
+    assert f"config key {key!r}: expected {expected}, got {value!r}" in err
+    assert "Traceback" not in err and not (tmp_path / "mi.json").exists()
+
+
 def test_config_env_var(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"nbits": 64}))
@@ -683,3 +748,65 @@ def test_determinism_byte_identical(toy_tables, tmp_path):
         outputs[tag] = (ck.read_bytes(), Path(str(ck) + ".log.tsv").read_bytes(),
                         emb.read_bytes(), mi.read_bytes())
     assert outputs["r1"] == outputs["r2"]
+
+
+# --- table fuzzing ------------------------------------------------------------------------
+
+def mostly(good, bad):
+    """`good` nine draws in ten, else `bad`."""
+    return st.integers(0, 9).flatmap(lambda k: bad if k == 0 else good)
+
+
+FUZZ_ID = mostly(st.sampled_from(["m0", "m1", "m2", "c0", "c1", "c2", "g0", "g1"]),
+                 st.sampled_from(["unknown", ""]))
+BAD_VALUE = st.sampled_from(["", "abc", "nan", "inf", "-inf", "1e400", "0", "-0.25", "1.5"])
+FEATURE = mostly(st.floats(allow_nan=False, allow_infinity=False).map(repr)
+                 | st.sampled_from(["1e308", "-1e308"]), BAD_VALUE)
+MOL_ROW = st.tuples(FUZZ_ID, st.just("molecule"), st.just("t"),
+                    mostly(st.sampled_from(["CCO", "c1ccccc1", "CC(=O)N", "C"]),
+                           st.sampled_from(["C(", "Q", "[13C]", "", "C.C"])))
+PROFILE_ROW = st.tuples(FUZZ_ID, st.sampled_from(["cell_morphology", "gene_expression"]),
+                        st.just("t"),
+                        mostly(st.lists(FEATURE, min_size=3, max_size=3),
+                               st.lists(FEATURE, max_size=5))).map(lambda r: (*r[:3], *r[3]))
+BAD_NODE_ROW = st.lists(st.sampled_from(["m9", "gene", "protein", "", "0.5"]), max_size=4)
+NODE_ROW = mostly(MOL_ROW | PROFILE_ROW, BAD_NODE_ROW)
+EDGE_ROW = mostly(
+    st.tuples(FUZZ_ID, FUZZ_ID,
+              mostly(st.sampled_from(["perturbation", "similarity", "gene_gene",
+                                      "gene_molecule"]), st.just("bogus")),
+              mostly(st.floats(min_value=0.0, max_value=1.0, exclude_min=True).map(repr),
+                     BAD_VALUE)),
+    st.lists(st.sampled_from(["m0", "c0", "similarity", "0.5"]), max_size=5))
+TABLE_LINES = st.sampled_from(["", "# comment"])
+
+
+def table(rows):
+    return st.lists(rows.map("\t".join) | TABLE_LINES, max_size=8).map(
+        lambda lines: "".join(line + "\n" for line in lines))
+
+
+@settings(max_examples=300, deadline=None)
+@given(nodes=table(NODE_ROW), edges=table(EDGE_ROW), similarity=st.booleans())
+def test_build_graph_fuzzed_tables_exit_0_or_1_with_message(tmp_path_factory, nodes, edges,
+                                                           similarity):
+    """Ragged rows, bad kinds and relations, non-numeric, non-finite or
+    out-of-range values, unknown ids and empty files: build-graph exits 0,
+    or 1 with one error line; no traceback and no numpy warning."""
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "nodes.tsv").write_text(nodes, encoding="utf-8")
+    (d / "edges.tsv").write_text(edges, encoding="utf-8")
+    argv = ["build-graph", "--nodes", d / "nodes.tsv", "--edges", d / "edges.tsv",
+            "--fp-bits", 64, "--out", d / "g.ctxg"]
+    if similarity:
+        argv += ["--similarity-kinds", "cell_morphology,gene_expression"]
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = run(argv)
+    if code == 0:
+        assert (d / "g.ctxg").exists() and not err.getvalue()
+    else:
+        assert code == 1
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and len(lines[0]) > 8

@@ -166,7 +166,9 @@ JSON_VALUES = st.recursive(
 @given(option=st.sampled_from(KEYS), value=JSON_VALUES)
 def test_resolve_gives_default_type_or_infoalign_error(tmp_path_factory, option, value):
     """Any JSON config value comes back with its default's type (a key whose
-    default is None takes it as it is) or raises InfoAlignError; nothing else."""
+    default is None takes it as it is) or raises InfoAlignError; nothing else.
+    A string key takes only a string, an int key no fractional number, and
+    a number key no bool."""
     command, key = option
     path = tmp_path_factory.getbasetemp() / "fuzz_config.json"
     path.write_text(json.dumps({key: value}), encoding="utf-8")
@@ -183,6 +185,12 @@ def test_resolve_gives_default_type_or_infoalign_error(tmp_path_factory, option,
         assert json.dumps(getattr(opt, key)) == json.dumps(value)
     else:
         assert type(getattr(opt, key)) is type(default)
+    if isinstance(default, str):
+        assert getattr(opt, key) == value
+    if type(default) is int and isinstance(value, float):
+        assert getattr(opt, key) == value
+    if type(default) in (int, float):
+        assert not isinstance(value, bool)
     for other, other_default in OPTIONS[command].items():
         if other != key:
             assert getattr(opt, other) == other_default

@@ -509,7 +509,6 @@ def test_batch_loss_isolated_molecule_trains_on_own_fingerprint(likelihood):
     """A molecule with no context edges walks a 1-node path: its only target
     is its own fingerprint (alpha = 1, L = 1)."""
     from infoalign.fingerprint import morgan_fingerprint
-    from infoalign.walker import sample_walk
     g = ContextGraph()
     for i, smi in enumerate(["CCO", "CCN", "c1ccccc1"]):
         mol = parse_smiles(smi)
@@ -519,7 +518,7 @@ def test_batch_loss_isolated_molecule_trains_on_own_fingerprint(likelihood):
     g.add_perturbation_edge("m0", "c0")
     g.add_perturbation_edge("m2", "c0")
     g.finalize()
-    isolated = sample_walk(g, "m1", WalkConfig(length=4), dc.seeded_rng(0))
+    isolated = batch_walks(g, ["m1"], WalkConfig(length=4))[0]
     assert isolated.nodes == ["m1"] and isolated.alphas == [] and isolated.truncated
     starts = ["m0", "m1", "m2"]
     paths = [WalkPath(["m0", "c0", "m2"], [1.0, 1.0]), isolated,

@@ -1,15 +1,87 @@
 """Walker tests: alpha products, statistical transition checks against exact
-probabilities, a Markov-chain position oracle, and determinism."""
+probabilities, a Markov-chain position oracle, determinism, and equality
+with a per-step oracle walker (`transition` and `sample_walk` below, one
+walk and one step at a time over neighbor lists built from `g.edges()`)."""
+
+import bisect
+import hashlib
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from infoalign.cli import main
 from infoalign.ctxgraph import ContextGraph, NodeKind, NodeRecord, Relation
-from infoalign.errors import IsolatedNodeError, NotAMoleculeError
+from infoalign.errors import NotAMoleculeError
 from infoalign.diffcore import seeded_rng
-import infoalign.walker as walker
-from infoalign.walker import WalkConfig, WalkPath, batch_walks, sample_walk, transition
+from infoalign.walker import WalkConfig, WalkPath, batch_walks
+
+
+# --- the per-step oracle ---------------------------------------------------------
+
+def effective_neighbors(g):
+    """node id -> [(neighbor id, max weight over the pair's relations)] in id order."""
+    nbrs = {nid: {} for nid in g.node_ids()}
+    for e in g.edges():
+        for x, y in ((e.a, e.b), (e.b, e.a)):
+            nbrs[x][y] = max(e.weight, nbrs[x].get(y, 0.0))
+    return {nid: sorted(d.items()) for nid, d in nbrs.items()}
+
+
+def transition(nbrs, current, rng, weight_proportional=True):
+    """One step from `current`, which has neighbors: (next node id, traversed
+    weight), from one rng.random() draw."""
+    row = nbrs[current]
+    n = len(row)
+    u = rng.random()
+    if weight_proportional:
+        cdf = list(itertools.accumulate(w for _, w in row))
+        idx = min(bisect.bisect_right(cdf, u * cdf[-1]), n - 1)
+    else:
+        idx = min(int(u * n), n - 1)
+    return row[idx]
+
+
+def sample_walk(g, nbrs, start, cfg, rng):
+    """Walk cfg.length nodes from a molecule; a dead end truncates the path."""
+    if g.node(start).kind is not NodeKind.MOLECULE:
+        raise NotAMoleculeError(start)
+    nodes, weights, truncated = [start], [], False
+    while len(nodes) < cfg.length:
+        if not nbrs[nodes[-1]]:
+            truncated = True
+            break
+        nxt, w = transition(nbrs, nodes[-1], rng, cfg.weight_proportional)
+        nodes.append(nxt)
+        weights.append(w)
+    return WalkPath(nodes, weights, truncated=truncated)
+
+
+def oracle_batch_walks(g, starts, cfg):
+    nbrs = effective_neighbors(g)
+    out = []
+    for idx, start in enumerate(starts):
+        rng = seeded_rng(cfg.seed, idx)
+        for _ in range(cfg.walks_per_molecule):
+            out.append(sample_walk(g, nbrs, start, cfg, rng))
+    return out
+
+
+def assert_same_walks(got, want):
+    assert len(got) == len(want)
+    assert [p.nodes for p in got] == [p.nodes for p in want]
+    assert [p.edge_weights for p in got] == [p.edge_weights for p in want]
+    assert [p.alphas for p in got] == [p.alphas for p in want]
+    assert [p.truncated for p in got] == [p.truncated for p in want]
+
+
+def second_nodes(g, start, cfg):
+    """The node ids each walk of `start` steps to first."""
+    walks = batch_walks(g, [start], cfg)
+    return [walks.ids[j] for j in walks.nodes[:, 1].tolist()]
 
 
 def feat(v=0.5):
@@ -70,26 +142,26 @@ def test_walk_config_validation():
 
 def test_single_neighbor_deterministic():
     g = line_graph([0.7])
-    rng = seeded_rng(0, 0)
-    for _ in range(10):
-        nxt, w = transition(g, "m0", rng)
-        assert nxt == "c0" and w == pytest.approx(0.7)
+    walks = batch_walks(g, ["m0"], WalkConfig(length=2, walks_per_molecule=10))
+    for p in walks:
+        assert p.nodes == ["m0", "c0"] and p.edge_weights == [pytest.approx(0.7)]
 
 
 def test_isolated_node():
+    """An isolated start draws nothing and walks only itself, flagged truncated."""
     g = ContextGraph()
     g.add_node(NodeRecord("m0", NodeKind.MOLECULE, np.zeros(0, dtype=np.float32), smiles="C"))
     g.finalize()
-    with pytest.raises(IsolatedNodeError):
-        transition(g, "m0", seeded_rng(0, 0))
+    walks = batch_walks(g, ["m0"], WalkConfig(length=4, walks_per_molecule=3))
+    assert [(p.nodes, p.edge_weights, p.alphas, p.truncated) for p in walks] == \
+        [(["m0"], [], [], True)] * 3
 
 
 def test_transition_weight_proportional_frequencies():
     """Weights 0.9/0.3 -> probabilities 0.75/0.25, binomial 3-sigma check."""
     g = star_graph([0.9, 0.3])
-    rng = seeded_rng(42, 0)
     n = 100_000
-    hits = sum(transition(g, "m0", rng)[0] == "c0" for _ in range(n))
+    hits = second_nodes(g, "m0", WalkConfig(length=2, walks_per_molecule=n, seed=42)).count("c0")
     p = 0.75
     sigma = (n * p * (1 - p)) ** 0.5
     assert abs(hits - n * p) < 3 * sigma
@@ -99,33 +171,28 @@ def test_transition_chi_square_many_weights():
     """Chi-square goodness of fit at p > 0.001 over 1e5 draws."""
     weights = [0.9, 0.5, 0.25, 0.1, 0.05]
     g = star_graph(weights)
-    rng = seeded_rng(7, 0)
     n = 100_000
-    counts = {f"c{i}": 0 for i in range(len(weights))}
-    for _ in range(n):
-        counts[transition(g, "m0", rng)[0]] += 1
+    firsts = second_nodes(g, "m0", WalkConfig(length=2, walks_per_molecule=n, seed=7))
     total = sum(weights)
     expected = [n * w / total for w in weights]
-    _, pval = chisquare([counts[f"c{i}"] for i in range(len(weights))], expected)
+    _, pval = chisquare([firsts.count(f"c{i}") for i in range(len(weights))], expected)
     assert pval > 0.001
 
 
 def test_uniform_mode():
     g = star_graph([0.9, 0.1])
-    rng = seeded_rng(3, 0)
     n = 50_000
-    hits = sum(transition(g, "m0", rng, weight_proportional=False)[0] == "c0"
-               for _ in range(n))
+    hits = second_nodes(g, "m0", WalkConfig(length=2, walks_per_molecule=n, seed=3,
+                                            weight_proportional=False)).count("c0")
     sigma = (n * 0.25) ** 0.5
     assert abs(hits - n * 0.5) < 3 * sigma
 
 
-# --- sample_walk --------------------------------------------------------------------
+# --- single walks --------------------------------------------------------------------
 
 def test_walk_structure_and_alphas():
     g = line_graph([1.0, 0.8, 0.5])
-    cfg = WalkConfig(length=4)
-    p = sample_walk(g, "m0", cfg, seeded_rng(0, 0))
+    p = batch_walks(g, ["m0"], WalkConfig(length=4, walks_per_molecule=1))[0]
     assert len(p.nodes) == 4
     assert len(p.edge_weights) == 3
     # on a line the first step is forced: alphas follow the traversed weights
@@ -140,14 +207,14 @@ def test_walk_length_two_perturbation():
     g.add_node(NodeRecord("c0", NodeKind.CELL_MORPHOLOGY, feat()))
     g.add_perturbation_edge("m0", "c0")
     g.finalize()
-    p = sample_walk(g, "m0", WalkConfig(length=2), seeded_rng(0, 0))
+    p = batch_walks(g, ["m0"], WalkConfig(length=2, walks_per_molecule=1))[0]
     assert p.targets() == [("c0", 1.0)]
 
 
 def test_walk_start_must_be_molecule():
     g = line_graph([0.5])
     with pytest.raises(NotAMoleculeError):
-        sample_walk(g, "c0", WalkConfig(length=2), seeded_rng(0, 0))
+        batch_walks(g, ["m0", "c0"], WalkConfig(length=2))
 
 
 def test_position_distribution_matches_markov_chain():
@@ -167,9 +234,8 @@ def test_position_distribution_matches_markov_chain():
     n_walks = 10_000
     length = 4
     counts = np.zeros((length, 5))
-    rng = seeded_rng(11, 0)
-    for _ in range(n_walks):
-        p = sample_walk(g, "m0", WalkConfig(length=length), rng)
+    for p in batch_walks(g, ["m0"], WalkConfig(length=length, walks_per_molecule=n_walks,
+                                               seed=11)):
         for pos, nid in enumerate(p.nodes):
             counts[pos, index[nid]] += 1
     dist = np.zeros(5)
@@ -219,7 +285,7 @@ def test_batch_seed_sensitivity():
 
 def test_batch_empty_and_grouping():
     g = branching_graph()
-    assert batch_walks(g, [], WalkConfig()) == []
+    assert len(batch_walks(g, [], WalkConfig())) == 0
     walks = batch_walks(g, ["m0", "m1"], WalkConfig(length=3, walks_per_molecule=2, seed=0))
     assert len(walks) == 4
     assert walks[0].nodes[0] == "m0" and walks[1].nodes[0] == "m0"
@@ -244,23 +310,8 @@ def test_dead_end_truncation():
     # walk bounces back instead of truncating.
     g.add_perturbation_edge("m0", "c0")
     g.finalize()
-    p = sample_walk(g, "m0", WalkConfig(length=5), seeded_rng(0, 0))
+    p = batch_walks(g, ["m0"], WalkConfig(length=5))[0]
     assert len(p.nodes) == 5 and not p.truncated  # bouncing is allowed
-
-
-def reference_transition(g, current, rng, weight_proportional=True):
-    """The transition that rebuilt the weight array and its cumsum every step."""
-    nbrs = g.neighbors(current)
-    if not nbrs:
-        raise IsolatedNodeError(f"node {current!r} has no neighbors")
-    weights = np.array([w for _, w in nbrs], dtype=np.float64)
-    if weight_proportional:
-        cdf = np.cumsum(weights)
-        idx = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-        idx = min(idx, len(nbrs) - 1)
-    else:
-        idx = int(rng.integers(len(nbrs)))
-    return nbrs[idx][0], nbrs[idx][1]
 
 
 def many_weights_graph():
@@ -283,21 +334,77 @@ def many_weights_graph():
 
 
 @pytest.mark.parametrize("weight_proportional", [True, False])
-def test_batch_walks_match_reference_transition(monkeypatch, weight_proportional):
+def test_batch_walks_match_reference_transition(weight_proportional):
     g, mols = many_weights_graph()
     weights = [w for m in mols for _, w in g.neighbors(m)]
     assert len(set(weights)) > 100
-    runs = {}
-    for step in (transition, reference_transition):
-        monkeypatch.setattr(walker, "transition", step)
-        runs[step] = [batch_walks(g, mols, WalkConfig(length=6, walks_per_molecule=3, seed=seed,
-                                                      weight_proportional=weight_proportional))
-                      for seed in range(20)]
-    for got, want in zip(runs[transition], runs[reference_transition]):
-        assert [p.nodes for p in got] == [p.nodes for p in want]
-        assert [p.edge_weights for p in got] == [p.edge_weights for p in want]
-        assert [p.alphas for p in got] == [p.alphas for p in want]
-        assert [p.truncated for p in got] == [p.truncated for p in want]
+    for seed in range(20):
+        cfg = WalkConfig(length=6, walks_per_molecule=3, seed=seed,
+                         weight_proportional=weight_proportional)
+        assert_same_walks(batch_walks(g, mols, cfg), oracle_batch_walks(g, mols, cfg))
+
+
+@st.composite
+def walk_cases(draw):
+    """A finalized graph, starts and a config. Ids are inserted in an order
+    their sort does not follow; some molecules may have no edges, some pairs
+    several relations, and starts repeat."""
+    names = draw(st.lists(st.text(alphabet="ab19", min_size=1, max_size=3),
+                          min_size=2, max_size=9, unique=True))
+    n_mols = draw(st.integers(1, len(names)))
+    g = ContextGraph()
+    for i, nid in enumerate(names):
+        if i < n_mols:
+            g.add_node(NodeRecord(nid, NodeKind.MOLECULE, np.zeros(0, dtype=np.float32),
+                                  smiles="C"))
+        else:
+            g.add_node(NodeRecord(nid, NodeKind.CELL_MORPHOLOGY, feat()))
+    weight = st.sampled_from([1.0, 0.5, 0.25]) | st.floats(1e-6, 1.0)
+    edges = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names),
+                                    st.sampled_from(list(Relation)), weight), max_size=20))
+    for a, b, rel, w in edges:
+        if a != b:
+            g.add_edge(a, b, rel, w)
+    starts = draw(st.lists(st.sampled_from(names[:n_mols]), max_size=6))
+    cfg = WalkConfig(length=draw(st.integers(2, 6)),
+                     walks_per_molecule=draw(st.integers(1, 4)),
+                     seed=draw(st.integers(0, 2**64 - 1)),
+                     weight_proportional=draw(st.booleans()))
+    return g.finalize(), starts, cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=walk_cases(), cut=st.integers(0, 30))
+def test_batch_walks_equal_per_step_oracle(case, cut):
+    """Walk for walk, and for every slice of the batch; the graph's CSR rows
+    equal the neighbor lists built from its edges."""
+    g, starts, cfg = case
+    assert {nid: g.neighbors(nid) for nid in g.node_ids()} == effective_neighbors(g)
+    got = batch_walks(g, starts, cfg)
+    want = oracle_batch_walks(g, starts, cfg)
+    assert_same_walks(got, want)
+    assert_same_walks(got[cut:], want[cut:])
+    assert_same_walks(got[:cut], want[:cut])
+
+
+# Weight-proportional `walk` output on many_weights_graph() as released before
+# the walker took every step of a batch at once.
+WALK_TSV_SHA256 = [
+    (["--length", 6, "--walks-per-molecule", 3, "--seed", 4],
+     "15a3d03ff4d8f81fd17c60d56db08d040453183d510d23a0395b5d0477a8fb74"),
+    (["--length", 2, "--walks-per-molecule", 5, "--seed", 0],
+     "866ffa6391858119b0d730bdcbaf152692e5c2fb6862b5e0788e2026dea07e68"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", WALK_TSV_SHA256, ids=["length6", "length2"])
+def test_walk_tsv_golden(tmp_path, argv, digest):
+    g, _mols = many_weights_graph()
+    g.save(tmp_path / "g.ctxg")
+    out = tmp_path / "walks.tsv"
+    assert main(["walk", "--graph", str(tmp_path / "g.ctxg"), *map(str, argv),
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_load_then_walk_parses_no_smiles(tmp_path, monkeypatch):
