@@ -8,7 +8,7 @@ probing, zero-shot matching, and mutual-information bound benchmarks.
 
 from .errors import InfoAlignError
 from .molparse import MolecularGraph, parse_smiles, read_smiles_file
-from .fingerprint import BitFingerprint, morgan_fingerprint, cosine
+from .fingerprint import BitFingerprint, morgan_fingerprint
 from .ctxgraph import (
     ContextGraph,
     NodeKind,
@@ -54,7 +54,7 @@ __version__ = "0.1.0"
 __all__ = [
     "InfoAlignError",
     "MolecularGraph", "parse_smiles", "read_smiles_file",
-    "BitFingerprint", "morgan_fingerprint", "cosine",
+    "BitFingerprint", "morgan_fingerprint",
     "ContextGraph", "NodeKind", "NodeRecord", "Relation", "WeightedEdge",
     "build_graph_from_tables", "min_max_scale",
     "WalkBatch", "WalkConfig", "WalkPath", "batch_walks",

@@ -36,7 +36,7 @@ import numpy as np
 from . import diffcore as dc
 from . import mibounds, synth
 from .ctxgraph import ContextGraph, NodeKind, build_graph_from_tables
-from .errors import InfoAlignError, LengthMismatchError, TableFormatError
+from .errors import InfoAlignError, LengthMismatchError, SmilesError, TableFormatError
 from .evalkit import (
     LabeledSet,
     ProbeConfig,
@@ -212,6 +212,21 @@ def cmd_walk(args) -> int:
     return 0
 
 
+def _read_molecules(path) -> list:
+    """(SMILES, graph) for each SMILES of a file, as `read_smiles_file` reads
+    them. A SMILES that does not parse raises the parser's error naming the
+    file and line, and a file with none raises InfoAlignError."""
+    out = []
+    for lineno, smiles in read_smiles_file(path):
+        try:
+            out.append((smiles, parse_smiles(smiles)))
+        except SmilesError as exc:
+            raise type(exc)(f"{path}:{lineno}: {exc}") from None
+    if not out:
+        raise InfoAlignError(f"{path}: no molecules")
+    return out
+
+
 def _float_texts(x: np.ndarray) -> list:
     """The rows of `x` as lists of `f"{v:.12g}"` texts, each distinct value
     formatted once."""
@@ -223,14 +238,14 @@ def _float_texts(x: np.ndarray) -> list:
 def cmd_fingerprint(args) -> int:
     opt, _given = _resolve(args)
     if args.smiles:
-        entries = [args.smiles]
+        entries = [(args.smiles, parse_smiles(args.smiles))]
     elif args.input:
-        entries = read_smiles_file(args.input)
+        entries = _read_molecules(args.input)
     else:
         raise InfoAlignError("fingerprint needs --smiles or --input")
     lines = []
-    for i, smi in enumerate(entries):
-        fp = morgan_fingerprint(parse_smiles(smi), opt.radius, opt.nbits)
+    for i, (smi, mol) in enumerate(entries):
+        fp = morgan_fingerprint(mol, opt.radius, opt.nbits)
         lines.append(f"{i}\t{smi}\t{fp.count()}\t{fp.to_hex()}")
     out = "\n".join(lines) + "\n"
     if args.out:
@@ -300,10 +315,7 @@ def cmd_pretrain(args) -> int:
 
 def cmd_embed(args) -> int:
     store, _cfg = load_checkpoint(args.checkpoint)
-    mols = [parse_smiles(s) for s in read_smiles_file(args.input)]
-    if not mols:
-        raise InfoAlignError(f"{args.input}: no molecules")
-    z = embed(store, mols)
+    z = embed(store, [mol for _smi, mol in _read_molecules(args.input)])
     lines = ["\t".join(f"{v:.12g}" for v in row) for row in z]
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
@@ -312,8 +324,9 @@ def cmd_embed(args) -> int:
 def _read_matrix_tsv(path):
     """Rows of floats; a non-numeric first column is treated as an id column.
 
-    A table with no rows, with rows of different lengths, or with a value
-    that is not finite raises TableFormatError naming the file (and the line).
+    A table with no rows, a row with no values, a value that is not a finite
+    number, or rows of different lengths raise TableFormatError naming the
+    file (and the line).
     """
     ids, rows = [], []
     first = None  # (line number, value count) of the first row
@@ -329,13 +342,18 @@ def _read_matrix_tsv(path):
             except ValueError:
                 ids.append(cols[0])
                 cols = cols[1:]
-            row = [float(c) for c in cols]
+            if not cols:
+                raise TableFormatError(f"{path}:{lineno}: no values")
+            try:
+                row = [float(c) for c in cols]
+            except ValueError:
+                raise TableFormatError(f"{path}:{lineno}: malformed value") from None
             if not all(map(math.isfinite, row)):
-                raise TableFormatError(f"{path} line {lineno}: non-finite value")
+                raise TableFormatError(f"{path}:{lineno}: non-finite value")
             if first is None:
                 first = (lineno, len(row))
             elif len(row) != first[1]:
-                raise TableFormatError(f"{path} line {lineno}: {len(row)} values, "
+                raise TableFormatError(f"{path}:{lineno}: {len(row)} values, "
                                        f"but line {first[0]} has {first[1]}")
             rows.append(row)
     if not rows:
@@ -370,9 +388,7 @@ def cmd_eval(args) -> int:
 def cmd_match(args) -> int:
     opt, _given = _resolve(args)
     store, _cfg = load_checkpoint(args.checkpoint)
-    queries = [parse_smiles(s) for s in read_smiles_file(args.queries)]
-    if not queries:
-        raise InfoAlignError(f"{args.queries}: no molecules")
+    queries = [mol for _smi, mol in _read_molecules(args.queries)]
     cand_ids, cand = _read_matrix_tsv(args.candidates)
     if any(i is None for i in cand_ids):
         raise InfoAlignError("candidate table needs an id column")

@@ -163,12 +163,6 @@ class ContextGraph:
         except KeyError:
             raise UnknownNodeError(f"unknown node id {node_id!r}") from None
 
-    def num_nodes(self) -> int:
-        return len(self._nodes)
-
-    def num_edges(self) -> int:
-        return len(self._edges)
-
     def _sorted_edges(self) -> List[Tuple[Tuple[str, str, Relation], float]]:
         """`((a, b, relation), weight)` items ordered by a, b and relation value."""
         return sorted(self._edges.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].value))
@@ -223,10 +217,6 @@ class ContextGraph:
         lo, hi = _pair_key(a, b)
         self._edges[(lo, hi, relation)] = float(weight)
         return WeightedEdge(lo, hi, relation, float(weight))
-
-    def add_perturbation_edge(self, a: str, b: str, relation: Relation = Relation.PERTURBATION) -> WeightedEdge:
-        """Perturbation-record edge; weight is forced to exactly 1.0."""
-        return self.add_edge(a, b, relation, 1.0)
 
     def build_similarity_edges(
         self, kind: NodeKind, threshold: float = 0.8, keep_fraction: float = 0.005
@@ -431,9 +421,11 @@ def load_node_table(path, fp_radius: int = 2, fp_bits: int = 1024) -> List[NodeR
 
     Molecule rows carry a SMILES column instead of inline features; the
     fingerprint is computed here. Non-molecule features are min-max scaled
-    per (kind, dimension) group before the records are returned.
+    per (kind, dimension) group before the records are returned. A node id
+    given twice raises TableFormatError naming both lines.
     """
     raw: List[Tuple[int, str, NodeKind, str, object]] = []
+    seen: Dict[str, int] = {}  # node id -> line
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -443,6 +435,10 @@ def load_node_table(path, fp_radius: int = 2, fp_bits: int = 1024) -> List[NodeR
             if len(cols) < 4:
                 raise TableFormatError(f"{path}:{lineno}: expected >= 4 columns, got {len(cols)}")
             nid, kind_name, tag = cols[0], cols[1], cols[2]
+            if nid in seen:
+                raise TableFormatError(f"{path}:{lineno}: node id {nid!r} already present "
+                                       f"on line {seen[nid]}")
+            seen[nid] = lineno
             try:
                 kind = NodeKind(kind_name)
             except ValueError:
@@ -486,11 +482,12 @@ def load_node_table(path, fp_radius: int = 2, fp_bits: int = 1024) -> List[NodeR
     return records
 
 
-def load_edge_table(path) -> List[Tuple[str, str, Relation, float]]:
+def load_edge_table(path) -> List[Tuple[str, str, Relation, float, int]]:
     """Parse an edge TSV: src_id, dst_id, relation, weight.
 
-    The weight column is ignored and forced to 1.0 for perturbation rows;
-    on other rows a weight outside (0, 1] raises TableFormatError.
+    Returns (src, dst, relation, weight, line) per row. The weight column is
+    ignored and forced to 1.0 for perturbation rows; on other rows a weight
+    outside (0, 1] raises TableFormatError.
     """
     out = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -516,7 +513,7 @@ def load_edge_table(path) -> List[Tuple[str, str, Relation, float]]:
                 raise TableFormatError(f"{path}:{lineno}: non-finite weight")
             elif not 0.0 < w <= 1.0:
                 raise TableFormatError(f"{path}:{lineno}: weight {w_str!r} outside (0, 1]")
-            out.append((src, dst, rel, w))
+            out.append((src, dst, rel, w, lineno))
     return out
 
 
@@ -529,11 +526,16 @@ def build_graph_from_tables(
     threshold: float = 0.8,
     keep_fraction: float = 0.005,
 ) -> ContextGraph:
+    """The finalized graph of a node and an edge table. An edge row naming an
+    unknown node, or a self-loop, raises TableFormatError naming its line."""
     g = ContextGraph()
     for rec in load_node_table(node_path, fp_radius, fp_bits):
         g.add_node(rec)
-    for src, dst, rel, w in load_edge_table(edge_path):
-        g.add_edge(src, dst, rel, w)
+    for src, dst, rel, w, lineno in load_edge_table(edge_path):
+        try:
+            g.add_edge(src, dst, rel, w)
+        except (UnknownNodeError, SelfLoopError) as exc:
+            raise TableFormatError(f"{edge_path}:{lineno}: {exc}") from None
     for kind in similarity_kinds:
         g.build_similarity_edges(kind, threshold, keep_fraction)
     return g.finalize()

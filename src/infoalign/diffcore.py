@@ -34,7 +34,8 @@ def seeded_rng(seed: int, stream: int = 0) -> np.random.Generator:
     Distinct streams under one seed are independent, and every draw is
     reproducible bit-exactly across runs and platforms.
     """
-    return np.random.Generator(np.random.Philox(key=[seed & ((1 << 64) - 1), stream]))
+    key = np.array([seed & ((1 << 64) - 1), stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def require_finite(data: np.ndarray, what: str) -> np.ndarray:

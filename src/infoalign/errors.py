@@ -31,12 +31,6 @@ class UnsupportedFeatureError(SmilesError):
     """Valid SMILES outside the supported subset (stereo, isotopes, fragments)."""
 
 
-# --- vector utilities ---
-
-class ZeroVectorError(InfoAlignError):
-    """Cosine similarity requested for an all-zero vector."""
-
-
 # --- context graph ---
 
 class DuplicateIdError(InfoAlignError):

@@ -124,7 +124,8 @@ class ProbeHead:
 def probe_train(train: LabeledSet, cfg: ProbeConfig = ProbeConfig()) -> ProbeHead:
     """Fit a small MLP head on frozen embeddings (full-batch Adam).
 
-    Classification tasks use BCE on logits, regression squared error.
+    Classification tasks use BCE on logits, regression squared error. A
+    non-finite loss raises FloatingPointError.
     """
     n, d = train.embeddings.shape
     t = train.labels.shape[1]
@@ -136,20 +137,26 @@ def probe_train(train: LabeledSet, cfg: ProbeConfig = ProbeConfig()) -> ProbeHea
     y = train.labels
     is_cls = np.array([k == CLASSIFICATION for k in train.task_types], dtype=np.float64)
 
-    for _ in range(cfg.epochs):
-        bound = store.bind()
-        out = dc.mlp_forward(bound, "probe", dc.constant(x))
-        bce = dc.bce_with_logits(out, y)
-        diff = dc.add(out, dc.constant(-y))
-        sq = dc.mul(dc.mul(diff, diff), dc.constant(0.5))
-        per_entry = dc.add(
-            dc.mul(bce, dc.constant(is_cls[None, :])),
-            dc.mul(sq, dc.constant(1.0 - is_cls[None, :])),
-        )
-        loss = dc.mul(dc.tsum(per_entry), dc.constant(1.0 / y.size))
-        loss.backward()
-        store.accumulate(bound)
-        dc.adam_step(store, lr=cfg.lr)
+    # A diverging fit (embeddings near the float range) is reported once, by
+    # the finiteness check on the loss, not by numpy's warnings before it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            bound = store.bind()
+            out = dc.mlp_forward(bound, "probe", dc.constant(x))
+            bce = dc.bce_with_logits(out, y)
+            diff = dc.add(out, dc.constant(-y))
+            sq = dc.mul(dc.mul(diff, diff), dc.constant(0.5))
+            per_entry = dc.add(
+                dc.mul(bce, dc.constant(is_cls[None, :])),
+                dc.mul(sq, dc.constant(1.0 - is_cls[None, :])),
+            )
+            loss = dc.mul(dc.tsum(per_entry), dc.constant(1.0 / y.size))
+            try:
+                loss.backward()
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"{exc} in probe epoch {epoch}") from None
+            store.accumulate(bound)
+            dc.adam_step(store, lr=cfg.lr)
     return ProbeHead(store, list(train.task_types))
 
 

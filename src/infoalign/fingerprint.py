@@ -1,4 +1,4 @@
-"""Morgan-style circular fingerprints and the shared cosine utility.
+"""Morgan-style circular (ECFP) fingerprints.
 
 Environment identifiers are 64-bit FNV-1a hashes over a canonical byte
 serialization of (atom invariants, sorted neighbor identifiers, bond orders),
@@ -13,19 +13,12 @@ from typing import List, Set, Tuple
 
 import numpy as np
 
-from .errors import ZeroVectorError
-from .molparse import BondOrder, MolecularGraph
+from .molparse import ELEMENTS, MolecularGraph
 
 _FNV_OFFSET = 14695981039346656037
 _FNV_PRIME = 1099511628211
 _U64 = (1 << 64) - 1
-
-_BOND_CODE = {
-    BondOrder.SINGLE: 1,
-    BondOrder.DOUBLE: 2,
-    BondOrder.TRIPLE: 3,
-    BondOrder.AROMATIC: 4,
-}
+_ELEMENT_BYTES = [e.encode("ascii") for e in ELEMENTS]
 
 
 def _fnv1a(data: bytes) -> int:
@@ -60,27 +53,24 @@ def environment_identifiers(g: MolecularGraph, radius: int) -> Set[int]:
 
     The radius-0 identifier hashes (element, charge, aromatic, degree); each
     subsequent round hashes the previous identifier with the sorted
-    (bond code, neighbor identifier) pairs.
+    (bond code, neighbor identifier) pairs, where the bond code is the
+    `BondOrder` value + 1.
     """
-    # (neighbor, order) per atom in bond order, as MolecularGraph.neighbors() lists them
-    adjacency: List[List[Tuple[int, BondOrder]]] = [[] for _ in g.atoms]
-    for bond in g.bonds:
-        adjacency[bond.a].append((bond.b, bond.order))
-        adjacency[bond.b].append((bond.a, bond.order))
+    # (neighbor, bond code) per atom, in bond order
+    adjacency: List[List[Tuple[int, int]]] = [[] for _ in range(len(g.element))]
+    for (a, b), order in zip(g.bonds.tolist(), g.order.tolist()):
+        adjacency[a].append((b, order + 1))
+        adjacency[b].append((a, order + 1))
     ids = [
-        _fnv1a(
-            a.element.encode("ascii")
-            + struct.pack("<iBI", a.formal_charge, int(a.aromatic), len(adjacency[a.index]))
-        )
-        for a in g.atoms
+        _fnv1a(_ELEMENT_BYTES[e] + struct.pack("<iBI", charge, aromatic, degree))
+        for e, charge, aromatic, degree in zip(g.element.tolist(), g.charge.tolist(),
+                                               g.aromatic.tolist(), g.degree.tolist())
     ]
     collected = set(ids)
     for _ in range(radius):
         nxt = []
-        for i in range(len(g.atoms)):
-            env = sorted(
-                (_BOND_CODE[order], ids[j]) for j, order in adjacency[i]
-            )
+        for i, nbrs in enumerate(adjacency):
+            env = sorted((code, ids[j]) for j, code in nbrs)
             blob = struct.pack("<Q", ids[i]) + b"".join(
                 struct.pack("<BQ", code, nid) for code, nid in env
             )
@@ -100,16 +90,3 @@ def morgan_fingerprint(g: MolecularGraph, radius: int = 2, nbits: int = 1024) ->
     for ident in environment_identifiers(g, radius):
         bits[ident % nbits] = True
     return BitFingerprint(bits, radius)
-
-
-def cosine(u, v) -> float:
-    """Cosine similarity; raises ZeroVectorError instead of returning NaN."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ZeroVectorError("cosine undefined for a zero vector")
-    return float(np.dot(u, v) / (nu * nv))

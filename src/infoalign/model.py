@@ -1,7 +1,8 @@
 """Encoder/decoder stack and training loss.
 
-A GIN message-passing encoder maps a molecular graph to a diagonal-Gaussian
-latent (mu, log-variance); per-modality MLP decoders reconstruct the [0,1]
+A GIN message-passing encoder maps a molecular graph, read straight from the
+parser's atom and bond arrays, to a diagonal-Gaussian latent (mu,
+log-variance); per-modality MLP decoders reconstruct the [0,1]
 feature vectors of nodes visited by a context-graph walk. There is one decoder
 per (node kind, feature dimension), and its parameters, `dec.<kind>.<dim>.*`,
 are the only record of which decoders a model has. The loss averages
@@ -26,21 +27,14 @@ import numpy as np
 from . import diffcore as dc
 from .ctxgraph import ContextGraph, NodeKind, NodeRecord
 from .errors import NoDecoderError, PathMismatchError, ShapeMismatchError
-from .molparse import BondOrder, MolecularGraph
+from .molparse import ELEMENTS, BondOrder, MolecularGraph
 from .walker import WalkConfig, WalkPath, batch_walks
 
-_ELEMENT_INDEX = {e: i for i, e in enumerate(("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"))}
-_BOND_INDEX = {
-    BondOrder.SINGLE: 0,
-    BondOrder.DOUBLE: 1,
-    BondOrder.TRIPLE: 2,
-    BondOrder.AROMATIC: 3,
-}
-ATOM_FEATURE_DIM = len(_ELEMENT_INDEX) + 5 + 1 + 6  # element, charge in [-2,2], aromatic, degree 0-5
-_CHARGE_BASE = len(_ELEMENT_INDEX)
+ATOM_FEATURE_DIM = len(ELEMENTS) + 5 + 1 + 6  # element, charge in [-2,2], aromatic, degree 0-5
+_CHARGE_BASE = len(ELEMENTS)
 _AROMATIC_COL = _CHARGE_BASE + 5
 _DEGREE_BASE = _AROMATIC_COL + 1
-NUM_BOND_TYPES = 4
+NUM_BOND_TYPES = len(BondOrder)
 
 LOGVAR_CLAMP = 10.0
 LOGVAR_INIT = -4.0
@@ -94,46 +88,6 @@ class LossBreakdown:
     total: float
 
 
-def atom_feature_matrix(g: MolecularGraph) -> np.ndarray:
-    degree = [0] * len(g.atoms)
-    for bond in g.bonds:
-        degree[bond.a] += 1
-        degree[bond.b] += 1
-    x = np.zeros((len(g.atoms), ATOM_FEATURE_DIM), dtype=np.float64)
-    for a in g.atoms:
-        row = x[a.index]
-        row[_ELEMENT_INDEX[a.element]] = 1.0
-        row[_CHARGE_BASE + min(max(a.formal_charge, -2), 2) + 2] = 1.0
-        row[_AROMATIC_COL] = float(a.aromatic)
-        row[_DEGREE_BASE + min(degree[a.index], 5)] = 1.0
-    return x
-
-
-def directed_edges(g: MolecularGraph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    src, dst, order = [], [], []
-    for bond in g.bonds:
-        code = _BOND_INDEX[bond.order]
-        src += [bond.a, bond.b]
-        dst += [bond.b, bond.a]
-        order += [code, code]
-    return (np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp),
-            np.array(order, dtype=np.intp))
-
-
-@dataclass(frozen=True)
-class MolArrays:
-    """Encoder inputs of one molecule: atom features and directed bonds."""
-
-    x: np.ndarray      # (atoms, ATOM_FEATURE_DIM)
-    src: np.ndarray
-    dst: np.ndarray
-    order: np.ndarray  # bond type code per directed edge
-
-
-def mol_arrays(g: MolecularGraph) -> MolArrays:
-    return MolArrays(atom_feature_matrix(g), *directed_edges(g))
-
-
 def feature_keys(graph: ContextGraph) -> List[Tuple[str, int]]:
     """Sorted (kind, dim) of the graph's nodes that have features."""
     return sorted({(rec.kind.value, rec.modality_dim)
@@ -185,23 +139,37 @@ def _infer_num_layers(bound: Dict[str, dc.Tensor]) -> int:
     return n
 
 
-def encode_batch(mols: Sequence[MolArrays], bound: Dict[str, dc.Tensor]) -> EncoderOutput:
+def atom_features(mols: Sequence[MolecularGraph]) -> np.ndarray:
+    """One-hot encoder inputs of every atom of `mols`, in order: element,
+    charge clipped to [-2, 2], aromatic flag and degree clipped to 5."""
+    n = sum(len(m.element) for m in mols)
+    rows = np.arange(n)
+    x = np.zeros((n, ATOM_FEATURE_DIM))
+    x[rows, np.concatenate([m.element for m in mols])] = 1.0
+    x[rows, _CHARGE_BASE + 2 + np.clip(np.concatenate([m.charge for m in mols]), -2, 2)] = 1.0
+    x[rows, _AROMATIC_COL] = np.concatenate([m.aromatic for m in mols])
+    x[rows, _DEGREE_BASE + np.minimum(np.concatenate([m.degree for m in mols]), 5)] = 1.0
+    return x
+
+
+def encode_batch(mols: Sequence[MolecularGraph], bound: Dict[str, dc.Tensor]) -> EncoderOutput:
     """Sum-readout GIN encoder over a batch of molecules; row k is mols[k].
 
     Per layer: h_v <- MLP(h_v + sum_{u in N(v)} (h_u + bond_embed(uv))),
     i.e. the (1 + eps) factor with eps fixed at 0. The molecules form one
-    block-diagonal graph (edge indices offset per molecule), and the readout
-    sums each molecule's atom rows. The depth is the number of `gin.l<n>`
-    layers in `bound`.
+    block-diagonal graph: the atoms are featurised together by
+    `atom_features`, each bond a-b gives the messages a->b then b->a with
+    atom indices offset per molecule, and the readout sums each molecule's
+    atom rows. The depth is the number of `gin.l<n>` layers in `bound`.
     """
-    counts = [len(m.x) for m in mols]
+    counts = [len(m.element) for m in mols]
     offsets = np.cumsum([0] + counts[:-1])
     n = sum(counts)
-    src = np.concatenate([m.src + off for m, off in zip(mols, offsets)])
-    dst = np.concatenate([m.dst + off for m, off in zip(mols, offsets)])
-    order = np.concatenate([m.order for m in mols])
+    bonds = np.concatenate([m.bonds + off for m, off in zip(mols, offsets)])
+    src, dst = bonds.ravel(), bonds[:, ::-1].ravel()
+    order = np.repeat(np.concatenate([m.order for m in mols]), 2)
     segment = np.repeat(np.arange(len(mols)), counts)
-    h = dc.matmul(dc.constant(np.concatenate([m.x for m in mols])), bound["atom_embed"])
+    h = dc.matmul(dc.constant(atom_features(mols)), bound["atom_embed"])
     for layer in range(_infer_num_layers(bound)):
         if len(src):
             msgs = dc.add(dc.gather_rows(h, src),
@@ -218,7 +186,7 @@ def encode_batch(mols: Sequence[MolArrays], bound: Dict[str, dc.Tensor]) -> Enco
 
 def gin_encode(g: MolecularGraph, bound: Dict[str, dc.Tensor]) -> EncoderOutput:
     """`encode_batch` of one molecule: mu and logvar of shape (1, D)."""
-    return encode_batch([mol_arrays(g)], bound)
+    return encode_batch([g], bound)
 
 
 def reparameterize(out: EncoderOutput, noise) -> dc.Tensor:
@@ -317,9 +285,7 @@ def infoalign_loss(graph: ContextGraph, path: WalkPath,
 
 def batch_loss(graph: ContextGraph, starts: Sequence[str], paths: Sequence[WalkPath],
                bound: Dict[str, dc.Tensor], beta: float, noise,
-               likelihood: str = "bernoulli",
-               cache: Optional[Dict[str, MolArrays]] = None
-               ) -> Tuple[dc.Tensor, LossBreakdown]:
+               likelihood: str = "bernoulli") -> Tuple[dc.Tensor, LossBreakdown]:
     """Mean over `starts` of the mean `infoalign_loss` of each one's walks.
 
     `paths` holds the same number of walks per start, grouped in starts
@@ -327,8 +293,7 @@ def batch_loss(graph: ContextGraph, starts: Sequence[str], paths: Sequence[WalkP
     start molecules are encoded once, together, and every target of one
     (kind, dim) is decoded as one matrix, each row weighted by
     alpha / (L * walks per start * starts) with L its own walk's node count.
-    The breakdown holds the same batch means. `cache` maps molecule ids to
-    their encoder inputs and is filled as molecules are first seen.
+    The breakdown holds the same batch means.
     """
     if not starts or len(paths) % len(starts):
         raise ValueError(f"{len(paths)} paths for {len(starts)} start molecules")
@@ -344,12 +309,7 @@ def batch_loss(graph: ContextGraph, starts: Sequence[str], paths: Sequence[WalkP
             rec = graph.node(nid)
             targets.setdefault((rec.kind, rec.modality_dim), []).append(
                 (w, rec.features, alpha, len(path.nodes)))
-    if cache is None:
-        cache = {}
-    for s, rec in zip(starts, recs):
-        if s not in cache:
-            cache[s] = mol_arrays(rec.mol)
-    out = encode_batch([cache[s] for s in starts], bound)
+    out = encode_batch([rec.mol for rec in recs], bound)
     walk_mol = np.repeat(np.arange(len(starts)), per_mol)
     z = reparameterize(EncoderOutput(dc.gather_rows(out.mu, walk_mol),
                                      dc.gather_rows(out.logvar, walk_mol)), noise)
@@ -392,8 +352,7 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig,
     walks_per_molecule walks from each. Each minibatch is one `batch_loss`
     tape, one backward pass and one Adam step on the mean over its molecules
     of each molecule's mean walk loss; the reparameterization noise is one
-    (walks, latent_dim) draw per minibatch. Encoder inputs are built once per
-    molecule per call. Passing an existing store resumes training (the step
+    (walks, latent_dim) draw per minibatch. Passing an existing store resumes training (the step
     counter continues); a new store gets one decoder per featured (kind, dim)
     of the graph. Every featured (kind, dim) of the graph needs a decoder in
     the store, or NoDecoderError is raised before any step. A non-finite loss
@@ -416,7 +375,6 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig,
     shuffle_rng = dc.seeded_rng(cfg.seed, _SHUFFLE_STREAM)
     noise_rng = dc.seeded_rng(cfg.seed, _NOISE_STREAM)
     per_mol = cfg.walk.walks_per_molecule
-    cache: Dict[str, MolArrays] = {}
 
     epoch_logs: List[LossBreakdown] = []
     for epoch in range(cfg.epochs):
@@ -441,7 +399,7 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig,
             with np.errstate(over="ignore", invalid="ignore"):
                 bound = store.bind()
                 loss, br = batch_loss(graph, batch, paths, bound, cfg.beta, noise,
-                                      cfg.likelihood, cache)
+                                      cfg.likelihood)
                 try:
                     loss.backward()
                 except FloatingPointError as exc:
@@ -469,16 +427,14 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig,
 def embed(store: dc.ParamStore, molecules: Sequence[MolecularGraph]) -> np.ndarray:
     """Deterministic embeddings: the posterior means, one row per input.
 
-    Molecules are encoded in blocks of 16 through `encode_batch`, and each
-    block's encoder inputs are built as it is encoded. Every row equals the
-    molecule's own `gin_encode` up to the head matmuls: a block of two or
-    more rows goes through BLAS gemm, a 1-row block (a last block of one
-    molecule) through gemv, so `mu` can differ in its last bits (up to about
+    Molecules are encoded in blocks of 16 through `encode_batch`. Every row
+    equals the molecule's own `gin_encode` up to the head matmuls: a block of
+    two or more rows goes through BLAS gemm, a 1-row block (a last block of
+    one molecule) through gemv, so `mu` can differ in its last bits (up to about
     2e-15) between the two. Raises FloatingPointError if a row is not finite.
     """
     bound = store.bind()
-    blocks = [encode_batch([mol_arrays(g) for g in molecules[b0 : b0 + _EMBED_BLOCK]],
-                           bound).mu.data
+    blocks = [encode_batch(molecules[b0 : b0 + _EMBED_BLOCK], bound).mu.data
               for b0 in range(0, len(molecules), _EMBED_BLOCK)]
     if not blocks:
         return np.zeros((0, store.params["head_mu.w0"].shape[1]))

@@ -1,4 +1,4 @@
-"""SMILES subset parser producing molecular graphs.
+"""SMILES subset parser producing molecular graphs as arrays.
 
 Supported grammar: organic-subset atoms (B, C, N, O, P, S, F, Cl, Br, I),
 aromatic lowercase forms (b, c, n, o, p, s), bracket atoms with explicit
@@ -6,13 +6,20 @@ hydrogens and formal charge, branches, single-digit and %nn ring closures,
 and the bond symbols ``- = # :``. Stereo markers, isotopes, wildcards and
 multi-fragment input ('.') are rejected with a typed error instead of being
 silently mis-parsed.
+
+A `MolecularGraph` holds per-atom arrays (element index into `ELEMENTS`,
+formal charge, aromatic flag, degree) and per-bond arrays in parse order
+(endpoints a < b, `BondOrder` code), the layout of PyG's atom features and
+edge index. The fingerprint, the encoder and `embed` all read these arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
+from enum import IntEnum
 from typing import List, Tuple
+
+import numpy as np
 
 from .errors import (
     RingUnclosedError,
@@ -23,13 +30,15 @@ from .errors import (
 
 ELEMENTS = ("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I")
 AROMATIC_ELEMENTS = ("b", "c", "n", "o", "p", "s")
+# Formal charges are stored as int32, as the fingerprint hashes them.
+_CHARGE_LIMIT = 2**31 - 1
 
 
-class BondOrder(Enum):
-    SINGLE = "single"
-    DOUBLE = "double"
-    TRIPLE = "triple"
-    AROMATIC = "aromatic"
+class BondOrder(IntEnum):
+    SINGLE = 0
+    DOUBLE = 1
+    TRIPLE = 2
+    AROMATIC = 3
 
 
 _BOND_SYMBOLS = {
@@ -40,57 +49,24 @@ _BOND_SYMBOLS = {
 }
 
 
-@dataclass(frozen=True)
-class Atom:
-    element: str
-    formal_charge: int = 0
-    aromatic: bool = False
-    index: int = 0
-
-
-@dataclass(frozen=True)
-class Bond:
-    """Undirected bond; endpoints are stored sorted."""
-
-    a: int
-    b: int
-    order: BondOrder
-
-    def __post_init__(self):
-        if self.a == self.b:
-            raise SmilesSyntaxError(f"bond endpoints must differ, got {self.a}")
-        if self.a > self.b:
-            lo, hi = self.b, self.a
-            object.__setattr__(self, "a", lo)
-            object.__setattr__(self, "b", hi)
-
-    @property
-    def endpoints(self) -> Tuple[int, int]:
-        return (self.a, self.b)
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MolecularGraph:
-    atoms: List[Atom] = field(default_factory=list)
-    bonds: List[Bond] = field(default_factory=list)
+    """A heavy-atom graph: atom i is row i of the atom arrays, bond k row k
+    of the bond arrays."""
 
-    def neighbors(self, idx: int) -> List[Tuple[int, BondOrder]]:
-        out = []
-        for bond in self.bonds:
-            if bond.a == idx:
-                out.append((bond.b, bond.order))
-            elif bond.b == idx:
-                out.append((bond.a, bond.order))
-        return out
-
-    def degree(self, idx: int) -> int:
-        return sum(1 for b in self.bonds if idx in b.endpoints)
+    element: np.ndarray   # (atoms,) intp, index into ELEMENTS
+    charge: np.ndarray    # (atoms,) int32 formal charge
+    aromatic: np.ndarray  # (atoms,) bool
+    degree: np.ndarray    # (atoms,) intp, bonds per atom
+    bonds: np.ndarray     # (bonds, 2) intp endpoints, a < b, in parse order
+    order: np.ndarray     # (bonds,) intp BondOrder value
 
 
-def _parse_bracket_atom(text: str, pos: int, index: int) -> Tuple[Atom, int]:
+def _parse_bracket_atom(text: str, pos: int) -> Tuple[str, int, bool, int]:
     """Parse a bracket atom starting at text[pos] == '['.
 
-    Returns the atom and the position just past the closing ']'.
+    Returns the element, charge and aromatic flag, and the position just past
+    the closing ']'.
     """
     end = text.find("]", pos)
     if end < 0:
@@ -146,7 +122,9 @@ def _parse_bracket_atom(text: str, pos: int, index: int) -> Tuple[Atom, int]:
         if body[i] in "@/\\*":
             raise UnsupportedFeatureError(f"stereo/wildcard markers not supported: [{body}]")
         raise SmilesSyntaxError(f"illegal token '{body[i]}' in bracket atom [{body}]")
-    return Atom(element, charge, aromatic, index), end + 1
+    if abs(charge) > _CHARGE_LIMIT:
+        raise SmilesSyntaxError(f"formal charge out of range in bracket atom [{body}]")
+    return element, charge, aromatic, end + 1
 
 
 def parse_smiles(text: str) -> MolecularGraph:
@@ -162,8 +140,12 @@ def parse_smiles(text: str) -> MolecularGraph:
     except UnicodeEncodeError as exc:
         raise SmilesSyntaxError("input must be ASCII") from exc
 
-    atoms: List[Atom] = []
-    bonds: List[Bond] = []
+    element: List[int] = []
+    charge: List[int] = []
+    aromatic: List[bool] = []
+    degree: List[int] = []
+    bonds: List[Tuple[int, int]] = []
+    orders: List[BondOrder] = []
     prev: int | None = None
     branch_stack: List[int] = []
     # ring number -> (open atom index, explicit bond order at opening or None)
@@ -176,7 +158,7 @@ def parse_smiles(text: str) -> MolecularGraph:
             raise SmilesSyntaxError("ring closure bonds an atom to itself")
         order = explicit
         if order is None:
-            if atoms[a].aromatic and atoms[b].aromatic:
+            if aromatic[a] and aromatic[b]:
                 order = BondOrder.AROMATIC
             else:
                 order = BondOrder.SINGLE
@@ -184,15 +166,22 @@ def parse_smiles(text: str) -> MolecularGraph:
         if key in seen_bonds:
             raise SmilesSyntaxError(f"duplicate bond between atoms {a} and {b}")
         seen_bonds.add(key)
-        bonds.append(Bond(key[0], key[1], order))
+        bonds.append(key)
+        orders.append(order)
+        degree[a] += 1
+        degree[b] += 1
 
-    def attach_atom(atom: Atom):
+    def attach_atom(symbol: str, formal_charge: int, is_aromatic: bool):
         nonlocal prev, pending_bond
-        atoms.append(atom)
+        index = len(element)
+        element.append(ELEMENTS.index(symbol))
+        charge.append(formal_charge)
+        aromatic.append(is_aromatic)
+        degree.append(0)
         if prev is not None:
-            make_bond(prev, atom.index, pending_bond)
+            make_bond(prev, index, pending_bond)
         pending_bond = None
-        prev = atom.index
+        prev = index
 
     i = 0
     n = len(text)
@@ -235,32 +224,28 @@ def parse_smiles(text: str) -> MolecularGraph:
                 other, open_order = open_rings.pop(num)
                 if open_order is not None and pending_bond is not None and open_order != pending_bond:
                     raise SmilesSyntaxError(f"conflicting bond orders for ring closure {num}")
-                make_bond(prev, other, pending_bond or open_order)
+                make_bond(prev, other, pending_bond if pending_bond is not None else open_order)
                 pending_bond = None
             else:
                 open_rings[num] = (prev, pending_bond)
                 pending_bond = None
             continue
         if ch == "[":
-            atom, i = _parse_bracket_atom(text, i, len(atoms))
-            attach_atom(atom)
+            *atom, i = _parse_bracket_atom(text, i)
+            attach_atom(*atom)
             continue
         # organic subset atom, two-letter first
-        matched = False
-        for sym in ("Cl", "Br"):
-            if text.startswith(sym, i):
-                attach_atom(Atom(sym, 0, False, len(atoms)))
-                i += len(sym)
-                matched = True
-                break
-        if matched:
+        sym = text[i : i + 2]
+        if sym in ("Cl", "Br"):
+            attach_atom(sym, 0, False)
+            i += 2
             continue
         if ch in ELEMENTS:
-            attach_atom(Atom(ch, 0, False, len(atoms)))
+            attach_atom(ch, 0, False)
             i += 1
             continue
         if ch in AROMATIC_ELEMENTS:
-            attach_atom(Atom(ch.upper(), 0, True, len(atoms)))
+            attach_atom(ch.upper(), 0, True)
             i += 1
             continue
         raise SmilesSyntaxError(f"illegal token '{ch}' at position {i}")
@@ -271,18 +256,22 @@ def parse_smiles(text: str) -> MolecularGraph:
         raise RingUnclosedError(f"dangling ring closure digit(s): {sorted(open_rings)}")
     if pending_bond is not None:
         raise SmilesSyntaxError("trailing bond symbol")
-    if not atoms:
+    if not element:
         raise SmilesSyntaxError("no atoms parsed")
-    return MolecularGraph(atoms, bonds)
+    return MolecularGraph(
+        np.array(element, dtype=np.intp), np.array(charge, dtype=np.int32),
+        np.array(aromatic, dtype=bool), np.array(degree, dtype=np.intp),
+        np.array(bonds, dtype=np.intp).reshape(-1, 2), np.array(orders, dtype=np.intp))
 
 
-def read_smiles_file(path) -> List[str]:
-    """Read one SMILES per line; blank lines and '#' comment lines skipped."""
+def read_smiles_file(path) -> List[Tuple[int, str]]:
+    """(line number, SMILES) per SMILES line of a file. Blank lines and '#'
+    comment lines are skipped; a line's SMILES is its first
+    whitespace-separated field."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            out.append(line.split()[0])
+        for lineno, line in enumerate(fh, 1):
+            fields = line.split()
+            if fields and not fields[0].startswith("#"):
+                out.append((lineno, fields[0]))
     return out

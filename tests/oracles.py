@@ -1,0 +1,75 @@
+"""Per-atom oracles for the array paths, and a fixed SMILES set.
+
+Each oracle walks one molecule atom by atom in Python and takes every degree
+and neighbour list from its own scan of the bond list, so it shares neither
+the parser's degree array nor the fingerprint's adjacency lists.
+"""
+
+import struct
+
+import numpy as np
+
+from infoalign.fingerprint import _fnv1a
+from infoalign.model import ATOM_FEATURE_DIM
+from infoalign.molparse import ELEMENTS, BondOrder, MolecularGraph
+
+# Every element and bond symbol, aromatic rings of each aromatic element,
+# bracket atoms with hydrogens and charges (clipped by the encoder past +-2),
+# %nn and reused ring digits, ring-closure bond orders, and an atom of
+# degree 6 (clipped by the encoder to 5).
+FIXED_SMILES = [
+    "C", "CC", "CCO", "O=C=O", "C#N", "C-C=C#C", "c1ccccc1", "c1ccncc1", "c1ccoc1",
+    "c1ccsc1", "[nH]1cccc1", "b1ccccc1", "p1ccccc1", "c1ccc2ccccc2c1",
+    "CC(=O)Oc1ccccc1C(=O)O", "C(C)(C)(C)(C)(C)C", "[NH4+]", "[O-]C(=O)CC[N+](C)(C)C",
+    "OCC(O)(N)C1CC1[O-]", "C1CC2CCC1CC2", "N#CC(=O)[O-]", "ClC(Cl)(Cl)Br",
+    "FC(F)(F)c1ccc(I)cc1", "B(O)(O)c1ccccc1", "P(=O)(O)(O)OCC", "CS(=O)(=O)N",
+    "C%10CCC%10", "C=1CCCCC=1", "C1CC1C1CC1", "[C+2]", "[N--]", "[S+3]CC[C-3]",
+    "S(F)(F)(F)(F)(F)F", "CSC", "CC(S)C", "CC(C)(CSCC(N)C(=O)O)c1ccc(Cl)c(Br)c1",
+]
+
+BOND_CODE = {BondOrder.SINGLE: 1, BondOrder.DOUBLE: 2, BondOrder.TRIPLE: 3,
+             BondOrder.AROMATIC: 4}
+
+
+def scanned_neighbors(g: MolecularGraph, i: int):
+    """(neighbour, BondOrder) of atom i, in bond order, from a scan of every bond."""
+    out = []
+    for (a, b), order in zip(g.bonds.tolist(), g.order.tolist()):
+        if a == i:
+            out.append((b, BondOrder(order)))
+        elif b == i:
+            out.append((a, BondOrder(order)))
+    return out
+
+
+def reference_atom_features(g: MolecularGraph) -> np.ndarray:
+    """The encoder's input rows: one-hot element, charge clipped to [-2, 2],
+    aromatic flag and degree clipped to 5."""
+    x = np.zeros((len(g.element), ATOM_FEATURE_DIM))
+    for i in range(len(g.element)):
+        x[i, int(g.element[i])] = 1.0
+        x[i, 10 + min(max(int(g.charge[i]), -2), 2) + 2] = 1.0
+        x[i, 15] = float(g.aromatic[i])
+        x[i, 16 + min(len(scanned_neighbors(g, i)), 5)] = 1.0
+    return x
+
+
+def reference_environment_identifiers(g: MolecularGraph, radius: int) -> set:
+    """ECFP identifiers: FNV-1a of (element, charge, aromatic, degree), then
+    per round of the identifier and its sorted (bond code, neighbour id) pairs."""
+    n = len(g.element)
+    nbrs = [scanned_neighbors(g, i) for i in range(n)]
+    ids = [_fnv1a(ELEMENTS[int(g.element[i])].encode("ascii")
+                  + struct.pack("<iBI", int(g.charge[i]), int(g.aromatic[i]), len(nbrs[i])))
+           for i in range(n)]
+    collected = set(ids)
+    for _ in range(radius):
+        nxt = []
+        for i in range(n):
+            env = sorted((BOND_CODE[order], ids[j]) for j, order in nbrs[i])
+            blob = struct.pack("<Q", ids[i]) + b"".join(
+                struct.pack("<BQ", code, nid) for code, nid in env)
+            nxt.append(_fnv1a(blob))
+        ids = nxt
+        collected.update(ids)
+    return collected

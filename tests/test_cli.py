@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -16,7 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import infoalign
-from infoalign.cli import main
+from infoalign.cli import _read_matrix_tsv, main
+from infoalign.errors import TableFormatError
+from infoalign.molparse import read_smiles_file
+from tests.test_molparse import smiles_strings
 
 TOY_NODES = """\
 m0\tmolecule\ttoy\tCCO
@@ -200,6 +204,14 @@ def test_fingerprint_stdout(capsys):
 def test_fingerprint_bad_smiles_exit_1(capsys):
     assert run(["fingerprint", "--smiles", "C(("]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_fingerprint_empty_input_exit_1(tmp_path, capsys):
+    smi = tmp_path / "empty.smi"
+    smi.write_text("# nothing\n\n")
+    assert run(["fingerprint", "--input", smi, "--out", tmp_path / "fp.tsv"]) == 1
+    assert capsys.readouterr().err == f"error: {smi}: no molecules\n"
+    assert not (tmp_path / "fp.tsv").exists()
 
 
 # --- pretrain / embed -------------------------------------------------------------------
@@ -428,7 +440,7 @@ def test_eval_ragged_table_names_line_and_counts(tmp_path, capsys):
     assert run(["eval", "--embeddings", tmp_path / "emb.tsv",
                 "--labels", tmp_path / "lab.tsv", "--out", tmp_path / "r.json"]) == 1
     err = capsys.readouterr().err
-    assert f"{tmp_path / 'emb.tsv'} line 3: 2 values, but line 1 has 3" in err
+    assert f"{tmp_path / 'emb.tsv'}:3: 2 values, but line 1 has 3" in err
     assert not (tmp_path / "r.json").exists()
 
 
@@ -439,7 +451,34 @@ def test_eval_non_finite_value_names_line(tmp_path, capsys, value):
     assert run(["eval", "--embeddings", tmp_path / "emb.tsv",
                 "--labels", tmp_path / "lab.tsv", "--out", tmp_path / "r.json"]) == 1
     err = capsys.readouterr().err
-    assert f"{tmp_path / 'emb.tsv'} line 2: non-finite value" in err and "Traceback" not in err
+    assert f"{tmp_path / 'emb.tsv'}:2: non-finite value" in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_eval_diverging_probe_exit_1_without_warnings(tmp_path):
+    (tmp_path / "emb.tsv").write_text("".join(f"{(-1) ** i * 1e308!r}\t0.5\n" for i in range(20)))
+    (tmp_path / "lab.tsv").write_text("".join(f"{i % 2}\n" for i in range(20)))
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        assert run(["eval", "--embeddings", tmp_path / "emb.tsv",
+                    "--labels", tmp_path / "lab.tsv", "--out", tmp_path / "r.json"]) == 1
+    assert err.getvalue() == "error: non-finite loss in probe epoch 0\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("emb,where,message", [
+    ("a\nb\nc\n", 1, "no values"),
+    ("a\t0.1\nb\tx\nc\t0.3\n", 2, "malformed value"),
+    ("0.1\t0.2\n0.3\t\n0.5\t0.6\n", 2, "malformed value"),
+])
+def test_eval_bad_cell_names_file_and_line(tmp_path, capsys, emb, where, message):
+    (tmp_path / "emb.tsv").write_text(emb)
+    (tmp_path / "lab.tsv").write_text("0\n1\n0\n")
+    assert run(["eval", "--embeddings", tmp_path / "emb.tsv",
+                "--labels", tmp_path / "lab.tsv", "--out", tmp_path / "r.json"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'emb.tsv'}:{where}: {message}\n"
     assert not (tmp_path / "r.json").exists()
 
 
@@ -500,6 +539,36 @@ def test_no_molecules_exit_1(synth_graph, tmp_path, capsys, command):
     assert run(argv) == 1
     assert f"{smi}: no molecules" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(synth_graph, tmp_path_factory):
+    ck = tmp_path_factory.mktemp("checkpoint") / "ck.iapt"
+    assert run(["pretrain", "--graph", synth_graph, "--out", ck,
+                "--epochs", 1, *PRETRAIN_SMALL]) == 0
+    return ck
+
+
+def smiles_command(command, smi, ck, d):
+    """argv of `command` reading the SMILES file `smi`."""
+    if command == "fingerprint":
+        return ["fingerprint", "--input", smi, "--out", d / "out"]
+    if command == "embed":
+        return ["embed", "--checkpoint", ck, "--input", smi, "--out", d / "out"]
+    (d / "cands.tsv").write_text("c0\t" + "\t".join(["0.5"] * 6) + "\n")
+    (d / "true.txt").write_text("c0\n" * len(read_smiles_file(smi)))
+    return ["match", "--checkpoint", ck, "--queries", smi, "--candidates", d / "cands.tsv",
+            "--true-ids", d / "true.txt", "--out", d / "out"]
+
+
+@pytest.mark.parametrize("command", ["fingerprint", "embed", "match"])
+def test_bad_smiles_line_names_file_and_line(small_checkpoint, tmp_path, capsys, command):
+    smi = tmp_path / "q.smi"
+    smi.write_text("CCO\n# comment\n\nC1CC name\n")
+    assert run(smiles_command(command, smi, small_checkpoint, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {smi}:4: dangling ring closure digit(s): [1]\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["embed", "match", "pretrain --resume"])
@@ -791,8 +860,9 @@ def table(rows):
 def test_build_graph_fuzzed_tables_exit_0_or_1_with_message(tmp_path_factory, nodes, edges,
                                                            similarity):
     """Ragged rows, bad kinds and relations, non-numeric, non-finite or
-    out-of-range values, unknown ids and empty files: build-graph exits 0,
-    or 1 with one error line; no traceback and no numpy warning."""
+    out-of-range values, unknown, repeated and self-looped ids and empty
+    files: build-graph exits 0, or 1 with one error line, which names the
+    file and line for an id error; no traceback and no numpy warning."""
     d = tmp_path_factory.mktemp("fuzz")
     (d / "nodes.tsv").write_text(nodes, encoding="utf-8")
     (d / "edges.tsv").write_text(edges, encoding="utf-8")
@@ -810,3 +880,57 @@ def test_build_graph_fuzzed_tables_exit_0_or_1_with_message(tmp_path_factory, no
         assert code == 1
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and len(lines[0]) > 8
+        if re.search("unknown node id|already present|self-loop", lines[0]):
+            tables = "|".join(re.escape(str(d / name)) for name in ("nodes.tsv", "edges.tsv"))
+            assert re.match(rf"error: ({tables}):\d+: ", lines[0]), lines[0]
+
+
+MATRIX_CELL = mostly(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                     BAD_VALUE | st.sampled_from(["m0", "x y", " "]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=table(st.lists(MATRIX_CELL, max_size=4)))
+def test_read_matrix_tsv_fuzzed(tmp_path_factory, text):
+    """Id-only and ragged rows, non-numeric, non-finite and empty cells, and
+    empty files: the reader returns a finite matrix with at least one row
+    and one column, or raises TableFormatError naming the file; no numpy
+    warning."""
+    path = tmp_path_factory.mktemp("matrix") / "m.tsv"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ids, x = _read_matrix_tsv(path)
+        except TableFormatError as exc:
+            assert str(exc).startswith(f"{path}:")
+            return
+    assert x.ndim == 2 and x.shape[0] == len(ids) and min(x.shape) >= 1
+    assert np.isfinite(x).all()
+
+
+SMILES_LINE = mostly(smiles_strings().flatmap(
+    lambda smi: st.sampled_from([smi, f"  {smi}\tname", f"{smi} x y"])), st.text(max_size=12))
+
+
+@pytest.mark.parametrize("command", ["fingerprint", "embed", "match"])
+@settings(max_examples=60, deadline=None)
+@given(lines=st.lists(SMILES_LINE | TABLE_LINES, max_size=6))
+def test_smiles_file_fuzzed_exit_0_or_1_with_message(small_checkpoint, tmp_path_factory,
+                                                     command, lines):
+    """Bad SMILES, blank, comment and non-ASCII lines and empty files: the
+    command exits 0, or 1 with one error line naming the file; no traceback
+    and no numpy warning."""
+    d = tmp_path_factory.mktemp("smiles")
+    smi = d / "in.smi"
+    smi.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = run(smiles_command(command, smi, small_checkpoint, d))
+    if code == 0:
+        assert (d / "out").exists() and not err.getvalue()
+    else:
+        assert code == 1
+        assert err.getvalue().startswith(f"error: {smi}:")
+        assert err.getvalue().count("\n") == 1

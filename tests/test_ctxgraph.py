@@ -41,7 +41,7 @@ def test_add_nodes():
     g = ContextGraph()
     g.add_node(rec("a"))
     g.add_node(rec("b"))
-    assert g.num_nodes() == 2
+    assert g.node_ids() == ["a", "b"]
     with pytest.raises(DuplicateIdError):
         g.add_node(rec("a"))
 
@@ -62,19 +62,19 @@ def test_molecule_node_parses_smiles():
     g = ContextGraph()
     g.add_node(mol("m1", "c1ccccc1"))
     assert g.node("m1").mol is not None
-    assert len(g.node("m1").mol.atoms) == 6
+    assert len(g.node("m1").mol.element) == 6
 
 
 def test_perturbation_edge_weight_forced_one():
     g = ContextGraph()
     g.add_node(rec("a"))
     g.add_node(rec("b"))
-    e = g.add_perturbation_edge("a", "b")
+    e = g.add_edge("a", "b", Relation.PERTURBATION, 1.0)
     assert e.weight == 1.0
     with pytest.raises(SelfLoopError):
-        g.add_perturbation_edge("a", "a")
+        g.add_edge("a", "a", Relation.PERTURBATION, 1.0)
     with pytest.raises(UnknownNodeError):
-        g.add_perturbation_edge("a", "nope")
+        g.add_edge("a", "nope", Relation.PERTURBATION, 1.0)
 
 
 def test_edge_weight_range():
@@ -103,9 +103,9 @@ def test_max_weight_effective_edge():
     g.add_node(rec("a"))
     g.add_node(rec("b"))
     g.add_edge("a", "b", Relation.SIMILARITY, 0.85)
-    g.add_perturbation_edge("a", "b")
+    g.add_edge("a", "b", Relation.PERTURBATION, 1.0)
     g.finalize()
-    assert g.num_edges() == 2           # both relations stored
+    assert len(g.edges()) == 2          # both relations stored
     assert g.neighbors("a") == [("b", 1.0)]  # walker sees max weight
 
 
@@ -344,7 +344,7 @@ def build_random_graph(seed=0, n=30):
     for i in range(n):
         g.add_node(mol(f"m{i:02d}", "CCO"))
         g.add_node(rec(f"c{i:02d}", feats=tuple(rng.uniform(0, 1, 4))))
-        g.add_perturbation_edge(f"m{i:02d}", f"c{i:02d}")
+        g.add_edge(f"m{i:02d}", f"c{i:02d}", Relation.PERTURBATION, 1.0)
     g.build_similarity_edges(NodeKind.CELL_MORPHOLOGY, 0.8, 0.1)
     return g.finalize()
 
@@ -355,7 +355,7 @@ def test_stats_counts():
     assert s["nodes_by_kind"]["molecule"] == 30
     assert s["nodes_by_kind"]["cell_morphology"] == 30
     assert s["edges_by_relation"]["perturbation"] == 30
-    assert s["nodes"] == g.num_nodes() and s["edges"] == g.num_edges()
+    assert s["nodes"] == len(g.node_ids()) and s["edges"] == len(g.edges())
 
 
 def test_finalize_validates_ranges():
@@ -409,7 +409,7 @@ def test_load_parses_each_molecule_once_on_first_use(tmp_path, monkeypatch):
     mol = rec.molecule()
     assert rec.molecule() is mol and rec.mol is mol
     assert calls == ["CCO"]
-    assert [a.element for a in mol.atoms] == [a.element for a in g.node("m03").mol.atoms]
+    assert np.array_equal(mol.element, g.node("m03").mol.element)
 
 
 def test_load_corrupt(tmp_path):
@@ -458,7 +458,7 @@ def test_load_node_table_scaling(tmp_path):
 def test_load_edge_table_perturbation_forced(tmp_path):
     _, edges = write_tables(tmp_path)
     rows = load_edge_table(edges)
-    assert rows[0] == ("m1", "c1", Relation.PERTURBATION, 1.0)  # 0.25 overridden
+    assert rows[0] == ("m1", "c1", Relation.PERTURBATION, 1.0, 1)  # 0.25 overridden
     assert rows[2][2] is Relation.SIMILARITY and rows[2][3] == 0.9
 
 
@@ -467,6 +467,20 @@ def test_build_graph_from_tables(tmp_path):
     g = build_graph_from_tables(nodes, edges)
     assert g.finalized
     assert g.stats()["nodes"] == 5 and g.stats()["edges"] == 4
+
+
+@pytest.mark.parametrize("table,line,where,msg", [
+    ("edges", "m1\tnope\tsimilarity\t0.5", "edges.tsv:5", "unknown node id 'nope'"),
+    ("edges", "c1\tc1\tsimilarity\t0.5", "edges.tsv:5", "self-loop on 'c1'"),
+    ("nodes", "c2\tgene\tsrc\t4.0", "nodes.tsv:7", "node id 'c2' already present on line 5"),
+])
+def test_build_graph_id_errors_name_file_and_line(tmp_path, table, line, where, msg):
+    paths = dict(zip(("nodes", "edges"), write_tables(tmp_path)))
+    with open(paths[table], "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    with pytest.raises(TableFormatError) as exc:
+        build_graph_from_tables(paths["nodes"], paths["edges"])
+    assert str(exc.value) == f"{tmp_path / where}: {msg}"
 
 
 @pytest.mark.parametrize("line,msg", [

@@ -1,30 +1,25 @@
-"""Fingerprint tests backed by an environment-enumeration oracle and random
-atom permutations."""
-
-import struct
+"""Fingerprint tests backed by a per-atom identifier oracle
+(`tests/oracles.py`), an environment-counting oracle and random atom
+permutations."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from infoalign.errors import ZeroVectorError
-from infoalign.fingerprint import (
-    BitFingerprint,
-    cosine,
-    environment_identifiers,
-    morgan_fingerprint,
-)
-from infoalign.molparse import Bond, MolecularGraph, parse_smiles
+from infoalign.fingerprint import environment_identifiers, morgan_fingerprint
+from infoalign.molparse import MolecularGraph, parse_smiles
+from tests.oracles import FIXED_SMILES, reference_environment_identifiers
 from tests.test_molparse import smiles_strings
 
 
 def permute_graph(g: MolecularGraph, perm) -> MolecularGraph:
-    inv = {old: new for new, old in enumerate(perm)}
-    atoms = [None] * len(g.atoms)
-    for a in g.atoms:
-        atoms[inv[a.index]] = type(a)(a.element, a.formal_charge, a.aromatic, inv[a.index])
-    bonds = [Bond(inv[b.a], inv[b.b], b.order) for b in g.bonds]
-    return MolecularGraph(atoms, bonds)
+    """`g` with old atom perm[k] at index k; bonds keep their order, with
+    each bond's endpoints renumbered and sorted."""
+    perm = np.asarray(perm, dtype=np.intp)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(len(perm))
+    return MolecularGraph(g.element[perm], g.charge[perm], g.aromatic[perm], g.degree[perm],
+                          np.sort(inv[g.bonds], axis=1), g.order)
 
 
 def test_methane_radius0_single_bit():
@@ -57,7 +52,7 @@ def test_permutation_invariance():
         g = parse_smiles(smi)
         base = morgan_fingerprint(g, 2, 512).bits
         for _ in range(5):
-            perm = list(rng.permutation(len(g.atoms)))
+            perm = list(rng.permutation(len(g.element)))
             gp = permute_graph(g, perm)
             assert np.array_equal(morgan_fingerprint(gp, 2, 512).bits, base)
 
@@ -88,30 +83,7 @@ def test_environment_oracle_distinct_count():
         assert morgan_fingerprint(g, 2, 1024).count() == expected
 
 
-def reference_environment_identifiers(g: MolecularGraph, radius: int):
-    """environment_identifiers with MolecularGraph.degree() and neighbors() per atom."""
-    from infoalign.fingerprint import _BOND_CODE, _fnv1a
-    ids = [
-        _fnv1a(a.element.encode("ascii")
-               + struct.pack("<iBI", a.formal_charge, int(a.aromatic), g.degree(a.index)))
-        for a in g.atoms
-    ]
-    collected = set(ids)
-    for _ in range(radius):
-        nxt = []
-        for i in range(len(g.atoms)):
-            env = sorted((_BOND_CODE[order], ids[j]) for j, order in g.neighbors(i))
-            blob = struct.pack("<Q", ids[i]) + b"".join(
-                struct.pack("<BQ", code, nid) for code, nid in env)
-            nxt.append(_fnv1a(blob))
-        ids = nxt
-        collected.update(ids)
-    return collected
-
-
-@pytest.mark.parametrize("smi", ["C", "CCO", "c1ccccc1", "CC(=O)Oc1ccccc1C(=O)O",
-                                 "C(C)(C)(C)(C)(C)C", "[NH4+]", "OCC(O)(N)C1CC1[O-]",
-                                 "C1CC2CCC1CC2", "N#CC(=O)[O-]"])
+@pytest.mark.parametrize("smi", FIXED_SMILES)
 def test_identifiers_match_degree_reference(smi):
     g = parse_smiles(smi)
     for radius in range(4):
@@ -145,35 +117,3 @@ def test_to_float_and_hex():
     f = fp.to_float()
     assert f.dtype == np.float32 and set(np.unique(f)) <= {0.0, 1.0}
     assert len(fp.to_hex()) == 64 // 4
-
-
-# --- cosine ------------------------------------------------------------------
-
-def test_cosine_identity():
-    assert cosine([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == pytest.approx(1.0)
-
-
-def test_cosine_orthogonal():
-    assert cosine([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
-
-
-def test_cosine_closed_form():
-    assert cosine([1.0, 0.0], [1.0, 1.0]) == pytest.approx(2.0 ** -0.5, abs=1e-9)
-
-
-def test_cosine_zero_vector():
-    with pytest.raises(ZeroVectorError):
-        cosine([0.0, 0.0], [1.0, 0.0])
-    with pytest.raises(ValueError):
-        cosine([1.0], [1.0, 2.0])
-
-
-def test_cosine_random_against_loop_oracle():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        u = rng.standard_normal(16)
-        v = rng.standard_normal(16)
-        num = sum(float(a * b) for a, b in zip(u, v))
-        du = sum(float(a * a) for a in u) ** 0.5
-        dv = sum(float(b * b) for b in v) ** 0.5
-        assert cosine(u, v) == pytest.approx(num / (du * dv), abs=1e-12)

@@ -14,11 +14,10 @@ from infoalign.errors import NoDecoderError, PathMismatchError, ShapeMismatchErr
 from infoalign.model import (
     _NOISE_STREAM,
     _SHUFFLE_STREAM,
-    ATOM_FEATURE_DIM,
     EncoderOutput,
     LossBreakdown,
     ModelConfig,
-    atom_feature_matrix,
+    atom_features,
     batch_loss,
     decode_nll,
     decoder_keys,
@@ -31,13 +30,13 @@ from infoalign.model import (
     init_model,
     kl_standard_normal,
     load_checkpoint,
-    mol_arrays,
     pretrain,
     reparameterize,
     save_checkpoint,
 )
 from infoalign.molparse import parse_smiles
 from infoalign.walker import WalkConfig, WalkPath, batch_walks
+from tests.oracles import FIXED_SMILES, reference_atom_features, scanned_neighbors
 from tests.test_fingerprint import permute_graph
 from tests.test_molparse import smiles_strings
 
@@ -65,7 +64,7 @@ def tiny_graph(n_mols=6, seed=0, fp_bits=64):
                               smiles=smi, mol=mol))
         g.add_node(NodeRecord(f"c{i}", NodeKind.CELL_MORPHOLOGY,
                               rng.uniform(0, 1, 5).astype(np.float32)))
-        g.add_perturbation_edge(f"m{i}", f"c{i}")
+        g.add_edge(f"m{i}", f"c{i}", Relation.PERTURBATION, 1.0)
     return g.finalize()
 
 
@@ -77,33 +76,26 @@ def make_store(cfg, graph):
 
 # --- atom features ------------------------------------------------------------------
 
-def reference_atom_features(g):
-    """Per-atom features with the degree taken from MolecularGraph.degree()."""
-    elements = ("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I")
-    x = np.zeros((len(g.atoms), ATOM_FEATURE_DIM))
-    for a in g.atoms:
-        x[a.index, elements.index(a.element)] = 1.0
-        x[a.index, 10 + min(max(a.formal_charge, -2), 2) + 2] = 1.0
-        x[a.index, 15] = float(a.aromatic)
-        x[a.index, 16 + min(g.degree(a.index), 5)] = 1.0
-    return x
-
-
-@pytest.mark.parametrize("smi", ["C", "CCO", "c1ccccc1", "CC(=O)Oc1ccccc1C(=O)O",
-                                 "C(C)(C)(C)(C)(C)C", "[NH4+]", "OCC(O)(N)C1CC1[O-]"])
+@pytest.mark.parametrize("smi", FIXED_SMILES)
 def test_atom_features_match_degree_reference(smi):
     g = parse_smiles(smi)
-    assert np.array_equal(atom_feature_matrix(g), reference_atom_features(g))
+    assert np.array_equal(atom_features([g]), reference_atom_features(g))
 
 
 @settings(max_examples=200, deadline=None)
 @given(smiles_strings())
 def test_atom_features_match_degree_reference_fuzzed(smi):
     g = parse_smiles(smi)
-    x = atom_feature_matrix(g)
+    x = atom_features([g])
     assert np.array_equal(x, reference_atom_features(g))
     assert np.array_equal(x[:, 16:].argmax(axis=1),
-                          [min(g.degree(i), 5) for i in range(len(g.atoms))])
+                          [min(len(scanned_neighbors(g, i)), 5) for i in range(len(g.element))])
+
+
+def test_atom_features_of_a_batch_stack_each_molecule():
+    mols = [parse_smiles(s) for s in FIXED_SMILES]
+    assert np.array_equal(atom_features(mols),
+                          np.concatenate([reference_atom_features(g) for g in mols]))
 
 
 # --- encoder ---------------------------------------------------------------------
@@ -118,7 +110,7 @@ def test_encoder_permutation_invariance():
         mol = parse_smiles(smi)
         base = gin_encode(mol, bound)
         for _ in range(3):
-            perm = list(rng.permutation(len(mol.atoms)))
+            perm = list(rng.permutation(len(mol.element)))
             out = gin_encode(permute_graph(mol, perm), bound)
             assert np.allclose(out.mu.data, base.mu.data, rtol=1e-9)
             assert np.allclose(out.logvar.data, base.logvar.data, rtol=1e-9)
@@ -129,12 +121,45 @@ def test_encode_batch_rows_equal_single_molecule_encodes():
     store = make_store(cfg, tiny_graph())
     bound = store.bind()
     mols = [parse_smiles(s) for s in ["C", "CC(C)CC(=O)O", "c1ccc(N)cc1", "O", "OCC(O)CO"]]
-    out = encode_batch([mol_arrays(m) for m in mols], bound)
+    out = encode_batch(mols, bound)
     assert out.mu.shape == out.logvar.shape == (len(mols), cfg.latent_dim)
     for k, mol in enumerate(mols):
         one = gin_encode(mol, bound)
         np.testing.assert_allclose(out.mu.data[k], one.mu.data[0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(out.logvar.data[k], one.logvar.data[0], rtol=0, atol=1e-12)
+
+
+def numpy_gin_mu(g, params, num_layers):
+    """mu of one molecule in plain numpy: the oracle's atom features, then
+    per layer a loop over the bonds that adds both messages of each."""
+    def mlp(prefix, h):
+        i = 0
+        while f"{prefix}.w{i}" in params:
+            h = h @ params[f"{prefix}.w{i}"] + params[f"{prefix}.b{i}"]
+            if f"{prefix}.w{i + 1}" in params:
+                h = np.maximum(h, 0.0)
+            i += 1
+        return h
+
+    h = reference_atom_features(g) @ params["atom_embed"]
+    for layer in range(num_layers):
+        agg = np.zeros_like(h)
+        for (a, b), order in zip(g.bonds.tolist(), g.order.tolist()):
+            edge = params[f"bond_embed.l{layer}"][order]
+            agg[b] += h[a] + edge
+            agg[a] += h[b] + edge
+        h = mlp(f"gin.l{layer}", agg + h)
+    return mlp("head_mu", h.sum(axis=0, keepdims=True))[0]
+
+
+def test_encode_batch_matches_numpy_per_bond_reference():
+    cfg = small_cfg()
+    store = make_store(cfg, tiny_graph())
+    mols = [parse_smiles(s) for s in FIXED_SMILES]
+    mu = encode_batch(mols, store.bind()).mu.data
+    for k, g in enumerate(mols):
+        np.testing.assert_allclose(mu[k], numpy_gin_mu(g, store.params, cfg.num_layers),
+                                   rtol=1e-9, atol=1e-9)
 
 
 def test_encoder_zero_heads_give_zero_outputs():
@@ -433,8 +458,8 @@ def walk_graph(n_mols=7):
                               morgan_fingerprint(mol, 2, 64).to_float(), smiles=smi, mol=mol))
         g.add_node(NodeRecord(f"c{i}", NodeKind.CELL_MORPHOLOGY,
                               rng.uniform(0, 1, 5).astype(np.float32)))
-        g.add_perturbation_edge(f"m{i}", f"c{i}")
-        g.add_perturbation_edge(f"m{i}", f"g{i % 3}")
+        g.add_edge(f"m{i}", f"c{i}", Relation.PERTURBATION, 1.0)
+        g.add_edge(f"m{i}", f"g{i % 3}", Relation.PERTURBATION, 1.0)
     for i in range(n_mols):
         g.add_edge(f"c{i}", f"c{(i + 1) % n_mols}", Relation.SIMILARITY, 0.5 + 0.1 * (i % 3))
     return g.finalize()
@@ -515,8 +540,8 @@ def test_batch_loss_isolated_molecule_trains_on_own_fingerprint(likelihood):
         g.add_node(NodeRecord(f"m{i}", NodeKind.MOLECULE,
                               morgan_fingerprint(mol, 2, 64).to_float(), smiles=smi, mol=mol))
     g.add_node(NodeRecord("c0", NodeKind.CELL_MORPHOLOGY, np.linspace(0, 1, 5)))
-    g.add_perturbation_edge("m0", "c0")
-    g.add_perturbation_edge("m2", "c0")
+    g.add_edge("m0", "c0", Relation.PERTURBATION, 1.0)
+    g.add_edge("m2", "c0", Relation.PERTURBATION, 1.0)
     g.finalize()
     isolated = batch_walks(g, ["m1"], WalkConfig(length=4))[0]
     assert isolated.nodes == ["m1"] and isolated.alphas == [] and isolated.truncated

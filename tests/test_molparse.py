@@ -1,6 +1,7 @@
-"""Parser tests: grammar cases, typed errors, round-trip stability and the
-SMILES file reader."""
+"""Parser tests: grammar cases, the atom and bond arrays, typed errors,
+round-trip stability and the SMILES file reader."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,14 +13,20 @@ from infoalign.errors import (
     UnsupportedFeatureError,
 )
 from infoalign.molparse import (
+    ELEMENTS,
     BondOrder,
     parse_smiles,
     read_smiles_file,
 )
+from tests.oracles import FIXED_SMILES, scanned_neighbors
 
 
 def bond_set(g):
-    return {(b.a, b.b, b.order) for b in g.bonds}
+    return {(a, b, BondOrder(o)) for (a, b), o in zip(g.bonds.tolist(), g.order.tolist())}
+
+
+def elements(g):
+    return [ELEMENTS[e] for e in g.element.tolist()]
 
 
 @st.composite
@@ -43,49 +50,46 @@ def smiles_strings(draw):
 
 def test_single_atom():
     g = parse_smiles("C")
-    assert len(g.atoms) == 1 and g.atoms[0].element == "C"
-    assert not g.bonds
+    assert elements(g) == ["C"]
+    assert g.bonds.shape == (0, 2) and g.order.shape == (0,)
 
 
 def test_linear_chain():
     g = parse_smiles("CCO")
-    assert [a.element for a in g.atoms] == ["C", "C", "O"]
+    assert elements(g) == ["C", "C", "O"]
     assert bond_set(g) == {(0, 1, BondOrder.SINGLE), (1, 2, BondOrder.SINGLE)}
 
 
 def test_benzene_ring():
     g = parse_smiles("c1ccccc1")
-    assert len(g.atoms) == 6
-    assert all(a.element == "C" and a.aromatic for a in g.atoms)
+    assert elements(g) == ["C"] * 6 and g.aromatic.all()
     assert len(g.bonds) == 6
-    assert all(b.order is BondOrder.AROMATIC for b in g.bonds)
+    assert (g.order == BondOrder.AROMATIC).all()
     # ring-closure pairing: every atom has degree exactly 2 (a single cycle)
-    assert all(g.degree(i) == 2 for i in range(6))
+    assert g.degree.tolist() == [2] * 6
 
 
 def test_bond_symbols():
-    g = parse_smiles("C=C")
-    assert g.bonds[0].order is BondOrder.DOUBLE
-    g = parse_smiles("C#N")
-    assert g.bonds[0].order is BondOrder.TRIPLE
-    g = parse_smiles("C-C")
-    assert g.bonds[0].order is BondOrder.SINGLE
+    assert parse_smiles("C=C").order.tolist() == [BondOrder.DOUBLE]
+    assert parse_smiles("C#N").order.tolist() == [BondOrder.TRIPLE]
+    assert parse_smiles("C-C").order.tolist() == [BondOrder.SINGLE]
+    assert parse_smiles("c:c").order.tolist() == [BondOrder.AROMATIC]
 
 
 def test_branches():
     g = parse_smiles("CC(C)(C)C")  # neopentane
-    assert len(g.atoms) == 5
-    assert g.degree(1) == 4
+    assert len(g.element) == 5
+    assert g.degree.tolist() == [1, 4, 1, 1, 1]
 
 
 def test_bracket_atoms():
     g = parse_smiles("[NH4+]")
-    a = g.atoms[0]
-    assert a.element == "N" and a.formal_charge == 1
-    g = parse_smiles("[O-]")
-    assert g.atoms[0].formal_charge == -1
-    g = parse_smiles("C[N+2]C")
-    assert g.atoms[1].formal_charge == 2
+    assert elements(g) == ["N"] and g.charge.tolist() == [1]
+    assert parse_smiles("[O-]").charge.tolist() == [-1]
+    assert parse_smiles("C[N+2]C").charge.tolist() == [0, 2, 0]
+    assert parse_smiles("[N--]").charge.tolist() == [-2]
+    g = parse_smiles("[nH]1cccc1")
+    assert g.aromatic.all() and (g.order == BondOrder.AROMATIC).all()
     # [Fe]: the F parses but the trailing 'e' is an illegal token
     with pytest.raises(SmilesSyntaxError):
         parse_smiles("[Fe]")
@@ -93,19 +97,50 @@ def test_bracket_atoms():
 
 def test_two_letter_elements():
     g = parse_smiles("ClCBr")
-    assert [a.element for a in g.atoms] == ["Cl", "C", "Br"]
+    assert elements(g) == ["Cl", "C", "Br"]
 
 
 def test_percent_ring_closure():
     g = parse_smiles("C%10CCC%10")
     assert len(g.bonds) == 4  # 3 chain bonds + 1 closure
-    assert g.degree(0) == 2 and g.degree(3) == 2
+    assert g.degree[0] == 2 and g.degree[3] == 2
 
 
 def test_ring_closure_explicit_order():
     g = parse_smiles("C=1CCCCC=1")
-    closure = [b for b in g.bonds if set(b.endpoints) == {0, 5}]
-    assert closure and closure[0].order is BondOrder.DOUBLE
+    assert (0, 5, BondOrder.DOUBLE) in bond_set(g)
+    g = parse_smiles("C-1CCCCC1")
+    assert (0, 5, BondOrder.SINGLE) in bond_set(g)
+    # an explicit single closure between aromatic atoms stays single
+    assert (0, 5, BondOrder.SINGLE) in bond_set(parse_smiles("c1ccccc-1"))
+
+
+def check_arrays(g):
+    """Endpoints a < b, no repeated bond, and each degree equal to a scan of the bonds."""
+    n = len(g.element)
+    assert g.bonds.shape == (len(g.order), 2)
+    assert all(len(a) == n for a in (g.charge, g.aromatic, g.degree))
+    assert (g.bonds[:, 0] < g.bonds[:, 1]).all() and (g.bonds < n).all()
+    assert len(bond_set(g)) == len(g.order)
+    assert g.degree.tolist() == [len(scanned_neighbors(g, i)) for i in range(n)]
+    assert set(g.order.tolist()) <= set(BondOrder)
+
+
+@pytest.mark.parametrize("smi", FIXED_SMILES)
+def test_arrays_consistent(smi):
+    check_arrays(parse_smiles(smi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(smiles_strings())
+def test_arrays_consistent_fuzzed(smi):
+    check_arrays(parse_smiles(smi))
+
+
+def test_charge_beyond_int32_rejected():
+    assert parse_smiles("[C+2147483647]").charge.tolist() == [2147483647]
+    with pytest.raises(SmilesSyntaxError, match="charge out of range"):
+        parse_smiles("[C-99999999999]")
 
 
 # --- errors ------------------------------------------------------------------
@@ -149,7 +184,7 @@ def test_parser_never_crashes(text):
     from infoalign.errors import InfoAlignError
     try:
         g = parse_smiles(text)
-        assert len(g.atoms) >= 1
+        assert len(g.element) >= 1
     except InfoAlignError:
         pass
 
@@ -159,9 +194,8 @@ def test_parser_never_crashes(text):
 def test_reparse_identical():
     for smi in ["CCO", "c1ccccc1", "CC(=O)Oc1ccccc1C(=O)O", "[NH4+]"]:
         g1, g2 = parse_smiles(smi), parse_smiles(smi)
-        assert [(a.element, a.formal_charge, a.aromatic) for a in g1.atoms] == \
-               [(a.element, a.formal_charge, a.aromatic) for a in g2.atoms]
-        assert bond_set(g1) == bond_set(g2)
+        for name in ("element", "charge", "aromatic", "degree", "bonds", "order"):
+            assert np.array_equal(getattr(g1, name), getattr(g2, name))
 
 
 def test_token_count_oracle():
@@ -184,11 +218,11 @@ def test_token_count_oracle():
                 i += 1
             else:
                 i += 1
-        assert len(g.atoms) == atom_count
+        assert len(g.element) == atom_count
         assert len(g.bonds) == atom_count - 1 + ring_digits // 2
 
 
 def test_read_smiles_file(tmp_path):
     p = tmp_path / "mols.smi"
     p.write_text("# comment\nCCO\n\nc1ccccc1 benzene\n")
-    assert read_smiles_file(p) == ["CCO", "c1ccccc1"]
+    assert read_smiles_file(p) == [(2, "CCO"), (4, "c1ccccc1")]

@@ -6,6 +6,7 @@ walk and one step at a time over neighbor lists built from `g.edges()`)."""
 import bisect
 import hashlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -205,7 +206,7 @@ def test_walk_length_two_perturbation():
     g = ContextGraph()
     g.add_node(NodeRecord("m0", NodeKind.MOLECULE, np.zeros(0, dtype=np.float32), smiles="C"))
     g.add_node(NodeRecord("c0", NodeKind.CELL_MORPHOLOGY, feat()))
-    g.add_perturbation_edge("m0", "c0")
+    g.add_edge("m0", "c0", Relation.PERTURBATION, 1.0)
     g.finalize()
     p = batch_walks(g, ["m0"], WalkConfig(length=2, walks_per_molecule=1))[0]
     assert p.targets() == [("c0", 1.0)]
@@ -308,7 +309,7 @@ def test_dead_end_truncation():
     g.add_node(NodeRecord("c0", NodeKind.CELL_MORPHOLOGY, feat()))
     # The graph is undirected, so a degree-1 node is never a dead end: the
     # walk bounces back instead of truncating.
-    g.add_perturbation_edge("m0", "c0")
+    g.add_edge("m0", "c0", Relation.PERTURBATION, 1.0)
     g.finalize()
     p = batch_walks(g, ["m0"], WalkConfig(length=5))[0]
     assert len(p.nodes) == 5 and not p.truncated  # bouncing is allowed
@@ -373,6 +374,9 @@ def walk_cases(draw):
     return g.finalize(), starts, cfg
 
 
+# Seeds are drawn up to 2**64 - 1; a seed from 2**63 up once reached Philox
+# as a float key, with a RuntimeWarning from the cast.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(case=walk_cases(), cut=st.integers(0, 30))
 def test_batch_walks_equal_per_step_oracle(case, cut):
@@ -405,6 +409,23 @@ def test_walk_tsv_golden(tmp_path, argv, digest):
     assert main(["walk", "--graph", str(tmp_path / "g.ctxg"), *map(str, argv),
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seeds", [(-1, 0), (2**63, 2**63 + 1)])
+def test_walk_seeds_equal_mod_2_64_only(tmp_path, seeds):
+    """A negative seed is taken mod 2**64: -1 is 2**64 - 1, which walks
+    differently from 0, as 2**63 does from 2**63 + 1."""
+    g, _mols = many_weights_graph()
+    g.save(tmp_path / "g.ctxg")
+    texts = []
+    for seed in (*seeds, seeds[0] % 2**64):
+        out = tmp_path / f"walks{seed}.tsv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["walk", "--graph", str(tmp_path / "g.ctxg"), "--seed", str(seed),
+                         "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] != texts[1] and texts[0] == texts[2]
 
 
 def test_load_then_walk_parses_no_smiles(tmp_path, monkeypatch):
