@@ -21,6 +21,7 @@ from .ctxgraph import (
 from .walker import WalkBatch, WalkConfig, WalkPath, batch_walks
 from .model import (
     ModelConfig,
+    TrainState,
     embed,
     infoalign_loss,
     load_checkpoint,
@@ -58,7 +59,7 @@ __all__ = [
     "ContextGraph", "NodeKind", "NodeRecord", "Relation", "WeightedEdge",
     "build_graph_from_tables", "min_max_scale",
     "WalkBatch", "WalkConfig", "WalkPath", "batch_walks",
-    "ModelConfig", "embed", "infoalign_loss",
+    "ModelConfig", "TrainState", "embed", "infoalign_loss",
     "load_checkpoint", "pretrain", "save_checkpoint",
     "JointTable", "gaussian_mi", "i_dlb", "i_eub", "i_nce", "i_nwj",
     "prop1_report", "true_mi",

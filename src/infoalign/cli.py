@@ -4,17 +4,17 @@ Subcommands: build-graph, synth, walk, fingerprint, pretrain, embed, eval,
 match, mi-bench. Every command accepts --config (a JSON file, also settable
 via the INFOALIGN_CONFIG environment variable) and --out. A command's
 settings are the keys of its `OPTIONS` entry, each both a flag
-(`--key-with-dashes`) and a config key; the commands that draw random numbers
-(synth, walk, pretrain, eval, mi-bench) have a `seed`. Precedence:
+(`--key-with-dashes`) and a config key; those of synth, walk and pretrain are
+the fields of `SyntheticSpec`, `WalkConfig` and `ModelConfig`. Precedence:
 command-line flags > config file > built-in defaults. A config value takes
 its default's type; a bool key takes only JSON true or false.
 
-`pretrain --resume` starts from the checkpoint's config. It takes epochs and
-lr from the flags, config or defaults, applies each other training key that
-a flag or the config gives (beta, batch_size, seed, walk_length,
-walks_per_molecule, uniform; a beta sweep gives beta), and keeps the
-checkpoint's value of every key not given. A given architecture key that
-disagrees with the checkpoint is an error.
+`pretrain` records the graph's fingerprint width as fp_bits. `pretrain
+--resume` continues the checkpoint's epochs, generators and config. It takes
+epochs and lr from the flags, config or defaults and each other key that a
+flag or the config gives (a beta sweep gives beta); a seed other than the
+checkpoint's draws fresh generators. A given architecture key that disagrees
+with the checkpoint is an error.
 
 Primary outputs are deterministic given identical inputs and seed. Exit
 codes: 0 success, 1 domain error, 2 usage error.
@@ -27,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -46,11 +46,18 @@ from .evalkit import (
     split_random,
 )
 from .fingerprint import morgan_fingerprint
-from .model import ModelConfig, embed, load_checkpoint, pretrain, save_checkpoint
+from .model import (ModelConfig, TrainState, embed, feature_keys, load_checkpoint, pretrain,
+                    save_checkpoint)
 from .molparse import parse_smiles, read_smiles_file
+from .serialize import table_rows, text_lines
 from .walker import WalkConfig, batch_walks
 
 CONFIG_ENV = "INFOALIGN_CONFIG"
+
+
+def _defaults(cls, **extra) -> dict:
+    return {**{f.name: f.default for f in fields(cls)}, **extra}
+
 
 # Each command's settings and their defaults. Every key is a flag and a config
 # key; the flag takes its default's type, where a bool gives --x/--no-x and a
@@ -58,16 +65,10 @@ CONFIG_ENV = "INFOALIGN_CONFIG"
 OPTIONS = {
     "build-graph": {"similarity_kinds": "", "threshold": 0.8, "keep_fraction": 0.005,
                     "fp_radius": 2, "fp_bits": 1024},
-    "synth": {"seed": 0, "clusters": 2, "per_cluster": 100, "noise": 0.1,
-              "morph_dim": 16, "gexp_dim": 16, "motifs": None,
-              "decoration_min": 3, "decoration_max": 10},
-    "walk": {"seed": 0, "length": 4, "walks_per_molecule": 2, "uniform": False},
+    "synth": _defaults(synth.SyntheticSpec),
+    "walk": _defaults(WalkConfig),
     "fingerprint": {"radius": 2, "nbits": 1024},
-    "pretrain": {"seed": 0, "latent_dim": 64, "num_layers": 3, "hidden": 128,
-                 "decoder_hidden": 64, "beta": 1e-9, "beta_sweep": None,
-                 "likelihood": "bernoulli", "fp_radius": 2, "fp_bits": 1024,
-                 "epochs": 10, "batch_size": 32, "lr": 1e-3,
-                 "walk_length": 4, "walks_per_molecule": 2, "uniform": False},
+    "pretrain": _defaults(ModelConfig, beta_sweep=None),
     "embed": {},
     "eval": {"seed": 0, "task_types": "classification", "probe_hidden": 0,
              "probe_epochs": 200, "probe_lr": 0.05},
@@ -91,8 +92,10 @@ def _load_config_file(args) -> dict:
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    try:
+        cfg = json.loads("\n".join(line for _lineno, line in text_lines(path)))
+    except json.JSONDecodeError as exc:
+        raise InfoAlignError(f"{path}:{exc.lineno}: {exc.msg} (column {exc.colno})") from None
     if not isinstance(cfg, dict):
         raise InfoAlignError(f"config file {path!r} must contain a JSON object")
     return cfg
@@ -114,13 +117,10 @@ def _resolve(args) -> tuple[SimpleNamespace, set]:
     values = dict(options)
     for key, value in given.items():
         convert = type(options[key])
-        if convert is bool:
-            if not isinstance(value, bool):
-                raise InfoAlignError(f"config key {key!r}: expected true or false, "
-                                     f"got {value!r}")
-        elif convert is str:
-            if not isinstance(value, str):
-                raise InfoAlignError(f"config key {key!r}: expected a string, got {value!r}")
+        if convert in (bool, str):
+            if not isinstance(value, convert):
+                expected = "true or false" if convert is bool else "a string"
+                raise InfoAlignError(f"config key {key!r}: expected {expected}, got {value!r}")
         elif convert in (int, float):
             if isinstance(value, bool) or (convert is int and isinstance(value, float)
                                            and not value.is_integer()):
@@ -153,12 +153,9 @@ def _ints(csv: str):
 def cmd_build_graph(args) -> int:
     opt, _given = _resolve(args)
     kinds = [NodeKind(k) for k in opt.similarity_kinds.split(",") if k]
-    g = build_graph_from_tables(
-        args.nodes, args.edges,
-        fp_radius=opt.fp_radius, fp_bits=opt.fp_bits,
-        similarity_kinds=kinds,
-        threshold=opt.threshold, keep_fraction=opt.keep_fraction,
-    )
+    g = build_graph_from_tables(args.nodes, args.edges, fp_radius=opt.fp_radius,
+                                fp_bits=opt.fp_bits, similarity_kinds=kinds,
+                                threshold=opt.threshold, keep_fraction=opt.keep_fraction)
     g.save(args.out)
     stats = g.stats()
     stats["checksum"] = g.checksum()
@@ -176,14 +173,9 @@ def cmd_synth(args) -> int:
     spec = synth.SyntheticSpec(**{**vars(opt), "motifs": motifs})
     data = synth.generate(spec)
     paths = synth.write_tables(data, args.out)
-    manifest = {
-        "clusters": spec.clusters, "per_cluster": spec.per_cluster,
-        "noise": spec.noise, "morph_dim": spec.morph_dim,
-        "gexp_dim": spec.gexp_dim, "seed": spec.seed,
-        "motifs": list(spec.motifs), "files": paths,
-        "molecules": len(data.molecule_ids),
-    }
-    _write_json(Path(args.out) / "manifest.json", manifest)
+    _write_json(Path(args.out) / "manifest.json", {
+        **asdict(spec), "motifs": list(spec.motifs), "files": paths,
+        "molecules": len(data.molecule_ids)})
     return 0
 
 
@@ -191,10 +183,7 @@ def cmd_walk(args) -> int:
     opt, _given = _resolve(args)
     g = ContextGraph.load(args.graph)
     starts = g.molecule_ids() if args.starts == "all" else args.starts.split(",")
-    cfg = WalkConfig(
-        length=opt.length, walks_per_molecule=opt.walks_per_molecule,
-        seed=opt.seed, weight_proportional=not opt.uniform,
-    )
+    cfg = WalkConfig(**vars(opt))
     walks = batch_walks(g, starts, cfg)
     ids = np.array(walks.ids, dtype=object)[walks.nodes].tolist()
     weights, alphas = _float_texts(walks.weights), _float_texts(walks.alphas)
@@ -258,42 +247,34 @@ def cmd_fingerprint(args) -> int:
 # Keys that fix the model's shape; a resumed run must agree with its checkpoint.
 _ARCHITECTURE = ("latent_dim", "num_layers", "hidden", "decoder_hidden", "likelihood",
                  "fp_radius", "fp_bits")
-_MODEL_KEYS = {f.name for f in fields(ModelConfig)} - {"walk"}
-_WALK_KEYS = {"walk_length": "length", "walks_per_molecule": "walks_per_molecule",
-              "seed": "seed"}
-
-
-def _model_config(base: ModelConfig, opt, keys) -> ModelConfig:
-    """`base` with the `pretrain` values of `keys` applied; `seed` seeds the walks too."""
-    model = {k: getattr(opt, k) for k in keys if k in _MODEL_KEYS}
-    walk = {field: getattr(opt, k) for k, field in _WALK_KEYS.items() if k in keys}
-    if "uniform" in keys:
-        walk["weight_proportional"] = not opt.uniform
-    return replace(base, walk=replace(base.walk, **walk), **model)
 
 
 def _run_pretrain(graph, opt, given: set, out: str, resume: str | None):
     """Train and write the checkpoint `out` and its log.
 
-    A fresh run takes every key of `opt`; a resumed run starts from the
-    checkpoint's config and takes epochs, lr and the `given` keys.
+    A fresh run takes every key of `opt`; a resumed run continues the
+    checkpoint and takes epochs, lr and the `given` keys, and with a seed
+    other than the checkpoint's, fresh generators.
     """
+    settings = {k: v for k, v in vars(opt).items() if k != "beta_sweep"}
     if resume:
-        store, base = load_checkpoint(resume)
+        store, base, state = load_checkpoint(resume)
         for key in _ARCHITECTURE:
             if key in given and getattr(opt, key) != getattr(base, key):
                 raise InfoAlignError(f"{key} {getattr(opt, key)!r} disagrees with "
                                      f"{getattr(base, key)!r} in the checkpoint {resume}")
-        keys = given | {"epochs", "lr"}
+        settings = {k: settings[k] for k in settings.keys() & (given | {"epochs", "lr"})}
     else:
-        store, base, keys = None, ModelConfig(), OPTIONS["pretrain"]
-    cfg = _model_config(base, opt, keys)
+        store, base, state = None, ModelConfig(), TrainState()
+    cfg = replace(base, **settings)
+    if cfg.seed != base.seed:  # fresh generators from the new seed
+        state = TrainState(state.epoch)
     rows = ["epoch\ttotal\tkl\tbeta\trecon"]
-    store, logs = pretrain(graph, cfg, store=store)
-    for e, br in enumerate(logs):
+    store, logs = pretrain(graph, cfg, store=store, state=state)
+    for e, br in enumerate(logs, state.epoch - cfg.epochs):
         recon = ";".join(f"{k}={v:.8g}" for k, v in sorted(br.recon_per_modality.items()))
         rows.append(f"{e}\t{br.total:.8g}\t{br.kl:.8g}\t{br.beta:.8g}\t{recon}")
-    save_checkpoint(out, store, cfg, graph)
+    save_checkpoint(out, store, cfg, graph, state)
     Path(out + ".log.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
@@ -303,6 +284,12 @@ def cmd_pretrain(args) -> int:
         raise InfoAlignError(f"config key 'beta_sweep': expected a comma-separated string, "
                              f"got {opt.beta_sweep!r}")
     graph = ContextGraph.load(args.graph)
+    if not args.resume:  # a resume keeps the checkpoint's, which must have its decoder
+        bits = dict(feature_keys(graph)).get(NodeKind.MOLECULE.value, opt.fp_bits)
+        if "fp_bits" in given and opt.fp_bits != bits:
+            raise InfoAlignError(f"fp_bits {opt.fp_bits} disagrees with the {bits}-bit "
+                                 f"molecule fingerprints of the graph {args.graph}")
+        opt.fp_bits = bits
     if opt.beta_sweep:
         for beta in _floats(opt.beta_sweep):
             opt.beta = beta
@@ -314,7 +301,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    store, _cfg = load_checkpoint(args.checkpoint)
+    store = load_checkpoint(args.checkpoint)[0]
     z = embed(store, [mol for _smi, mol in _read_molecules(args.input)])
     lines = ["\t".join(f"{v:.12g}" for v in row) for row in z]
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -330,32 +317,27 @@ def _read_matrix_tsv(path):
     """
     ids, rows = [], []
     first = None  # (line number, value count) of the first row
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            try:
-                float(cols[0])
-                ids.append(None)
-            except ValueError:
-                ids.append(cols[0])
-                cols = cols[1:]
-            if not cols:
-                raise TableFormatError(f"{path}:{lineno}: no values")
-            try:
-                row = [float(c) for c in cols]
-            except ValueError:
-                raise TableFormatError(f"{path}:{lineno}: malformed value") from None
-            if not all(map(math.isfinite, row)):
-                raise TableFormatError(f"{path}:{lineno}: non-finite value")
-            if first is None:
-                first = (lineno, len(row))
-            elif len(row) != first[1]:
-                raise TableFormatError(f"{path}:{lineno}: {len(row)} values, "
-                                       f"but line {first[0]} has {first[1]}")
-            rows.append(row)
+    for lineno, cols in table_rows(path):
+        try:
+            float(cols[0])
+            ids.append(None)
+        except ValueError:
+            ids.append(cols[0])
+            cols = cols[1:]
+        if not cols:
+            raise TableFormatError(f"{path}:{lineno}: no values")
+        try:
+            row = [float(c) for c in cols]
+        except ValueError:
+            raise TableFormatError(f"{path}:{lineno}: malformed value") from None
+        if not all(map(math.isfinite, row)):
+            raise TableFormatError(f"{path}:{lineno}: non-finite value")
+        if first is None:
+            first = (lineno, len(row))
+        elif len(row) != first[1]:
+            raise TableFormatError(f"{path}:{lineno}: {len(row)} values, "
+                                   f"but line {first[0]} has {first[1]}")
+        rows.append(row)
     if not rows:
         raise TableFormatError(f"{path}: no data rows")
     return ids, np.array(rows, dtype=np.float64)
@@ -366,7 +348,8 @@ def cmd_eval(args) -> int:
     _ids, emb = _read_matrix_tsv(args.embeddings)
     _lids, labels = _read_matrix_tsv(args.labels)
     if len(labels) != len(emb):
-        raise LengthMismatchError(f"{len(labels)} label rows for {len(emb)} embeddings")
+        raise LengthMismatchError(f"{args.labels}: {len(labels)} label rows for {len(emb)} "
+                                  f"embeddings in {args.embeddings}")
     task_types = [t.strip() for t in opt.task_types.split(",")]
     if len(task_types) == 1 and labels.shape[1] > 1:
         task_types = task_types * labels.shape[1]
@@ -387,13 +370,18 @@ def cmd_eval(args) -> int:
 
 def cmd_match(args) -> int:
     opt, _given = _resolve(args)
-    store, _cfg = load_checkpoint(args.checkpoint)
+    store = load_checkpoint(args.checkpoint)[0]
     queries = [mol for _smi, mol in _read_molecules(args.queries)]
     cand_ids, cand = _read_matrix_tsv(args.candidates)
     if any(i is None for i in cand_ids):
-        raise InfoAlignError("candidate table needs an id column")
-    true_ids = [l.strip() for l in Path(args.true_ids).read_text(encoding="utf-8").splitlines()
-                if l.strip()]
+        raise InfoAlignError(f"{args.candidates}: candidate table needs an id column")
+    true_lines = [(n, line.strip()) for n, line in text_lines(args.true_ids) if line.strip()]
+    known = set(cand_ids)
+    for lineno, tid in true_lines:
+        if tid not in known:
+            raise InfoAlignError(f"{args.true_ids}:{lineno}: true id {tid!r} is not a "
+                                 f"candidate id in {args.candidates}")
+    true_ids = [tid for _n, tid in true_lines]
     res = match_zero_shot(store, queries, cand, cand_ids, true_ids,
                           k_list=_ints(opt.k))
     report = {

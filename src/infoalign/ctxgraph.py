@@ -13,6 +13,7 @@ at the max weight.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -291,17 +292,11 @@ class ContextGraph:
             return self
         self._check_features()
         self._csr = self._build_csr()
-        node_counts: Dict[str, int] = {}
-        for rec in self._nodes.values():
-            node_counts[rec.kind.value] = node_counts.get(rec.kind.value, 0) + 1
-        edge_counts: Dict[str, int] = {}
-        for (_a, _b, rel) in self._edges:
-            edge_counts[rel.value] = edge_counts.get(rel.value, 0) + 1
         self._stats = {
             "nodes": len(self._nodes),
             "edges": len(self._edges),
-            "nodes_by_kind": node_counts,
-            "edges_by_relation": edge_counts,
+            "nodes_by_kind": dict(Counter(rec.kind.value for rec in self._nodes.values())),
+            "edges_by_relation": dict(Counter(rel.value for _a, _b, rel in self._edges)),
         }
         self._finalized = True
         return self
@@ -370,25 +365,11 @@ class ContextGraph:
     def save(self, path) -> None:
         if not self._finalized:
             raise FinalizedError("only finalized graphs are saved")
-        nodes_meta = []
-        feature_blobs = []
-        for rec in self._nodes.values():
-            nodes_meta.append(
-                {
-                    "id": rec.id,
-                    "kind": rec.kind.value,
-                    "source_tag": rec.source_tag,
-                    "smiles": rec.smiles,
-                    "dim": rec.modality_dim,
-                }
-            )
-            feature_blobs.append(rec.features)
+        recs = list(self._nodes.values())
+        nodes_meta = [{"id": r.id, "kind": r.kind.value, "source_tag": r.source_tag,
+                       "smiles": r.smiles, "dim": r.modality_dim} for r in recs]
         edges_meta = [[a, b, rel.value, w] for (a, b, rel), w in self._sorted_edges()]
-        flat = (
-            np.concatenate(feature_blobs).astype("<f4")
-            if feature_blobs and sum(len(f) for f in feature_blobs)
-            else np.zeros(0, dtype="<f4")
-        )
+        flat = np.concatenate([np.zeros(0, dtype="<f4")] + [r.features for r in recs])
         meta = {"nodes": nodes_meta, "edges": edges_meta, "stats": self._stats}
         serialize.write_container(path, MAGIC, meta, [flat])
 
@@ -416,43 +397,48 @@ class ContextGraph:
 
 # --- TSV ingestion ---------------------------------------------------------
 
-def load_node_table(path, fp_radius: int = 2, fp_bits: int = 1024) -> List[NodeRecord]:
+def load_node_table(path, fp_radius: int = 2, fp_bits: int = 1024,
+                    similarity_kinds: Sequence[NodeKind] = ()) -> List[NodeRecord]:
     """Parse a node TSV: id, kind, source_tag, then features.
 
     Molecule rows carry a SMILES column instead of inline features; the
     fingerprint is computed here. Non-molecule features are min-max scaled
     per (kind, dimension) group before the records are returned. A node id
-    given twice raises TableFormatError naming both lines.
+    given twice raises TableFormatError naming both lines. Every feature row
+    of a kind in `similarity_kinds` must have the dimension of that kind's
+    first row, or MixedDimensionsError names the first row that does not.
     """
     raw: List[Tuple[int, str, NodeKind, str, object]] = []
     seen: Dict[str, int] = {}  # node id -> line
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) < 4:
-                raise TableFormatError(f"{path}:{lineno}: expected >= 4 columns, got {len(cols)}")
-            nid, kind_name, tag = cols[0], cols[1], cols[2]
-            if nid in seen:
-                raise TableFormatError(f"{path}:{lineno}: node id {nid!r} already present "
-                                       f"on line {seen[nid]}")
-            seen[nid] = lineno
-            try:
-                kind = NodeKind(kind_name)
-            except ValueError:
-                raise TableFormatError(f"{path}:{lineno}: unknown node kind {kind_name!r}") from None
-            if kind is NodeKind.MOLECULE:
-                raw.append((lineno, nid, kind, tag, cols[3]))
-            else:
-                try:
-                    feats = np.array([float(c) for c in cols[3:]], dtype=np.float64)
-                except ValueError:
-                    raise TableFormatError(f"{path}:{lineno}: malformed feature value") from None
-                if not np.isfinite(feats).all():
-                    raise TableFormatError(f"{path}:{lineno}: non-finite feature value")
-                raw.append((lineno, nid, kind, tag, feats))
+    first_dim: Dict[NodeKind, Tuple[int, int]] = {}  # kind -> (line, dim) of its first row
+    for lineno, cols in serialize.table_rows(path):
+        if len(cols) < 4:
+            raise TableFormatError(f"{path}:{lineno}: expected >= 4 columns, got {len(cols)}")
+        nid, kind_name, tag = cols[0], cols[1], cols[2]
+        if nid in seen:
+            raise TableFormatError(f"{path}:{lineno}: node id {nid!r} already present "
+                                   f"on line {seen[nid]}")
+        seen[nid] = lineno
+        try:
+            kind = NodeKind(kind_name)
+        except ValueError:
+            raise TableFormatError(f"{path}:{lineno}: unknown node kind {kind_name!r}") from None
+        if kind is NodeKind.MOLECULE:
+            raw.append((lineno, nid, kind, tag, cols[3]))
+            continue
+        try:
+            feats = np.array([float(c) for c in cols[3:]], dtype=np.float64)
+        except ValueError:
+            raise TableFormatError(f"{path}:{lineno}: malformed feature value") from None
+        if not np.isfinite(feats).all():
+            raise TableFormatError(f"{path}:{lineno}: non-finite feature value")
+        if kind in similarity_kinds:
+            first, dim = first_dim.setdefault(kind, (lineno, len(feats)))
+            if len(feats) != dim:
+                raise MixedDimensionsError(
+                    f"{path}:{lineno}: {kind.value} row has {len(feats)} features, but "
+                    f"line {first} has {dim}; similarity edges need one dimension per kind")
+        raw.append((lineno, nid, kind, tag, feats))
 
     # group non-molecule rows by (kind, dim) and scale per dimension
     groups: Dict[Tuple[NodeKind, int], List[int]] = {}
@@ -490,30 +476,25 @@ def load_edge_table(path) -> List[Tuple[str, str, Relation, float, int]]:
     outside (0, 1] raises TableFormatError.
     """
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) != 4:
-                raise TableFormatError(f"{path}:{lineno}: expected 4 columns, got {len(cols)}")
-            src, dst, rel_name, w_str = cols
-            try:
-                rel = Relation(rel_name)
-            except ValueError:
-                raise TableFormatError(f"{path}:{lineno}: unknown relation {rel_name!r}") from None
-            try:
-                w = float(w_str)
-            except ValueError:
-                raise TableFormatError(f"{path}:{lineno}: malformed weight {w_str!r}") from None
-            if rel is Relation.PERTURBATION:
-                w = 1.0
-            elif not math.isfinite(w):
-                raise TableFormatError(f"{path}:{lineno}: non-finite weight")
-            elif not 0.0 < w <= 1.0:
-                raise TableFormatError(f"{path}:{lineno}: weight {w_str!r} outside (0, 1]")
-            out.append((src, dst, rel, w, lineno))
+    for lineno, cols in serialize.table_rows(path):
+        if len(cols) != 4:
+            raise TableFormatError(f"{path}:{lineno}: expected 4 columns, got {len(cols)}")
+        src, dst, rel_name, w_str = cols
+        try:
+            rel = Relation(rel_name)
+        except ValueError:
+            raise TableFormatError(f"{path}:{lineno}: unknown relation {rel_name!r}") from None
+        try:
+            w = float(w_str)
+        except ValueError:
+            raise TableFormatError(f"{path}:{lineno}: malformed weight {w_str!r}") from None
+        if rel is Relation.PERTURBATION:
+            w = 1.0
+        elif not math.isfinite(w):
+            raise TableFormatError(f"{path}:{lineno}: non-finite weight")
+        elif not 0.0 < w <= 1.0:
+            raise TableFormatError(f"{path}:{lineno}: weight {w_str!r} outside (0, 1]")
+        out.append((src, dst, rel, w, lineno))
     return out
 
 
@@ -529,7 +510,7 @@ def build_graph_from_tables(
     """The finalized graph of a node and an edge table. An edge row naming an
     unknown node, or a self-loop, raises TableFormatError naming its line."""
     g = ContextGraph()
-    for rec in load_node_table(node_path, fp_radius, fp_bits):
+    for rec in load_node_table(node_path, fp_radius, fp_bits, similarity_kinds):
         g.add_node(rec)
     for src, dst, rel, w, lineno in load_edge_table(edge_path):
         try:

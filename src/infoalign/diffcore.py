@@ -357,13 +357,7 @@ def save_params(path, store: ParamStore, manifest: Optional[dict] = None):
         "seed": store.seed,
         "step": store.step,
     }
-    arrays = []
-    for name in names:
-        arrays.append(store.params[name])
-    for name in names:
-        arrays.append(store._m[name])
-    for name in names:
-        arrays.append(store._v[name])
+    arrays = [table[name] for table in (store.params, store._m, store._v) for name in names]
     serialize.write_container(path, MAGIC, meta, arrays)
 
 

@@ -18,15 +18,16 @@ same loss for a single walk and is kept as its reference.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import diffcore as dc
 from .ctxgraph import ContextGraph, NodeKind, NodeRecord
-from .errors import NoDecoderError, PathMismatchError, ShapeMismatchError
+from .errors import CorruptFileError, NoDecoderError, PathMismatchError, ShapeMismatchError
 from .molparse import ELEMENTS, BondOrder, MolecularGraph
 from .walker import WalkConfig, WalkPath, batch_walks
 
@@ -51,6 +52,9 @@ _EMBED_BLOCK = 16
 
 @dataclass
 class ModelConfig:
+    """The settings of `pretrain`. `seed` keys the parameter init, the
+    shuffle, the reparameterization noise and the walks."""
+
     latent_dim: int = 64
     num_layers: int = 3
     hidden: int = 128
@@ -63,7 +67,9 @@ class ModelConfig:
     batch_size: int = 32
     lr: float = 1e-3
     seed: int = 0
-    walk: WalkConfig = field(default_factory=WalkConfig)
+    walk_length: int = 4  # nodes per path, including the start
+    walks_per_molecule: int = 2
+    uniform: bool = False
 
     def __post_init__(self):
         if not 0 < self.lr < math.inf:
@@ -72,6 +78,22 @@ class ModelConfig:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+        self.walks(0)  # checks the walk length
+
+    def walks(self, epoch: int) -> WalkConfig:
+        """The walks of epoch `epoch`, counted over resumes."""
+        return WalkConfig(self.walk_length, self.walks_per_molecule,
+                          self.seed + 7919 * (epoch + 1), self.uniform)
+
+
+@dataclass
+class TrainState:
+    """Where pretraining stands: the epochs trained and the Philox
+    `bit_generator.state` of the "shuffle" and "noise" generators after them,
+    as JSON (int lists for the uint64 arrays). None draws fresh from the seed."""
+
+    epoch: int = 0
+    streams: Optional[Dict[str, dict]] = None
 
 
 @dataclass
@@ -274,13 +296,7 @@ def infoalign_loss(graph: ContextGraph, path: WalkPath,
         acc = dc.add(acc, term)
     total = dc.add(dc.mul(acc, dc.constant(1.0 / L)),
                    dc.mul(kl, dc.constant(beta)))
-    breakdown = LossBreakdown(
-        recon_per_modality=recon,
-        kl=kl.item(),
-        beta=beta,
-        total=sum(recon.values()) / L + beta * kl.item(),
-    )
-    return total, breakdown
+    return total, LossBreakdown(recon, kl.item(), beta, sum(recon.values()) / L + beta * kl.item())
 
 
 def batch_loss(graph: ContextGraph, starts: Sequence[str], paths: Sequence[WalkPath],
@@ -332,32 +348,28 @@ def batch_loss(graph: ContextGraph, starts: Sequence[str], paths: Sequence[WalkP
         recon[kind.value] = recon.get(kind.value, 0.0) + float(alpha @ row_nll) * scale
         recon_total += term.item()
     kl_mean = kl.item() / len(starts)
-    breakdown = LossBreakdown(
-        recon_per_modality=recon,
-        kl=kl_mean,
-        beta=beta,
-        total=recon_total + beta * kl_mean,
-    )
-    return total, breakdown
+    return total, LossBreakdown(recon, kl_mean, beta, recon_total + beta * kl_mean)
 
 
 # --- training ----------------------------------------------------------------
 
-def pretrain(graph: ContextGraph, cfg: ModelConfig,
-             store: Optional[dc.ParamStore] = None,
-             log_fn=None) -> Tuple[dc.ParamStore, List[LossBreakdown]]:
+def pretrain(graph: ContextGraph, cfg: ModelConfig, store: Optional[dc.ParamStore] = None,
+             log_fn=None, state: Optional[TrainState] = None,
+             ) -> Tuple[dc.ParamStore, List[LossBreakdown]]:
     """Joint encoder/decoder optimization over all molecule nodes.
 
     Epochs iterate molecules in a seeded shuffled order and sample
-    walks_per_molecule walks from each. Each minibatch is one `batch_loss`
-    tape, one backward pass and one Adam step on the mean over its molecules
-    of each molecule's mean walk loss; the reparameterization noise is one
-    (walks, latent_dim) draw per minibatch. Passing an existing store resumes training (the step
-    counter continues); a new store gets one decoder per featured (kind, dim)
-    of the graph. Every featured (kind, dim) of the graph needs a decoder in
-    the store, or NoDecoderError is raised before any step. A non-finite loss
-    or gradient raises FloatingPointError naming the epoch and the batch.
-    Returns the store and the per-epoch mean loss breakdowns.
+    walks_per_molecule walks from each (`cfg.walks(epoch)`). Each minibatch is
+    one `batch_loss` tape, one backward pass and one Adam step on the mean over
+    its molecules of each molecule's mean walk loss; the reparameterization
+    noise is one (walks, latent_dim) draw per minibatch. Passing a store and its
+    `state` resumes training: the Adam step, the epoch index and the
+    generators continue, and `state` advances in place by cfg.epochs. A new
+    store gets one decoder per featured (kind, dim) of the graph. Every
+    featured (kind, dim) of the graph needs a decoder in the store, or
+    NoDecoderError is raised before any step. A non-finite loss or gradient
+    raises FloatingPointError naming the epoch and the batch. Returns the
+    store and the per-epoch mean loss breakdowns.
     """
     needed = feature_keys(graph)
     if store is None:
@@ -372,20 +384,17 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig,
     mols = graph.molecule_ids()
     if not mols:
         raise ValueError("graph has no molecule nodes")
-    shuffle_rng = dc.seeded_rng(cfg.seed, _SHUFFLE_STREAM)
-    noise_rng = dc.seeded_rng(cfg.seed, _NOISE_STREAM)
-    per_mol = cfg.walk.walks_per_molecule
+    state = TrainState() if state is None else state
+    rngs = {"shuffle": dc.seeded_rng(cfg.seed, _SHUFFLE_STREAM),
+            "noise": dc.seeded_rng(cfg.seed, _NOISE_STREAM)}
+    for name, saved in (state.streams or {}).items():
+        rngs[name].bit_generator.state = saved
+    per_mol = cfg.walks_per_molecule
 
     epoch_logs: List[LossBreakdown] = []
-    for epoch in range(cfg.epochs):
-        order = [mols[i] for i in shuffle_rng.permutation(len(mols))]
-        walk_cfg = WalkConfig(
-            length=cfg.walk.length,
-            walks_per_molecule=per_mol,
-            seed=cfg.walk.seed + 7919 * (epoch + 1),
-            weight_proportional=cfg.walk.weight_proportional,
-        )
-        walks = batch_walks(graph, order, walk_cfg)
+    for epoch in range(state.epoch, state.epoch + cfg.epochs):
+        order = [mols[i] for i in rngs["shuffle"].permutation(len(mols))]
+        walks = batch_walks(graph, order, cfg.walks(epoch))
 
         sums: Dict[str, float] = {}
         kl_sum = 0.0
@@ -393,7 +402,7 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig,
         for b0 in range(0, len(order), cfg.batch_size):
             batch = order[b0 : b0 + cfg.batch_size]
             paths = walks[b0 * per_mol : (b0 + len(batch)) * per_mol]
-            noise = noise_rng.standard_normal((len(paths), cfg.latent_dim))
+            noise = rngs["noise"].standard_normal((len(paths), cfg.latent_dim))
             # A diverging step is reported once, by the finiteness check on
             # the loss, not by numpy's warnings from the ops before it.
             with np.errstate(over="ignore", invalid="ignore"):
@@ -412,15 +421,15 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig,
             kl_sum += br.kl * len(batch)
             total_sum += br.total * len(batch)
         n = len(order)
-        epoch_br = LossBreakdown(
-            recon_per_modality={k: v / n for k, v in sums.items()},
-            kl=kl_sum / n,
-            beta=cfg.beta,
-            total=total_sum / n,
-        )
+        epoch_br = LossBreakdown({k: v / n for k, v in sums.items()}, kl_sum / n, cfg.beta,
+                                 total_sum / n)
         epoch_logs.append(epoch_br)
         if log_fn is not None:
             log_fn(epoch, epoch_br)
+    state.epoch += cfg.epochs
+    state.streams = {name: json.loads(json.dumps(rng.bit_generator.state,
+                                                 default=np.ndarray.tolist))
+                     for name, rng in rngs.items()}
     return store, epoch_logs
 
 
@@ -441,27 +450,28 @@ def embed(store: dc.ParamStore, molecules: Sequence[MolecularGraph]) -> np.ndarr
     return dc.require_finite(np.concatenate(blocks), "embedding")
 
 
-def build_manifest(cfg: ModelConfig, store: dc.ParamStore,
-                   graph: Optional[ContextGraph] = None) -> dict:
-    model = asdict(cfg)
-    walk = model.pop("walk")
-    m = {"model": model, "walk": walk, "decoders": decoder_keys(store)}
-    if graph is not None:
-        m["graph_checksum"] = graph.checksum()
-    return m
+def save_checkpoint(path, store: dc.ParamStore, cfg: ModelConfig, graph: ContextGraph,
+                    state: TrainState):
+    """Write the store with a manifest of the config, the decoders, the
+    graph's checksum and the generator states. The recorded config's
+    `epochs` is `state.epoch`: every epoch the parameters have been trained,
+    earlier resumes included."""
+    dc.save_params(path, store, {
+        "model": asdict(replace(cfg, epochs=state.epoch)),
+        "decoders": decoder_keys(store),
+        "graph_checksum": graph.checksum(),
+        "streams": state.streams,
+    })
 
 
-def config_from_manifest(manifest: dict) -> ModelConfig:
-    m = dict(manifest["model"])
-    walk = WalkConfig(**manifest["walk"])
-    return ModelConfig(walk=walk, **m)
-
-
-def save_checkpoint(path, store: dc.ParamStore, cfg: ModelConfig,
-                    graph: Optional[ContextGraph] = None):
-    dc.save_params(path, store, build_manifest(cfg, store, graph))
-
-
-def load_checkpoint(path) -> Tuple[dc.ParamStore, ModelConfig]:
+def load_checkpoint(path) -> Tuple[dc.ParamStore, ModelConfig, TrainState]:
+    """The store, config and training state of a `save_checkpoint` file.
+    A manifest of another layout raises CorruptFileError naming the file."""
     store, manifest = dc.load_params(path)
-    return store, config_from_manifest(manifest)
+    model = manifest.get("model")
+    current = isinstance(model, dict) and set(model) == {f.name for f in fields(ModelConfig)}
+    if not current or "streams" not in manifest:
+        raise CorruptFileError(f"{path}: not a checkpoint of this version (its manifest "
+                               f"keys are {sorted(manifest)}); pretrain it again")
+    cfg = ModelConfig(**model)
+    return store, cfg, TrainState(cfg.epochs, manifest["streams"])

@@ -27,6 +27,7 @@ from .errors import (
     UnbalancedParenError,
     UnsupportedFeatureError,
 )
+from .serialize import text_lines
 
 ELEMENTS = ("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I")
 AROMATIC_ELEMENTS = ("b", "c", "n", "o", "p", "s")
@@ -269,9 +270,8 @@ def read_smiles_file(path) -> List[Tuple[int, str]]:
     comment lines are skipped; a line's SMILES is its first
     whitespace-separated field."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            fields = line.split()
-            if fields and not fields[0].startswith("#"):
-                out.append((lineno, fields[0]))
+    for lineno, line in text_lines(path):
+        fields = line.split()
+        if fields and not fields[0].startswith("#"):
+            out.append((lineno, fields[0]))
     return out

@@ -1,27 +1,51 @@
-"""Shared binary container: magic + version + checksum header, JSON metadata
-block, then raw little-endian arrays.
+"""File reading and writing shared by the package.
 
-Both the context-graph cache ("CTXG") and model checkpoints ("IAPT") use this
-layout. The metadata records each array's dtype and shape, so the payload can
-be reconstructed bit-exactly. Writes are atomic: a temp file next to the
-target is renamed over it.
+`text_lines` and `table_rows` read the text inputs (tables, SMILES lists,
+configs). The binary container is a magic + version + checksum header, a JSON
+metadata block, then raw little-endian arrays. Both the context-graph cache
+("CTXG") and model checkpoints ("IAPT") use it. The metadata records each
+array's dtype and shape, so the payload can be reconstructed bit-exactly.
+Writes are atomic: a temp file next to the target is renamed over it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import os
 import struct
 import zlib
-from typing import List, Tuple
+from pathlib import Path
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from .errors import CorruptFileError
+from .errors import CorruptFileError, TableFormatError
 
 _HEADER = struct.Struct("<4sIQQI")  # magic, version, meta_len, payload_len, crc32
 VERSION = 1
+
+
+def text_lines(path) -> Iterator[Tuple[int, str]]:
+    """(line number, line without its newline) of each line of a UTF-8 text
+    file, split as text-mode reading splits. Bytes that are not UTF-8 raise
+    TableFormatError naming the file and the line that holds them."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise TableFormatError(f"{path}:{line}: not UTF-8 text: byte {raw[exc.start]:#04x} "
+                               f"at offset {exc.start}") from None
+    return enumerate((line.rstrip("\n") for line in io.StringIO(text, newline=None)), 1)
+
+
+def table_rows(path) -> Iterator[Tuple[int, List[str]]]:
+    """(line number, tab-separated columns) of each `text_lines` line that is
+    neither blank nor a '#' comment."""
+    return ((n, line.split("\t")) for n, line in text_lines(path)
+            if line and not line.startswith("#"))
 
 
 def write_container(path, magic: bytes, meta: dict, arrays: List[np.ndarray]) -> None:

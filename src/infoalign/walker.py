@@ -41,7 +41,7 @@ class WalkConfig:
     length: int = 4  # nodes per path, including the start
     walks_per_molecule: int = 2
     seed: int = 0
-    weight_proportional: bool = True
+    uniform: bool = False  # a uniform step in place of the weight-proportional one
 
     def __post_init__(self):
         if self.length < 2:
@@ -142,12 +142,12 @@ def batch_walks(g: ContextGraph, starts: Sequence[str], cfg: WalkConfig) -> Walk
     rounds = int(degree.max(initial=0)).bit_length()
     for k in range(steps):
         lo, hi = csr.indptr[cur], csr.indptr[cur + 1]
-        if cfg.weight_proportional:
-            pos = _bisect_right(csr.cdf, lo, hi, u[:, k] * csr.cdf[hi - 1], rounds)
-            pos = np.minimum(pos, hi - 1)
-        else:
+        if cfg.uniform:
             n = hi - lo
             pos = lo + np.minimum((u[:, k] * n).astype(np.intp), n - 1)
+        else:
+            pos = _bisect_right(csr.cdf, lo, hi, u[:, k] * csr.cdf[hi - 1], rounds)
+            pos = np.minimum(pos, hi - 1)
         cur = csr.neighbors[pos]
         nodes[walking, k + 1] = cur
         weights[walking, k] = csr.weights[pos]

@@ -50,7 +50,6 @@ from infoalign.mibounds import (
 )
 from infoalign.model import (
     ModelConfig,
-    WalkConfig,
     decoder_keys,
     init_model,
     kl_standard_normal,
@@ -248,8 +247,7 @@ N_SEEDS = 5
 def _recovery_cfg(seed, beta):
     return ModelConfig(latent_dim=8, num_layers=2, hidden=32, decoder_hidden=32,
                        beta=beta, fp_bits=64, epochs=10, batch_size=4, lr=5e-3,
-                       seed=seed,
-                       walk=WalkConfig(length=4, walks_per_molecule=4, seed=seed))
+                       seed=seed, walk_length=4, walks_per_molecule=4)
 
 
 def _probe_auc(z, labels, seed):
@@ -335,7 +333,7 @@ def test_zero_shot_hit1_on_noise_free_graph(tmp_path):
         similarity_kinds=[NodeKind.CELL_MORPHOLOGY, NodeKind.GENE_EXPRESSION])
     cfg = ModelConfig(latent_dim=8, num_layers=2, hidden=32, decoder_hidden=32,
                       beta=1e-9, fp_bits=64, epochs=10, batch_size=4, lr=5e-3,
-                      seed=0, walk=WalkConfig(length=4, walks_per_molecule=4, seed=0))
+                      seed=0, walk_length=4, walks_per_molecule=4)
     store, _ = pretrain(g, cfg)
     # at noise 0 same-cluster morphology vectors are identical, so the pool is
     # one candidate per cluster; each query's own vector IS its cluster's entry

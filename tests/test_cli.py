@@ -156,7 +156,8 @@ def test_synth_writes_tables_and_manifest(tmp_path):
 def make_graph(tmp_path, toy_tables):
     nodes, edges = toy_tables
     out = tmp_path / "g.ctxg"
-    assert run(["build-graph", "--nodes", nodes, "--edges", edges, "--out", out]) == 0
+    assert run(["build-graph", "--nodes", nodes, "--edges", edges, "--fp-bits", 64,
+                "--out", out]) == 0
     return out
 
 
@@ -291,16 +292,16 @@ def test_pretrain_resume_keeps_checkpoint_config(synth_graph, tmp_path):
     ck2 = tmp_path / "ck2.iapt"
     assert run(["pretrain", "--graph", synth_graph, "--out", ck2, "--resume", ck,
                 "--epochs", 1]) == 0
-    store, cfg = load_checkpoint(ck)
+    store, cfg, state = load_checkpoint(ck)
     cfg.epochs, cfg.lr = 1, 1e-3
     graph = ContextGraph.load(synth_graph)
-    store, _ = pretrain(graph, cfg, store=store)
-    save_checkpoint(tmp_path / "lib.iapt", store, cfg, graph)
+    store, _ = pretrain(graph, cfg, store=store, state=state)
+    save_checkpoint(tmp_path / "lib.iapt", store, cfg, graph, state)
     assert ck2.read_bytes() == (tmp_path / "lib.iapt").read_bytes()
 
 
 def test_pretrain_resume_applies_given_training_keys(synth_graph, tmp_path):
-    from infoalign.model import WalkConfig, load_checkpoint
+    from infoalign.model import load_checkpoint
     ck = tmp_path / "ck.iapt"
     assert run(["pretrain", "--graph", synth_graph, "--out", ck,
                 "--epochs", 1, *PRETRAIN_SMALL]) == 0
@@ -312,12 +313,84 @@ def test_pretrain_resume_applies_given_training_keys(synth_graph, tmp_path):
                 "--walks-per-molecule", 3, "--uniform", "--epochs", 2, "--lr", 0.01,
                 "--latent-dim", 6]) == 0
     cfg = load_checkpoint(ck2)[1]
-    assert (cfg.beta, cfg.batch_size, cfg.seed, cfg.epochs, cfg.lr) == (0.5, 4, 9, 2, 0.01)
-    assert cfg.walk == WalkConfig(length=3, walks_per_molecule=3, seed=9,
-                                  weight_proportional=False)
+    assert (cfg.beta, cfg.batch_size, cfg.seed, cfg.epochs, cfg.lr) == (0.5, 4, 9, 1 + 2, 0.01)
+    assert (cfg.walk_length, cfg.walks_per_molecule, cfg.uniform) == (3, 3, True)
     assert (cfg.latent_dim, cfg.num_layers, cfg.hidden, cfg.fp_bits) == (6, 2, 8, 64)
     assert [r.split("\t")[3] for r in Path(f"{ck2}.log.tsv").read_text().splitlines()[1:]] \
         == ["0.5", "0.5"]
+
+
+@pytest.mark.parametrize("walks", [[], ["--uniform"]], ids=["weighted", "uniform"])
+def test_pretrain_resume_equals_straight_run(synth_graph, tmp_path, walks):
+    """--epochs 2 and --epochs 1 then --resume --epochs 1, with the same flags,
+    write the same checkpoint bytes and the same epoch-1 log row."""
+    flags = [*PRETRAIN_SMALL, "--seed", 5, "--lr", 5e-3, "--batch-size", 4, *walks]
+    for name, argv in (("straight", ["--epochs", 2]), ("first", ["--epochs", 1]),
+                       ("resumed", ["--epochs", 1, "--resume", tmp_path / "first"])):
+        assert run(["pretrain", "--graph", synth_graph, "--out", tmp_path / name,
+                    *flags, *argv]) == 0
+    assert (tmp_path / "resumed").read_bytes() == (tmp_path / "straight").read_bytes()
+    straight = (tmp_path / "straight.log.tsv").read_text().splitlines()
+    assert (tmp_path / "resumed.log.tsv").read_text().splitlines() == [straight[0], straight[2]]
+    assert straight[2].startswith("1\t")
+
+
+def test_pretrain_resume_new_seed_draws_fresh_streams(synth_graph, tmp_path):
+    """A resume given another seed draws the new seed's streams at the continued
+    epoch index, the same bytes as continuing through the library so."""
+    from infoalign.ctxgraph import ContextGraph
+    from infoalign.model import TrainState, load_checkpoint, pretrain, save_checkpoint
+    ck = tmp_path / "ck.iapt"
+    assert run(["pretrain", "--graph", synth_graph, "--out", ck, "--epochs", 1,
+                *PRETRAIN_SMALL]) == 0
+    ck2 = tmp_path / "ck2.iapt"
+    assert run(["pretrain", "--graph", synth_graph, "--out", ck2, "--resume", ck,
+                "--epochs", 1, "--seed", 9]) == 0
+    store, cfg, state = load_checkpoint(ck)
+    cfg.epochs, cfg.lr, cfg.seed = 1, 1e-3, 9
+    state = TrainState(state.epoch)
+    graph = ContextGraph.load(synth_graph)
+    store, _ = pretrain(graph, cfg, store=store, state=state)
+    save_checkpoint(tmp_path / "lib.iapt", store, cfg, graph, state)
+    assert ck2.read_bytes() == (tmp_path / "lib.iapt").read_bytes()
+    assert state.epoch == 2
+    assert Path(f"{ck2}.log.tsv").read_text().splitlines()[1].startswith("1\t")
+
+
+@pytest.mark.parametrize("command", ["embed", "pretrain --resume"])
+def test_checkpoint_of_nested_walk_layout_exit_1(synth_graph, small_checkpoint, tmp_path,
+                                                 capsys, command):
+    """A checkpoint whose manifest keeps the walk settings apart, the layout
+    before the flat config, is refused naming the file."""
+    import infoalign.diffcore as dc
+    store, manifest = dc.load_params(small_checkpoint)
+    model = {k: v for k, v in manifest["model"].items()
+             if k not in ("walk_length", "walks_per_molecule", "uniform")}
+    old = tmp_path / "old.iapt"
+    dc.save_params(old, store, {"model": model, "decoders": manifest["decoders"],
+                                "walk": {"length": 4, "walks_per_molecule": 2, "seed": 0,
+                                         "weight_proportional": True}})
+    (tmp_path / "q.smi").write_text("CCO\n")
+    out = tmp_path / "out"
+    argv = {"embed": ["embed", "--checkpoint", old, "--input", tmp_path / "q.smi"],
+            "pretrain --resume": ["pretrain", "--graph", synth_graph, "--resume", old,
+                                  "--epochs", 1]}[command]
+    assert run([*argv, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {old}: not a checkpoint of this version")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+def test_pretrain_records_graph_fingerprint_bits(synth_graph, tmp_path, capsys):
+    from infoalign.model import load_checkpoint
+    ck = tmp_path / "ck.iapt"
+    assert run(["pretrain", "--graph", synth_graph, "--out", ck, "--epochs", 1]) == 0
+    assert load_checkpoint(ck)[1].fp_bits == 64
+    assert run(["pretrain", "--graph", synth_graph, "--out", tmp_path / "ck2.iapt",
+                "--epochs", 1, "--fp-bits", 1024]) == 1
+    assert capsys.readouterr().err == (f"error: fp_bits 1024 disagrees with the 64-bit "
+                                       f"molecule fingerprints of the graph {synth_graph}\n")
+    assert not (tmp_path / "ck2.iapt").exists()
 
 
 def test_pretrain_resume_beta_sweep_distinct(synth_graph, tmp_path):
@@ -569,6 +642,66 @@ def test_bad_smiles_line_names_file_and_line(small_checkpoint, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err == f"error: {smi}:4: dangling ring closure digit(s): [1]\n"
     assert not (tmp_path / "out").exists()
+
+
+UTF16 = "CCO\n".encode("utf-16")  # starts with the bytes 0xff 0xfe
+
+
+@pytest.mark.parametrize("case", [
+    "fingerprint --input", "embed --input", "build-graph --nodes", "build-graph --nodes line 2",
+    "build-graph --edges", "eval --embeddings", "--config", "--config trailing comma",
+    "match --true-ids",
+])
+def test_input_error_names_file_and_line(small_checkpoint, toy_tables, tmp_path, capsys, case):
+    """Each malformed input exits 1 with one error line naming the file and line."""
+    nodes, edges = toy_tables
+    bad, out = tmp_path / "bad", tmp_path / "out"
+    bad.write_bytes(UTF16)
+    where, message = f"{bad}:1", "not UTF-8 text: byte 0xff at offset 0"
+    emb, smi, cands = tmp_path / "emb.tsv", tmp_path / "q.smi", tmp_path / "cands.tsv"
+    emb.write_text("0.1\t0.2\n0.3\t0.4\n")
+    smi.write_text("CCO\nCCN\n")
+    cands.write_text("c0\t0.5\nc1\t0.1\n")
+    argv = {
+        "fingerprint --input": ["fingerprint", "--input", bad],
+        "embed --input": ["embed", "--checkpoint", small_checkpoint, "--input", bad],
+        "build-graph --nodes": ["build-graph", "--nodes", bad, "--edges", edges],
+        "build-graph --nodes line 2": ["build-graph", "--nodes", bad, "--edges", edges],
+        "build-graph --edges": ["build-graph", "--nodes", nodes, "--edges", bad],
+        "eval --embeddings": ["eval", "--embeddings", bad, "--labels", emb],
+        "--config": ["fingerprint", "--smiles", "CCO", "--config", bad],
+        "--config trailing comma": ["fingerprint", "--smiles", "CCO", "--config", bad],
+        "match --true-ids": ["match", "--checkpoint", small_checkpoint, "--queries", smi,
+                             "--candidates", cands, "--true-ids", bad],
+    }[case]
+    if case == "build-graph --nodes line 2":
+        bad.write_bytes(nodes.read_bytes().replace(b"CCN", b"C\xe9N"))
+        where, message = f"{bad}:2", "not UTF-8 text: byte 0xe9 at offset 37"
+    elif case == "--config trailing comma":
+        bad.write_text('{"radius": 2,}')
+        message = "Expecting property name enclosed in double quotes (column 14)"
+    elif case == "match --true-ids":
+        bad.write_text("c1\n\nzz\n")
+        where, message = f"{bad}:3", f"true id 'zz' is not a candidate id in {cands}"
+    assert run([*argv, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {where}: {message}\n"
+    assert not out.exists()
+
+
+def test_build_graph_mixed_dimensions_name_line(toy_tables, tmp_path, capsys):
+    """Similarity edges on a kind whose rows differ in dimension name the first
+    row unlike the kind's first; without them mixed dimensions build."""
+    nodes, edges = toy_tables
+    nodes.write_text(nodes.read_text() + "c2\tcell_morphology\ttoy\t0.5\t0.5\n")
+    out = tmp_path / "g.ctxg"
+    assert run(["build-graph", "--nodes", nodes, "--edges", edges,
+                "--similarity-kinds", "gene_expression", "--out", out]) == 0
+    assert run(["build-graph", "--nodes", nodes, "--edges", edges,
+                "--similarity-kinds", "cell_morphology", "--out", tmp_path / "g2.ctxg"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {nodes}:6: cell_morphology row has 2 features, but line 3 has 3; "
+        f"similarity edges need one dimension per kind\n")
+    assert not (tmp_path / "g2.ctxg").exists()
 
 
 @pytest.mark.parametrize("command", ["embed", "match", "pretrain --resume"])

@@ -265,9 +265,8 @@ def test_ranking_metrics_match_rerank_oracle():
 
 def matcher_fixture(dim=6, latent=4, seed=0):
     from infoalign.model import ModelConfig, init_model
-    from infoalign.walker import WalkConfig
     cfg = ModelConfig(latent_dim=latent, num_layers=2, hidden=8, decoder_hidden=6,
-                      fp_bits=32, walk=WalkConfig())
+                      fp_bits=32)
     store = dc.ParamStore(seed=seed)
     init_model(store, cfg, [("cell_morphology", dim), ("molecule", 32)])
     return store

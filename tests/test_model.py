@@ -3,6 +3,8 @@ reparameterization statistics, KL closed form vs a quadrature oracle, decoder
 NLL oracle, loss gradients and decomposition, the batched training step vs the
 per-walk loss, training determinism, and checkpoint round-trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from infoalign.model import (
     EncoderOutput,
     LossBreakdown,
     ModelConfig,
+    TrainState,
     atom_features,
     batch_loss,
     decode_nll,
@@ -43,8 +46,7 @@ from tests.test_molparse import smiles_strings
 
 def small_cfg(**kw):
     base = dict(latent_dim=8, num_layers=2, hidden=12, decoder_hidden=10,
-                fp_bits=64, epochs=2, batch_size=4,
-                walk=WalkConfig(length=3, walks_per_molecule=1, seed=0))
+                fp_bits=64, epochs=2, batch_size=4, walk_length=3, walks_per_molecule=1)
     base.update(kw)
     return ModelConfig(**base)
 
@@ -588,14 +590,13 @@ def reference_pretrain(graph, cfg):
     mols = graph.molecule_ids()
     shuffle_rng = dc.seeded_rng(cfg.seed, _SHUFFLE_STREAM)
     noise_rng = dc.seeded_rng(cfg.seed, _NOISE_STREAM)
-    per_mol = cfg.walk.walks_per_molecule
+    per_mol = cfg.walks_per_molecule
     logs = []
     for epoch in range(cfg.epochs):
         order = [mols[i] for i in shuffle_rng.permutation(len(mols))]
         walks = batch_walks(graph, order, WalkConfig(
-            length=cfg.walk.length, walks_per_molecule=per_mol,
-            seed=cfg.walk.seed + 7919 * (epoch + 1),
-            weight_proportional=cfg.walk.weight_proportional))
+            length=cfg.walk_length, walks_per_molecule=per_mol,
+            seed=cfg.seed + 7919 * (epoch + 1), uniform=cfg.uniform))
         sums, kl_sum, total_sum = {}, 0.0, 0.0
         for b0 in range(0, len(order), cfg.batch_size):
             batch = order[b0 : b0 + cfg.batch_size]
@@ -626,7 +627,7 @@ def test_pretrain_matches_per_walk_reference(likelihood, beta):
     """7 molecules in batches of 3 (the last batch holds one), 3 walks each."""
     g = walk_graph(n_mols=7)
     cfg = small_cfg(likelihood=likelihood, beta=beta, epochs=2, batch_size=3, lr=5e-3,
-                    walk=WalkConfig(length=4, walks_per_molecule=3, seed=2))
+                    seed=2, walk_length=4, walks_per_molecule=3)
     store, logs = pretrain(g, cfg)
     ref, ref_logs = reference_pretrain(g, cfg)
     assert store.step == ref.step == 2 * 3
@@ -663,8 +664,9 @@ def test_pretrain_deterministic_checkpoint(tmp_path):
     cfg = small_cfg(epochs=2)
     p1, p2 = tmp_path / "a.iapt", tmp_path / "b.iapt"
     for p in (p1, p2):
-        store, logs = pretrain(g, cfg)
-        save_checkpoint(p, store, cfg, g)
+        state = TrainState()
+        store, logs = pretrain(g, cfg, state=state)
+        save_checkpoint(p, store, cfg, g, state)
         assert len(logs) == cfg.epochs
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -678,6 +680,29 @@ def test_pretrain_loss_decreases():
         if logs[-1].total < logs[0].total:
             ok += 1
     assert ok >= 4
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+def test_pretrain_resume_equals_straight_run(tmp_path, uniform):
+    """One epoch, a checkpoint round trip and one more epoch give the bytes
+    and the second epoch's log of one straight run of two."""
+    g = walk_graph(n_mols=7)
+    cfg = small_cfg(epochs=2, batch_size=3, seed=4, walks_per_molecule=2, uniform=uniform)
+    state = TrainState()
+    store, logs = pretrain(g, cfg, state=state)
+    save_checkpoint(tmp_path / "straight.iapt", store, cfg, g, state)
+
+    state = TrainState()
+    store, _ = pretrain(g, replace(cfg, epochs=1), state=state)
+    save_checkpoint(tmp_path / "first.iapt", store, cfg, g, state)
+    store, loaded, state = load_checkpoint(tmp_path / "first.iapt")
+    assert (loaded.epochs, state.epoch) == (1, 1)
+    seen = []
+    store, resumed = pretrain(g, replace(cfg, epochs=1), store=store, state=state,
+                              log_fn=lambda e, br: seen.append(e))
+    save_checkpoint(tmp_path / "resumed.iapt", store, cfg, g, state)
+    assert seen == [1] and resumed == logs[1:]
+    assert (tmp_path / "resumed.iapt").read_bytes() == (tmp_path / "straight.iapt").read_bytes()
 
 
 def test_pretrain_resume_continues_steps(tmp_path):
@@ -744,11 +769,13 @@ def test_embed_row_does_not_depend_on_its_block():
 def test_checkpoint_manifest_round_trip(tmp_path):
     g = tiny_graph()
     cfg = small_cfg(beta=1e-5)
-    store, _ = pretrain(g, cfg)
+    state = TrainState()
+    store, _ = pretrain(g, cfg, state=state)
     p = tmp_path / "ck.iapt"
-    save_checkpoint(p, store, cfg, g)
-    store2, cfg2 = load_checkpoint(p)
+    save_checkpoint(p, store, cfg, g, state)
+    store2, cfg2, state2 = load_checkpoint(p)
     assert cfg2 == cfg
+    assert state2 == state and state.epoch == cfg.epochs
     assert decoder_keys(store2) == decoder_keys(store)
     mols = [parse_smiles("CCO")]
     assert np.array_equal(embed(store, mols), embed(store2, mols))

@@ -32,17 +32,17 @@ def effective_neighbors(g):
     return {nid: sorted(d.items()) for nid, d in nbrs.items()}
 
 
-def transition(nbrs, current, rng, weight_proportional=True):
+def transition(nbrs, current, rng, uniform=False):
     """One step from `current`, which has neighbors: (next node id, traversed
     weight), from one rng.random() draw."""
     row = nbrs[current]
     n = len(row)
     u = rng.random()
-    if weight_proportional:
+    if uniform:
+        idx = min(int(u * n), n - 1)
+    else:
         cdf = list(itertools.accumulate(w for _, w in row))
         idx = min(bisect.bisect_right(cdf, u * cdf[-1]), n - 1)
-    else:
-        idx = min(int(u * n), n - 1)
     return row[idx]
 
 
@@ -55,7 +55,7 @@ def sample_walk(g, nbrs, start, cfg, rng):
         if not nbrs[nodes[-1]]:
             truncated = True
             break
-        nxt, w = transition(nbrs, nodes[-1], rng, cfg.weight_proportional)
+        nxt, w = transition(nbrs, nodes[-1], rng, cfg.uniform)
         nodes.append(nxt)
         weights.append(w)
     return WalkPath(nodes, weights, truncated=truncated)
@@ -184,7 +184,7 @@ def test_uniform_mode():
     g = star_graph([0.9, 0.1])
     n = 50_000
     hits = second_nodes(g, "m0", WalkConfig(length=2, walks_per_molecule=n, seed=3,
-                                            weight_proportional=False)).count("c0")
+                                            uniform=True)).count("c0")
     sigma = (n * 0.25) ** 0.5
     assert abs(hits - n * 0.5) < 3 * sigma
 
@@ -334,14 +334,13 @@ def many_weights_graph():
     return g.finalize(), mols
 
 
-@pytest.mark.parametrize("weight_proportional", [True, False])
-def test_batch_walks_match_reference_transition(weight_proportional):
+@pytest.mark.parametrize("uniform", [False, True])
+def test_batch_walks_match_reference_transition(uniform):
     g, mols = many_weights_graph()
     weights = [w for m in mols for _, w in g.neighbors(m)]
     assert len(set(weights)) > 100
     for seed in range(20):
-        cfg = WalkConfig(length=6, walks_per_molecule=3, seed=seed,
-                         weight_proportional=weight_proportional)
+        cfg = WalkConfig(length=6, walks_per_molecule=3, seed=seed, uniform=uniform)
         assert_same_walks(batch_walks(g, mols, cfg), oracle_batch_walks(g, mols, cfg))
 
 
@@ -370,7 +369,7 @@ def walk_cases(draw):
     cfg = WalkConfig(length=draw(st.integers(2, 6)),
                      walks_per_molecule=draw(st.integers(1, 4)),
                      seed=draw(st.integers(0, 2**64 - 1)),
-                     weight_proportional=draw(st.booleans()))
+                     uniform=draw(st.booleans()))
     return g.finalize(), starts, cfg
 
 
