@@ -8,7 +8,7 @@ probing, zero-shot matching, and mutual-information bound benchmarks.
 
 from .errors import InfoAlignError
 from .molparse import MolecularGraph, parse_smiles, read_smiles_file
-from .fingerprint import BitFingerprint, morgan_fingerprint
+from .fingerprint import morgan_fingerprint
 from .ctxgraph import (
     ContextGraph,
     NodeKind,
@@ -55,7 +55,7 @@ __version__ = "0.1.0"
 __all__ = [
     "InfoAlignError",
     "MolecularGraph", "parse_smiles", "read_smiles_file",
-    "BitFingerprint", "morgan_fingerprint",
+    "morgan_fingerprint",
     "ContextGraph", "NodeKind", "NodeRecord", "Relation", "WeightedEdge",
     "build_graph_from_tables", "min_max_scale",
     "WalkBatch", "WalkConfig", "WalkPath", "batch_walks",

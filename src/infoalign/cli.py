@@ -46,7 +46,7 @@ from .evalkit import (
     split_random,
 )
 from .fingerprint import morgan_fingerprint
-from .model import (ModelConfig, TrainState, embed, feature_keys, load_checkpoint, pretrain,
+from .model import (ModelConfig, TrainState, embed, fingerprint_bits, load_checkpoint, pretrain,
                     save_checkpoint)
 from .molparse import parse_smiles, read_smiles_file
 from .serialize import table_rows, text_lines
@@ -232,10 +232,9 @@ def cmd_fingerprint(args) -> int:
         entries = _read_molecules(args.input)
     else:
         raise InfoAlignError("fingerprint needs --smiles or --input")
-    lines = []
-    for i, (smi, mol) in enumerate(entries):
-        fp = morgan_fingerprint(mol, opt.radius, opt.nbits)
-        lines.append(f"{i}\t{smi}\t{fp.count()}\t{fp.to_hex()}")
+    fps = morgan_fingerprint([mol for _smi, mol in entries], opt.radius, opt.nbits)
+    lines = [f"{i}\t{smi}\t{int(row.sum())}\t{np.packbits(row != 0).tobytes().hex()}"
+             for i, ((smi, _mol), row) in enumerate(zip(entries, fps))]
     out = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(out, encoding="utf-8")
@@ -285,11 +284,10 @@ def cmd_pretrain(args) -> int:
                              f"got {opt.beta_sweep!r}")
     graph = ContextGraph.load(args.graph)
     if not args.resume:  # a resume keeps the checkpoint's, which must have its decoder
-        bits = dict(feature_keys(graph)).get(NodeKind.MOLECULE.value, opt.fp_bits)
+        bits = fingerprint_bits(graph, opt.fp_bits)
         if "fp_bits" in given and opt.fp_bits != bits:
             raise InfoAlignError(f"fp_bits {opt.fp_bits} disagrees with the {bits}-bit "
                                  f"molecule fingerprints of the graph {args.graph}")
-        opt.fp_bits = bits
     if opt.beta_sweep:
         for beta in _floats(opt.beta_sweep):
             opt.beta = beta

@@ -401,12 +401,14 @@ def load_node_table(path, fp_radius: int = 2, fp_bits: int = 1024,
                     similarity_kinds: Sequence[NodeKind] = ()) -> List[NodeRecord]:
     """Parse a node TSV: id, kind, source_tag, then features.
 
-    Molecule rows carry a SMILES column instead of inline features; the
-    fingerprint is computed here. Non-molecule features are min-max scaled
-    per (kind, dimension) group before the records are returned. A node id
-    given twice raises TableFormatError naming both lines. Every feature row
-    of a kind in `similarity_kinds` must have the dimension of that kind's
-    first row, or MixedDimensionsError names the first row that does not.
+    Molecule rows carry a SMILES column instead of inline features; every
+    SMILES is parsed (a bad one raises TableFormatError naming its line)
+    before the molecules are fingerprinted in one `morgan_fingerprint` call.
+    Non-molecule features are min-max scaled per (kind, dimension) group
+    before the records are returned. A node id given twice raises
+    TableFormatError naming both lines. Every feature row of a kind in
+    `similarity_kinds` must have the dimension of that kind's first row, or
+    MixedDimensionsError names the first row that does not.
     """
     raw: List[Tuple[int, str, NodeKind, str, object]] = []
     seen: Dict[str, int] = {}  # node id -> line
@@ -454,15 +456,19 @@ def load_node_table(path, fp_radius: int = 2, fp_bits: int = 1024,
         for row, i in enumerate(idxs):
             scaled[i] = mat[row]
 
-    records = []
-    for i, (lineno, nid, kind, tag, payload) in enumerate(raw):
+    mols = {}
+    for i, (lineno, _nid, kind, _tag, payload) in enumerate(raw):
         if kind is NodeKind.MOLECULE:
             try:
-                mol = parse_smiles(payload)
+                mols[i] = parse_smiles(payload)
             except Exception as exc:
                 raise TableFormatError(f"{path}:{lineno}: bad SMILES: {exc}") from exc
-            fp = morgan_fingerprint(mol, fp_radius, fp_bits)
-            records.append(NodeRecord(nid, kind, fp.to_float(), tag, smiles=payload, mol=mol))
+    fps = dict(zip(mols, morgan_fingerprint(list(mols.values()), fp_radius, fp_bits)))
+
+    records = []
+    for i, (_lineno, nid, kind, tag, payload) in enumerate(raw):
+        if kind is NodeKind.MOLECULE:
+            records.append(NodeRecord(nid, kind, fps[i], tag, smiles=payload, mol=mols[i]))
         else:
             records.append(NodeRecord(nid, kind, scaled[i].astype(np.float32), tag))
     return records

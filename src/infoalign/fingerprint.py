@@ -1,92 +1,105 @@
-"""Morgan-style circular (ECFP) fingerprints.
+"""Morgan-style circular (ECFP) fingerprints of a molecule set.
 
 Environment identifiers are 64-bit FNV-1a hashes over a canonical byte
 serialization of (atom invariants, sorted neighbor identifiers, bond orders),
-so bit layouts are reproducible across platforms and runs.
+so bit layouts are reproducible across platforms and runs. The radius-0
+identifier hashes the element name followed by
+`struct.pack("<iBI", charge, aromatic, degree)`; each later round hashes
+`struct.pack("<Q", id)` followed by `struct.pack("<BQ", code, neighbor_id)`
+for the atom's (bond code, neighbor identifier) pairs in sorted order, where
+the bond code is the `BondOrder` value + 1. `tests/oracles.py` keeps the
+per-atom Python form of this hash as the reference.
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
-from typing import List, Set, Tuple
+from typing import Sequence
 
 import numpy as np
 
 from .molparse import ELEMENTS, MolecularGraph
 
-_FNV_OFFSET = 14695981039346656037
-_FNV_PRIME = 1099511628211
-_U64 = (1 << 64) - 1
-_ELEMENT_BYTES = [e.encode("ascii") for e in ELEMENTS]
+_FNV_OFFSET = np.uint64(14695981039346656037)
+_FNV_PRIME = np.uint64(1099511628211)
+# Molecules hashed at a time: bounds the concatenated atom and byte arrays.
+_FP_BLOCK = 64
 
 
-def _fnv1a(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & _U64
+def _fnv1a_rows(data: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """FNV-1a of each row of the uint8 matrix `data`, continuing in place
+    from the uint64 states `h`. Array products wrap mod 2**64."""
+    for col in data.T:
+        h ^= col
+        h *= _FNV_PRIME
     return h
 
 
-@dataclass
-class BitFingerprint:
-    bits: np.ndarray  # bool vector
-    radius: int
-
-    @property
-    def nbits(self) -> int:
-        return len(self.bits)
-
-    def count(self) -> int:
-        return int(self.bits.sum())
-
-    def to_hex(self) -> str:
-        return np.packbits(self.bits.astype(np.uint8)).tobytes().hex()
-
-    def to_float(self) -> np.ndarray:
-        return self.bits.astype(np.float32)
+def _le_bytes(values: np.ndarray, dtype: str) -> np.ndarray:
+    """(n, itemsize) uint8: each value in the little-endian `dtype`."""
+    values = np.ascontiguousarray(values, dtype=dtype)
+    return values.view(np.uint8).reshape(-1, values.itemsize)
 
 
-def environment_identifiers(g: MolecularGraph, radius: int) -> Set[int]:
-    """Pre-fold identifier set over all atoms and radii 0..radius.
+# FNV-1a state after each element's name bytes, indexed like ELEMENTS.
+_ELEMENT_STATE = np.array([
+    _fnv1a_rows(np.frombuffer(e.encode("ascii"), np.uint8)[None, :],
+                np.full(1, _FNV_OFFSET))[0]
+    for e in ELEMENTS], dtype=np.uint64)
 
-    The radius-0 identifier hashes (element, charge, aromatic, degree); each
-    subsequent round hashes the previous identifier with the sorted
-    (bond code, neighbor identifier) pairs, where the bond code is the
-    `BondOrder` value + 1.
-    """
-    # (neighbor, bond code) per atom, in bond order
-    adjacency: List[List[Tuple[int, int]]] = [[] for _ in range(len(g.element))]
-    for (a, b), order in zip(g.bonds.tolist(), g.order.tolist()):
-        adjacency[a].append((b, order + 1))
-        adjacency[b].append((a, order + 1))
-    ids = [
-        _fnv1a(_ELEMENT_BYTES[e] + struct.pack("<iBI", charge, aromatic, degree))
-        for e, charge, aromatic, degree in zip(g.element.tolist(), g.charge.tolist(),
-                                               g.aromatic.tolist(), g.degree.tolist())
-    ]
-    collected = set(ids)
+
+def _fingerprint_block(mols: Sequence[MolecularGraph], radius: int, out: np.ndarray):
+    """Set in `out` (len(mols), nbits) the folded identifier bits of `mols`."""
+    atoms = np.array([len(g.element) for g in mols], dtype=np.intp)
+    mol_of_atom = np.repeat(np.arange(len(mols)), atoms)
+    starts = np.cumsum(atoms) - atoms
+    bonds = np.concatenate([g.bonds.reshape(-1, 2) for g in mols])
+    bonds = bonds + np.repeat(starts, [len(g.bonds) for g in mols])[:, None]
+    src = np.concatenate([bonds[:, 0], bonds[:, 1]])
+    dst = np.concatenate([bonds[:, 1], bonds[:, 0]])
+    codes = np.tile(np.concatenate([g.order for g in mols]).astype(np.uint8) + 1, 2)
+
+    invariants = np.hstack([
+        _le_bytes(np.concatenate([g.charge for g in mols]), "<i4"),
+        np.concatenate([g.aromatic for g in mols]).astype(np.uint8)[:, None],
+        _le_bytes(np.concatenate([g.degree for g in mols]), "<u4"),
+    ])
+    ids = _fnv1a_rows(invariants, _ELEMENT_STATE[np.concatenate([g.element for g in mols])])
+    rounds = [ids]
+
+    degree = np.bincount(src, minlength=len(ids))
+    first_edge = np.cumsum(degree) - degree
     for _ in range(radius):
-        nxt = []
-        for i, nbrs in enumerate(adjacency):
-            env = sorted((code, ids[j]) for j, code in nbrs)
-            blob = struct.pack("<Q", ids[i]) + b"".join(
-                struct.pack("<BQ", code, nid) for code, nid in env
-            )
-            nxt.append(_fnv1a(blob))
+        order = np.lexsort((ids[dst], codes, src))  # per atom, sorted (code, id) pairs
+        nbr_codes, nbr_bytes = codes[order], _le_bytes(ids[dst[order]], "<u8")
+        id_bytes = _le_bytes(ids, "<u8")
+        nxt = np.empty_like(ids)
+        for d in np.flatnonzero(np.bincount(degree)).tolist():
+            at = np.flatnonzero(degree == d)
+            edges = first_edge[at][:, None] + np.arange(d)
+            rows = np.empty((len(at), 8 + 9 * d), dtype=np.uint8)
+            rows[:, :8] = id_bytes[at]
+            pairs = rows[:, 8:].reshape(len(at), d, 9)
+            pairs[:, :, 0] = nbr_codes[edges]
+            pairs[:, :, 1:] = nbr_bytes[edges]
+            nxt[at] = _fnv1a_rows(rows, np.full(len(at), _FNV_OFFSET))
         ids = nxt
-        collected.update(ids)
-    return collected
+        rounds.append(ids)
+
+    nbits = out.shape[1]
+    bits = np.concatenate(rounds) & np.uint64(nbits - 1)
+    out[np.tile(mol_of_atom, radius + 1), bits.astype(np.intp)] = 1.0
 
 
-def morgan_fingerprint(g: MolecularGraph, radius: int = 2, nbits: int = 1024) -> BitFingerprint:
-    """Fold the environment identifiers into an nbits-long bit vector."""
+def morgan_fingerprint(mols: Sequence[MolecularGraph], radius: int = 2,
+                       nbits: int = 1024) -> np.ndarray:
+    """The (len(mols), nbits) float32 0/1 matrix whose row i has bit
+    `identifier % nbits` set for every environment identifier of mols[i] at
+    radii 0..radius."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if nbits < 64 or nbits & (nbits - 1):
         raise ValueError("nbits must be a power of two >= 64")
-    bits = np.zeros(nbits, dtype=bool)
-    for ident in environment_identifiers(g, radius):
-        bits[ident % nbits] = True
-    return BitFingerprint(bits, radius)
+    out = np.zeros((len(mols), nbits), dtype=np.float32)
+    for b0 in range(0, len(mols), _FP_BLOCK):
+        _fingerprint_block(mols[b0 : b0 + _FP_BLOCK], radius, out[b0 : b0 + _FP_BLOCK])
+    return out

@@ -116,6 +116,12 @@ def feature_keys(graph: ContextGraph) -> List[Tuple[str, int]]:
                    for rec in map(graph.node, graph.node_ids()) if rec.modality_dim > 0})
 
 
+def fingerprint_bits(graph: ContextGraph, default: int) -> int:
+    """The width of the graph's molecule fingerprints, `default` if no
+    molecule has features."""
+    return dict(feature_keys(graph)).get(NodeKind.MOLECULE.value, default)
+
+
 def decoder_keys(store: dc.ParamStore) -> List[Tuple[str, int]]:
     """Sorted (kind, dim) of the store's `dec.<kind>.<dim>.*` parameters."""
     keys = set()
@@ -455,9 +461,10 @@ def save_checkpoint(path, store: dc.ParamStore, cfg: ModelConfig, graph: Context
     """Write the store with a manifest of the config, the decoders, the
     graph's checksum and the generator states. The recorded config's
     `epochs` is `state.epoch`: every epoch the parameters have been trained,
-    earlier resumes included."""
+    earlier resumes included; its `fp_bits` is the graph's fingerprint width."""
     dc.save_params(path, store, {
-        "model": asdict(replace(cfg, epochs=state.epoch)),
+        "model": asdict(replace(cfg, epochs=state.epoch,
+                                fp_bits=fingerprint_bits(graph, cfg.fp_bits))),
         "decoders": decoder_keys(store),
         "graph_checksum": graph.checksum(),
         "streams": state.streams,

@@ -1,17 +1,25 @@
 """Per-atom oracles for the array paths, and a fixed SMILES set.
 
-Each oracle walks one molecule atom by atom in Python and takes every degree
-and neighbour list from its own scan of the bond list, so it shares neither
-the parser's degree array nor the fingerprint's adjacency lists.
+Each `reference_*` oracle walks one molecule atom by atom in Python and takes
+every degree and neighbour list from its own scan of the bond list, so it
+shares neither the parser's degree array nor the fingerprint's arrays.
+`environment_identifiers` is the per-molecule hash that the set-at-once
+`morgan_fingerprint` replaced: it reads the parser's degrees and adjacency
+from the bond arrays.
 """
 
 import struct
+from typing import List, Set, Tuple
 
 import numpy as np
 
-from infoalign.fingerprint import _fnv1a
 from infoalign.model import ATOM_FEATURE_DIM
 from infoalign.molparse import ELEMENTS, BondOrder, MolecularGraph
+
+_FNV_OFFSET = 14695981039346656037
+_FNV_PRIME = 1099511628211
+_U64 = (1 << 64) - 1
+_ELEMENT_BYTES = [e.encode("ascii") for e in ELEMENTS]
 
 # Every element and bond symbol, aromatic rings of each aromatic element,
 # bracket atoms with hydrogens and charges (clipped by the encoder past +-2),
@@ -26,6 +34,47 @@ FIXED_SMILES = [
     "C%10CCC%10", "C=1CCCCC=1", "C1CC1C1CC1", "[C+2]", "[N--]", "[S+3]CC[C-3]",
     "S(F)(F)(F)(F)(F)F", "CSC", "CC(S)C", "CC(C)(CSCC(N)C(=O)O)c1ccc(Cl)c(Br)c1",
 ]
+
+
+def _fnv1a(data: bytes) -> int:
+    h = _FNV_OFFSET
+    for byte in data:
+        h ^= byte
+        h = (h * _FNV_PRIME) & _U64
+    return h
+
+
+def environment_identifiers(g: MolecularGraph, radius: int) -> Set[int]:
+    """Pre-fold identifier set over all atoms and radii 0..radius.
+
+    The radius-0 identifier hashes (element, charge, aromatic, degree); each
+    subsequent round hashes the previous identifier with the sorted
+    (bond code, neighbor identifier) pairs, where the bond code is the
+    `BondOrder` value + 1.
+    """
+    # (neighbor, bond code) per atom, in bond order
+    adjacency: List[List[Tuple[int, int]]] = [[] for _ in range(len(g.element))]
+    for (a, b), order in zip(g.bonds.tolist(), g.order.tolist()):
+        adjacency[a].append((b, order + 1))
+        adjacency[b].append((a, order + 1))
+    ids = [
+        _fnv1a(_ELEMENT_BYTES[e] + struct.pack("<iBI", charge, aromatic, degree))
+        for e, charge, aromatic, degree in zip(g.element.tolist(), g.charge.tolist(),
+                                               g.aromatic.tolist(), g.degree.tolist())
+    ]
+    collected = set(ids)
+    for _ in range(radius):
+        nxt = []
+        for i, nbrs in enumerate(adjacency):
+            env = sorted((code, ids[j]) for j, code in nbrs)
+            blob = struct.pack("<Q", ids[i]) + b"".join(
+                struct.pack("<BQ", code, nid) for code, nid in env
+            )
+            nxt.append(_fnv1a(blob))
+        ids = nxt
+        collected.update(ids)
+    return collected
+
 
 BOND_CODE = {BondOrder.SINGLE: 1, BondOrder.DOUBLE: 2, BondOrder.TRIPLE: 3,
              BondOrder.AROMATIC: 4}

@@ -495,6 +495,19 @@ def test_node_table_errors_name_line(tmp_path, line, msg):
         load_node_table(p)
 
 
+def test_node_table_names_first_of_two_bad_smiles(tmp_path):
+    """Every SMILES is parsed before any is fingerprinted; the first bad row
+    is the one named."""
+    p = tmp_path / "nodes.tsv"
+    p.write_text("m1\tmolecule\tsrc\tCCO\n"
+                 "m2\tmolecule\tsrc\tC(C\n"
+                 "c1\tcell_morphology\tsrc\t1.0\n"
+                 "m3\tmolecule\tsrc\tC[C@H]O\n")
+    with pytest.raises(TableFormatError) as exc:
+        load_node_table(p)
+    assert str(exc.value).startswith(f"{p}:2: bad SMILES: ")
+
+
 def test_edge_table_errors_name_line(tmp_path):
     p = tmp_path / "edges.tsv"
     p.write_text("a\tb\tperturbation\t1.0\na\tb\tsimilarity\toops\n")

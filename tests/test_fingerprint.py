@@ -1,15 +1,21 @@
 """Fingerprint tests backed by a per-atom identifier oracle
 (`tests/oracles.py`), an environment-counting oracle and random atom
-permutations."""
+permutations. The set-at-once hash is checked against the oracle folded to
+bits, on batches that cross its chunk boundary."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from infoalign.fingerprint import environment_identifiers, morgan_fingerprint
+from infoalign.fingerprint import _FP_BLOCK, morgan_fingerprint
 from infoalign.molparse import MolecularGraph, parse_smiles
-from tests.oracles import FIXED_SMILES, reference_environment_identifiers
+from tests.oracles import FIXED_SMILES, environment_identifiers, reference_environment_identifiers
 from tests.test_molparse import smiles_strings
+
+# uint64 products must wrap on arrays; a product that falls onto a numpy
+# scalar warns on overflow instead, and fails here.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def permute_graph(g: MolecularGraph, perm) -> MolecularGraph:
@@ -22,9 +28,29 @@ def permute_graph(g: MolecularGraph, perm) -> MolecularGraph:
                           np.sort(inv[g.bonds], axis=1), g.order)
 
 
+def reference_bits(g: MolecularGraph, radius: int, nbits: int) -> np.ndarray:
+    """The oracle's identifiers of `g` folded into an nbits float32 row."""
+    row = np.zeros(nbits, dtype=np.float32)
+    for ident in reference_environment_identifiers(g, radius):
+        row[ident % nbits] = 1.0
+    return row
+
+
+def fingerprint_one(g: MolecularGraph, radius: int = 2, nbits: int = 1024) -> np.ndarray:
+    return morgan_fingerprint([g], radius, nbits)[0]
+
+
+def assert_matches_reference(mols, radii=range(4), widths=(64, 2048)):
+    for radius in radii:
+        for nbits in widths:
+            expect = np.stack([reference_bits(g, radius, nbits) for g in mols])
+            got = morgan_fingerprint(mols, radius, nbits)
+            assert got.dtype == np.float32 and got.shape == (len(mols), nbits)
+            assert np.array_equal(got, expect), (radius, nbits)
+
+
 def test_methane_radius0_single_bit():
-    fp = morgan_fingerprint(parse_smiles("C"), radius=0)
-    assert fp.count() == 1
+    assert fingerprint_one(parse_smiles("C"), radius=0).sum() == 1
     # oracle: exactly one distinct environment
     assert len(environment_identifiers(parse_smiles("C"), 0)) == 1
 
@@ -34,27 +60,25 @@ def test_ethane_symmetric_atoms():
     idents = environment_identifiers(g, 1)
     # both atoms are equivalent: one identifier per radius
     assert len(idents) == 2
-    fp = morgan_fingerprint(g, radius=1)
-    assert fp.count() <= 2
+    assert fingerprint_one(g, radius=1).sum() <= 2
 
 
 def test_determinism():
-    g = parse_smiles("CC(=O)Oc1ccccc1C(=O)O")
-    a = morgan_fingerprint(g, 2, 1024)
-    b = morgan_fingerprint(g, 2, 1024)
-    assert np.array_equal(a.bits, b.bits)
-    assert a.to_hex() == b.to_hex()
+    mols = [parse_smiles("CC(=O)Oc1ccccc1C(=O)O"), parse_smiles("CCO")]
+    a = morgan_fingerprint(mols, 2, 1024)
+    b = morgan_fingerprint(mols, 2, 1024)
+    assert np.array_equal(a, b)
+    assert np.array_equal(a[0], morgan_fingerprint(mols[:1], 2, 1024)[0])
 
 
 def test_permutation_invariance():
     rng = np.random.default_rng(7)
     for smi in ["CCO", "c1ccc(O)cc1", "CC(C)CC(=O)N", "C1CCCCC1CO"]:
         g = parse_smiles(smi)
-        base = morgan_fingerprint(g, 2, 512).bits
-        for _ in range(5):
-            perm = list(rng.permutation(len(g.element)))
-            gp = permute_graph(g, perm)
-            assert np.array_equal(morgan_fingerprint(gp, 2, 512).bits, base)
+        base = fingerprint_one(g, 2, 512)
+        perms = [permute_graph(g, rng.permutation(len(g.element))) for _ in range(5)]
+        for row in morgan_fingerprint(perms, 2, 512):
+            assert np.array_equal(row, base)
 
 
 def test_identifier_sets_nested_across_radius():
@@ -67,11 +91,10 @@ def test_identifier_sets_nested_across_radius():
 
 def test_fold_consistency():
     """OR of the two halves of a 2048-bit print equals the 1024-bit print."""
-    for smi in ["CC(=O)Oc1ccccc1C(=O)O", "NCCCNC1CC1", "OCCOCCOCC"]:
-        g = parse_smiles(smi)
-        wide = morgan_fingerprint(g, 2, 2048).bits
-        folded = wide[:1024] | wide[1024:]
-        assert np.array_equal(folded, morgan_fingerprint(g, 2, 1024).bits)
+    mols = [parse_smiles(s) for s in ["CC(=O)Oc1ccccc1C(=O)O", "NCCCNC1CC1", "OCCOCCOCC"]]
+    wide = morgan_fingerprint(mols, 2, 2048)
+    folded = np.maximum(wide[:, :1024], wide[:, 1024:])
+    assert np.array_equal(folded, morgan_fingerprint(mols, 2, 1024))
 
 
 def test_environment_oracle_distinct_count():
@@ -80,7 +103,7 @@ def test_environment_oracle_distinct_count():
         g = parse_smiles(smi)
         idents = environment_identifiers(g, 2)
         expected = len({i % 1024 for i in idents})
-        assert morgan_fingerprint(g, 2, 1024).count() == expected
+        assert fingerprint_one(g, 2, 1024).sum() == expected
 
 
 @pytest.mark.parametrize("smi", FIXED_SMILES)
@@ -88,10 +111,7 @@ def test_identifiers_match_degree_reference(smi):
     g = parse_smiles(smi)
     for radius in range(4):
         assert environment_identifiers(g, radius) == reference_environment_identifiers(g, radius)
-    expect = np.zeros(1024, dtype=bool)
-    for ident in reference_environment_identifiers(g, 2):
-        expect[ident % 1024] = True
-    assert np.array_equal(morgan_fingerprint(g, 2, 1024).bits, expect)
+    assert_matches_reference([g])
 
 
 @settings(max_examples=200, deadline=None)
@@ -102,18 +122,51 @@ def test_identifiers_match_degree_reference_fuzzed(smi):
         assert environment_identifiers(g, radius) == reference_environment_identifiers(g, radius)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(smiles_strings(), min_size=1, max_size=8), st.integers(0, 3),
+       st.sampled_from([64, 2048]))
+def test_set_matches_reference_fuzzed(smiles, radius, nbits):
+    assert_matches_reference([parse_smiles(s) for s in smiles], [radius], [nbits])
+
+
+@pytest.mark.parametrize("n", [_FP_BLOCK - 1, _FP_BLOCK, _FP_BLOCK + 1, 2 * _FP_BLOCK + 1])
+def test_batches_across_chunk_boundary(n):
+    """Each row depends on its own molecule only, wherever the chunks split."""
+    order = np.random.default_rng(n).permutation(n) % len(FIXED_SMILES)
+    mols = [parse_smiles(FIXED_SMILES[k]) for k in order]
+    for radius in range(4):
+        for nbits in (64, 2048):
+            expect = np.stack([reference_bits(parse_smiles(s), radius, nbits)
+                               for s in FIXED_SMILES])
+            assert np.array_equal(morgan_fingerprint(mols, radius, nbits), expect[order])
+
+
+@pytest.mark.parametrize("smiles", [
+    ["C", "[NH4+]"],                                  # no bond in the whole set
+    ["C", "S(F)(F)(F)(F)(F)F", "[NH4+]", "CC"],        # degree 0 beside degree 6
+    ["[C+2147483647]C[N-2147483647]", "[O-2147483647]"],  # int32 charge limits
+], ids=["bondless", "degree6", "charge-limits"])
+def test_edge_cases_match_reference(smiles):
+    assert_matches_reference([parse_smiles(s) for s in smiles])
+
+
 def test_nbits_validation():
-    g = parse_smiles("C")
+    mols = [parse_smiles("C")]
     with pytest.raises(ValueError):
-        morgan_fingerprint(g, 2, 1000)   # not a power of two
+        morgan_fingerprint(mols, 2, 1000)   # not a power of two
     with pytest.raises(ValueError):
-        morgan_fingerprint(g, 2, 32)     # too small
+        morgan_fingerprint(mols, 2, 32)     # too small
     with pytest.raises(ValueError):
-        morgan_fingerprint(g, -1, 1024)
+        morgan_fingerprint(mols, -1, 1024)
 
 
-def test_to_float_and_hex():
-    fp = morgan_fingerprint(parse_smiles("CCO"), 1, 64)
-    f = fp.to_float()
-    assert f.dtype == np.float32 and set(np.unique(f)) <= {0.0, 1.0}
-    assert len(fp.to_hex()) == 64 // 4
+@pytest.mark.parametrize("nbits", [64, 2048])
+def test_empty_sequence(nbits):
+    out = morgan_fingerprint([], 2, nbits)
+    assert out.shape == (0, nbits) and out.dtype == np.float32
+
+
+def test_matrix_is_float32_zero_one():
+    out = morgan_fingerprint([parse_smiles("CCO"), parse_smiles("c1ccccc1")], 1, 64)
+    assert out.dtype == np.float32 and out.shape == (2, 64)
+    assert set(np.unique(out)) <= {0.0, 1.0}

@@ -61,9 +61,8 @@ def tiny_graph(n_mols=6, seed=0, fp_bits=64):
     for i in range(n_mols):
         smi = smiles[i % len(smiles)]
         mol = parse_smiles(smi)
-        fp = morgan_fingerprint(mol, 2, fp_bits)
-        g.add_node(NodeRecord(f"m{i}", NodeKind.MOLECULE, fp.to_float(),
-                              smiles=smi, mol=mol))
+        g.add_node(NodeRecord(f"m{i}", NodeKind.MOLECULE,
+                              morgan_fingerprint([mol], 2, fp_bits)[0], smiles=smi, mol=mol))
         g.add_node(NodeRecord(f"c{i}", NodeKind.CELL_MORPHOLOGY,
                               rng.uniform(0, 1, 5).astype(np.float32)))
         g.add_edge(f"m{i}", f"c{i}", Relation.PERTURBATION, 1.0)
@@ -457,7 +456,7 @@ def walk_graph(n_mols=7):
         smi = smiles[i % len(smiles)]
         mol = parse_smiles(smi)
         g.add_node(NodeRecord(f"m{i}", NodeKind.MOLECULE,
-                              morgan_fingerprint(mol, 2, 64).to_float(), smiles=smi, mol=mol))
+                              morgan_fingerprint([mol], 2, 64)[0], smiles=smi, mol=mol))
         g.add_node(NodeRecord(f"c{i}", NodeKind.CELL_MORPHOLOGY,
                               rng.uniform(0, 1, 5).astype(np.float32)))
         g.add_edge(f"m{i}", f"c{i}", Relation.PERTURBATION, 1.0)
@@ -540,7 +539,7 @@ def test_batch_loss_isolated_molecule_trains_on_own_fingerprint(likelihood):
     for i, smi in enumerate(["CCO", "CCN", "c1ccccc1"]):
         mol = parse_smiles(smi)
         g.add_node(NodeRecord(f"m{i}", NodeKind.MOLECULE,
-                              morgan_fingerprint(mol, 2, 64).to_float(), smiles=smi, mol=mol))
+                              morgan_fingerprint([mol], 2, 64)[0], smiles=smi, mol=mol))
     g.add_node(NodeRecord("c0", NodeKind.CELL_MORPHOLOGY, np.linspace(0, 1, 5)))
     g.add_edge("m0", "c0", Relation.PERTURBATION, 1.0)
     g.add_edge("m2", "c0", Relation.PERTURBATION, 1.0)
@@ -779,3 +778,15 @@ def test_checkpoint_manifest_round_trip(tmp_path):
     assert decoder_keys(store2) == decoder_keys(store)
     mols = [parse_smiles("CCO")]
     assert np.array_equal(embed(store, mols), embed(store2, mols))
+
+
+def test_checkpoint_records_graph_fingerprint_width(tmp_path):
+    """A library checkpoint records the graph's fingerprint width, not the
+    config's default."""
+    g = tiny_graph(fp_bits=64)
+    cfg = small_cfg(fp_bits=1024, epochs=1)
+    state = TrainState()
+    store, _ = pretrain(g, cfg, state=state)
+    p = tmp_path / "ck.iapt"
+    save_checkpoint(p, store, cfg, g, state)
+    assert load_checkpoint(p)[1] == replace(cfg, fp_bits=64)
