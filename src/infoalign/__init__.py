@@ -23,7 +23,6 @@ from .model import (
     ModelConfig,
     TrainState,
     embed,
-    infoalign_loss,
     load_checkpoint,
     pretrain,
     save_checkpoint,
@@ -59,7 +58,7 @@ __all__ = [
     "ContextGraph", "NodeKind", "NodeRecord", "Relation", "WeightedEdge",
     "build_graph_from_tables", "min_max_scale",
     "WalkBatch", "WalkConfig", "WalkPath", "batch_walks",
-    "ModelConfig", "TrainState", "embed", "infoalign_loss",
+    "ModelConfig", "TrainState", "embed",
     "load_checkpoint", "pretrain", "save_checkpoint",
     "JointTable", "gaussian_mi", "i_dlb", "i_eub", "i_nce", "i_nwj",
     "prop1_report", "true_mi",

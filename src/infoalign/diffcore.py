@@ -277,7 +277,7 @@ class ParamStore:
             raise ValueError(f"parameter {name!r} already exists")
         shape = tuple(shape)
         if init == "glorot":
-            fan_in = shape[0] if len(shape) > 1 else shape[0]
+            fan_in = shape[0]
             fan_out = shape[1] if len(shape) > 1 else shape[0]
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             arr = self._rng.uniform(-limit, limit, size=shape)

@@ -17,11 +17,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .molparse import ELEMENTS, MolecularGraph
+from .molparse import ELEMENTS, MolecularGraph, union
 
 _FNV_OFFSET = np.uint64(14695981039346656037)
 _FNV_PRIME = np.uint64(1099511628211)
-# Molecules hashed at a time: bounds the concatenated atom and byte arrays.
+# Molecules hashed at a time: bounds the union's atom and byte arrays.
 _FP_BLOCK = 64
 
 
@@ -49,32 +49,27 @@ _ELEMENT_STATE = np.array([
 
 def _fingerprint_block(mols: Sequence[MolecularGraph], radius: int, out: np.ndarray):
     """Set in `out` (len(mols), nbits) the folded identifier bits of `mols`."""
-    atoms = np.array([len(g.element) for g in mols], dtype=np.intp)
-    mol_of_atom = np.repeat(np.arange(len(mols)), atoms)
-    starts = np.cumsum(atoms) - atoms
-    bonds = np.concatenate([g.bonds.reshape(-1, 2) for g in mols])
-    bonds = bonds + np.repeat(starts, [len(g.bonds) for g in mols])[:, None]
-    src = np.concatenate([bonds[:, 0], bonds[:, 1]])
-    dst = np.concatenate([bonds[:, 1], bonds[:, 0]])
-    codes = np.tile(np.concatenate([g.order for g in mols]).astype(np.uint8) + 1, 2)
+    g, mol_of_atom = union(mols)
+    src, dst = np.concatenate([g.bonds, g.bonds[:, ::-1]]).T
+    codes = np.tile(g.order.astype(np.uint8) + 1, 2)
 
     invariants = np.hstack([
-        _le_bytes(np.concatenate([g.charge for g in mols]), "<i4"),
-        np.concatenate([g.aromatic for g in mols]).astype(np.uint8)[:, None],
-        _le_bytes(np.concatenate([g.degree for g in mols]), "<u4"),
+        _le_bytes(g.charge, "<i4"),
+        g.aromatic.astype(np.uint8)[:, None],
+        _le_bytes(g.degree, "<u4"),
     ])
-    ids = _fnv1a_rows(invariants, _ELEMENT_STATE[np.concatenate([g.element for g in mols])])
+    ids = _fnv1a_rows(invariants, _ELEMENT_STATE[g.element])
     rounds = [ids]
 
-    degree = np.bincount(src, minlength=len(ids))
-    first_edge = np.cumsum(degree) - degree
+    # Sorted by source atom, each atom's g.degree directed edges are contiguous.
+    first_edge = np.cumsum(g.degree) - g.degree
     for _ in range(radius):
         order = np.lexsort((ids[dst], codes, src))  # per atom, sorted (code, id) pairs
         nbr_codes, nbr_bytes = codes[order], _le_bytes(ids[dst[order]], "<u8")
         id_bytes = _le_bytes(ids, "<u8")
         nxt = np.empty_like(ids)
-        for d in np.flatnonzero(np.bincount(degree)).tolist():
-            at = np.flatnonzero(degree == d)
+        for d in np.flatnonzero(np.bincount(g.degree)).tolist():  # the degrees present
+            at = np.flatnonzero(g.degree == d)
             edges = first_edge[at][:, None] + np.arange(d)
             rows = np.empty((len(at), 8 + 9 * d), dtype=np.uint8)
             rows[:, :8] = id_bytes[at]

@@ -151,7 +151,7 @@ def _log_multinomial_pmf(counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return (log_factorial[n] - log_factorial[counts].sum(axis=1) + term.sum(axis=1))
 
 
-def i_nce_exact(jt: JointTable, h: np.ndarray, K: int) -> float:
+def i_nce(jt: JointTable, h: np.ndarray, K: int) -> float:
     """Exact expectation of the K-sample contrastive bound.
 
     E_{p(z,y)} E_{y_{2:K} iid p(y)} [ h(z,y) - log (1/K)(e^{h(z,y)} +
@@ -180,10 +180,6 @@ def i_nce_exact(jt: JointTable, h: np.ndarray, K: int) -> float:
             logm = np.log((eh[zi, yi] + s) / K)
             total -= pw * float(pmf @ logm)
     return total
-
-
-# The exported name of the contrastive bound.
-i_nce = i_nce_exact
 
 
 # --- Gaussian family ------------------------------------------------------------
@@ -218,7 +214,7 @@ def prop1_report(joints: Sequence[JointTable], k_list: Sequence[int],
             mi = true_mi(jt)
             dlb = i_dlb(jt, q)
             for K in k_list:
-                nce = i_nce_exact(jt, h, K)
+                nce = i_nce(jt, h, K)
                 entry = {
                     "joint": ji,
                     "critic": cname,

@@ -28,7 +28,7 @@ import numpy as np
 from . import diffcore as dc
 from .ctxgraph import ContextGraph, NodeKind, NodeRecord
 from .errors import CorruptFileError, NoDecoderError, PathMismatchError, ShapeMismatchError
-from .molparse import ELEMENTS, BondOrder, MolecularGraph
+from .molparse import ELEMENTS, BondOrder, MolecularGraph, union
 from .walker import WalkConfig, WalkPath, batch_walks
 
 ATOM_FEATURE_DIM = len(ELEMENTS) + 5 + 1 + 6  # element, charge in [-2,2], aromatic, degree 0-5
@@ -167,16 +167,15 @@ def _infer_num_layers(bound: Dict[str, dc.Tensor]) -> int:
     return n
 
 
-def atom_features(mols: Sequence[MolecularGraph]) -> np.ndarray:
-    """One-hot encoder inputs of every atom of `mols`, in order: element,
-    charge clipped to [-2, 2], aromatic flag and degree clipped to 5."""
-    n = sum(len(m.element) for m in mols)
-    rows = np.arange(n)
-    x = np.zeros((n, ATOM_FEATURE_DIM))
-    x[rows, np.concatenate([m.element for m in mols])] = 1.0
-    x[rows, _CHARGE_BASE + 2 + np.clip(np.concatenate([m.charge for m in mols]), -2, 2)] = 1.0
-    x[rows, _AROMATIC_COL] = np.concatenate([m.aromatic for m in mols])
-    x[rows, _DEGREE_BASE + np.minimum(np.concatenate([m.degree for m in mols]), 5)] = 1.0
+def atom_features(g: MolecularGraph) -> np.ndarray:
+    """One-hot encoder inputs of the atoms of `g`: element, charge clipped
+    to [-2, 2], aromatic flag and degree clipped to 5."""
+    rows = np.arange(len(g.element))
+    x = np.zeros((len(rows), ATOM_FEATURE_DIM))
+    x[rows, g.element] = 1.0
+    x[rows, _CHARGE_BASE + 2 + np.clip(g.charge, -2, 2)] = 1.0
+    x[rows, _AROMATIC_COL] = g.aromatic
+    x[rows, _DEGREE_BASE + np.minimum(g.degree, 5)] = 1.0
     return x
 
 
@@ -185,19 +184,15 @@ def encode_batch(mols: Sequence[MolecularGraph], bound: Dict[str, dc.Tensor]) ->
 
     Per layer: h_v <- MLP(h_v + sum_{u in N(v)} (h_u + bond_embed(uv))),
     i.e. the (1 + eps) factor with eps fixed at 0. The molecules form one
-    block-diagonal graph: the atoms are featurised together by
-    `atom_features`, each bond a-b gives the messages a->b then b->a with
-    atom indices offset per molecule, and the readout sums each molecule's
-    atom rows. The depth is the number of `gin.l<n>` layers in `bound`.
+    graph, their `union`: each bond a-b gives the messages a->b then b->a,
+    and the readout sums each molecule's atom rows. The depth is the number
+    of `gin.l<n>` layers in `bound`.
     """
-    counts = [len(m.element) for m in mols]
-    offsets = np.cumsum([0] + counts[:-1])
-    n = sum(counts)
-    bonds = np.concatenate([m.bonds + off for m, off in zip(mols, offsets)])
-    src, dst = bonds.ravel(), bonds[:, ::-1].ravel()
-    order = np.repeat(np.concatenate([m.order for m in mols]), 2)
-    segment = np.repeat(np.arange(len(mols)), counts)
-    h = dc.matmul(dc.constant(atom_features(mols)), bound["atom_embed"])
+    g, segment = union(mols)
+    n = len(g.element)
+    src, dst = g.bonds.ravel(), g.bonds[:, ::-1].ravel()
+    order = np.repeat(g.order, 2)
+    h = dc.matmul(dc.constant(atom_features(g)), bound["atom_embed"])
     for layer in range(_infer_num_layers(bound)):
         if len(src):
             msgs = dc.add(dc.gather_rows(h, src),

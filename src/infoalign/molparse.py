@@ -10,14 +10,15 @@ silently mis-parsed.
 A `MolecularGraph` holds per-atom arrays (element index into `ELEMENTS`,
 formal charge, aromatic flag, degree) and per-bond arrays in parse order
 (endpoints a < b, `BondOrder` code), the layout of PyG's atom features and
-edge index. The fingerprint, the encoder and `embed` all read these arrays.
+edge index. `union` lays a molecule set out as one such graph, the disjoint
+union that the fingerprint hash and the encoder both read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -263,6 +264,19 @@ def parse_smiles(text: str) -> MolecularGraph:
         np.array(element, dtype=np.intp), np.array(charge, dtype=np.int32),
         np.array(aromatic, dtype=bool), np.array(degree, dtype=np.intp),
         np.array(bonds, dtype=np.intp).reshape(-1, 2), np.array(orders, dtype=np.intp))
+
+
+def union(mols: Sequence[MolecularGraph]) -> Tuple[MolecularGraph, np.ndarray]:
+    """The disjoint union of a non-empty molecule set, and the index into
+    `mols` of each of its atoms. Atoms and bonds keep their input order; each
+    molecule's bond endpoints are offset past the atoms before it, the
+    block-diagonal batch of PyG."""
+    arrays = {f.name: np.concatenate([getattr(g, f.name) for g in mols])
+              for f in fields(MolecularGraph)}
+    atoms = np.array([len(g.element) for g in mols], dtype=np.intp)
+    starts = np.repeat(np.cumsum(atoms) - atoms, [len(g.bonds) for g in mols])
+    arrays["bonds"] += starts[:, None]
+    return MolecularGraph(**arrays), np.repeat(np.arange(len(mols)), atoms)
 
 
 def read_smiles_file(path) -> List[Tuple[int, str]]:

@@ -14,8 +14,7 @@ from tests.oracles import FIXED_SMILES, environment_identifiers, reference_envir
 from tests.test_molparse import smiles_strings
 
 # uint64 products must wrap on arrays; a product that falls onto a numpy
-# scalar warns on overflow instead, and fails here.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+# scalar warns on overflow instead, which the suite's warning filter fails.
 
 
 def permute_graph(g: MolecularGraph, perm) -> MolecularGraph:

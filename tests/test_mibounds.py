@@ -18,7 +18,6 @@ from infoalign.mibounds import (
     i_dlb,
     i_eub,
     i_nce,
-    i_nce_exact,
     i_nwj,
     optimal_critic,
     prop1_report,
@@ -142,7 +141,7 @@ def test_nwj_lower_bound_random_critics():
 def test_nce_constant_critic_zero():
     rng = np.random.default_rng(8)
     jt = random_joint(rng, 3, 4)
-    assert i_nce_exact(jt, np.full((3, 4), 2.5), 8) == pytest.approx(0.0, abs=1e-12)
+    assert i_nce(jt, np.full((3, 4), 2.5), 8) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_nce_le_log_k():
@@ -151,7 +150,7 @@ def test_nce_le_log_k():
         jt = random_joint(rng, 4, 4)
         h = optimal_critic(jt)
         for K in (2, 4, 8):
-            assert i_nce_exact(jt, h, K) <= np.log(K) + 1e-12
+            assert i_nce(jt, h, K) <= np.log(K) + 1e-12
 
 
 def test_nce_saturates_on_diagonal():
@@ -161,7 +160,7 @@ def test_nce_saturates_on_diagonal():
     h = optimal_critic(jt)
     assert true_mi(jt) == pytest.approx(np.log(16), abs=1e-12)
     assert i_dlb(jt, critic_to_conditional(jt, h)) == pytest.approx(np.log(16), abs=1e-10)
-    nce2 = i_nce_exact(jt, h, 2)
+    nce2 = i_nce(jt, h, 2)
     assert nce2 <= np.log(2) + 1e-12
     # hand computation: the marginal negative collides with y with prob 1/16
     # (log-mean term ln 16) and misses otherwise (ln 8), so the bound is
@@ -174,7 +173,7 @@ def test_nce_gap_shrinks_with_k():
     jt = random_joint(rng, 4, 4)
     h = optimal_critic(jt)
     mi = true_mi(jt)
-    gaps = [mi - i_nce_exact(jt, h, K) for K in (2, 4, 8, 16)]
+    gaps = [mi - i_nce(jt, h, K) for K in (2, 4, 8, 16)]
     assert all(g >= -1e-12 for g in gaps)
     assert all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
 
@@ -182,13 +181,7 @@ def test_nce_gap_shrinks_with_k():
 def test_nce_k_validation():
     jt = diagonal_joint(2)
     with pytest.raises(BatchTooSmallError):
-        i_nce_exact(jt, np.zeros((2, 2)), 1)
-
-
-def test_nce_dispatch():
-    jt = diagonal_joint(3)
-    h = optimal_critic(jt)
-    assert i_nce(jt, h, 4) == pytest.approx(i_nce_exact(jt, h, 4), abs=0)
+        i_nce(jt, np.zeros((2, 2)), 1)
 
 
 def compositions_reference(total, parts):

@@ -37,7 +37,7 @@ from infoalign.model import (
     reparameterize,
     save_checkpoint,
 )
-from infoalign.molparse import parse_smiles
+from infoalign.molparse import parse_smiles, union
 from infoalign.walker import WalkConfig, WalkPath, batch_walks
 from tests.oracles import FIXED_SMILES, reference_atom_features, scanned_neighbors
 from tests.test_fingerprint import permute_graph
@@ -80,14 +80,14 @@ def make_store(cfg, graph):
 @pytest.mark.parametrize("smi", FIXED_SMILES)
 def test_atom_features_match_degree_reference(smi):
     g = parse_smiles(smi)
-    assert np.array_equal(atom_features([g]), reference_atom_features(g))
+    assert np.array_equal(atom_features(g), reference_atom_features(g))
 
 
 @settings(max_examples=200, deadline=None)
 @given(smiles_strings())
 def test_atom_features_match_degree_reference_fuzzed(smi):
     g = parse_smiles(smi)
-    x = atom_features([g])
+    x = atom_features(g)
     assert np.array_equal(x, reference_atom_features(g))
     assert np.array_equal(x[:, 16:].argmax(axis=1),
                           [min(len(scanned_neighbors(g, i)), 5) for i in range(len(g.element))])
@@ -95,7 +95,7 @@ def test_atom_features_match_degree_reference_fuzzed(smi):
 
 def test_atom_features_of_a_batch_stack_each_molecule():
     mols = [parse_smiles(s) for s in FIXED_SMILES]
-    assert np.array_equal(atom_features(mols),
+    assert np.array_equal(atom_features(union(mols)[0]),
                           np.concatenate([reference_atom_features(g) for g in mols]))
 
 

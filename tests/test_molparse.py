@@ -1,5 +1,7 @@
-"""Parser tests: grammar cases, the atom and bond arrays, typed errors,
-round-trip stability and the SMILES file reader."""
+"""Parser tests: grammar cases, the atom and bond arrays, the union of a
+molecule set, typed errors, round-trip stability and the SMILES file reader."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,8 +17,10 @@ from infoalign.errors import (
 from infoalign.molparse import (
     ELEMENTS,
     BondOrder,
+    MolecularGraph,
     parse_smiles,
     read_smiles_file,
+    union,
 )
 from tests.oracles import FIXED_SMILES, scanned_neighbors
 
@@ -141,6 +145,50 @@ def test_charge_beyond_int32_rejected():
     assert parse_smiles("[C+2147483647]").charge.tolist() == [2147483647]
     with pytest.raises(SmilesSyntaxError, match="charge out of range"):
         parse_smiles("[C-99999999999]")
+
+
+# --- the union of a molecule set -----------------------------------------------
+
+FIELDS = [f.name for f in fields(MolecularGraph)]
+
+
+def check_union(mols):
+    """Each field the concatenation, bonds offset by the atoms before, and
+    each atom's molecule index; the union satisfies the parser's invariants."""
+    g, mol_of_atom = union(mols)
+    check_arrays(g)
+    for name in FIELDS:
+        assert getattr(g, name).dtype == getattr(mols[0], name).dtype
+    for name in ("element", "charge", "aromatic", "degree", "order"):
+        assert getattr(g, name).tolist() == [v for m in mols for v in getattr(m, name).tolist()]
+    starts = np.cumsum([0] + [len(m.element) for m in mols]).tolist()
+    assert g.bonds.tolist() == [[a + start, b + start] for m, start in zip(mols, starts)
+                                for a, b in m.bonds.tolist()]
+    assert mol_of_atom.tolist() == [k for k, m in enumerate(mols) for _ in m.element]
+
+
+@pytest.mark.parametrize("smiles", [
+    FIXED_SMILES, FIXED_SMILES[::-1], ["C", "[NH4+]"], ["[NH4+]", "CCO", "C"],
+], ids=["fixed", "reversed", "bond-less", "bond-less-ends"])
+def test_union_concatenates_and_offsets(smiles):
+    check_union([parse_smiles(s) for s in smiles])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(smiles_strings(), st.sampled_from(["C", "[NH4+]"])),
+                min_size=1, max_size=8))
+def test_union_concatenates_and_offsets_fuzzed(smiles):
+    check_union([parse_smiles(s) for s in smiles])
+
+
+@pytest.mark.parametrize("smi", FIXED_SMILES)
+def test_union_of_one_molecule_is_the_molecule(smi):
+    g = parse_smiles(smi)
+    u, mol_of_atom = union([g])
+    for name in FIELDS:
+        assert getattr(u, name).dtype == getattr(g, name).dtype
+        assert np.array_equal(getattr(u, name), getattr(g, name))
+    assert mol_of_atom.tolist() == [0] * len(g.element)
 
 
 # --- errors ------------------------------------------------------------------

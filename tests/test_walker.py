@@ -374,8 +374,8 @@ def walk_cases(draw):
 
 
 # Seeds are drawn up to 2**64 - 1; a seed from 2**63 up once reached Philox
-# as a float key, with a RuntimeWarning from the cast.
-@pytest.mark.filterwarnings("error::RuntimeWarning")
+# as a float key, with a RuntimeWarning from the cast, which the suite's
+# warning filter turns into a failure.
 @settings(max_examples=300, deadline=None)
 @given(case=walk_cases(), cut=st.integers(0, 30))
 def test_batch_walks_equal_per_step_oracle(case, cut):
