@@ -268,13 +268,41 @@ def _run_pretrain(graph, opt, given: set, out: str, resume: str | None):
     cfg = replace(base, **settings)
     if cfg.seed != base.seed:  # fresh generators from the new seed
         state = TrainState(state.epoch)
-    rows = ["epoch\ttotal\tkl\tbeta\trecon"]
-    store, logs = pretrain(graph, cfg, store=store, state=state)
-    for e, br in enumerate(logs, state.epoch - cfg.epochs):
-        recon = ";".join(f"{k}={v:.8g}" for k, v in sorted(br.recon_per_modality.items()))
-        rows.append(f"{e}\t{br.total:.8g}\t{br.kl:.8g}\t{br.beta:.8g}\t{recon}")
+    with _EpochLog(out + ".log.tsv") as log:
+        store, _logs = pretrain(graph, cfg, store=store, log_fn=log, state=state)
     save_checkpoint(out, store, cfg, graph, state)
-    Path(out + ".log.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
+class _EpochLog:
+    """A pretrain run's `.log.tsv`: a header, then one row per epoch, numbered
+    over resumes and flushed as its epoch ends, so a killed or diverging run
+    keeps the rows of the epochs it finished. The file is made with the first
+    row, or on a clean exit that logged none, so a run that fails before an
+    epoch ends leaves no file."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self._file = None
+
+    def _open(self):
+        self._file = open(self.path, "w", encoding="utf-8")
+        self._file.write("epoch\ttotal\tkl\tbeta\trecon\n")
+
+    def __call__(self, epoch: int, br):
+        if self._file is None:
+            self._open()
+        recon = ";".join(f"{k}={v:.8g}" for k, v in sorted(br.recon_per_modality.items()))
+        self._file.write(f"{epoch}\t{br.total:.8g}\t{br.kl:.8g}\t{br.beta:.8g}\t{recon}\n")
+        self._file.flush()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *_exc):
+        if self._file is None and exc_type is None:
+            self._open()
+        if self._file is not None:
+            self._file.close()
 
 
 def cmd_pretrain(args) -> int:

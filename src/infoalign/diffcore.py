@@ -10,11 +10,29 @@ leave the tape: `backward` raises FloatingPointError for a non-finite loss or
 leaf gradient, and the callers that return forward values (embeddings,
 matching logits, probe predictions) check them with `require_finite`.
 Checkpoints are checked as they are loaded.
+
+The scatter of `scatter_add_rows` and of `gather_rows`' backward pass sums
+through a `RowIndex`: the index and a table of each row's entries in
+ascending order, built once per index and read by every pass that shares it
+(as in PyG's CSR message passing, Fey & Lenssen 2019, arXiv 1903.02428). The
+sums are those of numpy's `add.at`, in its order, bit for bit:
+- Many rows with few entries each (in-neighbours) loop over the table's
+  columns, adding a whole column of rows at a time. Short rows are padded
+  with a -0.0 row, which adds nothing to any value: a -0.0 in a running
+  gradient stays -0.0, as under `add.at`, where a +0.0 pad would flip it.
+- Few rows with many entries each (bond types, the readout) sum each row
+  with `np.cumsum` over [running row; its entries], which adds one after
+  another. `np.add.reduce` would not do: on one-column values it sums
+  pairwise, and the last bits move.
+
+`ParamStore` keeps the parameters, gradients and Adam moments as the four
+rows of one flat array, so `adam_step` is a few whole-buffer operations.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import math
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -205,31 +223,99 @@ def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     return out
 
 
+class RowIndex:
+    """An index into `num_rows` rows, `index[i]` naming the row of entry i,
+    with the table of each row's entries that `add_to` sums through.
+
+    The table is built on first use, in the layout the module docstring
+    describes: a (width, rows) array of positions padded with one past the
+    last entry when no row has more entries than there are rows, else each
+    row's slice of `positions()`. `positions`, if given, are the entries
+    grouped by row and ascending within each row, the order of
+    `np.argsort(index, kind="stable")`.
+    """
+
+    __slots__ = ("index", "num_rows", "_positions", "_table")
+
+    def __init__(self, index, num_rows: int, positions: Optional[np.ndarray] = None):
+        self.index = np.asarray(index, dtype=np.intp)
+        self.num_rows = int(num_rows)
+        if self.index.ndim != 1:
+            raise ShapeMismatchError(f"row index of shape {self.index.shape}")
+        if len(self.index) and not (0 <= self.index.min() and self.index.max() < num_rows):
+            raise IndexError(f"row index out of range for {num_rows} rows")
+        self._positions = positions
+        self._table = None
+
+    def positions(self) -> np.ndarray:
+        """The entries grouped by row, ascending within each row."""
+        if self._positions is None:
+            self._positions = np.argsort(self.index, kind="stable")
+        return self._positions
+
+    def _build(self):
+        pos = self.positions()
+        counts = np.bincount(self.index, minlength=self.num_rows)
+        stops = np.cumsum(counts)
+        width = counts.max(initial=0)
+        if self.num_rows < width:
+            rows = np.flatnonzero(counts)
+            self._table = list(zip(rows.tolist(), (stops - counts)[rows].tolist(),
+                                   stops[rows].tolist()))
+        else:
+            rows = self.index[pos]
+            table = np.full((width, self.num_rows), len(pos), dtype=np.intp)
+            table[np.arange(len(pos)) - (stops - counts)[rows], rows] = pos
+            self._table = table
+        return self._table
+
+    def add_to(self, base: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """base[index[i]] += values[i] in place, for i in ascending order:
+        the sums of numpy's `add.at(base, index, values)`, bit for bit.
+        (Which NaN a sum of two NaNs keeps is left open, as numpy's own
+        loops leave it.)"""
+        table = self._build() if self._table is None else self._table
+        if isinstance(table, list):
+            # a sequential sum: np.add.reduce sums one column pairwise
+            grouped = values[self.positions()]
+            for k, start, stop in table:
+                run = np.concatenate([base[k : k + 1], grouped[start:stop]])
+                base[k] = np.cumsum(run, axis=0)[-1]
+        else:
+            # -0.0 pads add nothing, even to a -0.0 (+0.0 would make it +0.0)
+            padded = np.concatenate([values, np.full((1,) + values.shape[1:], -0.0)])
+            for column in table:
+                base += padded[column]
+        return base
+
+
 def gather_rows(a: Tensor, index) -> Tensor:
-    """out[i] = a[index[i]]; rows may repeat."""
-    index = np.asarray(index, dtype=np.intp)
-    out = Tensor(a.data[index], (a,))
+    """out[i] = a[index[i]]; rows may repeat. `index` is an index array or a
+    RowIndex over a's rows."""
+    if not isinstance(index, RowIndex):
+        index = RowIndex(index, a.shape[0])
+    out = Tensor(a.data[index.index], (a,))
 
     def bw(g):
         # into a copy of the running gradient, which keeps the order of the
         # sums: adding a separate scatter afterwards moves the last bits
         grad = np.zeros_like(a.data) if a.grad is None else a.grad.copy()
-        np.add.at(grad, index, g)
-        a.grad = grad
+        a.grad = index.add_to(grad, g)
 
     out._bw = bw
     return out
 
 
-def scatter_add_rows(a: Tensor, index, num_rows: int) -> Tensor:
-    """out[k] = sum of a[i] over i with index[i] == k (message aggregation)."""
-    index = np.asarray(index, dtype=np.intp)
-    if len(index) != a.shape[0]:
-        raise ShapeMismatchError(f"scatter_add: {len(index)} indices for {a.shape[0]} rows")
-    data = np.zeros((num_rows,) + a.shape[1:], dtype=a.data.dtype)
-    np.add.at(data, index, a.data)
+def scatter_add_rows(a: Tensor, index, num_rows: Optional[int] = None) -> Tensor:
+    """out[k] = sum of a[i] over i with index[i] == k (message aggregation).
+    `index` is a RowIndex, or an index array into `num_rows` rows."""
+    if not isinstance(index, RowIndex):
+        index = RowIndex(index, num_rows)
+    if len(index.index) != a.shape[0]:
+        raise ShapeMismatchError(f"scatter_add: {len(index.index)} indices for {a.shape[0]} rows")
+    data = index.add_to(np.zeros((index.num_rows,) + a.shape[1:]), a.data)
     out = Tensor(data, (a,))
-    out._bw = lambda g: _acc(a, g[index])
+    out._bw = lambda g: _acc(a, g[index.index])
     return out
 
 
@@ -258,6 +344,11 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
 class ParamStore:
     """Named parameter arrays with gradient slots and Adam moments.
 
+    The parameters, their gradients and the two Adam moments are the four
+    rows of one float64 array, `flat`, each a flat vector holding every
+    parameter in the order added. `params`, `grads`, `_m` and `_v` map each
+    name to its view into a row, so whole-store updates are vector ops.
+
     Weight init is uniform(+-sqrt(6 / (fan_in + fan_out))), biases zero, from
     a Philox stream keyed by the seed, so checkpoints are comparable across
     runs and platforms.
@@ -265,6 +356,7 @@ class ParamStore:
 
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
+        self.flat = np.zeros((4, 0))
         self.params: Dict[str, np.ndarray] = {}
         self.grads: Dict[str, np.ndarray] = {}
         self._m: Dict[str, np.ndarray] = {}
@@ -285,25 +377,40 @@ class ParamStore:
             arr = np.zeros(shape)
         else:
             raise ValueError(f"unknown init {init!r}")
-        self.params[name] = arr
-        self.grads[name] = np.zeros(shape)
-        self._m[name] = np.zeros(shape)
-        self._v[name] = np.zeros(shape)
-        return arr
+        self._append([(name, arr, np.zeros(shape), np.zeros(shape))])
+        return self.params[name]
+
+    def _append(self, entries: Sequence[Tuple[str, np.ndarray, np.ndarray, np.ndarray]]):
+        """Add (name, value, first moment, second moment) parameters with zero
+        gradients: the rows move to a longer array and every view follows."""
+        shapes = {name: arr.shape for name, arr in self.params.items()}
+        shapes.update((name, value.shape) for name, value, _, _ in entries)
+        flat = np.zeros((4, sum(math.prod(shape) for shape in shapes.values())))
+        flat[:, : self.flat.shape[1]] = self.flat
+        self.flat = flat
+        start = 0
+        for name, shape in shapes.items():
+            stop = start + math.prod(shape)
+            for table, row in zip((self.params, self.grads, self._m, self._v), flat):
+                table[name] = row[start:stop].reshape(shape)
+            start = stop
+        for name, value, m, v in entries:
+            self.params[name][...] = value
+            self._m[name][...] = m
+            self._v[name][...] = v
 
     def bind(self) -> Dict[str, Tensor]:
         """Leaf tensors for one forward/backward pass."""
         return {name: Tensor(arr) for name, arr in self.params.items()}
 
-    def accumulate(self, bound: Dict[str, Tensor], scale: float = 1.0):
+    def accumulate(self, bound: Dict[str, Tensor]):
         """Add the bound leaves' gradients into the store's gradient slots."""
         for name, leaf in bound.items():
             if leaf.grad is not None:
-                self.grads[name] += scale * leaf.grad
+                self.grads[name] += leaf.grad
 
     def zero_grads(self):
-        for g in self.grads.values():
-            g[...] = 0.0
+        self.flat[1] = 0.0
 
 
 def init_mlp(store: ParamStore, prefix: str, sizes: Sequence[int]):
@@ -330,18 +437,20 @@ def mlp_forward(bound: Dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
 
 def adam_step(store: ParamStore, lr: float = 1e-3, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8):
-    """Bias-corrected Adam update over all parameters, then grad reset."""
+    """Bias-corrected Adam update over all parameters, then grad reset.
+
+    It runs over the store's flat rows at once; every element takes the
+    operations of a per-parameter update in the same order, so the results
+    are the same bits.
+    """
     store.step += 1
     t = store.step
-    for name, p in store.params.items():
-        g = store.grads[name]
-        m = store._m[name]
-        v = store._v[name]
-        m[...] = beta1 * m + (1 - beta1) * g
-        v[...] = beta2 * v + (1 - beta2) * g * g
-        mhat = m / (1 - beta1 ** t)
-        vhat = v / (1 - beta2 ** t)
-        p -= lr * mhat / (np.sqrt(vhat) + eps)
+    p, g, m, v = store.flat
+    m *= beta1
+    m += (1 - beta1) * g
+    v *= beta2
+    v += (1 - beta2) * g * g
+    p -= lr * (m / (1 - beta1 ** t)) / (np.sqrt(v / (1 - beta2 ** t)) + eps)
     store.zero_grads()
 
 
@@ -378,9 +487,6 @@ def load_params(path):
         if not np.isfinite(arr).all():
             what = ("parameter", "Adam first moment of", "Adam second moment of")[j // k]
             raise CorruptFileError(f"{path}: {what} {names[j % k]!r} is not finite")
-    for i, name in enumerate(names):
-        store.params[name] = arrays[i].astype(np.float64)
-        store.grads[name] = np.zeros_like(store.params[name])
-        store._m[name] = arrays[k + i].astype(np.float64)
-        store._v[name] = arrays[2 * k + i].astype(np.float64)
+    store._append([(name, arrays[i], arrays[k + i], arrays[2 * k + i])
+                   for i, name in enumerate(names)])
     return store, meta["manifest"]

@@ -190,17 +190,20 @@ def encode_batch(mols: Sequence[MolecularGraph], bound: Dict[str, dc.Tensor]) ->
     """
     g, segment = union(mols)
     n = len(g.element)
-    src, dst = g.bonds.ravel(), g.bonds[:, ::-1].ravel()
-    order = np.repeat(g.order, 2)
+    # The row indexes are built once; every layer and both passes share them.
+    into = dc.RowIndex(g.bonds[:, ::-1].ravel(), n)
+    # Messages 2j and 2j + 1 carry one bond both ways, so a position's
+    # partner (XOR 1) turns each atom's incoming messages into its outgoing.
+    out_of = dc.RowIndex(g.bonds.ravel(), n, positions=into.positions() ^ 1)
+    bond_type = dc.RowIndex(np.repeat(g.order, 2), NUM_BOND_TYPES)
     h = dc.matmul(dc.constant(atom_features(g)), bound["atom_embed"])
     for layer in range(_infer_num_layers(bound)):
-        if len(src):
-            msgs = dc.add(dc.gather_rows(h, src),
-                          dc.gather_rows(bound[f"bond_embed.l{layer}"], order))
-            agg = dc.scatter_add_rows(msgs, dst, n)
-            h = dc.add(agg, h)
+        if len(g.bonds):
+            msgs = dc.add(dc.gather_rows(h, out_of),
+                          dc.gather_rows(bound[f"bond_embed.l{layer}"], bond_type))
+            h = dc.add(dc.scatter_add_rows(msgs, into), h)
         h = dc.mlp_forward(bound, f"gin.l{layer}", h)
-    readout = dc.scatter_add_rows(h, segment, len(mols))
+    readout = dc.scatter_add_rows(h, dc.RowIndex(segment, len(mols)))
     mu = dc.mlp_forward(bound, "head_mu", readout)
     logvar = dc.clip(dc.mlp_forward(bound, "head_logvar", readout),
                      -LOGVAR_CLAMP, LOGVAR_CLAMP)
@@ -327,7 +330,7 @@ def batch_loss(graph: ContextGraph, starts: Sequence[str], paths: Sequence[WalkP
             targets.setdefault((rec.kind, rec.modality_dim), []).append(
                 (w, rec.features, alpha, len(path.nodes)))
     out = encode_batch([rec.mol for rec in recs], bound)
-    walk_mol = np.repeat(np.arange(len(starts)), per_mol)
+    walk_mol = dc.RowIndex(np.repeat(np.arange(len(starts)), per_mol), len(starts))
     z = reparameterize(EncoderOutput(dc.gather_rows(out.mu, walk_mol),
                                      dc.gather_rows(out.logvar, walk_mol)), noise)
     kl = kl_standard_normal(out)
@@ -369,8 +372,10 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig, store: Optional[dc.ParamStor
     store gets one decoder per featured (kind, dim) of the graph. Every
     featured (kind, dim) of the graph needs a decoder in the store, or
     NoDecoderError is raised before any step. A non-finite loss or gradient
-    raises FloatingPointError naming the epoch and the batch. Returns the
-    store and the per-epoch mean loss breakdowns.
+    raises FloatingPointError naming the epoch and the batch. `log_fn(epoch,
+    breakdown)`, if given, is called as each epoch ends, with the epoch
+    numbered over resumes. Returns the store and the per-epoch mean loss
+    breakdowns.
     """
     needed = feature_keys(graph)
     if store is None:

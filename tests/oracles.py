@@ -1,11 +1,14 @@
-"""Per-atom oracles for the array paths, and a fixed SMILES set.
+"""Per-atom oracles for the array paths, the training step's slow paths, and
+a fixed SMILES set.
 
-Each `reference_*` oracle walks one molecule atom by atom in Python and takes
-every degree and neighbour list from its own scan of the bond list, so it
-shares neither the parser's degree array nor the fingerprint's arrays.
+Each `reference_*` molecule oracle walks one molecule atom by atom in Python
+and takes every degree and neighbour list from its own scan of the bond list,
+so it shares neither the parser's degree array nor the fingerprint's arrays.
 `environment_identifiers` is the per-molecule hash that the set-at-once
 `morgan_fingerprint` replaced: it reads the parser's degrees and adjacency
-from the bond arrays.
+from the bond arrays. `reference_scatter_add` and `reference_adam_step` are
+the `np.add.at` scatter and the per-parameter Adam loop that the row index
+tables and the flat parameter buffer replaced.
 """
 
 import struct
@@ -122,3 +125,27 @@ def reference_environment_identifiers(g: MolecularGraph, radius: int) -> set:
         ids = nxt
         collected.update(ids)
     return collected
+
+
+def reference_scatter_add(base: np.ndarray, index, values: np.ndarray) -> np.ndarray:
+    """base[index[i]] += values[i], one entry at a time in index order, in place."""
+    np.add.at(base, index, values)
+    return base
+
+
+def reference_adam_step(store, lr: float = 1e-3, beta1: float = 0.9,
+                        beta2: float = 0.999, eps: float = 1e-8):
+    """Bias-corrected Adam, one parameter at a time, then grad reset."""
+    store.step += 1
+    t = store.step
+    for name, p in store.params.items():
+        g = store.grads[name]
+        m = store._m[name]
+        v = store._v[name]
+        m[...] = beta1 * m + (1 - beta1) * g
+        v[...] = beta2 * v + (1 - beta2) * g * g
+        mhat = m / (1 - beta1 ** t)
+        vhat = v / (1 - beta2 ** t)
+        p -= lr * mhat / (np.sqrt(vhat) + eps)
+    for g in store.grads.values():
+        g[...] = 0.0

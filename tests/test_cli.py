@@ -457,6 +457,19 @@ def test_pretrain_diverging_run_stderr_is_one_line(synth_graph, tmp_path, capfd)
     assert capfd.readouterr().err == "error: non-finite loss in epoch 0, batch 1\n"
 
 
+def test_pretrain_log_keeps_epochs_of_diverging_run(synth_graph, tmp_path, capsys):
+    """Rows are flushed as their epochs end: a run of one batch per epoch
+    that diverges in epoch 1 leaves the header and the epoch-0 row."""
+    ck = tmp_path / "ck.iapt"
+    assert run(["pretrain", "--graph", synth_graph, "--out", ck, "--epochs", 2,
+                *PRETRAIN_SMALL, "--batch-size", 100, "--lr", 1e200]) == 1
+    assert "error: non-finite loss in epoch 1, batch 0" in capsys.readouterr().err
+    rows = Path(f"{ck}.log.tsv").read_text().splitlines()
+    assert rows[0] == "epoch\ttotal\tkl\tbeta\trecon"
+    assert [r.split("\t")[0] for r in rows[1:]] == ["0"]
+    assert not ck.exists()
+
+
 def test_embed_three_molecules(synth_graph, tmp_path):
     ck = tmp_path / "ck.iapt"
     assert run(["pretrain", "--graph", synth_graph, "--out", ck,

@@ -1,11 +1,20 @@
 """Autodiff substrate tests: central finite differences for every primitive,
-MLP gradient checks, Adam behavior, checkpoint round-trips."""
+the row-index scatter and the flat Adam against their slow oracles, MLP
+gradient checks, Adam behavior, checkpoint round-trips."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import infoalign.diffcore as dc
 from infoalign.errors import CorruptFileError, ShapeMismatchError
+from tests.oracles import reference_adam_step, reference_scatter_add
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def finite_diff(f, x, eps=1e-6):
@@ -153,6 +162,89 @@ def test_backward_twice_gives_same_gradient():
     assert np.array_equal(x.grad, first)
 
 
+# --- row index tables -------------------------------------------------------------
+
+_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf]),
+                    st.floats(-4, 4), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def scatter_cases(draw, layout):
+    """(index, num_rows, values, base): a "columns" index has at least as many
+    rows as any row has entries, a "rows" index fewer. Values are 1-D, one
+    column or three columns wide; base is a running gradient of any floats."""
+    if layout == "columns":
+        num_rows = draw(st.integers(0, 8))
+        index = draw(st.lists(st.integers(0, max(num_rows - 1, 0)), max_size=2 * num_rows))
+        assume(np.bincount(index, minlength=1).max() <= num_rows)
+    else:
+        num_rows = draw(st.integers(1, 3))
+        index = draw(st.lists(st.integers(0, num_rows - 1), min_size=num_rows + 1,
+                              max_size=40))
+        assume(np.bincount(index).max() > num_rows)
+    cols = draw(st.sampled_from([(), (1,), (3,)]))
+    values = draw(hnp.arrays(np.float64, (len(index),) + cols, elements=_FLOATS))
+    base = draw(hnp.arrays(np.float64, (num_rows,) + cols, elements=_FLOATS))
+    return index, num_rows, values, base
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray):
+    """Equal bytes, the signs of zeros and infinities included, with NaNs in
+    the same places. A NaN's own bits are not compared: IEEE 754 leaves open
+    which NaN a sum of two returns, and numpy's loops differ on it
+    (`np.add.at` keeps the row's NaN on 1-D values and the added one's on 2-D)."""
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@pytest.mark.parametrize("layout", ["columns", "rows"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_scatter_and_gather_backward_equal_add_at(layout, data):
+    """The scatter from zeros, and the gather's backward into no gradient and
+    into a running one, give `np.add.at`'s bits."""
+    index, num_rows, values, base = data.draw(scatter_cases(layout))
+    rows = dc.RowIndex(index, num_rows)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = dc.scatter_add_rows(dc.Tensor(values), rows).data
+        assert_same_bits(got, reference_scatter_add(np.zeros_like(base), index, values))
+        assert isinstance(rows._table, list) == (layout == "rows")
+        for running in (None, base):
+            a = dc.Tensor(np.zeros_like(base))
+            gathered = dc.gather_rows(a, rows)
+            a.grad = None if running is None else running.copy()
+            gathered._bw(values)
+            start = np.zeros_like(base) if running is None else running.copy()
+            assert_same_bits(a.grad, reference_scatter_add(start, index, values))
+
+
+@pytest.mark.parametrize("cols", [(), (1,)])
+def test_long_row_sums_are_sequential(cols):
+    """Rows of up to 120 entries of mixed scale, where a pairwise sum (which
+    numpy's reductions use on contiguous values) rounds differently."""
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        num_rows = int(rng.integers(1, 4))
+        index = rng.integers(0, num_rows, int(rng.integers(40, 120)))
+        scale = 10.0 ** rng.uniform(-3, 3, (len(index),) + cols)
+        values = rng.standard_normal((len(index),) + cols) * scale
+        base = rng.standard_normal((num_rows,) + cols)
+        a = dc.Tensor(np.zeros_like(base))
+        gathered = dc.gather_rows(a, index)
+        a.grad = base.copy()
+        gathered._bw(values)
+        assert a.grad.tobytes() == reference_scatter_add(base.copy(), index, values).tobytes()
+
+
+def test_row_index_rejects_out_of_range_rows():
+    for index in ([0, 2], [-1, 0]):
+        with pytest.raises(IndexError, match="out of range for 2 rows"):
+            dc.RowIndex(index, 2)
+    with pytest.raises(ShapeMismatchError):
+        dc.scatter_add_rows(dc.Tensor(np.ones((3, 2))), [0, 1], 2)
+
+
 def test_bce_matches_scalar_oracle():
     rng = np.random.default_rng(5)
     logits = rng.standard_normal((4, 6))
@@ -247,6 +339,71 @@ def test_adam_deterministic_trajectory():
             dc.adam_step(store, lr=0.01)
         return store.params["w"].copy()
     assert np.array_equal(run(), run())
+
+
+def _flat_adam_store():
+    store = dc.ParamStore(seed=9)
+    dc.init_mlp(store, "f", [5, 7, 3])
+    store.add("g", (2, 3, 2))
+    store.add("s", (), init="zeros")
+    return store
+
+
+def test_flat_adam_equals_per_parameter_loop():
+    """20 steps over gradients of mixed scales, zeros and signed zeros."""
+    flat, loop = _flat_adam_store(), _flat_adam_store()
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        for name, arr in flat.params.items():
+            g = rng.standard_normal(arr.shape) * 10.0 ** rng.integers(-9, 4, arr.shape)
+            g = np.where(rng.random(arr.shape) < 0.1, rng.choice([0.0, -0.0]), g)
+            flat.grads[name][...] = g
+            loop.grads[name][...] = g
+        dc.adam_step(flat, lr=1e-2)
+        reference_adam_step(loop, lr=1e-2)
+    for table in ("params", "_m", "_v", "grads"):
+        for name, arr in getattr(loop, table).items():
+            assert getattr(flat, table)[name].tobytes() == arr.tobytes(), (table, name)
+
+
+def test_store_views_share_the_flat_buffer(tmp_path):
+    store = dc.ParamStore(seed=2)
+    for name, shape in [("a", (3, 2)), ("b", (4,)), ("c", (1,))]:
+        store.add(name, shape)
+        store.params[name][...] += 1.0  # written through the view, kept by later adds
+        for table in (store.params, store.grads, store._m, store._v):
+            assert all(np.shares_memory(view, store.flat) for view in table.values())
+    assert store.flat.shape == (4, 3 * 2 + 4 + 1)
+    dc.save_params(tmp_path / "s.iapt", store)
+    loaded, _ = dc.load_params(tmp_path / "s.iapt")
+    for table in (loaded.params, loaded.grads, loaded._m, loaded._v):
+        assert all(np.shares_memory(view, loaded.flat) for view in table.values())
+    assert loaded.flat[0].tobytes() == store.flat[0].tobytes()
+
+
+def _adam3_store():
+    """Three Adam steps on seeded gradients; no BLAS product is involved."""
+    store = dc.ParamStore(seed=11)
+    dc.init_mlp(store, "f", [4, 8, 2])
+    store.add("g", (2, 3, 2))
+    for step in range(3):
+        rng = np.random.default_rng(step)
+        for name, arr in store.params.items():
+            store.grads[name][...] = rng.standard_normal(arr.shape)
+        dc.adam_step(store, lr=1e-2)
+    return store
+
+
+def test_checkpoint_of_per_parameter_store_round_trips(tmp_path):
+    """`data/adam3.iapt` was written by the store that kept one array per
+    parameter, from `_adam3_store`. Loading and saving it again gives
+    its bytes, and so does the same recipe run on the flat store."""
+    fixture = DATA / "adam3.iapt"
+    store, manifest = dc.load_params(fixture)
+    dc.save_params(tmp_path / "again.iapt", store, manifest)
+    assert (tmp_path / "again.iapt").read_bytes() == fixture.read_bytes()
+    dc.save_params(tmp_path / "fresh.iapt", _adam3_store(), {"recipe": "adam_fixture"})
+    assert (tmp_path / "fresh.iapt").read_bytes() == fixture.read_bytes()
 
 
 def test_init_deterministic_per_seed():

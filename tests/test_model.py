@@ -39,7 +39,13 @@ from infoalign.model import (
 )
 from infoalign.molparse import parse_smiles, union
 from infoalign.walker import WalkConfig, WalkPath, batch_walks
-from tests.oracles import FIXED_SMILES, reference_atom_features, scanned_neighbors
+from tests.oracles import (
+    FIXED_SMILES,
+    reference_adam_step,
+    reference_atom_features,
+    reference_scatter_add,
+    scanned_neighbors,
+)
 from tests.test_fingerprint import permute_graph
 from tests.test_molparse import smiles_strings
 
@@ -613,7 +619,10 @@ def reference_pretrain(graph, cfg):
                     kl_sum += br.kl / per_mol
                     total_sum += br.total / per_mol
                 dc.mul(acc, dc.constant(1.0 / per_mol)).backward()
-                store.accumulate(bound, scale=1.0 / len(batch))
+                for leaf in bound.values():
+                    if leaf.grad is not None:
+                        leaf.grad = leaf.grad * (1.0 / len(batch))
+                store.accumulate(bound)
             dc.adam_step(store, lr=cfg.lr)
         n = len(order)
         logs.append(LossBreakdown({k: v / n for k, v in sums.items()}, kl_sum / n,
@@ -657,6 +666,50 @@ def test_pretrain_missing_decoder_fails_before_training(monkeypatch):
 
 
 # --- pretrain / embed / checkpoints -----------------------------------------------------
+
+def test_training_bytes_equal_slow_oracles(tmp_path, monkeypatch):
+    """`pretrain` and `probe_train` write the same checkpoint bytes with the
+    `np.add.at` scatter and the per-parameter Adam loop patched in. Both runs
+    use the same BLAS, so the bytes need not match across builds."""
+    from collections import Counter
+
+    from infoalign.cli import main
+    from infoalign.evalkit import LabeledSet, ProbeConfig, probe_train
+    data, graph = tmp_path / "synth", tmp_path / "g.ctxg"
+    assert main(["synth", "--out", str(data), "--clusters", "2", "--per-cluster", "6",
+                 "--morph-dim", "6", "--gexp-dim", "6", "--seed", "0"]) == 0
+    assert main(["build-graph", "--nodes", str(data / "nodes.tsv"), "--edges",
+                 str(data / "edges.tsv"), "--fp-bits", "64", "--out", str(graph)]) == 0
+    g = ContextGraph.load(graph)
+    cfg = small_cfg(epochs=2, batch_size=5, walks_per_molecule=2)
+    mols = [g.node(m).molecule() for m in g.molecule_ids()]
+    labels = (np.arange(len(mols)) % 2).astype(np.float64)[:, None]
+
+    def train(tag):
+        state = TrainState()
+        store, _ = pretrain(g, cfg, state=state)
+        save_checkpoint(tmp_path / f"{tag}.iapt", store, cfg, g, state)
+        head = probe_train(LabeledSet(embed(store, mols), labels, ["classification"]),
+                           ProbeConfig(epochs=20))
+        dc.save_params(tmp_path / f"{tag}.probe", head.store)
+        return [(tmp_path / f"{tag}.{ext}").read_bytes() for ext in ("iapt", "probe")]
+
+    fast = train("fast")
+    calls = Counter()
+
+    def scatter(self, base, values):
+        calls["scatter"] += 1
+        return reference_scatter_add(base, self.index, values)
+
+    def adam(store, **kw):
+        calls["adam"] += 1
+        reference_adam_step(store, **kw)
+
+    monkeypatch.setattr(dc.RowIndex, "add_to", scatter)
+    monkeypatch.setattr(dc, "adam_step", adam)
+    assert train("oracle") == fast
+    assert calls["adam"] == 2 * 3 + 20 and calls["scatter"] > 0
+
 
 def test_pretrain_deterministic_checkpoint(tmp_path):
     g = tiny_graph()
