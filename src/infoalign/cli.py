@@ -307,6 +307,9 @@ class _EpochLog:
 
 def cmd_pretrain(args) -> int:
     opt, given = _resolve(args)
+    out_dir = Path(args.out).parent
+    if not out_dir.is_dir():
+        raise InfoAlignError(f"--out {args.out}: directory {out_dir} does not exist")
     if opt.beta_sweep is not None and not isinstance(opt.beta_sweep, str):
         raise InfoAlignError(f"config key 'beta_sweep': expected a comma-separated string, "
                              f"got {opt.beta_sweep!r}")

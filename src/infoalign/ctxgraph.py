@@ -133,11 +133,21 @@ def _top_pairs(s: np.ndarray, rank_i: np.ndarray, rank_j: np.ndarray, keep: int)
     """Indices of the best `keep` pairs by (-s, lo id, hi id), best first.
 
     rank_i and rank_j are each endpoint's position in sorted-id order, so
-    comparing (lo rank, hi rank) equals comparing the id pairs.
+    comparing (lo rank, hi rank) equals comparing the id pairs. Of more than
+    `keep` pairs only those with s at or above the keep-th largest s are
+    sorted: every pair of the best `keep` is among them, and so is the whole
+    tie group at the cut, so the result is a full sort's first `keep`.
     """
-    lo = np.minimum(rank_i, rank_j)
-    hi = np.maximum(rank_i, rank_j)
-    return np.lexsort((hi, lo, -s))[:keep]
+    if keep == 0:
+        return np.zeros(0, dtype=np.intp)
+    if len(s) > keep:
+        cut = np.partition(s, len(s) - keep)[len(s) - keep]
+        pick = np.flatnonzero(s >= cut)
+    else:
+        pick = np.arange(len(s))
+    lo = np.minimum(rank_i[pick], rank_j[pick])
+    hi = np.maximum(rank_i[pick], rank_j[pick])
+    return pick[np.lexsort((hi, lo, -s[pick]))[:keep]]
 
 
 class ContextGraph:
@@ -148,6 +158,7 @@ class ContextGraph:
         self._finalized = False
         self._csr: Optional[CsrAdjacency] = None
         self._stats: Optional[dict] = None
+        self._edge_items: Optional[List[Tuple[Tuple[str, str, Relation], float]]] = None
 
     # --- accessors -------------------------------------------------------
 
@@ -165,8 +176,16 @@ class ContextGraph:
             raise UnknownNodeError(f"unknown node id {node_id!r}") from None
 
     def _sorted_edges(self) -> List[Tuple[Tuple[str, str, Relation], float]]:
-        """`((a, b, relation), weight)` items ordered by a, b and relation value."""
-        return sorted(self._edges.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].value))
+        """`((a, b, relation), weight)` items ordered by a, b and relation value.
+
+        A finalized graph cannot change, so it sorts them once and keeps them.
+        """
+        if self._edge_items is not None:
+            return self._edge_items
+        items = sorted(self._edges.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].value))
+        if self._finalized:
+            self._edge_items = items
+        return items
 
     def edges(self) -> List[WeightedEdge]:
         return [WeightedEdge(a, b, rel, w) for (a, b, rel), w in self._sorted_edges()]
@@ -227,16 +246,25 @@ class ContextGraph:
         Candidates are pairs with cosine >= threshold; of those, only the top
         ceil(keep_fraction * total-pair-count) by similarity survive (both
         filters apply). Ties break by lexicographic id pair so builds are
-        deterministic. Nodes with zero-norm features cannot define a cosine
-        and are skipped. Returns the number of edges added.
+        deterministic. An edge weight must be > 0, so a cosine of 0 (or
+        below) is no candidate even at a threshold <= 0; nodes with zero-norm
+        features, which cannot define a cosine, are thereby skipped too.
+        Returns the number of edges added. A threshold that is not finite,
+        or a keep_fraction that is not a finite number >= 0, raises
+        ValueError naming it.
 
         The cosines are computed _SIM_BLOCK rows at a time against the rows
         that follow, and each block keeps only its own best `keep` candidates
-        before the global cut, so memory is O(n * _SIM_BLOCK + blocks * keep).
+        before the global cut. A cut partitions the candidates' cosines and
+        sorts only the pairs at or above the keep-th largest, so besides the
+        O(n * _SIM_BLOCK) block and its candidate list, memory is
+        O(blocks * keep) plus the tie group at each cut.
         """
         self._check_mutable()
-        if keep_fraction < 0:
-            raise ValueError(f"keep_fraction must be >= 0, got {keep_fraction}")
+        if not math.isfinite(threshold):
+            raise ValueError(f"threshold must be a finite number, got {threshold}")
+        if not (math.isfinite(keep_fraction) and keep_fraction >= 0):
+            raise ValueError(f"keep_fraction must be a finite number >= 0, got {keep_fraction}")
         recs = [r for r in self._nodes.values() if r.kind is kind and r.modality_dim > 0]
         dims = {r.modality_dim for r in recs}
         if len(dims) > 1:
@@ -257,6 +285,7 @@ class ContextGraph:
 
         total_pairs = n * (n - 1) // 2
         keep = math.ceil(keep_fraction * total_pairs)
+        floor = max(threshold, math.ulp(0.0))  # weights are > 0; zero-norm rows have cosines of 0
         # Per row block: the candidates of pairs (i, j > i) with i in the
         # block, cut to the block's best `keep` by (-s, lo id, hi id).
         parts = []
@@ -265,8 +294,7 @@ class ContextGraph:
             sims = np.minimum(unit[start:stop] @ unit[start:].T, 1.0)
             sims[sims >= 1.0 - 1e-12] = 1.0  # identical directions must yield exactly weight 1
             upper = np.arange(start, n)[None, :] > np.arange(start, stop)[:, None]
-            mask = upper & (sims >= threshold) & ok[start:stop, None] & ok[None, start:]
-            li, lj = np.nonzero(mask)
+            li, lj = np.nonzero(upper & (sims >= floor))
             i, j, s = li + start, lj + start, sims[li, lj]
             part = _top_pairs(s, rank[i], rank[j], keep)
             parts.append((i[part], j[part], s[part]))

@@ -369,6 +369,9 @@ class ParamStore:
             raise ValueError(f"parameter {name!r} already exists")
         shape = tuple(shape)
         if init == "glorot":
+            if not shape:
+                raise ValueError(f"parameter {name!r}: glorot init needs a shape with at "
+                                 f"least one dimension, got ()")
             fan_in = shape[0]
             fan_out = shape[1] if len(shape) > 1 else shape[0]
             limit = np.sqrt(6.0 / (fan_in + fan_out))

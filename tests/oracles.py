@@ -8,7 +8,8 @@ so it shares neither the parser's degree array nor the fingerprint's arrays.
 `morgan_fingerprint` replaced: it reads the parser's degrees and adjacency
 from the bond arrays. `reference_scatter_add` and `reference_adam_step` are
 the `np.add.at` scatter and the per-parameter Adam loop that the row index
-tables and the flat parameter buffer replaced.
+tables and the flat parameter buffer replaced. `reference_top_pairs` is the
+full sort of every similarity candidate that the partition cut replaced.
 """
 
 import struct
@@ -149,3 +150,12 @@ def reference_adam_step(store, lr: float = 1e-3, beta1: float = 0.9,
         p -= lr * mhat / (np.sqrt(vhat) + eps)
     for g in store.grads.values():
         g[...] = 0.0
+
+
+def reference_top_pairs(s: np.ndarray, rank_i: np.ndarray, rank_j: np.ndarray,
+                        keep: int) -> np.ndarray:
+    """Indices of the best `keep` pairs by (-s, lo rank, hi rank), best first,
+    from a lexsort of every pair."""
+    lo = np.minimum(rank_i, rank_j)
+    hi = np.maximum(rank_i, rank_j)
+    return np.lexsort((hi, lo, -s))[:keep]

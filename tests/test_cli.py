@@ -113,6 +113,21 @@ def test_build_graph_out_of_range_edge_weight_names_line(tmp_path, capsys, weigh
     assert f"{edges}:5: weight {weight!r} outside (0, 1]" in err
 
 
+@pytest.mark.parametrize("option,value,message", [
+    ("--keep-fraction", "inf", "keep_fraction must be a finite number >= 0, got inf"),
+    ("--keep-fraction", "nan", "keep_fraction must be a finite number >= 0, got nan"),
+    ("--threshold", "nan", "threshold must be a finite number, got nan"),
+], ids=["keep_fraction-inf", "keep_fraction-nan", "threshold-nan"])
+def test_build_graph_non_finite_similarity_option_exit_1(toy_tables, tmp_path, capsys,
+                                                         option, value, message):
+    nodes, edges = toy_tables
+    out = tmp_path / "g.ctxg"
+    assert run(["build-graph", "--nodes", nodes, "--edges", edges, "--out", out,
+                "--similarity-kinds", "cell_morphology", option, value]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_build_graph_feature_range_past_float_exit_1(tmp_path, capsys):
     """Columns whose max - min overflows cannot be min-max scaled."""
     nodes, edges = tmp_path / "n.tsv", tmp_path / "e.tsv"
@@ -442,6 +457,21 @@ def test_pretrain_bad_or_diverging_run_exit_1(synth_graph, tmp_path, capsys, arg
     err = capsys.readouterr().err
     assert f"error: {message}" in err and "Traceback" not in err
     assert not list(tmp_path.glob("ck.iapt*"))
+
+
+def test_pretrain_out_directory_missing_exit_1(synth_graph, tmp_path, capsys, monkeypatch):
+    """A missing directory of --out is named before the first training step."""
+    def no_training(*_args, **_kwargs):
+        raise AssertionError("pretrain ran")
+
+    monkeypatch.setattr("infoalign.cli.pretrain", no_training)
+    out = tmp_path / "missing" / "ck.iapt"
+    for sweep in ([], ["--beta-sweep", "0.1,1"]):
+        assert run(["pretrain", "--graph", synth_graph, "--out", out,
+                    "--epochs", 1, *PRETRAIN_SMALL, *sweep]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --out {out}: directory {out.parent} does not exist\n")
+    assert not out.parent.exists()
 
 
 def test_pretrain_diverging_run_stderr_is_one_line(synth_graph, tmp_path, capfd):

@@ -1,16 +1,21 @@
 """Context-graph tests: construction rules, the brute-force similarity-edge
-oracle, merging, persistence, and TSV ingestion."""
+oracle and the full-sort oracle of its keep cut, merging, persistence, and
+TSV ingestion."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from infoalign import ctxgraph
 from infoalign.ctxgraph import (
     ContextGraph,
     NodeKind,
     NodeRecord,
     Relation,
+    _top_pairs,
     build_graph_from_tables,
     load_edge_table,
     load_node_table,
@@ -25,6 +30,7 @@ from infoalign.errors import (
     TableFormatError,
     UnknownNodeError,
 )
+from tests.oracles import reference_top_pairs
 
 
 def rec(nid, kind=NodeKind.CELL_MORPHOLOGY, feats=(0.5,)):
@@ -153,7 +159,7 @@ def brute_force_similarity(recs, threshold, keep_fraction):
             s = min(float(fi @ fj / (ni * nj)), 1.0)
             if s >= 1.0 - 1e-12:
                 s = 1.0
-            if s >= threshold:
+            if s >= threshold and s > 0:
                 a, b = sorted((recs[i].id, recs[j].id))
                 cands.append((s, a, b))
     cands.sort(key=lambda c: (-c[0], c[1], c[2]))
@@ -231,7 +237,7 @@ def reference_similarity_edges(g, kind, threshold=0.8, keep_fraction=0.005):
             s = min(float(sims[i, j]), 1.0)
             if s >= 1.0 - 1e-12:
                 s = 1.0
-            if s >= threshold:
+            if s >= threshold and s > 0:
                 candidates.append((-s, tuple(sorted((recs[i].id, recs[j].id))), s))
     candidates.sort(key=lambda c: (c[0], c[1]))
     return {pair: s for _, pair, s in candidates[:keep]}
@@ -290,7 +296,7 @@ def test_similarity_reference_zero_norm_rows():
     ids = [f"z{i:02d}" for i in range(40)]
     expected = assert_matches_reference(feats, ids, 0.1)
     assert not any({"z00", "z07", "z08", "z39"} & set(pair) for pair in expected)
-    # at threshold 0 a zero row's cosine of 0 would pass, so only the norm check excludes it
+    # at threshold 0 a zero row's cosine of 0 meets the threshold, but is no weight > 0
     feats = rng.uniform(0.1, 1.0, size=(40, 4))
     feats[[0, 7, 8, 39]] = 0.0
     expected = assert_matches_reference(feats, ids, 1.0, threshold=0.0)
@@ -326,6 +332,85 @@ def test_similarity_reference_more_than_two_blocks(extra, ulps):
     ids = [f"b{i}" for i in range(n)]
     rng.shuffle(ids)
     assert_matches_reference(feats, ids, 0.005, ulps=ulps)
+
+
+def tie_heavy_case(data):
+    """Quantised features (many equal cosines, zero rows, orthogonal rows),
+    shuffled ids, and a keep that puts the cut inside, just before or just
+    after a tie group of the candidates, or at 0. Returns (feats, ids,
+    threshold, keep, candidates) with candidates the (s, rank_i, rank_j) of
+    every pair i < j with a positive s at or above the threshold."""
+    n = data.draw(st.integers(2, 40), label="n")
+    d = data.draw(st.integers(1, 3), label="d")
+    levels = data.draw(st.integers(1, 3), label="levels")
+    feats = np.array(data.draw(st.lists(st.lists(st.integers(0, levels), min_size=d, max_size=d),
+                                        min_size=n, max_size=n), label="feats")) / levels
+    ids = data.draw(st.permutations([f"q{i}" for i in range(n)]), label="ids")
+    threshold = data.draw(st.sampled_from([0.0, 0.5, 0.8]), label="threshold")
+    x = feats.astype(np.float32).astype(np.float64)
+    norms = np.linalg.norm(x, axis=1)
+    unit = np.divide(x, norms[:, None], out=np.zeros_like(x), where=norms[:, None] > 0)
+    sims = np.minimum(unit @ unit.T, 1.0)
+    sims[sims >= 1.0 - 1e-12] = 1.0
+    ok = norms > 0
+    i, j = np.nonzero(np.triu(np.ones((n, n), dtype=bool), 1) & ok[:, None] & ok[None, :]
+                      & (sims >= threshold) & (sims > 0))
+    s = sims[i, j]
+    rank = np.argsort(np.argsort(np.array(ids)))
+    _values, counts = np.unique(-s, return_counts=True)  # tie groups, best first
+    ends = np.cumsum(counts)
+    where = data.draw(st.sampled_from(["zero", "inside", "before", "after"]), label="where")
+    keep = 0
+    if where != "zero" and len(counts):
+        g = data.draw(st.integers(0, len(counts) - 1), label="group")
+        start, end = ends[g] - counts[g], ends[g]
+        keep = {"before": start, "after": end,
+                "inside": data.draw(st.integers(start + 1, max(start + 1, end - 1)))}[where]
+    return feats, ids, threshold, int(keep), (s, rank[i], rank[j])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_top_pairs_equals_full_sort_on_tie_heavy_features(data):
+    """The partition cut against the full lexsort it replaced: the indices of
+    one call, then a whole build over several small row blocks."""
+    feats, ids, threshold, keep, (s, rank_i, rank_j) = tie_heavy_case(data)
+    got = _top_pairs(s, rank_i, rank_j, keep)
+    expected = reference_top_pairs(s, rank_i, rank_j, keep)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    n = len(ids)
+    keep_fraction = 0.0 if keep == 0 else (keep - 0.5) / (n * (n - 1) // 2)
+    graphs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ctxgraph, "_SIM_BLOCK", data.draw(st.sampled_from([3, 5, 8]), label="block"))
+        for top_pairs in (_top_pairs, reference_top_pairs):
+            mp.setattr(ctxgraph, "_top_pairs", top_pairs)
+            g = ContextGraph()
+            for nid, f in zip(ids, feats):
+                g.add_node(rec(nid, feats=f))
+            added = g.build_similarity_edges(NodeKind.CELL_MORPHOLOGY, threshold, keep_fraction)
+            assert added == min(keep, len(s))
+            graphs.append(g)
+    new, ref = graphs
+    assert list(new._edges.items()) == list(ref._edges.items())  # same order and weights
+    assert new.finalize().edges() == ref.finalize().edges()
+
+
+def test_top_pairs_keep_zero_is_empty():
+    s = np.array([0.9, 0.9, 0.8])
+    got = _top_pairs(s, np.arange(3), np.arange(1, 4), 0)
+    assert got.dtype == np.intp and len(got) == 0
+
+
+def test_zero_cosine_is_no_edge_at_threshold_zero():
+    """Edge weights are in (0, 1]: orthogonal rows get no edge, even at
+    threshold 0 and keep_fraction 1."""
+    g = ContextGraph()
+    for nid, f in [("a", (1.0, 0.0)), ("b", (0.0, 1.0)), ("c", (1.0, 1.0))]:
+        g.add_node(rec(nid, feats=f))
+    assert g.build_similarity_edges(NodeKind.CELL_MORPHOLOGY, 0.0, 1.0) == 2
+    assert set(similarity_edges(g)) == {("a", "c"), ("b", "c")}
 
 
 def test_zero_norm_rows_skipped():

@@ -306,6 +306,19 @@ def test_mlp_gradient_finite_difference():
 
 # --- optimizer ----------------------------------------------------------------------
 
+def test_store_rejects_0d_glorot_shape():
+    """A 0-d shape has no fan-in for glorot: ValueError naming the parameter,
+    as for an unknown init, and the store is left as it was. A 0-d zeros
+    parameter is still allowed."""
+    store = dc.ParamStore(seed=0)
+    store.add("w", (2,))
+    with pytest.raises(ValueError, match=r"^parameter 'x': glorot init needs a shape"):
+        store.add("x", ())
+    assert list(store.params) == ["w"] and store.flat.shape == (4, 2)
+    store.add("x", (), init="zeros")
+    assert store.params["x"].shape == () and store.flat.shape == (4, 3)
+
+
 def test_adam_zero_gradient_no_change():
     store = dc.ParamStore(seed=0)
     store.add("w", (3, 3))

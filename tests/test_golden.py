@@ -1,10 +1,13 @@
-"""Golden outputs: the bytes of `fingerprint --input` TSVs and of a context
-graph built with no similarity edges, over fixed inputs. Neither path does a
-BLAS product, so the bytes do not depend on the BLAS build.
+"""Golden outputs: the bytes of `fingerprint --input` TSVs and of two context
+graphs over fixed inputs, one built with no similarity edges and one with
+them on both profile kinds. The first two paths do no BLAS product, so their
+bytes do not depend on the BLAS build; the similarity weights do.
 
-The digests were taken from the per-atom parser, featuriser and identifier
-builder that the array path replaced; a change to the fingerprint or to the
-`.ctxg` format changes them on purpose and must say so.
+The fingerprint and first graph digests were taken from the per-atom parser,
+featuriser and identifier builder that the array path replaced, and the
+similarity graph's from the full sort of every candidate pair that the
+partition cut replaced. A change to the fingerprint or to the `.ctxg` format
+changes them on purpose and must say so.
 """
 
 import hashlib
@@ -72,3 +75,42 @@ def test_ctxg_without_similarity_edges_golden(tmp_path):
                  "--edges", str(tmp_path / "edges.tsv"), "--fp-bits", "64",
                  "--out", str(out)]) == 0
     assert sha256(out) == GRAPH_SHA256
+
+
+# 16 rows per profile kind, a multiple of 8: with OpenBLAS every cosine of a
+# kind then comes from one gemm kernel (see ROADMAP, standing notes). Each
+# kind repeats four distinct rows, so its cosines fall into a few large tie
+# groups; ids run c0..c15, whose sorted order is not the row order, and
+# `--keep-fraction 0.295` keeps ceil(0.295 * 120) = 36 of each kind's 120
+# pairs, a cut inside the second tie group of both kinds (26 pairs at s = 1,
+# then 25 cell-morphology or 15 gene-expression pairs at one s).
+_CELL = ["0.9\t0.1\t0.4\t2.5", "0.8\t0.2\t0.5\t2", "0.3\t0.9\t0.6\t7", "0.1\t0.7\t0.9\t1"]
+_EXPR = ["3\t1e-3\t0.5", "2.5\t0.01\t0.25", "-2\t0.25\t0.5", "2.75\t0.002\t0.5"]
+_CELL_ROWS = [0, 0, 1, 2, 1, 0, 3, 1, 2, 0, 1, 3, 2, 1, 0, 3]
+_EXPR_ROWS = [0, 1, 2, 0, 3, 1, 0, 2, 3, 1, 1, 0, 3, 2, 0, 1]
+SIM_NODES = "".join(f"m{i:02d}\tmolecule\tfixed\t{s}\n" for i, s in enumerate(FIXED_SMILES)) + (
+    "".join(f"c{i}\tcell_morphology\tfixed\t{_CELL[k]}\n" for i, k in enumerate(_CELL_ROWS))
+    + "".join(f"e{i}\tgene_expression\tfixed\t{_EXPR[k]}\n" for i, k in enumerate(_EXPR_ROWS))
+)
+SIM_EDGES = "".join(f"m{i:02d}\tc{i % 16}\tperturbation\t1\n"
+                    f"m{i:02d}\te{(i * 5) % 16}\tperturbation\t1\n"
+                    for i in range(len(FIXED_SMILES)))
+SIM_GRAPH_SHA256 = "47a73e3d198f3fa0e5870f8e1e86b76635195b8426bdf593dc54f720881487b4"
+SIM_STATS_SHA256 = "8f484f98ae8ce09c72d30df2dd55ceae801781672e1b90faaf4f9c1f32283e3d"
+
+
+def test_ctxg_with_similarity_edges_golden(tmp_path):
+    """Similarity edges on both profile kinds, with a tie group at the keep
+    cut. Unlike the graph above, the weights come from a BLAS product, so
+    these digests hold for this BLAS build (OpenBLAS)."""
+    (tmp_path / "nodes.tsv").write_text(SIM_NODES, encoding="utf-8")
+    (tmp_path / "edges.tsv").write_text(SIM_EDGES, encoding="utf-8")
+    out = tmp_path / "g.ctxg"
+    assert main(["build-graph", "--nodes", str(tmp_path / "nodes.tsv"),
+                 "--edges", str(tmp_path / "edges.tsv"), "--fp-bits", "64",
+                 "--similarity-kinds", "cell_morphology,gene_expression",
+                 "--keep-fraction", "0.295", "--out", str(out)]) == 0
+    stats = (tmp_path / "g.ctxg.stats.json").read_text(encoding="utf-8")
+    assert '"similarity": 72' in stats
+    assert (sha256(out), sha256(tmp_path / "g.ctxg.stats.json")) == (
+        SIM_GRAPH_SHA256, SIM_STATS_SHA256)
