@@ -300,14 +300,15 @@ class ContextGraph:
             parts.append((i[part], j[part], s[part]))
         i, j, s = (np.concatenate(col) for col in zip(*parts))
         best = _top_pairs(s, rank[i], rank[j], keep)
-        added = 0
+        # Kept pairs join distinct known nodes with weights in (0, 1], so
+        # they skip add_edge's checks; an edge the tables gave still wins.
+        added = {}
         for bi, bj, bs in zip(i[best].tolist(), j[best].tolist(), s[best].tolist()):
-            a, b = _pair_key(ids[bi], ids[bj])
-            if (a, b, Relation.SIMILARITY) in self._edges:
-                continue
-            self.add_edge(a, b, Relation.SIMILARITY, bs)
-            added += 1
-        return added
+            key = (*_pair_key(ids[bi], ids[bj]), Relation.SIMILARITY)
+            if key not in self._edges:
+                added[key] = bs
+        self._edges.update(added)
+        return len(added)
 
     # --- finalize --------------------------------------------------------
 

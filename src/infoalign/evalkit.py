@@ -27,7 +27,7 @@ from .errors import (
 )
 # `gin_encode` is not called here: perfbench/tracer.py wraps it under this
 # module's name, so a traced run needs it importable from evalkit.
-from .model import decoder_prefix, embed, gin_encode
+from .model import decoder_prefix, embed, gin_encode, nll_terms
 from .molparse import MolecularGraph
 
 CLASSIFICATION = "classification"
@@ -124,8 +124,9 @@ class ProbeHead:
 def probe_train(train: LabeledSet, cfg: ProbeConfig = ProbeConfig()) -> ProbeHead:
     """Fit a small MLP head on frozen embeddings (full-batch Adam).
 
-    Classification tasks use BCE on logits, regression squared error. A
-    non-finite loss raises FloatingPointError.
+    Classification tasks use the Bernoulli `nll_terms` (BCE on logits),
+    regression the Gaussian one (squared error). A non-finite loss raises
+    FloatingPointError.
     """
     n, d = train.embeddings.shape
     t = train.labels.shape[1]
@@ -143,9 +144,8 @@ def probe_train(train: LabeledSet, cfg: ProbeConfig = ProbeConfig()) -> ProbeHea
         for epoch in range(cfg.epochs):
             bound = store.bind()
             out = dc.mlp_forward(bound, "probe", dc.constant(x))
-            bce = dc.bce_with_logits(out, y)
-            diff = dc.add(out, dc.constant(-y))
-            sq = dc.mul(dc.mul(diff, diff), dc.constant(0.5))
+            bce = nll_terms(out, y, "bernoulli")
+            sq = nll_terms(out, y, "gaussian")
             per_entry = dc.add(
                 dc.mul(bce, dc.constant(is_cls[None, :])),
                 dc.mul(sq, dc.constant(1.0 - is_cls[None, :])),

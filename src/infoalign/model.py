@@ -12,8 +12,7 @@ fingerprint is always a target with alpha = 1.
 
 Training evaluates a whole minibatch in one tape (`batch_loss`): the
 molecules are encoded together as one block-diagonal graph and every target
-of one (kind, dim) is decoded as one matrix. `infoalign_loss` computes the
-same loss for a single walk and is kept as its reference.
+of one (kind, dim) is decoded as one matrix, by `decode_nll`.
 """
 
 from __future__ import annotations
@@ -216,10 +215,8 @@ def gin_encode(g: MolecularGraph, bound: Dict[str, dc.Tensor]) -> EncoderOutput:
 
 
 def reparameterize(out: EncoderOutput, noise) -> dc.Tensor:
-    """z = mu + exp(logvar / 2) * noise; a 1-D noise vector is one row."""
+    """z = mu + exp(logvar / 2) * noise, with noise of mu's shape."""
     noise = np.asarray(noise, dtype=np.float64)
-    if noise.ndim == 1:
-        noise = noise.reshape(1, -1)
     if noise.shape != out.mu.shape:
         raise ShapeMismatchError(f"noise {noise.shape} vs mu {out.mu.shape}")
     std = dc.exp(dc.mul(out.logvar, dc.constant(0.5)))
@@ -233,8 +230,13 @@ def kl_standard_normal(out: EncoderOutput) -> dc.Tensor:
     return dc.mul(dc.tsum(dc.add(inner, dc.constant(-1.0))), dc.constant(0.5))
 
 
-def _nll_terms(logits: dc.Tensor, y: np.ndarray, likelihood: str) -> dc.Tensor:
-    """Per-element NLL of the targets y under the decoder outputs."""
+def nll_terms(logits: dc.Tensor, y: np.ndarray, likelihood: str) -> dc.Tensor:
+    """Per-element NLL of the targets y under the outputs `logits`.
+
+    Bernoulli treats [0,1]-scaled features as soft labels (BCE on the
+    logits); the Gaussian alternative is a unit-variance squared error on
+    the linear outputs.
+    """
     if logits.shape != y.shape:
         raise ShapeMismatchError(f"decoder output {logits.shape} vs target {y.shape}")
     if likelihood == "bernoulli":
@@ -245,17 +247,13 @@ def _nll_terms(logits: dc.Tensor, y: np.ndarray, likelihood: str) -> dc.Tensor:
     raise ValueError(f"unknown likelihood {likelihood!r}")
 
 
-def decode_nll(z: dc.Tensor, target_features: np.ndarray, kind: NodeKind,
+def decode_nll(z: dc.Tensor, targets: np.ndarray, kind: NodeKind,
                bound: Dict[str, dc.Tensor], likelihood: str = "bernoulli") -> dc.Tensor:
-    """Negative log-likelihood of one target vector under its decoder.
-
-    Bernoulli treats [0,1]-scaled features as soft labels (per-dimension BCE
-    on the decoder logits); the Gaussian alternative is a unit-variance
-    squared error on the linear outputs.
-    """
-    y = np.asarray(target_features, dtype=np.float64).reshape(1, -1)
-    prefix = decoder_prefix(bound, kind, y.shape[1])
-    return dc.tsum(_nll_terms(dc.mlp_forward(bound, prefix, z), y, likelihood))
+    """Per-element NLL (`nll_terms`) of the target rows under the decoder of
+    `kind` and their width; row k is decoded from row k of z."""
+    y = np.asarray(targets, dtype=np.float64)
+    return nll_terms(dc.mlp_forward(bound, decoder_prefix(bound, kind, y.shape[1]), z),
+                     y, likelihood)
 
 
 def _start_molecule(graph: ContextGraph, node_id: str) -> NodeRecord:
@@ -268,52 +266,26 @@ def _start_molecule(graph: ContextGraph, node_id: str) -> NodeRecord:
 def infoalign_loss(graph: ContextGraph, path: WalkPath,
                    bound: Dict[str, dc.Tensor], beta: float, noise,
                    likelihood: str = "bernoulli") -> Tuple[dc.Tensor, LossBreakdown]:
-    """Path-reconstruction loss for the molecule at the start of the walk.
-
-    total = (1/L) * sum over targets of alpha * NLL + beta * KL, where L is
-    the path node count and the targets are the start molecule's own features
-    (alpha = 1) plus every walked node with its cumulative path weight.
-    """
-    start = _start_molecule(graph, path.nodes[0])
-    out = gin_encode(start.mol, bound)
-    z = reparameterize(out, noise)
-    kl = kl_standard_normal(out)
-
-    targets: List[Tuple[np.ndarray, NodeKind, float]] = [
-        (start.features.astype(np.float64), start.kind, 1.0)
-    ]
-    for nid, alpha in path.targets():
-        rec = graph.node(nid)
-        targets.append((rec.features.astype(np.float64), rec.kind, alpha))
-
-    L = len(path.nodes)
-    recon: Dict[str, float] = {}
-    weighted_terms: List[dc.Tensor] = []
-    for feats, kind, alpha in targets:
-        nll = decode_nll(z, feats, kind, bound, likelihood)
-        term = dc.mul(nll, dc.constant(alpha))
-        weighted_terms.append(term)
-        recon[kind.value] = recon.get(kind.value, 0.0) + term.item()
-
-    acc = weighted_terms[0]
-    for term in weighted_terms[1:]:
-        acc = dc.add(acc, term)
-    total = dc.add(dc.mul(acc, dc.constant(1.0 / L)),
-                   dc.mul(kl, dc.constant(beta)))
-    return total, LossBreakdown(recon, kl.item(), beta, sum(recon.values()) / L + beta * kl.item())
+    """`batch_loss` of the one walk `path`, with noise of shape (1, latent_dim).
+    Nothing in the package calls it: it stays because perfbench/tracer.py
+    wraps this name."""
+    return batch_loss(graph, path.nodes[:1], [path], bound, beta, noise, likelihood)
 
 
 def batch_loss(graph: ContextGraph, starts: Sequence[str], paths: Sequence[WalkPath],
                bound: Dict[str, dc.Tensor], beta: float, noise,
                likelihood: str = "bernoulli") -> Tuple[dc.Tensor, LossBreakdown]:
-    """Mean over `starts` of the mean `infoalign_loss` of each one's walks.
+    """Mean over `starts` of the mean walk loss of each one's walks.
 
-    `paths` holds the same number of walks per start, grouped in starts
+    A walk's loss is (1/L) * sum over its targets of alpha * NLL + beta * KL,
+    where L is the walk's node count and the targets are the start molecule's
+    own features (alpha = 1) plus every walked node with its cumulative path
+    weight. `paths` holds the same number of walks per start, grouped in starts
     order, and `noise` one row per path. The whole batch is one tape: the
     start molecules are encoded once, together, and every target of one
     (kind, dim) is decoded as one matrix, each row weighted by
-    alpha / (L * walks per start * starts) with L its own walk's node count.
-    The breakdown holds the same batch means.
+    alpha / (L * walks per start * starts). The breakdown holds the same
+    batch means.
     """
     if not starts or len(paths) % len(starts):
         raise ValueError(f"{len(paths)} paths for {len(starts)} start molecules")
@@ -339,13 +311,12 @@ def batch_loss(graph: ContextGraph, starts: Sequence[str], paths: Sequence[WalkP
     scale = 1.0 / len(paths)
     recon: Dict[str, float] = {}
     recon_total = 0.0
-    for (kind, dim), rows in targets.items():
+    for (kind, _dim), rows in targets.items():
         walk_idx, feats, alpha, length = zip(*rows)
         alpha = np.array(alpha)
         weight = alpha * scale / np.array(length, dtype=np.float64)
-        logits = dc.mlp_forward(bound, decoder_prefix(bound, kind, dim),
-                                dc.gather_rows(z, walk_idx))
-        nll = _nll_terms(logits, np.array(feats, dtype=np.float64), likelihood)
+        nll = decode_nll(dc.gather_rows(z, walk_idx), np.array(feats, dtype=np.float64),
+                         kind, bound, likelihood)
         term = dc.tsum(dc.mul(nll, dc.constant(weight[:, None])))
         total = dc.add(total, term)
         row_nll = nll.data.sum(axis=1)

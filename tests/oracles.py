@@ -10,6 +10,8 @@ from the bond arrays. `reference_scatter_add` and `reference_adam_step` are
 the `np.add.at` scatter and the per-parameter Adam loop that the row index
 tables and the flat parameter buffer replaced. `reference_top_pairs` is the
 full sort of every similarity candidate that the partition cut replaced.
+`reference_walk_loss` is the loss of one walk on a tape of its own, one
+target at a time, which `batch_loss` computes for a whole minibatch at once.
 """
 
 import struct
@@ -17,7 +19,15 @@ from typing import List, Set, Tuple
 
 import numpy as np
 
-from infoalign.model import ATOM_FEATURE_DIM
+import infoalign.diffcore as dc
+from infoalign.model import (
+    ATOM_FEATURE_DIM,
+    LossBreakdown,
+    decoder_prefix,
+    gin_encode,
+    kl_standard_normal,
+    reparameterize,
+)
 from infoalign.molparse import ELEMENTS, BondOrder, MolecularGraph
 
 _FNV_OFFSET = 14695981039346656037
@@ -159,3 +169,43 @@ def reference_top_pairs(s: np.ndarray, rank_i: np.ndarray, rank_j: np.ndarray,
     lo = np.minimum(rank_i, rank_j)
     hi = np.maximum(rank_i, rank_j)
     return np.lexsort((hi, lo, -s))[:keep]
+
+
+def reference_walk_loss(graph, path, bound, beta: float, noise, likelihood: str = "bernoulli"):
+    """(total, LossBreakdown) of one walk, with `noise` one latent row.
+
+    total = (1/L) * sum over targets of alpha * NLL + beta * KL, where L is
+    the path node count and the targets are the start molecule's own features
+    (alpha = 1) plus every walked node with its cumulative path weight. Each
+    target is decoded on its own, its NLL the BCE (bernoulli) or half squared
+    error (gaussian) summed over its entries.
+    """
+    start = graph.node(path.nodes[0])
+    out = gin_encode(start.mol, bound)
+    z = reparameterize(out, np.reshape(noise, (1, -1)))
+    kl = kl_standard_normal(out)
+    targets = [(start.features.astype(np.float64), start.kind, 1.0)]
+    for nid, alpha in path.targets():
+        rec = graph.node(nid)
+        targets.append((rec.features.astype(np.float64), rec.kind, alpha))
+
+    L = len(path.nodes)
+    recon = {}
+    weighted_terms = []
+    for feats, kind, alpha in targets:
+        y = feats.reshape(1, -1)
+        logits = dc.mlp_forward(bound, decoder_prefix(bound, kind, y.shape[1]), z)
+        if likelihood == "bernoulli":
+            nll = dc.tsum(dc.bce_with_logits(logits, y))
+        else:
+            diff = dc.add(logits, dc.constant(-y))
+            nll = dc.tsum(dc.mul(dc.mul(diff, diff), dc.constant(0.5)))
+        term = dc.mul(nll, dc.constant(alpha))
+        weighted_terms.append(term)
+        recon[kind.value] = recon.get(kind.value, 0.0) + term.item()
+
+    acc = weighted_terms[0]
+    for term in weighted_terms[1:]:
+        acc = dc.add(acc, term)
+    total = dc.add(dc.mul(acc, dc.constant(1.0 / L)), dc.mul(kl, dc.constant(beta)))
+    return total, LossBreakdown(recon, kl.item(), beta, sum(recon.values()) / L + beta * kl.item())

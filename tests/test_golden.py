@@ -1,13 +1,16 @@
-"""Golden outputs: the bytes of `fingerprint --input` TSVs and of two context
+"""Golden outputs: the bytes of `fingerprint --input` TSVs, of two context
 graphs over fixed inputs, one built with no similarity edges and one with
-them on both profile kinds. The first two paths do no BLAS product, so their
-bytes do not depend on the BLAS build; the similarity weights do.
+them on both profile kinds, and of a short `pretrain` and `embed` on the
+second graph. The first two paths do no BLAS product, so their bytes do not
+depend on the BLAS build; the similarity weights and training do.
 
 The fingerprint and first graph digests were taken from the per-atom parser,
-featuriser and identifier builder that the array path replaced, and the
+featuriser and identifier builder that the array path replaced, the
 similarity graph's from the full sort of every candidate pair that the
-partition cut replaced. A change to the fingerprint or to the `.ctxg` format
-changes them on purpose and must say so.
+partition cut replaced, and the training digests from the loss as it stood
+before `batch_loss` decoded through `decode_nll`. A change to the
+fingerprint, the `.ctxg` format or the training arithmetic changes them on
+purpose and must say so.
 """
 
 import hashlib
@@ -99,10 +102,7 @@ SIM_GRAPH_SHA256 = "47a73e3d198f3fa0e5870f8e1e86b76635195b8426bdf593dc54f7208814
 SIM_STATS_SHA256 = "8f484f98ae8ce09c72d30df2dd55ceae801781672e1b90faaf4f9c1f32283e3d"
 
 
-def test_ctxg_with_similarity_edges_golden(tmp_path):
-    """Similarity edges on both profile kinds, with a tie group at the keep
-    cut. Unlike the graph above, the weights come from a BLAS product, so
-    these digests hold for this BLAS build (OpenBLAS)."""
+def build_sim_graph(tmp_path):
     (tmp_path / "nodes.tsv").write_text(SIM_NODES, encoding="utf-8")
     (tmp_path / "edges.tsv").write_text(SIM_EDGES, encoding="utf-8")
     out = tmp_path / "g.ctxg"
@@ -110,7 +110,47 @@ def test_ctxg_with_similarity_edges_golden(tmp_path):
                  "--edges", str(tmp_path / "edges.tsv"), "--fp-bits", "64",
                  "--similarity-kinds", "cell_morphology,gene_expression",
                  "--keep-fraction", "0.295", "--out", str(out)]) == 0
+    return out
+
+
+def test_ctxg_with_similarity_edges_golden(tmp_path):
+    """Similarity edges on both profile kinds, with a tie group at the keep
+    cut. Unlike the graph above, the weights come from a BLAS product, so
+    these digests hold for this BLAS build (OpenBLAS)."""
+    out = build_sim_graph(tmp_path)
     stats = (tmp_path / "g.ctxg.stats.json").read_text(encoding="utf-8")
     assert '"similarity": 72' in stats
     assert (sha256(out), sha256(tmp_path / "g.ctxg.stats.json")) == (
         SIM_GRAPH_SHA256, SIM_STATS_SHA256)
+
+
+PRETRAIN_SHA256 = {
+    "bernoulli": ("56e681b1dfb73310bce267b70d151960b3b9c0dae665366519e1243fa2b4afd8",
+                  "4130ef1637916cd2622d4670649fad38c80d0e37bad262f22f7415a6942cd2aa",
+                  "fd0cbf71ebcd30de6c053ab09b30ed6b5f236d017e79006042fe5bda62164e1c"),
+    "gaussian": ("5827886720412891ce532d02a4cd6fddb34d74cd2b61428ca164d69fe7603b83",
+                 "0c79a7befc625b1def3dfcf2d985204ca1876b13d115f6819683d22bffc19d68",
+                 "8e68f64aa04949ef615bf7fd814a8eb13322b00336a4230084aedcae6d849270"),
+}
+
+
+@pytest.mark.parametrize("likelihood", sorted(PRETRAIN_SHA256))
+def test_pretrain_and_embed_golden(tmp_path, likelihood):
+    """Two epochs of a small model on the similarity graph above, then
+    `embed` of the fixed SMILES: the checkpoint, its `.log.tsv` and the
+    embedding TSV. Training and the encoder are BLAS products, so these
+    digests hold for this BLAS build (OpenBLAS)."""
+    graph = build_sim_graph(tmp_path)
+    ck = tmp_path / "ck.iapt"
+    assert main(["pretrain", "--graph", str(graph), "--out", str(ck),
+                 "--likelihood", likelihood, "--epochs", "2", "--batch-size", "8",
+                 "--latent-dim", "8", "--num-layers", "2", "--hidden", "16",
+                 "--decoder-hidden", "8", "--walk-length", "4", "--walks-per-molecule", "2",
+                 "--beta", "0.01", "--lr", "0.005", "--seed", "3"]) == 0
+    smi = tmp_path / "fixed.smi"
+    smi.write_text("".join(s + "\n" for s in FIXED_SMILES), encoding="utf-8")
+    emb = tmp_path / "emb.tsv"
+    assert main(["embed", "--checkpoint", str(ck), "--input", str(smi),
+                 "--out", str(emb)]) == 0
+    assert (sha256(ck), sha256(tmp_path / "ck.iapt.log.tsv"), sha256(emb)) == (
+        PRETRAIN_SHA256[likelihood])

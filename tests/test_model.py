@@ -1,7 +1,8 @@
 """Model tests: atom features, encoder symmetry and batching,
 reparameterization statistics, KL closed form vs a quadrature oracle, decoder
 NLL oracle, loss gradients and decomposition, the batched training step vs the
-per-walk loss, training determinism, and checkpoint round-trips."""
+per-walk loss of `tests/oracles.py`, training determinism, and checkpoint
+round-trips."""
 
 from dataclasses import replace
 
@@ -33,6 +34,7 @@ from infoalign.model import (
     init_model,
     kl_standard_normal,
     load_checkpoint,
+    nll_terms,
     pretrain,
     reparameterize,
     save_checkpoint,
@@ -44,6 +46,7 @@ from tests.oracles import (
     reference_adam_step,
     reference_atom_features,
     reference_scatter_add,
+    reference_walk_loss,
     scanned_neighbors,
 )
 from tests.test_fingerprint import permute_graph
@@ -234,19 +237,21 @@ def mk_out(mu, logvar):
 
 def test_reparameterize_zero_noise():
     out = mk_out([1.0, -2.0], [0.3, -0.7])
-    z = reparameterize(out, np.zeros(2))
+    z = reparameterize(out, np.zeros((1, 2)))
     assert np.allclose(z.data, [[1.0, -2.0]])
 
 
 def test_reparameterize_unit_logvar():
     out = mk_out([1.0, 2.0], [0.0, 0.0])
-    z = reparameterize(out, np.array([0.5, -0.5]))
+    z = reparameterize(out, np.array([[0.5, -0.5]]))
     assert np.allclose(z.data, [[1.5, 1.5]])
 
 
 def test_reparameterize_shape_check():
-    with pytest.raises(ShapeMismatchError):
-        reparameterize(mk_out([0.0, 0.0], [0.0, 0.0]), np.zeros(3))
+    out = mk_out([0.0, 0.0], [0.0, 0.0])
+    for noise in (np.zeros((1, 3)), np.zeros(2)):
+        with pytest.raises(ShapeMismatchError):
+            reparameterize(out, noise)
 
 
 def test_reparameterize_statistics():
@@ -255,7 +260,7 @@ def test_reparameterize_statistics():
     out = mk_out(mu, logvar)
     rng = np.random.default_rng(0)
     n = 100_000
-    zs = np.stack([reparameterize(out, rng.standard_normal(2)).data[0]
+    zs = np.stack([reparameterize(out, rng.standard_normal((1, 2))).data[0]
                    for _ in range(n)])
     std = np.exp(logvar / 2)
     assert np.all(np.abs(zs.mean(axis=0) - mu) < 4 * std / np.sqrt(n))
@@ -326,9 +331,10 @@ def test_decode_nll_saturated_correct():
     store.params[f"{prefix}.b0"][...] = 0.0
     store.params[f"{prefix}.w1"][...] = 0.0
     store.params[f"{prefix}.b1"][...] = 36.0
-    z = dc.constant(np.zeros((1, 2)))
-    nll = decode_nll(z, np.ones(3), NodeKind.CELL_MORPHOLOGY, store.bind())
-    assert nll.item() < 3e-10
+    z = dc.constant(np.zeros((2, 2)))
+    nll = decode_nll(z, np.ones((2, 3)), NodeKind.CELL_MORPHOLOGY, store.bind())
+    assert nll.shape == (2, 3)
+    assert np.all(nll.data < 1e-10)
 
 
 def test_decode_nll_zero_logits_ln2():
@@ -336,32 +342,45 @@ def test_decode_nll_zero_logits_ln2():
     prefix = decoder_prefix(store.params, NodeKind.CELL_MORPHOLOGY, 4)
     for name in (f"{prefix}.w0", f"{prefix}.b0", f"{prefix}.w1", f"{prefix}.b1"):
         store.params[name][...] = 0.0
-    z = dc.constant(np.random.default_rng(3).standard_normal((1, 2)))
-    nll = decode_nll(z, np.random.default_rng(4).uniform(0, 1, 4),
+    z = dc.constant(np.random.default_rng(3).standard_normal((3, 2)))
+    nll = decode_nll(z, np.random.default_rng(4).uniform(0, 1, (3, 4)),
                      NodeKind.CELL_MORPHOLOGY, store.bind())
-    assert nll.item() == pytest.approx(4 * np.log(2), abs=1e-12)
+    np.testing.assert_allclose(nll.data, np.log(2), rtol=0, atol=1e-12)
 
 
 def test_decode_nll_matches_scalar_oracle():
+    """Row k of the NLL matrix is the decoder of z's row k scored against
+    target row k, entry by entry, under either likelihood."""
     store = store_with_decoder(dim=5, latent=4, seed=2)
     bound = store.bind()
     rng = np.random.default_rng(5)
-    z = dc.constant(rng.standard_normal((1, 4)))
-    y = rng.uniform(0, 1, 5)
-    got = decode_nll(z, y, NodeKind.CELL_MORPHOLOGY, bound).item()
-    logits = dc.mlp_forward(bound, decoder_prefix(bound, NodeKind.CELL_MORPHOLOGY, 5), z).data[0]
-    expect = 0.0
-    for l, t in zip(logits, y):
-        p = 1.0 / (1.0 + np.exp(-l))
-        expect += -(t * np.log(p) + (1 - t) * np.log(1 - p))
-    assert got == pytest.approx(expect, abs=1e-10)
+    z = dc.constant(rng.standard_normal((3, 4)))
+    y = rng.uniform(0, 1, (3, 5))
+    bce = decode_nll(z, y, NodeKind.CELL_MORPHOLOGY, bound).data
+    sq = decode_nll(z, y, NodeKind.CELL_MORPHOLOGY, bound, "gaussian").data
+    prefix = decoder_prefix(bound, NodeKind.CELL_MORPHOLOGY, 5)
+    for k in range(3):
+        logits = dc.mlp_forward(bound, prefix, dc.constant(z.data[k : k + 1])).data[0]
+        for e, (l, t) in enumerate(zip(logits, y[k])):
+            p = 1.0 / (1.0 + np.exp(-l))
+            assert bce[k, e] == pytest.approx(-(t * np.log(p) + (1 - t) * np.log(1 - p)),
+                                              abs=1e-10)
+            assert sq[k, e] == pytest.approx(0.5 * (l - t) ** 2, abs=1e-12)
 
 
 def test_decode_nll_no_decoder():
     store = store_with_decoder(dim=5)
     with pytest.raises(NoDecoderError):
-        decode_nll(dc.constant(np.zeros((1, 4))), np.ones(7),
+        decode_nll(dc.constant(np.zeros((1, 4))), np.ones((1, 7)),
                    NodeKind.CELL_MORPHOLOGY, store.bind())
+
+
+def test_nll_terms_rejects_bad_shapes_and_likelihoods():
+    logits = dc.constant(np.zeros((2, 3)))
+    with pytest.raises(ShapeMismatchError):
+        nll_terms(logits, np.zeros((2, 4)), "bernoulli")
+    with pytest.raises(ValueError, match="unknown likelihood 'poisson'"):
+        nll_terms(logits, np.zeros((2, 3)), "poisson")
 
 
 # --- loss -----------------------------------------------------------------------------
@@ -374,7 +393,7 @@ def test_loss_breakdown_decomposition():
     path = WalkPath(["m0", "c0", "m0"], [1.0, 1.0])
     bound = store.bind()
     total, br = infoalign_loss(g, path, bound, beta=0.1,
-                               noise=np.zeros(cfg.latent_dim))
+                               noise=np.zeros((1, cfg.latent_dim)))
     assert total.item() == pytest.approx(br.total, abs=1e-12)
     assert br.total == pytest.approx(
         sum(br.recon_per_modality.values()) / len(path.nodes) + br.beta * br.kl, abs=1e-12)
@@ -382,22 +401,25 @@ def test_loss_breakdown_decomposition():
 
 
 def test_loss_formula_weighted_terms():
-    """Direct formula check: NLLs {a at alpha 1, b at alpha 0.5}, L=2, beta 0.1."""
+    """Direct formula check of the per-walk oracle and of the batched loss:
+    NLLs {a at alpha 1, b at alpha 0.5}, L=2, beta 0.1."""
     cfg = small_cfg(beta=0.1)
     g = tiny_graph()
     store = make_store(cfg, g)
     path = WalkPath(["m0", "c0"], [0.5])
     bound = store.bind()
-    total, br = infoalign_loss(g, path, bound, beta=0.1,
-                               noise=np.zeros(cfg.latent_dim))
+    noise = np.zeros((1, cfg.latent_dim))
     # recompute the pieces independently
     out = gin_encode(g.node("m0").mol, bound)
-    z = reparameterize(out, np.zeros(cfg.latent_dim))
-    nll_self = decode_nll(z, g.node("m0").features, NodeKind.MOLECULE, bound).item()
-    nll_c = decode_nll(z, g.node("c0").features, NodeKind.CELL_MORPHOLOGY, bound).item()
+    z = reparameterize(out, noise)
+    nll_self = decode_nll(z, g.node("m0").features[None], NodeKind.MOLECULE, bound).data.sum()
+    nll_c = decode_nll(z, g.node("c0").features[None], NodeKind.CELL_MORPHOLOGY,
+                       bound).data.sum()
     kl = kl_standard_normal(out).item()
-    assert total.item() == pytest.approx((1.0 * nll_self + 0.5 * nll_c) / 2 + 0.1 * kl,
-                                         abs=1e-10)
+    expect = (1.0 * nll_self + 0.5 * nll_c) / 2 + 0.1 * kl
+    for loss in (reference_walk_loss, infoalign_loss):
+        total, _ = loss(g, path, bound, beta=0.1, noise=noise)
+        assert total.item() == pytest.approx(expect, abs=1e-10), loss.__name__
 
 
 def test_loss_rejects_non_molecule_start():
@@ -406,43 +428,42 @@ def test_loss_rejects_non_molecule_start():
     store = make_store(cfg, g)
     with pytest.raises(PathMismatchError):
         infoalign_loss(g, WalkPath(["c0", "m0"], [1.0]), store.bind(),
-                       beta=0.0, noise=np.zeros(cfg.latent_dim))
+                       beta=0.0, noise=np.zeros((1, cfg.latent_dim)))
 
 
 def test_loss_gradient_finite_difference():
-    """Loss gradient vs central differences for every parameter block."""
+    """Gradients vs central differences for every parameter block: of the
+    per-walk oracle on one walk, and of `batch_loss` on two molecules' walks."""
     cfg = small_cfg(latent_dim=4, num_layers=1, hidden=5, decoder_hidden=4, fp_bits=64)
     g = tiny_graph(n_mols=3, fp_bits=64)
     store = make_store(cfg, g)
-    path = WalkPath(["m0", "c0", "m0"], [1.0, 1.0])
-    noise = np.random.default_rng(0).standard_normal(cfg.latent_dim)
-
-    def loss_value():
-        t, _ = infoalign_loss(g, path, store.bind(), beta=0.05, noise=noise)
-        return t.item()
-
-    bound = store.bind()
-    total, _ = infoalign_loss(g, path, bound, beta=0.05, noise=noise)
-    total.backward()
-
+    paths = [WalkPath(["m0", "c0", "m0"], [1.0, 1.0]), WalkPath(["m1", "c1"], [0.5])]
+    noise = np.random.default_rng(0).standard_normal((2, cfg.latent_dim))
+    losses = {
+        "oracle": lambda bound: reference_walk_loss(g, paths[0], bound, 0.05, noise[0])[0],
+        "batch": lambda bound: batch_loss(g, ["m0", "m1"], paths, bound, 0.05, noise)[0],
+    }
     eps = 1e-6
-    checked = 0
-    for pname, leaf in bound.items():
-        arr = store.params[pname]
-        idx = np.unravel_index(np.argmax(np.abs(leaf.grad)), arr.shape)
-        if abs(leaf.grad[idx]) < 1e-9:
-            continue
-        orig = arr[idx]
-        arr[idx] = orig + eps
-        fp = loss_value()
-        arr[idx] = orig - eps
-        fm = loss_value()
-        arr[idx] = orig
-        numeric = (fp - fm) / (2 * eps)
-        rel = abs(leaf.grad[idx] - numeric) / max(abs(numeric), 1e-6)
-        assert rel < 1e-4, (pname, rel)
-        checked += 1
-    assert checked >= 5
+    for name, loss in losses.items():
+        bound = store.bind()
+        loss(bound).backward()
+        checked = 0
+        for pname, leaf in bound.items():
+            arr = store.params[pname]
+            idx = np.unravel_index(np.argmax(np.abs(leaf.grad)), arr.shape)
+            if abs(leaf.grad[idx]) < 1e-9:
+                continue
+            orig = arr[idx]
+            arr[idx] = orig + eps
+            fp = loss(store.bind()).item()
+            arr[idx] = orig - eps
+            fm = loss(store.bind()).item()
+            arr[idx] = orig
+            numeric = (fp - fm) / (2 * eps)
+            rel = abs(leaf.grad[idx] - numeric) / max(abs(numeric), 1e-6)
+            assert rel < 1e-4, (name, pname, rel)
+            checked += 1
+        assert checked >= 5, name
 
 
 # --- batched step vs the per-walk loss -------------------------------------------------
@@ -473,14 +494,14 @@ def walk_graph(n_mols=7):
 
 
 def per_walk_mean(g, starts, paths, store, beta, noise, likelihood):
-    """Batch mean of per-walk infoalign_loss: total, KL, recon and gradients."""
+    """Batch mean of the per-walk oracle loss: total, KL, recon and gradients."""
     scale = 1.0 / len(paths)
     grads = {name: np.zeros_like(arr) for name, arr in store.params.items()}
     total = kl = 0.0
     recon = {}
     for w, path in enumerate(paths):
         bound = store.bind()
-        loss, br = infoalign_loss(g, path, bound, beta, noise[w], likelihood)
+        loss, br = reference_walk_loss(g, path, bound, beta, noise[w], likelihood)
         loss.backward()
         for name, leaf in bound.items():
             if leaf.grad is not None:
@@ -611,8 +632,8 @@ def reference_pretrain(graph, cfg):
                 acc = None
                 for path in walks[idx : idx + per_mol]:
                     noise = noise_rng.standard_normal(cfg.latent_dim)
-                    loss, br = infoalign_loss(graph, path, bound, cfg.beta, noise,
-                                              cfg.likelihood)
+                    loss, br = reference_walk_loss(graph, path, bound, cfg.beta, noise,
+                                                   cfg.likelihood)
                     acc = loss if acc is None else dc.add(acc, loss)
                     for kind, v in br.recon_per_modality.items():
                         sums[kind] = sums.get(kind, 0.0) + v / per_mol
@@ -645,6 +666,35 @@ def test_pretrain_matches_per_walk_reference(likelihood, beta):
         assert got.total == pytest.approx(want.total, rel=1e-10)
         assert got.kl == pytest.approx(want.kl, rel=1e-10)
         assert got.recon_per_modality == pytest.approx(want.recon_per_modality, rel=1e-10)
+
+
+def test_pretrain_decodes_each_group_once_through_decode_nll(monkeypatch):
+    """Each minibatch decodes once per (kind, dim) of its walks' nodes, through
+    the module's `decode_nll`, the name the per-layer tracer times."""
+    from collections import Counter
+
+    import infoalign.model
+    real_loss, real_decode = infoalign.model.batch_loss, infoalign.model.decode_nll
+    batches = []  # per batch: (decoded (kind, dim) groups, the batch's groups)
+
+    def counted_loss(graph, starts, paths, *args):
+        groups = {(graph.node(n).kind, graph.node(n).modality_dim)
+                  for path in paths for n in path.nodes}
+        batches.append(([], groups))
+        return real_loss(graph, starts, paths, *args)
+
+    def counted_decode(z, targets, kind, *args):
+        batches[-1][0].append((kind, np.shape(targets)[1]))
+        return real_decode(z, targets, kind, *args)
+
+    monkeypatch.setattr(infoalign.model, "batch_loss", counted_loss)
+    monkeypatch.setattr(infoalign.model, "decode_nll", counted_decode)
+    cfg = small_cfg(epochs=2, batch_size=3, walk_length=4, walks_per_molecule=2)
+    pretrain(walk_graph(n_mols=7), cfg)
+    assert len(batches) == 2 * 3
+    assert any(len(groups) == 3 for _calls, groups in batches)
+    for calls, groups in batches:
+        assert Counter(calls) == Counter(groups)
 
 
 def test_pretrain_missing_decoder_fails_before_training(monkeypatch):

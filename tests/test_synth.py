@@ -1,6 +1,8 @@
 """Synthetic generator tests: counts, noise behavior, SMILES validity,
 determinism, and table round-trips through the graph builder."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -89,4 +91,4 @@ def test_write_tables_round_trip_bytes(tmp_path):
     p1 = write_tables(data, tmp_path / "a")
     p2 = write_tables(data, tmp_path / "b")
     for k in p1:
-        assert open(p1[k], "rb").read() == open(p2[k], "rb").read()
+        assert Path(p1[k]).read_bytes() == Path(p2[k]).read_bytes()
