@@ -26,6 +26,7 @@ from .errors import (
     FinalizedError,
     MixedDimensionsError,
     SelfLoopError,
+    SmilesError,
     TableFormatError,
     UnknownNodeError,
 )
@@ -127,6 +128,13 @@ def min_max_scale(columns) -> np.ndarray:
 
 def _pair_key(a: str, b: str) -> Tuple[str, str]:
     return (a, b) if a <= b else (b, a)
+
+
+def _id_ranks(ids: Sequence[str]) -> np.ndarray:
+    """Each of the distinct `ids`' position in sorted order."""
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return rank
 
 
 def _top_pairs(s: np.ndarray, rank_i: np.ndarray, rank_j: np.ndarray, keep: int) -> np.ndarray:
@@ -280,8 +288,7 @@ class ContextGraph:
         unit = np.zeros_like(feats)
         unit[ok] = feats[ok] / norms[ok, None]
         ids = [r.id for r in recs]
-        rank = np.empty(n, dtype=np.int64)
-        rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
+        rank = _id_ranks(ids)
 
         total_pairs = n * (n - 1) // 2
         keep = math.ceil(keep_fraction * total_pairs)
@@ -353,8 +360,7 @@ class ContextGraph:
         if len(bad):
             (lo, hi, _rel), weight = list(self._edges.items())[bad[0]]
             raise ValueError(f"edge ({lo}, {hi}) weight {weight} outside (0, 1]")
-        rank = np.empty(n, dtype=np.intp)
-        rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
+        rank = _id_ranks(ids)
         src, dst, w = np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([w, w])
         order = np.lexsort((rank[dst], src))
         src, dst, w = src[order], dst[order], w[order]
@@ -490,7 +496,7 @@ def load_node_table(path, fp_radius: int = 2, fp_bits: int = 1024,
         if kind is NodeKind.MOLECULE:
             try:
                 mols[i] = parse_smiles(payload)
-            except Exception as exc:
+            except SmilesError as exc:
                 raise TableFormatError(f"{path}:{lineno}: bad SMILES: {exc}") from exc
     fps = dict(zip(mols, morgan_fingerprint(list(mols.values()), fp_radius, fp_bits)))
 

@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from . import diffcore as dc
-from .ctxgraph import NodeKind
+from .ctxgraph import NodeKind, _id_ranks
 from .errors import (
     DimensionMismatchError,
     DuplicateIdError,
@@ -237,9 +237,7 @@ def match_zero_shot(store: dc.ParamStore, queries: Sequence[MolecularGraph],
             raise UnknownNodeError(f"true id {tid!r} is not a candidate id")
     prefix = decoder_prefix(store.params, NodeKind.CELL_MORPHOLOGY, candidates.shape[1])
 
-    # each candidate's position in candidate-id order
-    id_rank = np.empty(len(candidate_ids), dtype=np.int64)
-    id_rank[np.argsort(np.asarray(candidate_ids, dtype=object))] = np.arange(len(candidate_ids))
+    id_rank = _id_ranks(candidate_ids)  # each candidate's position in candidate-id order
     mu = dc.constant(embed(store, queries))
     logits = dc.require_finite(dc.mlp_forward(store.bind(), prefix, mu).data, "decoder logit")
     softplus = np.logaddexp(0.0, logits)

@@ -77,7 +77,9 @@ class ModelConfig:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
-        self.walks(0)  # checks the walk length
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        self.walks(0)  # checks the walk length and walks_per_molecule
 
     def walks(self, epoch: int) -> WalkConfig:
         """The walks of epoch `epoch`, counted over resumes."""

@@ -1,11 +1,21 @@
 """SMILES subset parser producing molecular graphs as arrays.
 
-Supported grammar: organic-subset atoms (B, C, N, O, P, S, F, Cl, Br, I),
-aromatic lowercase forms (b, c, n, o, p, s), bracket atoms with explicit
-hydrogens and formal charge, branches, single-digit and %nn ring closures,
-and the bond symbols ``- = # :``. Stereo markers, isotopes, wildcards and
-multi-fragment input ('.') are rejected with a typed error instead of being
-silently mis-parsed.
+Supported grammar, the organic subset of Weininger's SMILES (J. Chem. Inf.
+Comput. Sci. 28:31, 1988): organic-subset atoms (B, C, N, O, P, S, F, Cl,
+Br, I), aromatic lowercase forms (b, c, n, o, p, s), bracket atoms with
+explicit hydrogens and formal charge, branches, single-digit and %nn ring
+closures, and the bond symbols ``- = # :``. Stereo markers, isotopes,
+wildcards and multi-fragment input ('.') are rejected with a typed error
+instead of being silently mis-parsed.
+
+The parser reads tokens, not characters. One pattern splits the input into
+``Cl``, ``Br``, ``%nn``, whole bracket atoms and single characters; one
+pattern reads a bracket atom's element, hydrogen count and charge; one table
+maps each atom token to its element index and aromatic flag. Tokens are
+handled left to right and the first offending one is reported, with its
+start as "position N" where the message gives one; the checks that need the
+whole input (unclosed branches and rings, a trailing bond) come after the
+last token.
 
 A `MolecularGraph` holds per-atom arrays (element index into `ELEMENTS`,
 formal charge, aromatic flag, degree) and per-bond arrays in parse order
@@ -16,9 +26,10 @@ union that the fingerprint hash and the encoder both read.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from enum import IntEnum
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +60,16 @@ _BOND_SYMBOLS = {
     "#": BondOrder.TRIPLE,
     ":": BondOrder.AROMATIC,
 }
+# Atom token -> (index into ELEMENTS, aromatic flag), inside brackets too.
+_ATOMS = {**{e: (k, False) for k, e in enumerate(ELEMENTS)},
+          **{a: (ELEMENTS.index(a.upper()), True) for a in AROMATIC_ELEMENTS}}
+# Two-letter elements, %nn ring numbers and bracket atoms (to the first ']',
+# or to the end when it is unterminated), else one character, newline too.
+_TOKEN = re.compile(r"Cl|Br|%\d\d|\[[^\]]*\]?|.", re.DOTALL)
+# A bracket atom's element, optional hydrogen count, and charge: a sign and a
+# number, or a run of one sign.
+_BRACKET = re.compile(r"(?P<element>Cl|Br|[BCNOPSFIbcnops])(?:H\d*)?"
+                      r"(?:(?P<sign>[+-])(?:(?P<digits>\d+)|(?P<more>(?P=sign)*)))?")
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,69 +85,33 @@ class MolecularGraph:
     order: np.ndarray     # (bonds,) intp BondOrder value
 
 
-def _parse_bracket_atom(text: str, pos: int) -> Tuple[str, int, bool, int]:
-    """Parse a bracket atom starting at text[pos] == '['.
-
-    Returns the element, charge and aromatic flag, and the position just past
-    the closing ']'.
-    """
-    end = text.find("]", pos)
-    if end < 0:
+def _parse_bracket_atom(token: str, pos: int) -> Tuple[int, bool, int]:
+    """The element index, aromatic flag and formal charge of a bracket atom
+    token that starts at `pos`."""
+    if not token.endswith("]"):
         raise SmilesSyntaxError(f"unterminated bracket atom at position {pos}")
-    body = text[pos + 1 : end]
+    body = token[1:-1]
     if not body:
         raise SmilesSyntaxError(f"empty bracket atom at position {pos}")
-    i = 0
     if body[0].isdigit():
         raise UnsupportedFeatureError(f"isotope specification not supported: [{body}]")
-    # element symbol, two-letter first
-    element = None
-    aromatic = False
-    for sym in ("Cl", "Br"):
-        if body.startswith(sym):
-            element = sym
-            i = len(sym)
-            break
-    if element is None:
-        ch = body[0]
-        if ch in AROMATIC_ELEMENTS:
-            element = ch.upper()
-            aromatic = True
-            i = 1
-        elif ch in ELEMENTS:
-            element = ch
-            i = 1
-        else:
-            raise UnsupportedFeatureError(f"unsupported element in bracket atom: [{body}]")
-    # optional explicit hydrogens (count accepted and discarded; the graph is heavy-atom only)
-    if i < len(body) and body[i] == "H":
-        i += 1
-        while i < len(body) and body[i].isdigit():
-            i += 1
-    # optional charge
-    charge = 0
-    if i < len(body) and body[i] in "+-":
-        sign = 1 if body[i] == "+" else -1
-        i += 1
-        if i < len(body) and body[i].isdigit():
-            num = 0
-            while i < len(body) and body[i].isdigit():
-                num = num * 10 + int(body[i])
-                i += 1
-            charge = sign * num
-        else:
-            charge = sign
-            # allow repeated ++ / --
-            while i < len(body) and body[i] == body[i - 1]:
-                charge += sign
-                i += 1
-    if i != len(body):
-        if body[i] in "@/\\*":
+    m = _BRACKET.match(body)
+    if m is None:
+        raise UnsupportedFeatureError(f"unsupported element in bracket atom: [{body}]")
+    if m.end() < len(body):
+        bad = body[m.end()]
+        if bad in "@/\\*":
             raise UnsupportedFeatureError(f"stereo/wildcard markers not supported: [{body}]")
-        raise SmilesSyntaxError(f"illegal token '{body[i]}' in bracket atom [{body}]")
+        raise SmilesSyntaxError(f"illegal token '{bad}' in bracket atom [{body}]")
+    charge = 0
+    if m["sign"]:
+        # Eleven significant digits tell whether a charge is in range and
+        # stay within int()'s limit on digits.
+        size = int(m["digits"].lstrip("0")[:11] or 0) if m["digits"] else 1 + len(m["more"])
+        charge = size if m["sign"] == "+" else -size
     if abs(charge) > _CHARGE_LIMIT:
         raise SmilesSyntaxError(f"formal charge out of range in bracket atom [{body}]")
-    return element, charge, aromatic, end + 1
+    return (*_ATOMS[m["element"]], charge)
 
 
 def parse_smiles(text: str) -> MolecularGraph:
@@ -137,133 +122,78 @@ def parse_smiles(text: str) -> MolecularGraph:
     """
     if not isinstance(text, str) or not text:
         raise SmilesSyntaxError("input must be a non-empty string")
-    try:
-        text.encode("ascii")
-    except UnicodeEncodeError as exc:
-        raise SmilesSyntaxError("input must be ASCII") from exc
-
-    element: List[int] = []
-    charge: List[int] = []
-    aromatic: List[bool] = []
-    degree: List[int] = []
-    bonds: List[Tuple[int, int]] = []
-    orders: List[BondOrder] = []
-    prev: int | None = None
-    branch_stack: List[int] = []
-    # ring number -> (open atom index, explicit bond order at opening or None)
-    open_rings: dict[int, Tuple[int, BondOrder | None]] = {}
-    pending_bond: BondOrder | None = None
-    seen_bonds: set[Tuple[int, int]] = set()
-
-    def make_bond(a: int, b: int, explicit: BondOrder | None):
-        if a == b:
-            raise SmilesSyntaxError("ring closure bonds an atom to itself")
-        order = explicit
-        if order is None:
-            if aromatic[a] and aromatic[b]:
-                order = BondOrder.AROMATIC
-            else:
-                order = BondOrder.SINGLE
-        key = (min(a, b), max(a, b))
-        if key in seen_bonds:
-            raise SmilesSyntaxError(f"duplicate bond between atoms {a} and {b}")
-        seen_bonds.add(key)
-        bonds.append(key)
-        orders.append(order)
-        degree[a] += 1
-        degree[b] += 1
-
-    def attach_atom(symbol: str, formal_charge: int, is_aromatic: bool):
-        nonlocal prev, pending_bond
-        index = len(element)
-        element.append(ELEMENTS.index(symbol))
-        charge.append(formal_charge)
-        aromatic.append(is_aromatic)
-        degree.append(0)
-        if prev is not None:
-            make_bond(prev, index, pending_bond)
-        pending_bond = None
-        prev = index
-
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == ".":
-            raise UnsupportedFeatureError("multi-fragment SMILES ('.') not supported")
-        if ch in "@/\\*~":
-            raise UnsupportedFeatureError(f"unsupported feature '{ch}' at position {i}")
-        if ch == "(":
+    if not text.isascii():
+        raise SmilesSyntaxError("input must be ASCII")
+    atoms: List[Tuple[int, bool, int]] = []  # (element, aromatic, charge)
+    bonds: Dict[Tuple[int, int], BondOrder] = {}  # (a, b) with a < b -> order, in parse order
+    branches: List[int] = []
+    # ring number -> (open atom, bond symbol written at the opening or None)
+    rings: Dict[int, Tuple[int, Optional[BondOrder]]] = {}
+    prev = pending = None  # the atom the next bonds to; the bond symbol read for it
+    for m in _TOKEN.finditer(text):
+        tok, pos = m[0], m.start()
+        if tok in _ATOMS or tok[0] == "[":
+            atoms.append((*_ATOMS[tok], 0) if tok in _ATOMS else _parse_bracket_atom(tok, pos))
+            link, prev = prev, len(atoms) - 1
+        elif tok in _BOND_SYMBOLS:
+            if pending is not None:
+                raise SmilesSyntaxError(f"two consecutive bond symbols at position {pos}")
+            pending = _BOND_SYMBOLS[tok]
+            continue
+        elif tok == "(":
             if prev is None:
                 raise SmilesSyntaxError("branch opened before any atom")
-            branch_stack.append(prev)
-            i += 1
+            branches.append(prev)
             continue
-        if ch == ")":
-            if not branch_stack:
-                raise UnbalancedParenError(f"unmatched ')' at position {i}")
-            prev = branch_stack.pop()
-            i += 1
+        elif tok == ")":
+            if not branches:
+                raise UnbalancedParenError(f"unmatched ')' at position {pos}")
+            prev = branches.pop()
             continue
-        if ch in _BOND_SYMBOLS:
-            if pending_bond is not None:
-                raise SmilesSyntaxError(f"two consecutive bond symbols at position {i}")
-            pending_bond = _BOND_SYMBOLS[ch]
-            i += 1
-            continue
-        if ch.isdigit() or ch == "%":
+        elif tok.isdigit() or tok[0] == "%":
             if prev is None:
                 raise SmilesSyntaxError("ring closure before any atom")
-            if ch == "%":
-                if i + 2 >= n or not (text[i + 1].isdigit() and text[i + 2].isdigit()):
-                    raise SmilesSyntaxError(f"malformed %nn ring closure at position {i}")
-                num = int(text[i + 1 : i + 3])
-                i += 3
-            else:
-                num = int(ch)
-                i += 1
-            if num in open_rings:
-                other, open_order = open_rings.pop(num)
-                if open_order is not None and pending_bond is not None and open_order != pending_bond:
-                    raise SmilesSyntaxError(f"conflicting bond orders for ring closure {num}")
-                make_bond(prev, other, pending_bond if pending_bond is not None else open_order)
-                pending_bond = None
-            else:
-                open_rings[num] = (prev, pending_bond)
-                pending_bond = None
-            continue
-        if ch == "[":
-            *atom, i = _parse_bracket_atom(text, i)
-            attach_atom(*atom)
-            continue
-        # organic subset atom, two-letter first
-        sym = text[i : i + 2]
-        if sym in ("Cl", "Br"):
-            attach_atom(sym, 0, False)
-            i += 2
-            continue
-        if ch in ELEMENTS:
-            attach_atom(ch, 0, False)
-            i += 1
-            continue
-        if ch in AROMATIC_ELEMENTS:
-            attach_atom(ch.upper(), 0, True)
-            i += 1
-            continue
-        raise SmilesSyntaxError(f"illegal token '{ch}' at position {i}")
+            if tok == "%":
+                raise SmilesSyntaxError(f"malformed %nn ring closure at position {pos}")
+            num = int(tok.lstrip("%"))
+            if num not in rings:
+                rings[num], pending = (prev, pending), None
+                continue
+            link, opened = rings.pop(num)
+            if opened is not None and pending is not None and opened != pending:
+                raise SmilesSyntaxError(f"conflicting bond orders for ring closure {num}")
+            pending = opened if pending is None else pending
+        elif tok == ".":
+            raise UnsupportedFeatureError("multi-fragment SMILES ('.') not supported")
+        elif tok in "@/\\*~":
+            raise UnsupportedFeatureError(f"unsupported feature '{tok}' at position {pos}")
+        else:
+            raise SmilesSyntaxError(f"illegal token '{tok}' at position {pos}")
+        if link is not None:  # only a ring closure can bond an atom to itself or repeat a bond
+            if link == prev:
+                raise SmilesSyntaxError("ring closure bonds an atom to itself")
+            key = (min(link, prev), max(link, prev))
+            if key in bonds:
+                raise SmilesSyntaxError(f"duplicate bond between atoms {prev} and {link}")
+            aromatic = atoms[link][1] and atoms[prev][1]
+            bonds[key] = (pending if pending is not None
+                          else BondOrder.AROMATIC if aromatic else BondOrder.SINGLE)
+        pending = None
 
-    if branch_stack:
-        raise UnbalancedParenError(f"{len(branch_stack)} unclosed '(' in input")
-    if open_rings:
-        raise RingUnclosedError(f"dangling ring closure digit(s): {sorted(open_rings)}")
-    if pending_bond is not None:
+    if branches:
+        raise UnbalancedParenError(f"{len(branches)} unclosed '(' in input")
+    if rings:
+        raise RingUnclosedError(f"dangling ring closure digit(s): {sorted(rings)}")
+    if pending is not None:
         raise SmilesSyntaxError("trailing bond symbol")
-    if not element:
+    if not atoms:
         raise SmilesSyntaxError("no atoms parsed")
+    element, aromatic, charge = zip(*atoms)
+    edges = np.array(list(bonds), dtype=np.intp).reshape(-1, 2)
     return MolecularGraph(
         np.array(element, dtype=np.intp), np.array(charge, dtype=np.int32),
-        np.array(aromatic, dtype=bool), np.array(degree, dtype=np.intp),
-        np.array(bonds, dtype=np.intp).reshape(-1, 2), np.array(orders, dtype=np.intp))
+        np.array(aromatic, dtype=bool), np.bincount(edges.ravel(), minlength=len(atoms)),
+        edges, np.array(list(bonds.values()), dtype=np.intp))
 
 
 def union(mols: Sequence[MolecularGraph]) -> Tuple[MolecularGraph, np.ndarray]:

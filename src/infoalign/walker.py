@@ -46,6 +46,8 @@ class WalkConfig:
     def __post_init__(self):
         if self.length < 2:
             raise ValueError("walk length counts nodes and must be >= 2")
+        if self.walks_per_molecule < 1:
+            raise ValueError(f"walks_per_molecule must be >= 1, got {self.walks_per_molecule}")
 
 
 @dataclass

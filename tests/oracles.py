@@ -12,6 +12,8 @@ tables and the flat parameter buffer replaced. `reference_top_pairs` is the
 full sort of every similarity candidate that the partition cut replaced.
 `reference_walk_loss` is the loss of one walk on a tape of its own, one
 target at a time, which `batch_loss` computes for a whole minibatch at once.
+`reference_parse_smiles` is the character-at-a-time SMILES parser that the
+token table replaced; it keeps its own bond-symbol table and charge limit.
 """
 
 import struct
@@ -20,6 +22,12 @@ from typing import List, Set, Tuple
 import numpy as np
 
 import infoalign.diffcore as dc
+from infoalign.errors import (
+    RingUnclosedError,
+    SmilesSyntaxError,
+    UnbalancedParenError,
+    UnsupportedFeatureError,
+)
 from infoalign.model import (
     ATOM_FEATURE_DIM,
     LossBreakdown,
@@ -28,7 +36,7 @@ from infoalign.model import (
     kl_standard_normal,
     reparameterize,
 )
-from infoalign.molparse import ELEMENTS, BondOrder, MolecularGraph
+from infoalign.molparse import AROMATIC_ELEMENTS, ELEMENTS, BondOrder, MolecularGraph
 
 _FNV_OFFSET = 14695981039346656037
 _FNV_PRIME = 1099511628211
@@ -209,3 +217,213 @@ def reference_walk_loss(graph, path, bound, beta: float, noise, likelihood: str 
         acc = dc.add(acc, term)
     total = dc.add(dc.mul(acc, dc.constant(1.0 / L)), dc.mul(kl, dc.constant(beta)))
     return total, LossBreakdown(recon, kl.item(), beta, sum(recon.values()) / L + beta * kl.item())
+
+
+_CHARGE_LIMIT = 2**31 - 1
+_BOND_SYMBOLS = {
+    "-": BondOrder.SINGLE,
+    "=": BondOrder.DOUBLE,
+    "#": BondOrder.TRIPLE,
+    ":": BondOrder.AROMATIC,
+}
+
+
+def _reference_bracket_atom(text: str, pos: int) -> Tuple[str, int, bool, int]:
+    """Parse a bracket atom starting at text[pos] == '['.
+
+    Returns the element, charge and aromatic flag, and the position just past
+    the closing ']'.
+    """
+    end = text.find("]", pos)
+    if end < 0:
+        raise SmilesSyntaxError(f"unterminated bracket atom at position {pos}")
+    body = text[pos + 1 : end]
+    if not body:
+        raise SmilesSyntaxError(f"empty bracket atom at position {pos}")
+    i = 0
+    if body[0].isdigit():
+        raise UnsupportedFeatureError(f"isotope specification not supported: [{body}]")
+    # element symbol, two-letter first
+    element = None
+    aromatic = False
+    for sym in ("Cl", "Br"):
+        if body.startswith(sym):
+            element = sym
+            i = len(sym)
+            break
+    if element is None:
+        ch = body[0]
+        if ch in AROMATIC_ELEMENTS:
+            element = ch.upper()
+            aromatic = True
+            i = 1
+        elif ch in ELEMENTS:
+            element = ch
+            i = 1
+        else:
+            raise UnsupportedFeatureError(f"unsupported element in bracket atom: [{body}]")
+    # optional explicit hydrogens (count accepted and discarded; the graph is heavy-atom only)
+    if i < len(body) and body[i] == "H":
+        i += 1
+        while i < len(body) and body[i].isdigit():
+            i += 1
+    # optional charge
+    charge = 0
+    if i < len(body) and body[i] in "+-":
+        sign = 1 if body[i] == "+" else -1
+        i += 1
+        if i < len(body) and body[i].isdigit():
+            num = 0
+            while i < len(body) and body[i].isdigit():
+                num = num * 10 + int(body[i])
+                i += 1
+            charge = sign * num
+        else:
+            charge = sign
+            # allow repeated ++ / --
+            while i < len(body) and body[i] == body[i - 1]:
+                charge += sign
+                i += 1
+    if i != len(body):
+        if body[i] in "@/\\*":
+            raise UnsupportedFeatureError(f"stereo/wildcard markers not supported: [{body}]")
+        raise SmilesSyntaxError(f"illegal token '{body[i]}' in bracket atom [{body}]")
+    if abs(charge) > _CHARGE_LIMIT:
+        raise SmilesSyntaxError(f"formal charge out of range in bracket atom [{body}]")
+    return element, charge, aromatic, end + 1
+
+
+def reference_parse_smiles(text: str) -> MolecularGraph:
+    """`parse_smiles` one character at a time: the position moves by hand,
+    each atom's degree is counted up bond by bond, and the bonds are made in
+    closures. The parity test holds the token-table parser to its arrays,
+    exception types and messages."""
+    if not isinstance(text, str) or not text:
+        raise SmilesSyntaxError("input must be a non-empty string")
+    try:
+        text.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise SmilesSyntaxError("input must be ASCII") from exc
+
+    element: List[int] = []
+    charge: List[int] = []
+    aromatic: List[bool] = []
+    degree: List[int] = []
+    bonds: List[Tuple[int, int]] = []
+    orders: List[BondOrder] = []
+    prev: int | None = None
+    branch_stack: List[int] = []
+    # ring number -> (open atom index, explicit bond order at opening or None)
+    open_rings: dict[int, Tuple[int, BondOrder | None]] = {}
+    pending_bond: BondOrder | None = None
+    seen_bonds: set[Tuple[int, int]] = set()
+
+    def make_bond(a: int, b: int, explicit: BondOrder | None):
+        if a == b:
+            raise SmilesSyntaxError("ring closure bonds an atom to itself")
+        order = explicit
+        if order is None:
+            if aromatic[a] and aromatic[b]:
+                order = BondOrder.AROMATIC
+            else:
+                order = BondOrder.SINGLE
+        key = (min(a, b), max(a, b))
+        if key in seen_bonds:
+            raise SmilesSyntaxError(f"duplicate bond between atoms {a} and {b}")
+        seen_bonds.add(key)
+        bonds.append(key)
+        orders.append(order)
+        degree[a] += 1
+        degree[b] += 1
+
+    def attach_atom(symbol: str, formal_charge: int, is_aromatic: bool):
+        nonlocal prev, pending_bond
+        index = len(element)
+        element.append(ELEMENTS.index(symbol))
+        charge.append(formal_charge)
+        aromatic.append(is_aromatic)
+        degree.append(0)
+        if prev is not None:
+            make_bond(prev, index, pending_bond)
+        pending_bond = None
+        prev = index
+
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == ".":
+            raise UnsupportedFeatureError("multi-fragment SMILES ('.') not supported")
+        if ch in "@/\\*~":
+            raise UnsupportedFeatureError(f"unsupported feature '{ch}' at position {i}")
+        if ch == "(":
+            if prev is None:
+                raise SmilesSyntaxError("branch opened before any atom")
+            branch_stack.append(prev)
+            i += 1
+            continue
+        if ch == ")":
+            if not branch_stack:
+                raise UnbalancedParenError(f"unmatched ')' at position {i}")
+            prev = branch_stack.pop()
+            i += 1
+            continue
+        if ch in _BOND_SYMBOLS:
+            if pending_bond is not None:
+                raise SmilesSyntaxError(f"two consecutive bond symbols at position {i}")
+            pending_bond = _BOND_SYMBOLS[ch]
+            i += 1
+            continue
+        if ch.isdigit() or ch == "%":
+            if prev is None:
+                raise SmilesSyntaxError("ring closure before any atom")
+            if ch == "%":
+                if i + 2 >= n or not (text[i + 1].isdigit() and text[i + 2].isdigit()):
+                    raise SmilesSyntaxError(f"malformed %nn ring closure at position {i}")
+                num = int(text[i + 1 : i + 3])
+                i += 3
+            else:
+                num = int(ch)
+                i += 1
+            if num in open_rings:
+                other, open_order = open_rings.pop(num)
+                if open_order is not None and pending_bond is not None and open_order != pending_bond:
+                    raise SmilesSyntaxError(f"conflicting bond orders for ring closure {num}")
+                make_bond(prev, other, pending_bond if pending_bond is not None else open_order)
+                pending_bond = None
+            else:
+                open_rings[num] = (prev, pending_bond)
+                pending_bond = None
+            continue
+        if ch == "[":
+            *atom, i = _reference_bracket_atom(text, i)
+            attach_atom(*atom)
+            continue
+        # organic subset atom, two-letter first
+        sym = text[i : i + 2]
+        if sym in ("Cl", "Br"):
+            attach_atom(sym, 0, False)
+            i += 2
+            continue
+        if ch in ELEMENTS:
+            attach_atom(ch, 0, False)
+            i += 1
+            continue
+        if ch in AROMATIC_ELEMENTS:
+            attach_atom(ch.upper(), 0, True)
+            i += 1
+            continue
+        raise SmilesSyntaxError(f"illegal token '{ch}' at position {i}")
+
+    if branch_stack:
+        raise UnbalancedParenError(f"{len(branch_stack)} unclosed '(' in input")
+    if open_rings:
+        raise RingUnclosedError(f"dangling ring closure digit(s): {sorted(open_rings)}")
+    if pending_bond is not None:
+        raise SmilesSyntaxError("trailing bond symbol")
+    if not element:
+        raise SmilesSyntaxError("no atoms parsed")
+    return MolecularGraph(
+        np.array(element, dtype=np.intp), np.array(charge, dtype=np.int32),
+        np.array(aromatic, dtype=bool), np.array(degree, dtype=np.intp),
+        np.array(bonds, dtype=np.intp).reshape(-1, 2), np.array(orders, dtype=np.intp))

@@ -449,7 +449,8 @@ def test_pretrain_resume_architecture_disagrees_exit_1(synth_graph, tmp_path, ca
     (["--lr", -1], "lr must be finite and positive, got -1.0"),
     (["--beta", "nan"], "beta must be finite and >= 0, got nan"),
     (["--batch-size", 0], "batch size must be >= 1, got 0"),
-], ids=["lr-diverges", "lr-negative", "beta-nan", "batch_size-0"])
+    (["--epochs", -1], "epochs must be >= 0, got -1"),
+], ids=["lr-diverges", "lr-negative", "beta-nan", "batch_size-0", "epochs-negative"])
 def test_pretrain_bad_or_diverging_run_exit_1(synth_graph, tmp_path, capsys, argv, message):
     ck = tmp_path / "ck.iapt"
     assert run(["pretrain", "--graph", synth_graph, "--out", ck,
@@ -457,6 +458,32 @@ def test_pretrain_bad_or_diverging_run_exit_1(synth_graph, tmp_path, capsys, arg
     err = capsys.readouterr().err
     assert f"error: {message}" in err and "Traceback" not in err
     assert not list(tmp_path.glob("ck.iapt*"))
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_walks_per_molecule_below_one_exit_1(synth_graph, tmp_path, capsys, count):
+    """walk and pretrain name the key and write nothing: no walk table, and
+    no checkpoint and no .log.tsv."""
+    message = f"error: walks_per_molecule must be >= 1, got {count}"
+    assert run(["walk", "--graph", synth_graph, "--walks-per-molecule", count,
+                "--out", tmp_path / "walks.tsv"]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    ck = tmp_path / "ck.iapt"
+    assert run(["pretrain", "--graph", synth_graph, "--out", ck, "--epochs", 1,
+                *PRETRAIN_SMALL, "--walks-per-molecule", count]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_pretrain_zero_epochs_writes_untrained_checkpoint(synth_graph, tmp_path):
+    ck = tmp_path / "ck.iapt"
+    assert run(["pretrain", "--graph", synth_graph, "--out", ck, "--epochs", 0,
+                *PRETRAIN_SMALL]) == 0
+    assert ck.exists()
+    assert Path(str(ck) + ".log.tsv").read_text().splitlines() == [
+        "epoch\ttotal\tkl\tbeta\trecon"]
 
 
 def test_pretrain_out_directory_missing_exit_1(synth_graph, tmp_path, capsys, monkeypatch):

@@ -593,6 +593,19 @@ def test_node_table_names_first_of_two_bad_smiles(tmp_path):
     assert str(exc.value).startswith(f"{p}:2: bad SMILES: ")
 
 
+def test_node_table_parser_fault_is_not_a_bad_smiles(tmp_path, monkeypatch):
+    """Only the parser's SmilesError is reported as a bad row; any other
+    exception from it propagates as it is."""
+    def faulty_parser(_smiles):
+        raise KeyError("parser fault")
+
+    monkeypatch.setattr(ctxgraph, "parse_smiles", faulty_parser)
+    p = tmp_path / "nodes.tsv"
+    p.write_text("m1\tmolecule\tsrc\tCCO\n")
+    with pytest.raises(KeyError, match="parser fault"):
+        load_node_table(p)
+
+
 def test_edge_table_errors_name_line(tmp_path):
     p = tmp_path / "edges.tsv"
     p.write_text("a\tb\tperturbation\t1.0\na\tb\tsimilarity\toops\n")

@@ -1,5 +1,6 @@
 """Parser tests: grammar cases, the atom and bond arrays, the union of a
-molecule set, typed errors, round-trip stability and the SMILES file reader."""
+molecule set, typed errors, parity with the character-at-a-time oracle,
+round-trip stability and the SMILES file reader."""
 
 from dataclasses import fields
 
@@ -22,7 +23,7 @@ from infoalign.molparse import (
     read_smiles_file,
     union,
 )
-from tests.oracles import FIXED_SMILES, scanned_neighbors
+from tests.oracles import FIXED_SMILES, reference_parse_smiles, scanned_neighbors
 
 
 def bond_set(g):
@@ -235,6 +236,46 @@ def test_parser_never_crashes(text):
         assert len(g.element) >= 1
     except InfoAlignError:
         pass
+
+
+# --- parity with the character-at-a-time oracle -------------------------------
+
+def parse_outcome(parse, text):
+    """Each array's dtype, shape and bytes, or the exception's type and message."""
+    try:
+        g = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(a.dtype, a.shape, a.tobytes()) for a in (getattr(g, name) for name in FIELDS)]
+
+
+def check_parity(text):
+    assert parse_outcome(parse_smiles, text) == parse_outcome(reference_parse_smiles, text)
+
+
+# The grammar's symbols and its neighbours: a newline, a non-ASCII letter,
+# unterminated and stereo bracket atoms, and charges of more digits than
+# int() takes (4300), one of them in range for its leading zeros.
+PIECES = [*"BCNOPSFIbcnops()=#:-0123456789%[]+H.@/\\*~\nxlr é",
+          "Cl", "Br", "%12", "[NH3+]", "[O-]", "[nH]", "[C--]", "[C@H]", "[13C]",
+          "[C+" + "9" * 4301 + "]", "[C-" + "0" * 4301 + "7]"]
+
+
+@pytest.mark.parametrize("smi", FIXED_SMILES)
+def test_parity_with_oracle_fixed(smi):
+    check_parity(smi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(smiles_strings())
+def test_parity_with_oracle_fuzzed(smi):
+    check_parity(smi)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(PIECES), min_size=1, max_size=20).map("".join))
+def test_parity_with_oracle_arbitrary(text):
+    check_parity(text)
 
 
 # --- round-trip stability ----------------------------------------------------
