@@ -7,7 +7,7 @@ probing, zero-shot matching, and mutual-information bound benchmarks.
 """
 
 from .errors import InfoAlignError
-from .molparse import MolecularGraph, parse_smiles, read_smiles_file
+from .molparse import MolecularGraph, MoleculeSet, parse_many, parse_smiles, read_smiles_file
 from .fingerprint import morgan_fingerprint
 from .ctxgraph import (
     ContextGraph,
@@ -53,7 +53,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "InfoAlignError",
-    "MolecularGraph", "parse_smiles", "read_smiles_file",
+    "MolecularGraph", "MoleculeSet", "parse_many", "parse_smiles", "read_smiles_file",
     "morgan_fingerprint",
     "ContextGraph", "NodeKind", "NodeRecord", "Relation", "WeightedEdge",
     "build_graph_from_tables", "min_max_scale",

@@ -48,7 +48,9 @@ from .evalkit import (
 from .fingerprint import morgan_fingerprint
 from .model import (ModelConfig, TrainState, embed, fingerprint_bits, load_checkpoint, pretrain,
                     save_checkpoint)
-from .molparse import parse_smiles, read_smiles_file
+# `parse_smiles` is not called here: perfbench/tracer.py wraps it under this
+# module's name, so a traced run needs it importable from cli.
+from .molparse import MoleculeSet, parse_many, parse_smiles, read_smiles_file
 from .serialize import table_rows, text_lines
 from .walker import WalkConfig, batch_walks
 
@@ -201,19 +203,18 @@ def cmd_walk(args) -> int:
     return 0
 
 
-def _read_molecules(path) -> list:
-    """(SMILES, graph) for each SMILES of a file, as `read_smiles_file` reads
-    them. A SMILES that does not parse raises the parser's error naming the
-    file and line, and a file with none raises InfoAlignError."""
-    out = []
-    for lineno, smiles in read_smiles_file(path):
-        try:
-            out.append((smiles, parse_smiles(smiles)))
-        except SmilesError as exc:
-            raise type(exc)(f"{path}:{lineno}: {exc}") from None
-    if not out:
+def _read_molecules(path) -> tuple[list, MoleculeSet]:
+    """The SMILES of a file, as `read_smiles_file` reads them, and their
+    `parse_many` set. A SMILES that does not parse raises the parser's error
+    naming the file and line, and a file with none raises InfoAlignError."""
+    entries = read_smiles_file(path)
+    if not entries:
         raise InfoAlignError(f"{path}: no molecules")
-    return out
+    smiles = [smi for _lineno, smi in entries]
+    try:
+        return smiles, parse_many(smiles)
+    except SmilesError as exc:
+        raise type(exc)(f"{path}:{entries[exc.index][0]}: {exc}") from None
 
 
 def _float_texts(x: np.ndarray) -> list:
@@ -227,14 +228,14 @@ def _float_texts(x: np.ndarray) -> list:
 def cmd_fingerprint(args) -> int:
     opt, _given = _resolve(args)
     if args.smiles:
-        entries = [(args.smiles, parse_smiles(args.smiles))]
+        smiles, mols = [args.smiles], parse_many([args.smiles])
     elif args.input:
-        entries = _read_molecules(args.input)
+        smiles, mols = _read_molecules(args.input)
     else:
         raise InfoAlignError("fingerprint needs --smiles or --input")
-    fps = morgan_fingerprint([mol for _smi, mol in entries], opt.radius, opt.nbits)
+    fps = morgan_fingerprint(mols, opt.radius, opt.nbits)
     lines = [f"{i}\t{smi}\t{int(row.sum())}\t{np.packbits(row != 0).tobytes().hex()}"
-             for i, ((smi, _mol), row) in enumerate(zip(entries, fps))]
+             for i, (smi, row) in enumerate(zip(smiles, fps))]
     out = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(out, encoding="utf-8")
@@ -331,7 +332,7 @@ def cmd_pretrain(args) -> int:
 
 def cmd_embed(args) -> int:
     store = load_checkpoint(args.checkpoint)[0]
-    z = embed(store, [mol for _smi, mol in _read_molecules(args.input)])
+    z = embed(store, _read_molecules(args.input)[1])
     lines = ["\t".join(f"{v:.12g}" for v in row) for row in z]
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
@@ -400,7 +401,7 @@ def cmd_eval(args) -> int:
 def cmd_match(args) -> int:
     opt, _given = _resolve(args)
     store = load_checkpoint(args.checkpoint)[0]
-    queries = [mol for _smi, mol in _read_molecules(args.queries)]
+    queries = _read_molecules(args.queries)[1]
     cand_ids, cand = _read_matrix_tsv(args.candidates)
     if any(i is None for i in cand_ids):
         raise InfoAlignError(f"{args.candidates}: candidate table needs an id column")

@@ -31,7 +31,7 @@ from .errors import (
     UnknownNodeError,
 )
 from .fingerprint import morgan_fingerprint
-from .molparse import MolecularGraph, parse_smiles
+from .molparse import MolecularGraph, parse_many, parse_smiles
 
 MAGIC = b"CTXG"
 # Rows of the cosine matrix computed at a time by build_similarity_edges.
@@ -436,9 +436,11 @@ def load_node_table(path, fp_radius: int = 2, fp_bits: int = 1024,
                     similarity_kinds: Sequence[NodeKind] = ()) -> List[NodeRecord]:
     """Parse a node TSV: id, kind, source_tag, then features.
 
-    Molecule rows carry a SMILES column instead of inline features; every
-    SMILES is parsed (a bad one raises TableFormatError naming its line)
-    before the molecules are fingerprinted in one `morgan_fingerprint` call.
+    Molecule rows carry a SMILES column instead of inline features; the
+    SMILES are parsed in one `parse_many` call (a bad one raises
+    TableFormatError naming its line), and the set is fingerprinted in one
+    `morgan_fingerprint` call. Each molecule record keeps its graph, so
+    `ContextGraph.add_node` parses nothing again.
     Non-molecule features are min-max scaled per (kind, dimension) group
     before the records are returned. A node id given twice raises
     TableFormatError naming both lines. Every feature row of a kind in
@@ -491,19 +493,21 @@ def load_node_table(path, fp_radius: int = 2, fp_bits: int = 1024,
         for row, i in enumerate(idxs):
             scaled[i] = mat[row]
 
-    mols = {}
-    for i, (lineno, _nid, kind, _tag, payload) in enumerate(raw):
-        if kind is NodeKind.MOLECULE:
-            try:
-                mols[i] = parse_smiles(payload)
-            except SmilesError as exc:
-                raise TableFormatError(f"{path}:{lineno}: bad SMILES: {exc}") from exc
-    fps = dict(zip(mols, morgan_fingerprint(list(mols.values()), fp_radius, fp_bits)))
+    smiles = [(lineno, payload) for lineno, _nid, kind, _tag, payload in raw
+              if kind is NodeKind.MOLECULE]
+    try:
+        mols = parse_many([text for _lineno, text in smiles])
+    except SmilesError as exc:
+        raise TableFormatError(f"{path}:{smiles[exc.index][0]}: bad SMILES: {exc}") from exc
+    fps = morgan_fingerprint(mols, fp_radius, fp_bits)
 
     records = []
+    k = 0  # molecules so far
     for i, (_lineno, nid, kind, tag, payload) in enumerate(raw):
         if kind is NodeKind.MOLECULE:
-            records.append(NodeRecord(nid, kind, fps[i], tag, smiles=payload, mol=mols[i]))
+            records.append(NodeRecord(nid, kind, fps[k], tag, smiles=payload,
+                                      mol=mols.molecule(k)))
+            k += 1
         else:
             records.append(NodeRecord(nid, kind, scaled[i].astype(np.float32), tag))
     return records

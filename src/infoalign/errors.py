@@ -12,7 +12,10 @@ class InfoAlignError(Exception):
 # --- SMILES parsing ---
 
 class SmilesError(InfoAlignError):
-    """Base class for SMILES parse failures."""
+    """Base class for SMILES parse failures. `index` is the failing string's
+    position in the list given to `molparse.parse_many`."""
+
+    index = 0
 
 
 class SmilesSyntaxError(SmilesError):

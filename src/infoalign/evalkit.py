@@ -28,7 +28,7 @@ from .errors import (
 # `gin_encode` is not called here: perfbench/tracer.py wraps it under this
 # module's name, so a traced run needs it importable from evalkit.
 from .model import decoder_prefix, embed, gin_encode, nll_terms
-from .molparse import MolecularGraph
+from .molparse import MoleculeSet
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
@@ -137,6 +137,9 @@ def probe_train(train: LabeledSet, cfg: ProbeConfig = ProbeConfig()) -> ProbeHea
     x = train.embeddings
     y = train.labels
     is_cls = np.array([k == CLASSIFICATION for k in train.task_types], dtype=np.float64)
+    # A fit whose tasks are all of one type builds only that type's terms; a
+    # mixed fit builds both and masks each entry to its task's.
+    only = "bernoulli" if is_cls.all() else "gaussian" if not is_cls.any() else None
 
     # A diverging fit (embeddings near the float range) is reported once, by
     # the finiteness check on the loss, not by numpy's warnings before it.
@@ -144,12 +147,13 @@ def probe_train(train: LabeledSet, cfg: ProbeConfig = ProbeConfig()) -> ProbeHea
         for epoch in range(cfg.epochs):
             bound = store.bind()
             out = dc.mlp_forward(bound, "probe", dc.constant(x))
-            bce = nll_terms(out, y, "bernoulli")
-            sq = nll_terms(out, y, "gaussian")
-            per_entry = dc.add(
-                dc.mul(bce, dc.constant(is_cls[None, :])),
-                dc.mul(sq, dc.constant(1.0 - is_cls[None, :])),
-            )
+            if only is not None:
+                per_entry = nll_terms(out, y, only)
+            else:
+                per_entry = dc.add(
+                    dc.mul(nll_terms(out, y, "bernoulli"), dc.constant(is_cls[None, :])),
+                    dc.mul(nll_terms(out, y, "gaussian"), dc.constant(1.0 - is_cls[None, :])),
+                )
             loss = dc.mul(dc.tsum(per_entry), dc.constant(1.0 / y.size))
             try:
                 loss.backward()
@@ -205,12 +209,13 @@ def hit_at_k(rank: int, k: int) -> float:
     return 1.0 if rank <= k else 0.0
 
 
-def match_zero_shot(store: dc.ParamStore, queries: Sequence[MolecularGraph],
+def match_zero_shot(store: dc.ParamStore, queries: MoleculeSet,
                     candidates: np.ndarray,
                     candidate_ids: Sequence[str],
                     true_ids: Sequence[str],
                     k_list: Sequence[int] = (1, 10)) -> Dict:
-    """Rank morphology candidates for each query molecule and report the true rank.
+    """Rank morphology candidates for each molecule of the set `queries` and
+    report the true rank.
 
     Each candidate is scored by the morphology decoder's Bernoulli
     log-likelihood of the candidate vector given the query's mean embedding

@@ -13,15 +13,13 @@ per-atom Python form of this hash as the reference.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from .molparse import ELEMENTS, MolecularGraph, union
+from .molparse import ELEMENTS, MolecularGraph, MoleculeSet
 
 _FNV_OFFSET = np.uint64(14695981039346656037)
 _FNV_PRIME = np.uint64(1099511628211)
-# Molecules hashed at a time: bounds the union's atom and byte arrays.
+# Molecules hashed at a time: bounds the block's atom and byte arrays.
 _FP_BLOCK = 64
 
 
@@ -47,9 +45,11 @@ _ELEMENT_STATE = np.array([
     for e in ELEMENTS], dtype=np.uint64)
 
 
-def _fingerprint_block(mols: Sequence[MolecularGraph], radius: int, out: np.ndarray):
-    """Set in `out` (len(mols), nbits) the folded identifier bits of `mols`."""
-    g, mol_of_atom = union(mols)
+def _fingerprint_block(g: MolecularGraph, mol_of_atom: np.ndarray, radius: int,
+                       out: np.ndarray):
+    """Set in `out` (molecules, nbits) the folded identifier bits of the
+    molecules of `g`, a block of a `MoleculeSet`; atom i belongs to row
+    mol_of_atom[i]."""
     src, dst = np.concatenate([g.bonds, g.bonds[:, ::-1]]).T
     codes = np.tile(g.order.astype(np.uint8) + 1, 2)
 
@@ -85,16 +85,16 @@ def _fingerprint_block(mols: Sequence[MolecularGraph], radius: int, out: np.ndar
     out[np.tile(mol_of_atom, radius + 1), bits.astype(np.intp)] = 1.0
 
 
-def morgan_fingerprint(mols: Sequence[MolecularGraph], radius: int = 2,
-                       nbits: int = 1024) -> np.ndarray:
+def morgan_fingerprint(mols: MoleculeSet, radius: int = 2, nbits: int = 1024) -> np.ndarray:
     """The (len(mols), nbits) float32 0/1 matrix whose row i has bit
-    `identifier % nbits` set for every environment identifier of mols[i] at
-    radii 0..radius."""
+    `identifier % nbits` set for every environment identifier of molecule i
+    at radii 0..radius."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if nbits < 64 or nbits & (nbits - 1):
         raise ValueError("nbits must be a power of two >= 64")
     out = np.zeros((len(mols), nbits), dtype=np.float32)
     for b0 in range(0, len(mols), _FP_BLOCK):
-        _fingerprint_block(mols[b0 : b0 + _FP_BLOCK], radius, out[b0 : b0 + _FP_BLOCK])
+        b1 = min(b0 + _FP_BLOCK, len(mols))
+        _fingerprint_block(*mols.block(b0, b1), radius, out[b0:b1])
     return out

@@ -27,7 +27,7 @@ import numpy as np
 from . import diffcore as dc
 from .ctxgraph import ContextGraph, NodeKind, NodeRecord
 from .errors import CorruptFileError, NoDecoderError, PathMismatchError, ShapeMismatchError
-from .molparse import ELEMENTS, BondOrder, MolecularGraph, union
+from .molparse import ELEMENTS, BondOrder, MolecularGraph, MoleculeSet, union
 from .walker import WalkConfig, WalkPath, batch_walks
 
 ATOM_FEATURE_DIM = len(ELEMENTS) + 5 + 1 + 6  # element, charge in [-2,2], aromatic, degree 0-5
@@ -43,10 +43,16 @@ LOGVAR_INIT = -4.0
 _SHUFFLE_STREAM = 1 << 40
 _NOISE_STREAM = (1 << 40) + 1
 
-# Molecules per `embed` block. A block's tape keeps every activation of its
-# atoms, so peak memory grows with the block; on molecules of about 12 atoms,
-# blocks of 16 to 64 encode equally fast.
-_EMBED_BLOCK = 16
+# Atoms per `embed` block. A block's tape keeps every activation of its
+# atoms, so time and peak memory go by atoms, not molecules. Measured on 2
+# cores (numpy 2.4.6, OpenBLAS) with 30-s evaluate benchmark runs (1000
+# molecules of 11.5 atoms, seeds 3 and 4): pipeline_rel 5.93-5.96 at 128
+# atoms, 5.05-5.22 at 192 and 4.83-5.25 at 256; peak RSS 47.4-47.7,
+# 47.4-47.6 and 47.9-48.0 MiB, where blocks of 16 molecules (184 atoms)
+# gave 47.1-47.4. In-process `embed` of 200 recovery molecules (37.6 atoms)
+# took 27-29 ms at 128-192 atoms, 25 ms at 256, and 32 ms at 384 and at
+# 608, the size of a block of 16 of them.
+_EMBED_ATOMS = 192
 
 
 @dataclass
@@ -182,14 +188,20 @@ def atom_features(g: MolecularGraph) -> np.ndarray:
 
 def encode_batch(mols: Sequence[MolecularGraph], bound: Dict[str, dc.Tensor]) -> EncoderOutput:
     """Sum-readout GIN encoder over a batch of molecules; row k is mols[k].
+    The batch is encoded as its `union` (`encode_union`)."""
+    return encode_union(*union(mols), len(mols), bound)
+
+
+def encode_union(g: MolecularGraph, segment: np.ndarray, count: int,
+                 bound: Dict[str, dc.Tensor]) -> EncoderOutput:
+    """Sum-readout GIN encoder over the `count` molecules laid out as the one
+    graph `g`, atom i belonging to molecule segment[i]; row k is molecule k.
 
     Per layer: h_v <- MLP(h_v + sum_{u in N(v)} (h_u + bond_embed(uv))),
-    i.e. the (1 + eps) factor with eps fixed at 0. The molecules form one
-    graph, their `union`: each bond a-b gives the messages a->b then b->a,
-    and the readout sums each molecule's atom rows. The depth is the number
-    of `gin.l<n>` layers in `bound`.
+    i.e. the (1 + eps) factor with eps fixed at 0. Each bond a-b gives the
+    messages a->b then b->a, and the readout sums each molecule's atom rows.
+    The depth is the number of `gin.l<n>` layers in `bound`.
     """
-    g, segment = union(mols)
     n = len(g.element)
     # The row indexes are built once; every layer and both passes share them.
     into = dc.RowIndex(g.bonds[:, ::-1].ravel(), n)
@@ -204,7 +216,7 @@ def encode_batch(mols: Sequence[MolecularGraph], bound: Dict[str, dc.Tensor]) ->
                           dc.gather_rows(bound[f"bond_embed.l{layer}"], bond_type))
             h = dc.add(dc.scatter_add_rows(msgs, into), h)
         h = dc.mlp_forward(bound, f"gin.l{layer}", h)
-    readout = dc.scatter_add_rows(h, dc.RowIndex(segment, len(mols)))
+    readout = dc.scatter_add_rows(h, dc.RowIndex(segment, count))
     mu = dc.mlp_forward(bound, "head_mu", readout)
     logvar = dc.clip(dc.mlp_forward(bound, "head_logvar", readout),
                      -LOGVAR_CLAMP, LOGVAR_CLAMP)
@@ -412,20 +424,42 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig, store: Optional[dc.ParamStor
     return store, epoch_logs
 
 
-def embed(store: dc.ParamStore, molecules: Sequence[MolecularGraph]) -> np.ndarray:
-    """Deterministic embeddings: the posterior means, one row per input.
+def _embed_blocks(atom_start: np.ndarray, budget: int) -> List[Tuple[int, int]]:
+    """The (lo, hi) molecule ranges of `embed`'s blocks over a set of two or
+    more molecules with atom offsets `atom_start`: a block takes molecules
+    while it holds at most `budget` atoms, but at least two, and a lone last
+    molecule joins the block before it."""
+    n = len(atom_start) - 1
+    blocks = []
+    lo = 0
+    while lo < n:
+        fit = int(np.searchsorted(atom_start, atom_start[lo] + budget, side="right")) - 1
+        hi = min(max(fit, lo + 2), n)
+        if hi == n - 1:
+            hi = n
+        blocks.append((lo, hi))
+        lo = hi
+    return blocks
 
-    Molecules are encoded in blocks of 16 through `encode_batch`. Every row
-    equals the molecule's own `gin_encode` up to the head matmuls: a block of
-    two or more rows goes through BLAS gemm, a 1-row block (a last block of
-    one molecule) through gemv, so `mu` can differ in its last bits (up to about
-    2e-15) between the two. Raises FloatingPointError if a row is not finite.
+
+def embed(store: dc.ParamStore, molecules: MoleculeSet) -> np.ndarray:
+    """Deterministic embeddings: the posterior means, one row per molecule.
+
+    The set is encoded in blocks of about `_EMBED_ATOMS` atoms through
+    `encode_union`, never a block of one molecule: a 1-row product goes
+    through BLAS gemv, whose last bits can differ from the gemm rows of a
+    larger block, so a lone last molecule joins the block before it and a
+    one-molecule set is encoded beside a copy of itself. Raises
+    FloatingPointError if a row is not finite.
     """
-    bound = store.bind()
-    blocks = [encode_batch(molecules[b0 : b0 + _EMBED_BLOCK], bound).mu.data
-              for b0 in range(0, len(molecules), _EMBED_BLOCK)]
-    if not blocks:
+    if len(molecules) == 0:
         return np.zeros((0, store.params["head_mu.w0"].shape[1]))
+    bound = store.bind()
+    if len(molecules) == 1:
+        one = molecules.molecule(0)
+        return dc.require_finite(encode_batch([one, one], bound).mu.data[:1], "embedding")
+    blocks = [encode_union(*molecules.block(lo, hi), hi - lo, bound).mu.data
+              for lo, hi in _embed_blocks(molecules.atom_start, _EMBED_ATOMS)]
     return dc.require_finite(np.concatenate(blocks), "embedding")
 
 

@@ -15,13 +15,18 @@ maps each atom token to its element index and aromatic flag. Tokens are
 handled left to right and the first offending one is reported, with its
 start as "position N" where the message gives one; the checks that need the
 whole input (unclosed branches and rings, a trailing bond) come after the
-last token.
+last token. A bond symbol must sit between two atoms of one chain: one
+before the first atom or before a ')' is an error, not dropped or carried
+past the branch.
 
 A `MolecularGraph` holds per-atom arrays (element index into `ELEMENTS`,
 formal charge, aromatic flag, degree) and per-bond arrays in parse order
 (endpoints a < b, `BondOrder` code), the layout of PyG's atom features and
-edge index. `union` lays a molecule set out as one such graph, the disjoint
-union that the fingerprint hash and the encoder both read.
+edge index. `parse_many` parses a whole list of SMILES into one
+`MoleculeSet`: one such graph, the disjoint union of the molecules, with the
+atom and bond offsets of each, which the fingerprint hash and the encoder
+read in blocks. `parse_smiles` is its one-molecule case, so there is one
+grammar; `union` lays out a set of parsed molecules the same way.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import numpy as np
 
 from .errors import (
     RingUnclosedError,
+    SmilesError,
     SmilesSyntaxError,
     UnbalancedParenError,
     UnsupportedFeatureError,
@@ -54,17 +60,17 @@ class BondOrder(IntEnum):
     AROMATIC = 3
 
 
-_BOND_SYMBOLS = {
-    "-": BondOrder.SINGLE,
-    "=": BondOrder.DOUBLE,
-    "#": BondOrder.TRIPLE,
-    ":": BondOrder.AROMATIC,
-}
-# Atom token -> (index into ELEMENTS, aromatic flag), inside brackets too.
-_ATOMS = {**{e: (k, False) for k, e in enumerate(ELEMENTS)},
-          **{a: (ELEMENTS.index(a.upper()), True) for a in AROMATIC_ELEMENTS}}
+# Bond symbol -> BondOrder value.
+_BOND_SYMBOLS = {"-": BondOrder.SINGLE.value, "=": BondOrder.DOUBLE.value,
+                 "#": BondOrder.TRIPLE.value, ":": BondOrder.AROMATIC.value}
+_SINGLE, _AROMATIC = BondOrder.SINGLE.value, BondOrder.AROMATIC.value
+# Atom token -> (index into ELEMENTS, aromatic flag, formal charge 0), inside
+# brackets too.
+_ATOMS = {**{e: (k, False, 0) for k, e in enumerate(ELEMENTS)},
+          **{a: (ELEMENTS.index(a.upper()), True, 0) for a in AROMATIC_ELEMENTS}}
 # Two-letter elements, %nn ring numbers and bracket atoms (to the first ']',
-# or to the end when it is unterminated), else one character, newline too.
+# or to the end when it is unterminated), else one character, newline too:
+# under DOTALL the tokens tile the input, so their lengths give positions.
 _TOKEN = re.compile(r"Cl|Br|%\d\d|\[[^\]]*\]?|.", re.DOTALL)
 # A bracket atom's element, optional hydrogen count, and charge: a sign and a
 # number, or a run of one sign.
@@ -83,6 +89,50 @@ class MolecularGraph:
     degree: np.ndarray    # (atoms,) intp, bonds per atom
     bonds: np.ndarray     # (bonds, 2) intp endpoints, a < b, in parse order
     order: np.ndarray     # (bonds,) intp BondOrder value
+
+
+@dataclass(frozen=True, eq=False)
+class MoleculeSet:
+    """Molecules laid out as one graph, the disjoint union `union` returns:
+    molecule i is atoms atom_start[i]:atom_start[i + 1] and bonds
+    bond_start[i]:bond_start[i + 1] of `graph`, its bond endpoints offset by
+    atom_start[i]."""
+
+    graph: MolecularGraph
+    atom_start: np.ndarray  # (molecules + 1,) intp
+    bond_start: np.ndarray  # (molecules + 1,) intp
+
+    @classmethod
+    def of(cls, mols: Sequence[MolecularGraph]) -> "MoleculeSet":
+        """The set of the molecules `mols`, in their order."""
+        if not len(mols):
+            return parse_many([])
+        arrays = {f.name: np.concatenate([getattr(g, f.name) for g in mols])
+                  for f in fields(MolecularGraph)}
+        atom_start = np.cumsum([0] + [len(g.element) for g in mols], dtype=np.intp)
+        bond_start = np.cumsum([0] + [len(g.bonds) for g in mols], dtype=np.intp)
+        arrays["bonds"] += np.repeat(atom_start[:-1], np.diff(bond_start))[:, None]
+        return cls(MolecularGraph(**arrays), atom_start, bond_start)
+
+    def __len__(self) -> int:
+        return len(self.atom_start) - 1
+
+    def molecule(self, i: int) -> MolecularGraph:
+        """Molecule i on its own."""
+        return self._slice(i, i + 1)
+
+    def block(self, lo: int, hi: int) -> Tuple[MolecularGraph, np.ndarray]:
+        """The `union` of molecules lo to hi - 1: their graph, and each of
+        its atoms' molecule index counted from lo."""
+        atoms = np.diff(self.atom_start[lo : hi + 1])
+        return self._slice(lo, hi), np.repeat(np.arange(hi - lo), atoms)
+
+    def _slice(self, lo: int, hi: int) -> MolecularGraph:
+        g = self.graph
+        a0, a1 = self.atom_start[lo], self.atom_start[hi]
+        b0, b1 = self.bond_start[lo], self.bond_start[hi]
+        return MolecularGraph(g.element[a0:a1], g.charge[a0:a1], g.aromatic[a0:a1],
+                              g.degree[a0:a1], g.bonds[b0:b1] - a0, g.order[b0:b1])
 
 
 def _parse_bracket_atom(token: str, pos: int) -> Tuple[int, bool, int]:
@@ -111,34 +161,39 @@ def _parse_bracket_atom(token: str, pos: int) -> Tuple[int, bool, int]:
         charge = size if m["sign"] == "+" else -size
     if abs(charge) > _CHARGE_LIMIT:
         raise SmilesSyntaxError(f"formal charge out of range in bracket atom [{body}]")
-    return (*_ATOMS[m["element"]], charge)
+    element, aromatic, _ = _ATOMS[m["element"]]
+    return element, aromatic, charge
 
 
-def parse_smiles(text: str) -> MolecularGraph:
-    """Parse a SMILES string under the documented subset grammar.
-
-    Raises SmilesSyntaxError, RingUnclosedError, UnbalancedParenError, or
-    UnsupportedFeatureError; never returns a partially built graph.
-    """
+def _parse_into(text: str, atoms: List[Tuple[int, bool, int]], ends: List[int],
+                orders: List[int]) -> None:
+    """Append the atoms of one SMILES to `atoms` as (element, aromatic,
+    charge), and its bonds to `ends` as endpoint pairs a < b and to `orders`
+    as BondOrder values, in parse order. Endpoints count from the molecule's
+    own first atom, so they stay small ints."""
     if not isinstance(text, str) or not text:
         raise SmilesSyntaxError("input must be a non-empty string")
     if not text.isascii():
         raise SmilesSyntaxError("input must be ASCII")
-    atoms: List[Tuple[int, bool, int]] = []  # (element, aromatic, charge)
-    bonds: Dict[Tuple[int, int], BondOrder] = {}  # (a, b) with a < b -> order, in parse order
+    first = len(atoms)
+    bonds = set()  # this molecule's (a, b) pairs
     branches: List[int] = []
     # ring number -> (open atom, bond symbol written at the opening or None)
-    rings: Dict[int, Tuple[int, Optional[BondOrder]]] = {}
+    rings: Dict[int, Tuple[int, Optional[int]]] = {}
     prev = pending = None  # the atom the next bonds to; the bond symbol read for it
-    for m in _TOKEN.finditer(text):
-        tok, pos = m[0], m.start()
-        if tok in _ATOMS or tok[0] == "[":
-            atoms.append((*_ATOMS[tok], 0) if tok in _ATOMS else _parse_bracket_atom(tok, pos))
-            link, prev = prev, len(atoms) - 1
+    end = 0
+    for tok in _TOKEN.findall(text):
+        pos, end = end, end + len(tok)
+        atom = _ATOMS.get(tok)
+        if atom is not None or tok[0] == "[":
+            atoms.append(atom or _parse_bracket_atom(tok, pos))
+            link, prev = prev, len(atoms) - 1 - first
         elif tok in _BOND_SYMBOLS:
+            if prev is None:
+                raise SmilesSyntaxError(f"bond symbol before any atom at position {pos}")
             if pending is not None:
                 raise SmilesSyntaxError(f"two consecutive bond symbols at position {pos}")
-            pending = _BOND_SYMBOLS[tok]
+            pending, pending_pos = _BOND_SYMBOLS[tok], pos
             continue
         elif tok == "(":
             if prev is None:
@@ -148,6 +203,9 @@ def parse_smiles(text: str) -> MolecularGraph:
         elif tok == ")":
             if not branches:
                 raise UnbalancedParenError(f"unmatched ')' at position {pos}")
+            if pending is not None:
+                raise SmilesSyntaxError(f"bond symbol at position {pending_pos} "
+                                        f"ends a branch without an atom")
             prev = branches.pop()
             continue
         elif tok.isdigit() or tok[0] == "%":
@@ -172,12 +230,14 @@ def parse_smiles(text: str) -> MolecularGraph:
         if link is not None:  # only a ring closure can bond an atom to itself or repeat a bond
             if link == prev:
                 raise SmilesSyntaxError("ring closure bonds an atom to itself")
-            key = (min(link, prev), max(link, prev))
+            key = (link, prev) if link < prev else (prev, link)
             if key in bonds:
                 raise SmilesSyntaxError(f"duplicate bond between atoms {prev} and {link}")
-            aromatic = atoms[link][1] and atoms[prev][1]
-            bonds[key] = (pending if pending is not None
-                          else BondOrder.AROMATIC if aromatic else BondOrder.SINGLE)
+            bonds.add(key)
+            ends += key
+            orders.append(pending if pending is not None
+                          else _AROMATIC if atoms[first + link][1] and atoms[first + prev][1]
+                          else _SINGLE)
         pending = None
 
     if branches:
@@ -186,27 +246,59 @@ def parse_smiles(text: str) -> MolecularGraph:
         raise RingUnclosedError(f"dangling ring closure digit(s): {sorted(rings)}")
     if pending is not None:
         raise SmilesSyntaxError("trailing bond symbol")
-    if not atoms:
+    if len(atoms) == first:
         raise SmilesSyntaxError("no atoms parsed")
-    element, aromatic, charge = zip(*atoms)
-    edges = np.array(list(bonds), dtype=np.intp).reshape(-1, 2)
-    return MolecularGraph(
+
+
+def parse_many(texts: Sequence[str]) -> MoleculeSet:
+    """Parse SMILES strings under the documented subset grammar into one set,
+    in their order.
+
+    The first string that does not parse raises SmilesSyntaxError,
+    RingUnclosedError, UnbalancedParenError or UnsupportedFeatureError, with
+    its position in `texts` as the error's `index`; no partial set is
+    returned.
+    """
+    atoms: List[Tuple[int, bool, int]] = []
+    ends: List[int] = []
+    orders: List[int] = []
+    atom_start, bond_start = [0], [0]
+    for index, text in enumerate(texts):
+        try:
+            _parse_into(text, atoms, ends, orders)
+        except SmilesError as exc:
+            exc.index = index
+            raise
+        atom_start.append(len(atoms))
+        bond_start.append(len(orders))
+    element, aromatic, charge = zip(*atoms) if atoms else ((), (), ())
+    atom_start = np.array(atom_start, dtype=np.intp)
+    bond_start = np.array(bond_start, dtype=np.intp)
+    edges = np.array(ends, dtype=np.intp).reshape(-1, 2)
+    edges += np.repeat(atom_start[:-1], np.diff(bond_start))[:, None]
+    graph = MolecularGraph(
         np.array(element, dtype=np.intp), np.array(charge, dtype=np.int32),
         np.array(aromatic, dtype=bool), np.bincount(edges.ravel(), minlength=len(atoms)),
-        edges, np.array(list(bonds.values()), dtype=np.intp))
+        edges, np.array(orders, dtype=np.intp))
+    return MoleculeSet(graph, atom_start, bond_start)
+
+
+def parse_smiles(text: str) -> MolecularGraph:
+    """Parse one SMILES string: the graph of `parse_many([text])`, whose one
+    molecule it is.
+
+    Raises SmilesSyntaxError, RingUnclosedError, UnbalancedParenError, or
+    UnsupportedFeatureError; never returns a partially built graph.
+    """
+    return parse_many([text]).graph
 
 
 def union(mols: Sequence[MolecularGraph]) -> Tuple[MolecularGraph, np.ndarray]:
-    """The disjoint union of a non-empty molecule set, and the index into
-    `mols` of each of its atoms. Atoms and bonds keep their input order; each
+    """The disjoint union of a molecule set, and the index into `mols` of
+    each of its atoms. Atoms and bonds keep their input order; each
     molecule's bond endpoints are offset past the atoms before it, the
     block-diagonal batch of PyG."""
-    arrays = {f.name: np.concatenate([getattr(g, f.name) for g in mols])
-              for f in fields(MolecularGraph)}
-    atoms = np.array([len(g.element) for g in mols], dtype=np.intp)
-    starts = np.repeat(np.cumsum(atoms) - atoms, [len(g.bonds) for g in mols])
-    arrays["bonds"] += starts[:, None]
-    return MolecularGraph(**arrays), np.repeat(np.arange(len(mols)), atoms)
+    return MoleculeSet.of(mols).block(0, len(mols))
 
 
 def read_smiles_file(path) -> List[Tuple[int, str]]:

@@ -14,6 +14,8 @@ full sort of every similarity candidate that the partition cut replaced.
 target at a time, which `batch_loss` computes for a whole minibatch at once.
 `reference_parse_smiles` is the character-at-a-time SMILES parser that the
 token table replaced; it keeps its own bond-symbol table and charge limit.
+`reference_probe_train` is the probe fit that builds both losses on every
+entry and masks one away, which a fit of one task type no longer does.
 """
 
 import struct
@@ -28,12 +30,14 @@ from infoalign.errors import (
     UnbalancedParenError,
     UnsupportedFeatureError,
 )
+from infoalign.evalkit import CLASSIFICATION, ProbeHead
 from infoalign.model import (
     ATOM_FEATURE_DIM,
     LossBreakdown,
     decoder_prefix,
     gin_encode,
     kl_standard_normal,
+    nll_terms,
     reparameterize,
 )
 from infoalign.molparse import AROMATIC_ELEMENTS, ELEMENTS, BondOrder, MolecularGraph
@@ -219,6 +223,36 @@ def reference_walk_loss(graph, path, bound, beta: float, noise, likelihood: str 
     return total, LossBreakdown(recon, kl.item(), beta, sum(recon.values()) / L + beta * kl.item())
 
 
+def reference_probe_train(train, cfg):
+    """`probe_train` with both losses on every entry, masked to each task's
+    type: the BCE times 1 on classification columns and 0 elsewhere, plus the
+    squared error times the complement."""
+    n, d = train.embeddings.shape
+    t = train.labels.shape[1]
+    store = dc.ParamStore(seed=cfg.seed)
+    dc.init_mlp(store, "probe", [d, t] if cfg.hidden == 0 else [d, cfg.hidden, t])
+    x, y = train.embeddings, train.labels
+    is_cls = np.array([k == CLASSIFICATION for k in train.task_types], dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            bound = store.bind()
+            out = dc.mlp_forward(bound, "probe", dc.constant(x))
+            bce = nll_terms(out, y, "bernoulli")
+            sq = nll_terms(out, y, "gaussian")
+            per_entry = dc.add(
+                dc.mul(bce, dc.constant(is_cls[None, :])),
+                dc.mul(sq, dc.constant(1.0 - is_cls[None, :])),
+            )
+            loss = dc.mul(dc.tsum(per_entry), dc.constant(1.0 / y.size))
+            try:
+                loss.backward()
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"{exc} in probe epoch {epoch}") from None
+            store.accumulate(bound)
+            dc.adam_step(store, lr=cfg.lr)
+    return ProbeHead(store, list(train.task_types))
+
+
 _CHARGE_LIMIT = 2**31 - 1
 _BOND_SYMBOLS = {
     "-": BondOrder.SINGLE,
@@ -316,6 +350,7 @@ def reference_parse_smiles(text: str) -> MolecularGraph:
     # ring number -> (open atom index, explicit bond order at opening or None)
     open_rings: dict[int, Tuple[int, BondOrder | None]] = {}
     pending_bond: BondOrder | None = None
+    pending_at = 0  # the position of pending_bond's symbol
     seen_bonds: set[Tuple[int, int]] = set()
 
     def make_bond(a: int, b: int, explicit: BondOrder | None):
@@ -365,13 +400,18 @@ def reference_parse_smiles(text: str) -> MolecularGraph:
         if ch == ")":
             if not branch_stack:
                 raise UnbalancedParenError(f"unmatched ')' at position {i}")
+            if pending_bond is not None:
+                raise SmilesSyntaxError(f"bond symbol at position {pending_at} "
+                                        f"ends a branch without an atom")
             prev = branch_stack.pop()
             i += 1
             continue
         if ch in _BOND_SYMBOLS:
+            if prev is None:
+                raise SmilesSyntaxError(f"bond symbol before any atom at position {i}")
             if pending_bond is not None:
                 raise SmilesSyntaxError(f"two consecutive bond symbols at position {i}")
-            pending_bond = _BOND_SYMBOLS[ch]
+            pending_bond, pending_at = _BOND_SYMBOLS[ch], i
             i += 1
             continue
         if ch.isdigit() or ch == "%":

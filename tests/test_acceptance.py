@@ -56,7 +56,7 @@ from infoalign.model import (
     pretrain,
     embed,
 )
-from infoalign.molparse import parse_smiles
+from infoalign.molparse import parse_many
 from infoalign.synth import SyntheticSpec, generate, write_tables
 
 from tests.test_evalkit import auc_pairwise_oracle, rerank_oracle
@@ -273,7 +273,7 @@ def recovery_runs(tmp_path_factory):
     g = build_graph_from_tables(
         paths["nodes"], paths["edges"], fp_radius=2, fp_bits=64,
         similarity_kinds=[NodeKind.CELL_MORPHOLOGY, NodeKind.GENE_EXPRESSION])
-    mols = [parse_smiles(s) for s in data.smiles]
+    mols = parse_many(data.smiles)
     labels = np.array(data.cluster_of, dtype=np.float64).reshape(-1, 1)
 
     out = {"trained_auc": [], "random_auc": [],
@@ -341,7 +341,7 @@ def test_zero_shot_hit1_on_noise_free_graph(tmp_path):
     cands = np.array([g.node(f"morph{c * per:04d}").features for c in range(2)],
                      dtype=np.float64)
     ids = ["cluster0", "cluster1"]
-    queries = [parse_smiles(s) for s in data.smiles]
+    queries = parse_many(data.smiles)
     true_ids = [ids[c] for c in data.cluster_of]
     res = match_zero_shot(store, queries, cands, ids, true_ids, k_list=(1,))
     assert res["hit"][1] == 1.0

@@ -20,6 +20,7 @@ import infoalign
 from infoalign.cli import _read_matrix_tsv, main
 from infoalign.errors import TableFormatError
 from infoalign.molparse import read_smiles_file
+from tests.oracles import reference_probe_train
 from tests.test_molparse import smiles_strings
 
 TOY_NODES = """\
@@ -558,6 +559,34 @@ def test_eval_report(tmp_path):
     assert rep["test"]["aggregates"]["mean_auc"] > 0.9
 
 
+@pytest.mark.parametrize("task_types", ["classification", "regression",
+                                        "classification,regression,classification"])
+def test_eval_report_equals_masked_probe_oracle(tmp_path, monkeypatch, task_types):
+    """A fit of one task type builds only that type's loss terms; its report
+    has the bytes of the fit that builds both and masks one away."""
+    rng = np.random.default_rng(3)
+    n = 40
+    emb = rng.normal(size=(n, 5))
+    types = task_types.split(",")
+    labels = np.stack([rng.integers(0, 2, n) if t == "classification"
+                       else rng.normal(size=n) for t in types], axis=1)
+    (tmp_path / "emb.tsv").write_text(
+        "\n".join("\t".join(map(repr, row)) for row in emb.tolist()) + "\n")
+    (tmp_path / "lab.tsv").write_text(
+        "\n".join("\t".join(map(repr, row)) for row in labels.tolist()) + "\n")
+
+    def report(name):
+        out = tmp_path / name
+        assert run(["eval", "--embeddings", tmp_path / "emb.tsv", "--labels",
+                    tmp_path / "lab.tsv", "--task-types", task_types, "--probe-hidden", 4,
+                    "--probe-epochs", 30, "--out", out]) == 0
+        return out.read_bytes()
+
+    fast = report("fast.json")
+    monkeypatch.setattr("infoalign.cli.probe_train", reference_probe_train)
+    assert report("oracle.json") == fast
+
+
 def test_eval_label_rows_mismatch_exit_1(tmp_path, capsys):
     (tmp_path / "emb.tsv").write_text("\n".join(f"{i}\t{i % 2}" for i in range(10)) + "\n")
     (tmp_path / "lab.tsv").write_text("\n".join(str(i % 2) for i in range(7)) + "\n")
@@ -600,7 +629,9 @@ def test_eval_non_finite_value_names_line(tmp_path, capsys, value):
 
 def test_eval_diverging_probe_exit_1_without_warnings(tmp_path):
     (tmp_path / "emb.tsv").write_text("".join(f"{(-1) ** i * 1e308!r}\t0.5\n" for i in range(20)))
-    (tmp_path / "lab.tsv").write_text("".join(f"{i % 2}\n" for i in range(20)))
+    # Each label disagrees with the sign of its logit at the seed-0 init, so
+    # the BCE of every entry is about 1.4e308 and their sum overflows.
+    (tmp_path / "lab.tsv").write_text("".join(f"{(i + 1) % 2}\n" for i in range(20)))
     err = io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
@@ -682,6 +713,40 @@ def test_no_molecules_exit_1(synth_graph, tmp_path, capsys, command):
     assert run(argv) == 1
     assert f"{smi}: no molecules" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_each_smiles_parsed_once_per_command(synth_graph, tmp_path, monkeypatch):
+    """build-graph, embed and match parse every SMILES of their input exactly
+    once: `add_node` reuses the graphs of the node table's records."""
+    import infoalign.molparse as molparse
+
+    ck = tmp_path / "ck.iapt"
+    assert run(["pretrain", "--graph", synth_graph, "--out", ck,
+                "--epochs", 1, *PRETRAIN_SMALL]) == 0
+    nodes = synth_graph.parent / "synth" / "nodes.tsv"
+    smiles = [r.split("\t")[3] for r in nodes.read_text().splitlines()
+              if r.split("\t")[1] == "molecule"]
+    smi = tmp_path / "q.smi"
+    smi.write_text("\n".join(smiles) + "\n")
+    (tmp_path / "cands.tsv").write_text("c0\t" + "\t".join(["0.5"] * 6) + "\n")
+    (tmp_path / "true.txt").write_text("c0\n" * len(smiles))
+    parsed = []
+    parse_into = molparse._parse_into
+
+    def counting(text, *lists):
+        parsed.append(text)
+        return parse_into(text, *lists)
+
+    monkeypatch.setattr(molparse, "_parse_into", counting)
+    for argv in (["build-graph", "--nodes", nodes, "--edges", nodes.parent / "edges.tsv",
+                  "--fp-bits", 64, "--out", tmp_path / "g.ctxg"],
+                 ["embed", "--checkpoint", ck, "--input", smi, "--out", tmp_path / "e.tsv"],
+                 ["match", "--checkpoint", ck, "--queries", smi, "--candidates",
+                  tmp_path / "cands.tsv", "--true-ids", tmp_path / "true.txt",
+                  "--out", tmp_path / "m.json"]):
+        parsed.clear()
+        assert run(argv) == 0
+        assert parsed == smiles, argv[0]
 
 
 @pytest.fixture(scope="module")

@@ -596,10 +596,10 @@ def test_node_table_names_first_of_two_bad_smiles(tmp_path):
 def test_node_table_parser_fault_is_not_a_bad_smiles(tmp_path, monkeypatch):
     """Only the parser's SmilesError is reported as a bad row; any other
     exception from it propagates as it is."""
-    def faulty_parser(_smiles):
+    def faulty_parser(_texts):
         raise KeyError("parser fault")
 
-    monkeypatch.setattr(ctxgraph, "parse_smiles", faulty_parser)
+    monkeypatch.setattr(ctxgraph, "parse_many", faulty_parser)
     p = tmp_path / "nodes.tsv"
     p.write_text("m1\tmolecule\tsrc\tCCO\n")
     with pytest.raises(KeyError, match="parser fault"):

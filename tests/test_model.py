@@ -5,19 +5,24 @@ per-walk loss of `tests/oracles.py`, training determinism, and checkpoint
 round-trips."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import infoalign.diffcore as dc
+import infoalign.model as model
 from infoalign.ctxgraph import ContextGraph, NodeKind, NodeRecord, Relation
 from infoalign.errors import NoDecoderError, PathMismatchError, ShapeMismatchError
 from infoalign.model import (
+    _EMBED_ATOMS,
     _NOISE_STREAM,
     _SHUFFLE_STREAM,
     EncoderOutput,
+    _embed_blocks,
     LossBreakdown,
     ModelConfig,
     TrainState,
@@ -39,7 +44,8 @@ from infoalign.model import (
     reparameterize,
     save_checkpoint,
 )
-from infoalign.molparse import parse_smiles, union
+from infoalign.molparse import MoleculeSet, parse_many, parse_smiles, union
+from infoalign.synth import SyntheticSpec, generate
 from infoalign.walker import WalkConfig, WalkPath, batch_walks
 from tests.oracles import (
     FIXED_SMILES,
@@ -71,7 +77,8 @@ def tiny_graph(n_mols=6, seed=0, fp_bits=64):
         smi = smiles[i % len(smiles)]
         mol = parse_smiles(smi)
         g.add_node(NodeRecord(f"m{i}", NodeKind.MOLECULE,
-                              morgan_fingerprint([mol], 2, fp_bits)[0], smiles=smi, mol=mol))
+                              morgan_fingerprint(MoleculeSet.of([mol]), 2, fp_bits)[0],
+                              smiles=smi, mol=mol))
         g.add_node(NodeRecord(f"c{i}", NodeKind.CELL_MORPHOLOGY,
                               rng.uniform(0, 1, 5).astype(np.float32)))
         g.add_edge(f"m{i}", f"c{i}", Relation.PERTURBATION, 1.0)
@@ -483,7 +490,8 @@ def walk_graph(n_mols=7):
         smi = smiles[i % len(smiles)]
         mol = parse_smiles(smi)
         g.add_node(NodeRecord(f"m{i}", NodeKind.MOLECULE,
-                              morgan_fingerprint([mol], 2, 64)[0], smiles=smi, mol=mol))
+                              morgan_fingerprint(MoleculeSet.of([mol]), 2, 64)[0],
+                              smiles=smi, mol=mol))
         g.add_node(NodeRecord(f"c{i}", NodeKind.CELL_MORPHOLOGY,
                               rng.uniform(0, 1, 5).astype(np.float32)))
         g.add_edge(f"m{i}", f"c{i}", Relation.PERTURBATION, 1.0)
@@ -566,7 +574,8 @@ def test_batch_loss_isolated_molecule_trains_on_own_fingerprint(likelihood):
     for i, smi in enumerate(["CCO", "CCN", "c1ccccc1"]):
         mol = parse_smiles(smi)
         g.add_node(NodeRecord(f"m{i}", NodeKind.MOLECULE,
-                              morgan_fingerprint([mol], 2, 64)[0], smiles=smi, mol=mol))
+                              morgan_fingerprint(MoleculeSet.of([mol]), 2, 64)[0],
+                              smiles=smi, mol=mol))
     g.add_node(NodeRecord("c0", NodeKind.CELL_MORPHOLOGY, np.linspace(0, 1, 5)))
     g.add_edge("m0", "c0", Relation.PERTURBATION, 1.0)
     g.add_edge("m2", "c0", Relation.PERTURBATION, 1.0)
@@ -739,7 +748,8 @@ def test_training_bytes_equal_slow_oracles(tmp_path, monkeypatch):
         state = TrainState()
         store, _ = pretrain(g, cfg, state=state)
         save_checkpoint(tmp_path / f"{tag}.iapt", store, cfg, g, state)
-        head = probe_train(LabeledSet(embed(store, mols), labels, ["classification"]),
+        head = probe_train(LabeledSet(embed(store, MoleculeSet.of(mols)), labels,
+                                      ["classification"]),
                            ProbeConfig(epochs=20))
         dc.save_params(tmp_path / f"{tag}.probe", head.store)
         return [(tmp_path / f"{tag}.{ext}").read_bytes() for ext in ("iapt", "probe")]
@@ -821,17 +831,16 @@ def test_embed_properties():
     cfg = small_cfg()
     store, _ = pretrain(g, cfg)
     mols = [parse_smiles(s) for s in ["CCO", "CCN", "c1ccccc1"]]
-    z1 = embed(store, mols)
-    z2 = embed(store, mols)
+    z1 = embed(store, MoleculeSet.of(mols))
+    z2 = embed(store, MoleculeSet.of(mols))
     assert np.array_equal(z1, z2)
     assert z1.shape == (3, cfg.latent_dim)
-    perm = embed(store, [mols[2], mols[0], mols[1]])
+    perm = embed(store, MoleculeSet.of([mols[2], mols[0], mols[1]]))
     assert np.array_equal(perm, z1[[2, 0, 1]])
 
 
-# Two blocks of 16 and a last block of one: a first block of varied molecules
-# ("C" and "O" have no bonds), a second block of single-atom molecules only,
-# so a whole block has no edges, then one more molecule.
+# Sixteen varied molecules ("C" and "O" have no bonds), sixteen single-atom
+# molecules, then one more molecule.
 EMBED_SMILES = (["CCO", "C", "c1ccccc1", "O", "CC(=O)O", "CCN", "OCC(O)CO", "c1ccc(N)cc1",
                  "CC(C)CC(=O)O", "C1CC1", "N#CC#N", "CSC", "ClC(Cl)(Cl)Cl", "[NH4+]",
                  "CC=O", "NCCN"]
@@ -844,7 +853,7 @@ def test_embed_rows_equal_single_molecule_encodes(n):
     cfg = small_cfg()
     store = make_store(cfg, tiny_graph())
     mols = [parse_smiles(s) for s in EMBED_SMILES[:n]]
-    z = embed(store, mols)
+    z = embed(store, MoleculeSet.of(mols))
     assert z.shape == (n, cfg.latent_dim)
     bound = store.bind()
     for k, mol in enumerate(mols):
@@ -855,17 +864,74 @@ def test_embed_rejects_non_finite_weight():
     store = make_store(small_cfg(), tiny_graph())
     store.params["head_mu.b0"][2] = np.nan
     with pytest.raises(FloatingPointError, match="non-finite embedding"):
-        embed(store, [parse_smiles("CCO")])
+        embed(store, MoleculeSet.of([parse_smiles("CCO")]))
 
 
 def test_embed_row_does_not_depend_on_its_block():
-    """Rotating a 20-molecule input by 4 moves molecules between the 16-row
-    and the 4-row block, and each keeps its exact mu."""
+    """Rotating a 20-molecule input by 4 moves each molecule to another row
+    of its block, and each keeps its exact mu."""
     store = make_store(small_cfg(), tiny_graph())
     mols = [parse_smiles(s) for s in EMBED_SMILES[:20]]
-    z = embed(store, mols)
-    rotated = embed(store, mols[4:] + mols[:4])
+    z = embed(store, MoleculeSet.of(mols))
+    rotated = embed(store, MoleculeSet.of(mols[4:] + mols[:4]))
     assert np.array_equal(rotated, np.concatenate([z[4:], z[:4]]))
+
+
+@pytest.fixture(scope="module")
+def evaluate_set():
+    """A store of the evaluate checkpoint's shape and the 1000 molecules of
+    the evaluate workload's seed-1 draw."""
+    smiles = generate(SyntheticSpec(clusters=8, per_cluster=125, noise=0.1, seed=1)).smiles
+    store = dc.ParamStore(seed=1)
+    init_model(store, small_cfg(latent_dim=8, hidden=32), [])
+    return store, parse_many(smiles)
+
+
+def test_embed_alone_equals_its_row_in_a_large_set(evaluate_set):
+    """Each molecule embedded alone (beside a copy of itself) gives, bit for
+    bit, its row of the 1000-molecule set; so does each molecule that does
+    not fit in the set's first block, embedded as a lone last molecule after
+    it. A BLAS whose gemm rows depend on the row count fails this."""
+    store, mols = evaluate_set
+    z = embed(store, mols)
+    for i in range(len(mols)):
+        assert np.array_equal(embed(store, MoleculeSet.of([mols.molecule(i)])), z[i : i + 1])
+
+    (_, full), *_ = _embed_blocks(mols.atom_start, _EMBED_ATOMS)
+    block = [mols.molecule(k) for k in range(full)]
+    room = _EMBED_ATOMS - int(mols.atom_start[full])
+    lone = [i for i in range(full, len(mols)) if np.diff(mols.atom_start)[i] > room]
+    assert len(lone) > 100
+    for i in lone:
+        after = MoleculeSet.of(block + [mols.molecule(i)])
+        assert _embed_blocks(after.atom_start, _EMBED_ATOMS) == [(0, full + 1)]
+        assert np.array_equal(embed(store, after)[-1], z[i])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(8, 40),
+       st.lists(st.one_of(st.sampled_from(EMBED_SMILES), smiles_strings()),
+                min_size=1, max_size=30))
+def test_embed_rows_do_not_depend_on_the_atom_budget(evaluate_set, budget, smiles):
+    """Blocks of at most `budget` atoms (or two molecules) cover the set in
+    order, none of one molecule, and give the rows of one large block."""
+    store, _ = evaluate_set
+    mols = parse_many(smiles)
+    blocks = _embed_blocks(mols.atom_start, budget)
+    assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+    assert blocks[-1][1] == len(mols)
+
+    def closed(lo, hi):  # two molecules, or no more than the budget's atoms
+        return hi - lo == 2 or mols.atom_start[hi] - mols.atom_start[lo] <= budget
+
+    for lo, hi in blocks:
+        assert hi - lo >= min(2, len(mols))
+        # the last block may hold the lone last molecule beside a closed block
+        assert closed(lo, hi) or len(mols) == 1 or hi == len(mols) and closed(lo, hi - 1)
+    with mock.patch.object(model, "_EMBED_ATOMS", budget):
+        z = embed(store, mols)
+    with mock.patch.object(model, "_EMBED_ATOMS", 10**9):
+        assert np.array_equal(z, embed(store, mols))
 
 
 def test_checkpoint_manifest_round_trip(tmp_path):
@@ -880,7 +946,7 @@ def test_checkpoint_manifest_round_trip(tmp_path):
     assert state2 == state and state.epoch == cfg.epochs
     assert decoder_keys(store2) == decoder_keys(store)
     mols = [parse_smiles("CCO")]
-    assert np.array_equal(embed(store, mols), embed(store2, mols))
+    assert np.array_equal(embed(store, MoleculeSet.of(mols)), embed(store2, MoleculeSet.of(mols)))
 
 
 def test_checkpoint_records_graph_fingerprint_width(tmp_path):

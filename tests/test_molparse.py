@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from infoalign.errors import (
     RingUnclosedError,
+    SmilesError,
     SmilesSyntaxError,
     UnbalancedParenError,
     UnsupportedFeatureError,
@@ -19,6 +20,8 @@ from infoalign.molparse import (
     ELEMENTS,
     BondOrder,
     MolecularGraph,
+    MoleculeSet,
+    parse_many,
     parse_smiles,
     read_smiles_file,
     union,
@@ -261,9 +264,27 @@ PIECES = [*"BCNOPSFIbcnops()=#:-0123456789%[]+H.@/\\*~\nxlr é",
           "[C+" + "9" * 4301 + "]", "[C-" + "0" * 4301 + "7]"]
 
 
-@pytest.mark.parametrize("smi", FIXED_SMILES)
+# A bond symbol must sit between two atoms of one chain: one before ')' or
+# before the first atom is an error at the symbol's position.
+BOND_PLACEMENT = ["C(C=)C", "C(C#)C", "C(=)C", "CC(C(C-)C)C", "=C", "=C=C", "#", "C=)"]
+
+
+@pytest.mark.parametrize("smi", FIXED_SMILES + BOND_PLACEMENT)
 def test_parity_with_oracle_fixed(smi):
     check_parity(smi)
+
+
+@pytest.mark.parametrize("smi,message", [
+    ("C(C=)C", "bond symbol at position 3 ends a branch without an atom"),
+    ("C(C#)C", "bond symbol at position 3 ends a branch without an atom"),
+    ("CC(C(C-)C)C", "bond symbol at position 6 ends a branch without an atom"),
+    ("=C", "bond symbol before any atom at position 0"),
+    ("=C=C", "bond symbol before any atom at position 0"),
+])
+def test_misplaced_bond_symbol_rejected_at_its_position(smi, message):
+    with pytest.raises(SmilesSyntaxError) as exc:
+        parse_smiles(smi)
+    assert str(exc.value) == message
 
 
 @settings(max_examples=200, deadline=None)
@@ -276,6 +297,83 @@ def test_parity_with_oracle_fuzzed(smi):
 @given(st.lists(st.sampled_from(PIECES), min_size=1, max_size=20).map("".join))
 def test_parity_with_oracle_arbitrary(text):
     check_parity(text)
+
+
+# --- a whole set in one pass ----------------------------------------------------
+
+def reference_set_outcome(texts):
+    """The oracle's parse of each text, or (index, type, message) of the first
+    that fails."""
+    mols = []
+    for i, text in enumerate(texts):
+        try:
+            mols.append(reference_parse_smiles(text))
+        except Exception as exc:
+            return i, type(exc), str(exc)
+    return mols
+
+
+def check_parse_many(texts):
+    """`parse_many` equals the `union` of the oracle's parses, field by field
+    and dtype by dtype, with each molecule's atom and bond offsets; or it
+    raises the oracle's first error with that text's index."""
+    expect = reference_set_outcome(texts)
+    if isinstance(expect, tuple):
+        with pytest.raises(SmilesError) as exc:
+            parse_many(texts)
+        assert (exc.value.index, type(exc.value), str(exc.value)) == expect
+        return
+    got = parse_many(texts)
+    assert len(got) == len(texts)
+    assert got.atom_start.tolist() == np.cumsum([0] + [len(m.element) for m in expect]).tolist()
+    assert got.bond_start.tolist() == np.cumsum([0] + [len(m.bonds) for m in expect]).tolist()
+    if not expect:
+        return
+    g, mol_of_atom = union(expect)
+    for name in FIELDS:
+        assert getattr(got.graph, name).dtype == getattr(g, name).dtype
+        assert getattr(got.graph, name).shape == getattr(g, name).shape
+        assert getattr(got.graph, name).tobytes() == getattr(g, name).tobytes()
+    assert np.array_equal(got.block(0, len(texts))[1], mol_of_atom)
+    for i, mol in enumerate(expect):
+        one = got.molecule(i)
+        for name in FIELDS:
+            assert getattr(one, name).dtype == getattr(mol, name).dtype
+            assert np.array_equal(getattr(one, name), getattr(mol, name))
+
+
+@pytest.mark.parametrize("texts", [
+    FIXED_SMILES, FIXED_SMILES[::-1], ["C", "[NH4+]"], ["[NH4+]", "CCO", "C"], ["CCO"],
+    FIXED_SMILES + ["C1CC"], ["CCO", "C(C=)C", "CC"], ["CCO", "", "CC"], ["C", 5],
+], ids=["fixed", "reversed", "bond-less", "bond-less-ends", "one", "bad-last",
+        "bad-middle", "empty-string", "not-a-string"])
+def test_parse_many_equals_union_of_oracle_parses(texts):
+    check_parse_many(texts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(smiles_strings(), st.sampled_from(["C", "[NH4+]"])), max_size=8))
+def test_parse_many_equals_union_of_oracle_parses_fuzzed(texts):
+    check_parse_many(texts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(smiles_strings(), max_size=4),
+       st.lists(st.sampled_from(PIECES), min_size=1, max_size=12).map("".join),
+       st.lists(smiles_strings(), max_size=4))
+def test_parse_many_names_the_failing_index(before, text, after):
+    """A list with one arbitrary text among good ones: the oracle's set, or its
+    error with that text's index."""
+    check_parse_many(before + [text] + after)
+
+
+def test_parse_many_of_nothing_is_empty():
+    got = parse_many([])
+    assert len(got) == 0 and got.atom_start.tolist() == [0] and got.bond_start.tolist() == [0]
+    assert got.graph.bonds.shape == (0, 2)
+    assert [getattr(got.graph, name).dtype for name in FIELDS] == \
+        [np.intp, np.int32, bool, np.intp, np.intp, np.intp]
+    assert MoleculeSet.of([]).atom_start.tolist() == [0]
 
 
 # --- round-trip stability ----------------------------------------------------
