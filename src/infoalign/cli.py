@@ -36,7 +36,8 @@ import numpy as np
 from . import diffcore as dc
 from . import mibounds, synth
 from .ctxgraph import ContextGraph, NodeKind, build_graph_from_tables
-from .errors import InfoAlignError, LengthMismatchError, SmilesError, TableFormatError
+from .errors import (CorruptFileError, InfoAlignError, LengthMismatchError, SmilesError,
+                     TableFormatError)
 from .evalkit import (
     LabeledSet,
     ProbeConfig,
@@ -315,6 +316,10 @@ def cmd_pretrain(args) -> int:
         raise InfoAlignError(f"config key 'beta_sweep': expected a comma-separated string, "
                              f"got {opt.beta_sweep!r}")
     graph = ContextGraph.load(args.graph)
+    try:
+        graph.parse_molecules()
+    except SmilesError as exc:
+        raise CorruptFileError(f"{args.graph}: {exc}") from None
     if not args.resume:  # a resume keeps the checkpoint's, which must have its decoder
         bits = fingerprint_bits(graph, opt.fp_bits)
         if "fp_bits" in given and opt.fp_bits != bits:

@@ -201,6 +201,19 @@ class ContextGraph:
     def molecule_ids(self) -> List[str]:
         return [nid for nid, rec in self._nodes.items() if rec.kind is NodeKind.MOLECULE]
 
+    def parse_molecules(self) -> None:
+        """Parse the SMILES of every molecule node not parsed yet, in one
+        `parse_many` call. A SMILES that does not parse raises its
+        SmilesError, naming the node."""
+        todo = [rec for rec in self._nodes.values()
+                if rec.kind is NodeKind.MOLECULE and rec.mol is None and rec.smiles]
+        try:
+            mols = parse_many([rec.smiles for rec in todo])
+        except SmilesError as exc:
+            raise type(exc)(f"molecule node {todo[exc.index].id!r}: {exc}") from None
+        for k, rec in enumerate(todo):
+            rec.mol = mols.molecule(k)
+
     def neighbors(self, node_id: str) -> List[Tuple[str, float]]:
         """Effective neighbors (max weight per pair) in id order; requires a
         finalized graph."""
@@ -411,7 +424,8 @@ class ContextGraph:
     @classmethod
     def load(cls, path) -> "ContextGraph":
         """Read a saved graph. Molecule SMILES are parsed on first use
-        (`NodeRecord.molecule`), not here: walking needs none of them."""
+        (`NodeRecord.molecule`, or all at once by `parse_molecules`), not
+        here: walking needs none of them."""
         meta, arrays = serialize.read_container(path, MAGIC)
         flat = arrays[0].astype(np.float32)
         g = cls()

@@ -1,9 +1,17 @@
 """Minimal dense-array reverse-mode autodiff, parameter store, and Adam.
 
 Every array is float64 (the gradient checks demand it). The primitive set is
-deliberately small: matmul, broadcast add/mul, negation, elementwise (relu,
-exp, softplus), sum reduction, row gather and index-scatter-add for message
-passing, and clip. Every primitive has a finite-difference test.
+deliberately small: matmul, broadcast add/mul, sum reduction, row gather and
+index-scatter-add for message passing, and clip. The training step's layers
+and loss terms are one node each: `affine` (matmul, bias add and ReLU), the
+per-element NLLs `bce_with_logits` and `half_squared_error`, and the
+Gaussian bottleneck's `gaussian_kl` and `gaussian_sample` (Paszke et al.
+2019, arXiv 1912.01703, fuse a linear layer's bias the same way; Alemi et
+al. 2017, arXiv 1612.00410, give the rate term in closed form). Each fused
+node does the floating-point operations of the chain of primitives it
+replaced, in their order, so the values and gradients are the same bits;
+`tests/oracles.py` keeps those chains to check it. Every primitive and
+every fused node has a finite-difference test.
 
 Primitives do not check their outputs. Finiteness is checked where values
 leave the tape: `backward` raises FloatingPointError for a non-finite loss or
@@ -41,8 +49,8 @@ from .errors import CorruptFileError, ShapeMismatchError
 
 MAGIC = b"IAPT"
 
-# exp inputs, and the logistic inside the softplus gradient, are clamped here
-# to avoid overflow.
+# exp inputs, and the logistic inside the BCE gradient, are clamped here to
+# avoid overflow.
 _EXP_CLAMP = 36.7
 
 
@@ -154,12 +162,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data, (a,))
-    out._bw = lambda g: _acc(a, -g)
-    return out
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     try:
         data = a.data * b.data
@@ -185,27 +187,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _acc(b, a.data.T @ g)
 
     out._bw = bw
-    return out
-
-
-def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0), (a,))
-    # subgradient at 0 is 0
-    out._bw = lambda g: _acc(a, g * (a.data > 0))
-    return out
-
-
-def exp(a: Tensor) -> Tensor:
-    e = np.exp(np.clip(a.data, -_EXP_CLAMP, _EXP_CLAMP))
-    out = Tensor(e, (a,))
-    out._bw = lambda g: _acc(a, g * e)
-    return out
-
-
-def softplus(a: Tensor) -> Tensor:
-    out = Tensor(np.logaddexp(0.0, a.data), (a,))
-    s = 1.0 / (1.0 + np.exp(-np.clip(a.data, -_EXP_CLAMP, _EXP_CLAMP)))
-    out._bw = lambda g: _acc(a, g * s)
     return out
 
 
@@ -327,16 +308,106 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return out
 
 
+# --- fused nodes -------------------------------------------------------------
+#
+# Each computes what its chain of primitives computed, operation by
+# operation, and sends each parent the contributions that chain sent, in its
+# order. Parents are listed as the chain's were met from left to right, so
+# the tape visits them, and runs every other node, in the chain's order.
+
+def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """x @ w + b, then ReLU if `relu` (subgradient 0 at 0)."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeMismatchError(f"affine: {x.shape} @ {w.shape}")
+    if b.shape != w.shape[1:]:
+        raise ShapeMismatchError(f"affine: bias {b.shape} for {w.shape[1]} outputs")
+    data = x.data @ w.data
+    data += b.data
+    if relu:
+        # max(pre, 0) > 0 exactly where pre > 0, so the mask needs no copy of pre
+        np.maximum(data, 0.0, out=data)
+    out = Tensor(data, (x, w, b))
+
+    def bw(g):
+        if relu:
+            g = g * (data > 0)
+        _acc(b, g.sum(axis=0))
+        _acc(x, g @ w.data.T)
+        _acc(w, x.data.T @ g)
+
+    out._bw = bw
+    return out
+
+
+def _targets(outputs: Tensor, targets, what: str) -> np.ndarray:
+    y = np.asarray(targets, dtype=np.float64)
+    if y.shape != outputs.shape:
+        raise ShapeMismatchError(f"{what}: outputs {outputs.shape} vs targets {y.shape}")
+    return y
+
+
 def bce_with_logits(logits: Tensor, targets) -> Tensor:
     """Elementwise binary cross-entropy for soft targets in [0, 1].
 
     softplus(l) - l * y, the numerically stable form; summing is left to the
     caller.
     """
-    y = constant(targets)
-    if y.shape != logits.shape:
-        raise ShapeMismatchError(f"bce: logits {logits.shape} vs targets {y.shape}")
-    return add(softplus(logits), neg(mul(logits, y)))
+    y = _targets(logits, targets, "bce")
+    l = logits.data
+    out = Tensor(np.logaddexp(0.0, l) + -(l * y), (logits,))
+
+    def bw(g):
+        s = 1.0 / (1.0 + np.exp(-np.clip(l, -_EXP_CLAMP, _EXP_CLAMP)))
+        _acc(logits, g * s)
+        _acc(logits, (-g) * y)
+
+    out._bw = bw
+    return out
+
+
+def half_squared_error(outputs: Tensor, targets) -> Tensor:
+    """Elementwise (o - y)^2 / 2, the unit-variance Gaussian NLL up to its
+    constant; summing is left to the caller."""
+    d = outputs.data + -_targets(outputs, targets, "squared error")
+    out = Tensor((d * d) * 0.5, (outputs,))
+
+    def bw(g):
+        t = (g * 0.5) * d
+        _acc(outputs, t + t)
+
+    out._bw = bw
+    return out
+
+
+def gaussian_kl(mu: Tensor, logvar: Tensor) -> Tensor:
+    """KL(N(mu, diag exp(logvar)) || N(0, I)) summed over every entry:
+    sum(mu^2 + exp(logvar) - logvar - 1) / 2, a scalar."""
+    m = mu.data
+    e = np.exp(np.clip(logvar.data, -_EXP_CLAMP, _EXP_CLAMP))
+    out = Tensor((((m * m + e) + -logvar.data) + -1.0).sum() * 0.5, (mu, logvar))
+
+    def bw(g):
+        half = np.broadcast_to(g * 0.5, m.shape)
+        _acc(mu, half * m)
+        _acc(mu, half * m)
+        _acc(logvar, half * e)
+        _acc(logvar, -half)
+
+    out._bw = bw
+    return out
+
+
+def gaussian_sample(mu: Tensor, logvar: Tensor, noise: np.ndarray) -> Tensor:
+    """mu + exp(logvar / 2) * noise, the reparameterized draw."""
+    std = np.exp(np.clip(logvar.data * 0.5, -_EXP_CLAMP, _EXP_CLAMP))
+    out = Tensor(mu.data + std * noise, (mu, logvar))
+
+    def bw(g):
+        _acc(mu, g)
+        _acc(logvar, ((g * noise) * std) * 0.5)
+
+    out._bw = bw
+    return out
 
 
 # --- parameters, MLP, optimizer ----------------------------------------------
@@ -424,14 +495,13 @@ def init_mlp(store: ParamStore, prefix: str, sizes: Sequence[int]):
 
 
 def mlp_forward(bound: Dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
-    """Affine + ReLU stack; the final layer stays linear."""
+    """Affine + ReLU stack, one `affine` node per layer; the final layer
+    stays linear."""
     i = 0
     h = x
     while f"{prefix}.w{i}" in bound:
-        last = f"{prefix}.w{i + 1}" not in bound
-        h = add(matmul(h, bound[f"{prefix}.w{i}"]), bound[f"{prefix}.b{i}"])
-        if not last:
-            h = relu(h)
+        h = affine(h, bound[f"{prefix}.w{i}"], bound[f"{prefix}.b{i}"],
+                   relu=f"{prefix}.w{i + 1}" in bound)
         i += 1
     if i == 0:
         raise KeyError(f"no parameters found under prefix {prefix!r}")

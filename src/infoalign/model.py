@@ -233,15 +233,12 @@ def reparameterize(out: EncoderOutput, noise) -> dc.Tensor:
     noise = np.asarray(noise, dtype=np.float64)
     if noise.shape != out.mu.shape:
         raise ShapeMismatchError(f"noise {noise.shape} vs mu {out.mu.shape}")
-    std = dc.exp(dc.mul(out.logvar, dc.constant(0.5)))
-    return dc.add(out.mu, dc.mul(std, dc.constant(noise)))
+    return dc.gaussian_sample(out.mu, out.logvar, noise)
 
 
 def kl_standard_normal(out: EncoderOutput) -> dc.Tensor:
     """KL(N(mu, diag exp(logvar)) || N(0, I)), summed over dimensions and rows."""
-    mu2 = dc.mul(out.mu, out.mu)
-    inner = dc.add(dc.add(mu2, dc.exp(out.logvar)), dc.neg(out.logvar))
-    return dc.mul(dc.tsum(dc.add(inner, dc.constant(-1.0))), dc.constant(0.5))
+    return dc.gaussian_kl(out.mu, out.logvar)
 
 
 def nll_terms(logits: dc.Tensor, y: np.ndarray, likelihood: str) -> dc.Tensor:
@@ -256,8 +253,7 @@ def nll_terms(logits: dc.Tensor, y: np.ndarray, likelihood: str) -> dc.Tensor:
     if likelihood == "bernoulli":
         return dc.bce_with_logits(logits, y)
     if likelihood == "gaussian":
-        diff = dc.add(logits, dc.constant(-y))
-        return dc.mul(dc.mul(diff, diff), dc.constant(0.5))
+        return dc.half_squared_error(logits, y)
     raise ValueError(f"unknown likelihood {likelihood!r}")
 
 
@@ -356,11 +352,13 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig, store: Optional[dc.ParamStor
     generators continue, and `state` advances in place by cfg.epochs. A new
     store gets one decoder per featured (kind, dim) of the graph. Every
     featured (kind, dim) of the graph needs a decoder in the store, or
-    NoDecoderError is raised before any step. A non-finite loss or gradient
-    raises FloatingPointError naming the epoch and the batch. `log_fn(epoch,
-    breakdown)`, if given, is called as each epoch ends, with the epoch
-    numbered over resumes. Returns the store and the per-epoch mean loss
-    breakdowns.
+    NoDecoderError is raised before any step. The graph's molecules are
+    parsed together before the first step (`ContextGraph.parse_molecules`),
+    so a bad SMILES raises its SmilesError, naming the node, before any step
+    too. A non-finite loss or gradient raises FloatingPointError naming the
+    epoch and the batch. `log_fn(epoch, breakdown)`, if given, is called as
+    each epoch ends, with the epoch numbered over resumes. Returns the store
+    and the per-epoch mean loss breakdowns.
     """
     needed = feature_keys(graph)
     if store is None:
@@ -375,6 +373,7 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig, store: Optional[dc.ParamStor
     mols = graph.molecule_ids()
     if not mols:
         raise ValueError("graph has no molecule nodes")
+    graph.parse_molecules()
     state = TrainState() if state is None else state
     rngs = {"shuffle": dc.seeded_rng(cfg.seed, _SHUFFLE_STREAM),
             "noise": dc.seeded_rng(cfg.seed, _NOISE_STREAM)}

@@ -12,6 +12,11 @@ tables and the flat parameter buffer replaced. `reference_top_pairs` is the
 full sort of every similarity candidate that the partition cut replaced.
 `reference_walk_loss` is the loss of one walk on a tape of its own, one
 target at a time, which `batch_loss` computes for a whole minibatch at once.
+`neg`, `relu`, `exp` and `softplus` are the primitives, and the `composed_*`
+functions the chains of primitives, that diffcore's fused nodes (`affine`,
+`bce_with_logits`, `half_squared_error`, `gaussian_kl`, `gaussian_sample`)
+replaced; the slow-path oracles build their tapes from these chains, so they
+check the fused nodes and not themselves.
 `reference_parse_smiles` is the character-at-a-time SMILES parser that the
 token table replaced; it keeps its own bond-symbol table and charge limit.
 `reference_probe_train` is the probe fit that builds both losses on every
@@ -31,15 +36,7 @@ from infoalign.errors import (
     UnsupportedFeatureError,
 )
 from infoalign.evalkit import CLASSIFICATION, ProbeHead
-from infoalign.model import (
-    ATOM_FEATURE_DIM,
-    LossBreakdown,
-    decoder_prefix,
-    gin_encode,
-    kl_standard_normal,
-    nll_terms,
-    reparameterize,
-)
+from infoalign.model import ATOM_FEATURE_DIM, LossBreakdown, decoder_prefix, gin_encode
 from infoalign.molparse import AROMATIC_ELEMENTS, ELEMENTS, BondOrder, MolecularGraph
 
 _FNV_OFFSET = 14695981039346656037
@@ -183,6 +180,71 @@ def reference_top_pairs(s: np.ndarray, rank_i: np.ndarray, rank_j: np.ndarray,
     return np.lexsort((hi, lo, -s))[:keep]
 
 
+# --- the unfused tape ------------------------------------------------------------
+
+def neg(a):
+    out = dc.Tensor(-a.data, (a,))
+    out._bw = lambda g: dc._acc(a, -g)
+    return out
+
+
+def relu(a):
+    out = dc.Tensor(np.maximum(a.data, 0.0), (a,))
+    # subgradient at 0 is 0
+    out._bw = lambda g: dc._acc(a, g * (a.data > 0))
+    return out
+
+
+def exp(a):
+    e = np.exp(np.clip(a.data, -dc._EXP_CLAMP, dc._EXP_CLAMP))
+    out = dc.Tensor(e, (a,))
+    out._bw = lambda g: dc._acc(a, g * e)
+    return out
+
+
+def softplus(a):
+    out = dc.Tensor(np.logaddexp(0.0, a.data), (a,))
+    s = 1.0 / (1.0 + np.exp(-np.clip(a.data, -dc._EXP_CLAMP, dc._EXP_CLAMP)))
+    out._bw = lambda g: dc._acc(a, g * s)
+    return out
+
+
+def composed_affine(x, w, b, relu_layer: bool = False):
+    h = dc.add(dc.matmul(x, w), b)
+    return relu(h) if relu_layer else h
+
+
+def composed_mlp_forward(bound, prefix: str, x):
+    i = 0
+    h = x
+    while f"{prefix}.w{i}" in bound:
+        h = composed_affine(h, bound[f"{prefix}.w{i}"], bound[f"{prefix}.b{i}"],
+                            f"{prefix}.w{i + 1}" in bound)
+        i += 1
+    return h
+
+
+def composed_bce(logits, targets):
+    y = dc.constant(targets)
+    return dc.add(softplus(logits), neg(dc.mul(logits, y)))
+
+
+def composed_half_squared_error(outputs, targets):
+    diff = dc.add(outputs, dc.constant(-np.asarray(targets, dtype=np.float64)))
+    return dc.mul(dc.mul(diff, diff), dc.constant(0.5))
+
+
+def composed_kl(mu, logvar):
+    mu2 = dc.mul(mu, mu)
+    inner = dc.add(dc.add(mu2, exp(logvar)), neg(logvar))
+    return dc.mul(dc.tsum(dc.add(inner, dc.constant(-1.0))), dc.constant(0.5))
+
+
+def composed_sample(mu, logvar, noise):
+    std = exp(dc.mul(logvar, dc.constant(0.5)))
+    return dc.add(mu, dc.mul(std, dc.constant(noise)))
+
+
 def reference_walk_loss(graph, path, bound, beta: float, noise, likelihood: str = "bernoulli"):
     """(total, LossBreakdown) of one walk, with `noise` one latent row.
 
@@ -190,28 +252,26 @@ def reference_walk_loss(graph, path, bound, beta: float, noise, likelihood: str 
     the path node count and the targets are the start molecule's own features
     (alpha = 1) plus every walked node with its cumulative path weight. Each
     target is decoded on its own, its NLL the BCE (bernoulli) or half squared
-    error (gaussian) summed over its entries.
+    error (gaussian) summed over its entries. The sample, the KL and the
+    decoders are the unfused chains.
     """
     start = graph.node(path.nodes[0])
     out = gin_encode(start.mol, bound)
-    z = reparameterize(out, np.reshape(noise, (1, -1)))
-    kl = kl_standard_normal(out)
+    z = composed_sample(out.mu, out.logvar, np.reshape(noise, (1, -1)))
+    kl = composed_kl(out.mu, out.logvar)
     targets = [(start.features.astype(np.float64), start.kind, 1.0)]
     for nid, alpha in path.targets():
         rec = graph.node(nid)
         targets.append((rec.features.astype(np.float64), rec.kind, alpha))
 
     L = len(path.nodes)
+    nll_terms = composed_bce if likelihood == "bernoulli" else composed_half_squared_error
     recon = {}
     weighted_terms = []
     for feats, kind, alpha in targets:
         y = feats.reshape(1, -1)
-        logits = dc.mlp_forward(bound, decoder_prefix(bound, kind, y.shape[1]), z)
-        if likelihood == "bernoulli":
-            nll = dc.tsum(dc.bce_with_logits(logits, y))
-        else:
-            diff = dc.add(logits, dc.constant(-y))
-            nll = dc.tsum(dc.mul(dc.mul(diff, diff), dc.constant(0.5)))
+        logits = composed_mlp_forward(bound, decoder_prefix(bound, kind, y.shape[1]), z)
+        nll = dc.tsum(nll_terms(logits, y))
         term = dc.mul(nll, dc.constant(alpha))
         weighted_terms.append(term)
         recon[kind.value] = recon.get(kind.value, 0.0) + term.item()
@@ -226,7 +286,7 @@ def reference_walk_loss(graph, path, bound, beta: float, noise, likelihood: str 
 def reference_probe_train(train, cfg):
     """`probe_train` with both losses on every entry, masked to each task's
     type: the BCE times 1 on classification columns and 0 elsewhere, plus the
-    squared error times the complement."""
+    squared error times the complement, on the unfused chains."""
     n, d = train.embeddings.shape
     t = train.labels.shape[1]
     store = dc.ParamStore(seed=cfg.seed)
@@ -236,12 +296,10 @@ def reference_probe_train(train, cfg):
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             bound = store.bind()
-            out = dc.mlp_forward(bound, "probe", dc.constant(x))
-            bce = nll_terms(out, y, "bernoulli")
-            sq = nll_terms(out, y, "gaussian")
+            out = composed_mlp_forward(bound, "probe", dc.constant(x))
             per_entry = dc.add(
-                dc.mul(bce, dc.constant(is_cls[None, :])),
-                dc.mul(sq, dc.constant(1.0 - is_cls[None, :])),
+                dc.mul(composed_bce(out, y), dc.constant(is_cls[None, :])),
+                dc.mul(composed_half_squared_error(out, y), dc.constant(1.0 - is_cls[None, :])),
             )
             loss = dc.mul(dc.tsum(per_entry), dc.constant(1.0 / y.size))
             try:

@@ -502,6 +502,28 @@ def test_pretrain_out_directory_missing_exit_1(synth_graph, tmp_path, capsys, mo
     assert not out.parent.exists()
 
 
+def test_pretrain_bad_smiles_in_graph_exit_1_before_training(synth_graph, tmp_path, capsys,
+                                                             monkeypatch):
+    """A graph file whose SMILES does not parse fails before the first step,
+    naming the file and the node, and writes no log or checkpoint."""
+    from infoalign import ctxgraph, serialize
+
+    def no_walks(*_args):
+        raise AssertionError("walks sampled before the molecules were parsed")
+
+    monkeypatch.setattr("infoalign.model.batch_walks", no_walks)
+    meta, arrays = serialize.read_container(synth_graph, ctxgraph.MAGIC)
+    node = [nm for nm in meta["nodes"] if nm["kind"] == "molecule"][-1]
+    node["smiles"] = "C1CC"
+    bad = tmp_path / "bad.ctxg"
+    serialize.write_container(bad, ctxgraph.MAGIC, meta, arrays)
+    ck = tmp_path / "ck.iapt"
+    assert run(["pretrain", "--graph", bad, "--out", ck, "--epochs", 1, *PRETRAIN_SMALL]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: molecule node {node['id']!r}: dangling ring closure digit(s): [1]\n")
+    assert not ck.exists() and not Path(f"{ck}.log.tsv").exists()
+
+
 def test_pretrain_diverging_run_stderr_is_one_line(synth_graph, tmp_path, capfd):
     """In a process of its own, where numpy's warnings print as they would for
     a user, a diverging run writes only its error line to stderr."""

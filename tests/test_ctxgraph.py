@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infoalign import ctxgraph
+from infoalign import ctxgraph, serialize
 from infoalign.ctxgraph import (
     ContextGraph,
     NodeKind,
@@ -26,6 +26,7 @@ from infoalign.errors import (
     DuplicateIdError,
     FinalizedError,
     MixedDimensionsError,
+    RingUnclosedError,
     SelfLoopError,
     TableFormatError,
     UnknownNodeError,
@@ -495,6 +496,45 @@ def test_load_parses_each_molecule_once_on_first_use(tmp_path, monkeypatch):
     assert rec.molecule() is mol and rec.mol is mol
     assert calls == ["CCO"]
     assert np.array_equal(mol.element, g.node("m03").mol.element)
+
+
+def test_parse_molecules_parses_the_unparsed_nodes_in_one_call(tmp_path, monkeypatch):
+    g = build_random_graph(seed=1)
+    p = tmp_path / "g.ctxg"
+    g.save(p)
+    g2 = ContextGraph.load(p)
+    first = g2.node("m03").molecule()
+    calls = []
+    parse = ctxgraph.parse_many
+
+    def counting_parse(texts):
+        calls.append(list(texts))
+        return parse(texts)
+
+    monkeypatch.setattr(ctxgraph, "parse_many", counting_parse)
+    g2.parse_molecules()
+    others = [m for m in g2.molecule_ids() if m != "m03"]
+    assert calls == [[g2.node(m).smiles for m in others]]
+    assert g2.node("m03").mol is first
+    for m in g2.molecule_ids():
+        for name in ("element", "charge", "aromatic", "degree", "bonds", "order"):
+            assert np.array_equal(getattr(g2.node(m).mol, name), getattr(g.node(m).mol, name))
+    g2.parse_molecules()
+    assert calls[1:] == [[]]
+
+
+def test_parse_molecules_names_the_node_of_a_bad_smiles(tmp_path):
+    g = build_random_graph(seed=1)
+    p = tmp_path / "g.ctxg"
+    g.save(p)
+    meta, arrays = serialize.read_container(p, ctxgraph.MAGIC)
+    bad = next(nm for nm in meta["nodes"] if nm["kind"] == "molecule")
+    bad["smiles"] = "C1CC"
+    serialize.write_container(p, ctxgraph.MAGIC, meta, arrays)
+    g2 = ContextGraph.load(p)
+    with pytest.raises(RingUnclosedError,
+                       match=rf"^molecule node '{bad['id']}': dangling ring closure"):
+        g2.parse_molecules()
 
 
 def test_load_corrupt(tmp_path):

@@ -1,6 +1,7 @@
-"""Autodiff substrate tests: central finite differences for every primitive,
-the row-index scatter and the flat Adam against their slow oracles, MLP
-gradient checks, Adam behavior, checkpoint round-trips."""
+"""Autodiff substrate tests: central finite differences for every primitive
+and fused node, the fused nodes bit for bit against the chains of primitives
+they replaced, the row-index scatter and the flat Adam against their slow
+oracles, MLP gradient checks, Adam behavior, checkpoint round-trips."""
 
 import zlib
 from pathlib import Path
@@ -13,7 +14,19 @@ from hypothesis.extra import numpy as hnp
 
 import infoalign.diffcore as dc
 from infoalign.errors import CorruptFileError, ShapeMismatchError
-from tests.oracles import reference_adam_step, reference_scatter_add
+from tests.oracles import (
+    composed_affine,
+    composed_bce,
+    composed_half_squared_error,
+    composed_kl,
+    composed_sample,
+    exp,
+    neg,
+    reference_adam_step,
+    reference_scatter_add,
+    relu,
+    softplus,
+)
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -66,17 +79,31 @@ def test_square_gradient_closed_form():
 @pytest.mark.parametrize("name,build", [
     ("add", lambda t: dc.tsum(dc.mul(dc.add(t, _c((3, 4), 10)), _c((3, 4), 11)))),
     ("add_broadcast", lambda t: dc.tsum(dc.mul(dc.add(t, _c((1, 4), 12)), _c((3, 4), 13)))),
-    ("neg", lambda t: dc.tsum(dc.mul(dc.neg(t), _c((3, 4), 14)))),
+    ("neg", lambda t: dc.tsum(dc.mul(neg(t), _c((3, 4), 14)))),
     ("mul", lambda t: dc.tsum(dc.mul(t, _c((3, 4), 15)))),
     ("matmul", lambda t: dc.tsum(dc.matmul(t, _c((4, 2), 16)))),
-    ("relu", lambda t: dc.tsum(dc.mul(dc.relu(t), _c((3, 4), 17)))),
-    ("exp", lambda t: dc.tsum(dc.mul(dc.exp(t), _c((3, 4), 19)))),
-    ("softplus", lambda t: dc.tsum(dc.mul(dc.softplus(t), _c((3, 4), 21)))),
+    ("relu", lambda t: dc.tsum(dc.mul(relu(t), _c((3, 4), 17)))),
+    ("exp", lambda t: dc.tsum(dc.mul(exp(t), _c((3, 4), 19)))),
+    ("softplus", lambda t: dc.tsum(dc.mul(softplus(t), _c((3, 4), 21)))),
     ("tsum_axis", lambda t: dc.tsum(dc.mul(dc.tsum(t, axis=0, keepdims=True), _c((1, 4), 22)))),
     ("gather", lambda t: dc.tsum(dc.mul(dc.gather_rows(t, [0, 2, 2, 1]), _c((4, 4), 25)))),
     ("scatter", lambda t: dc.tsum(dc.mul(dc.scatter_add_rows(t, [1, 0, 1], 2), _c((2, 4), 26)))),
     ("clip", lambda t: dc.tsum(dc.mul(dc.clip(t, -0.5, 0.5), _c((3, 4), 27)))),
     ("bce", lambda t: dc.tsum(dc.bce_with_logits(t, np.full((3, 4), 0.3)))),
+    ("affine_relu_x", lambda t: dc.tsum(dc.mul(
+        dc.affine(t, _c((4, 5), 30), _c((5,), 31), relu=True), _c((3, 5), 32)))),
+    ("affine_relu_w", lambda t: dc.tsum(dc.mul(
+        dc.affine(_c((2, 3), 33), t, _c((4,), 34), relu=True), _c((2, 4), 35)))),
+    ("affine_linear", lambda t: dc.tsum(dc.mul(
+        dc.affine(t, _c((4, 2), 36), _c((2,), 37)), _c((3, 2), 38)))),
+    ("half_squared_error", lambda t: dc.tsum(dc.mul(
+        dc.half_squared_error(t, _c((3, 4), 39).data), _c((3, 4), 40)))),
+    ("gaussian_kl_mu", lambda t: dc.gaussian_kl(t, _c((3, 4), 41))),
+    ("gaussian_kl_logvar", lambda t: dc.gaussian_kl(_c((3, 4), 42), t)),
+    ("gaussian_sample_mu", lambda t: dc.tsum(dc.mul(
+        dc.gaussian_sample(t, _c((3, 4), 43), _c((3, 4), 44).data), _c((3, 4), 45)))),
+    ("gaussian_sample_logvar", lambda t: dc.tsum(dc.mul(
+        dc.gaussian_sample(_c((3, 4), 46), t, _c((3, 4), 47).data), _c((3, 4), 48)))),
 ])
 def test_primitive_gradients(name, build):
     # A fixed seed per case: str hashes are salted per process.
@@ -92,10 +119,10 @@ def test_clip_gradient_pass_through():
 
 
 def test_relu_subgradient_zero_at_zero():
-    x = dc.Tensor(np.array([0.0, -1e-12]))
-    y = dc.tsum(dc.relu(x))
+    x = dc.Tensor(np.array([[0.0, -1e-12]]))
+    y = dc.tsum(dc.affine(x, dc.constant(np.eye(2)), dc.constant(np.zeros(2)), relu=True))
     y.backward()
-    assert x.grad[0] == 0.0 and x.grad[1] == 0.0
+    assert x.grad[0, 0] == 0.0 and x.grad[0, 1] == 0.0
 
 
 def test_matmul_sum_gradient_structure():
@@ -133,11 +160,87 @@ def test_backward_rejects_non_finite_leaf_gradient():
 
 
 def test_exp_overflow_clamped_finite():
-    x = dc.Tensor(np.array([1e6, -1e6]))
-    y = dc.exp(x)
-    assert np.all(np.isfinite(y.data))
-    dc.tsum(y).backward()
-    assert np.all(np.isfinite(x.grad))
+    """The exp inside the KL and the sample is clamped: a logvar of +-1e6
+    gives finite values and gradients."""
+    for node in (lambda mu, lv: dc.gaussian_kl(mu, lv),
+                 lambda mu, lv: dc.tsum(dc.gaussian_sample(mu, lv, np.ones((1, 2))))):
+        mu, lv = dc.Tensor(np.zeros((1, 2))), dc.Tensor(np.array([[1e6, -1e6]]))
+        y = node(mu, lv)
+        assert np.all(np.isfinite(y.data))
+        y.backward()
+        assert np.all(np.isfinite(lv.grad)) and np.all(np.isfinite(mu.grad))
+
+
+# --- fused nodes against their chains -----------------------------------------------
+
+# name: (input shapes, how many of them are leaves, fused node, unfused chain)
+FUSED = {
+    "affine_relu": ([(5, 4), (4, 3), (3,)], 3,
+                    lambda x, w, b: dc.affine(x, w, b, relu=True),
+                    lambda x, w, b: composed_affine(x, w, b, True)),
+    "affine_linear": ([(5, 4), (4, 3), (3,)], 3, dc.affine, composed_affine),
+    "bce": ([(5, 4), (5, 4)], 1, dc.bce_with_logits, composed_bce),
+    "half_squared_error": ([(5, 4), (5, 4)], 1, dc.half_squared_error,
+                           composed_half_squared_error),
+    "gaussian_kl": ([(5, 4), (5, 4)], 2, dc.gaussian_kl, composed_kl),
+    "gaussian_sample": ([(5, 4), (5, 4), (5, 4)], 2, dc.gaussian_sample, composed_sample),
+}
+
+
+def _draw(rng, shape, special: bool) -> np.ndarray:
+    """Normal draws; with `special`, about a third of the entries are 0.0,
+    -0.0, +-inf, NaN, subnormal or near the float range, where a product
+    regrouped or scaled by 2 in another order rounds differently."""
+    x = np.asarray(rng.standard_normal(shape))
+    if special:
+        hit = rng.random(shape) < 0.35
+        x[hit] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -3e-310, 1.5e308],
+                            size=int(hit.sum()))
+    return x
+
+
+def _same_bits(a, b) -> bool:
+    """Equal shapes and bits, any NaN matching any NaN: which NaN a sum
+    keeps is left open, as in `RowIndex.add_to`."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)))
+
+
+@pytest.mark.parametrize("special", [False, True], ids=["normal", "special"])
+@pytest.mark.parametrize("name", sorted(FUSED))
+def test_fused_node_equals_its_chain_bit_for_bit(name, special, monkeypatch):
+    """The fused node's value and every leaf gradient are the bits of the
+    chain of primitives it replaced, with the leaves' gradients starting
+    empty or holding earlier contributions."""
+    shapes, leaves, fused, chain = FUSED[name]
+    # non-finite values would stop backward before any gradient is compared
+    monkeypatch.setattr(dc, "require_finite", lambda data, _what: data)
+    for seed in range(5):
+        rng = np.random.default_rng(zlib.crc32(f"{name}-{seed}".encode()))
+        arrays = [_draw(rng, shape, special) for shape in shapes]
+        for with_prior in (False, True):
+            priors = [_draw(rng, shape, special) if with_prior else None
+                      for shape in shapes[:leaves]]
+            seed_grad = None
+            results = []
+            for build in (fused, chain):
+                ts = [dc.Tensor(a.copy()) for a in arrays[:leaves]]
+                with np.errstate(all="ignore"):
+                    out = build(*ts, *arrays[leaves:])
+                    if seed_grad is None:
+                        seed_grad = _draw(rng, out.shape, special)
+
+                    def seed_all(_g, out=out, ts=ts):
+                        dc._acc(out, seed_grad)
+                        for t, prior in zip(ts, priors):
+                            t.grad = None if prior is None else prior.copy()
+
+                    dc.Tensor(0.0, (*ts, out), seed_all).backward()
+                results.append([out.data] + [t.grad for t in ts])
+            for k, (got, want) in enumerate(zip(*results)):
+                assert _same_bits(got, want), (seed, with_prior, "value" if k == 0 else k - 1)
 
 
 def test_backward_shared_gradient_buffer_not_aliased():

@@ -706,6 +706,33 @@ def test_pretrain_decodes_each_group_once_through_decode_nll(monkeypatch):
         assert Counter(calls) == Counter(groups)
 
 
+def test_batch_loss_tape_size_at_the_recovery_config(monkeypatch):
+    """A minibatch of the benchmark's recovery configuration (2 GIN layers, 4
+    molecules with 4 walks of 4 nodes, three decoders) builds at most 50
+    tensors: one node per affine layer and per loss term. An unfused chain
+    fails here, not only in the benchmark's timings."""
+    cfg = small_cfg(hidden=32, decoder_hidden=32, batch_size=4, walk_length=4,
+                    walks_per_molecule=4, lr=5e-3)
+    g = walk_graph(n_mols=8)
+    store = make_store(cfg, g)
+    count = [0]
+    init = dc.Tensor.__init__
+
+    def counted(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    starts = g.molecule_ids()[:4]
+    paths = batch_walks(g, starts, cfg.walks(0))
+    noise = np.zeros((len(paths), cfg.latent_dim))
+    bound = store.bind()
+    monkeypatch.setattr(dc.Tensor, "__init__", counted)
+    batch_loss(g, starts, paths, bound, cfg.beta, noise)
+    monkeypatch.undo()
+    assert len({g.node(n).kind for path in paths for n in path.nodes}) == 3
+    assert count[0] <= 50
+
+
 def test_pretrain_missing_decoder_fails_before_training(monkeypatch):
     import infoalign.model
 
