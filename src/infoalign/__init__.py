@@ -14,7 +14,6 @@ from .ctxgraph import (
     NodeKind,
     NodeRecord,
     Relation,
-    WeightedEdge,
     build_graph_from_tables,
     min_max_scale,
 )
@@ -55,7 +54,7 @@ __all__ = [
     "InfoAlignError",
     "MolecularGraph", "MoleculeSet", "parse_many", "parse_smiles", "read_smiles_file",
     "morgan_fingerprint",
-    "ContextGraph", "NodeKind", "NodeRecord", "Relation", "WeightedEdge",
+    "ContextGraph", "NodeKind", "NodeRecord", "Relation",
     "build_graph_from_tables", "min_max_scale",
     "WalkBatch", "WalkConfig", "WalkPath", "batch_walks",
     "ModelConfig", "TrainState", "embed",

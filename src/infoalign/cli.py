@@ -255,9 +255,11 @@ def _run_pretrain(graph, opt, given: set, out: str, resume: str | None):
 
     A fresh run takes every key of `opt`; a resumed run continues the
     checkpoint and takes epochs, lr and the `given` keys, and with a seed
-    other than the checkpoint's, fresh generators.
+    other than the checkpoint's, fresh generators. A run resumed into its
+    own checkpoint keeps its log's rows of the epochs that checkpoint holds.
     """
     settings = {k: v for k, v in vars(opt).items() if k != "beta_sweep"}
+    kept = []
     if resume:
         store, base, state = load_checkpoint(resume)
         for key in _ARCHITECTURE:
@@ -265,30 +267,56 @@ def _run_pretrain(graph, opt, given: set, out: str, resume: str | None):
                 raise InfoAlignError(f"{key} {getattr(opt, key)!r} disagrees with "
                                      f"{getattr(base, key)!r} in the checkpoint {resume}")
         settings = {k: settings[k] for k in settings.keys() & (given | {"epochs", "lr"})}
+        if Path(out).resolve() == Path(resume).resolve():
+            kept = _log_rows_before(out + ".log.tsv", state.epoch)
     else:
         store, base, state = None, ModelConfig(), TrainState()
     cfg = replace(base, **settings)
     if cfg.seed != base.seed:  # fresh generators from the new seed
         state = TrainState(state.epoch)
-    with _EpochLog(out + ".log.tsv") as log:
+    with _EpochLog(out + ".log.tsv", kept) as log:
         store, _logs = pretrain(graph, cfg, store=store, log_fn=log, state=state)
     save_checkpoint(out, store, cfg, graph, state)
 
 
-class _EpochLog:
-    """A pretrain run's `.log.tsv`: a header, then one row per epoch, numbered
-    over resumes and flushed as its epoch ends, so a killed or diverging run
-    keeps the rows of the epochs it finished. The file is made with the first
-    row, or on a clean exit that logged none, so a run that fails before an
-    epoch ends leaves no file."""
+def _log_rows_before(path: str, epoch: int) -> list:
+    """The rows of the `.log.tsv` at `path` of the epochs below `epoch`, none
+    if there is no such file. Later rows are of a resumed run that was killed
+    before it saved its checkpoint. A row whose epoch is not an integer
+    raises TableFormatError naming its line."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)
+    except FileNotFoundError:
+        return []
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        field = line.split("\t", 1)[0]
+        try:
+            if int(field) < epoch:
+                rows.append(line)
+        except ValueError:
+            raise TableFormatError(f"{path}:{lineno}: epoch {field.strip()!r} is not an "
+                                   f"integer") from None
+    return rows
 
-    def __init__(self, path: str):
+
+class _EpochLog:
+    """A pretrain run's `.log.tsv`: a header, the `kept` rows of earlier runs,
+    then one row per epoch, numbered over resumes and flushed as its epoch
+    ends, so a killed or diverging run keeps the rows of the epochs it
+    finished. The file is made with the first row, or on a clean exit that
+    logged none, so a run that fails before an epoch ends leaves no file, or
+    the file it found."""
+
+    def __init__(self, path: str, kept=()):
         self.path = path
+        self._kept = kept
         self._file = None
 
     def _open(self):
         self._file = open(self.path, "w", encoding="utf-8")
         self._file.write("epoch\ttotal\tkl\tbeta\trecon\n")
+        self._file.writelines(self._kept)
 
     def __call__(self, epoch: int, br):
         if self._file is None:
@@ -317,7 +345,7 @@ def cmd_pretrain(args) -> int:
                              f"got {opt.beta_sweep!r}")
     graph = ContextGraph.load(args.graph)
     try:
-        graph.parse_molecules()
+        graph.molecules()
     except SmilesError as exc:
         raise CorruptFileError(f"{args.graph}: {exc}") from None
     if not args.resume:  # a resume keeps the checkpoint's, which must have its decoder

@@ -7,14 +7,15 @@ cosine threshold (0.8) combined with a top-fraction sparsity filter (keep
 0.5% of all intra-kind pairs). After ``finalize()`` the graph is immutable
 and exposes its effective neighbours as CSR arrays for the walker; a pair
 connected by several relations is seen by the walker as one effective edge
-at the max weight.
+at the max weight. Molecule nodes keep their SMILES; `molecules()` parses
+them all into one `MoleculeSet` on first use.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -31,7 +32,9 @@ from .errors import (
     UnknownNodeError,
 )
 from .fingerprint import morgan_fingerprint
-from .molparse import MolecularGraph, parse_many, parse_smiles
+# `parse_smiles` is not called here: perfbench/tracer.py wraps it under this
+# module's name, so a traced run needs it importable from ctxgraph.
+from .molparse import MoleculeSet, parse_many, parse_smiles
 
 MAGIC = b"CTXG"
 # Rows of the cosine matrix computed at a time by build_similarity_edges.
@@ -59,16 +62,9 @@ class NodeRecord:
     features: np.ndarray
     source_tag: str = ""
     smiles: Optional[str] = None
-    mol: Optional[MolecularGraph] = field(default=None, repr=False)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float32)
-
-    def molecule(self) -> Optional[MolecularGraph]:
-        """The molecular graph, parsed from `smiles` on first use."""
-        if self.mol is None and self.smiles and self.kind is NodeKind.MOLECULE:
-            self.mol = parse_smiles(self.smiles)
-        return self.mol
 
     @property
     def modality_dim(self) -> int:
@@ -89,18 +85,6 @@ class CsrAdjacency(NamedTuple):
     neighbors: np.ndarray
     weights: np.ndarray
     cdf: np.ndarray
-
-
-@dataclass(frozen=True)
-class WeightedEdge:
-    a: str
-    b: str
-    relation: Relation
-    weight: float
-
-    @property
-    def endpoints(self) -> Tuple[str, str]:
-        return (self.a, self.b)
 
 
 def min_max_scale(columns) -> np.ndarray:
@@ -167,12 +151,9 @@ class ContextGraph:
         self._csr: Optional[CsrAdjacency] = None
         self._stats: Optional[dict] = None
         self._edge_items: Optional[List[Tuple[Tuple[str, str, Relation], float]]] = None
+        self._molecules: Optional[Tuple[MoleculeSet, Dict[str, int]]] = None
 
     # --- accessors -------------------------------------------------------
-
-    @property
-    def finalized(self) -> bool:
-        return self._finalized
 
     def node_ids(self) -> List[str]:
         return list(self._nodes)
@@ -195,34 +176,22 @@ class ContextGraph:
             self._edge_items = items
         return items
 
-    def edges(self) -> List[WeightedEdge]:
-        return [WeightedEdge(a, b, rel, w) for (a, b, rel), w in self._sorted_edges()]
-
     def molecule_ids(self) -> List[str]:
         return [nid for nid, rec in self._nodes.items() if rec.kind is NodeKind.MOLECULE]
 
-    def parse_molecules(self) -> None:
-        """Parse the SMILES of every molecule node not parsed yet, in one
-        `parse_many` call. A SMILES that does not parse raises its
-        SmilesError, naming the node."""
-        todo = [rec for rec in self._nodes.values()
-                if rec.kind is NodeKind.MOLECULE and rec.mol is None and rec.smiles]
-        try:
-            mols = parse_many([rec.smiles for rec in todo])
-        except SmilesError as exc:
-            raise type(exc)(f"molecule node {todo[exc.index].id!r}: {exc}") from None
-        for k, rec in enumerate(todo):
-            rec.mol = mols.molecule(k)
-
-    def neighbors(self, node_id: str) -> List[Tuple[str, float]]:
-        """Effective neighbors (max weight per pair) in id order; requires a
-        finalized graph."""
-        csr = self.csr()
-        self.node(node_id)
-        i = csr.index[node_id]
-        lo, hi = csr.indptr[i], csr.indptr[i + 1]
-        return list(zip([csr.ids[j] for j in csr.neighbors[lo:hi].tolist()],
-                        csr.weights[lo:hi].tolist()))
+    def molecules(self) -> Tuple[MoleculeSet, Dict[str, int]]:
+        """The SMILES of the molecule nodes that have one as one set, parsed
+        in one `parse_many` call on first use, and each such node's row in it.
+        A SMILES that does not parse raises its SmilesError, naming the node."""
+        if self._molecules is None:
+            recs = [rec for rec in self._nodes.values()
+                    if rec.kind is NodeKind.MOLECULE and rec.smiles]
+            try:
+                mols = parse_many([rec.smiles for rec in recs])
+            except SmilesError as exc:
+                raise type(exc)(f"molecule node {recs[exc.index].id!r}: {exc}") from None
+            self._molecules = (mols, {rec.id: k for k, rec in enumerate(recs)})
+        return self._molecules
 
     def csr(self) -> CsrAdjacency:
         """The walker's neighbour arrays; requires a finalized graph."""
@@ -243,11 +212,11 @@ class ContextGraph:
 
     def add_node(self, rec: NodeRecord) -> str:
         self._check_new_id(rec.id)
-        rec.molecule()
         self._nodes[rec.id] = rec
+        self._molecules = None
         return rec.id
 
-    def add_edge(self, a: str, b: str, relation: Relation, weight: float) -> WeightedEdge:
+    def add_edge(self, a: str, b: str, relation: Relation, weight: float) -> None:
         self._check_mutable()
         if a == b:
             raise SelfLoopError(f"self-loop on {a!r}")
@@ -257,7 +226,6 @@ class ContextGraph:
             raise ValueError(f"edge weight must be in (0, 1], got {weight}")
         lo, hi = _pair_key(a, b)
         self._edges[(lo, hi, relation)] = float(weight)
-        return WeightedEdge(lo, hi, relation, float(weight))
 
     def build_similarity_edges(
         self, kind: NodeKind, threshold: float = 0.8, keep_fraction: float = 0.005
@@ -423,9 +391,8 @@ class ContextGraph:
 
     @classmethod
     def load(cls, path) -> "ContextGraph":
-        """Read a saved graph. Molecule SMILES are parsed on first use
-        (`NodeRecord.molecule`, or all at once by `parse_molecules`), not
-        here: walking needs none of them."""
+        """Read a saved graph. Molecule SMILES are parsed on first use, all at
+        once by `molecules()`, not here: walking needs none of them."""
         meta, arrays = serialize.read_container(path, MAGIC)
         flat = arrays[0].astype(np.float32)
         g = cls()
@@ -453,8 +420,7 @@ def load_node_table(path, fp_radius: int = 2, fp_bits: int = 1024,
     Molecule rows carry a SMILES column instead of inline features; the
     SMILES are parsed in one `parse_many` call (a bad one raises
     TableFormatError naming its line), and the set is fingerprinted in one
-    `morgan_fingerprint` call. Each molecule record keeps its graph, so
-    `ContextGraph.add_node` parses nothing again.
+    `morgan_fingerprint` call; the records keep the SMILES, not the set.
     Non-molecule features are min-max scaled per (kind, dimension) group
     before the records are returned. A node id given twice raises
     TableFormatError naming both lines. Every feature row of a kind in
@@ -519,8 +485,7 @@ def load_node_table(path, fp_radius: int = 2, fp_bits: int = 1024,
     k = 0  # molecules so far
     for i, (_lineno, nid, kind, tag, payload) in enumerate(raw):
         if kind is NodeKind.MOLECULE:
-            records.append(NodeRecord(nid, kind, fps[k], tag, smiles=payload,
-                                      mol=mols.molecule(k)))
+            records.append(NodeRecord(nid, kind, fps[k], tag, smiles=payload))
             k += 1
         else:
             records.append(NodeRecord(nid, kind, scaled[i].astype(np.float32), tag))

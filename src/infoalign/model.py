@@ -10,9 +10,10 @@ the alpha-weighted reconstruction NLLs over the path length and adds a
 beta-weighted KL to the standard-normal prior. The start molecule's own
 fingerprint is always a target with alpha = 1.
 
-Training evaluates a whole minibatch in one tape (`batch_loss`): the
-molecules are encoded together as one block-diagonal graph and every target
-of one (kind, dim) is decoded as one matrix, by `decode_nll`.
+Training evaluates a whole minibatch in one tape (`batch_loss`): the start
+molecules are taken from the graph's parsed `MoleculeSet` and encoded
+together as one block-diagonal graph (`encode_union`), and every target of
+one (kind, dim) is decoded as one matrix, by `decode_nll`.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from . import diffcore as dc
-from .ctxgraph import ContextGraph, NodeKind, NodeRecord
+from .ctxgraph import ContextGraph, NodeKind
 from .errors import CorruptFileError, NoDecoderError, PathMismatchError, ShapeMismatchError
-from .molparse import ELEMENTS, BondOrder, MolecularGraph, MoleculeSet, union
+from .molparse import ELEMENTS, BondOrder, MolecularGraph, MoleculeSet
 from .walker import WalkConfig, WalkPath, batch_walks
 
 ATOM_FEATURE_DIM = len(ELEMENTS) + 5 + 1 + 6  # element, charge in [-2,2], aromatic, degree 0-5
@@ -186,12 +187,6 @@ def atom_features(g: MolecularGraph) -> np.ndarray:
     return x
 
 
-def encode_batch(mols: Sequence[MolecularGraph], bound: Dict[str, dc.Tensor]) -> EncoderOutput:
-    """Sum-readout GIN encoder over a batch of molecules; row k is mols[k].
-    The batch is encoded as its `union` (`encode_union`)."""
-    return encode_union(*union(mols), len(mols), bound)
-
-
 def encode_union(g: MolecularGraph, segment: np.ndarray, count: int,
                  bound: Dict[str, dc.Tensor]) -> EncoderOutput:
     """Sum-readout GIN encoder over the `count` molecules laid out as the one
@@ -224,8 +219,10 @@ def encode_union(g: MolecularGraph, segment: np.ndarray, count: int,
 
 
 def gin_encode(g: MolecularGraph, bound: Dict[str, dc.Tensor]) -> EncoderOutput:
-    """`encode_batch` of one molecule: mu and logvar of shape (1, D)."""
-    return encode_batch([g], bound)
+    """`encode_union` of one molecule: mu and logvar of shape (1, D). Nothing
+    in the package calls it: it stays because perfbench/tracer.py wraps this
+    name."""
+    return encode_union(g, np.zeros(len(g.element), dtype=np.intp), 1, bound)
 
 
 def reparameterize(out: EncoderOutput, noise) -> dc.Tensor:
@@ -266,13 +263,6 @@ def decode_nll(z: dc.Tensor, targets: np.ndarray, kind: NodeKind,
                      y, likelihood)
 
 
-def _start_molecule(graph: ContextGraph, node_id: str) -> NodeRecord:
-    rec = graph.node(node_id)
-    if rec.kind is not NodeKind.MOLECULE or rec.molecule() is None:
-        raise PathMismatchError(f"path must start at a molecule node, got {node_id!r}")
-    return rec
-
-
 def infoalign_loss(graph: ContextGraph, path: WalkPath,
                    bound: Dict[str, dc.Tensor], beta: float, noise,
                    likelihood: str = "bernoulli") -> Tuple[dc.Tensor, LossBreakdown]:
@@ -292,15 +282,18 @@ def batch_loss(graph: ContextGraph, starts: Sequence[str], paths: Sequence[WalkP
     own features (alpha = 1) plus every walked node with its cumulative path
     weight. `paths` holds the same number of walks per start, grouped in starts
     order, and `noise` one row per path. The whole batch is one tape: the
-    start molecules are encoded once, together, and every target of one
-    (kind, dim) is decoded as one matrix, each row weighted by
-    alpha / (L * walks per start * starts). The breakdown holds the same
-    batch means.
+    start molecules are taken from `graph.molecules()` and encoded once,
+    together, and every target of one (kind, dim) is decoded as one matrix,
+    each row weighted by alpha / (L * walks per start * starts). The
+    breakdown holds the same batch means.
     """
     if not starts or len(paths) % len(starts):
         raise ValueError(f"{len(paths)} paths for {len(starts)} start molecules")
     per_mol = len(paths) // len(starts)
-    recs = [_start_molecule(graph, s) for s in starts]
+    mols, row = graph.molecules()
+    for s in starts:
+        if s not in row:
+            raise PathMismatchError(f"path must start at a molecule node, got {s!r}")
     # (kind, dim) -> (walk index, features, alpha, walk node count) per target
     targets: Dict[Tuple[NodeKind, int], list] = {}
     for w, path in enumerate(paths):
@@ -311,7 +304,8 @@ def batch_loss(graph: ContextGraph, starts: Sequence[str], paths: Sequence[WalkP
             rec = graph.node(nid)
             targets.setdefault((rec.kind, rec.modality_dim), []).append(
                 (w, rec.features, alpha, len(path.nodes)))
-    out = encode_batch([rec.mol for rec in recs], bound)
+    batch = MoleculeSet.of([mols.molecule(row[s]) for s in starts])
+    out = encode_union(*batch.block(0, len(starts)), len(starts), bound)
     walk_mol = dc.RowIndex(np.repeat(np.arange(len(starts)), per_mol), len(starts))
     z = reparameterize(EncoderOutput(dc.gather_rows(out.mu, walk_mol),
                                      dc.gather_rows(out.logvar, walk_mol)), noise)
@@ -353,12 +347,12 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig, store: Optional[dc.ParamStor
     store gets one decoder per featured (kind, dim) of the graph. Every
     featured (kind, dim) of the graph needs a decoder in the store, or
     NoDecoderError is raised before any step. The graph's molecules are
-    parsed together before the first step (`ContextGraph.parse_molecules`),
-    so a bad SMILES raises its SmilesError, naming the node, before any step
-    too. A non-finite loss or gradient raises FloatingPointError naming the
-    epoch and the batch. `log_fn(epoch, breakdown)`, if given, is called as
-    each epoch ends, with the epoch numbered over resumes. Returns the store
-    and the per-epoch mean loss breakdowns.
+    parsed together before the first step (`ContextGraph.molecules`), so a
+    bad SMILES raises its SmilesError, naming the node, before any step too.
+    A non-finite loss or gradient raises FloatingPointError naming the epoch
+    and the batch. `log_fn(epoch, breakdown)`, if given, is called as each
+    epoch ends, with the epoch numbered over resumes. Returns the store and
+    the per-epoch mean loss breakdowns.
     """
     needed = feature_keys(graph)
     if store is None:
@@ -373,7 +367,7 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig, store: Optional[dc.ParamStor
     mols = graph.molecule_ids()
     if not mols:
         raise ValueError("graph has no molecule nodes")
-    graph.parse_molecules()
+    graph.molecules()
     state = TrainState() if state is None else state
     rngs = {"shuffle": dc.seeded_rng(cfg.seed, _SHUFFLE_STREAM),
             "noise": dc.seeded_rng(cfg.seed, _NOISE_STREAM)}
@@ -451,15 +445,16 @@ def embed(store: dc.ParamStore, molecules: MoleculeSet) -> np.ndarray:
     one-molecule set is encoded beside a copy of itself. Raises
     FloatingPointError if a row is not finite.
     """
-    if len(molecules) == 0:
+    n = len(molecules)
+    if n == 0:
         return np.zeros((0, store.params["head_mu.w0"].shape[1]))
-    bound = store.bind()
-    if len(molecules) == 1:
+    if n == 1:
         one = molecules.molecule(0)
-        return dc.require_finite(encode_batch([one, one], bound).mu.data[:1], "embedding")
+        molecules = MoleculeSet.of([one, one])
+    bound = store.bind()
     blocks = [encode_union(*molecules.block(lo, hi), hi - lo, bound).mu.data
               for lo, hi in _embed_blocks(molecules.atom_start, _EMBED_ATOMS)]
-    return dc.require_finite(np.concatenate(blocks), "embedding")
+    return dc.require_finite(np.concatenate(blocks)[:n], "embedding")
 
 
 def save_checkpoint(path, store: dc.ParamStore, cfg: ModelConfig, graph: ContextGraph,

@@ -26,7 +26,7 @@ edge index. `parse_many` parses a whole list of SMILES into one
 `MoleculeSet`: one such graph, the disjoint union of the molecules, with the
 atom and bond offsets of each, which the fingerprint hash and the encoder
 read in blocks. `parse_smiles` is its one-molecule case, so there is one
-grammar; `union` lays out a set of parsed molecules the same way.
+grammar; `MoleculeSet.of` lays out a list of parsed molecules the same way.
 """
 
 from __future__ import annotations
@@ -93,10 +93,10 @@ class MolecularGraph:
 
 @dataclass(frozen=True, eq=False)
 class MoleculeSet:
-    """Molecules laid out as one graph, the disjoint union `union` returns:
-    molecule i is atoms atom_start[i]:atom_start[i + 1] and bonds
+    """Molecules laid out as one graph, their disjoint union: molecule i is
+    atoms atom_start[i]:atom_start[i + 1] and bonds
     bond_start[i]:bond_start[i + 1] of `graph`, its bond endpoints offset by
-    atom_start[i]."""
+    atom_start[i], the block-diagonal batch of PyG."""
 
     graph: MolecularGraph
     atom_start: np.ndarray  # (molecules + 1,) intp
@@ -122,8 +122,8 @@ class MoleculeSet:
         return self._slice(i, i + 1)
 
     def block(self, lo: int, hi: int) -> Tuple[MolecularGraph, np.ndarray]:
-        """The `union` of molecules lo to hi - 1: their graph, and each of
-        its atoms' molecule index counted from lo."""
+        """Molecules lo to hi - 1 as one graph, and each of its atoms'
+        molecule index counted from lo."""
         atoms = np.diff(self.atom_start[lo : hi + 1])
         return self._slice(lo, hi), np.repeat(np.arange(hi - lo), atoms)
 
@@ -291,14 +291,6 @@ def parse_smiles(text: str) -> MolecularGraph:
     UnsupportedFeatureError; never returns a partially built graph.
     """
     return parse_many([text]).graph
-
-
-def union(mols: Sequence[MolecularGraph]) -> Tuple[MolecularGraph, np.ndarray]:
-    """The disjoint union of a molecule set, and the index into `mols` of
-    each of its atoms. Atoms and bonds keep their input order; each
-    molecule's bond endpoints are offset past the atoms before it, the
-    block-diagonal batch of PyG."""
-    return MoleculeSet.of(mols).block(0, len(mols))
 
 
 def read_smiles_file(path) -> List[Tuple[int, str]]:

@@ -21,9 +21,14 @@ check the fused nodes and not themselves.
 token table replaced; it keeps its own bond-symbol table and charge limit.
 `reference_probe_train` is the probe fit that builds both losses on every
 entry and masks one away, which a fit of one task type no longer does.
+`union` lays out a list of parsed molecules as one graph one molecule at a
+time, which `MoleculeSet.of(mols).block(0, len(mols))` does at once.
+`neighbors` reads one node's row of the walker's CSR arrays as the
+(neighbour id, weight) pairs that `ContextGraph.neighbors` returned.
 """
 
 import struct
+from dataclasses import fields
 from typing import List, Set, Tuple
 
 import numpy as np
@@ -37,7 +42,7 @@ from infoalign.errors import (
 )
 from infoalign.evalkit import CLASSIFICATION, ProbeHead
 from infoalign.model import ATOM_FEATURE_DIM, LossBreakdown, decoder_prefix, gin_encode
-from infoalign.molparse import AROMATIC_ELEMENTS, ELEMENTS, BondOrder, MolecularGraph
+from infoalign.molparse import AROMATIC_ELEMENTS, ELEMENTS, BondOrder, MolecularGraph, parse_smiles
 
 _FNV_OFFSET = 14695981039346656037
 _FNV_PRIME = 1099511628211
@@ -145,6 +150,31 @@ def reference_environment_identifiers(g: MolecularGraph, radius: int) -> set:
         ids = nxt
         collected.update(ids)
     return collected
+
+
+def union(mols: List[MolecularGraph]) -> Tuple[MolecularGraph, np.ndarray]:
+    """The disjoint union of `mols`, built one molecule at a time: each array
+    their concatenation, each molecule's bond endpoints offset past the atoms
+    before it, and each atom's index into `mols`."""
+    arrays = {f.name: [] for f in fields(MolecularGraph)}
+    segment: List[int] = []
+    for k, m in enumerate(mols):
+        for name, parts in arrays.items():
+            parts.append(m.bonds + len(segment) if name == "bonds" else getattr(m, name))
+        segment += [k] * len(m.element)
+    return (MolecularGraph(**{name: np.concatenate(parts) for name, parts in arrays.items()}),
+            np.array(segment, dtype=np.intp))
+
+
+def neighbors(g, node_id: str) -> List[Tuple[str, float]]:
+    """Effective neighbours of `node_id` (max weight per pair) in id order,
+    read from the finalized graph's CSR row."""
+    csr = g.csr()
+    g.node(node_id)
+    i = csr.index[node_id]
+    lo, hi = csr.indptr[i], csr.indptr[i + 1]
+    return list(zip([csr.ids[j] for j in csr.neighbors[lo:hi].tolist()],
+                    csr.weights[lo:hi].tolist()))
 
 
 def reference_scatter_add(base: np.ndarray, index, values: np.ndarray) -> np.ndarray:
@@ -256,7 +286,7 @@ def reference_walk_loss(graph, path, bound, beta: float, noise, likelihood: str 
     decoders are the unfused chains.
     """
     start = graph.node(path.nodes[0])
-    out = gin_encode(start.mol, bound)
+    out = gin_encode(parse_smiles(start.smiles), bound)
     z = composed_sample(out.mu, out.logvar, np.reshape(noise, (1, -1)))
     kl = composed_kl(out.mu, out.logvar)
     targets = [(start.features.astype(np.float64), start.kind, 1.0)]

@@ -351,6 +351,40 @@ def test_pretrain_resume_equals_straight_run(synth_graph, tmp_path, walks):
     assert straight[2].startswith("1\t")
 
 
+@pytest.mark.parametrize("killed", [False, True], ids=["clean", "after-killed-resume"])
+def test_pretrain_resume_into_itself_keeps_earlier_log_rows(synth_graph, tmp_path, killed):
+    """2 epochs, then --resume X --out X for 1 more: the log and checkpoint are
+    those of one 3-epoch run, byte for byte. Rows past the checkpoint's
+    epochs, left by a resume killed before it saved, are dropped."""
+    flags = [*PRETRAIN_SMALL, "--seed", 5, "--lr", 5e-3, "--batch-size", 4]
+    straight, ck = tmp_path / "straight", tmp_path / "ck"
+    assert run(["pretrain", "--graph", synth_graph, "--out", straight, "--epochs", 3,
+                *flags]) == 0
+    assert run(["pretrain", "--graph", synth_graph, "--out", ck, "--epochs", 2, *flags]) == 0
+    log = Path(f"{ck}.log.tsv")
+    if killed:
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write("2\t9.5\t1\t1e-09\tmolecule=9\n3\t9.")
+    assert run(["pretrain", "--graph", synth_graph, "--out", ck, "--resume", ck,
+                "--epochs", 1, "--lr", 5e-3]) == 0
+    assert ck.read_bytes() == straight.read_bytes()
+    assert log.read_bytes() == Path(f"{straight}.log.tsv").read_bytes()
+
+
+def test_pretrain_resume_into_itself_bad_log_row_exit_1(synth_graph, tmp_path, capsys):
+    ck = tmp_path / "ck"
+    assert run(["pretrain", "--graph", synth_graph, "--out", ck, "--epochs", 1,
+                *PRETRAIN_SMALL]) == 0
+    log = Path(f"{ck}.log.tsv")
+    text = log.read_text().replace("\n0\t", "\nzero\t")
+    log.write_text(text)
+    before = ck.read_bytes()
+    assert run(["pretrain", "--graph", synth_graph, "--out", ck, "--resume", ck,
+                "--epochs", 1]) == 1
+    assert capsys.readouterr().err == f"error: {log}:2: epoch 'zero' is not an integer\n"
+    assert ck.read_bytes() == before and log.read_text() == text
+
+
 def test_pretrain_resume_new_seed_draws_fresh_streams(synth_graph, tmp_path):
     """A resume given another seed draws the new seed's streams at the continued
     epoch index, the same bytes as continuing through the library so."""
@@ -522,6 +556,24 @@ def test_pretrain_bad_smiles_in_graph_exit_1_before_training(synth_graph, tmp_pa
     assert capsys.readouterr().err == (
         f"error: {bad}: molecule node {node['id']!r}: dangling ring closure digit(s): [1]\n")
     assert not ck.exists() and not Path(f"{ck}.log.tsv").exists()
+
+
+def test_pretrain_parses_the_graph_once(synth_graph, tmp_path, monkeypatch):
+    """`cmd_pretrain`'s early check parses every molecule of the graph in one
+    `parse_many` call, and each run of a beta sweep reuses that set."""
+    from infoalign import ctxgraph
+
+    calls = []
+    parse = ctxgraph.parse_many
+
+    def counting_parse(texts):
+        calls.append(len(texts))
+        return parse(texts)
+
+    monkeypatch.setattr(ctxgraph, "parse_many", counting_parse)
+    assert run(["pretrain", "--graph", synth_graph, "--out", tmp_path / "ck", "--epochs", 1,
+                "--beta-sweep", "1e-9,0.1", *PRETRAIN_SMALL]) == 0
+    assert calls == [12]
 
 
 def test_pretrain_diverging_run_stderr_is_one_line(synth_graph, tmp_path, capfd):

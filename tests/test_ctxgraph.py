@@ -1,6 +1,6 @@
 """Context-graph tests: construction rules, the brute-force similarity-edge
-oracle and the full-sort oracle of its keep cut, merging, persistence, and
-TSV ingestion."""
+oracle and the full-sort oracle of its keep cut, merging, persistence, the
+deferred molecule parse, and TSV ingestion."""
 
 import math
 
@@ -29,9 +29,12 @@ from infoalign.errors import (
     RingUnclosedError,
     SelfLoopError,
     TableFormatError,
+    UnbalancedParenError,
     UnknownNodeError,
 )
-from tests.oracles import reference_top_pairs
+from infoalign.molparse import parse_many
+from infoalign.walker import WalkConfig, batch_walks
+from tests.oracles import neighbors, reference_top_pairs
 
 
 def rec(nid, kind=NodeKind.CELL_MORPHOLOGY, feats=(0.5,)):
@@ -68,16 +71,17 @@ def test_finalized_rejects_mutation():
 def test_molecule_node_parses_smiles():
     g = ContextGraph()
     g.add_node(mol("m1", "c1ccccc1"))
-    assert g.node("m1").mol is not None
-    assert len(g.node("m1").mol.element) == 6
+    mols, row = g.molecules()
+    assert row == {"m1": 0}
+    assert len(mols.molecule(0).element) == 6
 
 
 def test_perturbation_edge_weight_forced_one():
     g = ContextGraph()
     g.add_node(rec("a"))
     g.add_node(rec("b"))
-    e = g.add_edge("a", "b", Relation.PERTURBATION, 1.0)
-    assert e.weight == 1.0
+    assert g.add_edge("b", "a", Relation.PERTURBATION, 1.0) is None
+    assert g._edges == {("a", "b", Relation.PERTURBATION): 1.0}
     with pytest.raises(SelfLoopError):
         g.add_edge("a", "a", Relation.PERTURBATION, 1.0)
     with pytest.raises(UnknownNodeError):
@@ -100,8 +104,8 @@ def test_undirected_neighbors_same_weight():
     g.add_node(rec("b"))
     g.add_edge("a", "b", Relation.SIMILARITY, 0.9)
     g.finalize()
-    assert g.neighbors("a") == [("b", 0.9)]
-    assert g.neighbors("b") == [("a", 0.9)]
+    assert neighbors(g, "a") == [("b", 0.9)]
+    assert neighbors(g, "b") == [("a", 0.9)]
 
 
 def test_max_weight_effective_edge():
@@ -112,8 +116,8 @@ def test_max_weight_effective_edge():
     g.add_edge("a", "b", Relation.SIMILARITY, 0.85)
     g.add_edge("a", "b", Relation.PERTURBATION, 1.0)
     g.finalize()
-    assert len(g.edges()) == 2          # both relations stored
-    assert g.neighbors("a") == [("b", 1.0)]  # walker sees max weight
+    assert len(g._edges) == 2          # both relations stored
+    assert neighbors(g, "a") == [("b", 1.0)]  # walker sees max weight
 
 
 # --- min-max scaling -----------------------------------------------------------
@@ -175,7 +179,7 @@ def test_identical_vectors_edge_weight_one():
     added = g.build_similarity_edges(NodeKind.CELL_MORPHOLOGY, keep_fraction=1.0)
     assert added == 1
     g.finalize()
-    assert g.neighbors("a") == [("b", 1.0)]
+    assert neighbors(g, "a") == [("b", 1.0)]
 
 
 def test_below_threshold_no_edge():
@@ -395,7 +399,7 @@ def test_top_pairs_equals_full_sort_on_tie_heavy_features(data):
             graphs.append(g)
     new, ref = graphs
     assert list(new._edges.items()) == list(ref._edges.items())  # same order and weights
-    assert new.finalize().edges() == ref.finalize().edges()
+    assert new.finalize()._sorted_edges() == ref.finalize()._sorted_edges()
 
 
 def test_top_pairs_keep_zero_is_empty():
@@ -441,7 +445,7 @@ def test_stats_counts():
     assert s["nodes_by_kind"]["molecule"] == 30
     assert s["nodes_by_kind"]["cell_morphology"] == 30
     assert s["edges_by_relation"]["perturbation"] == 30
-    assert s["nodes"] == len(g.node_ids()) and s["edges"] == len(g.edges())
+    assert s["nodes"] == len(g.node_ids()) and s["edges"] == len(g._edges)
 
 
 def test_finalize_validates_ranges():
@@ -476,34 +480,11 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_load_parses_each_molecule_once_on_first_use(tmp_path, monkeypatch):
-    import infoalign.ctxgraph as ctxgraph
-
+    """`load` parses no SMILES; the first `molecules()` parses every molecule
+    node's in one `parse_many` call, and later calls reuse that set."""
     g = build_random_graph(seed=1)
     p = tmp_path / "g.ctxg"
     g.save(p)
-    calls = []
-    parse = ctxgraph.parse_smiles
-
-    def counting_parse(smiles):
-        calls.append(smiles)
-        return parse(smiles)
-
-    monkeypatch.setattr(ctxgraph, "parse_smiles", counting_parse)
-    g2 = ContextGraph.load(p)
-    assert calls == []
-    rec = g2.node("m03")
-    mol = rec.molecule()
-    assert rec.molecule() is mol and rec.mol is mol
-    assert calls == ["CCO"]
-    assert np.array_equal(mol.element, g.node("m03").mol.element)
-
-
-def test_parse_molecules_parses_the_unparsed_nodes_in_one_call(tmp_path, monkeypatch):
-    g = build_random_graph(seed=1)
-    p = tmp_path / "g.ctxg"
-    g.save(p)
-    g2 = ContextGraph.load(p)
-    first = g2.node("m03").molecule()
     calls = []
     parse = ctxgraph.parse_many
 
@@ -512,18 +493,33 @@ def test_parse_molecules_parses_the_unparsed_nodes_in_one_call(tmp_path, monkeyp
         return parse(texts)
 
     monkeypatch.setattr(ctxgraph, "parse_many", counting_parse)
-    g2.parse_molecules()
-    others = [m for m in g2.molecule_ids() if m != "m03"]
-    assert calls == [[g2.node(m).smiles for m in others]]
-    assert g2.node("m03").mol is first
-    for m in g2.molecule_ids():
-        for name in ("element", "charge", "aromatic", "degree", "bonds", "order"):
-            assert np.array_equal(getattr(g2.node(m).mol, name), getattr(g.node(m).mol, name))
-    g2.parse_molecules()
-    assert calls[1:] == [[]]
+    g2 = ContextGraph.load(p)
+    assert calls == []
+    first = g2.molecules()
+    assert calls == [[g2.node(m).smiles for m in g2.molecule_ids()]]
+    assert g2.molecules() is first
+    assert len(calls) == 1
 
 
-def test_parse_molecules_names_the_node_of_a_bad_smiles(tmp_path):
+def test_molecules_parses_every_molecule_node_in_one_call():
+    """The set is `parse_many` of the molecule nodes' SMILES in node order; a
+    molecule node without SMILES gets no row, and adding a node drops the
+    set parsed before it."""
+    g = ContextGraph()
+    for nid, smiles in [("m2", "c1ccccc1"), ("c0", None), ("m0", "CCO"), ("bare", None)]:
+        g.add_node(mol(nid, smiles) if smiles or nid == "bare" else rec(nid))
+    mols, row = g.molecules()
+    assert row == {"m2": 0, "m0": 1}
+    want = parse_many(["c1ccccc1", "CCO"])
+    for name in ("element", "charge", "aromatic", "degree", "bonds", "order"):
+        assert getattr(mols.graph, name).tobytes() == getattr(want.graph, name).tobytes()
+    assert mols.atom_start.tolist() == want.atom_start.tolist()
+    g.add_node(mol("m1", "C"))
+    assert g.molecules()[1] == {"m2": 0, "m0": 1, "m1": 2}
+    assert len(g.molecules()[0]) == 3
+
+
+def test_molecules_names_the_node_of_a_bad_smiles(tmp_path):
     g = build_random_graph(seed=1)
     p = tmp_path / "g.ctxg"
     g.save(p)
@@ -534,7 +530,29 @@ def test_parse_molecules_names_the_node_of_a_bad_smiles(tmp_path):
     g2 = ContextGraph.load(p)
     with pytest.raises(RingUnclosedError,
                        match=rf"^molecule node '{bad['id']}': dangling ring closure"):
-        g2.parse_molecules()
+        g2.molecules()
+
+
+def test_add_node_defers_a_bad_smiles_to_molecules(tmp_path):
+    """A graph built by `add_node` with a SMILES that does not parse can be
+    finalized, saved, loaded and walked; `molecules()` then raises, naming
+    the node."""
+    g = ContextGraph()
+    g.add_node(mol("m0", "CCO"))
+    g.add_node(mol("m1", "C(C"))
+    g.add_node(rec("c0"))
+    g.add_edge("m0", "c0", Relation.PERTURBATION, 1.0)
+    g.add_edge("m1", "c0", Relation.PERTURBATION, 1.0)
+    g.finalize()
+    p = tmp_path / "g.ctxg"
+    g.save(p)
+    g2 = ContextGraph.load(p)
+    walks = batch_walks(g2, ["m0", "m1"], WalkConfig(length=3, walks_per_molecule=2))
+    assert [w.nodes[:2] for w in walks] == [["m0", "c0"]] * 2 + [["m1", "c0"]] * 2
+    assert not any(w.truncated for w in walks)
+    for graph in (g, g2):
+        with pytest.raises(UnbalancedParenError, match=r"^molecule node 'm1': 1 unclosed"):
+            graph.molecules()
 
 
 def test_load_corrupt(tmp_path):
@@ -572,7 +590,7 @@ def write_tables(tmp_path):
 def test_load_node_table_scaling(tmp_path):
     nodes, _ = write_tables(tmp_path)
     recs = {r.id: r for r in load_node_table(nodes)}
-    assert recs["m1"].mol is not None
+    assert recs["m1"].smiles == "CCO"
     assert recs["m1"].features.sum() > 0  # fingerprint bits
     # min-max over the cell_morphology group: col0 [1,3,2] -> [0,1,0.5]; col1 [5,5,9] -> [0,0,1]
     assert np.allclose(recs["c1"].features, [0.0, 0.0])
@@ -590,7 +608,6 @@ def test_load_edge_table_perturbation_forced(tmp_path):
 def test_build_graph_from_tables(tmp_path):
     nodes, edges = write_tables(tmp_path)
     g = build_graph_from_tables(nodes, edges)
-    assert g.finalized
     assert g.stats()["nodes"] == 5 and g.stats()["edges"] == 4
 
 

@@ -32,7 +32,7 @@ from infoalign.model import (
     decoder_keys,
     decoder_prefix,
     embed,
-    encode_batch,
+    encode_union,
     feature_keys,
     gin_encode,
     infoalign_loss,
@@ -44,7 +44,7 @@ from infoalign.model import (
     reparameterize,
     save_checkpoint,
 )
-from infoalign.molparse import MoleculeSet, parse_many, parse_smiles, union
+from infoalign.molparse import MoleculeSet, parse_many, parse_smiles
 from infoalign.synth import SyntheticSpec, generate
 from infoalign.walker import WalkConfig, WalkPath, batch_walks
 from tests.oracles import (
@@ -54,6 +54,7 @@ from tests.oracles import (
     reference_scatter_add,
     reference_walk_loss,
     scanned_neighbors,
+    union,
 )
 from tests.test_fingerprint import permute_graph
 from tests.test_molparse import smiles_strings
@@ -78,11 +79,16 @@ def tiny_graph(n_mols=6, seed=0, fp_bits=64):
         mol = parse_smiles(smi)
         g.add_node(NodeRecord(f"m{i}", NodeKind.MOLECULE,
                               morgan_fingerprint(MoleculeSet.of([mol]), 2, fp_bits)[0],
-                              smiles=smi, mol=mol))
+                              smiles=smi))
         g.add_node(NodeRecord(f"c{i}", NodeKind.CELL_MORPHOLOGY,
                               rng.uniform(0, 1, 5).astype(np.float32)))
         g.add_edge(f"m{i}", f"c{i}", Relation.PERTURBATION, 1.0)
     return g.finalize()
+
+
+def encode_batch(mols, bound):
+    """The encoder over a list of molecules laid out by the `union` oracle."""
+    return encode_union(*union(mols), len(mols), bound)
 
 
 def make_store(cfg, graph):
@@ -417,7 +423,7 @@ def test_loss_formula_weighted_terms():
     bound = store.bind()
     noise = np.zeros((1, cfg.latent_dim))
     # recompute the pieces independently
-    out = gin_encode(g.node("m0").mol, bound)
+    out = gin_encode(parse_smiles(g.node("m0").smiles), bound)
     z = reparameterize(out, noise)
     nll_self = decode_nll(z, g.node("m0").features[None], NodeKind.MOLECULE, bound).data.sum()
     nll_c = decode_nll(z, g.node("c0").features[None], NodeKind.CELL_MORPHOLOGY,
@@ -491,7 +497,7 @@ def walk_graph(n_mols=7):
         mol = parse_smiles(smi)
         g.add_node(NodeRecord(f"m{i}", NodeKind.MOLECULE,
                               morgan_fingerprint(MoleculeSet.of([mol]), 2, 64)[0],
-                              smiles=smi, mol=mol))
+                              smiles=smi))
         g.add_node(NodeRecord(f"c{i}", NodeKind.CELL_MORPHOLOGY,
                               rng.uniform(0, 1, 5).astype(np.float32)))
         g.add_edge(f"m{i}", f"c{i}", Relation.PERTURBATION, 1.0)
@@ -575,7 +581,7 @@ def test_batch_loss_isolated_molecule_trains_on_own_fingerprint(likelihood):
         mol = parse_smiles(smi)
         g.add_node(NodeRecord(f"m{i}", NodeKind.MOLECULE,
                               morgan_fingerprint(MoleculeSet.of([mol]), 2, 64)[0],
-                              smiles=smi, mol=mol))
+                              smiles=smi))
     g.add_node(NodeRecord("c0", NodeKind.CELL_MORPHOLOGY, np.linspace(0, 1, 5)))
     g.add_edge("m0", "c0", Relation.PERTURBATION, 1.0)
     g.add_edge("m2", "c0", Relation.PERTURBATION, 1.0)
@@ -768,14 +774,14 @@ def test_training_bytes_equal_slow_oracles(tmp_path, monkeypatch):
                  str(data / "edges.tsv"), "--fp-bits", "64", "--out", str(graph)]) == 0
     g = ContextGraph.load(graph)
     cfg = small_cfg(epochs=2, batch_size=5, walks_per_molecule=2)
-    mols = [g.node(m).molecule() for m in g.molecule_ids()]
+    mols = g.molecules()[0]
     labels = (np.arange(len(mols)) % 2).astype(np.float64)[:, None]
 
     def train(tag):
         state = TrainState()
         store, _ = pretrain(g, cfg, state=state)
         save_checkpoint(tmp_path / f"{tag}.iapt", store, cfg, g, state)
-        head = probe_train(LabeledSet(embed(store, MoleculeSet.of(mols)), labels,
+        head = probe_train(LabeledSet(embed(store, mols), labels,
                                       ["classification"]),
                            ProbeConfig(epochs=20))
         dc.save_params(tmp_path / f"{tag}.probe", head.store)

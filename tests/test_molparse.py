@@ -1,6 +1,7 @@
-"""Parser tests: grammar cases, the atom and bond arrays, the union of a
-molecule set, typed errors, parity with the character-at-a-time oracle,
-round-trip stability and the SMILES file reader."""
+"""Parser tests: grammar cases, the atom and bond arrays, a molecule set laid
+out as one graph against the one-at-a-time `union` oracle, typed errors,
+parity with the character-at-a-time oracle, round-trip stability and the
+SMILES file reader."""
 
 from dataclasses import fields
 
@@ -24,9 +25,8 @@ from infoalign.molparse import (
     parse_many,
     parse_smiles,
     read_smiles_file,
-    union,
 )
-from tests.oracles import FIXED_SMILES, reference_parse_smiles, scanned_neighbors
+from tests.oracles import FIXED_SMILES, reference_parse_smiles, scanned_neighbors, union
 
 
 def bond_set(g):
@@ -157,9 +157,17 @@ FIELDS = [f.name for f in fields(MolecularGraph)]
 
 
 def check_union(mols):
-    """Each field the concatenation, bonds offset by the atoms before, and
-    each atom's molecule index; the union satisfies the parser's invariants."""
-    g, mol_of_atom = union(mols)
+    """`MoleculeSet.of(mols).block(0, n)` is the `union` oracle's layout byte
+    for byte: each field the concatenation, bonds offset by the atoms before,
+    and each atom's molecule index; it satisfies the parser's invariants."""
+    g, mol_of_atom = MoleculeSet.of(mols).block(0, len(mols))
+    want, want_of_atom = union(mols)
+    for name in FIELDS:
+        assert getattr(g, name).dtype == getattr(want, name).dtype
+        assert getattr(g, name).shape == getattr(want, name).shape
+        assert getattr(g, name).tobytes() == getattr(want, name).tobytes()
+    assert mol_of_atom.dtype == want_of_atom.dtype
+    assert mol_of_atom.tobytes() == want_of_atom.tobytes()
     check_arrays(g)
     for name in FIELDS:
         assert getattr(g, name).dtype == getattr(mols[0], name).dtype
@@ -188,7 +196,7 @@ def test_union_concatenates_and_offsets_fuzzed(smiles):
 @pytest.mark.parametrize("smi", FIXED_SMILES)
 def test_union_of_one_molecule_is_the_molecule(smi):
     g = parse_smiles(smi)
-    u, mol_of_atom = union([g])
+    u, mol_of_atom = MoleculeSet.of([g]).block(0, 1)
     for name in FIELDS:
         assert getattr(u, name).dtype == getattr(g, name).dtype
         assert np.array_equal(getattr(u, name), getattr(g, name))

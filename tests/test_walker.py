@@ -1,7 +1,8 @@
 """Walker tests: alpha products, statistical transition checks against exact
 probabilities, a Markov-chain position oracle, determinism, and equality
 with a per-step oracle walker (`transition` and `sample_walk` below, one
-walk and one step at a time over neighbor lists built from `g.edges()`)."""
+walk and one step at a time over neighbor lists built from the graph's stored
+edges)."""
 
 import bisect
 import hashlib
@@ -19,6 +20,7 @@ from infoalign.ctxgraph import ContextGraph, NodeKind, NodeRecord, Relation
 from infoalign.errors import NotAMoleculeError
 from infoalign.diffcore import seeded_rng
 from infoalign.walker import WalkConfig, WalkPath, batch_walks
+from tests.oracles import neighbors
 
 
 # --- the per-step oracle ---------------------------------------------------------
@@ -26,9 +28,9 @@ from infoalign.walker import WalkConfig, WalkPath, batch_walks
 def effective_neighbors(g):
     """node id -> [(neighbor id, max weight over the pair's relations)] in id order."""
     nbrs = {nid: {} for nid in g.node_ids()}
-    for e in g.edges():
-        for x, y in ((e.a, e.b), (e.b, e.a)):
-            nbrs[x][y] = max(e.weight, nbrs[x].get(y, 0.0))
+    for (a, b, _relation), weight in g._edges.items():
+        for x, y in ((a, b), (b, a)):
+            nbrs[x][y] = max(weight, nbrs[x].get(y, 0.0))
     return {nid: sorted(d.items()) for nid, d in nbrs.items()}
 
 
@@ -228,7 +230,7 @@ def test_position_distribution_matches_markov_chain():
     # exact transition matrix (weight-proportional over effective neighbors)
     T = np.zeros((5, 5))
     for i, nid in enumerate(ids):
-        nbrs = g.neighbors(nid)
+        nbrs = neighbors(g, nid)
         total = sum(w for _, w in nbrs)
         for other, w in nbrs:
             T[i, index[other]] = w / total
@@ -337,7 +339,7 @@ def many_weights_graph():
 @pytest.mark.parametrize("uniform", [False, True])
 def test_batch_walks_match_reference_transition(uniform):
     g, mols = many_weights_graph()
-    weights = [w for m in mols for _, w in g.neighbors(m)]
+    weights = [w for m in mols for _, w in neighbors(g, m)]
     assert len(set(weights)) > 100
     for seed in range(20):
         cfg = WalkConfig(length=6, walks_per_molecule=3, seed=seed, uniform=uniform)
@@ -382,7 +384,7 @@ def test_batch_walks_equal_per_step_oracle(case, cut):
     """Walk for walk, and for every slice of the batch; the graph's CSR rows
     equal the neighbor lists built from its edges."""
     g, starts, cfg = case
-    assert {nid: g.neighbors(nid) for nid in g.node_ids()} == effective_neighbors(g)
+    assert {nid: neighbors(g, nid) for nid in g.node_ids()} == effective_neighbors(g)
     got = batch_walks(g, starts, cfg)
     want = oracle_batch_walks(g, starts, cfg)
     assert_same_walks(got, want)
@@ -435,12 +437,12 @@ def test_load_then_walk_parses_no_smiles(tmp_path, monkeypatch):
     g.save(path)
     want = batch_walks(g, mols, WalkConfig(length=5, walks_per_molecule=2, seed=4))
 
-    def no_parse(smiles):
-        raise AssertionError(f"parse_smiles({smiles!r}) called")
+    def no_parse(texts):
+        raise AssertionError(f"parse_many({texts!r}) called")
 
-    monkeypatch.setattr(ctxgraph, "parse_smiles", no_parse)
+    monkeypatch.setattr(ctxgraph, "parse_many", no_parse)
     loaded = ContextGraph.load(path)
     got = batch_walks(loaded, mols, WalkConfig(length=5, walks_per_molecule=2, seed=4))
     assert [p.nodes for p in got] == [p.nodes for p in want]
     assert [p.alphas for p in got] == [p.alphas for p in want]
-    assert all(loaded.node(m).mol is None for m in mols)
+    assert loaded._molecules is None
