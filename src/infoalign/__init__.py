@@ -28,11 +28,9 @@ from .model import (
 )
 from .mibounds import (
     JointTable,
-    gaussian_mi,
     i_dlb,
     i_eub,
     i_nce,
-    i_nwj,
     prop1_report,
     true_mi,
 )
@@ -59,7 +57,7 @@ __all__ = [
     "WalkBatch", "WalkConfig", "WalkPath", "batch_walks",
     "ModelConfig", "TrainState", "embed",
     "load_checkpoint", "pretrain", "save_checkpoint",
-    "JointTable", "gaussian_mi", "i_dlb", "i_eub", "i_nce", "i_nwj",
+    "JointTable", "i_dlb", "i_eub", "i_nce",
     "prop1_report", "true_mi",
     "LabeledSet", "auc", "hit_at_k", "mae", "match_zero_shot", "ndcg_at_k",
     "probe_eval", "probe_train", "split_random",

@@ -1,36 +1,33 @@
 """Weighted heterogeneous context graph over molecules, genes, gene-expression
-profiles, and cell-morphology profiles.
+profiles, and cell-morphology profiles, stored as columns (PyG's layout).
 
-Nodes carry [0,1]-scaled feature vectors; undirected edges carry weights in
-(0,1]. Perturbation edges are always weight 1. Similarity edges come from a
-cosine threshold (0.8) combined with a top-fraction sparsity filter (keep
-0.5% of all intra-kind pairs). After ``finalize()`` the graph is immutable
-and exposes its effective neighbours as CSR arrays for the walker; a pair
-connected by several relations is seen by the walker as one effective edge
-at the max weight. Molecule nodes keep their SMILES; `molecules()` parses
-them all into one `MoleculeSet` on first use.
+Node i, in insertion order, has an id, a kind code (index into `KINDS`), a
+source tag, a SMILES (None off molecules), and [0,1]-scaled features: a row
+of the float32 matrix of its (kind, dim). Edges are undirected with weights
+in (0,1], stored as four arrays: the two nodes, the relation code (index
+into `RELATIONS`, in value order) and the weight; a (pair, relation) given
+twice keeps its last weight. Perturbation edges are always weight 1.
+Similarity edges come from a cosine threshold (0.8) combined with a
+top-fraction sparsity filter (keep 0.5% of all intra-kind pairs).
+`finalize()` sorts the edges by (low id, high id, relation value), freezes
+the graph and builds the walker's CSR arrays, in which a pair joined by
+several relations is one edge at the max weight. `molecules()` parses the
+molecule SMILES into one `MoleculeSet` on first use.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import serialize
-from .errors import (
-    DuplicateIdError,
-    FinalizedError,
-    MixedDimensionsError,
-    SelfLoopError,
-    SmilesError,
-    TableFormatError,
-    UnknownNodeError,
-)
+from .errors import (CorruptFileError, DuplicateIdError, FinalizedError, MixedDimensionsError,
+                     SelfLoopError, SmilesError, TableFormatError, UnknownNodeError)
 from .fingerprint import morgan_fingerprint
 # `parse_smiles` is not called here: perfbench/tracer.py wraps it under this
 # module's name, so a traced run needs it importable from ctxgraph.
@@ -55,8 +52,21 @@ class Relation(Enum):
     GENE_MOLECULE = "gene_molecule"
 
 
+# Kind and relation codes index these; relation codes sort as their values do.
+KINDS = tuple(NodeKind)
+RELATIONS = tuple(sorted(Relation, key=lambda r: r.value))
+_KIND_VALUES = [k.value for k in KINDS]
+_RELATION_VALUES = [r.value for r in RELATIONS]
+_KIND_CODE = {v: c for c, v in enumerate(_KIND_VALUES)}
+_RELATION_CODE = {v: c for c, v in enumerate(_RELATION_VALUES)}
+_MOLECULE, _SIMILARITY = _KIND_CODE["molecule"], _RELATION_CODE["similarity"]
+_EDGE_DTYPES = (np.intp, np.intp, np.int8, np.float64)
+
+
 @dataclass
 class NodeRecord:
+    """One node: the argument of `add_node` and the view `node()` returns."""
+
     id: str
     kind: NodeKind
     features: np.ndarray
@@ -69,6 +79,15 @@ class NodeRecord:
     @property
     def modality_dim(self) -> int:
         return len(self.features)
+
+
+class Edges(NamedTuple):
+    """Each edge's two nodes (the lower id's first once finalized), its
+    relation code and its weight."""
+    a: np.ndarray
+    b: np.ndarray
+    rel: np.ndarray
+    w: np.ndarray
 
 
 class CsrAdjacency(NamedTuple):
@@ -110,10 +129,6 @@ def min_max_scale(columns) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def _pair_key(a: str, b: str) -> Tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
-
-
 def _id_ranks(ids: Sequence[str]) -> np.ndarray:
     """Each of the distinct `ids`' position in sorted order."""
     rank = np.empty(len(ids), dtype=np.intp)
@@ -144,53 +159,65 @@ def _top_pairs(s: np.ndarray, rank_i: np.ndarray, rank_j: np.ndarray, keep: int)
 
 class ContextGraph:
     def __init__(self):
-        self._nodes: Dict[str, NodeRecord] = {}
-        # (id_lo, id_hi, relation) -> weight
-        self._edges: Dict[Tuple[str, str, Relation], float] = {}
+        self._ids: List[str] = []
+        self._index: Dict[str, int] = {}
+        self._tags: List[str] = []
+        self._smiles: List[Optional[str]] = []
+        self._kind = np.zeros(0, dtype=np.int8)
+        self._dim = np.zeros(0, dtype=np.intp)
+        self._row = np.zeros(0, dtype=np.intp)  # each node's row in its (kind, dim) matrix
+        self._features: Dict[Tuple[NodeKind, int], np.ndarray] = {}
+        self._edges = Edges(*(np.zeros(0, dtype=dt) for dt in _EDGE_DTYPES))
         self._finalized = False
         self._csr: Optional[CsrAdjacency] = None
         self._stats: Optional[dict] = None
-        self._edge_items: Optional[List[Tuple[Tuple[str, str, Relation], float]]] = None
         self._molecules: Optional[Tuple[MoleculeSet, Dict[str, int]]] = None
 
     # --- accessors -------------------------------------------------------
 
     def node_ids(self) -> List[str]:
-        return list(self._nodes)
+        return list(self._ids)
 
-    def node(self, node_id: str) -> NodeRecord:
+    def _node_index(self, node_id: str) -> int:
         try:
-            return self._nodes[node_id]
+            return self._index[node_id]
         except KeyError:
             raise UnknownNodeError(f"unknown node id {node_id!r}") from None
 
-    def _sorted_edges(self) -> List[Tuple[Tuple[str, str, Relation], float]]:
-        """`((a, b, relation), weight)` items ordered by a, b and relation value.
+    def node(self, node_id: str) -> NodeRecord:
+        """A record of the node, its features a view of its matrix row."""
+        i = self._node_index(node_id)
+        kind = KINDS[self._kind[i]]
+        return NodeRecord(node_id, kind, self._features[kind, int(self._dim[i])][self._row[i]],
+                          self._tags[i], self._smiles[i])
 
-        A finalized graph cannot change, so it sorts them once and keeps them.
-        """
-        if self._edge_items is not None:
-            return self._edge_items
-        items = sorted(self._edges.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].value))
-        if self._finalized:
-            self._edge_items = items
-        return items
+    def kinds(self) -> np.ndarray:
+        """Each node's kind code."""
+        return self._kind
+
+    def features(self) -> Tuple[np.ndarray, np.ndarray, Dict[Tuple[NodeKind, int], np.ndarray]]:
+        """Each node's dim and row in its (kind, dim) matrix, and the matrices."""
+        return self._dim, self._row, self._features
+
+    def _group(self, kind: NodeKind, dim: int) -> np.ndarray:
+        """The nodes of the rows of the (kind, dim) matrix, in order."""
+        return np.flatnonzero((self._kind == KINDS.index(kind)) & (self._dim == dim))
 
     def molecule_ids(self) -> List[str]:
-        return [nid for nid, rec in self._nodes.items() if rec.kind is NodeKind.MOLECULE]
+        return [self._ids[i] for i in np.flatnonzero(self._kind == _MOLECULE).tolist()]
 
     def molecules(self) -> Tuple[MoleculeSet, Dict[str, int]]:
         """The SMILES of the molecule nodes that have one as one set, parsed
         in one `parse_many` call on first use, and each such node's row in it.
         A SMILES that does not parse raises its SmilesError, naming the node."""
         if self._molecules is None:
-            recs = [rec for rec in self._nodes.values()
-                    if rec.kind is NodeKind.MOLECULE and rec.smiles]
+            nodes = [i for i in np.flatnonzero(self._kind == _MOLECULE).tolist()
+                     if self._smiles[i]]
             try:
-                mols = parse_many([rec.smiles for rec in recs])
+                mols = parse_many([self._smiles[i] for i in nodes])
             except SmilesError as exc:
-                raise type(exc)(f"molecule node {recs[exc.index].id!r}: {exc}") from None
-            self._molecules = (mols, {rec.id: k for k, rec in enumerate(recs)})
+                raise type(exc)(f"molecule node {self._ids[nodes[exc.index]]!r}: {exc}") from None
+            self._molecules = (mols, {self._ids[i]: k for k, i in enumerate(nodes)})
         return self._molecules
 
     def csr(self) -> CsrAdjacency:
@@ -205,27 +232,54 @@ class ContextGraph:
         if self._finalized:
             raise FinalizedError("graph is finalized; mutation rejected")
 
-    def _check_new_id(self, node_id: str):
-        self._check_mutable()
-        if node_id in self._nodes:
-            raise DuplicateIdError(f"node id {node_id!r} already present")
-
     def add_node(self, rec: NodeRecord) -> str:
-        self._check_new_id(rec.id)
-        self._nodes[rec.id] = rec
-        self._molecules = None
+        self.add_nodes([rec.id], [KINDS.index(rec.kind)], [rec.source_tag], [rec.smiles],
+                       {(rec.kind, rec.modality_dim): ([0], rec.features[None])})
         return rec.id
 
+    def add_nodes(self, ids: List[str], kinds, tags: List[str], smiles: List[Optional[str]],
+                  features: Dict[Tuple[NodeKind, int], tuple]) -> None:
+        """Append nodes given as columns: ids, kind codes, source tags and
+        SMILES (None off molecules), and per (kind, dim) the ascending
+        positions of its nodes and their feature rows as one matrix. An id
+        already present or given twice raises DuplicateIdError, and no node
+        is added."""
+        self._check_mutable()
+        index = dict(self._index)
+        for i, nid in enumerate(ids, len(self._ids)):
+            if index.setdefault(nid, i) != i:
+                raise DuplicateIdError(f"node id {nid!r} already present")
+        dim = np.zeros(len(ids), dtype=np.intp)
+        row = np.zeros(len(ids), dtype=np.intp)
+        for key, (pos, mat) in features.items():
+            old = self._features.get(key, np.zeros((0, key[1]), dtype=np.float32))
+            dim[pos] = key[1]
+            row[pos] = len(old) + np.arange(len(pos))
+            if len(pos):
+                mat = np.asarray(mat, dtype=np.float32)
+                self._features[key] = np.concatenate([old, mat]) if len(old) else mat
+        self._index = index
+        self._ids = self._ids + ids
+        self._tags = self._tags + tags
+        self._smiles = self._smiles + smiles
+        self._kind = np.concatenate([self._kind, np.asarray(kinds, dtype=np.int8)])
+        self._dim = np.concatenate([self._dim, dim])
+        self._row = np.concatenate([self._row, row])
+        self._molecules = None
+
     def add_edge(self, a: str, b: str, relation: Relation, weight: float) -> None:
+        """Add the edge a-b; a (pair, relation) given again keeps its last weight."""
         self._check_mutable()
         if a == b:
             raise SelfLoopError(f"self-loop on {a!r}")
-        self.node(a)
-        self.node(b)
+        ia, ib = self._node_index(a), self._node_index(b)
         if not (0.0 < weight <= 1.0):
             raise ValueError(f"edge weight must be in (0, 1], got {weight}")
-        lo, hi = _pair_key(a, b)
-        self._edges[(lo, hi, relation)] = float(weight)
+        self._append_edges([ia], [ib], [RELATIONS.index(relation)], [weight])
+
+    def _append_edges(self, a, b, rel, w) -> None:
+        self._edges = Edges(*(np.concatenate([old, np.asarray(new, dtype=dt)])
+                              for old, new, dt in zip(self._edges, (a, b, rel, w), _EDGE_DTYPES)))
 
     def build_similarity_edges(
         self, kind: NodeKind, threshold: float = 0.8, keep_fraction: float = 0.005
@@ -238,6 +292,7 @@ class ContextGraph:
         deterministic. An edge weight must be > 0, so a cosine of 0 (or
         below) is no candidate even at a threshold <= 0; nodes with zero-norm
         features, which cannot define a cosine, are thereby skipped too.
+        A pair that already has a similarity edge keeps it and its weight.
         Returns the number of edges added. A threshold that is not finite,
         or a keep_fraction that is not a finite number >= 0, raises
         ValueError naming it.
@@ -254,22 +309,19 @@ class ContextGraph:
             raise ValueError(f"threshold must be a finite number, got {threshold}")
         if not (math.isfinite(keep_fraction) and keep_fraction >= 0):
             raise ValueError(f"keep_fraction must be a finite number >= 0, got {keep_fraction}")
-        recs = [r for r in self._nodes.values() if r.kind is kind and r.modality_dim > 0]
-        dims = {r.modality_dim for r in recs}
+        dims = sorted(d for k, d in self._features if k is kind and d > 0)
         if len(dims) > 1:
-            raise MixedDimensionsError(
-                f"{kind.value} nodes have mixed feature dimensions {sorted(dims)}"
-            )
-        n = len(recs)
-        if n < 2:
+            raise MixedDimensionsError(f"{kind.value} nodes have mixed feature dimensions {dims}")
+        if not dims or len(self._features[kind, dims[0]]) < 2:
             return 0
-        feats = np.stack([r.features.astype(np.float64) for r in recs])
+        nodes = self._group(kind, dims[0])
+        feats = self._features[kind, dims[0]].astype(np.float64)
+        n = len(nodes)
         norms = np.linalg.norm(feats, axis=1)
         ok = norms > 0
         unit = np.zeros_like(feats)
         unit[ok] = feats[ok] / norms[ok, None]
-        ids = [r.id for r in recs]
-        rank = _id_ranks(ids)
+        rank = _id_ranks([self._ids[i] for i in nodes.tolist()])
 
         total_pairs = n * (n - 1) // 2
         keep = math.ceil(keep_fraction * total_pairs)
@@ -288,61 +340,72 @@ class ContextGraph:
             parts.append((i[part], j[part], s[part]))
         i, j, s = (np.concatenate(col) for col in zip(*parts))
         best = _top_pairs(s, rank[i], rank[j], keep)
-        # Kept pairs join distinct known nodes with weights in (0, 1], so
-        # they skip add_edge's checks; an edge the tables gave still wins.
-        added = {}
-        for bi, bj, bs in zip(i[best].tolist(), j[best].tolist(), s[best].tolist()):
-            key = (*_pair_key(ids[bi], ids[bj]), Relation.SIMILARITY)
-            if key not in self._edges:
-                added[key] = bs
-        self._edges.update(added)
-        return len(added)
+        a, b, s = nodes[i[best]], nodes[j[best]], s[best]  # a < b, as i < j
+        # A similarity edge given before, by the tables in either direction,
+        # keeps its weight.
+        e = self._edges
+        sim = e.rel == _SIMILARITY
+        given = set(zip(np.minimum(e.a, e.b)[sim].tolist(), np.maximum(e.a, e.b)[sim].tolist()))
+        new = np.array([pair not in given for pair in zip(a.tolist(), b.tolist())], dtype=bool)
+        self._append_edges(a[new], b[new], np.full(np.count_nonzero(new), _SIMILARITY), s[new])
+        return int(np.count_nonzero(new))
 
     # --- finalize --------------------------------------------------------
 
     def finalize(self) -> "ContextGraph":
-        """Freeze the graph: validate invariants, build adjacency, compute stats.
+        """Freeze the graph: validate invariants, sort the edges, build
+        adjacency, compute stats.
 
         Idempotent; all mutating operations raise FinalizedError afterwards.
         """
         if self._finalized:
             return self
         self._check_features()
-        self._csr = self._build_csr()
-        self._stats = {
-            "nodes": len(self._nodes),
-            "edges": len(self._edges),
-            "nodes_by_kind": dict(Counter(rec.kind.value for rec in self._nodes.values())),
-            "edges_by_relation": dict(Counter(rel.value for _a, _b, rel in self._edges)),
-        }
+        rank = _id_ranks(self._ids)
+        self._edges = self._merged_edges(rank)
+        self._csr = self._build_csr(rank)
+        self._stats = {"nodes": len(self._ids), "edges": len(self._edges.w),
+                       "nodes_by_kind": _counts(self._kind, _KIND_VALUES),
+                       "edges_by_relation": _counts(self._edges.rel, _RELATION_VALUES)}
         self._finalized = True
         return self
 
     def _check_features(self) -> None:
         """ValueError naming the first node with a feature outside [0, 1] (or NaN)."""
-        feats = [rec.features for rec in self._nodes.values()]
-        flat = np.concatenate(feats) if feats else np.zeros(0, dtype=np.float32)
-        bad = np.flatnonzero(~((flat >= 0.0) & (flat <= 1.0)))
-        if len(bad):
-            ends = np.cumsum([len(f) for f in feats])
-            node = list(self._nodes)[int(np.searchsorted(ends, bad[0], side="right"))]
-            raise ValueError(f"node {node!r} has features outside [0, 1]")
+        bad = []
+        for (kind, dim), mat in self._features.items():
+            rows = np.flatnonzero(~((mat >= 0.0) & (mat <= 1.0)).all(axis=1))
+            if len(rows):
+                bad.append(self._group(kind, dim)[rows[0]])
+        if bad:
+            raise ValueError(f"node {self._ids[min(bad)]!r} has features outside [0, 1]")
 
-    def _build_csr(self) -> CsrAdjacency:
+    def _merged_edges(self, rank: np.ndarray) -> Edges:
+        """The edges, lower id first, sorted by (low id, high id, relation
+        value), a repeated (pair, relation) once at its last weight; `rank`
+        is `_id_ranks` of the node ids."""
+        e = self._edges
+        swap = rank[e.a] > rank[e.b]
+        lo, hi = np.where(swap, e.b, e.a), np.where(swap, e.a, e.b)
+        # lexsort is stable, so the last of a repeated key is the last added
+        order = np.lexsort((e.rel, rank[hi], rank[lo]))
+        e = Edges(lo[order], hi[order], e.rel[order], e.w[order])
+        last = np.ones(len(e.w), dtype=bool)
+        last[:-1] = (e.a[1:] != e.a[:-1]) | (e.b[1:] != e.b[:-1]) | (e.rel[1:] != e.rel[:-1])
+        return Edges(*(col[last] for col in e))
+
+    def _build_csr(self, rank: np.ndarray) -> CsrAdjacency:
         """Both directions of every edge, sorted by (node, neighbour id), one
         entry per pair at its max weight, and each row's running weight sum."""
-        ids = list(self._nodes)
-        index = {nid: i for i, nid in enumerate(ids)}
-        n, m = len(ids), len(self._edges)
-        a = np.fromiter((index[key[0]] for key in self._edges), dtype=np.intp, count=m)
-        b = np.fromiter((index[key[1]] for key in self._edges), dtype=np.intp, count=m)
-        w = np.fromiter(self._edges.values(), dtype=np.float64, count=m)
-        bad = np.flatnonzero(~((w > 0.0) & (w <= 1.0)))
+        e = self._edges
+        bad = np.flatnonzero(~((e.w > 0.0) & (e.w <= 1.0)))
         if len(bad):
-            (lo, hi, _rel), weight = list(self._edges.items())[bad[0]]
-            raise ValueError(f"edge ({lo}, {hi}) weight {weight} outside (0, 1]")
-        rank = _id_ranks(ids)
-        src, dst, w = np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([w, w])
+            k = bad[0]
+            raise ValueError(f"edge ({self._ids[e.a[k]]}, {self._ids[e.b[k]]}) "
+                             f"weight {e.w[k].item()} outside (0, 1]")
+        n = len(self._ids)
+        src, dst = np.concatenate([e.a, e.b]), np.concatenate([e.b, e.a])
+        w = np.concatenate([e.w, e.w])
         order = np.lexsort((rank[dst], src))
         src, dst, w = src[order], dst[order], w[order]
         first = np.ones(len(src), dtype=bool)
@@ -358,18 +421,25 @@ class ContextGraph:
         for k in range(1, int(degree.max(initial=0))):
             at = indptr[:-1][degree > k] + k
             cdf[at] += cdf[at - 1]
-        return CsrAdjacency(ids, index, indptr, dst[pairs], weights, cdf)
+        return CsrAdjacency(self._ids, self._index, indptr, dst[pairs], weights, cdf)
+
+    def _edge_rows(self, e: Edges):
+        """(id, id, relation value, weight) of each edge of `e`."""
+        ids = self._ids
+        return ((ids[a], ids[b], _RELATION_VALUES[r], w) for a, b, r, w in
+                zip(e.a.tolist(), e.b.tolist(), e.rel.tolist(), e.w.tolist()))
 
     def checksum(self) -> str:
         """Content hash over node ids/kinds and the edge set (not features)."""
         import hashlib
 
-        h = hashlib.sha256()
-        for nid, rec in sorted(self._nodes.items()):
-            h.update(f"{nid}:{rec.kind.value}:{rec.modality_dim};".encode("utf-8"))
-        for (a, b, rel), w in self._sorted_edges():
-            h.update(f"{a}-{b}:{rel.value}:{w!r};".encode("utf-8"))
-        return h.hexdigest()
+        ids = self._ids
+        e = self._edges if self._finalized else self._merged_edges(_id_ranks(ids))
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        text = "".join(f"{ids[i]}:{_KIND_VALUES[k]}:{d};" for i, k, d in
+                       zip(order, self._kind[order].tolist(), self._dim[order].tolist()))
+        text += "".join(f"{a}-{b}:{r}:{w!r};" for a, b, r, w in self._edge_rows(e))
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def stats(self) -> dict:
         if not self._finalized:
@@ -379,57 +449,86 @@ class ContextGraph:
     # --- persistence -----------------------------------------------------
 
     def save(self, path) -> None:
+        """Write the node columns and edges as JSON metadata, and every node's
+        features, in node order, as one float32 array."""
         if not self._finalized:
             raise FinalizedError("only finalized graphs are saved")
-        recs = list(self._nodes.values())
-        nodes_meta = [{"id": r.id, "kind": r.kind.value, "source_tag": r.source_tag,
-                       "smiles": r.smiles, "dim": r.modality_dim} for r in recs]
-        edges_meta = [[a, b, rel.value, w] for (a, b, rel), w in self._sorted_edges()]
-        flat = np.concatenate([np.zeros(0, dtype="<f4")] + [r.features for r in recs])
-        meta = {"nodes": nodes_meta, "edges": edges_meta, "stats": self._stats}
+        nodes_meta = [{"id": i, "kind": _KIND_VALUES[k], "source_tag": t, "smiles": s, "dim": d}
+                      for i, k, t, s, d in zip(self._ids, self._kind.tolist(), self._tags,
+                                               self._smiles, self._dim.tolist())]
+        ends = np.cumsum(self._dim)
+        flat = np.zeros(int(self._dim.sum()), dtype=np.float32)
+        for (kind, dim), mat in self._features.items():
+            sliding_window_view(flat, dim, writeable=True)[ends[self._group(kind, dim)] - dim] = mat
+        meta = {"nodes": nodes_meta, "edges": [list(row) for row in self._edge_rows(self._edges)],
+                "stats": self._stats}
         serialize.write_container(path, MAGIC, meta, [flat])
 
     @classmethod
     def load(cls, path) -> "ContextGraph":
-        """Read a saved graph. Molecule SMILES are parsed on first use, all at
-        once by `molecules()`, not here: walking needs none of them."""
+        """Read a saved graph. Metadata that contradicts itself (node dims
+        that do not add up to the features, an unknown kind, relation or
+        edge node, a repeated id) or fails `finalize`'s checks raises
+        CorruptFileError naming the file. Molecule SMILES are parsed on
+        first use, by `molecules()`: walking needs none of them."""
         meta, arrays = serialize.read_container(path, MAGIC)
-        flat = arrays[0].astype(np.float32)
+        nodes, edges = meta["nodes"], meta["edges"]
+        a, b, rel, w = zip(*edges) if edges else ((), (), (), ())
+        index = {nm["id"]: i for i, nm in enumerate(nodes)}
+        for what, names, known in (("node kind", [nm["kind"] for nm in nodes], _KIND_CODE),
+                                   ("relation", rel, _RELATION_CODE), ("edge node", a + b, index)):
+            unknown = [x for x in names if x not in known]
+            if unknown:
+                raise CorruptFileError(f"{path}: unknown {what} {unknown[0]!r}")
+        flat = arrays[0].astype(np.float32, copy=False)
+        dims = np.array([nm["dim"] for nm in nodes], dtype=np.intp)
+        if dims.min(initial=0) < 0 or dims.sum() != len(flat):
+            raise CorruptFileError(f"{path}: node dims add up to {int(dims.sum())}, but the "
+                                   f"file holds {len(flat)} feature values")
+        kinds = np.array([_KIND_CODE[nm["kind"]] for nm in nodes], dtype=np.int8)
+        ends, features = np.cumsum(dims), {}
+        for code, dim in set(zip(kinds.tolist(), dims.tolist())):
+            pos = np.flatnonzero((kinds == code) & (dims == dim))
+            features[KINDS[code], dim] = (pos, sliding_window_view(flat, dim)[ends[pos] - dim])
         g = cls()
-        offset = 0
-        for nm in meta["nodes"]:
-            dim = nm["dim"]
-            feats = flat[offset : offset + dim]
-            offset += dim
-            g._check_new_id(nm["id"])
-            g._nodes[nm["id"]] = NodeRecord(
-                nm["id"], NodeKind(nm["kind"]), feats,
-                source_tag=nm["source_tag"], smiles=nm["smiles"],
-            )
-        for a, b, rel, w in meta["edges"]:
-            g._edges[(a, b, Relation(rel))] = float(w)
-        return g.finalize()
+        try:
+            g.add_nodes([nm["id"] for nm in nodes], kinds, [nm["source_tag"] for nm in nodes],
+                        [nm["smiles"] for nm in nodes], features)
+            g._append_edges([index[x] for x in a], [index[x] for x in b],
+                            [_RELATION_CODE[r] for r in rel], w)
+            return g.finalize()
+        except (ValueError, DuplicateIdError) as exc:
+            raise CorruptFileError(f"{path}: {exc}") from None
+
+
+def _counts(codes: np.ndarray, values: List[str]) -> Dict[str, int]:
+    """The number of each code, by its value, codes that do not occur left out."""
+    return {v: n for v, n in zip(values, np.bincount(codes, minlength=len(values)).tolist()) if n}
 
 
 # --- TSV ingestion ---------------------------------------------------------
 
 def load_node_table(path, fp_radius: int = 2, fp_bits: int = 1024,
-                    similarity_kinds: Sequence[NodeKind] = ()) -> List[NodeRecord]:
-    """Parse a node TSV: id, kind, source_tag, then features.
+                    similarity_kinds: Sequence[NodeKind] = ()) -> ContextGraph:
+    """The graph of the nodes of a node TSV (id, kind, source_tag, then
+    features), with no edges.
 
     Molecule rows carry a SMILES column instead of inline features; the
     SMILES are parsed in one `parse_many` call (a bad one raises
     TableFormatError naming its line), and the set is fingerprinted in one
-    `morgan_fingerprint` call; the records keep the SMILES, not the set.
-    Non-molecule features are min-max scaled per (kind, dimension) group
-    before the records are returned. A node id given twice raises
-    TableFormatError naming both lines. Every feature row of a kind in
-    `similarity_kinds` must have the dimension of that kind's first row, or
-    MixedDimensionsError names the first row that does not.
+    `morgan_fingerprint` call, whose matrix is the molecules' features.
+    Non-molecule features are min-max scaled per (kind, dimension) group,
+    one matrix each. A node id given twice raises TableFormatError naming
+    both lines. Every feature row of a kind in `similarity_kinds` must have
+    the dimension of that kind's first row, or MixedDimensionsError names
+    the first row that does not.
     """
-    raw: List[Tuple[int, str, NodeKind, str, object]] = []
+    ids, kinds, tags, smiles = [], [], [], []
+    mol_rows: List[Tuple[int, int]] = []  # (line, position) per molecule
+    groups: Dict[Tuple[int, int], Tuple[List[int], list]] = {}  # (kind, dim) -> positions, rows
     seen: Dict[str, int] = {}  # node id -> line
-    first_dim: Dict[NodeKind, Tuple[int, int]] = {}  # kind -> (line, dim) of its first row
+    first_dim: Dict[int, Tuple[int, int]] = {}  # kind -> (line, dim) of its first row
+    sim_codes = {KINDS.index(k) for k in similarity_kinds}
     for lineno, cols in serialize.table_rows(path):
         if len(cols) < 4:
             raise TableFormatError(f"{path}:{lineno}: expected >= 4 columns, got {len(cols)}")
@@ -438,12 +537,16 @@ def load_node_table(path, fp_radius: int = 2, fp_bits: int = 1024,
             raise TableFormatError(f"{path}:{lineno}: node id {nid!r} already present "
                                    f"on line {seen[nid]}")
         seen[nid] = lineno
-        try:
-            kind = NodeKind(kind_name)
-        except ValueError:
-            raise TableFormatError(f"{path}:{lineno}: unknown node kind {kind_name!r}") from None
-        if kind is NodeKind.MOLECULE:
-            raw.append((lineno, nid, kind, tag, cols[3]))
+        code = _KIND_CODE.get(kind_name)
+        if code is None:
+            raise TableFormatError(f"{path}:{lineno}: unknown node kind {kind_name!r}")
+        pos = len(ids)
+        ids.append(nid)
+        kinds.append(code)
+        tags.append(tag)
+        smiles.append(cols[3] if code == _MOLECULE else None)
+        if code == _MOLECULE:
+            mol_rows.append((lineno, pos))
             continue
         try:
             feats = np.array([float(c) for c in cols[3:]], dtype=np.float64)
@@ -451,45 +554,31 @@ def load_node_table(path, fp_radius: int = 2, fp_bits: int = 1024,
             raise TableFormatError(f"{path}:{lineno}: malformed feature value") from None
         if not np.isfinite(feats).all():
             raise TableFormatError(f"{path}:{lineno}: non-finite feature value")
-        if kind in similarity_kinds:
-            first, dim = first_dim.setdefault(kind, (lineno, len(feats)))
+        if code in sim_codes:
+            first, dim = first_dim.setdefault(code, (lineno, len(feats)))
             if len(feats) != dim:
                 raise MixedDimensionsError(
-                    f"{path}:{lineno}: {kind.value} row has {len(feats)} features, but "
+                    f"{path}:{lineno}: {kind_name} row has {len(feats)} features, but "
                     f"line {first} has {dim}; similarity edges need one dimension per kind")
-        raw.append((lineno, nid, kind, tag, feats))
+        positions, rows = groups.setdefault((code, len(feats)), ([], []))
+        positions.append(pos)
+        rows.append(feats)
 
-    # group non-molecule rows by (kind, dim) and scale per dimension
-    groups: Dict[Tuple[NodeKind, int], List[int]] = {}
-    for i, (_ln, _nid, kind, _tag, payload) in enumerate(raw):
-        if kind is not NodeKind.MOLECULE:
-            groups.setdefault((kind, len(payload)), []).append(i)
-    scaled: Dict[int, np.ndarray] = {}
-    for (kind, _dim), idxs in groups.items():
+    features = {}
+    for (code, dim), (positions, rows) in groups.items():
         try:
-            mat = min_max_scale(np.stack([raw[i][4] for i in idxs]))
+            features[KINDS[code], dim] = (positions, min_max_scale(rows))
         except ValueError as exc:
-            raise TableFormatError(f"{path}: {kind.value} features, {exc}") from None
-        for row, i in enumerate(idxs):
-            scaled[i] = mat[row]
-
-    smiles = [(lineno, payload) for lineno, _nid, kind, _tag, payload in raw
-              if kind is NodeKind.MOLECULE]
+            raise TableFormatError(f"{path}: {_KIND_VALUES[code]} features, {exc}") from None
     try:
-        mols = parse_many([text for _lineno, text in smiles])
+        mols = parse_many([smiles[pos] for _lineno, pos in mol_rows])
     except SmilesError as exc:
-        raise TableFormatError(f"{path}:{smiles[exc.index][0]}: bad SMILES: {exc}") from exc
+        raise TableFormatError(f"{path}:{mol_rows[exc.index][0]}: bad SMILES: {exc}") from exc
     fps = morgan_fingerprint(mols, fp_radius, fp_bits)
-
-    records = []
-    k = 0  # molecules so far
-    for i, (_lineno, nid, kind, tag, payload) in enumerate(raw):
-        if kind is NodeKind.MOLECULE:
-            records.append(NodeRecord(nid, kind, fps[k], tag, smiles=payload))
-            k += 1
-        else:
-            records.append(NodeRecord(nid, kind, scaled[i].astype(np.float32), tag))
-    return records
+    features[NodeKind.MOLECULE, fps.shape[1]] = ([pos for _lineno, pos in mol_rows], fps)
+    g = ContextGraph()
+    g.add_nodes(ids, kinds, tags, smiles, features)
+    return g
 
 
 def load_edge_table(path) -> List[Tuple[str, str, Relation, float, int]]:
@@ -504,10 +593,9 @@ def load_edge_table(path) -> List[Tuple[str, str, Relation, float, int]]:
         if len(cols) != 4:
             raise TableFormatError(f"{path}:{lineno}: expected 4 columns, got {len(cols)}")
         src, dst, rel_name, w_str = cols
-        try:
-            rel = Relation(rel_name)
-        except ValueError:
-            raise TableFormatError(f"{path}:{lineno}: unknown relation {rel_name!r}") from None
+        if rel_name not in _RELATION_CODE:
+            raise TableFormatError(f"{path}:{lineno}: unknown relation {rel_name!r}")
+        rel = RELATIONS[_RELATION_CODE[rel_name]]
         try:
             w = float(w_str)
         except ValueError:
@@ -532,15 +620,18 @@ def build_graph_from_tables(
     keep_fraction: float = 0.005,
 ) -> ContextGraph:
     """The finalized graph of a node and an edge table. An edge row naming an
-    unknown node, or a self-loop, raises TableFormatError naming its line."""
-    g = ContextGraph()
-    for rec in load_node_table(node_path, fp_radius, fp_bits, similarity_kinds):
-        g.add_node(rec)
-    for src, dst, rel, w, lineno in load_edge_table(edge_path):
-        try:
-            g.add_edge(src, dst, rel, w)
-        except (UnknownNodeError, SelfLoopError) as exc:
-            raise TableFormatError(f"{edge_path}:{lineno}: {exc}") from None
+    unknown node, or a self-loop, raises TableFormatError naming its line.
+    A row repeating a (pair, relation) keeps its weight over an earlier one;
+    similarity edges from the tables keep theirs over computed ones."""
+    g = load_node_table(node_path, fp_radius, fp_bits, similarity_kinds)
+    rows = load_edge_table(edge_path)
+    for src, dst, _rel, _w, lineno in rows:
+        unknown = [nid for nid in (src, dst) if nid not in g._index]
+        if src == dst or unknown:
+            fault = f"self-loop on {src!r}" if src == dst else f"unknown node id {unknown[0]!r}"
+            raise TableFormatError(f"{edge_path}:{lineno}: {fault}")
+    g._append_edges([g._index[r[0]] for r in rows], [g._index[r[1]] for r in rows],
+                    [RELATIONS.index(r[2]) for r in rows], [r[3] for r in rows])
     for kind in similarity_kinds:
         g.build_similarity_edges(kind, threshold, keep_fraction)
     return g.finalize()

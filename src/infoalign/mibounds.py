@@ -8,9 +8,10 @@ there is no estimator variance and the chain  true MI >= decoder lower bound
 >= contrastive lower bound  can be asserted at near-equality tolerances.
 
 The decoder lower bound (DLB) is E[log q(y|z)] + H(Y); the encoder upper
-bound (EUB) is the mean posterior-to-prior KL; the NWJ bound is
-E[h] - e^{-1} E[Ztilde]; the multi-sample contrastive bound (the InfoNCE
-form, saturating at log K) is E[h] - E[log mean_i e^{h(z, y_i)}].
+bound (EUB) is the mean posterior-to-prior KL; the multi-sample
+contrastive bound (the InfoNCE form, saturating at log K) is
+E[h] - E[log mean_i e^{h(z, y_i)}]. The NWJ bound and the closed-form
+Gaussian MI, which no command reports, are test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -117,15 +118,6 @@ def i_eub(mus, logvars) -> float:
     return float(np.mean(kl))
 
 
-# --- NWJ ----------------------------------------------------------------------
-
-def i_nwj(jt: JointTable, h: np.ndarray) -> float:
-    """E[h] - e^{-1} E_z[Ztilde(z)] with Ztilde(z) = E_y[e^h]."""
-    h = np.asarray(h, dtype=np.float64)
-    ztilde = np.exp(h) @ jt.py
-    return float(np.sum(jt.p * h) - np.exp(-1.0) * np.dot(jt.pz, ztilde))
-
-
 # --- multi-sample contrastive bound --------------------------------------------
 
 @functools.lru_cache(maxsize=32)
@@ -180,15 +172,6 @@ def i_nce(jt: JointTable, h: np.ndarray, K: int) -> float:
             logm = np.log((eh[zi, yi] + s) / K)
             total -= pw * float(pmf @ logm)
     return total
-
-
-# --- Gaussian family ------------------------------------------------------------
-
-def gaussian_mi(rho: float) -> float:
-    """Exact MI of a bivariate normal with correlation rho, in nats."""
-    if not -1.0 < rho < 1.0:
-        raise ValueError("correlation must be in (-1, 1)")
-    return float(-0.5 * np.log(1.0 - rho * rho))
 
 
 # --- verification harness -------------------------------------------------------

@@ -11,9 +11,10 @@ beta-weighted KL to the standard-normal prior. The start molecule's own
 fingerprint is always a target with alpha = 1.
 
 Training evaluates a whole minibatch in one tape (`batch_loss`): the start
-molecules are taken from the graph's parsed `MoleculeSet` and encoded
+molecules are gathered from the graph's parsed `MoleculeSet` and encoded
 together as one block-diagonal graph (`encode_union`), and every target of
-one (kind, dim) is decoded as one matrix, by `decode_nll`.
+one (kind, dim) is taken by index from the graph's matrix of that (kind,
+dim) and decoded as one matrix, by `decode_nll`.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from . import diffcore as dc
-from .ctxgraph import ContextGraph, NodeKind
+from .ctxgraph import KINDS, ContextGraph, NodeKind
 from .errors import CorruptFileError, NoDecoderError, PathMismatchError, ShapeMismatchError
 from .molparse import ELEMENTS, BondOrder, MolecularGraph, MoleculeSet
-from .walker import WalkConfig, WalkPath, batch_walks
+from .walker import WalkBatch, WalkConfig, WalkPath, batch_walks
 
 ATOM_FEATURE_DIM = len(ELEMENTS) + 5 + 1 + 6  # element, charge in [-2,2], aromatic, degree 0-5
 _CHARGE_BASE = len(ELEMENTS)
@@ -120,8 +121,7 @@ class LossBreakdown:
 
 def feature_keys(graph: ContextGraph) -> List[Tuple[str, int]]:
     """Sorted (kind, dim) of the graph's nodes that have features."""
-    return sorted({(rec.kind.value, rec.modality_dim)
-                   for rec in map(graph.node, graph.node_ids()) if rec.modality_dim > 0})
+    return sorted((kind.value, dim) for kind, dim in graph.features()[2] if dim > 0)
 
 
 def fingerprint_bits(graph: ContextGraph, default: int) -> int:
@@ -280,31 +280,37 @@ def batch_loss(graph: ContextGraph, starts: Sequence[str], paths: Sequence[WalkP
     A walk's loss is (1/L) * sum over its targets of alpha * NLL + beta * KL,
     where L is the walk's node count and the targets are the start molecule's
     own features (alpha = 1) plus every walked node with its cumulative path
-    weight. `paths` holds the same number of walks per start, grouped in starts
-    order, and `noise` one row per path. The whole batch is one tape: the
-    start molecules are taken from `graph.molecules()` and encoded once,
-    together, and every target of one (kind, dim) is decoded as one matrix,
-    each row weighted by alpha / (L * walks per start * starts). The
-    breakdown holds the same batch means.
+    weight. `paths`, a `WalkBatch` of this graph or a list of `WalkPath`s,
+    holds the same number of walks per start, grouped in starts order, and
+    `noise` one row per path. The whole batch is one tape: the start
+    molecules are gathered from `graph.molecules()` and encoded once,
+    together, and the targets of one (kind, dim), in walk order, are taken
+    from the graph's matrix of it and decoded as one matrix, each row
+    weighted by alpha / (L * walks per start * starts); the groups go in the
+    order they first appear. The breakdown holds the same batch means.
     """
-    if not starts or len(paths) % len(starts):
+    if not starts or not len(paths) or len(paths) % len(starts):
         raise ValueError(f"{len(paths)} paths for {len(starts)} start molecules")
     per_mol = len(paths) // len(starts)
     mols, row = graph.molecules()
     for s in starts:
         if s not in row:
             raise PathMismatchError(f"path must start at a molecule node, got {s!r}")
-    # (kind, dim) -> (walk index, features, alpha, walk node count) per target
-    targets: Dict[Tuple[NodeKind, int], list] = {}
-    for w, path in enumerate(paths):
-        if path.nodes[0] != starts[w // per_mol]:
-            raise PathMismatchError(f"path {w} starts at {path.nodes[0]!r}, "
+    if not isinstance(paths, WalkBatch):
+        paths = WalkBatch.of(paths, graph.node_ids())
+    for w, head in enumerate(paths.nodes[:, 0].tolist()):
+        if paths.ids[head] != starts[w // per_mol]:
+            raise PathMismatchError(f"path {w} starts at {paths.ids[head]!r}, "
                                     f"expected {starts[w // per_mol]!r}")
-        for nid, alpha in [(path.nodes[0], 1.0)] + path.targets():
-            rec = graph.node(nid)
-            targets.setdefault((rec.kind, rec.modality_dim), []).append(
-                (w, rec.features, alpha, len(path.nodes)))
-    batch = MoleculeSet.of([mols.molecule(row[s]) for s in starts])
+    # Every target, walk by walk: its walk, node and alpha, and its (kind, dim).
+    walk, step = np.nonzero(np.arange(paths.nodes.shape[1]) < paths.sizes[:, None])
+    nodes = paths.nodes[walk, step]
+    alphas = np.hstack([np.ones((len(paths), 1)), paths.alphas])[walk, step]
+    kinds = graph.kinds()[nodes]
+    dims, rows, matrices = graph.features()
+    _keys, first, group = np.unique(dims[nodes] * len(KINDS) + kinds, return_index=True,
+                                    return_inverse=True)
+    batch = mols.take([row[s] for s in starts])
     out = encode_union(*batch.block(0, len(starts)), len(starts), bound)
     walk_mol = dc.RowIndex(np.repeat(np.arange(len(starts)), per_mol), len(starts))
     z = reparameterize(EncoderOutput(dc.gather_rows(out.mu, walk_mol),
@@ -315,11 +321,13 @@ def batch_loss(graph: ContextGraph, starts: Sequence[str], paths: Sequence[WalkP
     scale = 1.0 / len(paths)
     recon: Dict[str, float] = {}
     recon_total = 0.0
-    for (kind, _dim), rows in targets.items():
-        walk_idx, feats, alpha, length = zip(*rows)
-        alpha = np.array(alpha)
-        weight = alpha * scale / np.array(length, dtype=np.float64)
-        nll = decode_nll(dc.gather_rows(z, walk_idx), np.array(feats, dtype=np.float64),
+    for g in np.argsort(first):
+        sel = np.flatnonzero(group == g)
+        kind = KINDS[kinds[sel[0]]]
+        alpha = alphas[sel]
+        weight = alpha * scale / paths.sizes[walk[sel]]
+        feats = matrices[kind, int(dims[nodes[sel[0]]])][rows[nodes[sel]]]
+        nll = decode_nll(dc.gather_rows(z, walk[sel]), feats.astype(np.float64),
                          kind, bound, likelihood)
         term = dc.tsum(dc.mul(nll, dc.constant(weight[:, None])))
         total = dc.add(total, term)
@@ -449,8 +457,7 @@ def embed(store: dc.ParamStore, molecules: MoleculeSet) -> np.ndarray:
     if n == 0:
         return np.zeros((0, store.params["head_mu.w0"].shape[1]))
     if n == 1:
-        one = molecules.molecule(0)
-        molecules = MoleculeSet.of([one, one])
+        molecules = molecules.take([0, 0])
     bound = store.bind()
     blocks = [encode_union(*molecules.block(lo, hi), hi - lo, bound).mu.data
               for lo, hi in _embed_blocks(molecules.atom_start, _EMBED_ATOMS)]

@@ -26,13 +26,14 @@ edge index. `parse_many` parses a whole list of SMILES into one
 `MoleculeSet`: one such graph, the disjoint union of the molecules, with the
 atom and bond offsets of each, which the fingerprint hash and the encoder
 read in blocks. `parse_smiles` is its one-molecule case, so there is one
-grammar; `MoleculeSet.of` lays out a list of parsed molecules the same way.
+grammar; `MoleculeSet.take` gathers some of a set's molecules, in any
+order, into a set of their own.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -102,37 +103,36 @@ class MoleculeSet:
     atom_start: np.ndarray  # (molecules + 1,) intp
     bond_start: np.ndarray  # (molecules + 1,) intp
 
-    @classmethod
-    def of(cls, mols: Sequence[MolecularGraph]) -> "MoleculeSet":
-        """The set of the molecules `mols`, in their order."""
-        if not len(mols):
-            return parse_many([])
-        arrays = {f.name: np.concatenate([getattr(g, f.name) for g in mols])
-                  for f in fields(MolecularGraph)}
-        atom_start = np.cumsum([0] + [len(g.element) for g in mols], dtype=np.intp)
-        bond_start = np.cumsum([0] + [len(g.bonds) for g in mols], dtype=np.intp)
-        arrays["bonds"] += np.repeat(atom_start[:-1], np.diff(bond_start))[:, None]
-        return cls(MolecularGraph(**arrays), atom_start, bond_start)
-
     def __len__(self) -> int:
         return len(self.atom_start) - 1
 
-    def molecule(self, i: int) -> MolecularGraph:
-        """Molecule i on its own."""
-        return self._slice(i, i + 1)
+    def take(self, rows: Sequence[int]) -> "MoleculeSet":
+        """Molecules `rows`, in that order and repeats kept, as a set of their
+        own, gathered from this set's arrays in one pass."""
+        rows = np.asarray(rows, dtype=np.intp)
+        g = self.graph
+        atoms = self.atom_start[rows + 1] - self.atom_start[rows]
+        bonds = self.bond_start[rows + 1] - self.bond_start[rows]
+        atom_start = np.concatenate([[0], np.cumsum(atoms)]).astype(np.intp)
+        bond_start = np.concatenate([[0], np.cumsum(bonds)]).astype(np.intp)
+        # each gathered atom's and bond's index in this set
+        a = np.repeat(self.atom_start[rows] - atom_start[:-1], atoms) + np.arange(atom_start[-1])
+        b = np.repeat(self.bond_start[rows] - bond_start[:-1], bonds) + np.arange(bond_start[-1])
+        shift = np.repeat(atom_start[:-1] - self.atom_start[rows], bonds)
+        return MoleculeSet(MolecularGraph(g.element[a], g.charge[a], g.aromatic[a], g.degree[a],
+                                          g.bonds[b] + shift[:, None], g.order[b]),
+                           atom_start, bond_start)
 
     def block(self, lo: int, hi: int) -> Tuple[MolecularGraph, np.ndarray]:
         """Molecules lo to hi - 1 as one graph, and each of its atoms'
         molecule index counted from lo."""
-        atoms = np.diff(self.atom_start[lo : hi + 1])
-        return self._slice(lo, hi), np.repeat(np.arange(hi - lo), atoms)
-
-    def _slice(self, lo: int, hi: int) -> MolecularGraph:
         g = self.graph
         a0, a1 = self.atom_start[lo], self.atom_start[hi]
         b0, b1 = self.bond_start[lo], self.bond_start[hi]
-        return MolecularGraph(g.element[a0:a1], g.charge[a0:a1], g.aromatic[a0:a1],
-                              g.degree[a0:a1], g.bonds[b0:b1] - a0, g.order[b0:b1])
+        atoms = np.diff(self.atom_start[lo : hi + 1])
+        return (MolecularGraph(g.element[a0:a1], g.charge[a0:a1], g.aromatic[a0:a1],
+                               g.degree[a0:a1], g.bonds[b0:b1] - a0, g.order[b0:b1]),
+                np.repeat(np.arange(hi - lo), atoms))
 
 
 def _parse_bracket_atom(token: str, pos: int) -> Tuple[int, bool, int]:

@@ -27,13 +27,13 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
-from .ctxgraph import ContextGraph, NodeKind
+from .ctxgraph import KINDS, ContextGraph, NodeKind
 from .diffcore import seeded_rng
-from .errors import NotAMoleculeError
+from .errors import NotAMoleculeError, UnknownNodeError
 
 
 @dataclass
@@ -65,10 +65,6 @@ class WalkPath:
                 acc *= w
                 self.alphas.append(acc)
 
-    def targets(self) -> List[Tuple[str, float]]:
-        """Visited non-start nodes with their cumulative weights."""
-        return list(zip(self.nodes[1:], self.alphas))
-
 
 @dataclass(eq=False)
 class WalkBatch(Sequence):
@@ -77,7 +73,8 @@ class WalkBatch(Sequence):
     Row i is walk i: its first sizes[i] entries of `nodes` (indices into
     `ids`) and the first sizes[i] - 1 of `weights` and `alphas`. A walk
     shorter than the row is truncated; the rest of its row is padding.
-    Slicing gives a `WalkBatch` of the same arrays' rows.
+    Slicing gives a `WalkBatch` of the same arrays' rows, and `of` the
+    batch of a list of `WalkPath`s.
     """
 
     ids: List[str]
@@ -85,6 +82,25 @@ class WalkBatch(Sequence):
     weights: np.ndarray  # (walks, length - 1) traversed effective weights
     alphas: np.ndarray   # (walks, length - 1) running products of `weights`
     sizes: np.ndarray    # (walks,) node count of each walk
+
+    @classmethod
+    def of(cls, paths: Sequence[WalkPath], ids: List[str]) -> "WalkBatch":
+        """The batch of the (one or more) `paths`, whose nodes are ids in
+        `ids`; another id raises UnknownNodeError."""
+        index = {nid: i for i, nid in enumerate(ids)}
+        length = max(len(p.nodes) for p in paths)
+        nodes = np.zeros((len(paths), length), dtype=np.intp)
+        weights, alphas = np.ones((2, len(paths), length - 1))
+        for r, p in enumerate(paths):
+            n = len(p.nodes)
+            try:
+                nodes[r, :n] = [index[nid] for nid in p.nodes]
+            except KeyError as exc:
+                raise UnknownNodeError(f"unknown node id {exc.args[0]!r}") from None
+            weights[r, : n - 1] = p.edge_weights
+            alphas[r, : n - 1] = p.alphas
+        return cls(ids, nodes, weights, alphas,
+                   np.array([len(p.nodes) for p in paths], dtype=np.intp))
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -124,12 +140,16 @@ def batch_walks(g: ContextGraph, starts: Sequence[str], cfg: WalkConfig) -> Walk
     module docstring. Every start must be a molecule node.
     """
     csr = g.csr()
-    for s in starts:
-        kind = g.node(s).kind
-        if kind is not NodeKind.MOLECULE:
-            raise NotAMoleculeError(f"walk start {s!r} has kind {kind.value}")
+    try:
+        first = np.array([csr.index[s] for s in starts], dtype=np.intp)
+    except KeyError as exc:
+        raise UnknownNodeError(f"unknown node id {exc.args[0]!r}") from None
+    kinds = g.kinds()[first]
+    bad = np.flatnonzero(kinds != KINDS.index(NodeKind.MOLECULE))
+    if len(bad):
+        raise NotAMoleculeError(f"walk start {starts[bad[0]]!r} has kind "
+                                f"{KINDS[kinds[bad[0]]].value}")
     per, steps = cfg.walks_per_molecule, cfg.length - 1
-    first = np.array([csr.index[s] for s in starts], dtype=np.intp)
     degree = np.diff(csr.indptr)
     live = np.flatnonzero(degree[first] > 0)
     u = np.empty((len(live), per, steps))

@@ -11,7 +11,8 @@ the `np.add.at` scatter and the per-parameter Adam loop that the row index
 tables and the flat parameter buffer replaced. `reference_top_pairs` is the
 full sort of every similarity candidate that the partition cut replaced.
 `reference_walk_loss` is the loss of one walk on a tape of its own, one
-target at a time, which `batch_loss` computes for a whole minibatch at once.
+target at a time (`walk_targets`), which `batch_loss` computes for a whole
+minibatch at once.
 `neg`, `relu`, `exp` and `softplus` are the primitives, and the `composed_*`
 functions the chains of primitives, that diffcore's fused nodes (`affine`,
 `bce_with_logits`, `half_squared_error`, `gaussian_kl`, `gaussian_sample`)
@@ -22,9 +23,18 @@ token table replaced; it keeps its own bond-symbol table and charge limit.
 `reference_probe_train` is the probe fit that builds both losses on every
 entry and masks one away, which a fit of one task type no longer does.
 `union` lays out a list of parsed molecules as one graph one molecule at a
-time, which `MoleculeSet.of(mols).block(0, len(mols))` does at once.
+time, which `molecule_set(mols).block(0, len(mols))` does at once.
+`molecule_set` and `molecule` are the layout of a list of parsed molecules
+as a set and the slicing of one molecule out of a set, that `MoleculeSet.of`
+and `MoleculeSet.molecule` did and `parse_many` and `MoleculeSet.take`
+replaced.
 `neighbors` reads one node's row of the walker's CSR arrays as the
-(neighbour id, weight) pairs that `ContextGraph.neighbors` returned.
+(neighbour id, weight) pairs that `ContextGraph.neighbors` returned, and
+`stored_edges` the graph's edge arrays as the {(low id, high id, relation):
+weight} dict the graph kept before its edges were arrays; it is the one
+place the tests read the graph's private fields.
+`gaussian_mi` and `i_nwj` are the closed-form Gaussian MI and the NWJ bound,
+which no command reports.
 """
 
 import struct
@@ -40,9 +50,11 @@ from infoalign.errors import (
     UnbalancedParenError,
     UnsupportedFeatureError,
 )
+from infoalign.ctxgraph import RELATIONS
 from infoalign.evalkit import CLASSIFICATION, ProbeHead
 from infoalign.model import ATOM_FEATURE_DIM, LossBreakdown, decoder_prefix, gin_encode
-from infoalign.molparse import AROMATIC_ELEMENTS, ELEMENTS, BondOrder, MolecularGraph, parse_smiles
+from infoalign.molparse import (AROMATIC_ELEMENTS, ELEMENTS, BondOrder, MolecularGraph,
+                                MoleculeSet, parse_many, parse_smiles)
 
 _FNV_OFFSET = 14695981039346656037
 _FNV_PRIME = 1099511628211
@@ -166,6 +178,40 @@ def union(mols: List[MolecularGraph]) -> Tuple[MolecularGraph, np.ndarray]:
             np.array(segment, dtype=np.intp))
 
 
+def molecule_set(mols: List[MolecularGraph]) -> MoleculeSet:
+    """The set of the parsed molecules `mols`, in their order: each array the
+    concatenation of theirs, each molecule's bond endpoints offset past the
+    atoms before it."""
+    if not len(mols):
+        return parse_many([])
+    arrays = {f.name: np.concatenate([getattr(g, f.name) for g in mols])
+              for f in fields(MolecularGraph)}
+    atom_start = np.cumsum([0] + [len(g.element) for g in mols], dtype=np.intp)
+    bond_start = np.cumsum([0] + [len(g.bonds) for g in mols], dtype=np.intp)
+    arrays["bonds"] += np.repeat(atom_start[:-1], np.diff(bond_start))[:, None]
+    return MoleculeSet(MolecularGraph(**arrays), atom_start, bond_start)
+
+
+def molecule(mols: MoleculeSet, i: int) -> MolecularGraph:
+    """Molecule i of a set on its own, sliced out of the set's arrays."""
+    g = mols.graph
+    a0, a1 = mols.atom_start[i], mols.atom_start[i + 1]
+    b0, b1 = mols.bond_start[i], mols.bond_start[i + 1]
+    return MolecularGraph(g.element[a0:a1], g.charge[a0:a1], g.aromatic[a0:a1],
+                          g.degree[a0:a1], g.bonds[b0:b1] - a0, g.order[b0:b1])
+
+
+def stored_edges(g) -> dict:
+    """The graph's edges as {(low id, high id, relation): weight}, in the
+    order they are stored: as added before `finalize`, sorted after it. A
+    (pair, relation) added twice keeps its first place and its last weight."""
+    ids, e = g.node_ids(), g._edges
+    out = {}
+    for a, b, r, w in zip(e.a.tolist(), e.b.tolist(), e.rel.tolist(), e.w.tolist()):
+        out[(*sorted((ids[a], ids[b])), RELATIONS[r])] = w
+    return out
+
+
 def neighbors(g, node_id: str) -> List[Tuple[str, float]]:
     """Effective neighbours of `node_id` (max weight per pair) in id order,
     read from the finalized graph's CSR row."""
@@ -175,6 +221,21 @@ def neighbors(g, node_id: str) -> List[Tuple[str, float]]:
     lo, hi = csr.indptr[i], csr.indptr[i + 1]
     return list(zip([csr.ids[j] for j in csr.neighbors[lo:hi].tolist()],
                     csr.weights[lo:hi].tolist()))
+
+
+def gaussian_mi(rho: float) -> float:
+    """Exact MI of a bivariate normal with correlation rho, in nats."""
+    if not -1.0 < rho < 1.0:
+        raise ValueError("correlation must be in (-1, 1)")
+    return float(-0.5 * np.log(1.0 - rho * rho))
+
+
+def i_nwj(jt, h: np.ndarray) -> float:
+    """The NWJ bound E[h] - e^{-1} E_z[Ztilde(z)], Ztilde(z) = E_y[e^h], of
+    the critic h on the joint table jt, by exact summation."""
+    h = np.asarray(h, dtype=np.float64)
+    ztilde = np.exp(h) @ jt.py
+    return float(np.sum(jt.p * h) - np.exp(-1.0) * np.dot(jt.pz, ztilde))
 
 
 def reference_scatter_add(base: np.ndarray, index, values: np.ndarray) -> np.ndarray:
@@ -275,6 +336,11 @@ def composed_sample(mu, logvar, noise):
     return dc.add(mu, dc.mul(std, dc.constant(noise)))
 
 
+def walk_targets(path) -> List[Tuple[str, float]]:
+    """A walk's visited non-start nodes with their cumulative weights."""
+    return list(zip(path.nodes[1:], path.alphas))
+
+
 def reference_walk_loss(graph, path, bound, beta: float, noise, likelihood: str = "bernoulli"):
     """(total, LossBreakdown) of one walk, with `noise` one latent row.
 
@@ -290,7 +356,7 @@ def reference_walk_loss(graph, path, bound, beta: float, noise, likelihood: str 
     z = composed_sample(out.mu, out.logvar, np.reshape(noise, (1, -1)))
     kl = composed_kl(out.mu, out.logvar)
     targets = [(start.features.astype(np.float64), start.kind, 1.0)]
-    for nid, alpha in path.targets():
+    for nid, alpha in walk_targets(path):
         rec = graph.node(nid)
         targets.append((rec.features.astype(np.float64), rec.kind, alpha))
 

@@ -40,7 +40,6 @@ from infoalign.evalkit import (
 )
 from infoalign.mibounds import (
     critic_to_conditional,
-    gaussian_mi,
     i_dlb,
     i_nce,
     optimal_critic,
@@ -60,6 +59,7 @@ from infoalign.molparse import parse_many
 from infoalign.synth import SyntheticSpec, generate, write_tables
 
 from tests.test_evalkit import auc_pairwise_oracle, rerank_oracle
+from tests.oracles import gaussian_mi, stored_edges
 from tests.test_mibounds import gaussian_mi_quadrature
 from tests.test_model import mk_out, kl_quadrature
 
@@ -204,7 +204,7 @@ def test_similarity_edges_match_brute_force(seed):
     keep_fraction = float(rng.choice([0.005, 0.02, 0.1]))
     expected = _similarity_oracle(ids, feats, 0.8, keep_fraction)
     g.build_similarity_edges(NodeKind.CELL_MORPHOLOGY, 0.8, keep_fraction)
-    got = {(a, b): w for (a, b, r), w in g._edges.items() if r is Relation.SIMILARITY}
+    got = {(a, b): w for (a, b, r), w in stored_edges(g).items() if r is Relation.SIMILARITY}
     assert set(got) == set(expected)
     for k in got:
         assert got[k] == pytest.approx(expected[k], abs=1e-12)

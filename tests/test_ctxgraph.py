@@ -34,7 +34,7 @@ from infoalign.errors import (
 )
 from infoalign.molparse import parse_many
 from infoalign.walker import WalkConfig, batch_walks
-from tests.oracles import neighbors, reference_top_pairs
+from tests.oracles import molecule, neighbors, reference_top_pairs, stored_edges
 
 
 def rec(nid, kind=NodeKind.CELL_MORPHOLOGY, feats=(0.5,)):
@@ -73,7 +73,7 @@ def test_molecule_node_parses_smiles():
     g.add_node(mol("m1", "c1ccccc1"))
     mols, row = g.molecules()
     assert row == {"m1": 0}
-    assert len(mols.molecule(0).element) == 6
+    assert len(molecule(mols, 0).element) == 6
 
 
 def test_perturbation_edge_weight_forced_one():
@@ -81,7 +81,7 @@ def test_perturbation_edge_weight_forced_one():
     g.add_node(rec("a"))
     g.add_node(rec("b"))
     assert g.add_edge("b", "a", Relation.PERTURBATION, 1.0) is None
-    assert g._edges == {("a", "b", Relation.PERTURBATION): 1.0}
+    assert stored_edges(g) == {("a", "b", Relation.PERTURBATION): 1.0}
     with pytest.raises(SelfLoopError):
         g.add_edge("a", "a", Relation.PERTURBATION, 1.0)
     with pytest.raises(UnknownNodeError):
@@ -116,8 +116,28 @@ def test_max_weight_effective_edge():
     g.add_edge("a", "b", Relation.SIMILARITY, 0.85)
     g.add_edge("a", "b", Relation.PERTURBATION, 1.0)
     g.finalize()
-    assert len(g._edges) == 2          # both relations stored
+    assert len(stored_edges(g)) == 2   # both relations stored
     assert neighbors(g, "a") == [("b", 1.0)]  # walker sees max weight
+
+
+def test_repeated_pair_and_relation_keeps_its_last_weight():
+    """A (pair, relation) added twice, in either direction, is one edge at
+    the last weight, not the max."""
+    g = ContextGraph()
+    for nid in ("a", "b"):
+        g.add_node(rec(nid))
+    g.add_edge("a", "b", Relation.SIMILARITY, 0.7)
+    g.add_edge("b", "a", Relation.SIMILARITY, 0.5)
+    assert stored_edges(g) == {("a", "b", Relation.SIMILARITY): 0.5}
+    g.finalize()
+    assert stored_edges(g) == {("a", "b", Relation.SIMILARITY): 0.5}
+    assert g.stats()["edges"] == 1
+    assert neighbors(g, "a") == [("b", 0.5)]
+    once = ContextGraph()
+    for nid in ("a", "b"):
+        once.add_node(rec(nid))
+    once.add_edge("a", "b", Relation.SIMILARITY, 0.5)
+    assert g.checksum() == once.finalize().checksum()
 
 
 # --- min-max scaling -----------------------------------------------------------
@@ -213,8 +233,7 @@ def test_similarity_matches_brute_force_oracle(seed):
     keep_fraction = rng.choice([0.005, 0.02, 0.1, 1.0])
     expected = brute_force_similarity(recs, 0.8, keep_fraction)
     g.build_similarity_edges(NodeKind.CELL_MORPHOLOGY, 0.8, keep_fraction)
-    got = {(a, b): w for (a, b, r), w in
-           ((k, v) for k, v in g._edges.items()) if r is Relation.SIMILARITY}
+    got = {(a, b): w for (a, b, r), w in stored_edges(g).items() if r is Relation.SIMILARITY}
     assert set(got) == set(expected)
     for k in got:
         assert got[k] == pytest.approx(expected[k], abs=1e-12)
@@ -223,7 +242,7 @@ def test_similarity_matches_brute_force_oracle(seed):
 def reference_similarity_edges(g, kind, threshold=0.8, keep_fraction=0.005):
     """The per-pair loop that build_similarity_edges replaced: {id pair: weight},
     in the order the edges are added."""
-    recs = [r for r in g._nodes.values() if r.kind is kind and r.modality_dim > 0]
+    recs = [r for r in map(g.node, g.node_ids()) if r.kind is kind and r.modality_dim > 0]
     n = len(recs)
     feats = np.stack([r.features.astype(np.float64) for r in recs])
     norms = np.linalg.norm(feats, axis=1)
@@ -249,7 +268,7 @@ def reference_similarity_edges(g, kind, threshold=0.8, keep_fraction=0.005):
 
 
 def similarity_edges(g):
-    return {(a, b): w for (a, b, r), w in g._edges.items() if r is Relation.SIMILARITY}
+    return {(a, b): w for (a, b, r), w in stored_edges(g).items() if r is Relation.SIMILARITY}
 
 
 def assert_matches_reference(feats, ids, keep_fraction, threshold=0.8, ulps=0):
@@ -398,8 +417,8 @@ def test_top_pairs_equals_full_sort_on_tie_heavy_features(data):
             assert added == min(keep, len(s))
             graphs.append(g)
     new, ref = graphs
-    assert list(new._edges.items()) == list(ref._edges.items())  # same order and weights
-    assert new.finalize()._sorted_edges() == ref.finalize()._sorted_edges()
+    assert list(stored_edges(new).items()) == list(stored_edges(ref).items())  # same order, weights
+    assert list(stored_edges(new.finalize()).items()) == list(stored_edges(ref.finalize()).items())
 
 
 def test_top_pairs_keep_zero_is_empty():
@@ -416,6 +435,19 @@ def test_zero_cosine_is_no_edge_at_threshold_zero():
         g.add_node(rec(nid, feats=f))
     assert g.build_similarity_edges(NodeKind.CELL_MORPHOLOGY, 0.0, 1.0) == 2
     assert set(similarity_edges(g)) == {("a", "c"), ("b", "c")}
+
+
+def test_given_similarity_edge_keeps_its_weight():
+    """A similarity edge added before `build_similarity_edges`, as the tables
+    add theirs, keeps its weight, and the returned count leaves it out."""
+    g = ContextGraph()
+    for nid in ("a", "b", "c"):
+        g.add_node(rec(nid, feats=(0.5, 0.5)))
+    g.add_edge("b", "a", Relation.SIMILARITY, 0.3)
+    assert g.build_similarity_edges(NodeKind.CELL_MORPHOLOGY, keep_fraction=1.0) == 2
+    assert similarity_edges(g) == {("a", "b"): 0.3, ("a", "c"): 1.0, ("b", "c"): 1.0}
+    g.finalize()
+    assert neighbors(g, "a") == [("b", 0.3), ("c", 1.0)]
 
 
 def test_zero_norm_rows_skipped():
@@ -445,7 +477,7 @@ def test_stats_counts():
     assert s["nodes_by_kind"]["molecule"] == 30
     assert s["nodes_by_kind"]["cell_morphology"] == 30
     assert s["edges_by_relation"]["perturbation"] == 30
-    assert s["nodes"] == len(g.node_ids()) and s["edges"] == len(g._edges)
+    assert s["nodes"] == len(g.node_ids()) and s["edges"] == len(stored_edges(g))
 
 
 def test_finalize_validates_ranges():
@@ -565,6 +597,50 @@ def test_load_corrupt(tmp_path):
         ContextGraph.load(p)
 
 
+def _edit_meta(meta, case):
+    cell = next(nm for nm in meta["nodes"] if nm["kind"] == "cell_morphology")
+    if case == "unknown-node":
+        meta["edges"][0][1] = "zz"
+    elif case == "dims-over":
+        cell["dim"] += 1
+    elif case == "dims-under":
+        cell["dim"] -= 1
+    elif case == "unknown-relation":
+        meta["edges"][0][2] = "bogus"
+    elif case == "unknown-kind":
+        cell["kind"] = "protein"
+
+
+# Each edit of `_edit_meta`, and what the error says.
+CONTRADICTIONS = {
+    "unknown-node": "unknown edge node 'zz'",
+    "dims-over": "node dims add up to",
+    "dims-under": "node dims add up to",
+    "unknown-relation": "unknown relation 'bogus'",
+    "unknown-kind": "unknown node kind 'protein'",
+}
+
+
+@pytest.mark.parametrize("case", list(CONTRADICTIONS))
+def test_load_names_the_file_of_contradicting_metadata(tmp_path, capsys, case):
+    """A container with a valid checksum whose metadata contradicts itself
+    raises CorruptFileError naming the file, and `walk` exits 1 with it."""
+    from infoalign.cli import main
+
+    g = build_random_graph(seed=1)
+    p = tmp_path / "g.ctxg"
+    g.save(p)
+    meta, arrays = serialize.read_container(p, ctxgraph.MAGIC)
+    _edit_meta(meta, case)
+    serialize.write_container(p, ctxgraph.MAGIC, meta, arrays)
+    with pytest.raises(CorruptFileError) as exc:
+        ContextGraph.load(p)
+    assert str(exc.value).startswith(f"{p}: ") and CONTRADICTIONS[case] in str(exc.value)
+    assert main(["walk", "--graph", str(p), "--out", str(tmp_path / "w.tsv")]) == 1
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+    assert not (tmp_path / "w.tsv").exists()
+
+
 # --- TSV tables ---------------------------------------------------------------------
 
 def write_tables(tmp_path):
@@ -589,7 +665,8 @@ def write_tables(tmp_path):
 
 def test_load_node_table_scaling(tmp_path):
     nodes, _ = write_tables(tmp_path)
-    recs = {r.id: r for r in load_node_table(nodes)}
+    g = load_node_table(nodes)
+    recs = {nid: g.node(nid) for nid in g.node_ids()}
     assert recs["m1"].smiles == "CCO"
     assert recs["m1"].features.sum() > 0  # fingerprint bits
     # min-max over the cell_morphology group: col0 [1,3,2] -> [0,1,0.5]; col1 [5,5,9] -> [0,0,1]

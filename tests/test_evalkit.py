@@ -33,7 +33,8 @@ from infoalign.evalkit import (
     split_random,
 )
 from infoalign.model import decoder_prefix, gin_encode
-from infoalign.molparse import MoleculeSet, parse_smiles
+from infoalign.molparse import parse_smiles
+from tests.oracles import molecule_set
 
 
 def auc_pairwise_oracle(scores, labels):
@@ -295,8 +296,8 @@ def test_match_zero_shot_deterministic_and_ranked():
     cands = rng.uniform(0, 1, size=(5, 6))
     ids = [f"c{i}" for i in range(5)]
     true = ["c3", "c0"]
-    out1 = match_zero_shot(store, MoleculeSet.of(queries), cands, ids, true)
-    out2 = match_zero_shot(store, MoleculeSet.of(queries), cands, ids, true)
+    out1 = match_zero_shot(store, molecule_set(queries), cands, ids, true)
+    out2 = match_zero_shot(store, molecule_set(queries), cands, ids, true)
     assert out1 == out2
     ranks = out1["ranks"]
     assert ranks == [reference_true_rank(matcher_scores(store, mol, cands)[0], ids, tid)
@@ -314,7 +315,7 @@ def test_match_scores_equal_decoder_likelihood():
     mol = parse_smiles("c1ccccc1")
     cands = rng.uniform(0, 1, size=(4, 6))
     ids = [f"c{i}" for i in range(4)]
-    out = match_zero_shot(store, MoleculeSet.of([mol] * 4), cands, ids, ids)
+    out = match_zero_shot(store, molecule_set([mol] * 4), cands, ids, ids)
     scores, logits = matcher_scores(store, mol, cands)
     ll = np.array([np.sum(y * logits - np.logaddexp(0.0, logits)) for y in cands])
     assert scores == pytest.approx(ll, abs=1e-9)
@@ -328,7 +329,7 @@ def test_match_tie_breaks_by_candidate_id():
     cands = np.tile(np.random.default_rng(16).uniform(0, 1, 6), (3, 1))
     ids = ["b", "c", "a"]  # identical vectors -> identical scores
     mol = parse_smiles("CCO")
-    out = match_zero_shot(store, MoleculeSet.of([mol] * 3), cands, ids, ids)
+    out = match_zero_shot(store, molecule_set([mol] * 3), cands, ids, ids)
     assert out["ranks"] == [2, 3, 1]
     scores, _ = matcher_scores(store, mol, cands)
     assert [reference_true_rank(scores, ids, tid) for tid in ids] == [2, 3, 1]
@@ -355,7 +356,7 @@ def test_match_true_rank_equals_argsort_oracle(case):
     cands, ids, true = case
     store = matcher_fixture()
     queries = [parse_smiles("CCO"), parse_smiles("c1ccccc1N")]
-    out = match_zero_shot(store, MoleculeSet.of(queries), cands, ids, true)
+    out = match_zero_shot(store, molecule_set(queries), cands, ids, true)
     assert out["ranks"] == [
         reference_true_rank(matcher_scores(store, mol, cands)[0], ids, tid)
         for mol, tid in zip(queries, true)]
@@ -374,7 +375,7 @@ def test_match_true_rank_equals_argsort_oracle_across_blocks(case, seed):
     store = matcher_fixture()
     queries = [parse_smiles(s) for s in MATCH_QUERIES]
     true = list(np.random.default_rng(seed).choice(ids, size=len(queries)))
-    out = match_zero_shot(store, MoleculeSet.of(queries), cands, ids, true)
+    out = match_zero_shot(store, molecule_set(queries), cands, ids, true)
     assert out["ranks"] == [
         reference_true_rank(matcher_scores(store, mol, cands)[0], ids, tid)
         for mol, tid in zip(queries, true)]
@@ -383,7 +384,7 @@ def test_match_true_rank_equals_argsort_oracle_across_blocks(case, seed):
 def test_match_duplicate_candidate_ids_rejected():
     store = matcher_fixture()
     with pytest.raises(DuplicateIdError, match="distinct"):
-        match_zero_shot(store, MoleculeSet.of([parse_smiles("CCO")]), np.zeros((2, 6)),
+        match_zero_shot(store, molecule_set([parse_smiles("CCO")]), np.zeros((2, 6)),
                         ["a", "a"], ["a"])
 
 
@@ -391,20 +392,20 @@ def test_match_rejects_non_finite_logits():
     store = matcher_fixture()
     store.params[decoder_prefix(store.params, NodeKind.CELL_MORPHOLOGY, 6) + ".b1"][4] = np.nan
     with pytest.raises(FloatingPointError, match="non-finite decoder logit"):
-        match_zero_shot(store, MoleculeSet.of([parse_smiles("CCO")]), np.zeros((2, 6)),
+        match_zero_shot(store, molecule_set([parse_smiles("CCO")]), np.zeros((2, 6)),
                         ["a", "b"], ["a"])
 
 
 def test_match_errors():
     store = matcher_fixture()
     with pytest.raises(DimensionMismatchError):
-        match_zero_shot(store, MoleculeSet.of([]), np.zeros(3), [], [])
+        match_zero_shot(store, molecule_set([]), np.zeros(3), [], [])
     with pytest.raises(DimensionMismatchError):
-        match_zero_shot(store, MoleculeSet.of([]), np.zeros((2, 6)), ["only-one"], [])
+        match_zero_shot(store, molecule_set([]), np.zeros((2, 6)), ["only-one"], [])
     with pytest.raises(NoDecoderError):
-        match_zero_shot(store, MoleculeSet.of([]), np.zeros((2, 7)), ["a", "b"], [])
+        match_zero_shot(store, molecule_set([]), np.zeros((2, 7)), ["a", "b"], [])
     query = [parse_smiles("CCO")]
     with pytest.raises(LengthMismatchError):
-        match_zero_shot(store, MoleculeSet.of(query * 2), np.zeros((2, 6)), ["a", "b"], ["a"])
+        match_zero_shot(store, molecule_set(query * 2), np.zeros((2, 6)), ["a", "b"], ["a"])
     with pytest.raises(UnknownNodeError, match="'z' is not a candidate id"):
-        match_zero_shot(store, MoleculeSet.of(query), np.zeros((2, 6)), ["a", "b"], ["z"])
+        match_zero_shot(store, molecule_set(query), np.zeros((2, 6)), ["a", "b"], ["z"])

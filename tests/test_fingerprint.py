@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infoalign.fingerprint import _FP_BLOCK, morgan_fingerprint
-from infoalign.molparse import MolecularGraph, MoleculeSet, parse_smiles
-from tests.oracles import FIXED_SMILES, environment_identifiers, reference_environment_identifiers
+from infoalign.molparse import MolecularGraph, parse_smiles
+from tests.oracles import (FIXED_SMILES, environment_identifiers, molecule_set,
+                           reference_environment_identifiers)
 from tests.test_molparse import smiles_strings
 
 # uint64 products must wrap on arrays; a product that falls onto a numpy
@@ -36,14 +37,14 @@ def reference_bits(g: MolecularGraph, radius: int, nbits: int) -> np.ndarray:
 
 
 def fingerprint_one(g: MolecularGraph, radius: int = 2, nbits: int = 1024) -> np.ndarray:
-    return morgan_fingerprint(MoleculeSet.of([g]), radius, nbits)[0]
+    return morgan_fingerprint(molecule_set([g]), radius, nbits)[0]
 
 
 def assert_matches_reference(mols, radii=range(4), widths=(64, 2048)):
     for radius in radii:
         for nbits in widths:
             expect = np.stack([reference_bits(g, radius, nbits) for g in mols])
-            got = morgan_fingerprint(MoleculeSet.of(mols), radius, nbits)
+            got = morgan_fingerprint(molecule_set(mols), radius, nbits)
             assert got.dtype == np.float32 and got.shape == (len(mols), nbits)
             assert np.array_equal(got, expect), (radius, nbits)
 
@@ -64,10 +65,10 @@ def test_ethane_symmetric_atoms():
 
 def test_determinism():
     mols = [parse_smiles("CC(=O)Oc1ccccc1C(=O)O"), parse_smiles("CCO")]
-    a = morgan_fingerprint(MoleculeSet.of(mols), 2, 1024)
-    b = morgan_fingerprint(MoleculeSet.of(mols), 2, 1024)
+    a = morgan_fingerprint(molecule_set(mols), 2, 1024)
+    b = morgan_fingerprint(molecule_set(mols), 2, 1024)
     assert np.array_equal(a, b)
-    assert np.array_equal(a[0], morgan_fingerprint(MoleculeSet.of(mols[:1]), 2, 1024)[0])
+    assert np.array_equal(a[0], morgan_fingerprint(molecule_set(mols[:1]), 2, 1024)[0])
 
 
 def test_permutation_invariance():
@@ -76,7 +77,7 @@ def test_permutation_invariance():
         g = parse_smiles(smi)
         base = fingerprint_one(g, 2, 512)
         perms = [permute_graph(g, rng.permutation(len(g.element))) for _ in range(5)]
-        for row in morgan_fingerprint(MoleculeSet.of(perms), 2, 512):
+        for row in morgan_fingerprint(molecule_set(perms), 2, 512):
             assert np.array_equal(row, base)
 
 
@@ -91,9 +92,9 @@ def test_identifier_sets_nested_across_radius():
 def test_fold_consistency():
     """OR of the two halves of a 2048-bit print equals the 1024-bit print."""
     mols = [parse_smiles(s) for s in ["CC(=O)Oc1ccccc1C(=O)O", "NCCCNC1CC1", "OCCOCCOCC"]]
-    wide = morgan_fingerprint(MoleculeSet.of(mols), 2, 2048)
+    wide = morgan_fingerprint(molecule_set(mols), 2, 2048)
     folded = np.maximum(wide[:, :1024], wide[:, 1024:])
-    assert np.array_equal(folded, morgan_fingerprint(MoleculeSet.of(mols), 2, 1024))
+    assert np.array_equal(folded, morgan_fingerprint(molecule_set(mols), 2, 1024))
 
 
 def test_environment_oracle_distinct_count():
@@ -137,7 +138,7 @@ def test_batches_across_chunk_boundary(n):
         for nbits in (64, 2048):
             expect = np.stack([reference_bits(parse_smiles(s), radius, nbits)
                                for s in FIXED_SMILES])
-            got = morgan_fingerprint(MoleculeSet.of(mols), radius, nbits)
+            got = morgan_fingerprint(molecule_set(mols), radius, nbits)
             assert np.array_equal(got, expect[order])
 
 
@@ -153,21 +154,21 @@ def test_edge_cases_match_reference(smiles):
 def test_nbits_validation():
     mols = [parse_smiles("C")]
     with pytest.raises(ValueError):
-        morgan_fingerprint(MoleculeSet.of(mols), 2, 1000)   # not a power of two
+        morgan_fingerprint(molecule_set(mols), 2, 1000)   # not a power of two
     with pytest.raises(ValueError):
-        morgan_fingerprint(MoleculeSet.of(mols), 2, 32)     # too small
+        morgan_fingerprint(molecule_set(mols), 2, 32)     # too small
     with pytest.raises(ValueError):
-        morgan_fingerprint(MoleculeSet.of(mols), -1, 1024)
+        morgan_fingerprint(molecule_set(mols), -1, 1024)
 
 
 @pytest.mark.parametrize("nbits", [64, 2048])
 def test_empty_sequence(nbits):
-    out = morgan_fingerprint(MoleculeSet.of([]), 2, nbits)
+    out = morgan_fingerprint(molecule_set([]), 2, nbits)
     assert out.shape == (0, nbits) and out.dtype == np.float32
 
 
 def test_matrix_is_float32_zero_one():
-    out = morgan_fingerprint(MoleculeSet.of([parse_smiles("CCO"), parse_smiles("c1ccccc1")]),
+    out = morgan_fingerprint(molecule_set([parse_smiles("CCO"), parse_smiles("c1ccccc1")]),
                              1, 64)
     assert out.dtype == np.float32 and out.shape == (2, 64)
     assert set(np.unique(out)) <= {0.0, 1.0}

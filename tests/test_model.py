@@ -44,11 +44,13 @@ from infoalign.model import (
     reparameterize,
     save_checkpoint,
 )
-from infoalign.molparse import MoleculeSet, parse_many, parse_smiles
+from infoalign.molparse import parse_many, parse_smiles
 from infoalign.synth import SyntheticSpec, generate
 from infoalign.walker import WalkConfig, WalkPath, batch_walks
 from tests.oracles import (
     FIXED_SMILES,
+    molecule,
+    molecule_set,
     reference_adam_step,
     reference_atom_features,
     reference_scatter_add,
@@ -78,7 +80,7 @@ def tiny_graph(n_mols=6, seed=0, fp_bits=64):
         smi = smiles[i % len(smiles)]
         mol = parse_smiles(smi)
         g.add_node(NodeRecord(f"m{i}", NodeKind.MOLECULE,
-                              morgan_fingerprint(MoleculeSet.of([mol]), 2, fp_bits)[0],
+                              morgan_fingerprint(molecule_set([mol]), 2, fp_bits)[0],
                               smiles=smi))
         g.add_node(NodeRecord(f"c{i}", NodeKind.CELL_MORPHOLOGY,
                               rng.uniform(0, 1, 5).astype(np.float32)))
@@ -496,7 +498,7 @@ def walk_graph(n_mols=7):
         smi = smiles[i % len(smiles)]
         mol = parse_smiles(smi)
         g.add_node(NodeRecord(f"m{i}", NodeKind.MOLECULE,
-                              morgan_fingerprint(MoleculeSet.of([mol]), 2, 64)[0],
+                              morgan_fingerprint(molecule_set([mol]), 2, 64)[0],
                               smiles=smi))
         g.add_node(NodeRecord(f"c{i}", NodeKind.CELL_MORPHOLOGY,
                               rng.uniform(0, 1, 5).astype(np.float32)))
@@ -580,7 +582,7 @@ def test_batch_loss_isolated_molecule_trains_on_own_fingerprint(likelihood):
     for i, smi in enumerate(["CCO", "CCN", "c1ccccc1"]):
         mol = parse_smiles(smi)
         g.add_node(NodeRecord(f"m{i}", NodeKind.MOLECULE,
-                              morgan_fingerprint(MoleculeSet.of([mol]), 2, 64)[0],
+                              morgan_fingerprint(molecule_set([mol]), 2, 64)[0],
                               smiles=smi))
     g.add_node(NodeRecord("c0", NodeKind.CELL_MORPHOLOGY, np.linspace(0, 1, 5)))
     g.add_edge("m0", "c0", Relation.PERTURBATION, 1.0)
@@ -864,11 +866,11 @@ def test_embed_properties():
     cfg = small_cfg()
     store, _ = pretrain(g, cfg)
     mols = [parse_smiles(s) for s in ["CCO", "CCN", "c1ccccc1"]]
-    z1 = embed(store, MoleculeSet.of(mols))
-    z2 = embed(store, MoleculeSet.of(mols))
+    z1 = embed(store, molecule_set(mols))
+    z2 = embed(store, molecule_set(mols))
     assert np.array_equal(z1, z2)
     assert z1.shape == (3, cfg.latent_dim)
-    perm = embed(store, MoleculeSet.of([mols[2], mols[0], mols[1]]))
+    perm = embed(store, molecule_set([mols[2], mols[0], mols[1]]))
     assert np.array_equal(perm, z1[[2, 0, 1]])
 
 
@@ -886,7 +888,7 @@ def test_embed_rows_equal_single_molecule_encodes(n):
     cfg = small_cfg()
     store = make_store(cfg, tiny_graph())
     mols = [parse_smiles(s) for s in EMBED_SMILES[:n]]
-    z = embed(store, MoleculeSet.of(mols))
+    z = embed(store, molecule_set(mols))
     assert z.shape == (n, cfg.latent_dim)
     bound = store.bind()
     for k, mol in enumerate(mols):
@@ -897,7 +899,7 @@ def test_embed_rejects_non_finite_weight():
     store = make_store(small_cfg(), tiny_graph())
     store.params["head_mu.b0"][2] = np.nan
     with pytest.raises(FloatingPointError, match="non-finite embedding"):
-        embed(store, MoleculeSet.of([parse_smiles("CCO")]))
+        embed(store, molecule_set([parse_smiles("CCO")]))
 
 
 def test_embed_row_does_not_depend_on_its_block():
@@ -905,8 +907,8 @@ def test_embed_row_does_not_depend_on_its_block():
     of its block, and each keeps its exact mu."""
     store = make_store(small_cfg(), tiny_graph())
     mols = [parse_smiles(s) for s in EMBED_SMILES[:20]]
-    z = embed(store, MoleculeSet.of(mols))
-    rotated = embed(store, MoleculeSet.of(mols[4:] + mols[:4]))
+    z = embed(store, molecule_set(mols))
+    rotated = embed(store, molecule_set(mols[4:] + mols[:4]))
     assert np.array_equal(rotated, np.concatenate([z[4:], z[:4]]))
 
 
@@ -928,15 +930,15 @@ def test_embed_alone_equals_its_row_in_a_large_set(evaluate_set):
     store, mols = evaluate_set
     z = embed(store, mols)
     for i in range(len(mols)):
-        assert np.array_equal(embed(store, MoleculeSet.of([mols.molecule(i)])), z[i : i + 1])
+        assert np.array_equal(embed(store, molecule_set([molecule(mols, i)])), z[i : i + 1])
 
     (_, full), *_ = _embed_blocks(mols.atom_start, _EMBED_ATOMS)
-    block = [mols.molecule(k) for k in range(full)]
+    block = [molecule(mols, k) for k in range(full)]
     room = _EMBED_ATOMS - int(mols.atom_start[full])
     lone = [i for i in range(full, len(mols)) if np.diff(mols.atom_start)[i] > room]
     assert len(lone) > 100
     for i in lone:
-        after = MoleculeSet.of(block + [mols.molecule(i)])
+        after = molecule_set(block + [molecule(mols, i)])
         assert _embed_blocks(after.atom_start, _EMBED_ATOMS) == [(0, full + 1)]
         assert np.array_equal(embed(store, after)[-1], z[i])
 
@@ -979,7 +981,7 @@ def test_checkpoint_manifest_round_trip(tmp_path):
     assert state2 == state and state.epoch == cfg.epochs
     assert decoder_keys(store2) == decoder_keys(store)
     mols = [parse_smiles("CCO")]
-    assert np.array_equal(embed(store, MoleculeSet.of(mols)), embed(store2, MoleculeSet.of(mols)))
+    assert np.array_equal(embed(store, molecule_set(mols)), embed(store2, molecule_set(mols)))
 
 
 def test_checkpoint_records_graph_fingerprint_width(tmp_path):

@@ -21,12 +21,12 @@ from infoalign.molparse import (
     ELEMENTS,
     BondOrder,
     MolecularGraph,
-    MoleculeSet,
     parse_many,
     parse_smiles,
     read_smiles_file,
 )
-from tests.oracles import FIXED_SMILES, reference_parse_smiles, scanned_neighbors, union
+from tests.oracles import (FIXED_SMILES, molecule, molecule_set, reference_parse_smiles,
+                           scanned_neighbors, union)
 
 
 def bond_set(g):
@@ -157,10 +157,10 @@ FIELDS = [f.name for f in fields(MolecularGraph)]
 
 
 def check_union(mols):
-    """`MoleculeSet.of(mols).block(0, n)` is the `union` oracle's layout byte
+    """`molecule_set(mols).block(0, n)` is the `union` oracle's layout byte
     for byte: each field the concatenation, bonds offset by the atoms before,
     and each atom's molecule index; it satisfies the parser's invariants."""
-    g, mol_of_atom = MoleculeSet.of(mols).block(0, len(mols))
+    g, mol_of_atom = molecule_set(mols).block(0, len(mols))
     want, want_of_atom = union(mols)
     for name in FIELDS:
         assert getattr(g, name).dtype == getattr(want, name).dtype
@@ -196,11 +196,39 @@ def test_union_concatenates_and_offsets_fuzzed(smiles):
 @pytest.mark.parametrize("smi", FIXED_SMILES)
 def test_union_of_one_molecule_is_the_molecule(smi):
     g = parse_smiles(smi)
-    u, mol_of_atom = MoleculeSet.of([g]).block(0, 1)
+    u, mol_of_atom = molecule_set([g]).block(0, 1)
     for name in FIELDS:
         assert getattr(u, name).dtype == getattr(g, name).dtype
         assert np.array_equal(getattr(u, name), getattr(g, name))
     assert mol_of_atom.tolist() == [0] * len(g.element)
+
+
+def check_take(smiles, rows):
+    """`parse_many(smiles).take(rows)` is the `molecule_set` oracle's layout
+    of the molecules `rows`, byte for byte."""
+    got = parse_many(smiles).take(rows)
+    want = molecule_set([parse_smiles(smiles[r]) for r in rows])
+    for name in FIELDS:
+        assert getattr(got.graph, name).dtype == getattr(want.graph, name).dtype
+        assert getattr(got.graph, name).shape == getattr(want.graph, name).shape
+        assert getattr(got.graph, name).tobytes() == getattr(want.graph, name).tobytes()
+    for name in ("atom_start", "bond_start"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+@pytest.mark.parametrize("rows", [[], [0], [3, 1, 3], [16, 16], list(range(len(FIXED_SMILES)))[::-1]],
+                         ids=["none", "first", "repeat", "bond-less-twice", "all-reversed"])
+def test_take_is_the_layout_of_its_molecules(rows):
+    check_take(FIXED_SMILES, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_take_is_the_layout_of_its_molecules_fuzzed(data):
+    smiles = data.draw(st.lists(st.one_of(smiles_strings(), st.sampled_from(["C", "[NH4+]"])),
+                                min_size=1, max_size=6))
+    check_take(smiles, data.draw(st.lists(st.integers(0, len(smiles) - 1), max_size=8)))
 
 
 # --- errors ------------------------------------------------------------------
@@ -344,7 +372,7 @@ def check_parse_many(texts):
         assert getattr(got.graph, name).tobytes() == getattr(g, name).tobytes()
     assert np.array_equal(got.block(0, len(texts))[1], mol_of_atom)
     for i, mol in enumerate(expect):
-        one = got.molecule(i)
+        one = molecule(got, i)
         for name in FIELDS:
             assert getattr(one, name).dtype == getattr(mol, name).dtype
             assert np.array_equal(getattr(one, name), getattr(mol, name))
@@ -381,7 +409,7 @@ def test_parse_many_of_nothing_is_empty():
     assert got.graph.bonds.shape == (0, 2)
     assert [getattr(got.graph, name).dtype for name in FIELDS] == \
         [np.intp, np.int32, bool, np.intp, np.intp, np.intp]
-    assert MoleculeSet.of([]).atom_start.tolist() == [0]
+    assert molecule_set([]).atom_start.tolist() == [0]
 
 
 # --- round-trip stability ----------------------------------------------------

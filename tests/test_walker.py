@@ -20,7 +20,7 @@ from infoalign.ctxgraph import ContextGraph, NodeKind, NodeRecord, Relation
 from infoalign.errors import NotAMoleculeError
 from infoalign.diffcore import seeded_rng
 from infoalign.walker import WalkConfig, WalkPath, batch_walks
-from tests.oracles import neighbors
+from tests.oracles import neighbors, stored_edges, walk_targets
 
 
 # --- the per-step oracle ---------------------------------------------------------
@@ -28,7 +28,7 @@ from tests.oracles import neighbors
 def effective_neighbors(g):
     """node id -> [(neighbor id, max weight over the pair's relations)] in id order."""
     nbrs = {nid: {} for nid in g.node_ids()}
-    for (a, b, _relation), weight in g._edges.items():
+    for (a, b, _relation), weight in stored_edges(g).items():
         for x, y in ((a, b), (b, a)):
             nbrs[x][y] = max(weight, nbrs[x].get(y, 0.0))
     return {nid: sorted(d.items()) for nid, d in nbrs.items()}
@@ -119,7 +119,7 @@ def star_graph(weights):
 def test_alpha_cumulative_product():
     p = WalkPath(["a", "b", "c", "d"], [1.0, 0.8, 0.5])
     assert p.alphas == pytest.approx([1.0, 0.8, 0.4], abs=1e-15)
-    assert p.targets() == [("b", 1.0), ("c", pytest.approx(0.8)), ("d", pytest.approx(0.4))]
+    assert walk_targets(p) == [("b", 1.0), ("c", pytest.approx(0.8)), ("d", pytest.approx(0.4))]
 
 
 def test_alpha_high_precision_oracle():
@@ -211,7 +211,7 @@ def test_walk_length_two_perturbation():
     g.add_edge("m0", "c0", Relation.PERTURBATION, 1.0)
     g.finalize()
     p = batch_walks(g, ["m0"], WalkConfig(length=2, walks_per_molecule=1))[0]
-    assert p.targets() == [("c0", 1.0)]
+    assert walk_targets(p) == [("c0", 1.0)]
 
 
 def test_walk_start_must_be_molecule():
