@@ -12,7 +12,9 @@ top-fraction sparsity filter (keep 0.5% of all intra-kind pairs).
 `finalize()` sorts the edges by (low id, high id, relation value), freezes
 the graph and builds the walker's CSR arrays, in which a pair joined by
 several relations is one edge at the max weight. `molecules()` parses the
-molecule SMILES into one `MoleculeSet` on first use.
+molecule SMILES into one `MoleculeSet` on first use. Each column lives in a
+buffer with spare rows that doubles when full, so adding nodes or edges one
+at a time costs amortised O(1) per row.
 """
 
 from __future__ import annotations
@@ -129,6 +131,22 @@ def min_max_scale(columns) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
+def _appended(buf: np.ndarray, used: int, new: np.ndarray) -> np.ndarray:
+    """`buf` with `new` written after its first `used` rows. A buffer too
+    short moves to one twice the length needed; an empty one is replaced by
+    `new` itself, so a single bulk append copies nothing. Rows past `used`
+    are spare; `buf` is never written below `used`."""
+    stop = used + len(new)
+    if stop > len(buf):
+        if used == 0:
+            return new
+        grown = np.empty((2 * stop,) + buf.shape[1:], dtype=buf.dtype)
+        grown[:used] = buf[:used]
+        buf = grown
+    buf[used:stop] = new
+    return buf
+
+
 def _id_ranks(ids: Sequence[str]) -> np.ndarray:
     """Each of the distinct `ids`' position in sorted order."""
     rank = np.empty(len(ids), dtype=np.intp)
@@ -168,6 +186,10 @@ class ContextGraph:
         self._row = np.zeros(0, dtype=np.intp)  # each node's row in its (kind, dim) matrix
         self._features: Dict[Tuple[NodeKind, int], np.ndarray] = {}
         self._edges = Edges(*(np.zeros(0, dtype=dt) for dt in _EDGE_DTYPES))
+        # The buffers (see `_appended`) that the columns above are views of.
+        self._node_bufs = (self._kind, self._dim, self._row)
+        self._feature_bufs: Dict[Tuple[NodeKind, int], np.ndarray] = {}
+        self._edge_bufs = self._edges
         self._finalized = False
         self._csr: Optional[CsrAdjacency] = None
         self._stats: Optional[dict] = None
@@ -245,26 +267,32 @@ class ContextGraph:
         already present or given twice raises DuplicateIdError, and no node
         is added."""
         self._check_mutable()
-        index = dict(self._index)
-        for i, nid in enumerate(ids, len(self._ids)):
-            if index.setdefault(nid, i) != i:
+        n = len(self._ids)
+        fresh: Dict[str, int] = {}
+        for i, nid in enumerate(ids, n):
+            if nid in self._index or fresh.setdefault(nid, i) != i:
                 raise DuplicateIdError(f"node id {nid!r} already present")
         dim = np.zeros(len(ids), dtype=np.intp)
         row = np.zeros(len(ids), dtype=np.intp)
         for key, (pos, mat) in features.items():
-            old = self._features.get(key, np.zeros((0, key[1]), dtype=np.float32))
+            used = len(self._features.get(key, ()))
             dim[pos] = key[1]
-            row[pos] = len(old) + np.arange(len(pos))
+            row[pos] = used + np.arange(len(pos))
             if len(pos):
-                mat = np.asarray(mat, dtype=np.float32)
-                self._features[key] = np.concatenate([old, mat]) if len(old) else mat
-        self._index = index
-        self._ids = self._ids + ids
-        self._tags = self._tags + tags
-        self._smiles = self._smiles + smiles
-        self._kind = np.concatenate([self._kind, np.asarray(kinds, dtype=np.int8)])
-        self._dim = np.concatenate([self._dim, dim])
-        self._row = np.concatenate([self._row, row])
+                buf = self._feature_bufs.get(key, np.zeros((0, key[1]), dtype=np.float32))
+                buf = _appended(buf, used, np.asarray(mat, dtype=np.float32))
+                self._feature_bufs[key] = buf
+                self._features[key] = buf[: used + len(pos)]
+        if self._index:
+            self._index.update(fresh)
+        else:
+            self._index = fresh
+        self._ids.extend(ids)
+        self._tags.extend(tags)
+        self._smiles.extend(smiles)
+        self._node_bufs = tuple(_appended(buf, n, new) for buf, new in
+                                zip(self._node_bufs, (np.array(kinds, dtype=np.int8), dim, row)))
+        self._kind, self._dim, self._row = (buf[: len(self._ids)] for buf in self._node_bufs)
         self._molecules = None
 
     def add_edge(self, a: str, b: str, relation: Relation, weight: float) -> None:
@@ -278,8 +306,10 @@ class ContextGraph:
         self._append_edges([ia], [ib], [RELATIONS.index(relation)], [weight])
 
     def _append_edges(self, a, b, rel, w) -> None:
-        self._edges = Edges(*(np.concatenate([old, np.asarray(new, dtype=dt)])
-                              for old, new, dt in zip(self._edges, (a, b, rel, w), _EDGE_DTYPES)))
+        used = len(self._edges.w)
+        self._edge_bufs = Edges(*(_appended(buf, used, np.asarray(new, dtype=dt)) for buf, new, dt
+                                  in zip(self._edge_bufs, (a, b, rel, w), _EDGE_DTYPES)))
+        self._edges = Edges(*(buf[: used + len(w)] for buf in self._edge_bufs))
 
     def build_similarity_edges(
         self, kind: NodeKind, threshold: float = 0.8, keep_fraction: float = 0.005

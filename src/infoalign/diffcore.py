@@ -7,23 +7,30 @@ and loss terms are one node each: `affine` (matmul, bias add and ReLU), the
 per-element NLLs `bce_with_logits` and `half_squared_error`, and the
 Gaussian bottleneck's `gaussian_kl` and `gaussian_sample` (Paszke et al.
 2019, arXiv 1912.01703, fuse a linear layer's bias the same way; Alemi et
-al. 2017, arXiv 1612.00410, give the rate term in closed form). Each fused
-node does the floating-point operations of the chain of primitives it
-replaced, in their order, so the values and gradients are the same bits;
-`tests/oracles.py` keeps those chains to check it. Every primitive and
-every fused node has a finite-difference test.
+al. 2017, arXiv 1612.00410, give the rate term in closed form). So are a
+whole GIN message-passing layer, `gin_layer` (gather, bond embedding,
+scatter, residual add and MLP, as PyG fuses message passing; Fey & Lenssen
+2019, arXiv 1903.02428), one decoded group of targets, `decode_group`
+(gather, MLP, NLL and weighted sum), and a running total of terms, `add_n`.
+Each fused node does the floating-point operations of the chain of
+primitives it replaced, in their order, so the values and gradients are the
+same bits; `tests/oracles.py` keeps those chains to check it. Every
+primitive and every fused node has a finite-difference test.
 
 Primitives do not check their outputs. Finiteness is checked where values
-leave the tape: `backward` raises FloatingPointError for a non-finite loss or
-leaf gradient, and the callers that return forward values (embeddings,
-matching logits, probe predictions) check them with `require_finite`.
-Checkpoints are checked as they are loaded.
+leave the tape: `backward` raises FloatingPointError for a non-finite loss,
+`ParamStore.accumulate` checks the store's gradients once per step, and the
+callers that return forward values (embeddings, matching logits, probe
+predictions) check them with `require_finite`. Checkpoints are checked as
+they are loaded.
 
 The scatter of `scatter_add_rows` and of `gather_rows`' backward pass sums
 through a `RowIndex`: the index and a table of each row's entries in
 ascending order, built once per index and read by every pass that shares it
-(as in PyG's CSR message passing, Fey & Lenssen 2019, arXiv 1903.02428). The
-sums are those of numpy's `add.at`, in its order, bit for bit:
+(as in PyG's CSR message passing). The sums are those of numpy's `add.at`,
+in its order, bit for bit:
+- Small scatters (fewer than `_ADD_AT_SIZE` values) call `np.add.at`
+  itself, which beats building a table there.
 - Many rows with few entries each (in-neighbours) loop over the table's
   columns, adding a whole column of rows at a time. Short rows are padded
   with a -0.0 row, which adds nothing to any value: a -0.0 in a running
@@ -52,6 +59,18 @@ MAGIC = b"IAPT"
 # exp inputs, and the logistic inside the BCE gradient, are clamped here to
 # avoid overflow.
 _EXP_CLAMP = 36.7
+
+# `RowIndex.add_to` hands scatters of fewer values (entries times row width)
+# than this to `np.add.at`, whose time goes by values, about 2 us + 0.01 us
+# per value, where a table costs 25-40 us to build, whatever the width, and
+# 5-15 us per use (2 cores, numpy 2.4.6, best of 7). At 8 columns add.at took
+# 3-8 us for 16-64 entries against 26-34 us; at 32 columns 41 against 40 us
+# at 128 entries and 63 against 54 at 192; at 128 columns 40 against 54 us at
+# 32 entries and 80 against 44 at 64. In a recovery step (latent 8, hidden
+# 32) the walk-to-molecule and z gathers (16-50 entries) fall below it; the
+# 150-400-entry message, bond-type and readout indexes, and `embed`'s
+# 192-atom blocks, stay on the table.
+_ADD_AT_SIZE = 2048
 
 
 def seeded_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -92,8 +111,9 @@ class Tensor:
         """Gradients of this node into every node of its tape.
 
         A node's gradient is allocated when its first contribution arrives.
-        Raises FloatingPointError if this node's value or a leaf's gradient
-        is not finite.
+        Raises FloatingPointError if this node's value is not finite; leaf
+        gradients are checked where a step gathers them,
+        `ParamStore.accumulate`.
         """
         require_finite(self.data, "loss")
         if seed is None:
@@ -118,8 +138,6 @@ class Tensor:
         for node in reversed(topo):
             if node._bw is not None:
                 node._bw(node.grad)
-            else:
-                require_finite(node.grad, "leaf gradient")
 
     def item(self) -> float:
         return float(self.data)
@@ -254,7 +272,11 @@ class RowIndex:
         """base[index[i]] += values[i] in place, for i in ascending order:
         the sums of numpy's `add.at(base, index, values)`, bit for bit.
         (Which NaN a sum of two NaNs keeps is left open, as numpy's own
-        loops leave it.)"""
+        loops leave it.) Fewer than `_ADD_AT_SIZE` values go to `add.at`
+        itself, and no table is built for them."""
+        if values.size < _ADD_AT_SIZE:
+            np.add.at(base, self.index, values)
+            return base
         table = self._build() if self._table is None else self._table
         if isinstance(table, list):
             # a sequential sum: np.add.reduce sums one column pairwise
@@ -276,15 +298,16 @@ def gather_rows(a: Tensor, index) -> Tensor:
     if not isinstance(index, RowIndex):
         index = RowIndex(index, a.shape[0])
     out = Tensor(a.data[index.index], (a,))
-
-    def bw(g):
-        # into a copy of the running gradient, which keeps the order of the
-        # sums: adding a separate scatter afterwards moves the last bits
-        grad = np.zeros_like(a.data) if a.grad is None else a.grad.copy()
-        a.grad = index.add_to(grad, g)
-
-    out._bw = bw
+    out._bw = lambda g: _acc_rows(a, index, g)
     return out
+
+
+def _acc_rows(t: Tensor, index: RowIndex, g: np.ndarray):
+    """Add row i of g to row index[i] of t's gradient: a gather's backward.
+    It adds into a copy of the running gradient, which keeps the order of
+    the sums: adding a separate scatter afterwards moves the last bits."""
+    grad = np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+    t.grad = index.add_to(grad, g)
 
 
 def scatter_add_rows(a: Tensor, index, num_rows: Optional[int] = None) -> Tensor:
@@ -315,28 +338,168 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
 # order. Parents are listed as the chain's were met from left to right, so
 # the tape visits them, and runs every other node, in the chain's order.
 
+def _affine_data(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np.ndarray:
+    data = x @ w
+    data += b
+    if relu:
+        # max(pre, 0) > 0 exactly where pre > 0, so the mask needs no copy of pre
+        np.maximum(data, 0.0, out=data)
+    return data
+
+
+def _affine_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray, out: np.ndarray,
+                  relu: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bias, input and weight gradients of an affine layer of output
+    `out`, in the order `affine` sends them."""
+    if relu:
+        g = g * (out > 0)
+    return g.sum(axis=0), g @ w.T, x.T @ g
+
+
 def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """x @ w + b, then ReLU if `relu` (subgradient 0 at 0)."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeMismatchError(f"affine: {x.shape} @ {w.shape}")
     if b.shape != w.shape[1:]:
         raise ShapeMismatchError(f"affine: bias {b.shape} for {w.shape[1]} outputs")
-    data = x.data @ w.data
-    data += b.data
-    if relu:
-        # max(pre, 0) > 0 exactly where pre > 0, so the mask needs no copy of pre
-        np.maximum(data, 0.0, out=data)
+    data = _affine_data(x.data, w.data, b.data, relu)
     out = Tensor(data, (x, w, b))
 
     def bw(g):
-        if relu:
-            g = g * (data > 0)
-        _acc(b, g.sum(axis=0))
-        _acc(x, g @ w.data.T)
-        _acc(w, x.data.T @ g)
+        gb, gx, gw = _affine_grads(g, x.data, w.data, data, relu)
+        _acc(b, gb)
+        _acc(x, gx)
+        _acc(w, gw)
 
     out._bw = bw
     return out
+
+
+Layers = Sequence[Tuple[Tensor, Tensor]]
+
+
+def _mlp_data(x: np.ndarray, layers: Layers) -> List[np.ndarray]:
+    """Each layer's output of the affine stack `layers` on x, ReLU after all
+    but the last: `mlp_forward`'s values."""
+    outs = []
+    for k, (w, b) in enumerate(layers):
+        x = _affine_data(x, w.data, b.data, k < len(layers) - 1)
+        outs.append(x)
+    return outs
+
+
+def _mlp_grads(g: np.ndarray, x: np.ndarray, outs: List[np.ndarray], layers: Layers) -> np.ndarray:
+    """Send each layer's bias and weight their gradients, last layer first,
+    as `mlp_forward`'s `affine` nodes did, and return the input's."""
+    for k in reversed(range(len(layers))):
+        w, b = layers[k]
+        gb, g, gw = _affine_grads(g, outs[k - 1] if k else x, w.data, outs[k],
+                                  k < len(layers) - 1)
+        _acc(b, gb)
+        _acc(w, gw)
+    return g
+
+
+def _params(layers: Layers) -> Tuple[Tensor, ...]:
+    return tuple(t for layer in layers for t in layer)
+
+
+def gin_layer(h: Tensor, bond_embed: Tensor, layers: Layers, out_of: RowIndex,
+              into: RowIndex, bond_type: RowIndex) -> Tensor:
+    """One GIN layer: MLP(h + sum over messages i into row into[i] of
+    (h[out_of[i]] + bond_embed[bond_type[i]])), the MLP the affine stack
+    `layers` ((w, b) pairs, ReLU after all but the last). With no messages
+    it is MLP(h), and `bond_embed` gets no gradient.
+
+    Replaces gather, gather, add, scatter_add_rows, add (the residual) and
+    one `affine` per layer. Backward sends h the residual's gradient first,
+    then adds the messages' into it in `out_of`'s order.
+    """
+    bonded = len(into.index) > 0
+    if bonded:
+        msgs = h.data[out_of.index] + bond_embed.data[bond_type.index]
+        x = into.add_to(np.zeros((into.num_rows,) + msgs.shape[1:]), msgs) + h.data
+    else:
+        x = h.data
+    outs = _mlp_data(x, layers)
+    out = Tensor(outs[-1], ((h, bond_embed) if bonded else (h,)) + _params(layers))
+
+    def bw(g):
+        gx = _mlp_grads(g, x, outs, layers)
+        if not bonded:
+            _acc(h, gx)
+            return
+        gm = gx[into.index]
+        # gx and h.grad + gx are fresh, so the gather's copy is not needed
+        h.grad = out_of.add_to(gx if h.grad is None else h.grad + gx, gm)
+        _acc_rows(bond_embed, bond_type, gm)
+
+    out._bw = bw
+    return out
+
+
+def decode_group(z: Tensor, rows, layers: Layers, targets: np.ndarray, weight: np.ndarray,
+                 squared_error: bool = False) -> Tuple[Tensor, np.ndarray]:
+    """sum over i of weight[i] * NLL(MLP(z[rows[i]]), targets[i]) as one
+    scalar node, and each target's NLL summed over its entries.
+
+    The MLP is the affine stack `layers`; the NLL `bce_with_logits`, or
+    `half_squared_error` if `squared_error`. `rows` is an index array or a
+    RowIndex over z's rows. Replaces gather_rows, one `affine` per layer,
+    the NLL node, the weight constant, mul and tsum; the weighted sum is
+    `(nll * weight[:, None]).sum()`, tsum's pairwise order over the same
+    array.
+    """
+    if not isinstance(rows, RowIndex):
+        rows = RowIndex(rows, z.shape[0])
+    x = z.data[rows.index]
+    outs = _mlp_data(x, layers)
+    logits = outs[-1]
+    y = np.asarray(targets, dtype=np.float64)
+    if y.shape != logits.shape:
+        raise ShapeMismatchError(f"decoder output {logits.shape} vs target {y.shape}")
+    wcol = np.asarray(weight, dtype=np.float64)[:, None]
+    if squared_error:
+        d = logits + -y
+        nll = (d * d) * 0.5
+    else:
+        nll = np.logaddexp(0.0, logits) + -(logits * y)
+    out = Tensor((nll * wcol).sum(), (z,) + _params(layers))
+
+    def bw(g):
+        gw = g * wcol  # row i of the weighted NLL's gradient, g * weight[i] throughout
+        if squared_error:
+            t = (gw * 0.5) * d
+            gl = t + t
+        else:
+            gl = gw * _logistic(logits) + (-gw) * y
+        _acc_rows(z, rows, _mlp_grads(gl, x, outs, layers))
+
+    out._bw = bw
+    return out, nll.sum(axis=1)
+
+
+def add_n(terms: Sequence[Tensor]) -> Tensor:
+    """((t0 + t1) + t2) + ... over terms of one shape, left to right: the
+    chain of `add`s as one node. Each term's gradient is the output's."""
+    shapes = {t.shape for t in terms}
+    if len(shapes) != 1:
+        raise ShapeMismatchError(f"add_n: shapes {sorted(shapes)}")
+    data = terms[0].data
+    for t in terms[1:]:
+        data = data + t.data
+    out = Tensor(data, tuple(terms))
+
+    def bw(g):
+        for t in terms:
+            _acc(t, g)
+
+    out._bw = bw
+    return out
+
+
+def _logistic(l: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-np.clip(l, -_EXP_CLAMP, _EXP_CLAMP)))
 
 
 def _targets(outputs: Tensor, targets, what: str) -> np.ndarray:
@@ -357,8 +520,7 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
     out = Tensor(np.logaddexp(0.0, l) + -(l * y), (logits,))
 
     def bw(g):
-        s = 1.0 / (1.0 + np.exp(-np.clip(l, -_EXP_CLAMP, _EXP_CLAMP)))
-        _acc(logits, g * s)
+        _acc(logits, g * _logistic(l))
         _acc(logits, (-g) * y)
 
     out._bw = bw
@@ -478,10 +640,12 @@ class ParamStore:
         return {name: Tensor(arr) for name, arr in self.params.items()}
 
     def accumulate(self, bound: Dict[str, Tensor]):
-        """Add the bound leaves' gradients into the store's gradient slots."""
+        """Add the bound leaves' gradients into the store's gradient slots.
+        Raises FloatingPointError if a slot is then not finite."""
         for name, leaf in bound.items():
             if leaf.grad is not None:
                 self.grads[name] += leaf.grad
+        require_finite(self.flat[1], "leaf gradient")
 
     def zero_grads(self):
         self.flat[1] = 0.0
@@ -494,18 +658,23 @@ def init_mlp(store: ParamStore, prefix: str, sizes: Sequence[int]):
         store.add(f"{prefix}.b{i}", (sizes[i + 1],), init="zeros")
 
 
+def mlp_layers(bound: Dict[str, Tensor], prefix: str) -> List[Tuple[Tensor, Tensor]]:
+    """The (w, b) leaves of the affine stack under `prefix`, in order."""
+    layers = []
+    while f"{prefix}.w{len(layers)}" in bound:
+        layers.append((bound[f"{prefix}.w{len(layers)}"], bound[f"{prefix}.b{len(layers)}"]))
+    if not layers:
+        raise KeyError(f"no parameters found under prefix {prefix!r}")
+    return layers
+
+
 def mlp_forward(bound: Dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
     """Affine + ReLU stack, one `affine` node per layer; the final layer
     stays linear."""
-    i = 0
-    h = x
-    while f"{prefix}.w{i}" in bound:
-        h = affine(h, bound[f"{prefix}.w{i}"], bound[f"{prefix}.b{i}"],
-                   relu=f"{prefix}.w{i + 1}" in bound)
-        i += 1
-    if i == 0:
-        raise KeyError(f"no parameters found under prefix {prefix!r}")
-    return h
+    layers = mlp_layers(bound, prefix)
+    for k, (w, b) in enumerate(layers):
+        x = affine(x, w, b, relu=k < len(layers) - 1)
+    return x
 
 
 def adam_step(store: ParamStore, lr: float = 1e-3, beta1: float = 0.9,

@@ -157,9 +157,9 @@ def probe_train(train: LabeledSet, cfg: ProbeConfig = ProbeConfig()) -> ProbeHea
             loss = dc.mul(dc.tsum(per_entry), dc.constant(1.0 / y.size))
             try:
                 loss.backward()
+                store.accumulate(bound)
             except FloatingPointError as exc:
                 raise FloatingPointError(f"{exc} in probe epoch {epoch}") from None
-            store.accumulate(bound)
             dc.adam_step(store, lr=cfg.lr)
     return ProbeHead(store, list(train.task_types))
 

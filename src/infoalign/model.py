@@ -12,9 +12,12 @@ fingerprint is always a target with alpha = 1.
 
 Training evaluates a whole minibatch in one tape (`batch_loss`): the start
 molecules are gathered from the graph's parsed `MoleculeSet` and encoded
-together as one block-diagonal graph (`encode_union`), and every target of
-one (kind, dim) is taken by index from the graph's matrix of that (kind,
-dim) and decoded as one matrix, by `decode_nll`.
+together as one block-diagonal graph (`encode_union`, one `dc.gin_layer`
+node per layer), and every target of one (kind, dim) is taken by index from
+the graph's matrix of that (kind, dim) and decoded as one matrix, by
+`decode_nll`, into one `dc.decode_group` node per group. One `dc.add_n` node
+adds the groups' terms to the KL term. At the benchmark's recovery
+configuration a step's tape holds 18 nodes.
 """
 
 from __future__ import annotations
@@ -206,11 +209,8 @@ def encode_union(g: MolecularGraph, segment: np.ndarray, count: int,
     bond_type = dc.RowIndex(np.repeat(g.order, 2), NUM_BOND_TYPES)
     h = dc.matmul(dc.constant(atom_features(g)), bound["atom_embed"])
     for layer in range(_infer_num_layers(bound)):
-        if len(g.bonds):
-            msgs = dc.add(dc.gather_rows(h, out_of),
-                          dc.gather_rows(bound[f"bond_embed.l{layer}"], bond_type))
-            h = dc.add(dc.scatter_add_rows(msgs, into), h)
-        h = dc.mlp_forward(bound, f"gin.l{layer}", h)
+        h = dc.gin_layer(h, bound[f"bond_embed.l{layer}"],
+                         dc.mlp_layers(bound, f"gin.l{layer}"), out_of, into, bond_type)
     readout = dc.scatter_add_rows(h, dc.RowIndex(segment, count))
     mu = dc.mlp_forward(bound, "head_mu", readout)
     logvar = dc.clip(dc.mlp_forward(bound, "head_logvar", readout),
@@ -238,6 +238,14 @@ def kl_standard_normal(out: EncoderOutput) -> dc.Tensor:
     return dc.gaussian_kl(out.mu, out.logvar)
 
 
+def _squared_error(likelihood: str) -> bool:
+    """Whether `likelihood` scores by squared error (gaussian) rather than
+    BCE (bernoulli); ValueError for any other name."""
+    if likelihood not in ("bernoulli", "gaussian"):
+        raise ValueError(f"unknown likelihood {likelihood!r}")
+    return likelihood == "gaussian"
+
+
 def nll_terms(logits: dc.Tensor, y: np.ndarray, likelihood: str) -> dc.Tensor:
     """Per-element NLL of the targets y under the outputs `logits`.
 
@@ -247,20 +255,21 @@ def nll_terms(logits: dc.Tensor, y: np.ndarray, likelihood: str) -> dc.Tensor:
     """
     if logits.shape != y.shape:
         raise ShapeMismatchError(f"decoder output {logits.shape} vs target {y.shape}")
-    if likelihood == "bernoulli":
-        return dc.bce_with_logits(logits, y)
-    if likelihood == "gaussian":
+    if _squared_error(likelihood):
         return dc.half_squared_error(logits, y)
-    raise ValueError(f"unknown likelihood {likelihood!r}")
+    return dc.bce_with_logits(logits, y)
 
 
 def decode_nll(z: dc.Tensor, targets: np.ndarray, kind: NodeKind,
-               bound: Dict[str, dc.Tensor], likelihood: str = "bernoulli") -> dc.Tensor:
-    """Per-element NLL (`nll_terms`) of the target rows under the decoder of
-    `kind` and their width; row k is decoded from row k of z."""
+               bound: Dict[str, dc.Tensor], rows, weight: np.ndarray,
+               likelihood: str = "bernoulli") -> Tuple[dc.Tensor, np.ndarray]:
+    """The weighted NLL (`nll_terms`, summed) of the target rows under the
+    decoder of `kind` and their width, as one `dc.decode_group` node, and
+    each target row's NLL summed over its entries. Target row i is decoded
+    from row rows[i] of z and weighted by weight[i]."""
     y = np.asarray(targets, dtype=np.float64)
-    return nll_terms(dc.mlp_forward(bound, decoder_prefix(bound, kind, y.shape[1]), z),
-                     y, likelihood)
+    layers = dc.mlp_layers(bound, decoder_prefix(bound, kind, y.shape[1]))
+    return dc.decode_group(z, rows, layers, y, weight, _squared_error(likelihood))
 
 
 def infoalign_loss(graph: ContextGraph, path: WalkPath,
@@ -287,7 +296,8 @@ def batch_loss(graph: ContextGraph, starts: Sequence[str], paths: Sequence[WalkP
     together, and the targets of one (kind, dim), in walk order, are taken
     from the graph's matrix of it and decoded as one matrix, each row
     weighted by alpha / (L * walks per start * starts); the groups go in the
-    order they first appear. The breakdown holds the same batch means.
+    order they first appear, and their terms are added to the KL term in
+    that order. The breakdown holds the same batch means.
     """
     if not starts or not len(paths) or len(paths) % len(starts):
         raise ValueError(f"{len(paths)} paths for {len(starts)} start molecules")
@@ -316,7 +326,11 @@ def batch_loss(graph: ContextGraph, starts: Sequence[str], paths: Sequence[WalkP
     z = reparameterize(EncoderOutput(dc.gather_rows(out.mu, walk_mol),
                                      dc.gather_rows(out.logvar, walk_mol)), noise)
     kl = kl_standard_normal(out)
-    total = dc.mul(kl, dc.constant(beta / len(starts)))
+    # The running total is one node after the groups' nodes: a group node
+    # that added its term to the total so far would depend on the group
+    # before it, and backward, which runs a later node first, would then
+    # add the groups' gradients into z last group first.
+    terms = [dc.mul(kl, dc.constant(beta / len(starts)))]
 
     scale = 1.0 / len(paths)
     recon: Dict[str, float] = {}
@@ -327,15 +341,13 @@ def batch_loss(graph: ContextGraph, starts: Sequence[str], paths: Sequence[WalkP
         alpha = alphas[sel]
         weight = alpha * scale / paths.sizes[walk[sel]]
         feats = matrices[kind, int(dims[nodes[sel[0]]])][rows[nodes[sel]]]
-        nll = decode_nll(dc.gather_rows(z, walk[sel]), feats.astype(np.float64),
-                         kind, bound, likelihood)
-        term = dc.tsum(dc.mul(nll, dc.constant(weight[:, None])))
-        total = dc.add(total, term)
-        row_nll = nll.data.sum(axis=1)
+        term, row_nll = decode_nll(z, feats.astype(np.float64), kind, bound, walk[sel],
+                                   weight, likelihood)
+        terms.append(term)
         recon[kind.value] = recon.get(kind.value, 0.0) + float(alpha @ row_nll) * scale
         recon_total += term.item()
     kl_mean = kl.item() / len(starts)
-    return total, LossBreakdown(recon, kl_mean, beta, recon_total + beta * kl_mean)
+    return dc.add_n(terms), LossBreakdown(recon, kl_mean, beta, recon_total + beta * kl_mean)
 
 
 # --- training ----------------------------------------------------------------
@@ -357,8 +369,9 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig, store: Optional[dc.ParamStor
     NoDecoderError is raised before any step. The graph's molecules are
     parsed together before the first step (`ContextGraph.molecules`), so a
     bad SMILES raises its SmilesError, naming the node, before any step too.
-    A non-finite loss or gradient raises FloatingPointError naming the epoch
-    and the batch. `log_fn(epoch, breakdown)`, if given, is called as each
+    A non-finite loss or gradient (checked once a step, by `backward` and
+    `ParamStore.accumulate`) raises FloatingPointError naming the epoch and
+    the batch. `log_fn(epoch, breakdown)`, if given, is called as each
     epoch ends, with the epoch numbered over resumes. Returns the store and
     the per-epoch mean loss breakdowns.
     """
@@ -403,10 +416,10 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig, store: Optional[dc.ParamStor
                                       cfg.likelihood)
                 try:
                     loss.backward()
+                    store.accumulate(bound)
                 except FloatingPointError as exc:
                     raise FloatingPointError(f"{exc} in epoch {epoch}, "
                                              f"batch {b0 // cfg.batch_size}") from None
-                store.accumulate(bound)
                 dc.adam_step(store, lr=cfg.lr)
             for kind, v in br.recon_per_modality.items():
                 sums[kind] = sums.get(kind, 0.0) + v * len(batch)

@@ -15,9 +15,10 @@ target at a time (`walk_targets`), which `batch_loss` computes for a whole
 minibatch at once.
 `neg`, `relu`, `exp` and `softplus` are the primitives, and the `composed_*`
 functions the chains of primitives, that diffcore's fused nodes (`affine`,
-`bce_with_logits`, `half_squared_error`, `gaussian_kl`, `gaussian_sample`)
-replaced; the slow-path oracles build their tapes from these chains, so they
-check the fused nodes and not themselves.
+`bce_with_logits`, `half_squared_error`, `gaussian_kl`, `gaussian_sample`,
+`gin_layer`, `decode_group`) replaced; the slow-path oracles build their
+tapes from these chains (`composed_encode` is `encode_union` on them), so
+they check the fused nodes and not themselves.
 `reference_parse_smiles` is the character-at-a-time SMILES parser that the
 token table replaced; it keeps its own bond-symbol table and charge limit.
 `reference_probe_train` is the probe fit that builds both losses on every
@@ -52,7 +53,8 @@ from infoalign.errors import (
 )
 from infoalign.ctxgraph import RELATIONS
 from infoalign.evalkit import CLASSIFICATION, ProbeHead
-from infoalign.model import ATOM_FEATURE_DIM, LossBreakdown, decoder_prefix, gin_encode
+from infoalign.model import (ATOM_FEATURE_DIM, LOGVAR_CLAMP, EncoderOutput, LossBreakdown,
+                             atom_features, decoder_prefix)
 from infoalign.molparse import (AROMATIC_ELEMENTS, ELEMENTS, BondOrder, MolecularGraph,
                                 MoleculeSet, parse_many, parse_smiles)
 
@@ -336,6 +338,47 @@ def composed_sample(mu, logvar, noise):
     return dc.add(mu, dc.mul(std, dc.constant(noise)))
 
 
+def composed_gin_layer(h, bond_embed, layers, out_of, into, bond_type):
+    """One GIN layer as `encode_union` built it before `gin_layer`: the
+    messages' two gathers and add, their scatter, the residual add, and the
+    MLP's layers; with no messages only the MLP."""
+    if len(into.index):
+        msgs = dc.add(dc.gather_rows(h, out_of), dc.gather_rows(bond_embed, bond_type))
+        h = dc.add(dc.scatter_add_rows(msgs, into), h)
+    for k, (w, b) in enumerate(layers):
+        h = composed_affine(h, w, b, k < len(layers) - 1)
+    return h
+
+
+def composed_decode_group(z, rows, layers, targets, weight, squared_error: bool = False):
+    """(weighted NLL sum, per-element NLL) of one decoded group as
+    `batch_loss` built it before `decode_group`: the gather of z, the MLP's
+    layers, the NLL, the weight constant, mul and tsum."""
+    h = dc.gather_rows(z, rows)
+    for k, (w, b) in enumerate(layers):
+        h = composed_affine(h, w, b, k < len(layers) - 1)
+    nll = (composed_half_squared_error if squared_error else composed_bce)(h, targets)
+    return dc.tsum(dc.mul(nll, dc.constant(np.asarray(weight)[:, None]))), nll
+
+
+def composed_encode(g: MolecularGraph, bound) -> EncoderOutput:
+    """`encode_union` of the one molecule `g` on the chains above."""
+    n = len(g.element)
+    out_of = dc.RowIndex(g.bonds.ravel(), n)
+    into = dc.RowIndex(g.bonds[:, ::-1].ravel(), n)
+    bond_type = dc.RowIndex(np.repeat(g.order, 2), len(BondOrder))
+    h = dc.matmul(dc.constant(atom_features(g)), bound["atom_embed"])
+    layer = 0
+    while f"gin.l{layer}.w0" in bound:
+        h = composed_gin_layer(h, bound[f"bond_embed.l{layer}"],
+                               dc.mlp_layers(bound, f"gin.l{layer}"), out_of, into, bond_type)
+        layer += 1
+    readout = dc.scatter_add_rows(h, np.zeros(n, dtype=np.intp), 1)
+    logvar = dc.clip(composed_mlp_forward(bound, "head_logvar", readout), -LOGVAR_CLAMP,
+                     LOGVAR_CLAMP)
+    return EncoderOutput(composed_mlp_forward(bound, "head_mu", readout), logvar)
+
+
 def walk_targets(path) -> List[Tuple[str, float]]:
     """A walk's visited non-start nodes with their cumulative weights."""
     return list(zip(path.nodes[1:], path.alphas))
@@ -348,11 +391,11 @@ def reference_walk_loss(graph, path, bound, beta: float, noise, likelihood: str 
     the path node count and the targets are the start molecule's own features
     (alpha = 1) plus every walked node with its cumulative path weight. Each
     target is decoded on its own, its NLL the BCE (bernoulli) or half squared
-    error (gaussian) summed over its entries. The sample, the KL and the
-    decoders are the unfused chains.
+    error (gaussian) summed over its entries. The encoder, the sample, the
+    KL and the decoders are the unfused chains.
     """
     start = graph.node(path.nodes[0])
-    out = gin_encode(parse_smiles(start.smiles), bound)
+    out = composed_encode(parse_smiles(start.smiles), bound)
     z = composed_sample(out.mu, out.logvar, np.reshape(noise, (1, -1)))
     kl = composed_kl(out.mu, out.logvar)
     targets = [(start.features.astype(np.float64), start.kind, 1.0)]
@@ -400,9 +443,9 @@ def reference_probe_train(train, cfg):
             loss = dc.mul(dc.tsum(per_entry), dc.constant(1.0 / y.size))
             try:
                 loss.backward()
+                store.accumulate(bound)
             except FloatingPointError as exc:
                 raise FloatingPointError(f"{exc} in probe epoch {epoch}") from None
-            store.accumulate(bound)
             dc.adam_step(store, lr=cfg.lr)
     return ProbeHead(store, list(train.task_types))
 

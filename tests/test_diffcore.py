@@ -1,10 +1,13 @@
 """Autodiff substrate tests: central finite differences for every primitive
 and fused node, the fused nodes bit for bit against the chains of primitives
-they replaced, the row-index scatter and the flat Adam against their slow
-oracles, MLP gradient checks, Adam behavior, checkpoint round-trips."""
+they replaced, the row-index scatter (on both sides of its `np.add.at`
+cutoff) and the flat Adam against their slow oracles, MLP gradient checks,
+Adam behavior, checkpoint round-trips."""
 
+import functools
 import zlib
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +20,8 @@ from infoalign.errors import CorruptFileError, ShapeMismatchError
 from tests.oracles import (
     composed_affine,
     composed_bce,
+    composed_decode_group,
+    composed_gin_layer,
     composed_half_squared_error,
     composed_kl,
     composed_sample,
@@ -69,6 +74,46 @@ def _c(shape, seed):
     return dc.constant(np.random.default_rng(seed).standard_normal(shape))
 
 
+def _messages(bonds, order, atoms):
+    """`gin_layer`'s (out_of, into, bond_type) indexes of a molecule's bonds,
+    laid out as `encode_union` lays them: bond j is messages 2j (a -> b)
+    and 2j + 1 (b -> a)."""
+    bonds = np.asarray(bonds, dtype=np.intp).reshape(-1, 2)
+    return (dc.RowIndex(bonds.ravel(), atoms), dc.RowIndex(bonds[:, ::-1].ravel(), atoms),
+            dc.RowIndex(np.repeat(order, 2), 3))
+
+
+# A 3-ring with bond types 0, 2 and 1, for (3, 4) inputs.
+_RING3 = _messages([[0, 1], [1, 2], [2, 0]], [0, 2, 1], 3)
+# Five atoms, a ring of four and a branch: atom 2 has three in-neighbours.
+_RING4 = _messages([[0, 1], [1, 2], [2, 3], [3, 1], [2, 4]], [0, 1, 2, 0, 1], 5)
+_NO_BONDS = _messages([], [], 4)
+
+
+def _gin(messages, composed=False):
+    """A two-layer GIN node over `messages`, or its chain, on (h, bond
+    embedding, w0, b0, w1, b1)."""
+    layer = composed_gin_layer if composed else dc.gin_layer
+
+    def build(h, be, w0, b0, w1, b1):
+        return layer(h, be, [(w0, b0), (w1, b1)], *messages)
+    return build
+
+
+def _decode(rows, squared_error, composed=False):
+    """A two-layer decode group over `rows` of z, or its chain (the weighted
+    sum), on (z, w0, b0, w1, b1, targets, weight)."""
+    def build(z, w0, b0, w1, b1, targets, weight):
+        layers = [(w0, b0), (w1, b1)]
+        if composed:
+            return composed_decode_group(z, rows, layers, targets, weight, squared_error)[0]
+        return dc.decode_group(z, rows, layers, targets, weight, squared_error)[0]
+    return build
+
+
+_DECODE_ROWS = [0, 2, 2, 1, 0]
+
+
 def test_square_gradient_closed_form():
     x = dc.Tensor(np.array([3.0]))
     y = dc.mul(x, x)
@@ -104,6 +149,31 @@ def test_square_gradient_closed_form():
         dc.gaussian_sample(t, _c((3, 4), 43), _c((3, 4), 44).data), _c((3, 4), 45)))),
     ("gaussian_sample_logvar", lambda t: dc.tsum(dc.mul(
         dc.gaussian_sample(_c((3, 4), 46), t, _c((3, 4), 47).data), _c((3, 4), 48)))),
+    ("gin_layer_h", lambda t: dc.tsum(dc.mul(_gin(_RING3)(
+        t, _c((3, 4), 50), _c((4, 5), 51), _c((5,), 52), _c((5, 2), 53), _c((2,), 54)),
+        _c((3, 2), 55)))),
+    ("gin_layer_bond_embed", lambda t: dc.tsum(dc.mul(_gin(_RING3)(
+        _c((3, 4), 56), t, _c((4, 5), 57), _c((5,), 58), _c((5, 2), 59), _c((2,), 60)),
+        _c((3, 2), 61)))),
+    ("gin_layer_w1", lambda t: dc.tsum(dc.mul(_gin(_RING3)(
+        _c((3, 3), 62), _c((3, 3), 63), _c((3, 3), 64), _c((3,), 65), t, _c((4,), 66)),
+        _c((3, 4), 67)))),
+    ("gin_layer_no_bonds", lambda t: dc.tsum(dc.mul(_gin(_messages([], [], 3))(
+        t, _c((3, 4), 68), _c((4, 5), 69), _c((5,), 70), _c((5, 2), 71), _c((2,), 72)),
+        _c((3, 2), 73)))),
+    ("decode_group_z", lambda t: _decode(_DECODE_ROWS, False)(
+        t, _c((4, 6), 74), _c((6,), 75), _c((6, 2), 76), _c((2,), 77),
+        np.full((5, 2), 0.3), np.linspace(0.2, 1.0, 5))),
+    ("decode_group_w0", lambda t: _decode(_DECODE_ROWS, False)(
+        _c((3, 3), 78), t, _c((4,), 79), _c((4, 2), 80), _c((2,), 81),
+        np.full((5, 2), 0.7), np.linspace(1.0, 0.1, 5))),
+    ("decode_group_squared_error", lambda t: _decode(_DECODE_ROWS, True)(
+        t, _c((4, 6), 82), _c((6,), 83), _c((6, 2), 84), _c((2,), 85),
+        _c((5, 2), 86).data, np.linspace(0.2, 1.0, 5))),
+    ("decode_group_one_row", lambda t: _decode([1], False)(
+        t, _c((4, 6), 87), _c((6,), 88), _c((6, 3), 89), _c((3,), 90),
+        np.full((1, 3), 0.4), np.array([0.5]))),
+    ("add_n", lambda t: dc.tsum(dc.mul(dc.add_n([t, _c((3, 4), 91), t]), _c((3, 4), 92)))),
 ])
 def test_primitive_gradients(name, build):
     # A fixed seed per case: str hashes are salted per process.
@@ -149,14 +219,21 @@ def test_backward_rejects_non_finite_loss():
         loss.backward()
 
 
-def test_backward_rejects_non_finite_leaf_gradient():
+def test_accumulate_rejects_non_finite_leaf_gradient():
+    """`backward` checks only the loss; the leaves' gradients are checked
+    once, in the store's gradient row, as a step gathers them."""
+    store = dc.ParamStore(seed=0)
+    store.add("x", (1,))
+    store.params["x"][...] = 2.0
+    bound = store.bind()
     # clip hides the inf in the forward pass; the gradient 0 * inf is NaN
-    x = dc.Tensor(np.array([2.0]))
-    loss = dc.tsum(dc.clip(dc.mul(x, dc.constant(np.array([np.inf]))), -1.0, 1.0))
+    loss = dc.tsum(dc.clip(dc.mul(bound["x"], dc.constant(np.array([np.inf]))), -1.0, 1.0))
     assert loss.item() == 1.0
-    with np.errstate(invalid="ignore"), \
-            pytest.raises(FloatingPointError, match="non-finite leaf gradient"):
+    with np.errstate(invalid="ignore"):
         loss.backward()
+        assert np.isnan(bound["x"].grad).all()
+        with pytest.raises(FloatingPointError, match="non-finite leaf gradient"):
+            store.accumulate(bound)
 
 
 def test_exp_overflow_clamped_finite():
@@ -184,6 +261,19 @@ FUSED = {
                            composed_half_squared_error),
     "gaussian_kl": ([(5, 4), (5, 4)], 2, dc.gaussian_kl, composed_kl),
     "gaussian_sample": ([(5, 4), (5, 4), (5, 4)], 2, dc.gaussian_sample, composed_sample),
+    "gin_layer": ([(5, 4), (3, 4), (4, 6), (6,), (6, 3), (3,)], 6,
+                  _gin(_RING4), _gin(_RING4, composed=True)),
+    "gin_layer_no_bonds": ([(4, 4), (3, 4), (4, 6), (6,), (6, 3), (3,)], 6,
+                           _gin(_NO_BONDS), _gin(_NO_BONDS, composed=True)),
+    "decode_group": ([(3, 4), (4, 6), (6,), (6, 3), (3,), (5, 3), (5,)], 5,
+                     _decode(_DECODE_ROWS, False), _decode(_DECODE_ROWS, False, composed=True)),
+    "decode_group_squared_error": ([(3, 4), (4, 6), (6,), (6, 3), (3,), (5, 3), (5,)], 5,
+                                   _decode(_DECODE_ROWS, True),
+                                   _decode(_DECODE_ROWS, True, composed=True)),
+    "decode_group_one_row": ([(3, 4), (4, 6), (6,), (6, 3), (3,), (1, 3), (1,)], 5,
+                             _decode([2], False), _decode([2], False, composed=True)),
+    "add_n": ([(5, 4), (5, 4), (5, 4)], 3, lambda *ts: dc.add_n(ts),
+              lambda *ts: functools.reduce(dc.add, ts)),
 }
 
 
@@ -213,11 +303,12 @@ def _same_bits(a, b) -> bool:
 def test_fused_node_equals_its_chain_bit_for_bit(name, special, monkeypatch):
     """The fused node's value and every leaf gradient are the bits of the
     chain of primitives it replaced, with the leaves' gradients starting
-    empty or holding earlier contributions."""
+    empty or holding earlier contributions, and with the scatters of both
+    on `np.add.at` (seeds 0-4) and on the row tables (seeds 5-9)."""
     shapes, leaves, fused, chain = FUSED[name]
-    # non-finite values would stop backward before any gradient is compared
-    monkeypatch.setattr(dc, "require_finite", lambda data, _what: data)
-    for seed in range(5):
+    cutoff = dc._ADD_AT_SIZE
+    for seed in range(10):
+        monkeypatch.setattr(dc, "_ADD_AT_SIZE", 0 if seed >= 5 else cutoff)
         rng = np.random.default_rng(zlib.crc32(f"{name}-{seed}".encode()))
         arrays = [_draw(rng, shape, special) for shape in shapes]
         for with_prior in (False, True):
@@ -241,6 +332,24 @@ def test_fused_node_equals_its_chain_bit_for_bit(name, special, monkeypatch):
                 results.append([out.data] + [t.grad for t in ts])
             for k, (got, want) in enumerate(zip(*results)):
                 assert _same_bits(got, want), (seed, with_prior, "value" if k == 0 else k - 1)
+
+
+@pytest.mark.parametrize("squared_error", [False, True], ids=["bce", "squared_error"])
+@pytest.mark.parametrize("special", [False, True], ids=["normal", "special"])
+def test_decode_group_row_sums_equal_its_chain(special, squared_error):
+    """The per-target NLL sums `decode_group` hands back for the loss
+    breakdown are the bits of the chain's NLL summed over each row."""
+    for seed in range(5):
+        rng = np.random.default_rng(zlib.crc32(f"rows-{seed}".encode()))
+        z, w0, b0, w1, b1, y, weight = (_draw(rng, shape, special) for shape in
+                                        [(3, 4), (4, 6), (6,), (6, 3), (3,), (5, 3), (5,)])
+        layers = [(dc.Tensor(w0), dc.Tensor(b0)), (dc.Tensor(w1), dc.Tensor(b1))]
+        with np.errstate(all="ignore"):
+            got = dc.decode_group(dc.Tensor(z), _DECODE_ROWS, layers, y, weight,
+                                  squared_error)[1]
+            _, nll = composed_decode_group(dc.Tensor(z), _DECODE_ROWS, layers, y, weight,
+                                           squared_error)
+        assert _same_bits(got, nll.data.sum(axis=1)), seed
 
 
 def test_backward_shared_gradient_buffer_not_aliased():
@@ -308,10 +417,11 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray):
 @given(data=st.data())
 def test_scatter_and_gather_backward_equal_add_at(layout, data):
     """The scatter from zeros, and the gather's backward into no gradient and
-    into a running one, give `np.add.at`'s bits."""
+    into a running one, give `np.add.at`'s bits, on the tables: the cutoff
+    below which `add_to` calls `np.add.at` itself is set to 0."""
     index, num_rows, values, base = data.draw(scatter_cases(layout))
     rows = dc.RowIndex(index, num_rows)
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"), mock.patch.object(dc, "_ADD_AT_SIZE", 0):
         got = dc.scatter_add_rows(dc.Tensor(values), rows).data
         assert_same_bits(got, reference_scatter_add(np.zeros_like(base), index, values))
         assert isinstance(rows._table, list) == (layout == "rows")
@@ -325,9 +435,11 @@ def test_scatter_and_gather_backward_equal_add_at(layout, data):
 
 
 @pytest.mark.parametrize("cols", [(), (1,)])
-def test_long_row_sums_are_sequential(cols):
+def test_long_row_sums_are_sequential(cols, monkeypatch):
     """Rows of up to 120 entries of mixed scale, where a pairwise sum (which
-    numpy's reductions use on contiguous values) rounds differently."""
+    numpy's reductions use on contiguous values) rounds differently, on the
+    tables."""
+    monkeypatch.setattr(dc, "_ADD_AT_SIZE", 0)
     rng = np.random.default_rng(3)
     for _ in range(200):
         num_rows = int(rng.integers(1, 4))
@@ -340,6 +452,32 @@ def test_long_row_sums_are_sequential(cols):
         a.grad = base.copy()
         gathered._bw(values)
         assert a.grad.tobytes() == reference_scatter_add(base.copy(), index, values).tobytes()
+
+
+@pytest.mark.parametrize("layout", ["columns", "rows"])
+@pytest.mark.parametrize("width", [1, 8, 32])
+def test_add_to_equals_add_at_on_both_sides_of_the_cutoff(layout, width):
+    """Scatters of one entry fewer than the cutoff's values go to `np.add.at`
+    and build no table; at the cutoff and past it they sum through the table.
+    Both give `np.add.at`'s bits, -0.0 values and -0.0 running rows
+    included."""
+    rng = np.random.default_rng(width)
+    per_entry = dc._ADD_AT_SIZE // width
+    for entries in (per_entry - 1, per_entry, per_entry + 1, 2 * per_entry):
+        num_rows = max(entries // 4, 1) if layout == "columns" else 2
+        index = rng.integers(0, num_rows, entries)
+        values = rng.standard_normal((entries, width)) * 10.0 ** rng.uniform(-3, 3,
+                                                                            (entries, width))
+        values[rng.random(values.shape) < 0.3] = -0.0
+        base = np.where(rng.random((num_rows, width)) < 0.5, -0.0,
+                        rng.standard_normal((num_rows, width)))
+        base[0] = -0.0
+        rows = dc.RowIndex(index, num_rows)
+        got = rows.add_to(base.copy(), values)
+        assert got.tobytes() == reference_scatter_add(base.copy(), index, values).tobytes()
+        assert (rows._table is None) == (values.size < dc._ADD_AT_SIZE), entries
+        if rows._table is not None:
+            assert isinstance(rows._table, list) == (layout == "rows")
 
 
 def test_row_index_rejects_out_of_range_rows():

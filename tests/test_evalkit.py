@@ -136,6 +136,28 @@ def test_probe_separable_high_auc():
     assert rep["per_task"][0]["auc"] >= 0.99
 
 
+def test_probe_names_the_epoch_of_a_non_finite_gradient(monkeypatch):
+    """A leaf gradient gone NaN in the second epoch is reported once, by the
+    store's check, with the probe epoch."""
+    real_bind, real_backward = dc.ParamStore.bind, dc.Tensor.backward
+    bound, steps = {}, []
+
+    def bind(self):
+        bound.update(real_bind(self))
+        return dict(bound)
+
+    def backward(self, seed=None):
+        real_backward(self, seed)
+        steps.append(1)
+        if len(steps) == 2:
+            bound["probe.w0"].grad = np.full_like(bound["probe.w0"].data, np.nan)
+
+    monkeypatch.setattr(dc.ParamStore, "bind", bind)
+    monkeypatch.setattr(dc.Tensor, "backward", backward)
+    with pytest.raises(FloatingPointError, match=r"^non-finite leaf gradient in probe epoch 1$"):
+        probe_train(separable_set(n=40), ProbeConfig(epochs=3))
+
+
 def test_probe_shuffled_labels_chance():
     rng = np.random.default_rng(2)
     train = separable_set(n=500, seed=3)

@@ -347,9 +347,10 @@ def test_decode_nll_saturated_correct():
     store.params[f"{prefix}.w1"][...] = 0.0
     store.params[f"{prefix}.b1"][...] = 36.0
     z = dc.constant(np.zeros((2, 2)))
-    nll = decode_nll(z, np.ones((2, 3)), NodeKind.CELL_MORPHOLOGY, store.bind())
-    assert nll.shape == (2, 3)
-    assert np.all(nll.data < 1e-10)
+    term, row_nll = decode_nll(z, np.ones((2, 3)), NodeKind.CELL_MORPHOLOGY, store.bind(),
+                               [0, 1], np.ones(2))
+    assert term.shape == () and row_nll.shape == (2,)
+    assert term.item() < 1e-10 and np.all(row_nll < 1e-10)
 
 
 def test_decode_nll_zero_logits_ln2():
@@ -358,36 +359,48 @@ def test_decode_nll_zero_logits_ln2():
     for name in (f"{prefix}.w0", f"{prefix}.b0", f"{prefix}.w1", f"{prefix}.b1"):
         store.params[name][...] = 0.0
     z = dc.constant(np.random.default_rng(3).standard_normal((3, 2)))
-    nll = decode_nll(z, np.random.default_rng(4).uniform(0, 1, (3, 4)),
-                     NodeKind.CELL_MORPHOLOGY, store.bind())
-    np.testing.assert_allclose(nll.data, np.log(2), rtol=0, atol=1e-12)
+    term, row_nll = decode_nll(z, np.random.default_rng(4).uniform(0, 1, (3, 4)),
+                               NodeKind.CELL_MORPHOLOGY, store.bind(), [0, 1, 2],
+                               np.array([1.0, 0.5, 0.25]))
+    np.testing.assert_allclose(row_nll, 4 * np.log(2), rtol=0, atol=1e-12)
+    assert term.item() == pytest.approx(1.75 * 4 * np.log(2), abs=1e-12)
 
 
 def test_decode_nll_matches_scalar_oracle():
-    """Row k of the NLL matrix is the decoder of z's row k scored against
-    target row k, entry by entry, under either likelihood."""
+    """Target row i is decoded from row rows[i] of z and scored against
+    target row i entry by entry, under either likelihood: each row's NLL sum
+    is the sum of its entries', and the term is the weighted sum of those."""
     store = store_with_decoder(dim=5, latent=4, seed=2)
     bound = store.bind()
     rng = np.random.default_rng(5)
     z = dc.constant(rng.standard_normal((3, 4)))
-    y = rng.uniform(0, 1, (3, 5))
-    bce = decode_nll(z, y, NodeKind.CELL_MORPHOLOGY, bound).data
-    sq = decode_nll(z, y, NodeKind.CELL_MORPHOLOGY, bound, "gaussian").data
+    rows = [2, 0, 0, 1]
+    y = rng.uniform(0, 1, (4, 5))
+    weight = rng.uniform(0.1, 1.0, 4)
     prefix = decoder_prefix(bound, NodeKind.CELL_MORPHOLOGY, 5)
-    for k in range(3):
-        logits = dc.mlp_forward(bound, prefix, dc.constant(z.data[k : k + 1])).data[0]
-        for e, (l, t) in enumerate(zip(logits, y[k])):
-            p = 1.0 / (1.0 + np.exp(-l))
-            assert bce[k, e] == pytest.approx(-(t * np.log(p) + (1 - t) * np.log(1 - p)),
-                                              abs=1e-10)
-            assert sq[k, e] == pytest.approx(0.5 * (l - t) ** 2, abs=1e-12)
+    for likelihood in ("bernoulli", "gaussian"):
+        term, row_nll = decode_nll(z, y, NodeKind.CELL_MORPHOLOGY, bound, rows, weight,
+                                   likelihood)
+        want = []
+        for i, k in enumerate(rows):
+            logits = dc.mlp_forward(bound, prefix, dc.constant(z.data[k : k + 1])).data[0]
+            if likelihood == "bernoulli":
+                p = 1.0 / (1.0 + np.exp(-logits))
+                want.append(-(y[i] * np.log(p) + (1 - y[i]) * np.log(1 - p)).sum())
+            else:
+                want.append((0.5 * (logits - y[i]) ** 2).sum())
+        np.testing.assert_allclose(row_nll, want, rtol=0, atol=1e-10, err_msg=likelihood)
+        assert term.item() == pytest.approx(float(weight @ np.array(want)), abs=1e-10)
 
 
 def test_decode_nll_no_decoder():
     store = store_with_decoder(dim=5)
     with pytest.raises(NoDecoderError):
         decode_nll(dc.constant(np.zeros((1, 4))), np.ones((1, 7)),
-                   NodeKind.CELL_MORPHOLOGY, store.bind())
+                   NodeKind.CELL_MORPHOLOGY, store.bind(), [0], np.ones(1))
+    with pytest.raises(ValueError, match="unknown likelihood 'poisson'"):
+        decode_nll(dc.constant(np.zeros((1, 4))), np.ones((1, 5)),
+                   NodeKind.CELL_MORPHOLOGY, store.bind(), [0], np.ones(1), "poisson")
 
 
 def test_nll_terms_rejects_bad_shapes_and_likelihoods():
@@ -427,9 +440,10 @@ def test_loss_formula_weighted_terms():
     # recompute the pieces independently
     out = gin_encode(parse_smiles(g.node("m0").smiles), bound)
     z = reparameterize(out, noise)
-    nll_self = decode_nll(z, g.node("m0").features[None], NodeKind.MOLECULE, bound).data.sum()
-    nll_c = decode_nll(z, g.node("c0").features[None], NodeKind.CELL_MORPHOLOGY,
-                       bound).data.sum()
+    nll_self = decode_nll(z, g.node("m0").features[None], NodeKind.MOLECULE, bound,
+                          [0], np.ones(1))[1].sum()
+    nll_c = decode_nll(z, g.node("c0").features[None], NodeKind.CELL_MORPHOLOGY, bound,
+                       [0], np.ones(1))[1].sum()
     kl = kl_standard_normal(out).item()
     expect = (1.0 * nll_self + 0.5 * nll_c) / 2 + 0.1 * kl
     for loss in (reference_walk_loss, infoalign_loss):
@@ -716,9 +730,10 @@ def test_pretrain_decodes_each_group_once_through_decode_nll(monkeypatch):
 
 def test_batch_loss_tape_size_at_the_recovery_config(monkeypatch):
     """A minibatch of the benchmark's recovery configuration (2 GIN layers, 4
-    molecules with 4 walks of 4 nodes, three decoders) builds at most 50
-    tensors: one node per affine layer and per loss term. An unfused chain
-    fails here, not only in the benchmark's timings."""
+    molecules with 4 walks of 4 nodes, three decoders) builds at most 20
+    tensors: one node per GIN layer, per head, per decoded group and per
+    loss term. An unfused chain fails here, not only in the benchmark's
+    timings."""
     cfg = small_cfg(hidden=32, decoder_hidden=32, batch_size=4, walk_length=4,
                     walks_per_molecule=4, lr=5e-3)
     g = walk_graph(n_mols=8)
@@ -738,7 +753,31 @@ def test_batch_loss_tape_size_at_the_recovery_config(monkeypatch):
     batch_loss(g, starts, paths, bound, cfg.beta, noise)
     monkeypatch.undo()
     assert len({g.node(n).kind for path in paths for n in path.nodes}) == 3
-    assert count[0] <= 50
+    assert count[0] <= 20
+
+
+def test_pretrain_names_the_step_of_a_non_finite_gradient(monkeypatch):
+    """A leaf gradient gone NaN in the fourth step (7 molecules in batches
+    of 3) is reported once, by the store's check, with its epoch and
+    batch."""
+    real_bind, real_backward = dc.ParamStore.bind, dc.Tensor.backward
+    bound, steps = {}, []
+
+    def bind(self):
+        bound.update(real_bind(self))
+        return dict(bound)
+
+    def backward(self, seed=None):
+        real_backward(self, seed)
+        steps.append(1)
+        if len(steps) == 4:
+            bound["gin.l0.w0"].grad = np.full_like(bound["gin.l0.w0"].data, np.nan)
+
+    monkeypatch.setattr(dc.ParamStore, "bind", bind)
+    monkeypatch.setattr(dc.Tensor, "backward", backward)
+    with pytest.raises(FloatingPointError,
+                       match=r"^non-finite leaf gradient in epoch 1, batch 0$"):
+        pretrain(walk_graph(n_mols=7), small_cfg(batch_size=3))
 
 
 def test_pretrain_missing_decoder_fails_before_training(monkeypatch):
