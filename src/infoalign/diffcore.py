@@ -1,18 +1,18 @@
 """Minimal dense-array reverse-mode autodiff, parameter store, and Adam.
 
 Every array is float64 (the gradient checks demand it). The primitive set is
-deliberately small: matmul, broadcast add/mul, sum reduction, row gather and
-index-scatter-add for message passing, and clip. The training step's layers
-and loss terms are one node each: `affine` (matmul, bias add and ReLU), the
-per-element NLLs `bce_with_logits` and `half_squared_error`, and the
-Gaussian bottleneck's `gaussian_kl` and `gaussian_sample` (Paszke et al.
-2019, arXiv 1912.01703, fuse a linear layer's bias the same way; Alemi et
-al. 2017, arXiv 1612.00410, give the rate term in closed form). So are a
-whole GIN message-passing layer, `gin_layer` (gather, bond embedding,
-scatter, residual add and MLP, as PyG fuses message passing; Fey & Lenssen
-2019, arXiv 1903.02428), one decoded group of targets, `decode_group`
-(gather, MLP, NLL and weighted sum), and a running total of terms, `add_n`.
-Each fused node does the floating-point operations of the chain of
+deliberately small: matmul, broadcast mul, row gather and index-scatter-add
+for message passing, and clip. The training step's layers and loss terms are
+one node each: `affine` (matmul, bias add and ReLU), and the Gaussian
+bottleneck's `gaussian_kl` and `gaussian_sample` (Paszke et al. 2019, arXiv
+1912.01703, fuse a linear layer's bias the same way; Alemi et al. 2017, arXiv
+1612.00410, give the rate term in closed form). So are a whole GIN
+message-passing layer, `gin_layer` (gather, bond embedding, scatter, residual
+add and MLP, as PyG fuses message passing; Fey & Lenssen 2019, arXiv
+1903.02428), one decoded group of targets, `decode_group` (gather, MLP,
+Bernoulli or Gaussian NLL and weighted sum: the variational decoder of Alemi
+et al., which is also the probe's head), and a running total of terms,
+`add_n`. Each fused node does the floating-point operations of the chain of
 primitives it replaced, in their order, so the values and gradients are the
 same bits; `tests/oracles.py` keeps those chains to check it. Every
 primitive and every fused node has a finite-difference test.
@@ -56,8 +56,7 @@ from .errors import CorruptFileError, ShapeMismatchError
 
 MAGIC = b"IAPT"
 
-# exp inputs, and the logistic inside the BCE gradient, are clamped here to
-# avoid overflow.
+# exp inputs, and those of `logistic`, are clamped here to avoid overflow.
 _EXP_CLAMP = 36.7
 
 # `RowIndex.add_to` hands scatters of fewer values (entries times row width)
@@ -107,8 +106,9 @@ class Tensor:
 
     # --- graph traversal ---
 
-    def backward(self, seed: Optional[np.ndarray] = None):
-        """Gradients of this node into every node of its tape.
+    def backward(self):
+        """Gradients of this node into every node of its tape, starting from
+        ones.
 
         A node's gradient is allocated when its first contribution arrives.
         Raises FloatingPointError if this node's value is not finite; leaf
@@ -116,8 +116,6 @@ class Tensor:
         `ParamStore.accumulate`.
         """
         require_finite(self.data, "loss")
-        if seed is None:
-            seed = np.ones_like(self.data)
         topo: List[Tensor] = []
         visited = set()
         stack = [(self, False)]
@@ -134,7 +132,7 @@ class Tensor:
                 stack.append((p, False))
         for node in topo:
             node.grad = None
-        self.grad = np.asarray(seed, dtype=self.data.dtype)
+        self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._bw is not None:
                 node._bw(node.grad)
@@ -145,7 +143,7 @@ class Tensor:
 
 def _acc(t: Tensor, g: np.ndarray):
     """Add g to t's gradient. The first g is kept as it is, so nothing adds in
-    place: `add` hands the same buffer to both of its parents."""
+    place: `add_n` hands the same buffer to every term."""
     t.grad = g if t.grad is None else t.grad + g
 
 
@@ -164,21 +162,6 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 
 # --- primitives --------------------------------------------------------------
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data + b.data
-    except ValueError as exc:
-        raise ShapeMismatchError(f"add: {a.shape} vs {b.shape}") from exc
-    out = Tensor(data, (a, b))
-
-    def bw(g):
-        _acc(a, _unbroadcast(g, a.shape))
-        _acc(b, _unbroadcast(g, b.shape))
-
-    out._bw = bw
-    return out
-
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     try:
@@ -203,20 +186,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         _acc(a, g @ b.data.T)
         _acc(b, a.data.T @ g)
-
-    out._bw = bw
-    return out
-
-
-def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), (a,))
-
-    def bw(g):
-        if axis is None:
-            _acc(a, np.broadcast_to(g, a.shape))
-        else:
-            gexp = g if keepdims else np.expand_dims(g, axis)
-            _acc(a, np.broadcast_to(gexp, a.shape))
 
     out._bw = bw
     return out
@@ -438,45 +407,72 @@ def gin_layer(h: Tensor, bond_embed: Tensor, layers: Layers, out_of: RowIndex,
     return out
 
 
-def decode_group(z: Tensor, rows, layers: Layers, targets: np.ndarray, weight: np.ndarray,
-                 squared_error: bool = False) -> Tuple[Tensor, np.ndarray]:
+def decode_group(z: Tensor, rows, layers: Layers, targets: np.ndarray, weight,
+                 squared_error=False) -> Tuple[Tensor, np.ndarray]:
     """sum over i of weight[i] * NLL(MLP(z[rows[i]]), targets[i]) as one
-    scalar node, and each target's NLL summed over its entries.
+    scalar node, and the NLL of every target entry.
 
-    The MLP is the affine stack `layers`; the NLL `bce_with_logits`, or
-    `half_squared_error` if `squared_error`. `rows` is an index array or a
-    RowIndex over z's rows. Replaces gather_rows, one `affine` per layer,
-    the NLL node, the weight constant, mul and tsum; the weighted sum is
-    `(nll * weight[:, None]).sum()`, tsum's pairwise order over the same
+    The MLP is the affine stack `layers`. The NLL is the Bernoulli one, the
+    binary cross-entropy softplus(l) - l * y on the logits for soft targets
+    in [0, 1], or if `squared_error` the unit-variance Gaussian one up to its
+    constant, (o - y)^2 / 2. `squared_error` may instead be one flag per
+    target column: each entry then takes its column's NLL and gradient, and
+    the other NLL never reaches the sum, even where it overflows.
+
+    `rows` is an index array or a RowIndex over z's rows, or None for z's
+    rows in order, which gathers nothing. `weight` is one weight per target
+    row, or a scalar for every row. Replaces gather_rows, one `affine` per
+    layer, the NLL node, the weight constant, mul and tsum; the weighted
+    sum is `(nll * weight).sum()`, tsum's pairwise order over the same
     array.
     """
-    if not isinstance(rows, RowIndex):
-        rows = RowIndex(rows, z.shape[0])
-    x = z.data[rows.index]
+    if rows is None:
+        x = z.data
+    else:
+        if not isinstance(rows, RowIndex):
+            rows = RowIndex(rows, z.shape[0])
+        x = z.data[rows.index]
     outs = _mlp_data(x, layers)
     logits = outs[-1]
     y = np.asarray(targets, dtype=np.float64)
     if y.shape != logits.shape:
         raise ShapeMismatchError(f"decoder output {logits.shape} vs target {y.shape}")
-    wcol = np.asarray(weight, dtype=np.float64)[:, None]
-    if squared_error:
-        d = logits + -y
-        nll = (d * d) * 0.5
-    else:
-        nll = np.logaddexp(0.0, logits) + -(logits * y)
-    out = Tensor((nll * wcol).sum(), (z,) + _params(layers))
+    w = np.asarray(weight, dtype=np.float64)
+    if w.ndim:
+        w = w[:, None]
+    flags = np.asarray(squared_error, dtype=bool)
+    if flags.shape not in ((), y.shape[1:]):
+        raise ShapeMismatchError(f"{flags.shape} squared-error flags for {y.shape[1]} columns")
+    d = logits + -y if flags.any() else None
+    nll = _pick(flags, lambda: (d * d) * 0.5, lambda: np.logaddexp(0.0, logits) + -(logits * y))
+    out = Tensor((nll * w).sum(), (z,) + _params(layers))
 
     def bw(g):
-        gw = g * wcol  # row i of the weighted NLL's gradient, g * weight[i] throughout
-        if squared_error:
+        gw = g * w  # row i of the weighted NLL's gradient, g * weight[i] throughout
+
+        def squared():
             t = (gw * 0.5) * d
-            gl = t + t
+            return t + t
+
+        gl = _pick(flags, squared, lambda: gw * logistic(logits) + (-gw) * y)
+        gx = _mlp_grads(gl, x, outs, layers)
+        if rows is None:
+            _acc(z, gx)
         else:
-            gl = gw * _logistic(logits) + (-gw) * y
-        _acc_rows(z, rows, _mlp_grads(gl, x, outs, layers))
+            _acc_rows(z, rows, gx)
 
     out._bw = bw
-    return out, nll.sum(axis=1)
+    return out, nll
+
+
+def _pick(flags: np.ndarray, squared, bce) -> np.ndarray:
+    """squared() in the columns that `flags` marks and bce() in the others,
+    computing only what some column takes."""
+    if flags.all():
+        return squared()
+    if not flags.any():
+        return bce()
+    return np.where(flags, squared(), bce())
 
 
 def add_n(terms: Sequence[Tensor]) -> Tensor:
@@ -498,47 +494,9 @@ def add_n(terms: Sequence[Tensor]) -> Tensor:
     return out
 
 
-def _logistic(l: np.ndarray) -> np.ndarray:
+def logistic(l: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-l)), with l clamped to +-_EXP_CLAMP."""
     return 1.0 / (1.0 + np.exp(-np.clip(l, -_EXP_CLAMP, _EXP_CLAMP)))
-
-
-def _targets(outputs: Tensor, targets, what: str) -> np.ndarray:
-    y = np.asarray(targets, dtype=np.float64)
-    if y.shape != outputs.shape:
-        raise ShapeMismatchError(f"{what}: outputs {outputs.shape} vs targets {y.shape}")
-    return y
-
-
-def bce_with_logits(logits: Tensor, targets) -> Tensor:
-    """Elementwise binary cross-entropy for soft targets in [0, 1].
-
-    softplus(l) - l * y, the numerically stable form; summing is left to the
-    caller.
-    """
-    y = _targets(logits, targets, "bce")
-    l = logits.data
-    out = Tensor(np.logaddexp(0.0, l) + -(l * y), (logits,))
-
-    def bw(g):
-        _acc(logits, g * _logistic(l))
-        _acc(logits, (-g) * y)
-
-    out._bw = bw
-    return out
-
-
-def half_squared_error(outputs: Tensor, targets) -> Tensor:
-    """Elementwise (o - y)^2 / 2, the unit-variance Gaussian NLL up to its
-    constant; summing is left to the caller."""
-    d = outputs.data + -_targets(outputs, targets, "squared error")
-    out = Tensor((d * d) * 0.5, (outputs,))
-
-    def bw(g):
-        t = (g * 0.5) * d
-        _acc(outputs, t + t)
-
-    out._bw = bw
-    return out
 
 
 def gaussian_kl(mu: Tensor, logvar: Tensor) -> Tensor:

@@ -1,5 +1,10 @@
 """Downstream evaluation: frozen-embedding probing and zero-shot matching.
 
+The probe is a decoder of the frozen embeddings into the labels: its head is
+fitted through `dc.decode_group`, the node that decodes pretraining's
+targets, with the Bernoulli NLL on classification tasks and the Gaussian one
+on regression tasks.
+
 AUC follows the pairwise definition (probability a random positive outranks a
 random negative, ties counting one half), computed via rank statistics. The
 matcher scores each morphology candidate by the decoder log-likelihood of the
@@ -9,6 +14,7 @@ relevant item per query, NDCG@k is 1/log2(1+rank).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
@@ -27,7 +33,7 @@ from .errors import (
 )
 # `gin_encode` is not called here: perfbench/tracer.py wraps it under this
 # module's name, so a traced run needs it importable from evalkit.
-from .model import decoder_prefix, embed, gin_encode, nll_terms
+from .model import decoder_prefix, embed, gin_encode
 from .molparse import MoleculeSet
 
 CLASSIFICATION = "classification"
@@ -94,6 +100,10 @@ class LabeledSet:
                 f"labels of shape {self.labels.shape} for {self.embeddings.shape[0]} embeddings")
         if len(self.task_types) != self.labels.shape[1]:
             raise LengthMismatchError("task_types length != task count")
+        for kind in self.task_types:
+            if kind not in (CLASSIFICATION, REGRESSION):
+                raise ValueError(f"unknown task type {kind!r}: expected "
+                                 f"{CLASSIFICATION!r} or {REGRESSION!r}")
 
 
 @dataclass
@@ -102,6 +112,14 @@ class ProbeConfig:
     epochs: int = 200
     lr: float = 0.05
     seed: int = 0
+
+    def __post_init__(self):
+        if self.hidden < 0:
+            raise ValueError(f"probe_hidden must be >= 0, got {self.hidden}")
+        if self.epochs < 0:
+            raise ValueError(f"probe_epochs must be >= 0, got {self.epochs}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"probe_lr must be finite and positive, got {self.lr!r}")
 
 
 @dataclass
@@ -113,48 +131,38 @@ class ProbeHead:
         """Probabilities for classification tasks, values for regression ones;
         FloatingPointError if one is not finite."""
         bound = self.store.bind()
-        out = dc.mlp_forward(bound, "probe", dc.constant(np.asarray(embeddings, dtype=np.float64)))
-        pred = out.data.copy()
-        for t, kind in enumerate(self.task_types):
-            if kind == CLASSIFICATION:
-                pred[:, t] = 1.0 / (1.0 + np.exp(-np.clip(pred[:, t], -36.7, 36.7)))
+        x = dc.constant(np.asarray(embeddings, dtype=np.float64))
+        pred = dc.mlp_forward(bound, "probe", x).data
+        cls = np.array([kind == CLASSIFICATION for kind in self.task_types])
+        pred[:, cls] = dc.logistic(pred[:, cls])
         return dc.require_finite(pred, "probe prediction")
 
 
 def probe_train(train: LabeledSet, cfg: ProbeConfig = ProbeConfig()) -> ProbeHead:
     """Fit a small MLP head on frozen embeddings (full-batch Adam).
 
-    Classification tasks use the Bernoulli `nll_terms` (BCE on logits),
-    regression the Gaussian one (squared error). A non-finite loss raises
-    FloatingPointError.
+    The head decodes every embedding into its labels, and each epoch's loss
+    is the mean over entries of their NLL: one `dc.decode_group` node, with
+    the Bernoulli NLL (BCE on logits) in classification columns and the
+    Gaussian one (squared error) in regression columns, times 1 / entries. A
+    non-finite loss raises FloatingPointError.
     """
-    n, d = train.embeddings.shape
+    d = train.embeddings.shape[1]
     t = train.labels.shape[1]
     store = dc.ParamStore(seed=cfg.seed)
-    sizes = [d, t] if cfg.hidden == 0 else [d, cfg.hidden, t]
-    dc.init_mlp(store, "probe", sizes)
-
-    x = train.embeddings
+    dc.init_mlp(store, "probe", [d, t] if cfg.hidden == 0 else [d, cfg.hidden, t])
+    x = dc.constant(train.embeddings)
     y = train.labels
-    is_cls = np.array([k == CLASSIFICATION for k in train.task_types], dtype=np.float64)
-    # A fit whose tasks are all of one type builds only that type's terms; a
-    # mixed fit builds both and masks each entry to its task's.
-    only = "bernoulli" if is_cls.all() else "gaussian" if not is_cls.any() else None
+    squared_error = np.array([kind == REGRESSION for kind in train.task_types])
 
     # A diverging fit (embeddings near the float range) is reported once, by
     # the finiteness check on the loss, not by numpy's warnings before it.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             bound = store.bind()
-            out = dc.mlp_forward(bound, "probe", dc.constant(x))
-            if only is not None:
-                per_entry = nll_terms(out, y, only)
-            else:
-                per_entry = dc.add(
-                    dc.mul(nll_terms(out, y, "bernoulli"), dc.constant(is_cls[None, :])),
-                    dc.mul(nll_terms(out, y, "gaussian"), dc.constant(1.0 - is_cls[None, :])),
-                )
-            loss = dc.mul(dc.tsum(per_entry), dc.constant(1.0 / y.size))
+            nll, _ = dc.decode_group(x, None, dc.mlp_layers(bound, "probe"), y, 1.0,
+                                     squared_error)
+            loss = dc.mul(nll, dc.constant(1.0 / y.size))
             try:
                 loss.backward()
                 store.accumulate(bound)

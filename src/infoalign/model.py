@@ -17,7 +17,8 @@ node per layer), and every target of one (kind, dim) is taken by index from
 the graph's matrix of that (kind, dim) and decoded as one matrix, by
 `decode_nll`, into one `dc.decode_group` node per group. One `dc.add_n` node
 adds the groups' terms to the KL term. At the benchmark's recovery
-configuration a step's tape holds 18 nodes.
+configuration a step's tape holds 18 nodes. `dc.decode_group` is the
+package's one NLL: the evaluation probe fits its head through it too.
 """
 
 from __future__ import annotations
@@ -82,6 +83,10 @@ class ModelConfig:
     uniform: bool = False
 
     def __post_init__(self):
+        for key, low in (("latent_dim", 1), ("hidden", 1), ("decoder_hidden", 1),
+                         ("num_layers", 0), ("fp_radius", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if not 0 < self.lr < math.inf:
             raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
         if not 0 <= self.beta < math.inf:
@@ -246,27 +251,16 @@ def _squared_error(likelihood: str) -> bool:
     return likelihood == "gaussian"
 
 
-def nll_terms(logits: dc.Tensor, y: np.ndarray, likelihood: str) -> dc.Tensor:
-    """Per-element NLL of the targets y under the outputs `logits`.
-
-    Bernoulli treats [0,1]-scaled features as soft labels (BCE on the
-    logits); the Gaussian alternative is a unit-variance squared error on
-    the linear outputs.
-    """
-    if logits.shape != y.shape:
-        raise ShapeMismatchError(f"decoder output {logits.shape} vs target {y.shape}")
-    if _squared_error(likelihood):
-        return dc.half_squared_error(logits, y)
-    return dc.bce_with_logits(logits, y)
-
-
 def decode_nll(z: dc.Tensor, targets: np.ndarray, kind: NodeKind,
                bound: Dict[str, dc.Tensor], rows, weight: np.ndarray,
                likelihood: str = "bernoulli") -> Tuple[dc.Tensor, np.ndarray]:
-    """The weighted NLL (`nll_terms`, summed) of the target rows under the
-    decoder of `kind` and their width, as one `dc.decode_group` node, and
-    each target row's NLL summed over its entries. Target row i is decoded
-    from row rows[i] of z and weighted by weight[i]."""
+    """The weighted NLL, summed, of the target rows under the decoder of
+    `kind` and their width, as one `dc.decode_group` node, and the NLL of
+    every target entry. Target row i is decoded from row rows[i] of z and
+    weighted by weight[i]. The NLL is the Bernoulli one (BCE on the logits,
+    the [0,1]-scaled features as soft labels) or the Gaussian one (a
+    unit-variance squared error on the linear outputs); any other
+    `likelihood` raises ValueError."""
     y = np.asarray(targets, dtype=np.float64)
     layers = dc.mlp_layers(bound, decoder_prefix(bound, kind, y.shape[1]))
     return dc.decode_group(z, rows, layers, y, weight, _squared_error(likelihood))
@@ -341,10 +335,10 @@ def batch_loss(graph: ContextGraph, starts: Sequence[str], paths: Sequence[WalkP
         alpha = alphas[sel]
         weight = alpha * scale / paths.sizes[walk[sel]]
         feats = matrices[kind, int(dims[nodes[sel[0]]])][rows[nodes[sel]]]
-        term, row_nll = decode_nll(z, feats.astype(np.float64), kind, bound, walk[sel],
-                                   weight, likelihood)
+        term, nll = decode_nll(z, feats.astype(np.float64), kind, bound, walk[sel],
+                               weight, likelihood)
         terms.append(term)
-        recon[kind.value] = recon.get(kind.value, 0.0) + float(alpha @ row_nll) * scale
+        recon[kind.value] = recon.get(kind.value, 0.0) + float(alpha @ nll.sum(axis=1)) * scale
         recon_total += term.item()
     kl_mean = kl.item() / len(starts)
     return dc.add_n(terms), LossBreakdown(recon, kl_mean, beta, recon_total + beta * kl_mean)

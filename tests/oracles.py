@@ -13,16 +13,20 @@ full sort of every similarity candidate that the partition cut replaced.
 `reference_walk_loss` is the loss of one walk on a tape of its own, one
 target at a time (`walk_targets`), which `batch_loss` computes for a whole
 minibatch at once.
-`neg`, `relu`, `exp` and `softplus` are the primitives, and the `composed_*`
-functions the chains of primitives, that diffcore's fused nodes (`affine`,
-`bce_with_logits`, `half_squared_error`, `gaussian_kl`, `gaussian_sample`,
-`gin_layer`, `decode_group`) replaced; the slow-path oracles build their
-tapes from these chains (`composed_encode` is `encode_union` on them), so
-they check the fused nodes and not themselves.
+`add`, `tsum`, `neg`, `relu`, `exp` and `softplus` are the primitives, and
+the `composed_*` functions the chains of primitives, that diffcore's fused
+nodes (`affine`, `gaussian_kl`, `gaussian_sample`, `gin_layer`,
+`decode_group`, `add_n`) replaced; the slow-path oracles build their tapes
+from these chains (`composed_encode` is `encode_union` on them), so they
+check the fused nodes and not themselves. The BCE and squared-error chains
+(`composed_bce`, `composed_half_squared_error`) check only `decode_group`,
+the one place `src/` computes an NLL; `columns` and `interleave` put a
+decoded group with one likelihood per column together from them.
 `reference_parse_smiles` is the character-at-a-time SMILES parser that the
 token table replaced; it keeps its own bond-symbol table and charge limit.
 `reference_probe_train` is the probe fit that builds both losses on every
-entry and masks one away, which a fit of one task type no longer does.
+entry and masks one away, on the unfused chains, where `probe_train` is one
+`decode_group` node that picks each column's loss.
 `union` lays out a list of parsed molecules as one graph one molecule at a
 time, which `molecule_set(mols).block(0, len(mols))` does at once.
 `molecule_set` and `molecule` are the layout of a list of parsed molecules
@@ -275,6 +279,60 @@ def reference_top_pairs(s: np.ndarray, rank_i: np.ndarray, rank_j: np.ndarray,
 
 # --- the unfused tape ------------------------------------------------------------
 
+def add(a, b):
+    """a + b, broadcasting; each parent's gradient is summed over the axes
+    broadcasting expanded."""
+    out = dc.Tensor(a.data + b.data, (a, b))
+
+    def bw(g):
+        dc._acc(a, dc._unbroadcast(g, a.shape))
+        dc._acc(b, dc._unbroadcast(g, b.shape))
+
+    out._bw = bw
+    return out
+
+
+def tsum(a, axis=None, keepdims=False):
+    out = dc.Tensor(a.data.sum(axis=axis, keepdims=keepdims), (a,))
+
+    def bw(g):
+        gexp = g if axis is None or keepdims else np.expand_dims(g, axis)
+        dc._acc(a, np.broadcast_to(gexp, a.shape))
+
+    out._bw = bw
+    return out
+
+
+def columns(a, cols):
+    """a[:, cols]. Its backward sends -0.0 to the other columns, which adds
+    nothing to their gradient, not even to a -0.0."""
+    out = dc.Tensor(a.data[:, cols], (a,))
+
+    def bw(g):
+        grad = np.full_like(a.data, -0.0)
+        grad[:, cols] = g
+        dc._acc(a, grad)
+
+    out._bw = bw
+    return out
+
+
+def interleave(parts, shape):
+    """The (rows, columns) matrix `shape` whose columns cols are the part
+    for each (cols, part) in `parts`."""
+    data = np.empty(shape)
+    for cols, part in parts:
+        data[:, cols] = part.data
+    out = dc.Tensor(data, tuple(part for _, part in parts))
+
+    def bw(g):
+        for cols, part in parts:
+            dc._acc(part, g[:, cols])
+
+    out._bw = bw
+    return out
+
+
 def neg(a):
     out = dc.Tensor(-a.data, (a,))
     out._bw = lambda g: dc._acc(a, -g)
@@ -303,7 +361,7 @@ def softplus(a):
 
 
 def composed_affine(x, w, b, relu_layer: bool = False):
-    h = dc.add(dc.matmul(x, w), b)
+    h = add(dc.matmul(x, w), b)
     return relu(h) if relu_layer else h
 
 
@@ -319,23 +377,23 @@ def composed_mlp_forward(bound, prefix: str, x):
 
 def composed_bce(logits, targets):
     y = dc.constant(targets)
-    return dc.add(softplus(logits), neg(dc.mul(logits, y)))
+    return add(softplus(logits), neg(dc.mul(logits, y)))
 
 
 def composed_half_squared_error(outputs, targets):
-    diff = dc.add(outputs, dc.constant(-np.asarray(targets, dtype=np.float64)))
+    diff = add(outputs, dc.constant(-np.asarray(targets, dtype=np.float64)))
     return dc.mul(dc.mul(diff, diff), dc.constant(0.5))
 
 
 def composed_kl(mu, logvar):
     mu2 = dc.mul(mu, mu)
-    inner = dc.add(dc.add(mu2, exp(logvar)), neg(logvar))
-    return dc.mul(dc.tsum(dc.add(inner, dc.constant(-1.0))), dc.constant(0.5))
+    inner = add(add(mu2, exp(logvar)), neg(logvar))
+    return dc.mul(tsum(add(inner, dc.constant(-1.0))), dc.constant(0.5))
 
 
 def composed_sample(mu, logvar, noise):
     std = exp(dc.mul(logvar, dc.constant(0.5)))
-    return dc.add(mu, dc.mul(std, dc.constant(noise)))
+    return add(mu, dc.mul(std, dc.constant(noise)))
 
 
 def composed_gin_layer(h, bond_embed, layers, out_of, into, bond_type):
@@ -343,22 +401,34 @@ def composed_gin_layer(h, bond_embed, layers, out_of, into, bond_type):
     messages' two gathers and add, their scatter, the residual add, and the
     MLP's layers; with no messages only the MLP."""
     if len(into.index):
-        msgs = dc.add(dc.gather_rows(h, out_of), dc.gather_rows(bond_embed, bond_type))
-        h = dc.add(dc.scatter_add_rows(msgs, into), h)
+        msgs = add(dc.gather_rows(h, out_of), dc.gather_rows(bond_embed, bond_type))
+        h = add(dc.scatter_add_rows(msgs, into), h)
     for k, (w, b) in enumerate(layers):
         h = composed_affine(h, w, b, k < len(layers) - 1)
     return h
 
 
-def composed_decode_group(z, rows, layers, targets, weight, squared_error: bool = False):
+def composed_decode_group(z, rows, layers, targets, weight, squared_error=False):
     """(weighted NLL sum, per-element NLL) of one decoded group as
-    `batch_loss` built it before `decode_group`: the gather of z, the MLP's
-    layers, the NLL, the weight constant, mul and tsum."""
-    h = dc.gather_rows(z, rows)
+    `batch_loss` built it before `decode_group`: the gather of z (none if
+    `rows` is None), the MLP's layers, the NLL, the weight constant (a
+    column, or a scalar for every row), mul and tsum. With one
+    `squared_error` flag per column, each likelihood's NLL is taken on its
+    own columns and the per-element NLL interleaved from the two."""
+    h = z if rows is None else dc.gather_rows(z, rows)
     for k, (w, b) in enumerate(layers):
         h = composed_affine(h, w, b, k < len(layers) - 1)
-    nll = (composed_half_squared_error if squared_error else composed_bce)(h, targets)
-    return dc.tsum(dc.mul(nll, dc.constant(np.asarray(weight)[:, None]))), nll
+    y = np.asarray(targets, dtype=np.float64)
+    flags = np.asarray(squared_error, dtype=bool)
+    if flags.ndim:
+        parts = [(cols, chain(columns(h, cols), y[:, cols]))
+                 for chain, cols in ((composed_half_squared_error, np.flatnonzero(flags)),
+                                   (composed_bce, np.flatnonzero(~flags))) if len(cols)]
+        nll = interleave(parts, y.shape)
+    else:
+        nll = (composed_half_squared_error if flags else composed_bce)(h, y)
+    weight = np.asarray(weight, dtype=np.float64)
+    return tsum(dc.mul(nll, dc.constant(weight[:, None] if weight.ndim else weight))), nll
 
 
 def composed_encode(g: MolecularGraph, bound) -> EncoderOutput:
@@ -404,21 +474,21 @@ def reference_walk_loss(graph, path, bound, beta: float, noise, likelihood: str 
         targets.append((rec.features.astype(np.float64), rec.kind, alpha))
 
     L = len(path.nodes)
-    nll_terms = composed_bce if likelihood == "bernoulli" else composed_half_squared_error
+    chain = composed_bce if likelihood == "bernoulli" else composed_half_squared_error
     recon = {}
     weighted_terms = []
     for feats, kind, alpha in targets:
         y = feats.reshape(1, -1)
         logits = composed_mlp_forward(bound, decoder_prefix(bound, kind, y.shape[1]), z)
-        nll = dc.tsum(nll_terms(logits, y))
+        nll = tsum(chain(logits, y))
         term = dc.mul(nll, dc.constant(alpha))
         weighted_terms.append(term)
         recon[kind.value] = recon.get(kind.value, 0.0) + term.item()
 
     acc = weighted_terms[0]
     for term in weighted_terms[1:]:
-        acc = dc.add(acc, term)
-    total = dc.add(dc.mul(acc, dc.constant(1.0 / L)), dc.mul(kl, dc.constant(beta)))
+        acc = add(acc, term)
+    total = add(dc.mul(acc, dc.constant(1.0 / L)), dc.mul(kl, dc.constant(beta)))
     return total, LossBreakdown(recon, kl.item(), beta, sum(recon.values()) / L + beta * kl.item())
 
 
@@ -436,11 +506,11 @@ def reference_probe_train(train, cfg):
         for epoch in range(cfg.epochs):
             bound = store.bind()
             out = composed_mlp_forward(bound, "probe", dc.constant(x))
-            per_entry = dc.add(
+            per_entry = add(
                 dc.mul(composed_bce(out, y), dc.constant(is_cls[None, :])),
                 dc.mul(composed_half_squared_error(out, y), dc.constant(1.0 - is_cls[None, :])),
             )
-            loss = dc.mul(dc.tsum(per_entry), dc.constant(1.0 / y.size))
+            loss = dc.mul(tsum(per_entry), dc.constant(1.0 / y.size))
             try:
                 loss.backward()
                 store.accumulate(bound)

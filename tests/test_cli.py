@@ -495,6 +495,22 @@ def test_pretrain_bad_or_diverging_run_exit_1(synth_graph, tmp_path, capsys, arg
     assert not list(tmp_path.glob("ck.iapt*"))
 
 
+@pytest.mark.parametrize("key,value,low", [
+    ("latent_dim", 0, 1), ("hidden", 0, 1), ("decoder_hidden", 0, 1),
+    ("num_layers", -1, 0), ("fp_radius", -1, 0),
+])
+def test_pretrain_bad_model_setting_exit_1(synth_graph, tmp_path, capsys, key, value, low):
+    """A model size below its least value is an error naming the key, and
+    nothing is written: no traceback from the parameter init, and no
+    checkpoint that `embed` would read into blank lines."""
+    ck = tmp_path / "ck.iapt"
+    assert run(["pretrain", "--graph", synth_graph, "--out", ck, "--epochs", 1,
+                *PRETRAIN_SMALL, "--" + key.replace("_", "-"), value]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {key} must be >= {low}, got {value}\n"
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("count", [0, -1])
 def test_walks_per_molecule_below_one_exit_1(synth_graph, tmp_path, capsys, count):
     """walk and pretrain name the key and write nothing: no walk table, and
@@ -636,8 +652,9 @@ def test_eval_report(tmp_path):
 @pytest.mark.parametrize("task_types", ["classification", "regression",
                                         "classification,regression,classification"])
 def test_eval_report_equals_masked_probe_oracle(tmp_path, monkeypatch, task_types):
-    """A fit of one task type builds only that type's loss terms; its report
-    has the bytes of the fit that builds both and masks one away."""
+    """The probe fitted as one decoder node per epoch gives the report
+    bytes of the unfused fit that builds both losses on every entry and
+    masks one away, whatever the mix of task types."""
     rng = np.random.default_rng(3)
     n = 40
     emb = rng.normal(size=(n, 5))
@@ -659,6 +676,27 @@ def test_eval_report_equals_masked_probe_oracle(tmp_path, monkeypatch, task_type
     fast = report("fast.json")
     monkeypatch.setattr("infoalign.cli.probe_train", reference_probe_train)
     assert report("oracle.json") == fast
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--task-types", "clasification"],
+     "unknown task type 'clasification': expected 'classification' or 'regression'"),
+    (["--task-types", "classification,Regression"],
+     "unknown task type 'Regression': expected 'classification' or 'regression'"),
+    (["--probe-epochs", -5], "probe_epochs must be >= 0, got -5"),
+    (["--probe-hidden", -1], "probe_hidden must be >= 0, got -1"),
+    (["--probe-lr", 0], "probe_lr must be finite and positive, got 0.0"),
+], ids=["type-misspelt", "type-capitalised", "probe_epochs-negative", "probe_hidden-negative",
+        "probe_lr-0"])
+def test_eval_bad_setting_exit_1(tmp_path, capsys, argv, message):
+    """A task type other than the two, and a probe setting out of range, are
+    errors naming the value, and no report is written."""
+    (tmp_path / "emb.tsv").write_text("".join(f"{i}\t{i % 3}\n" for i in range(10)))
+    (tmp_path / "lab.tsv").write_text("".join(f"{i % 2}\t{i}\n" for i in range(10)))
+    assert run(["eval", "--embeddings", tmp_path / "emb.tsv", "--labels", tmp_path / "lab.tsv",
+                "--out", tmp_path / "r.json", *argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_eval_label_rows_mismatch_exit_1(tmp_path, capsys):

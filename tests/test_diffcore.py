@@ -18,12 +18,14 @@ from hypothesis.extra import numpy as hnp
 import infoalign.diffcore as dc
 from infoalign.errors import CorruptFileError, ShapeMismatchError
 from tests.oracles import (
+    add,
     composed_affine,
     composed_bce,
     composed_decode_group,
     composed_gin_layer,
     composed_half_squared_error,
     composed_kl,
+    composed_mlp_forward,
     composed_sample,
     exp,
     neg,
@@ -31,6 +33,7 @@ from tests.oracles import (
     reference_scatter_add,
     relu,
     softplus,
+    tsum,
 )
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -112,6 +115,8 @@ def _decode(rows, squared_error, composed=False):
 
 
 _DECODE_ROWS = [0, 2, 2, 1, 0]
+# One squared-error flag per target column of a three-column group.
+_PER_COLUMN = np.array([False, True, False])
 
 
 def test_square_gradient_closed_form():
@@ -122,43 +127,40 @@ def test_square_gradient_closed_form():
 
 
 @pytest.mark.parametrize("name,build", [
-    ("add", lambda t: dc.tsum(dc.mul(dc.add(t, _c((3, 4), 10)), _c((3, 4), 11)))),
-    ("add_broadcast", lambda t: dc.tsum(dc.mul(dc.add(t, _c((1, 4), 12)), _c((3, 4), 13)))),
-    ("neg", lambda t: dc.tsum(dc.mul(neg(t), _c((3, 4), 14)))),
-    ("mul", lambda t: dc.tsum(dc.mul(t, _c((3, 4), 15)))),
-    ("matmul", lambda t: dc.tsum(dc.matmul(t, _c((4, 2), 16)))),
-    ("relu", lambda t: dc.tsum(dc.mul(relu(t), _c((3, 4), 17)))),
-    ("exp", lambda t: dc.tsum(dc.mul(exp(t), _c((3, 4), 19)))),
-    ("softplus", lambda t: dc.tsum(dc.mul(softplus(t), _c((3, 4), 21)))),
-    ("tsum_axis", lambda t: dc.tsum(dc.mul(dc.tsum(t, axis=0, keepdims=True), _c((1, 4), 22)))),
-    ("gather", lambda t: dc.tsum(dc.mul(dc.gather_rows(t, [0, 2, 2, 1]), _c((4, 4), 25)))),
-    ("scatter", lambda t: dc.tsum(dc.mul(dc.scatter_add_rows(t, [1, 0, 1], 2), _c((2, 4), 26)))),
-    ("clip", lambda t: dc.tsum(dc.mul(dc.clip(t, -0.5, 0.5), _c((3, 4), 27)))),
-    ("bce", lambda t: dc.tsum(dc.bce_with_logits(t, np.full((3, 4), 0.3)))),
-    ("affine_relu_x", lambda t: dc.tsum(dc.mul(
+    ("add", lambda t: tsum(dc.mul(add(t, _c((3, 4), 10)), _c((3, 4), 11)))),
+    ("add_broadcast", lambda t: tsum(dc.mul(add(t, _c((1, 4), 12)), _c((3, 4), 13)))),
+    ("neg", lambda t: tsum(dc.mul(neg(t), _c((3, 4), 14)))),
+    ("mul", lambda t: tsum(dc.mul(t, _c((3, 4), 15)))),
+    ("matmul", lambda t: tsum(dc.matmul(t, _c((4, 2), 16)))),
+    ("relu", lambda t: tsum(dc.mul(relu(t), _c((3, 4), 17)))),
+    ("exp", lambda t: tsum(dc.mul(exp(t), _c((3, 4), 19)))),
+    ("softplus", lambda t: tsum(dc.mul(softplus(t), _c((3, 4), 21)))),
+    ("tsum_axis", lambda t: tsum(dc.mul(tsum(t, axis=0, keepdims=True), _c((1, 4), 22)))),
+    ("gather", lambda t: tsum(dc.mul(dc.gather_rows(t, [0, 2, 2, 1]), _c((4, 4), 25)))),
+    ("scatter", lambda t: tsum(dc.mul(dc.scatter_add_rows(t, [1, 0, 1], 2), _c((2, 4), 26)))),
+    ("clip", lambda t: tsum(dc.mul(dc.clip(t, -0.5, 0.5), _c((3, 4), 27)))),
+    ("affine_relu_x", lambda t: tsum(dc.mul(
         dc.affine(t, _c((4, 5), 30), _c((5,), 31), relu=True), _c((3, 5), 32)))),
-    ("affine_relu_w", lambda t: dc.tsum(dc.mul(
+    ("affine_relu_w", lambda t: tsum(dc.mul(
         dc.affine(_c((2, 3), 33), t, _c((4,), 34), relu=True), _c((2, 4), 35)))),
-    ("affine_linear", lambda t: dc.tsum(dc.mul(
+    ("affine_linear", lambda t: tsum(dc.mul(
         dc.affine(t, _c((4, 2), 36), _c((2,), 37)), _c((3, 2), 38)))),
-    ("half_squared_error", lambda t: dc.tsum(dc.mul(
-        dc.half_squared_error(t, _c((3, 4), 39).data), _c((3, 4), 40)))),
     ("gaussian_kl_mu", lambda t: dc.gaussian_kl(t, _c((3, 4), 41))),
     ("gaussian_kl_logvar", lambda t: dc.gaussian_kl(_c((3, 4), 42), t)),
-    ("gaussian_sample_mu", lambda t: dc.tsum(dc.mul(
+    ("gaussian_sample_mu", lambda t: tsum(dc.mul(
         dc.gaussian_sample(t, _c((3, 4), 43), _c((3, 4), 44).data), _c((3, 4), 45)))),
-    ("gaussian_sample_logvar", lambda t: dc.tsum(dc.mul(
+    ("gaussian_sample_logvar", lambda t: tsum(dc.mul(
         dc.gaussian_sample(_c((3, 4), 46), t, _c((3, 4), 47).data), _c((3, 4), 48)))),
-    ("gin_layer_h", lambda t: dc.tsum(dc.mul(_gin(_RING3)(
+    ("gin_layer_h", lambda t: tsum(dc.mul(_gin(_RING3)(
         t, _c((3, 4), 50), _c((4, 5), 51), _c((5,), 52), _c((5, 2), 53), _c((2,), 54)),
         _c((3, 2), 55)))),
-    ("gin_layer_bond_embed", lambda t: dc.tsum(dc.mul(_gin(_RING3)(
+    ("gin_layer_bond_embed", lambda t: tsum(dc.mul(_gin(_RING3)(
         _c((3, 4), 56), t, _c((4, 5), 57), _c((5,), 58), _c((5, 2), 59), _c((2,), 60)),
         _c((3, 2), 61)))),
-    ("gin_layer_w1", lambda t: dc.tsum(dc.mul(_gin(_RING3)(
+    ("gin_layer_w1", lambda t: tsum(dc.mul(_gin(_RING3)(
         _c((3, 3), 62), _c((3, 3), 63), _c((3, 3), 64), _c((3,), 65), t, _c((4,), 66)),
         _c((3, 4), 67)))),
-    ("gin_layer_no_bonds", lambda t: dc.tsum(dc.mul(_gin(_messages([], [], 3))(
+    ("gin_layer_no_bonds", lambda t: tsum(dc.mul(_gin(_messages([], [], 3))(
         t, _c((3, 4), 68), _c((4, 5), 69), _c((5,), 70), _c((5, 2), 71), _c((2,), 72)),
         _c((3, 2), 73)))),
     ("decode_group_z", lambda t: _decode(_DECODE_ROWS, False)(
@@ -173,7 +175,13 @@ def test_square_gradient_closed_form():
     ("decode_group_one_row", lambda t: _decode([1], False)(
         t, _c((4, 6), 87), _c((6,), 88), _c((6, 3), 89), _c((3,), 90),
         np.full((1, 3), 0.4), np.array([0.5]))),
-    ("add_n", lambda t: dc.tsum(dc.mul(dc.add_n([t, _c((3, 4), 91), t]), _c((3, 4), 92)))),
+    ("decode_group_per_column", lambda t: _decode(_DECODE_ROWS, _PER_COLUMN)(
+        t, _c((4, 6), 93), _c((6,), 94), _c((6, 3), 95), _c((3,), 96),
+        np.tile([0.3, 1.7, 0.8], (5, 1)), np.linspace(0.2, 1.0, 5))),
+    ("decode_group_all_rows", lambda t: _decode(None, _PER_COLUMN)(
+        t, _c((4, 6), 97), _c((6,), 98), _c((6, 3), 99), _c((3,), 100),
+        np.tile([-0.6, 0.2, 0.9], (3, 1)), np.float64(0.7))),
+    ("add_n", lambda t: tsum(dc.mul(dc.add_n([t, _c((3, 4), 91), t]), _c((3, 4), 92)))),
 ])
 def test_primitive_gradients(name, build):
     # A fixed seed per case: str hashes are salted per process.
@@ -183,14 +191,14 @@ def test_primitive_gradients(name, build):
 
 def test_clip_gradient_pass_through():
     x = dc.Tensor(np.array([-2.0, 0.5, 2.0]))
-    y = dc.tsum(dc.clip(x, -1.0, 1.0))
+    y = tsum(dc.clip(x, -1.0, 1.0))
     y.backward()
     assert np.array_equal(x.grad, [0.0, 1.0, 0.0])
 
 
 def test_relu_subgradient_zero_at_zero():
     x = dc.Tensor(np.array([[0.0, -1e-12]]))
-    y = dc.tsum(dc.affine(x, dc.constant(np.eye(2)), dc.constant(np.zeros(2)), relu=True))
+    y = tsum(dc.affine(x, dc.constant(np.eye(2)), dc.constant(np.zeros(2)), relu=True))
     y.backward()
     assert x.grad[0, 0] == 0.0 and x.grad[0, 1] == 0.0
 
@@ -200,21 +208,21 @@ def test_matmul_sum_gradient_structure():
     rng = np.random.default_rng(4)
     A = dc.Tensor(rng.standard_normal((3, 4)))
     B = rng.standard_normal((4, 2))
-    out = dc.tsum(dc.matmul(A, dc.constant(B)))
+    out = tsum(dc.matmul(A, dc.constant(B)))
     out.backward()
     assert np.allclose(A.grad, np.tile(B.sum(axis=1), (3, 1)), atol=1e-12)
 
 
 def test_shape_mismatch_errors():
     with pytest.raises(ShapeMismatchError):
-        dc.add(dc.constant(np.ones((2, 3))), dc.constant(np.ones((4, 5))))
+        dc.mul(dc.constant(np.ones((2, 3))), dc.constant(np.ones((4, 5))))
     with pytest.raises(ShapeMismatchError):
         dc.matmul(dc.constant(np.ones((2, 3))), dc.constant(np.ones((2, 3))))
 
 
 def test_backward_rejects_non_finite_loss():
     x = dc.Tensor(np.array([1.0, 2.0]))
-    loss = dc.tsum(dc.mul(x, dc.constant(np.array([np.nan, 1.0]))))
+    loss = tsum(dc.mul(x, dc.constant(np.array([np.nan, 1.0]))))
     with pytest.raises(FloatingPointError, match="non-finite loss"):
         loss.backward()
 
@@ -227,7 +235,7 @@ def test_accumulate_rejects_non_finite_leaf_gradient():
     store.params["x"][...] = 2.0
     bound = store.bind()
     # clip hides the inf in the forward pass; the gradient 0 * inf is NaN
-    loss = dc.tsum(dc.clip(dc.mul(bound["x"], dc.constant(np.array([np.inf]))), -1.0, 1.0))
+    loss = tsum(dc.clip(dc.mul(bound["x"], dc.constant(np.array([np.inf]))), -1.0, 1.0))
     assert loss.item() == 1.0
     with np.errstate(invalid="ignore"):
         loss.backward()
@@ -240,7 +248,7 @@ def test_exp_overflow_clamped_finite():
     """The exp inside the KL and the sample is clamped: a logvar of +-1e6
     gives finite values and gradients."""
     for node in (lambda mu, lv: dc.gaussian_kl(mu, lv),
-                 lambda mu, lv: dc.tsum(dc.gaussian_sample(mu, lv, np.ones((1, 2))))):
+                 lambda mu, lv: tsum(dc.gaussian_sample(mu, lv, np.ones((1, 2))))):
         mu, lv = dc.Tensor(np.zeros((1, 2))), dc.Tensor(np.array([[1e6, -1e6]]))
         y = node(mu, lv)
         assert np.all(np.isfinite(y.data))
@@ -256,9 +264,6 @@ FUSED = {
                     lambda x, w, b: dc.affine(x, w, b, relu=True),
                     lambda x, w, b: composed_affine(x, w, b, True)),
     "affine_linear": ([(5, 4), (4, 3), (3,)], 3, dc.affine, composed_affine),
-    "bce": ([(5, 4), (5, 4)], 1, dc.bce_with_logits, composed_bce),
-    "half_squared_error": ([(5, 4), (5, 4)], 1, dc.half_squared_error,
-                           composed_half_squared_error),
     "gaussian_kl": ([(5, 4), (5, 4)], 2, dc.gaussian_kl, composed_kl),
     "gaussian_sample": ([(5, 4), (5, 4), (5, 4)], 2, dc.gaussian_sample, composed_sample),
     "gin_layer": ([(5, 4), (3, 4), (4, 6), (6,), (6, 3), (3,)], 6,
@@ -272,8 +277,14 @@ FUSED = {
                                    _decode(_DECODE_ROWS, True, composed=True)),
     "decode_group_one_row": ([(3, 4), (4, 6), (6,), (6, 3), (3,), (1, 3), (1,)], 5,
                              _decode([2], False), _decode([2], False, composed=True)),
+    "decode_group_per_column": ([(3, 4), (4, 6), (6,), (6, 3), (3,), (5, 3), (5,)], 5,
+                                _decode(_DECODE_ROWS, _PER_COLUMN),
+                                _decode(_DECODE_ROWS, _PER_COLUMN, composed=True)),
+    "decode_group_all_rows": ([(5, 4), (4, 6), (6,), (6, 3), (3,), (5, 3), ()], 5,
+                              _decode(None, _PER_COLUMN),
+                              _decode(None, _PER_COLUMN, composed=True)),
     "add_n": ([(5, 4), (5, 4), (5, 4)], 3, lambda *ts: dc.add_n(ts),
-              lambda *ts: functools.reduce(dc.add, ts)),
+              lambda *ts: functools.reduce(add, ts)),
 }
 
 
@@ -334,11 +345,13 @@ def test_fused_node_equals_its_chain_bit_for_bit(name, special, monkeypatch):
                 assert _same_bits(got, want), (seed, with_prior, "value" if k == 0 else k - 1)
 
 
-@pytest.mark.parametrize("squared_error", [False, True], ids=["bce", "squared_error"])
+@pytest.mark.parametrize("squared_error", [False, True, _PER_COLUMN],
+                         ids=["bce", "squared_error", "per_column"])
 @pytest.mark.parametrize("special", [False, True], ids=["normal", "special"])
 def test_decode_group_row_sums_equal_its_chain(special, squared_error):
-    """The per-target NLL sums `decode_group` hands back for the loss
-    breakdown are the bits of the chain's NLL summed over each row."""
+    """The per-entry NLL `decode_group` hands back, and so the row sums
+    `batch_loss` takes of it for the loss breakdown, are the bits of the
+    chain's."""
     for seed in range(5):
         rng = np.random.default_rng(zlib.crc32(f"rows-{seed}".encode()))
         z, w0, b0, w1, b1, y, weight = (_draw(rng, shape, special) for shape in
@@ -349,7 +362,56 @@ def test_decode_group_row_sums_equal_its_chain(special, squared_error):
                                   squared_error)[1]
             _, nll = composed_decode_group(dc.Tensor(z), _DECODE_ROWS, layers, y, weight,
                                            squared_error)
-        assert _same_bits(got, nll.data.sum(axis=1)), seed
+            assert _same_bits(got, nll.data), seed
+            assert _same_bits(got.sum(axis=1), nll.data.sum(axis=1)), seed
+
+
+def _masked_chain(h, y, flags):
+    """Both NLLs on every entry, each masked to its columns and added, then
+    summed: the probe's chain before it was a decoder."""
+    mask = np.asarray(flags, dtype=np.float64)
+    return tsum(add(dc.mul(composed_bce(h, y), dc.constant(1.0 - mask)),
+                    dc.mul(composed_half_squared_error(h, y), dc.constant(mask))))
+
+
+def test_decode_group_per_column_equals_the_masked_chain():
+    """On finite inputs, a group with one likelihood per column has the
+    value and gradients of the masked chain, bit for bit."""
+    for seed in range(5):
+        rng = np.random.default_rng(zlib.crc32(f"masked-{seed}".encode()))
+        arrays = [rng.standard_normal(shape) for shape in
+                  [(5, 4), (4, 6), (6,), (6, 3), (3,), (5, 3)]]
+        y = arrays.pop()
+        results = []
+        for fused in (True, False):
+            z, w0, b0, w1, b1 = leaves = [dc.Tensor(a) for a in arrays]
+            if fused:
+                out = dc.decode_group(z, None, [(w0, b0), (w1, b1)], y, 1.0, _PER_COLUMN)[0]
+            else:
+                bound = {"f.w0": w0, "f.b0": b0, "f.w1": w1, "f.b1": b1}
+                out = _masked_chain(composed_mlp_forward(bound, "f", z), y, _PER_COLUMN)
+            out.backward()
+            results.append([out.data] + [t.grad for t in leaves])
+        for k, (got, want) in enumerate(zip(*results)):
+            assert _same_bits(got, want), (seed, k)
+
+
+def test_decode_group_per_column_skips_the_other_nll():
+    """An entry's other NLL never reaches the loss: the squared error of a
+    logit of 1e200 overflows, but in a cross-entropy column it is not taken,
+    where the masked chain's 0 * inf made the loss NaN."""
+    z = dc.Tensor(np.array([[1e200, 0.5], [-1e200, -0.5]]))
+    layers = [(dc.constant(np.eye(2)), dc.constant(np.zeros(2)))]
+    y = np.array([[1.0, 0.2], [0.0, -0.3]])
+    flags = np.array([False, True])
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, nll = dc.decode_group(z, None, layers, y, 1.0, flags)
+        out.backward()
+        h = composed_mlp_forward({"f.w0": layers[0][0], "f.b0": layers[0][1]}, "f", z)
+        masked = _masked_chain(h, y, flags)
+    assert np.isnan(masked.item())
+    assert np.isfinite(nll).all() and np.isfinite(z.grad).all()
+    assert out.item() == nll.sum() == 0.5 * 0.3 ** 2 + 0.5 * 0.2 ** 2
 
 
 def test_backward_shared_gradient_buffer_not_aliased():
@@ -360,8 +422,8 @@ def test_backward_shared_gradient_buffer_not_aliased():
                                                [0, 1, 1], 2)):
         x = dc.Tensor(np.array([1.0, 2.0]))
         y = dc.Tensor(np.array([3.0, 4.0]))
-        s = dc.add(x, y)
-        loss = dc.tsum(dc.add(dc.mul(s, dc.constant(np.array([2.0, 5.0]))), late(x)))
+        s = add(x, y)
+        loss = tsum(add(dc.mul(s, dc.constant(np.array([2.0, 5.0]))), late(x)))
         loss.backward()
         assert np.array_equal(x.grad, [9.0, 16.0])
         assert np.array_equal(y.grad, [2.0, 5.0])
@@ -369,7 +431,7 @@ def test_backward_shared_gradient_buffer_not_aliased():
 
 def test_backward_twice_gives_same_gradient():
     x = dc.Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]))
-    loss = dc.tsum(dc.gather_rows(dc.mul(x, x), [0, 1, 1]))
+    loss = tsum(dc.gather_rows(dc.mul(x, x), [0, 1, 1]))
     loss.backward()
     first = x.grad.copy()
     loss.backward()
@@ -489,10 +551,13 @@ def test_row_index_rejects_out_of_range_rows():
 
 
 def test_bce_matches_scalar_oracle():
+    """`decode_group`'s Bernoulli NLL, read from its per-entry NLL through
+    an identity layer."""
     rng = np.random.default_rng(5)
     logits = rng.standard_normal((4, 6))
     y = rng.uniform(0, 1, size=(4, 6))
-    got = dc.bce_with_logits(dc.constant(logits), y).data
+    identity = [(dc.constant(np.eye(6)), dc.constant(np.zeros(6)))]
+    got = dc.decode_group(dc.constant(logits), None, identity, y, 1.0)[1]
     # independent scalar-loop oracle via explicit probabilities
     for i in range(4):
         for j in range(6):
@@ -528,7 +593,7 @@ def test_mlp_gradient_finite_difference():
 
     for pname in store.params:
         bound = store.bind()
-        out = dc.tsum(dc.mul(dc.mlp_forward(bound, "f", dc.constant(x)),
+        out = tsum(dc.mul(dc.mlp_forward(bound, "f", dc.constant(x)),
                              dc.mlp_forward(bound, "f", dc.constant(x))))
         out.backward()
         analytic = bound[pname].grad.copy()
@@ -538,7 +603,7 @@ def test_mlp_gradient_finite_difference():
             store.params[pname][...] = arr
             b = store.bind()
             h = dc.mlp_forward(b, "f", dc.constant(x))
-            val = float(dc.tsum(dc.mul(h, h)).data)
+            val = float(tsum(dc.mul(h, h)).data)
             store.params[pname][...] = saved
             return val
 
@@ -588,7 +653,7 @@ def test_adam_deterministic_trajectory():
         x = np.random.default_rng(8).standard_normal((4, 3))
         for _ in range(10):
             bound = store.bind()
-            out = dc.tsum(dc.mul(dc.matmul(dc.constant(x), bound["w"]),
+            out = tsum(dc.mul(dc.matmul(dc.constant(x), bound["w"]),
                                  dc.matmul(dc.constant(x), bound["w"])))
             out.backward()
             store.accumulate(bound)
@@ -683,7 +748,7 @@ def test_checkpoint_round_trip(tmp_path):
     # take a few steps so moments are nontrivial
     for _ in range(3):
         bound = store.bind()
-        out = dc.tsum(dc.mul(dc.mlp_forward(bound, "f", dc.constant(np.ones((2, 4)))),
+        out = tsum(dc.mul(dc.mlp_forward(bound, "f", dc.constant(np.ones((2, 4)))),
                              dc.constant(np.ones((2, 2)))))
         out.backward()
         store.accumulate(bound)

@@ -34,7 +34,7 @@ from infoalign.evalkit import (
 )
 from infoalign.model import decoder_prefix, gin_encode
 from infoalign.molparse import parse_smiles
-from tests.oracles import molecule_set
+from tests.oracles import molecule_set, reference_probe_train
 
 
 def auc_pairwise_oracle(scores, labels):
@@ -146,8 +146,8 @@ def test_probe_names_the_epoch_of_a_non_finite_gradient(monkeypatch):
         bound.update(real_bind(self))
         return dict(bound)
 
-    def backward(self, seed=None):
-        real_backward(self, seed)
+    def backward(self):
+        real_backward(self)
         steps.append(1)
         if len(steps) == 2:
             bound["probe.w0"].grad = np.full_like(bound["probe.w0"].data, np.nan)
@@ -224,6 +224,43 @@ def test_labeled_set_label_shapes():
         LabeledSet(emb, np.zeros((4, 1)), [CLASSIFICATION])
     with pytest.raises(LengthMismatchError):
         LabeledSet(emb, np.arange(4.0), [CLASSIFICATION])
+
+
+@pytest.mark.parametrize("hidden", [0, 5])
+@pytest.mark.parametrize("types", [[CLASSIFICATION] * 2, [REGRESSION] * 2,
+                                   [REGRESSION, CLASSIFICATION, CLASSIFICATION]],
+                         ids=["classification", "regression", "mixed"])
+def test_probe_store_equals_masked_oracle(types, hidden):
+    """The probe's one `decode_group` node per epoch leaves the parameters,
+    gradients and Adam moments of the unfused fit that builds both losses
+    on every entry and masks one away, bit for bit."""
+    rng = np.random.default_rng(len(types) + hidden)
+    emb = rng.normal(size=(40, 6))
+    labels = np.stack([rng.integers(0, 2, 40) if kind == CLASSIFICATION
+                       else rng.normal(size=40) for kind in types], axis=1)
+    train = LabeledSet(emb, labels, types)
+    cfg = ProbeConfig(hidden=hidden, epochs=25, seed=3)
+    got = probe_train(train, cfg).store.flat
+    want = reference_probe_train(train, cfg).store.flat
+    assert got.tobytes() == want.tobytes()
+
+
+def test_labeled_set_rejects_unknown_task_type():
+    with pytest.raises(ValueError, match="unknown task type 'clasification': expected "
+                                         "'classification' or 'regression'"):
+        LabeledSet(np.zeros((3, 2)), np.zeros((3, 2)), [CLASSIFICATION, "clasification"])
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("hidden", -1, "probe_hidden must be >= 0, got -1"),
+    ("epochs", -5, "probe_epochs must be >= 0, got -5"),
+    ("lr", 0.0, "probe_lr must be finite and positive, got 0.0"),
+    ("lr", float("inf"), "probe_lr must be finite and positive, got inf"),
+    ("lr", float("nan"), "probe_lr must be finite and positive, got nan"),
+])
+def test_probe_config_rejects_bad_values(key, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ProbeConfig(**{key: value})
 
 
 def test_probe_predict_rejects_non_finite():

@@ -39,7 +39,6 @@ from infoalign.model import (
     init_model,
     kl_standard_normal,
     load_checkpoint,
-    nll_terms,
     pretrain,
     reparameterize,
     save_checkpoint,
@@ -49,6 +48,7 @@ from infoalign.synth import SyntheticSpec, generate
 from infoalign.walker import WalkConfig, WalkPath, batch_walks
 from tests.oracles import (
     FIXED_SMILES,
+    add,
     molecule,
     molecule_set,
     reference_adam_step,
@@ -56,6 +56,7 @@ from tests.oracles import (
     reference_scatter_add,
     reference_walk_loss,
     scanned_neighbors,
+    tsum,
     union,
 )
 from tests.test_fingerprint import permute_graph
@@ -218,11 +219,11 @@ def test_encoder_gradient_finite_difference():
 
     def loss_value():
         out = gin_encode(mol, store.bind())
-        return float(dc.tsum(dc.mul(out.mu, out.mu)).data)
+        return float(tsum(dc.mul(out.mu, out.mu)).data)
 
     bound = store.bind()
     out = gin_encode(mol, bound)
-    dc.tsum(dc.mul(out.mu, out.mu)).backward()
+    tsum(dc.mul(out.mu, out.mu)).backward()
 
     eps = 1e-6
     for pname, leaf in bound.items():
@@ -347,10 +348,10 @@ def test_decode_nll_saturated_correct():
     store.params[f"{prefix}.w1"][...] = 0.0
     store.params[f"{prefix}.b1"][...] = 36.0
     z = dc.constant(np.zeros((2, 2)))
-    term, row_nll = decode_nll(z, np.ones((2, 3)), NodeKind.CELL_MORPHOLOGY, store.bind(),
-                               [0, 1], np.ones(2))
-    assert term.shape == () and row_nll.shape == (2,)
-    assert term.item() < 1e-10 and np.all(row_nll < 1e-10)
+    term, nll = decode_nll(z, np.ones((2, 3)), NodeKind.CELL_MORPHOLOGY, store.bind(),
+                           [0, 1], np.ones(2))
+    assert term.shape == () and nll.shape == (2, 3)
+    assert term.item() < 1e-10 and np.all(nll < 1e-10)
 
 
 def test_decode_nll_zero_logits_ln2():
@@ -359,17 +360,17 @@ def test_decode_nll_zero_logits_ln2():
     for name in (f"{prefix}.w0", f"{prefix}.b0", f"{prefix}.w1", f"{prefix}.b1"):
         store.params[name][...] = 0.0
     z = dc.constant(np.random.default_rng(3).standard_normal((3, 2)))
-    term, row_nll = decode_nll(z, np.random.default_rng(4).uniform(0, 1, (3, 4)),
-                               NodeKind.CELL_MORPHOLOGY, store.bind(), [0, 1, 2],
-                               np.array([1.0, 0.5, 0.25]))
-    np.testing.assert_allclose(row_nll, 4 * np.log(2), rtol=0, atol=1e-12)
+    term, nll = decode_nll(z, np.random.default_rng(4).uniform(0, 1, (3, 4)),
+                           NodeKind.CELL_MORPHOLOGY, store.bind(), [0, 1, 2],
+                           np.array([1.0, 0.5, 0.25]))
+    np.testing.assert_allclose(nll, np.log(2), rtol=0, atol=1e-12)
     assert term.item() == pytest.approx(1.75 * 4 * np.log(2), abs=1e-12)
 
 
 def test_decode_nll_matches_scalar_oracle():
     """Target row i is decoded from row rows[i] of z and scored against
-    target row i entry by entry, under either likelihood: each row's NLL sum
-    is the sum of its entries', and the term is the weighted sum of those."""
+    target row i entry by entry, under either likelihood: the term is the
+    weighted sum of the rows' NLL sums."""
     store = store_with_decoder(dim=5, latent=4, seed=2)
     bound = store.bind()
     rng = np.random.default_rng(5)
@@ -379,18 +380,18 @@ def test_decode_nll_matches_scalar_oracle():
     weight = rng.uniform(0.1, 1.0, 4)
     prefix = decoder_prefix(bound, NodeKind.CELL_MORPHOLOGY, 5)
     for likelihood in ("bernoulli", "gaussian"):
-        term, row_nll = decode_nll(z, y, NodeKind.CELL_MORPHOLOGY, bound, rows, weight,
-                                   likelihood)
+        term, nll = decode_nll(z, y, NodeKind.CELL_MORPHOLOGY, bound, rows, weight,
+                               likelihood)
         want = []
         for i, k in enumerate(rows):
             logits = dc.mlp_forward(bound, prefix, dc.constant(z.data[k : k + 1])).data[0]
             if likelihood == "bernoulli":
                 p = 1.0 / (1.0 + np.exp(-logits))
-                want.append(-(y[i] * np.log(p) + (1 - y[i]) * np.log(1 - p)).sum())
+                want.append(-(y[i] * np.log(p) + (1 - y[i]) * np.log(1 - p)))
             else:
-                want.append((0.5 * (logits - y[i]) ** 2).sum())
-        np.testing.assert_allclose(row_nll, want, rtol=0, atol=1e-10, err_msg=likelihood)
-        assert term.item() == pytest.approx(float(weight @ np.array(want)), abs=1e-10)
+                want.append(0.5 * (logits - y[i]) ** 2)
+        np.testing.assert_allclose(nll, want, rtol=0, atol=1e-10, err_msg=likelihood)
+        assert term.item() == pytest.approx(float(weight @ np.sum(want, axis=1)), abs=1e-10)
 
 
 def test_decode_nll_no_decoder():
@@ -403,12 +404,17 @@ def test_decode_nll_no_decoder():
                    NodeKind.CELL_MORPHOLOGY, store.bind(), [0], np.ones(1), "poisson")
 
 
-def test_nll_terms_rejects_bad_shapes_and_likelihoods():
-    logits = dc.constant(np.zeros((2, 3)))
-    with pytest.raises(ShapeMismatchError):
-        nll_terms(logits, np.zeros((2, 4)), "bernoulli")
+def test_decode_nll_rejects_bad_shapes_and_likelihoods():
+    """Targets of another row count than `rows`, and a likelihood other than
+    bernoulli or gaussian, are errors."""
+    store = store_with_decoder(dim=3)
+    z = dc.constant(np.zeros((2, 4)))
+    with pytest.raises(ShapeMismatchError, match=r"decoder output \(3, 3\) vs target \(2, 3\)"):
+        decode_nll(z, np.zeros((2, 3)), NodeKind.CELL_MORPHOLOGY, store.bind(), [0, 1, 1],
+                   np.ones(3))
     with pytest.raises(ValueError, match="unknown likelihood 'poisson'"):
-        nll_terms(logits, np.zeros((2, 3)), "poisson")
+        decode_nll(z, np.zeros((2, 3)), NodeKind.CELL_MORPHOLOGY, store.bind(), [0, 1],
+                   np.ones(2), "poisson")
 
 
 # --- loss -----------------------------------------------------------------------------
@@ -665,7 +671,7 @@ def reference_pretrain(graph, cfg):
                     noise = noise_rng.standard_normal(cfg.latent_dim)
                     loss, br = reference_walk_loss(graph, path, bound, cfg.beta, noise,
                                                    cfg.likelihood)
-                    acc = loss if acc is None else dc.add(acc, loss)
+                    acc = loss if acc is None else add(acc, loss)
                     for kind, v in br.recon_per_modality.items():
                         sums[kind] = sums.get(kind, 0.0) + v / per_mol
                     kl_sum += br.kl / per_mol
@@ -767,8 +773,8 @@ def test_pretrain_names_the_step_of_a_non_finite_gradient(monkeypatch):
         bound.update(real_bind(self))
         return dict(bound)
 
-    def backward(self, seed=None):
-        real_backward(self, seed)
+    def backward(self):
+        real_backward(self)
         steps.append(1)
         if len(steps) == 4:
             bound["gin.l0.w0"].grad = np.full_like(bound["gin.l0.w0"].data, np.nan)
