@@ -9,7 +9,9 @@ the fields of `SyntheticSpec`, `WalkConfig` and `ModelConfig`. Precedence:
 command-line flags > config file > built-in defaults. A config value takes
 its default's type; a bool key takes only JSON true or false.
 
-`pretrain` records the graph's fingerprint width as fp_bits. `pretrain
+`pretrain` records the graph's fingerprint width as fp_bits, and the radius
+its fingerprints were built with, if the graph records one, as fp_radius;
+a given value that disagrees with the graph's is an error. `pretrain
 --resume` continues the checkpoint's epochs, generators and config. It takes
 epochs and lr from the flags, config or defaults and each other key that a
 flag or the config gives (a beta sweep gives beta); a seed other than the
@@ -352,6 +354,11 @@ def cmd_pretrain(args) -> int:
         bits = fingerprint_bits(graph, opt.fp_bits)
         if "fp_bits" in given and opt.fp_bits != bits:
             raise InfoAlignError(f"fp_bits {opt.fp_bits} disagrees with the {bits}-bit "
+                                 f"molecule fingerprints of the graph {args.graph}")
+        ModelConfig(fp_radius=opt.fp_radius)  # a radius below 0 is reported as such
+        radius = graph.fp_radius
+        if "fp_radius" in given and radius is not None and opt.fp_radius != radius:
+            raise InfoAlignError(f"fp_radius {opt.fp_radius} disagrees with the radius-{radius} "
                                  f"molecule fingerprints of the graph {args.graph}")
     if opt.beta_sweep:
         for beta in _floats(opt.beta_sweep):

@@ -14,18 +14,27 @@ the graph and builds the walker's CSR arrays, in which a pair joined by
 several relations is one edge at the max weight. `molecules()` parses the
 molecule SMILES into one `MoleculeSet` on first use. Each column lives in a
 buffer with spare rows that doubles when full, so adding nodes or edges one
-at a time costs amortised O(1) per row.
+at a time costs amortised O(1) per row. A graph built from tables records
+the Morgan radius of its fingerprints as `fp_radius`.
+
+A saved graph (`.ctxg`, graph format 2) holds these columns as they are: ids,
+source tags and SMILES as JSON lists, kind codes and dims as arrays, each
+(kind, dim) matrix as float32 or, when it is exactly +0.0/1.0 bit for bit as
+fingerprints are, as `np.packbits` rows; then the radius, the stats and the
+edges as a JSON list in `finalize`'s order. `load` checks the file against
+itself and builds the finalized graph from it without sorting the edges
+again.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import serialize
 from .errors import (CorruptFileError, DuplicateIdError, FinalizedError, MixedDimensionsError,
@@ -36,6 +45,11 @@ from .fingerprint import morgan_fingerprint
 from .molparse import MoleculeSet, parse_many, parse_smiles
 
 MAGIC = b"CTXG"
+# The layout `save` writes and `load` reads; a file of another is rejected.
+# Format 1, which had no number, held per-node JSON records and every
+# feature as float32.
+GRAPH_FORMAT = 2
+_ONE_BITS = np.float32(1.0).view(np.uint32)  # the bits of 1.0f
 # Rows of the cosine matrix computed at a time by build_similarity_edges.
 _SIM_BLOCK = 512
 
@@ -194,6 +208,8 @@ class ContextGraph:
         self._csr: Optional[CsrAdjacency] = None
         self._stats: Optional[dict] = None
         self._molecules: Optional[Tuple[MoleculeSet, Dict[str, int]]] = None
+        # The Morgan radius of the molecules' features, if the tables built them.
+        self.fp_radius: Optional[int] = None
 
     # --- accessors -------------------------------------------------------
 
@@ -400,10 +416,12 @@ class ContextGraph:
         self._finalized = True
         return self
 
-    def _check_features(self) -> None:
-        """ValueError naming the first node with a feature outside [0, 1] (or NaN)."""
+    def _check_features(self, keys=None) -> None:
+        """ValueError naming the first node with a feature outside [0, 1] (or
+        NaN), in the (kind, dim) matrices of `keys`, all of them if None."""
         bad = []
-        for (kind, dim), mat in self._features.items():
+        for kind, dim in self._features if keys is None else keys:
+            mat = self._features[kind, dim]
             rows = np.flatnonzero(~((mat >= 0.0) & (mat <= 1.0)).all(axis=1))
             if len(rows):
                 bad.append(self._group(kind, dim)[rows[0]])
@@ -453,11 +471,11 @@ class ContextGraph:
             cdf[at] += cdf[at - 1]
         return CsrAdjacency(self._ids, self._index, indptr, dst[pairs], weights, cdf)
 
-    def _edge_rows(self, e: Edges):
-        """(id, id, relation value, weight) of each edge of `e`."""
+    def _edge_rows(self, e: Edges) -> List[list]:
+        """[id, id, relation value, weight] of each edge of `e`."""
         ids = self._ids
-        return ((ids[a], ids[b], _RELATION_VALUES[r], w) for a, b, r, w in
-                zip(e.a.tolist(), e.b.tolist(), e.rel.tolist(), e.w.tolist()))
+        return [[ids[a], ids[b], _RELATION_VALUES[r], w] for a, b, r, w in
+                zip(e.a.tolist(), e.b.tolist(), e.rel.tolist(), e.w.tolist())]
 
     def checksum(self) -> str:
         """Content hash over node ids/kinds and the edge set (not features)."""
@@ -479,56 +497,111 @@ class ContextGraph:
     # --- persistence -----------------------------------------------------
 
     def save(self, path) -> None:
-        """Write the node columns and edges as JSON metadata, and every node's
-        features, in node order, as one float32 array."""
+        """Write the graph in container format `GRAPH_FORMAT`: the ids, source
+        tags and SMILES as JSON lists, the kind codes and dims as arrays,
+        each (kind, dim) matrix as float32, or as `np.packbits` rows when it
+        is exactly +0.0/1.0 bit for bit, the fingerprint radius, the stats,
+        and the edges as a JSON list in `finalize`'s order."""
         if not self._finalized:
             raise FinalizedError("only finalized graphs are saved")
-        nodes_meta = [{"id": i, "kind": _KIND_VALUES[k], "source_tag": t, "smiles": s, "dim": d}
-                      for i, k, t, s, d in zip(self._ids, self._kind.tolist(), self._tags,
-                                               self._smiles, self._dim.tolist())]
-        ends = np.cumsum(self._dim)
-        flat = np.zeros(int(self._dim.sum()), dtype=np.float32)
+        groups, mats = [], []
         for (kind, dim), mat in self._features.items():
-            sliding_window_view(flat, dim, writeable=True)[ends[self._group(kind, dim)] - dim] = mat
-        meta = {"nodes": nodes_meta, "edges": [list(row) for row in self._edge_rows(self._edges)],
+            words = np.ascontiguousarray(mat).view(np.uint32)
+            bits = bool(((words == 0) | (words == _ONE_BITS)).all())
+            groups.append([kind.value, dim, bits])
+            mats.append(np.packbits(mat != 0, axis=1) if bits else mat)
+        meta = {"format": GRAPH_FORMAT, "fp_radius": self.fp_radius, "ids": self._ids,
+                "source_tags": self._tags, "smiles": self._smiles, "groups": groups,
+                "edges": self._edge_rows(self._edges),
                 "stats": self._stats}
-        serialize.write_container(path, MAGIC, meta, [flat])
+        serialize.write_container(path, MAGIC, meta, [self._kind, self._dim, *mats])
 
     @classmethod
     def load(cls, path) -> "ContextGraph":
-        """Read a saved graph. Metadata that contradicts itself (node dims
-        that do not add up to the features, an unknown kind, relation or
-        edge node, a repeated id) or fails `finalize`'s checks raises
-        CorruptFileError naming the file. Molecule SMILES are parsed on
-        first use, by `molecules()`: walking needs none of them."""
+        """Read a graph `save` wrote, finalized as it was saved: the edges
+        are taken in their saved order, not merged and sorted again. A file
+        of another format, or whose contents contradict themselves (an
+        unknown kind, relation or edge node, a repeated id, dims that do not
+        match the matrices, a feature outside [0, 1], a weight outside
+        (0, 1], edges not rising strictly by (low id, high id, relation)),
+        raises CorruptFileError naming the file. Molecule SMILES are parsed
+        on first use, by `molecules()`: walking needs none of them."""
         meta, arrays = serialize.read_container(path, MAGIC)
-        nodes, edges = meta["nodes"], meta["edges"]
-        a, b, rel, w = zip(*edges) if edges else ((), (), (), ())
-        index = {nm["id"]: i for i, nm in enumerate(nodes)}
-        for what, names, known in (("node kind", [nm["kind"] for nm in nodes], _KIND_CODE),
-                                   ("relation", rel, _RELATION_CODE), ("edge node", a + b, index)):
-            unknown = [x for x in names if x not in known]
-            if unknown:
-                raise CorruptFileError(f"{path}: unknown {what} {unknown[0]!r}")
-        flat = arrays[0].astype(np.float32, copy=False)
-        dims = np.array([nm["dim"] for nm in nodes], dtype=np.intp)
-        if dims.min(initial=0) < 0 or dims.sum() != len(flat):
-            raise CorruptFileError(f"{path}: node dims add up to {int(dims.sum())}, but the "
-                                   f"file holds {len(flat)} feature values")
-        kinds = np.array([_KIND_CODE[nm["kind"]] for nm in nodes], dtype=np.int8)
-        ends, features = np.cumsum(dims), {}
-        for code, dim in set(zip(kinds.tolist(), dims.tolist())):
-            pos = np.flatnonzero((kinds == code) & (dims == dim))
-            features[KINDS[code], dim] = (pos, sliding_window_view(flat, dim)[ends[pos] - dim])
-        g = cls()
+        if meta.get("format", 1) != GRAPH_FORMAT:
+            raise CorruptFileError(f"{path}: graph format {meta.get('format', 1)}, but this "
+                                   f"version reads format {GRAPH_FORMAT}; build the graph again")
         try:
-            g.add_nodes([nm["id"] for nm in nodes], kinds, [nm["source_tag"] for nm in nodes],
-                        [nm["smiles"] for nm in nodes], features)
-            g._append_edges([index[x] for x in a], [index[x] for x in b],
-                            [_RELATION_CODE[r] for r in rel], w)
-            return g.finalize()
-        except (ValueError, DuplicateIdError) as exc:
+            return cls._from_saved(meta, arrays)
+        except ValueError as exc:
             raise CorruptFileError(f"{path}: {exc}") from None
+
+    @classmethod
+    def _from_saved(cls, meta: dict, arrays: List[np.ndarray]) -> "ContextGraph":
+        """The finalized graph of `save`'s metadata and arrays; ValueError
+        names the first contradiction."""
+        ids, tags, smiles = meta["ids"], meta["source_tags"], meta["smiles"]
+        g = cls()
+        g._ids, g._tags, g._smiles = ids, tags, smiles
+        kind, dim, *mats = arrays
+        n = len(ids)
+        if not len(kind) == len(dim) == len(tags) == len(smiles) == n:
+            raise ValueError(f"{n} node ids, but {len(kind)} kinds, {len(dim)} dims, "
+                             f"{len(tags)} tags and {len(smiles)} SMILES")
+        g._index = dict(zip(ids, range(n)))
+        if len(g._index) < n:
+            twice = next(i for i, count in Counter(ids).items() if count > 1)
+            raise ValueError(f"node id {twice!r} appears twice")
+        bad = np.flatnonzero((kind < 0) | (kind >= len(KINDS)))
+        if len(bad):
+            raise ValueError(f"node {ids[bad[0]]!r} has unknown kind code {kind[bad[0]]}")
+        g._kind, g._dim = kind.astype(np.int8, copy=False), dim.astype(np.intp, copy=False)
+        g._row = np.zeros(n, dtype=np.intp)
+        placed, floats = 0, []
+        for (kind_value, d, bits), mat in zip(meta["groups"], mats):
+            if kind_value not in _KIND_CODE:
+                raise ValueError(f"unknown node kind {kind_value!r}")
+            key = (KINDS[_KIND_CODE[kind_value]], d)
+            pos = np.flatnonzero((g._kind == _KIND_CODE[kind_value]) & (g._dim == d))
+            want = (len(pos), -(-d // 8) if bits else d)
+            if key in g._features or d < 0 or mat.shape != want:
+                raise ValueError(f"the {kind_value} matrix of dim {d} holds {mat.shape}, "
+                                 f"but {len(pos)} nodes have that kind and dim")
+            g._row[pos] = np.arange(len(pos))
+            placed += len(pos)
+            if bits:
+                g._features[key] = np.unpackbits(mat, axis=1, count=d).astype(np.float32)
+            else:
+                g._features[key] = mat.astype(np.float32, copy=False)
+                floats.append(key)
+        if len(mats) != len(meta["groups"]) or placed != n:
+            raise ValueError(f"{placed} of {n} nodes have a feature matrix")
+        g._check_features(floats)
+        edges = meta["edges"]
+        a, b, rel, w = zip(*edges) if edges else ((), (), (), ())
+        try:
+            ia, ib = (np.array([g._index[x] for x in ends], dtype=np.intp) for ends in (a, b))
+        except KeyError as exc:
+            raise ValueError(f"unknown edge node {exc.args[0]!r}") from None
+        try:
+            codes = np.array([_RELATION_CODE[r] for r in rel], dtype=np.int8)
+        except KeyError as exc:
+            raise ValueError(f"unknown relation {exc.args[0]!r}") from None
+        g._edges = g._edge_bufs = Edges(ia, ib, codes, np.array(w, dtype=np.float64))
+        rank = _id_ranks(ids)
+        lo, hi = rank[ia], rank[ib]
+        ok = lo < hi
+        ok[1:] &= (lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (
+            (hi[1:] > hi[:-1]) | ((hi[1:] == hi[:-1]) & (codes[1:] > codes[:-1]))))
+        bad = np.flatnonzero(~ok)
+        if len(bad):
+            raise ValueError(f"edge {bad[0]} {edges[bad[0]]} is not lower id first, or not "
+                             f"after the edge before it by (low id, high id, relation)")
+        g._node_bufs, g._feature_bufs = (g._kind, g._dim, g._row), dict(g._features)
+        g._csr = g._build_csr(rank)
+        g._stats = meta["stats"]
+        g.fp_radius = meta["fp_radius"]
+        g._finalized = True
+        return g
 
 
 def _counts(codes: np.ndarray, values: List[str]) -> Dict[str, int]:
@@ -608,6 +681,7 @@ def load_node_table(path, fp_radius: int = 2, fp_bits: int = 1024,
     features[NodeKind.MOLECULE, fps.shape[1]] = ([pos for _lineno, pos in mol_rows], fps)
     g = ContextGraph()
     g.add_nodes(ids, kinds, tags, smiles, features)
+    g.fp_radius = fp_radius
     return g
 
 

@@ -36,9 +36,12 @@ in its order, bit for bit:
   with a -0.0 row, which adds nothing to any value: a -0.0 in a running
   gradient stays -0.0, as under `add.at`, where a +0.0 pad would flip it.
 - Few rows with many entries each (bond types, the readout) sum each row
-  with `np.cumsum` over [running row; its entries], which adds one after
-  another. `np.add.reduce` would not do: on one-column values it sums
-  pairwise, and the last bits move.
+  over [running row; its entries], one after another: values of two or
+  more columns with `np.add.reduce(axis=0)`, which adds the rows in order
+  (a fuzz in `tests/test_diffcore.py` checks it against `add.at`), started
+  from -0.0 where numpy would start from +0.0 and turn a column of -0.0s
+  into +0.0; one-column values with `np.cumsum`, since `np.add.reduce`
+  sums a single column pairwise and the last bits move.
 
 `ParamStore` keeps the parameters, gradients and Adam moments as the four
 rows of one flat array, so `adam_step` is a few whole-buffer operations.
@@ -47,7 +50,7 @@ rows of one flat array, so `adam_step` is a few whole-buffer operations.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,14 +75,34 @@ _EXP_CLAMP = 36.7
 _ADD_AT_SIZE = 2048
 
 
+def _philox_key(seed: int, stream: int) -> np.ndarray:
+    return np.array([seed & ((1 << 64) - 1), stream], dtype=np.uint64)
+
+
 def seeded_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based Philox generator keyed by (seed mod 2**64, stream).
 
     Distinct streams under one seed are independent, and every draw is
     reproducible bit-exactly across runs and platforms.
     """
-    key = np.array([seed & ((1 << 64) - 1), stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed, stream)))
+
+
+def seeded_streams(seed: int, streams: Sequence[int]) -> Iterator[np.random.Generator]:
+    """`seeded_rng(seed, i)` for each i of `streams`, in order: one Philox
+    re-keyed to (seed mod 2**64, i) at counter 0 with an empty buffer, which
+    is the state a fresh generator starts in, so the draws are the same. The
+    generator yielded is the same object each time; draw from each stream
+    before taking the next."""
+    bitgen = np.random.Philox()
+    rng = np.random.Generator(bitgen)
+    for stream in streams:
+        bitgen.state = {"bit_generator": "Philox",
+                        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                                  "key": _philox_key(seed, stream)},
+                        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                        "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def require_finite(data: np.ndarray, what: str) -> np.ndarray:
@@ -250,9 +273,11 @@ class RowIndex:
         if isinstance(table, list):
             # a sequential sum: np.add.reduce sums one column pairwise
             grouped = values[self.positions()]
+            wide = values.ndim > 1 and values.shape[1] > 1
             for k, start, stop in table:
                 run = np.concatenate([base[k : k + 1], grouped[start:stop]])
-                base[k] = np.cumsum(run, axis=0)[-1]
+                base[k] = (np.add.reduce(run, axis=0, initial=-0.0) if wide
+                           else np.cumsum(run, axis=0)[-1])
         else:
             # -0.0 pads add nothing, even to a -0.0 (+0.0 would make it +0.0)
             padded = np.concatenate([values, np.full((1,) + values.shape[1:], -0.0)])

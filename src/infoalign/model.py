@@ -476,9 +476,11 @@ def save_checkpoint(path, store: dc.ParamStore, cfg: ModelConfig, graph: Context
     """Write the store with a manifest of the config, the decoders, the
     graph's checksum and the generator states. The recorded config's
     `epochs` is `state.epoch`: every epoch the parameters have been trained,
-    earlier resumes included; its `fp_bits` is the graph's fingerprint width."""
+    earlier resumes included; its `fp_bits` is the graph's fingerprint width
+    and its `fp_radius` the graph's radius, where the graph records one."""
+    radius = cfg.fp_radius if graph.fp_radius is None else graph.fp_radius
     dc.save_params(path, store, {
-        "model": asdict(replace(cfg, epochs=state.epoch,
+        "model": asdict(replace(cfg, epochs=state.epoch, fp_radius=radius,
                                 fp_bits=fingerprint_bits(graph, cfg.fp_bits))),
         "decoders": decoder_keys(store),
         "graph_checksum": graph.checksum(),

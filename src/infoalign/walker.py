@@ -32,7 +32,7 @@ from typing import List
 import numpy as np
 
 from .ctxgraph import KINDS, ContextGraph, NodeKind
-from .diffcore import seeded_rng
+from .diffcore import seeded_streams
 from .errors import NotAMoleculeError, UnknownNodeError
 
 
@@ -153,8 +153,8 @@ def batch_walks(g: ContextGraph, starts: Sequence[str], cfg: WalkConfig) -> Walk
     degree = np.diff(csr.indptr)
     live = np.flatnonzero(degree[first] > 0)
     u = np.empty((len(live), per, steps))
-    for row, i in enumerate(live.tolist()):
-        u[row] = seeded_rng(cfg.seed, i).random((per, steps))
+    for row, rng in enumerate(seeded_streams(cfg.seed, live.tolist())):
+        u[row] = rng.random((per, steps))
     u = u.reshape(-1, steps)
     walking = (live[:, None] * per + np.arange(per)).ravel()
 

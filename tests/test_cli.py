@@ -443,6 +443,31 @@ def test_pretrain_records_graph_fingerprint_bits(synth_graph, tmp_path, capsys):
     assert not (tmp_path / "ck2.iapt").exists()
 
 
+def test_pretrain_records_graph_fingerprint_radius(synth_graph, tmp_path, capsys):
+    """The checkpoint records the radius the graph's fingerprints were built
+    with, given or not; a given radius that disagrees exits 1, naming both
+    values and the graph, and writes nothing."""
+    from infoalign.model import load_checkpoint
+    out = synth_graph.parent / "synth"
+    g3 = tmp_path / "g3.ctxg"
+    assert run(["build-graph", "--nodes", out / "nodes.tsv", "--edges", out / "edges.tsv",
+                "--fp-bits", 64, "--fp-radius", 3, "--out", g3]) == 0
+    for graph, radius in ((synth_graph, 2), (g3, 3)):
+        ck = tmp_path / f"r{radius}.iapt"
+        assert run(["pretrain", "--graph", graph, "--out", ck, "--epochs", 1,
+                    *PRETRAIN_SMALL]) == 0
+        assert load_checkpoint(ck)[1].fp_radius == radius
+    ck = tmp_path / "r2-given.iapt"
+    assert run(["pretrain", "--graph", synth_graph, "--out", ck, "--epochs", 1,
+                *PRETRAIN_SMALL, "--fp-radius", 2]) == 0
+    assert load_checkpoint(ck)[1].fp_radius == 2
+    assert run(["pretrain", "--graph", synth_graph, "--out", tmp_path / "bad.iapt",
+                "--epochs", 1, *PRETRAIN_SMALL, "--fp-radius", 3]) == 1
+    assert capsys.readouterr().err == (f"error: fp_radius 3 disagrees with the radius-2 "
+                                       f"molecule fingerprints of the graph {synth_graph}\n")
+    assert not list(tmp_path.glob("bad.iapt*"))
+
+
 def test_pretrain_resume_beta_sweep_distinct(synth_graph, tmp_path):
     """Each beta of a sweep over one resumed checkpoint trains at that beta."""
     from infoalign.model import load_checkpoint
@@ -563,14 +588,14 @@ def test_pretrain_bad_smiles_in_graph_exit_1_before_training(synth_graph, tmp_pa
 
     monkeypatch.setattr("infoalign.model.batch_walks", no_walks)
     meta, arrays = serialize.read_container(synth_graph, ctxgraph.MAGIC)
-    node = [nm for nm in meta["nodes"] if nm["kind"] == "molecule"][-1]
-    node["smiles"] = "C1CC"
+    k = int(np.flatnonzero(arrays[0] == ctxgraph.KINDS.index(ctxgraph.NodeKind.MOLECULE))[-1])
+    meta["smiles"][k] = "C1CC"
     bad = tmp_path / "bad.ctxg"
     serialize.write_container(bad, ctxgraph.MAGIC, meta, arrays)
     ck = tmp_path / "ck.iapt"
     assert run(["pretrain", "--graph", bad, "--out", ck, "--epochs", 1, *PRETRAIN_SMALL]) == 1
     assert capsys.readouterr().err == (
-        f"error: {bad}: molecule node {node['id']!r}: dangling ring closure digit(s): [1]\n")
+        f"error: {bad}: molecule node {meta['ids'][k]!r}: dangling ring closure digit(s): [1]\n")
     assert not ck.exists() and not Path(f"{ck}.log.tsv").exists()
 
 

@@ -585,6 +585,130 @@ def test_save_load_round_trip(tmp_path):
     assert p.read_bytes() == p2.read_bytes()
 
 
+def assert_same_graph(got, want):
+    """Bit for bit: checksum, stats, CSR arrays, ids, tags, SMILES, kind
+    codes, dims and rows, and every feature matrix."""
+    assert got.checksum() == want.checksum() and got.stats() == want.stats()
+    a, b = got.csr(), want.csr()
+    assert a.ids == b.ids and a.index == b.index
+    for name in ("indptr", "neighbors", "weights", "cdf"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert [(got.node(i).source_tag, got.node(i).smiles) for i in got.node_ids()] == [
+        (want.node(i).source_tag, want.node(i).smiles) for i in want.node_ids()]
+    assert got.kinds().tobytes() == want.kinds().tobytes()
+    (dims, rows, mats), (wdims, wrows, wmats) = got.features(), want.features()
+    assert dims.tolist() == wdims.tolist() and rows.tolist() == wrows.tolist()
+    assert mats.keys() == wmats.keys()
+    for key, mat in mats.items():
+        assert mat.dtype == np.float32 and mat.shape == wmats[key].shape, key
+        assert mat.tobytes() == wmats[key].tobytes(), key
+
+
+def _graph_of(nodes, edges=()):
+    """A finalized graph of (id, kind, features, smiles) nodes and
+    (a, b, relation, weight) edges."""
+    g = ContextGraph()
+    for nid, kind, feats, smiles in nodes:
+        g.add_node(NodeRecord(nid, kind, np.array(feats, dtype=np.float32), "t-" + nid, smiles))
+    for e in edges:
+        g.add_edge(*e)
+    return g.finalize()
+
+
+_M, _C, _E = NodeKind.MOLECULE, NodeKind.CELL_MORPHOLOGY, NodeKind.GENE_EXPRESSION
+_BITS13 = [[1, 0, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0, 1], [0] * 13, [1] * 13]
+# Each graph, and the (kind, dim) groups `save` stores as bits.
+ROUND_TRIPS = {
+    "no-edges": (_graph_of([("m0", _M, [0, 1, 1, 0], "CCO"), ("c0", _C, [0.25, 0.5], None)]),
+                 {("molecule", 4)}),
+    "no-molecules": (_graph_of([("c0", _C, [0.25, 0.5], None), ("c1", _C, [0.75, 0.5], None),
+                                ("e0", _E, [0.1], None)],
+                               [("c1", "c0", Relation.SIMILARITY, 0.5),
+                                ("e0", "c0", Relation.GENE_GENE, 0.25)]), set()),
+    "bits-profile": (_graph_of([("m0", _M, [1, 0], "C"), ("c0", _C, [0, 1, 1], None),
+                                ("c1", _C, [1, 1, 0], None), ("e0", _E, [0.5, 1], None)],
+                               [("m0", "c0", Relation.PERTURBATION, 1.0),
+                                ("c0", "c1", Relation.SIMILARITY, 0.75)]),
+                     {("molecule", 2), ("cell_morphology", 3)}),
+    "half-in-fingerprints": (_graph_of([("m0", _M, [1, 0.5], "C"), ("m1", _M, [0, 1], "CC"),
+                                        ("c0", _C, [1, 0], None)],
+                                       [("m0", "c0", Relation.PERTURBATION, 1.0),
+                                        ("m1", "c0", Relation.PERTURBATION, 1.0)]),
+                             {("cell_morphology", 2)}),
+    "negative-zero-in-fingerprints": (_graph_of([("m0", _M, [1, -0.0], "C"),
+                                                 ("m1", _M, [0, 1], "CC"),
+                                                 ("c0", _C, [0.5, 0.5], None)],
+                                                [("m1", "c0", Relation.PERTURBATION, 1.0)]),
+                                      set()),
+    "width-13": (_graph_of([(f"m{i}", _M, row, "C" * (i + 1)) for i, row in enumerate(_BITS13)]
+                           + [("c0", _C, [0.5], None)],
+                           [(f"m{i}", "c0", Relation.PERTURBATION, 1.0) for i in range(3)]),
+                 {("molecule", 13)}),
+}
+
+
+@pytest.mark.parametrize("case", list(ROUND_TRIPS))
+def test_save_load_round_trip_bit_for_bit(tmp_path, case):
+    """A matrix of +0.0/1.0 only is stored as packed bits, any other as
+    float32 (a 0.5 or a -0.0 keeps its bits), and the graph loads back bit
+    for bit, with or without edges or molecules, at a width that is not a
+    multiple of 8."""
+    g, bits = ROUND_TRIPS[case]
+    p = tmp_path / "g.ctxg"
+    g.save(p)
+    meta, arrays = serialize.read_container(p, ctxgraph.MAGIC)
+    assert {(k, d) for k, d, packed in meta["groups"] if packed} == bits
+    for (kind, dim, packed), mat in zip(meta["groups"], arrays[2:]):
+        assert mat.dtype == (np.uint8 if packed else np.float32)
+        assert mat.shape[1] == (-(-dim // 8) if packed else dim)
+    g2 = ContextGraph.load(p)
+    assert_same_graph(g2, g)
+    g2.save(tmp_path / "again.ctxg")
+    assert (tmp_path / "again.ctxg").read_bytes() == p.read_bytes()
+
+
+def test_load_takes_the_saved_edge_order_without_finalize(tmp_path, monkeypatch):
+    """`load` builds the finalized graph from the file: no merge or sort of
+    the edges, and the same graph as the one saved."""
+    g = build_random_graph(seed=2)
+    p = tmp_path / "g.ctxg"
+    g.save(p)
+
+    def no_merge(*_args):
+        raise AssertionError("load merged the edges again")
+
+    monkeypatch.setattr(ContextGraph, "_merged_edges", no_merge)
+    assert_same_graph(ContextGraph.load(p), g)
+
+
+def test_load_rejects_the_first_format_naming_both_numbers(tmp_path, capsys):
+    """A graph of the first format (per-node records, no format number) is
+    rejected with both format numbers and the file, and `walk` exits 1."""
+    from infoalign.cli import main
+
+    p = tmp_path / "old.ctxg"
+    format_1_container(build_random_graph(seed=1), p)
+    with pytest.raises(CorruptFileError) as exc:
+        ContextGraph.load(p)
+    assert str(exc.value) == (f"{p}: graph format 1, but this version reads format "
+                              f"{ctxgraph.GRAPH_FORMAT}; build the graph again")
+    assert main(["walk", "--graph", str(p), "--out", str(tmp_path / "w.tsv")]) == 1
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
+def test_graph_records_the_fingerprint_radius_of_its_tables(tmp_path):
+    """The tables' radius is saved and loaded; a graph of `add_node` has none."""
+    nodes, edges = write_tables(tmp_path)
+    g = build_graph_from_tables(nodes, edges, fp_radius=3, fp_bits=64)
+    assert g.fp_radius == 3
+    g.save(tmp_path / "g.ctxg")
+    assert ContextGraph.load(tmp_path / "g.ctxg").fp_radius == 3
+    bare = build_random_graph()
+    assert bare.fp_radius is None
+    bare.save(tmp_path / "bare.ctxg")
+    assert ContextGraph.load(tmp_path / "bare.ctxg").fp_radius is None
+
+
 def test_load_parses_each_molecule_once_on_first_use(tmp_path, monkeypatch):
     """`load` parses no SMILES; the first `molecules()` parses every molecule
     node's in one `parse_many` call, and later calls reuse that set."""
@@ -630,12 +754,12 @@ def test_molecules_names_the_node_of_a_bad_smiles(tmp_path):
     p = tmp_path / "g.ctxg"
     g.save(p)
     meta, arrays = serialize.read_container(p, ctxgraph.MAGIC)
-    bad = next(nm for nm in meta["nodes"] if nm["kind"] == "molecule")
-    bad["smiles"] = "C1CC"
+    k = int(np.flatnonzero(arrays[0] == KINDS.index(NodeKind.MOLECULE))[0])
+    meta["smiles"][k] = "C1CC"
     serialize.write_container(p, ctxgraph.MAGIC, meta, arrays)
     g2 = ContextGraph.load(p)
     with pytest.raises(RingUnclosedError,
-                       match=rf"^molecule node '{bad['id']}': dangling ring closure"):
+                       match=rf"^molecule node '{meta['ids'][k]}': dangling ring closure"):
         g2.molecules()
 
 
@@ -671,27 +795,70 @@ def test_load_corrupt(tmp_path):
         ContextGraph.load(p)
 
 
-def _edit_meta(meta, case):
-    cell = next(nm for nm in meta["nodes"] if nm["kind"] == "cell_morphology")
+def format_1_container(g, path):
+    """`g` saved in the unnumbered first format: a JSON record per node and
+    every node's features, in node order, as one float32 array."""
+    ids = g.node_ids()
+    nodes = [{"id": nid, "kind": g.node(nid).kind.value, "source_tag": g.node(nid).source_tag,
+              "smiles": g.node(nid).smiles, "dim": g.node(nid).modality_dim} for nid in ids]
+    edges = [[a, b, r.value, w] for (a, b, r), w in stored_edges(g).items()]
+    flat = np.concatenate([g.node(nid).features for nid in ids])
+    serialize.write_container(path, ctxgraph.MAGIC,
+                              {"nodes": nodes, "edges": edges, "stats": g.stats()}, [flat])
+
+
+def _edit_meta(meta, arrays, case):
+    """Edit the metadata or arrays of `build_random_graph(seed=1)`'s file,
+    whose groups are its molecules (no features) and then its cell nodes."""
+    cell = int(np.flatnonzero(arrays[0] == KINDS.index(NodeKind.CELL_MORPHOLOGY))[0])
+    edges = meta["edges"]
     if case == "unknown-node":
-        meta["edges"][0][1] = "zz"
+        edges[0][1] = "zz"
     elif case == "dims-over":
-        cell["dim"] += 1
+        arrays[1][cell] += 1
     elif case == "dims-under":
-        cell["dim"] -= 1
+        arrays[1][cell] -= 1
     elif case == "unknown-relation":
-        meta["edges"][0][2] = "bogus"
+        edges[0][2] = "bogus"
     elif case == "unknown-kind":
-        cell["kind"] = "protein"
+        meta["groups"][1][0] = "protein"
+    elif case == "unknown-kind-code":
+        arrays[0][cell] = len(KINDS)
+    elif case == "repeated-id":
+        meta["ids"][cell] = meta["ids"][0]
+    elif case == "edges-out-of-order":
+        edges[3], edges[4] = edges[4], edges[3]
+    elif case == "edge-repeated":
+        edges.insert(4, list(edges[3]))
+    elif case == "edge-higher-id-first":
+        edges[3][0], edges[3][1] = edges[3][1], edges[3][0]
+    elif case in ("weight-over", "weight-zero"):
+        edges[5][3] = 1.5 if case == "weight-over" else 0.0
+    elif case == "feature-over":
+        arrays[3][2, 1] = 1.5
+    elif case == "matrix-missing":
+        arrays.pop()
+    elif case == "format-3":
+        meta["format"] = 3
 
 
 # Each edit of `_edit_meta`, and what the error says.
 CONTRADICTIONS = {
     "unknown-node": "unknown edge node 'zz'",
-    "dims-over": "node dims add up to",
-    "dims-under": "node dims add up to",
+    "dims-over": "the cell_morphology matrix of dim 4 holds (30, 4), but 29 nodes",
+    "dims-under": "the cell_morphology matrix of dim 4 holds (30, 4), but 29 nodes",
     "unknown-relation": "unknown relation 'bogus'",
     "unknown-kind": "unknown node kind 'protein'",
+    "unknown-kind-code": f"has unknown kind code {len(KINDS)}",
+    "repeated-id": "node id 'm00' appears twice",
+    "edges-out-of-order": "edge 4 ",
+    "edge-repeated": "edge 4 ",
+    "edge-higher-id-first": "edge 3 ",
+    "weight-over": "weight 1.5 outside (0, 1]",
+    "weight-zero": "weight 0.0 outside (0, 1]",
+    "feature-over": "node 'c02' has features outside [0, 1]",
+    "matrix-missing": ": 30 of 60 nodes have a feature matrix",
+    "format-3": "graph format 3, but this version reads format 2",
 }
 
 
@@ -705,7 +872,7 @@ def test_load_names_the_file_of_contradicting_metadata(tmp_path, capsys, case):
     p = tmp_path / "g.ctxg"
     g.save(p)
     meta, arrays = serialize.read_container(p, ctxgraph.MAGIC)
-    _edit_meta(meta, case)
+    _edit_meta(meta, arrays, case)
     serialize.write_container(p, ctxgraph.MAGIC, meta, arrays)
     with pytest.raises(CorruptFileError) as exc:
         ContextGraph.load(p)

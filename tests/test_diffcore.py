@@ -542,6 +542,32 @@ def test_add_to_equals_add_at_on_both_sides_of_the_cutoff(layout, width):
             assert isinstance(rows._table, list) == (layout == "rows")
 
 
+def test_few_row_sums_equal_add_at_at_every_width(monkeypatch):
+    """Few rows of many entries, on the tables: values of 2 to 128 columns
+    are summed by `np.add.reduce` over [running row; entries] from -0.0,
+    which must add the rows one after another, as `np.add.at` does, to give
+    its bits, the sign of zero included. A numpy that sums them in another
+    order fails here. One-column values take `np.cumsum`."""
+    monkeypatch.setattr(dc, "_ADD_AT_SIZE", 0)
+    rng = np.random.default_rng(11)
+    for case in range(600):
+        width = 1 if case % 10 == 0 else int(rng.integers(2, 129))
+        num_rows = int(rng.integers(1, 5))
+        index = rng.integers(0, num_rows, int(rng.integers(20, 300)))
+        shape = (len(index), width)
+        values = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        values[rng.random(shape) < 0.2] = -0.0
+        values[rng.random(shape) < 0.05] = 0.0
+        base = np.where(rng.random((num_rows, width)) < 0.3, -0.0,
+                        rng.standard_normal((num_rows, width)))
+        if case % 3 == 0:  # a column of -0.0 sums to -0.0, as in `add.at`
+            values[:, -1] = base[:, -1] = -0.0
+        rows = dc.RowIndex(index, num_rows)
+        got = rows.add_to(base.copy(), values)
+        assert isinstance(rows._table, list), case
+        assert got.tobytes() == reference_scatter_add(base.copy(), index, values).tobytes(), case
+
+
 def test_row_index_rejects_out_of_range_rows():
     for index in ([0, 2], [-1, 0]):
         with pytest.raises(IndexError, match="out of range for 2 rows"):
@@ -738,6 +764,24 @@ def test_init_deterministic_per_seed():
     assert not np.array_equal(a.params["w"], c.params["w"])
     limit = np.sqrt(6.0 / 10)
     assert np.abs(a.params["w"]).max() <= limit
+
+
+@pytest.mark.parametrize("seed", [0, 1, -1, 2**64 - 1])
+def test_seeded_streams_draw_as_seeded_rng(seed):
+    """Each stream of `seeded_streams` draws what a fresh `seeded_rng(seed,
+    i)` draws, although the generator before it was left mid-buffer: by a
+    uint32 draw (half of a 64-bit word kept), a 32-bit integer draw or a
+    double."""
+    leave = [lambda r: r.integers(0, 2**32, dtype=np.uint32),
+             lambda r: r.integers(0, 1000, 3, dtype=np.int32), lambda r: r.random(), None]
+    for i, rng in enumerate(dc.seeded_streams(seed, range(50))):
+        fresh = dc.seeded_rng(seed, i)
+        for draw in (lambda r: r.random((2, 3)), lambda r: r.integers(0, 2**32, 5, np.uint32),
+                     lambda r: r.standard_normal(4)):
+            assert draw(rng).tobytes() == draw(fresh).tobytes(), i
+        if leave[i % 4]:
+            leave[i % 4](rng)
+    assert rng.bit_generator.state["state"]["key"].tolist() == [seed % 2**64, 49]
 
 
 # --- checkpoints ----------------------------------------------------------------------
