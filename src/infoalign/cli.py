@@ -16,7 +16,8 @@ a given value that disagrees with the graph's is an error. `pretrain
 epochs and lr from the flags, config or defaults and each other key that a
 flag or the config gives (a beta sweep gives beta); a seed other than the
 checkpoint's draws fresh generators. A given architecture key that disagrees
-with the checkpoint is an error.
+with the checkpoint is an error, and so is a graph whose recorded fingerprint
+radius disagrees with the checkpoint's.
 
 Primary outputs are deterministic given identical inputs and seed. Exit
 codes: 0 success, 1 domain error, 2 usage error.
@@ -252,13 +253,14 @@ _ARCHITECTURE = ("latent_dim", "num_layers", "hidden", "decoder_hidden", "likeli
                  "fp_radius", "fp_bits")
 
 
-def _run_pretrain(graph, opt, given: set, out: str, resume: str | None):
+def _run_pretrain(graph, graph_path: str, opt, given: set, out: str, resume: str | None):
     """Train and write the checkpoint `out` and its log.
 
     A fresh run takes every key of `opt`; a resumed run continues the
     checkpoint and takes epochs, lr and the `given` keys, and with a seed
     other than the checkpoint's, fresh generators. A run resumed into its
     own checkpoint keeps its log's rows of the epochs that checkpoint holds.
+    A radius, given or the checkpoint's, that is not the graph's is an error.
     """
     settings = {k: v for k, v in vars(opt).items() if k != "beta_sweep"}
     kept = []
@@ -274,6 +276,11 @@ def _run_pretrain(graph, opt, given: set, out: str, resume: str | None):
     else:
         store, base, state = None, ModelConfig(), TrainState()
     cfg = replace(base, **settings)
+    radius = graph.fp_radius
+    if radius is not None and cfg.fp_radius != radius and (resume or "fp_radius" in given):
+        held = f" in the checkpoint {resume}" if resume else ""
+        raise InfoAlignError(f"fp_radius {cfg.fp_radius}{held} disagrees with the radius-{radius} "
+                             f"molecule fingerprints of the graph {graph_path}")
     if cfg.seed != base.seed:  # fresh generators from the new seed
         state = TrainState(state.epoch)
     with _EpochLog(out + ".log.tsv", kept) as log:
@@ -355,18 +362,13 @@ def cmd_pretrain(args) -> int:
         if "fp_bits" in given and opt.fp_bits != bits:
             raise InfoAlignError(f"fp_bits {opt.fp_bits} disagrees with the {bits}-bit "
                                  f"molecule fingerprints of the graph {args.graph}")
-        ModelConfig(fp_radius=opt.fp_radius)  # a radius below 0 is reported as such
-        radius = graph.fp_radius
-        if "fp_radius" in given and radius is not None and opt.fp_radius != radius:
-            raise InfoAlignError(f"fp_radius {opt.fp_radius} disagrees with the radius-{radius} "
-                                 f"molecule fingerprints of the graph {args.graph}")
     if opt.beta_sweep:
         for beta in _floats(opt.beta_sweep):
             opt.beta = beta
-            _run_pretrain(graph, opt, given | {"beta"}, f"{args.out}.beta{beta:g}",
-                          args.resume)
+            _run_pretrain(graph, args.graph, opt, given | {"beta"},
+                          f"{args.out}.beta{beta:g}", args.resume)
     else:
-        _run_pretrain(graph, opt, given, args.out, args.resume)
+        _run_pretrain(graph, args.graph, opt, given, args.out, args.resume)
     return 0
 
 
@@ -440,7 +442,7 @@ def cmd_eval(args) -> int:
 
 def cmd_match(args) -> int:
     opt, _given = _resolve(args)
-    store = load_checkpoint(args.checkpoint)[0]
+    store, cfg, _state = load_checkpoint(args.checkpoint)
     queries = _read_molecules(args.queries)[1]
     cand_ids, cand = _read_matrix_tsv(args.candidates)
     if any(i is None for i in cand_ids):
@@ -453,7 +455,7 @@ def cmd_match(args) -> int:
                                  f"candidate id in {args.candidates}")
     true_ids = [tid for _n, tid in true_lines]
     res = match_zero_shot(store, queries, cand, cand_ids, true_ids,
-                          k_list=_ints(opt.k))
+                          k_list=_ints(opt.k), likelihood=cfg.likelihood)
     report = {
         "ndcg": {str(k): v for k, v in res["ndcg"].items()},
         "hit": {str(k): v for k, v in res["hit"].items()},

@@ -12,10 +12,10 @@ top-fraction sparsity filter (keep 0.5% of all intra-kind pairs).
 `finalize()` sorts the edges by (low id, high id, relation value), freezes
 the graph and builds the walker's CSR arrays, in which a pair joined by
 several relations is one edge at the max weight. `molecules()` parses the
-molecule SMILES into one `MoleculeSet` on first use. Each column lives in a
-buffer with spare rows that doubles when full, so adding nodes or edges one
-at a time costs amortised O(1) per row. A graph built from tables records
-the Morgan radius of its fingerprints as `fp_radius`.
+molecule SMILES into one `MoleculeSet` on first use. A graph grows by
+whole columns (`add_nodes`, `add_edges`), and an append onto an empty column
+takes the given array as it is. A graph built from tables records the Morgan
+radius of its fingerprints as `fp_radius`.
 
 A saved graph (`.ctxg`, graph format 2) holds these columns as they are: ids,
 source tags and SMILES as JSON lists, kind codes and dims as arrays, each
@@ -81,7 +81,7 @@ _EDGE_DTYPES = (np.intp, np.intp, np.int8, np.float64)
 
 @dataclass
 class NodeRecord:
-    """One node: the argument of `add_node` and the view `node()` returns."""
+    """One node, as `node()` views it."""
 
     id: str
     kind: NodeKind
@@ -145,20 +145,10 @@ def min_max_scale(columns) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def _appended(buf: np.ndarray, used: int, new: np.ndarray) -> np.ndarray:
-    """`buf` with `new` written after its first `used` rows. A buffer too
-    short moves to one twice the length needed; an empty one is replaced by
-    `new` itself, so a single bulk append copies nothing. Rows past `used`
-    are spare; `buf` is never written below `used`."""
-    stop = used + len(new)
-    if stop > len(buf):
-        if used == 0:
-            return new
-        grown = np.empty((2 * stop,) + buf.shape[1:], dtype=buf.dtype)
-        grown[:used] = buf[:used]
-        buf = grown
-    buf[used:stop] = new
-    return buf
+def _joined(col, new: np.ndarray) -> np.ndarray:
+    """`new` appended to the column `col`; an empty `col` gives `new` itself,
+    so a graph built in one call copies none of its columns."""
+    return np.concatenate([col, new]) if len(col) else new
 
 
 def _id_ranks(ids: Sequence[str]) -> np.ndarray:
@@ -200,10 +190,6 @@ class ContextGraph:
         self._row = np.zeros(0, dtype=np.intp)  # each node's row in its (kind, dim) matrix
         self._features: Dict[Tuple[NodeKind, int], np.ndarray] = {}
         self._edges = Edges(*(np.zeros(0, dtype=dt) for dt in _EDGE_DTYPES))
-        # The buffers (see `_appended`) that the columns above are views of.
-        self._node_bufs = (self._kind, self._dim, self._row)
-        self._feature_bufs: Dict[Tuple[NodeKind, int], np.ndarray] = {}
-        self._edge_bufs = self._edges
         self._finalized = False
         self._csr: Optional[CsrAdjacency] = None
         self._stats: Optional[dict] = None
@@ -270,18 +256,14 @@ class ContextGraph:
         if self._finalized:
             raise FinalizedError("graph is finalized; mutation rejected")
 
-    def add_node(self, rec: NodeRecord) -> str:
-        self.add_nodes([rec.id], [KINDS.index(rec.kind)], [rec.source_tag], [rec.smiles],
-                       {(rec.kind, rec.modality_dim): ([0], rec.features[None])})
-        return rec.id
-
     def add_nodes(self, ids: List[str], kinds, tags: List[str], smiles: List[Optional[str]],
                   features: Dict[Tuple[NodeKind, int], tuple]) -> None:
         """Append nodes given as columns: ids, kind codes, source tags and
         SMILES (None off molecules), and per (kind, dim) the ascending
         positions of its nodes and their feature rows as one matrix. An id
         already present or given twice raises DuplicateIdError, and no node
-        is added."""
+        is added. A matrix appended to a (kind, dim) that has no rows yet is
+        kept as given when it is float32."""
         self._check_mutable()
         n = len(self._ids)
         fresh: Dict[str, int] = {}
@@ -295,37 +277,40 @@ class ContextGraph:
             dim[pos] = key[1]
             row[pos] = used + np.arange(len(pos))
             if len(pos):
-                buf = self._feature_bufs.get(key, np.zeros((0, key[1]), dtype=np.float32))
-                buf = _appended(buf, used, np.asarray(mat, dtype=np.float32))
-                self._feature_bufs[key] = buf
-                self._features[key] = buf[: used + len(pos)]
-        if self._index:
-            self._index.update(fresh)
-        else:
-            self._index = fresh
+                self._features[key] = _joined(self._features.get(key, ()),
+                                              np.asarray(mat, dtype=np.float32))
+        self._index.update(fresh)
         self._ids.extend(ids)
         self._tags.extend(tags)
         self._smiles.extend(smiles)
-        self._node_bufs = tuple(_appended(buf, n, new) for buf, new in
-                                zip(self._node_bufs, (np.array(kinds, dtype=np.int8), dim, row)))
-        self._kind, self._dim, self._row = (buf[: len(self._ids)] for buf in self._node_bufs)
+        self._kind, self._dim, self._row = (
+            _joined(col, new) for col, new in
+            zip((self._kind, self._dim, self._row), (np.array(kinds, dtype=np.int8), dim, row)))
         self._molecules = None
 
-    def add_edge(self, a: str, b: str, relation: Relation, weight: float) -> None:
-        """Add the edge a-b; a (pair, relation) given again keeps its last weight."""
+    def add_edges(self, a, b, rel, w) -> None:
+        """Append edges given as columns: each edge's two node indices, its
+        relation code (an index into `RELATIONS`) and its weight; a (pair,
+        relation) given again keeps its last weight. An index that is no
+        node raises UnknownNodeError, a self-loop SelfLoopError, and an
+        unknown relation code or a weight outside (0, 1] ValueError, naming
+        the first such edge; then no edge is added."""
         self._check_mutable()
-        if a == b:
-            raise SelfLoopError(f"self-loop on {a!r}")
-        ia, ib = self._node_index(a), self._node_index(b)
-        if not (0.0 < weight <= 1.0):
-            raise ValueError(f"edge weight must be in (0, 1], got {weight}")
-        self._append_edges([ia], [ib], [RELATIONS.index(relation)], [weight])
-
-    def _append_edges(self, a, b, rel, w) -> None:
-        used = len(self._edges.w)
-        self._edge_bufs = Edges(*(_appended(buf, used, np.asarray(new, dtype=dt)) for buf, new, dt
-                                  in zip(self._edge_bufs, (a, b, rel, w), _EDGE_DTYPES)))
-        self._edges = Edges(*(buf[: used + len(w)] for buf in self._edge_bufs))
+        a, b, rel = (np.asarray(col, dtype=np.intp) for col in (a, b, rel))
+        w = np.asarray(w, dtype=np.float64)
+        n = len(self._ids)
+        for bad, error, fault in (
+                ((np.minimum(a, b) < 0) | (np.maximum(a, b) >= n), UnknownNodeError,
+                 f"a node index outside the graph's {n} nodes"),
+                (a == b, SelfLoopError, "a self-loop"),
+                ((rel < 0) | (rel >= len(RELATIONS)), ValueError, "an unknown relation code"),
+                (~((w > 0.0) & (w <= 1.0)), ValueError, "a weight outside (0, 1]")):
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise error(f"edge {k} (nodes {a[k]} and {b[k]}, relation code {rel[k]}, "
+                            f"weight {w[k]}) has {fault}")
+        self._edges = Edges(*(_joined(col, new.astype(dt, copy=False)) for col, new, dt
+                              in zip(self._edges, (a, b, rel, w), _EDGE_DTYPES)))
 
     def build_similarity_edges(
         self, kind: NodeKind, threshold: float = 0.8, keep_fraction: float = 0.005
@@ -393,7 +378,7 @@ class ContextGraph:
         sim = e.rel == _SIMILARITY
         given = set(zip(np.minimum(e.a, e.b)[sim].tolist(), np.maximum(e.a, e.b)[sim].tolist()))
         new = np.array([pair not in given for pair in zip(a.tolist(), b.tolist())], dtype=bool)
-        self._append_edges(a[new], b[new], np.full(np.count_nonzero(new), _SIMILARITY), s[new])
+        self.add_edges(a[new], b[new], np.full(np.count_nonzero(new), _SIMILARITY), s[new])
         return int(np.count_nonzero(new))
 
     # --- finalize --------------------------------------------------------
@@ -586,7 +571,7 @@ class ContextGraph:
             codes = np.array([_RELATION_CODE[r] for r in rel], dtype=np.int8)
         except KeyError as exc:
             raise ValueError(f"unknown relation {exc.args[0]!r}") from None
-        g._edges = g._edge_bufs = Edges(ia, ib, codes, np.array(w, dtype=np.float64))
+        g._edges = Edges(ia, ib, codes, np.array(w, dtype=np.float64))
         rank = _id_ranks(ids)
         lo, hi = rank[ia], rank[ib]
         ok = lo < hi
@@ -596,7 +581,6 @@ class ContextGraph:
         if len(bad):
             raise ValueError(f"edge {bad[0]} {edges[bad[0]]} is not lower id first, or not "
                              f"after the edge before it by (low id, high id, relation)")
-        g._node_bufs, g._feature_bufs = (g._kind, g._dim, g._row), dict(g._features)
         g._csr = g._build_csr(rank)
         g._stats = meta["stats"]
         g.fp_radius = meta["fp_radius"]
@@ -734,8 +718,8 @@ def build_graph_from_tables(
         if src == dst or unknown:
             fault = f"self-loop on {src!r}" if src == dst else f"unknown node id {unknown[0]!r}"
             raise TableFormatError(f"{edge_path}:{lineno}: {fault}")
-    g._append_edges([g._index[r[0]] for r in rows], [g._index[r[1]] for r in rows],
-                    [RELATIONS.index(r[2]) for r in rows], [r[3] for r in rows])
+    g.add_edges([g._index[r[0]] for r in rows], [g._index[r[1]] for r in rows],
+                [RELATIONS.index(r[2]) for r in rows], [r[3] for r in rows])
     for kind in similarity_kinds:
         g.build_similarity_edges(kind, threshold, keep_fraction)
     return g.finalize()

@@ -8,7 +8,8 @@ on regression tasks.
 AUC follows the pairwise definition (probability a random positive outranks a
 random negative, ties counting one half), computed via rank statistics. The
 matcher scores each morphology candidate by the decoder log-likelihood of the
-candidate vector given the query molecule's mean embedding; with a single
+candidate vector given the query molecule's mean embedding, under the
+likelihood the model was trained with (Bernoulli or Gaussian); with a single
 relevant item per query, NDCG@k is 1/log2(1+rank).
 """
 
@@ -33,7 +34,7 @@ from .errors import (
 )
 # `gin_encode` is not called here: perfbench/tracer.py wraps it under this
 # module's name, so a traced run needs it importable from evalkit.
-from .model import decoder_prefix, embed, gin_encode
+from .model import _squared_error, decoder_prefix, embed, gin_encode
 from .molparse import MoleculeSet
 
 CLASSIFICATION = "classification"
@@ -221,19 +222,22 @@ def match_zero_shot(store: dc.ParamStore, queries: MoleculeSet,
                     candidates: np.ndarray,
                     candidate_ids: Sequence[str],
                     true_ids: Sequence[str],
-                    k_list: Sequence[int] = (1, 10)) -> Dict:
+                    k_list: Sequence[int] = (1, 10),
+                    likelihood: str = "bernoulli") -> Dict:
     """Rank morphology candidates for each molecule of the set `queries` and
     report the true rank.
 
-    Each candidate is scored by the morphology decoder's Bernoulli
-    log-likelihood of the candidate vector given the query's mean embedding
-    (no sampling, so retrieval is deterministic). The mean embeddings come
-    from `embed` and are decoded in one pass; each query's scores are one
-    mat-vec against the candidates. A query's true rank is 1
+    Each candidate y is scored by the morphology decoder's log-likelihood of
+    y given the query's mean embedding (no sampling, so retrieval is
+    deterministic): y . l - sum softplus(l) of its logits l if `likelihood`
+    is "bernoulli", y . o - |y|^2 / 2 of its outputs o if "gaussian" (the
+    per-query -|o|^2 / 2 left out); another raises ValueError. The mean
+    embeddings come from `embed` and are decoded in one pass; each query's
+    scores are one mat-vec against the candidates. A query's true rank is 1
     plus the number of candidates scoring above its true candidate, plus the
     number scoring the same whose id sorts before the true id: ties break by
     candidate id. Candidate ids must be distinct. Raises FloatingPointError
-    if a decoder logit is not finite.
+    if a decoder output is not finite.
     """
     candidates = np.asarray(candidates, dtype=np.float64)
     if candidates.ndim != 2:
@@ -253,13 +257,15 @@ def match_zero_shot(store: dc.ParamStore, queries: MoleculeSet,
     id_rank = _id_ranks(candidate_ids)  # each candidate's position in candidate-id order
     mu = dc.constant(embed(store, queries))
     logits = dc.require_finite(dc.mlp_forward(store.bind(), prefix, mu).data, "decoder logit")
-    softplus = np.logaddexp(0.0, logits)
+    if _squared_error(likelihood):
+        offsets = [0.5 * (candidates ** 2).sum(axis=1)] * len(queries)
+    else:
+        offsets = [row.sum() for row in np.logaddexp(0.0, logits)]
     ranks: List[int] = []
     ndcg_sums = {k: 0.0 for k in k_list}
     hit_sums = {k: 0.0 for k in k_list}
     for qi in range(len(queries)):
-        # log-likelihood = -(sum softplus(l) - l . y); the first term is per-query constant
-        scores = candidates @ logits[qi] - softplus[qi].sum()
+        scores = candidates @ logits[qi] - offsets[qi]
         t = column[true_ids[qi]]
         s_t = scores[t]
         true_rank = 1 + int(np.count_nonzero(scores > s_t)

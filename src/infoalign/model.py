@@ -34,7 +34,7 @@ from . import diffcore as dc
 from .ctxgraph import KINDS, ContextGraph, NodeKind
 from .errors import CorruptFileError, NoDecoderError, PathMismatchError, ShapeMismatchError
 from .molparse import ELEMENTS, BondOrder, MolecularGraph, MoleculeSet
-from .walker import WalkBatch, WalkConfig, WalkPath, batch_walks
+from .walker import WalkBatch, WalkConfig, batch_walks
 
 ATOM_FEATURE_DIM = len(ELEMENTS) + 5 + 1 + 6  # element, charge in [-2,2], aromatic, degree 0-5
 _CHARGE_BASE = len(ELEMENTS)
@@ -266,16 +266,16 @@ def decode_nll(z: dc.Tensor, targets: np.ndarray, kind: NodeKind,
     return dc.decode_group(z, rows, layers, y, weight, _squared_error(likelihood))
 
 
-def infoalign_loss(graph: ContextGraph, path: WalkPath,
+def infoalign_loss(graph: ContextGraph, walk: WalkBatch,
                    bound: Dict[str, dc.Tensor], beta: float, noise,
                    likelihood: str = "bernoulli") -> Tuple[dc.Tensor, LossBreakdown]:
-    """`batch_loss` of the one walk `path`, with noise of shape (1, latent_dim).
-    Nothing in the package calls it: it stays because perfbench/tracer.py
-    wraps this name."""
-    return batch_loss(graph, path.nodes[:1], [path], bound, beta, noise, likelihood)
+    """`batch_loss` of the one-walk batch `walk`, with noise of shape
+    (1, latent_dim). Nothing in the package calls it: it stays because
+    perfbench/tracer.py wraps this name."""
+    return batch_loss(graph, [walk.ids[walk.nodes[0, 0]]], walk, bound, beta, noise, likelihood)
 
 
-def batch_loss(graph: ContextGraph, starts: Sequence[str], paths: Sequence[WalkPath],
+def batch_loss(graph: ContextGraph, starts: Sequence[str], paths: WalkBatch,
                bound: Dict[str, dc.Tensor], beta: float, noise,
                likelihood: str = "bernoulli") -> Tuple[dc.Tensor, LossBreakdown]:
     """Mean over `starts` of the mean walk loss of each one's walks.
@@ -283,15 +283,15 @@ def batch_loss(graph: ContextGraph, starts: Sequence[str], paths: Sequence[WalkP
     A walk's loss is (1/L) * sum over its targets of alpha * NLL + beta * KL,
     where L is the walk's node count and the targets are the start molecule's
     own features (alpha = 1) plus every walked node with its cumulative path
-    weight. `paths`, a `WalkBatch` of this graph or a list of `WalkPath`s,
-    holds the same number of walks per start, grouped in starts order, and
-    `noise` one row per path. The whole batch is one tape: the start
-    molecules are gathered from `graph.molecules()` and encoded once,
-    together, and the targets of one (kind, dim), in walk order, are taken
-    from the graph's matrix of it and decoded as one matrix, each row
-    weighted by alpha / (L * walks per start * starts); the groups go in the
-    order they first appear, and their terms are added to the KL term in
-    that order. The breakdown holds the same batch means.
+    weight. `paths`, a `WalkBatch` of this graph, holds the same number of
+    walks per start, grouped in starts order, and `noise` one row per path.
+    The whole batch is one tape: the start molecules are gathered from
+    `graph.molecules()` and encoded once, together, and the targets of one
+    (kind, dim), in walk order, are taken from the graph's matrix of it and
+    decoded as one matrix, each row weighted by alpha / (L * walks per start
+    * starts); the groups go in the order they first appear, and their terms
+    are added to the KL term in that order. The breakdown holds the same
+    batch means.
     """
     if not starts or not len(paths) or len(paths) % len(starts):
         raise ValueError(f"{len(paths)} paths for {len(starts)} start molecules")
@@ -300,8 +300,6 @@ def batch_loss(graph: ContextGraph, starts: Sequence[str], paths: Sequence[WalkP
     for s in starts:
         if s not in row:
             raise PathMismatchError(f"path must start at a molecule node, got {s!r}")
-    if not isinstance(paths, WalkBatch):
-        paths = WalkBatch.of(paths, graph.node_ids())
     for w, head in enumerate(paths.nodes[:, 0].tolist()):
         if paths.ids[head] != starts[w // per_mol]:
             raise PathMismatchError(f"path {w} starts at {paths.ids[head]!r}, "

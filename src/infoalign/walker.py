@@ -73,8 +73,7 @@ class WalkBatch(Sequence):
     Row i is walk i: its first sizes[i] entries of `nodes` (indices into
     `ids`) and the first sizes[i] - 1 of `weights` and `alphas`. A walk
     shorter than the row is truncated; the rest of its row is padding.
-    Slicing gives a `WalkBatch` of the same arrays' rows, and `of` the
-    batch of a list of `WalkPath`s.
+    Slicing gives a `WalkBatch` of the same arrays' rows.
     """
 
     ids: List[str]
@@ -82,25 +81,6 @@ class WalkBatch(Sequence):
     weights: np.ndarray  # (walks, length - 1) traversed effective weights
     alphas: np.ndarray   # (walks, length - 1) running products of `weights`
     sizes: np.ndarray    # (walks,) node count of each walk
-
-    @classmethod
-    def of(cls, paths: Sequence[WalkPath], ids: List[str]) -> "WalkBatch":
-        """The batch of the (one or more) `paths`, whose nodes are ids in
-        `ids`; another id raises UnknownNodeError."""
-        index = {nid: i for i, nid in enumerate(ids)}
-        length = max(len(p.nodes) for p in paths)
-        nodes = np.zeros((len(paths), length), dtype=np.intp)
-        weights, alphas = np.ones((2, len(paths), length - 1))
-        for r, p in enumerate(paths):
-            n = len(p.nodes)
-            try:
-                nodes[r, :n] = [index[nid] for nid in p.nodes]
-            except KeyError as exc:
-                raise UnknownNodeError(f"unknown node id {exc.args[0]!r}") from None
-            weights[r, : n - 1] = p.edge_weights
-            alphas[r, : n - 1] = p.alphas
-        return cls(ids, nodes, weights, alphas,
-                   np.array([len(p.nodes) for p in paths], dtype=np.intp))
 
     def __len__(self) -> int:
         return len(self.nodes)

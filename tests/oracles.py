@@ -38,6 +38,9 @@ replaced.
 `stored_edges` the graph's edge arrays as the {(low id, high id, relation):
 weight} dict the graph kept before its edges were arrays; it is the one
 place the tests read the graph's private fields.
+`add_node` and `add_edge` build a graph one node or edge at a time, as the
+graph's own `add_node` and `add_edge` did, through its columnar `add_nodes`
+and `add_edges`; `walk_batch` is the `WalkBatch` of a list of `WalkPath`s.
 `gaussian_mi` and `i_nwj` are the closed-form Gaussian MI and the NWJ bound,
 which no command reports.
 """
@@ -55,12 +58,13 @@ from infoalign.errors import (
     UnbalancedParenError,
     UnsupportedFeatureError,
 )
-from infoalign.ctxgraph import RELATIONS
+from infoalign.ctxgraph import KINDS, RELATIONS
 from infoalign.evalkit import CLASSIFICATION, ProbeHead
 from infoalign.model import (ATOM_FEATURE_DIM, LOGVAR_CLAMP, EncoderOutput, LossBreakdown,
                              atom_features, decoder_prefix)
 from infoalign.molparse import (AROMATIC_ELEMENTS, ELEMENTS, BondOrder, MolecularGraph,
                                 MoleculeSet, parse_many, parse_smiles)
+from infoalign.walker import WalkBatch
 
 _FNV_OFFSET = 14695981039346656037
 _FNV_PRIME = 1099511628211
@@ -227,6 +231,32 @@ def neighbors(g, node_id: str) -> List[Tuple[str, float]]:
     lo, hi = csr.indptr[i], csr.indptr[i + 1]
     return list(zip([csr.ids[j] for j in csr.neighbors[lo:hi].tolist()],
                     csr.weights[lo:hi].tolist()))
+
+
+def add_node(g, rec) -> None:
+    """Append the `NodeRecord` `rec` to the graph `g`."""
+    g.add_nodes([rec.id], [KINDS.index(rec.kind)], [rec.source_tag], [rec.smiles],
+                {(rec.kind, rec.modality_dim): ([0], rec.features[None])})
+
+
+def add_edge(g, a: str, b: str, relation, weight: float) -> None:
+    """Append the edge a-b of `relation` to the graph `g`."""
+    ids = g.node_ids()
+    g.add_edges([ids.index(a)], [ids.index(b)], [RELATIONS.index(relation)], [weight])
+
+
+def walk_batch(graph, paths) -> WalkBatch:
+    """The `WalkBatch` of the `WalkPath`s `paths` over `graph`'s nodes."""
+    ids = graph.node_ids()
+    length = max(len(p.nodes) for p in paths)
+    nodes = np.zeros((len(paths), length), dtype=np.intp)
+    weights, alphas = np.ones((2, len(paths), length - 1))
+    for r, p in enumerate(paths):
+        n = len(p.nodes)
+        nodes[r, :n] = [ids.index(nid) for nid in p.nodes]
+        weights[r, : n - 1] = p.edge_weights
+        alphas[r, : n - 1] = p.alphas
+    return WalkBatch(ids, nodes, weights, alphas, np.array([len(p.nodes) for p in paths]))
 
 
 def gaussian_mi(rho: float) -> float:

@@ -59,7 +59,7 @@ from infoalign.molparse import parse_many
 from infoalign.synth import SyntheticSpec, generate, write_tables
 
 from tests.test_evalkit import auc_pairwise_oracle, rerank_oracle
-from tests.oracles import gaussian_mi, stored_edges
+from tests.oracles import add_node, gaussian_mi, stored_edges
 from tests.test_mibounds import gaussian_mi_quadrature
 from tests.test_model import mk_out, kl_quadrature
 
@@ -200,7 +200,7 @@ def test_similarity_edges_match_brute_force(seed):
         nid = f"n{i:03d}"
         ids.append(nid)
         feats.append(f)
-        g.add_node(NodeRecord(nid, NodeKind.CELL_MORPHOLOGY, f))
+        add_node(g, NodeRecord(nid, NodeKind.CELL_MORPHOLOGY, f))
     keep_fraction = float(rng.choice([0.005, 0.02, 0.1]))
     expected = _similarity_oracle(ids, feats, 0.8, keep_fraction)
     g.build_similarity_edges(NodeKind.CELL_MORPHOLOGY, 0.8, keep_fraction)

@@ -468,6 +468,33 @@ def test_pretrain_records_graph_fingerprint_radius(synth_graph, tmp_path, capsys
     assert not list(tmp_path.glob("bad.iapt*"))
 
 
+def test_pretrain_resume_onto_graph_of_another_radius_exit_1(synth_graph, tmp_path, capsys):
+    """A resume onto a graph built at another fingerprint radius exits 1,
+    naming both radii, the checkpoint and the graph, and writes nothing; a
+    graph that records no radius resumes as before."""
+    from infoalign.ctxgraph import ContextGraph
+    from infoalign.model import load_checkpoint
+    out = synth_graph.parent / "synth"
+    g3 = tmp_path / "g3.ctxg"
+    assert run(["build-graph", "--nodes", out / "nodes.tsv", "--edges", out / "edges.tsv",
+                "--fp-bits", 64, "--fp-radius", 3, "--out", g3]) == 0
+    ck = tmp_path / "r2.iapt"
+    assert run(["pretrain", "--graph", synth_graph, "--out", ck, "--epochs", 1,
+                *PRETRAIN_SMALL]) == 0
+    assert run(["pretrain", "--graph", g3, "--resume", ck, "--out", tmp_path / "bad.iapt",
+                "--epochs", 2]) == 1
+    assert capsys.readouterr().err == (f"error: fp_radius 2 in the checkpoint {ck} disagrees "
+                                       f"with the radius-3 molecule fingerprints of the graph "
+                                       f"{g3}\n")
+    assert not list(tmp_path.glob("bad.iapt*"))
+    bare = ContextGraph.load(synth_graph)
+    bare.fp_radius = None
+    bare.save(tmp_path / "bare.ctxg")
+    assert run(["pretrain", "--graph", tmp_path / "bare.ctxg", "--resume", ck,
+                "--out", tmp_path / "more.iapt", "--epochs", 2]) == 0
+    assert load_checkpoint(tmp_path / "more.iapt")[1].fp_radius == 2
+
+
 def test_pretrain_resume_beta_sweep_distinct(synth_graph, tmp_path):
     """Each beta of a sweep over one resumed checkpoint trains at that beta."""
     from infoalign.model import load_checkpoint
@@ -831,6 +858,47 @@ def test_match_report(synth_graph, tmp_path):
     assert set(rep["hit"]) == {"1", "10"}
 
 
+def test_match_ranks_a_gaussian_checkpoint_by_squared_error(synth_graph, tmp_path):
+    """`match` of a Gaussian checkpoint ranks the candidates y of a query by
+    -|y - o|^2 / 2 of the decoder outputs o, ties broken by candidate id,
+    where the Bernoulli score ranks them otherwise. Each query is asked for
+    every candidate, so its whole ranking is checked."""
+    import infoalign.diffcore as dc
+    from infoalign.ctxgraph import NodeKind
+    from infoalign.model import decoder_prefix, embed, load_checkpoint
+    from infoalign.molparse import parse_many
+    ck = tmp_path / "gauss.iapt"
+    assert run(["pretrain", "--graph", synth_graph, "--out", ck, "--likelihood", "gaussian",
+                "--epochs", 1, *PRETRAIN_SMALL]) == 0
+    rng = np.random.default_rng(7)
+    cands = rng.uniform(0, 1, size=(8, 6)) * rng.uniform(0.05, 1.0, size=(8, 1))
+    cands[5] = cands[2]  # a tie, broken by id: "b5" ranks before "c2"
+    ids = ["c0", "c1", "c2", "c3", "c4", "b5", "c6", "c7"]
+    (tmp_path / "cands.tsv").write_text("".join(
+        "\t".join([cid, *map(repr, row.tolist())]) + "\n" for cid, row in zip(ids, cands)))
+    smiles = ["CCO", "c1ccccc1N", "CC(=O)O"]
+    (tmp_path / "q.smi").write_text("".join(f"{smi}\n" for smi in smiles for _ in ids))
+    (tmp_path / "true.txt").write_text("".join(f"{cid}\n" for _ in smiles for cid in ids))
+    out = tmp_path / "match.json"
+    assert run(["match", "--checkpoint", ck, "--queries", tmp_path / "q.smi",
+                "--candidates", tmp_path / "cands.tsv",
+                "--true-ids", tmp_path / "true.txt", "--out", out]) == 0
+
+    store = load_checkpoint(ck)[0]
+    prefix = decoder_prefix(store.params, NodeKind.CELL_MORPHOLOGY, 6)
+    o = dc.mlp_forward(store.bind(), prefix, dc.constant(embed(store, parse_many(smiles)))).data
+
+    def ranks(scores):
+        order = sorted(range(len(ids)), key=lambda j: (-scores[j], ids[j]))
+        return [order.index(j) + 1 for j in range(len(ids))]
+
+    want = [r for q in o for r in ranks([-0.5 * np.sum((y - q) ** 2) for y in cands])]
+    bernoulli = [r for q in o for r in ranks(cands @ q)]
+    assert json.loads(out.read_text())["ranks"] == want
+    assert bernoulli != want
+    assert all(want[k + 5] < want[k + 2] for k in range(0, len(want), len(ids)))
+
+
 @pytest.mark.parametrize("command", ["embed", "match"])
 def test_no_molecules_exit_1(synth_graph, tmp_path, capsys, command):
     ck = tmp_path / "ck.iapt"
@@ -854,7 +922,7 @@ def test_no_molecules_exit_1(synth_graph, tmp_path, capsys, command):
 
 def test_each_smiles_parsed_once_per_command(synth_graph, tmp_path, monkeypatch):
     """build-graph, embed and match parse every SMILES of their input exactly
-    once: `add_node` reuses the graphs of the node table's records."""
+    once: `load_node_table` fingerprints the set it parsed."""
     import infoalign.molparse as molparse
 
     ck = tmp_path / "ck.iapt"

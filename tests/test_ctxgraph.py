@@ -3,7 +3,6 @@ oracle and the full-sort oracle of its keep cut, merging, persistence, the
 deferred molecule parse, and TSV ingestion."""
 
 import math
-import time
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from hypothesis import strategies as st
 from infoalign import ctxgraph, serialize
 from infoalign.ctxgraph import (
     KINDS,
+    RELATIONS,
     ContextGraph,
     NodeKind,
     NodeRecord,
@@ -36,7 +36,8 @@ from infoalign.errors import (
 )
 from infoalign.molparse import parse_many
 from infoalign.walker import WalkConfig, batch_walks
-from tests.oracles import molecule, neighbors, reference_top_pairs, stored_edges
+from tests.oracles import (add_edge, add_node, molecule, neighbors, reference_top_pairs,
+                           stored_edges)
 
 
 def rec(nid, kind=NodeKind.CELL_MORPHOLOGY, feats=(0.5,)):
@@ -51,55 +52,16 @@ def mol(nid, smiles="CCO"):
 
 def test_add_nodes():
     g = ContextGraph()
-    g.add_node(rec("a"))
-    g.add_node(rec("b"))
+    add_node(g, rec("a"))
+    add_node(g, rec("b"))
     assert g.node_ids() == ["a", "b"]
     with pytest.raises(DuplicateIdError):
-        g.add_node(rec("a"))
-
-
-def _per_append_s(append, calls=300, repeats=3) -> float:
-    """The least over `repeats` runs of the mean time of `calls` appends;
-    append(k) makes the k-th, k counting on over the runs."""
-    best = math.inf
-    for r in range(repeats):
-        t0 = time.perf_counter()
-        for k in range(r * calls, (r + 1) * calls):
-            append(k)
-        best = min(best, (time.perf_counter() - t0) / calls)
-    return best
-
-
-def test_single_appends_do_not_copy_the_graph():
-    """add_node and add_edge on a graph of 20000 nodes and 244650 edges cost
-    about what they cost on a graph of ten: the columns grow with spare
-    rows, where a copy of every column per append made them 40-60 times
-    slower there."""
-    feats = np.random.default_rng(0).uniform(0, 1, (20000, 64)).astype(np.float32)
-    small, large = ContextGraph(), ContextGraph()
-    for g, n in ((small, 10), (large, 20000)):
-        g.add_nodes([f"c{i}" for i in range(n)], [KINDS.index(NodeKind.CELL_MORPHOLOGY)] * n,
-                    [""] * n, [None] * n, {(NodeKind.CELL_MORPHOLOGY, 64): (range(n), feats[:n])})
-    # 700 identical profiles: every one of their 244650 pairs is an edge
-    large.add_nodes([f"e{i}" for i in range(700)], [KINDS.index(NodeKind.GENE_EXPRESSION)] * 700,
-                    [""] * 700, [None] * 700,
-                    {(NodeKind.GENE_EXPRESSION, 2): (range(700), np.full((700, 2), 0.5))})
-    assert large.build_similarity_edges(NodeKind.GENE_EXPRESSION, 0.5, 1.0) == 244650
-    times = {}
-    for name, g in (("small", small), ("large", large)):
-        times[name, "node"] = _per_append_s(
-            lambda k, g=g: g.add_node(rec(f"x{k}", feats=feats[k])))
-        times[name, "edge"] = _per_append_s(
-            lambda k, g=g: g.add_edge(f"c{k % 10}", f"x{k}", Relation.PERTURBATION, 1.0))
-    for what in ("node", "edge"):
-        assert times["large", what] < 3 * times["small", what], (what, times)
-    assert large.node(f"x{899}").features.tobytes() == feats[899].tobytes()
-    assert neighbors(large.finalize(), "x899") == [("c9", 1.0)]
+        add_node(g, rec("a"))
 
 
 def test_appends_one_at_a_time_equal_one_bulk_append():
-    """Nodes and edges added one call each, with the columns growing past
-    their spare rows, give the graph one call of each gives."""
+    """Nodes and edges added one `add_nodes` or `add_edges` call each give
+    the graph one call of each gives."""
     rng = np.random.default_rng(1)
     kinds = [NodeKind.CELL_MORPHOLOGY, NodeKind.GENE_EXPRESSION, NodeKind.GENE]
     recs = [rec(f"n{i}", kinds[i % 3], rng.uniform(0, 1, 3 + i % 2)) for i in range(37)]
@@ -107,9 +69,9 @@ def test_appends_one_at_a_time_equal_one_bulk_append():
              for i in range(37) if (5 * i + 3) % 37 != i]
     one_by_one = ContextGraph()
     for r in recs:
-        one_by_one.add_node(r)
+        add_node(one_by_one, r)
     for e in edges:
-        one_by_one.add_edge(*e)
+        add_edge(one_by_one, *e)
     features = {}
     for i, r in enumerate(recs):
         pos, rows = features.setdefault((r.kind, r.modality_dim), ([], []))
@@ -119,8 +81,9 @@ def test_appends_one_at_a_time_equal_one_bulk_append():
     bulk.add_nodes([r.id for r in recs], [KINDS.index(r.kind) for r in recs],
                    [""] * len(recs), [None] * len(recs),
                    {key: (pos, np.array(rows)) for key, (pos, rows) in features.items()})
-    for e in edges:
-        bulk.add_edge(*e)
+    ids = bulk.node_ids()
+    bulk.add_edges([ids.index(e[0]) for e in edges], [ids.index(e[1]) for e in edges],
+                   [RELATIONS.index(e[2]) for e in edges], [e[3] for e in edges])
     for g in (one_by_one, bulk):
         g.finalize()
     assert one_by_one.checksum() == bulk.checksum()
@@ -130,21 +93,63 @@ def test_appends_one_at_a_time_equal_one_bulk_append():
         assert bulk.node(r.id).features.tobytes() == r.features.tobytes()
 
 
+def test_one_call_onto_an_empty_graph_keeps_the_given_matrix():
+    """`add_nodes` onto an empty graph takes a float32 matrix as it is: a
+    graph built in one call copies none of its features."""
+    mat = np.random.default_rng(2).uniform(0, 1, (5, 3)).astype(np.float32)
+    g = ContextGraph()
+    g.add_nodes([f"c{i}" for i in range(5)], [KINDS.index(NodeKind.CELL_MORPHOLOGY)] * 5,
+                [""] * 5, [None] * 5, {(NodeKind.CELL_MORPHOLOGY, 3): (range(5), mat)})
+    assert np.shares_memory(g.features()[2][NodeKind.CELL_MORPHOLOGY, 3], mat)
+    assert g.node("c4").features.tobytes() == mat[4].tobytes()
+
+
+_SIM, _PERT = RELATIONS.index(Relation.SIMILARITY), RELATIONS.index(Relation.PERTURBATION)
+
+
+@pytest.mark.parametrize("edge,error,message", [
+    ((1, 1, _SIM, 0.5), SelfLoopError, r"edge 1 \(nodes 1 and 1, .*\) has a self-loop"),
+    ((0, 3, _SIM, 0.5), UnknownNodeError, r"\(nodes 0 and 3, .*\) has a node index outside "
+                                          r"the graph's 3 nodes"),
+    ((-1, 2, _SIM, 0.5), UnknownNodeError, r"\(nodes -1 and 2, .*\) has a node index"),
+    ((0, 2, len(RELATIONS), 0.5), ValueError, r"relation code 4, .* has an unknown relation"),
+    ((0, 2, _SIM, 0.0), ValueError, r"weight 0.0\) has a weight outside \(0, 1\]"),
+    ((0, 2, _SIM, 1.5), ValueError, r"weight 1.5\) has a weight outside \(0, 1\]"),
+    ((0, 2, _SIM, math.nan), ValueError, r"weight nan\) has a weight outside \(0, 1\]"),
+    ((0, 2, _SIM, 0.5), FinalizedError, "graph is finalized"),
+], ids=["self-loop", "index-over", "index-negative", "unknown-relation", "weight-zero",
+        "weight-over", "weight-nan", "finalized"])
+def test_add_edges_rejects_a_bad_edge_and_adds_none(edge, error, message):
+    """A bad edge among good ones raises, and the graph's edges stay as
+    they were."""
+    g = ContextGraph()
+    for nid in ("a", "b", "c"):
+        add_node(g, rec(nid))
+    g.add_edges([0], [1], [_PERT], [1.0])
+    if error is FinalizedError:
+        g.finalize()
+    before = stored_edges(g)
+    good = (1, 2, _SIM, 0.75)
+    with pytest.raises(error, match=message):
+        g.add_edges(*zip(good, edge, good))
+    assert stored_edges(g) == before == {("a", "b", Relation.PERTURBATION): 1.0}
+
+
 def test_finalized_rejects_mutation():
     g = ContextGraph()
-    g.add_node(rec("a"))
+    add_node(g, rec("a"))
     g.finalize()
     with pytest.raises(FinalizedError):
-        g.add_node(rec("b"))
+        add_node(g, rec("b"))
     with pytest.raises(FinalizedError):
-        g.add_edge("a", "a", Relation.SIMILARITY, 0.9)
+        add_edge(g, "a", "a", Relation.SIMILARITY, 0.9)
     # idempotent
     assert g.finalize() is g
 
 
 def test_molecule_node_parses_smiles():
     g = ContextGraph()
-    g.add_node(mol("m1", "c1ccccc1"))
+    add_node(g, mol("m1", "c1ccccc1"))
     mols, row = g.molecules()
     assert row == {"m1": 0}
     assert len(molecule(mols, 0).element) == 6
@@ -152,31 +157,29 @@ def test_molecule_node_parses_smiles():
 
 def test_perturbation_edge_weight_forced_one():
     g = ContextGraph()
-    g.add_node(rec("a"))
-    g.add_node(rec("b"))
-    assert g.add_edge("b", "a", Relation.PERTURBATION, 1.0) is None
+    add_node(g, rec("a"))
+    add_node(g, rec("b"))
+    assert add_edge(g, "b", "a", Relation.PERTURBATION, 1.0) is None
     assert stored_edges(g) == {("a", "b", Relation.PERTURBATION): 1.0}
     with pytest.raises(SelfLoopError):
-        g.add_edge("a", "a", Relation.PERTURBATION, 1.0)
-    with pytest.raises(UnknownNodeError):
-        g.add_edge("a", "nope", Relation.PERTURBATION, 1.0)
+        add_edge(g, "a", "a", Relation.PERTURBATION, 1.0)
 
 
 def test_edge_weight_range():
     g = ContextGraph()
-    g.add_node(rec("a"))
-    g.add_node(rec("b"))
+    add_node(g, rec("a"))
+    add_node(g, rec("b"))
     with pytest.raises(ValueError):
-        g.add_edge("a", "b", Relation.SIMILARITY, 0.0)
+        add_edge(g, "a", "b", Relation.SIMILARITY, 0.0)
     with pytest.raises(ValueError):
-        g.add_edge("a", "b", Relation.SIMILARITY, 1.5)
+        add_edge(g, "a", "b", Relation.SIMILARITY, 1.5)
 
 
 def test_undirected_neighbors_same_weight():
     g = ContextGraph()
-    g.add_node(rec("a"))
-    g.add_node(rec("b"))
-    g.add_edge("a", "b", Relation.SIMILARITY, 0.9)
+    add_node(g, rec("a"))
+    add_node(g, rec("b"))
+    add_edge(g, "a", "b", Relation.SIMILARITY, 0.9)
     g.finalize()
     assert neighbors(g, "a") == [("b", 0.9)]
     assert neighbors(g, "b") == [("a", 0.9)]
@@ -185,10 +188,10 @@ def test_undirected_neighbors_same_weight():
 def test_max_weight_effective_edge():
     """A pair linked by two relations shows one effective max-weight edge."""
     g = ContextGraph()
-    g.add_node(rec("a"))
-    g.add_node(rec("b"))
-    g.add_edge("a", "b", Relation.SIMILARITY, 0.85)
-    g.add_edge("a", "b", Relation.PERTURBATION, 1.0)
+    add_node(g, rec("a"))
+    add_node(g, rec("b"))
+    add_edge(g, "a", "b", Relation.SIMILARITY, 0.85)
+    add_edge(g, "a", "b", Relation.PERTURBATION, 1.0)
     g.finalize()
     assert len(stored_edges(g)) == 2   # both relations stored
     assert neighbors(g, "a") == [("b", 1.0)]  # walker sees max weight
@@ -199,9 +202,9 @@ def test_repeated_pair_and_relation_keeps_its_last_weight():
     the last weight, not the max."""
     g = ContextGraph()
     for nid in ("a", "b"):
-        g.add_node(rec(nid))
-    g.add_edge("a", "b", Relation.SIMILARITY, 0.7)
-    g.add_edge("b", "a", Relation.SIMILARITY, 0.5)
+        add_node(g, rec(nid))
+    add_edge(g, "a", "b", Relation.SIMILARITY, 0.7)
+    add_edge(g, "b", "a", Relation.SIMILARITY, 0.5)
     assert stored_edges(g) == {("a", "b", Relation.SIMILARITY): 0.5}
     g.finalize()
     assert stored_edges(g) == {("a", "b", Relation.SIMILARITY): 0.5}
@@ -209,8 +212,8 @@ def test_repeated_pair_and_relation_keeps_its_last_weight():
     assert neighbors(g, "a") == [("b", 0.5)]
     once = ContextGraph()
     for nid in ("a", "b"):
-        once.add_node(rec(nid))
-    once.add_edge("a", "b", Relation.SIMILARITY, 0.5)
+        add_node(once, rec(nid))
+    add_edge(once, "a", "b", Relation.SIMILARITY, 0.5)
     assert g.checksum() == once.finalize().checksum()
 
 
@@ -268,8 +271,8 @@ def brute_force_similarity(recs, threshold, keep_fraction):
 
 def test_identical_vectors_edge_weight_one():
     g = ContextGraph()
-    g.add_node(rec("a", feats=(0.5, 0.5)))
-    g.add_node(rec("b", feats=(1.0, 1.0)))
+    add_node(g, rec("a", feats=(0.5, 0.5)))
+    add_node(g, rec("b", feats=(1.0, 1.0)))
     added = g.build_similarity_edges(NodeKind.CELL_MORPHOLOGY, keep_fraction=1.0)
     assert added == 1
     g.finalize()
@@ -278,15 +281,15 @@ def test_identical_vectors_edge_weight_one():
 
 def test_below_threshold_no_edge():
     g = ContextGraph()
-    g.add_node(rec("a", feats=(1.0, 0.0)))
-    g.add_node(rec("b", feats=(1.0, 1.0)))  # cosine ~ 0.707 < 0.8
+    add_node(g, rec("a", feats=(1.0, 0.0)))
+    add_node(g, rec("b", feats=(1.0, 1.0)))  # cosine ~ 0.707 < 0.8
     assert g.build_similarity_edges(NodeKind.CELL_MORPHOLOGY, keep_fraction=1.0) == 0
 
 
 def test_mixed_dimensions_rejected():
     g = ContextGraph()
-    g.add_node(rec("a", feats=(1.0, 0.0)))
-    g.add_node(rec("b", feats=(1.0, 0.0, 0.0)))
+    add_node(g, rec("a", feats=(1.0, 0.0)))
+    add_node(g, rec("b", feats=(1.0, 0.0, 0.0)))
     with pytest.raises(MixedDimensionsError):
         g.build_similarity_edges(NodeKind.CELL_MORPHOLOGY)
 
@@ -303,7 +306,7 @@ def test_similarity_matches_brute_force_oracle(seed):
         f = np.clip(base + 0.15 * rng.standard_normal(8), 0.0, 1.0)
         r = rec(f"n{i:03d}", feats=f)
         recs.append(r)
-        g.add_node(r)
+        add_node(g, r)
     keep_fraction = rng.choice([0.005, 0.02, 0.1, 1.0])
     expected = brute_force_similarity(recs, 0.8, keep_fraction)
     g.build_similarity_edges(NodeKind.CELL_MORPHOLOGY, 0.8, keep_fraction)
@@ -348,7 +351,7 @@ def similarity_edges(g):
 def assert_matches_reference(feats, ids, keep_fraction, threshold=0.8, ulps=0):
     g = ContextGraph()
     for nid, f in zip(ids, feats):
-        g.add_node(rec(nid, feats=f))
+        add_node(g, rec(nid, feats=f))
     expected = reference_similarity_edges(g, NodeKind.CELL_MORPHOLOGY, threshold, keep_fraction)
     added = g.build_similarity_edges(NodeKind.CELL_MORPHOLOGY, threshold, keep_fraction)
     got = similarity_edges(g)
@@ -486,7 +489,7 @@ def test_top_pairs_equals_full_sort_on_tie_heavy_features(data):
             mp.setattr(ctxgraph, "_top_pairs", top_pairs)
             g = ContextGraph()
             for nid, f in zip(ids, feats):
-                g.add_node(rec(nid, feats=f))
+                add_node(g, rec(nid, feats=f))
             added = g.build_similarity_edges(NodeKind.CELL_MORPHOLOGY, threshold, keep_fraction)
             assert added == min(keep, len(s))
             graphs.append(g)
@@ -506,7 +509,7 @@ def test_zero_cosine_is_no_edge_at_threshold_zero():
     threshold 0 and keep_fraction 1."""
     g = ContextGraph()
     for nid, f in [("a", (1.0, 0.0)), ("b", (0.0, 1.0)), ("c", (1.0, 1.0))]:
-        g.add_node(rec(nid, feats=f))
+        add_node(g, rec(nid, feats=f))
     assert g.build_similarity_edges(NodeKind.CELL_MORPHOLOGY, 0.0, 1.0) == 2
     assert set(similarity_edges(g)) == {("a", "c"), ("b", "c")}
 
@@ -516,8 +519,8 @@ def test_given_similarity_edge_keeps_its_weight():
     add theirs, keeps its weight, and the returned count leaves it out."""
     g = ContextGraph()
     for nid in ("a", "b", "c"):
-        g.add_node(rec(nid, feats=(0.5, 0.5)))
-    g.add_edge("b", "a", Relation.SIMILARITY, 0.3)
+        add_node(g, rec(nid, feats=(0.5, 0.5)))
+    add_edge(g, "b", "a", Relation.SIMILARITY, 0.3)
     assert g.build_similarity_edges(NodeKind.CELL_MORPHOLOGY, keep_fraction=1.0) == 2
     assert similarity_edges(g) == {("a", "b"): 0.3, ("a", "c"): 1.0, ("b", "c"): 1.0}
     g.finalize()
@@ -526,9 +529,9 @@ def test_given_similarity_edge_keeps_its_weight():
 
 def test_zero_norm_rows_skipped():
     g = ContextGraph()
-    g.add_node(rec("a", feats=(0.0, 0.0)))
-    g.add_node(rec("b", feats=(1.0, 0.0)))
-    g.add_node(rec("c", feats=(1.0, 0.0)))
+    add_node(g, rec("a", feats=(0.0, 0.0)))
+    add_node(g, rec("b", feats=(1.0, 0.0)))
+    add_node(g, rec("c", feats=(1.0, 0.0)))
     assert g.build_similarity_edges(NodeKind.CELL_MORPHOLOGY, keep_fraction=1.0) == 1
 
 
@@ -538,9 +541,9 @@ def build_random_graph(seed=0, n=30):
     rng = np.random.default_rng(seed)
     g = ContextGraph()
     for i in range(n):
-        g.add_node(mol(f"m{i:02d}", "CCO"))
-        g.add_node(rec(f"c{i:02d}", feats=tuple(rng.uniform(0, 1, 4))))
-        g.add_edge(f"m{i:02d}", f"c{i:02d}", Relation.PERTURBATION, 1.0)
+        add_node(g, mol(f"m{i:02d}", "CCO"))
+        add_node(g, rec(f"c{i:02d}", feats=tuple(rng.uniform(0, 1, 4))))
+        add_edge(g, f"m{i:02d}", f"c{i:02d}", Relation.PERTURBATION, 1.0)
     g.build_similarity_edges(NodeKind.CELL_MORPHOLOGY, 0.8, 0.1)
     return g.finalize()
 
@@ -556,16 +559,16 @@ def test_stats_counts():
 
 def test_finalize_validates_ranges():
     g = ContextGraph()
-    g.add_node(NodeRecord("bad", NodeKind.CELL_MORPHOLOGY,
-                          np.array([1.5], dtype=np.float32)))
+    add_node(g, NodeRecord("bad", NodeKind.CELL_MORPHOLOGY,
+                           np.array([1.5], dtype=np.float32)))
     with pytest.raises(ValueError):
         g.finalize()
 
 
 def test_finalize_rejects_nan_features():
     g = ContextGraph()
-    g.add_node(NodeRecord("nan", NodeKind.CELL_MORPHOLOGY,
-                          np.array([0.5, np.nan], dtype=np.float32)))
+    add_node(g, NodeRecord("nan", NodeKind.CELL_MORPHOLOGY,
+                           np.array([0.5, np.nan], dtype=np.float32)))
     with pytest.raises(ValueError, match="outside"):
         g.finalize()
 
@@ -609,9 +612,9 @@ def _graph_of(nodes, edges=()):
     (a, b, relation, weight) edges."""
     g = ContextGraph()
     for nid, kind, feats, smiles in nodes:
-        g.add_node(NodeRecord(nid, kind, np.array(feats, dtype=np.float32), "t-" + nid, smiles))
+        add_node(g, NodeRecord(nid, kind, np.array(feats, dtype=np.float32), "t-" + nid, smiles))
     for e in edges:
-        g.add_edge(*e)
+        add_edge(g, *e)
     return g.finalize()
 
 
@@ -697,7 +700,7 @@ def test_load_rejects_the_first_format_naming_both_numbers(tmp_path, capsys):
 
 
 def test_graph_records_the_fingerprint_radius_of_its_tables(tmp_path):
-    """The tables' radius is saved and loaded; a graph of `add_node` has none."""
+    """The tables' radius is saved and loaded; a graph built node by node has none."""
     nodes, edges = write_tables(tmp_path)
     g = build_graph_from_tables(nodes, edges, fp_radius=3, fp_bits=64)
     assert g.fp_radius == 3
@@ -737,14 +740,14 @@ def test_molecules_parses_every_molecule_node_in_one_call():
     set parsed before it."""
     g = ContextGraph()
     for nid, smiles in [("m2", "c1ccccc1"), ("c0", None), ("m0", "CCO"), ("bare", None)]:
-        g.add_node(mol(nid, smiles) if smiles or nid == "bare" else rec(nid))
+        add_node(g, mol(nid, smiles) if smiles or nid == "bare" else rec(nid))
     mols, row = g.molecules()
     assert row == {"m2": 0, "m0": 1}
     want = parse_many(["c1ccccc1", "CCO"])
     for name in ("element", "charge", "aromatic", "degree", "bonds", "order"):
         assert getattr(mols.graph, name).tobytes() == getattr(want.graph, name).tobytes()
     assert mols.atom_start.tolist() == want.atom_start.tolist()
-    g.add_node(mol("m1", "C"))
+    add_node(g, mol("m1", "C"))
     assert g.molecules()[1] == {"m2": 0, "m0": 1, "m1": 2}
     assert len(g.molecules()[0]) == 3
 
@@ -768,11 +771,11 @@ def test_add_node_defers_a_bad_smiles_to_molecules(tmp_path):
     finalized, saved, loaded and walked; `molecules()` then raises, naming
     the node."""
     g = ContextGraph()
-    g.add_node(mol("m0", "CCO"))
-    g.add_node(mol("m1", "C(C"))
-    g.add_node(rec("c0"))
-    g.add_edge("m0", "c0", Relation.PERTURBATION, 1.0)
-    g.add_edge("m1", "c0", Relation.PERTURBATION, 1.0)
+    add_node(g, mol("m0", "CCO"))
+    add_node(g, mol("m1", "C(C"))
+    add_node(g, rec("c0"))
+    add_edge(g, "m0", "c0", Relation.PERTURBATION, 1.0)
+    add_edge(g, "m1", "c0", Relation.PERTURBATION, 1.0)
     g.finalize()
     p = tmp_path / "g.ctxg"
     g.save(p)

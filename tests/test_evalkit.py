@@ -468,3 +468,6 @@ def test_match_errors():
         match_zero_shot(store, molecule_set(query * 2), np.zeros((2, 6)), ["a", "b"], ["a"])
     with pytest.raises(UnknownNodeError, match="'z' is not a candidate id"):
         match_zero_shot(store, molecule_set(query), np.zeros((2, 6)), ["a", "b"], ["z"])
+    with pytest.raises(ValueError, match="unknown likelihood 'poisson'"):
+        match_zero_shot(store, molecule_set(query), np.zeros((2, 6)), ["a", "b"], ["a"],
+                        likelihood="poisson")

@@ -49,6 +49,8 @@ from infoalign.walker import WalkConfig, WalkPath, batch_walks
 from tests.oracles import (
     FIXED_SMILES,
     add,
+    add_edge,
+    add_node,
     molecule,
     molecule_set,
     reference_adam_step,
@@ -58,6 +60,7 @@ from tests.oracles import (
     scanned_neighbors,
     tsum,
     union,
+    walk_batch,
 )
 from tests.test_fingerprint import permute_graph
 from tests.test_molparse import smiles_strings
@@ -80,12 +83,12 @@ def tiny_graph(n_mols=6, seed=0, fp_bits=64):
     for i in range(n_mols):
         smi = smiles[i % len(smiles)]
         mol = parse_smiles(smi)
-        g.add_node(NodeRecord(f"m{i}", NodeKind.MOLECULE,
-                              morgan_fingerprint(molecule_set([mol]), 2, fp_bits)[0],
-                              smiles=smi))
-        g.add_node(NodeRecord(f"c{i}", NodeKind.CELL_MORPHOLOGY,
-                              rng.uniform(0, 1, 5).astype(np.float32)))
-        g.add_edge(f"m{i}", f"c{i}", Relation.PERTURBATION, 1.0)
+        add_node(g, NodeRecord(f"m{i}", NodeKind.MOLECULE,
+                               morgan_fingerprint(molecule_set([mol]), 2, fp_bits)[0],
+                               smiles=smi))
+        add_node(g, NodeRecord(f"c{i}", NodeKind.CELL_MORPHOLOGY,
+                               rng.uniform(0, 1, 5).astype(np.float32)))
+        add_edge(g, f"m{i}", f"c{i}", Relation.PERTURBATION, 1.0)
     return g.finalize()
 
 
@@ -426,7 +429,7 @@ def test_loss_breakdown_decomposition():
     store = make_store(cfg, g)
     path = WalkPath(["m0", "c0", "m0"], [1.0, 1.0])
     bound = store.bind()
-    total, br = infoalign_loss(g, path, bound, beta=0.1,
+    total, br = infoalign_loss(g, walk_batch(g, [path]), bound, beta=0.1,
                                noise=np.zeros((1, cfg.latent_dim)))
     assert total.item() == pytest.approx(br.total, abs=1e-12)
     assert br.total == pytest.approx(
@@ -452,8 +455,8 @@ def test_loss_formula_weighted_terms():
                        [0], np.ones(1))[1].sum()
     kl = kl_standard_normal(out).item()
     expect = (1.0 * nll_self + 0.5 * nll_c) / 2 + 0.1 * kl
-    for loss in (reference_walk_loss, infoalign_loss):
-        total, _ = loss(g, path, bound, beta=0.1, noise=noise)
+    for loss, walk in ((reference_walk_loss, path), (infoalign_loss, walk_batch(g, [path]))):
+        total, _ = loss(g, walk, bound, beta=0.1, noise=noise)
         assert total.item() == pytest.approx(expect, abs=1e-10), loss.__name__
 
 
@@ -462,7 +465,7 @@ def test_loss_rejects_non_molecule_start():
     g = tiny_graph()
     store = make_store(cfg, g)
     with pytest.raises(PathMismatchError):
-        infoalign_loss(g, WalkPath(["c0", "m0"], [1.0]), store.bind(),
+        infoalign_loss(g, walk_batch(g, [WalkPath(["c0", "m0"], [1.0])]), store.bind(),
                        beta=0.0, noise=np.zeros((1, cfg.latent_dim)))
 
 
@@ -472,7 +475,8 @@ def test_loss_gradient_finite_difference():
     cfg = small_cfg(latent_dim=4, num_layers=1, hidden=5, decoder_hidden=4, fp_bits=64)
     g = tiny_graph(n_mols=3, fp_bits=64)
     store = make_store(cfg, g)
-    paths = [WalkPath(["m0", "c0", "m0"], [1.0, 1.0]), WalkPath(["m1", "c1"], [0.5])]
+    paths = walk_batch(g, [WalkPath(["m0", "c0", "m0"], [1.0, 1.0]),
+                           WalkPath(["m1", "c1"], [0.5])])
     noise = np.random.default_rng(0).standard_normal((2, cfg.latent_dim))
     losses = {
         "oracle": lambda bound: reference_walk_loss(g, paths[0], bound, 0.05, noise[0])[0],
@@ -512,20 +516,20 @@ def walk_graph(n_mols=7):
     smiles = ["CCO", "CCN", "c1ccccc1", "CC(C)O", "CCCC", "OCCO", "CC=O", "CSC"]
     g = ContextGraph()
     for j in range(3):
-        g.add_node(NodeRecord(f"g{j}", NodeKind.GENE_EXPRESSION,
-                              rng.uniform(0, 1, 4).astype(np.float32)))
+        add_node(g, NodeRecord(f"g{j}", NodeKind.GENE_EXPRESSION,
+                               rng.uniform(0, 1, 4).astype(np.float32)))
     for i in range(n_mols):
         smi = smiles[i % len(smiles)]
         mol = parse_smiles(smi)
-        g.add_node(NodeRecord(f"m{i}", NodeKind.MOLECULE,
-                              morgan_fingerprint(molecule_set([mol]), 2, 64)[0],
-                              smiles=smi))
-        g.add_node(NodeRecord(f"c{i}", NodeKind.CELL_MORPHOLOGY,
-                              rng.uniform(0, 1, 5).astype(np.float32)))
-        g.add_edge(f"m{i}", f"c{i}", Relation.PERTURBATION, 1.0)
-        g.add_edge(f"m{i}", f"g{i % 3}", Relation.PERTURBATION, 1.0)
+        add_node(g, NodeRecord(f"m{i}", NodeKind.MOLECULE,
+                               morgan_fingerprint(molecule_set([mol]), 2, 64)[0],
+                               smiles=smi))
+        add_node(g, NodeRecord(f"c{i}", NodeKind.CELL_MORPHOLOGY,
+                               rng.uniform(0, 1, 5).astype(np.float32)))
+        add_edge(g, f"m{i}", f"c{i}", Relation.PERTURBATION, 1.0)
+        add_edge(g, f"m{i}", f"g{i % 3}", Relation.PERTURBATION, 1.0)
     for i in range(n_mols):
-        g.add_edge(f"c{i}", f"c{(i + 1) % n_mols}", Relation.SIMILARITY, 0.5 + 0.1 * (i % 3))
+        add_edge(g, f"c{i}", f"c{(i + 1) % n_mols}", Relation.SIMILARITY, 0.5 + 0.1 * (i % 3))
     return g.finalize()
 
 
@@ -549,13 +553,13 @@ def per_walk_mean(g, starts, paths, store, beta, noise, likelihood):
     return total, kl, recon, grads
 
 
-def truncated_paths():
+def truncated_paths(g):
     """Walks of 4, 2, 2 and 3 nodes, two of them cut short at a dead end."""
     starts = ["m0", "m1"]
-    paths = [WalkPath(["m0", "c0", "c1", "m1"], [1.0, 0.6, 1.0]),
-             WalkPath(["m0", "g0"], [1.0], truncated=True),
-             WalkPath(["m1", "c1"], [1.0], truncated=True),
-             WalkPath(["m1", "g1", "m4"], [1.0, 1.0])]
+    paths = walk_batch(g, [WalkPath(["m0", "c0", "c1", "m1"], [1.0, 0.6, 1.0]),
+                           WalkPath(["m0", "g0"], [1.0], truncated=True),
+                           WalkPath(["m1", "c1"], [1.0], truncated=True),
+                           WalkPath(["m1", "g1", "m4"], [1.0, 1.0])])
     return starts, paths
 
 
@@ -566,7 +570,7 @@ def sampled_paths(g):
 
 @pytest.mark.parametrize("likelihood", ["bernoulli", "gaussian"])
 @pytest.mark.parametrize("beta", [1e-9, 1.0])
-@pytest.mark.parametrize("make_paths", [sampled_paths, lambda g: truncated_paths()],
+@pytest.mark.parametrize("make_paths", [sampled_paths, truncated_paths],
                          ids=["sampled", "truncated"])
 def test_batch_loss_equals_per_walk_mean(likelihood, beta, make_paths):
     cfg = small_cfg(likelihood=likelihood)
@@ -601,18 +605,18 @@ def test_batch_loss_isolated_molecule_trains_on_own_fingerprint(likelihood):
     g = ContextGraph()
     for i, smi in enumerate(["CCO", "CCN", "c1ccccc1"]):
         mol = parse_smiles(smi)
-        g.add_node(NodeRecord(f"m{i}", NodeKind.MOLECULE,
-                              morgan_fingerprint(molecule_set([mol]), 2, 64)[0],
-                              smiles=smi))
-    g.add_node(NodeRecord("c0", NodeKind.CELL_MORPHOLOGY, np.linspace(0, 1, 5)))
-    g.add_edge("m0", "c0", Relation.PERTURBATION, 1.0)
-    g.add_edge("m2", "c0", Relation.PERTURBATION, 1.0)
+        add_node(g, NodeRecord(f"m{i}", NodeKind.MOLECULE,
+                               morgan_fingerprint(molecule_set([mol]), 2, 64)[0],
+                               smiles=smi))
+    add_node(g, NodeRecord("c0", NodeKind.CELL_MORPHOLOGY, np.linspace(0, 1, 5)))
+    add_edge(g, "m0", "c0", Relation.PERTURBATION, 1.0)
+    add_edge(g, "m2", "c0", Relation.PERTURBATION, 1.0)
     g.finalize()
     isolated = batch_walks(g, ["m1"], WalkConfig(length=4))[0]
     assert isolated.nodes == ["m1"] and isolated.alphas == [] and isolated.truncated
     starts = ["m0", "m1", "m2"]
-    paths = [WalkPath(["m0", "c0", "m2"], [1.0, 1.0]), isolated,
-             WalkPath(["m2", "c0"], [1.0], truncated=True)]
+    paths = walk_batch(g, [WalkPath(["m0", "c0", "m2"], [1.0, 1.0]), isolated,
+                           WalkPath(["m2", "c0"], [1.0], truncated=True)])
     cfg = small_cfg(likelihood=likelihood)
     store = make_store(cfg, g)
     noise = np.random.default_rng(5).standard_normal((len(paths), cfg.latent_dim))
@@ -632,13 +636,13 @@ def test_batch_loss_rejects_misgrouped_paths():
     cfg = small_cfg()
     g = walk_graph()
     store = make_store(cfg, g)
-    starts, paths = truncated_paths()
+    starts, paths = truncated_paths(g)
     noise = np.zeros((len(paths), cfg.latent_dim))
     with pytest.raises(PathMismatchError):
         batch_loss(g, starts[::-1], paths, store.bind(), 0.0, noise)
     with pytest.raises(PathMismatchError):
-        batch_loss(g, ["c0"], [WalkPath(["c0", "m0"], [1.0])], store.bind(), 0.0,
-                   noise[:1])
+        batch_loss(g, ["c0"], walk_batch(g, [WalkPath(["c0", "m0"], [1.0])]), store.bind(),
+                   0.0, noise[:1])
     with pytest.raises(ValueError):
         batch_loss(g, starts, paths[:3], store.bind(), 0.0, noise[:3])
     with pytest.raises(ShapeMismatchError):

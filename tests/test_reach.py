@@ -25,23 +25,18 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "infoalign"
 
 _WRAPPED = "wrapped by name in perfbench/tracer.py"
 _NODES = "perfbench/tracer.py's `_similarity_counts` reads the graph's nodes through it"
-_TESTS = "a library API that only tests call"
 
 # "module.qualname" of each uncalled function, and why it stays.
 UNREACHED = {
     "model.gin_encode": _WRAPPED,
     "model.infoalign_loss": _WRAPPED,
     "walker.WalkBatch.__iter__": "perfbench/tracer.py's `_walk_counts` iterates the walks",
-    "walker.WalkPath.__post_init__": "the walks `WalkBatch.__iter__` yields, and the one "
-                                     "walk `infoalign_loss` takes",
+    "walker.WalkPath.__post_init__": "the walks `WalkBatch.__iter__` yields",
     "ctxgraph.ContextGraph.node": _NODES,
-    "ctxgraph.ContextGraph._node_index": _NODES + " (and `add_edge`)",
+    "ctxgraph.ContextGraph._node_index": _NODES,
     "ctxgraph.ContextGraph.node_ids": _NODES,
-    "ctxgraph.NodeRecord.__post_init__": _NODES + " (and `add_node`)",
-    "ctxgraph.NodeRecord.modality_dim": _NODES + " (and `add_node`)",
-    "ctxgraph.ContextGraph.add_node": _TESTS,
-    "ctxgraph.ContextGraph.add_edge": _TESTS,
-    "walker.WalkBatch.of": _TESTS + ", and `infoalign_loss`",
+    "ctxgraph.NodeRecord.__post_init__": _NODES,
+    "ctxgraph.NodeRecord.modality_dim": _NODES,
     "molparse._parse_bracket_atom": "synth writes no bracket atoms",
     "mibounds.i_eub": "the encoder upper bound, waiting for a caller in the run records "
                       "(ROADMAP item 7)",

@@ -20,7 +20,7 @@ from infoalign.ctxgraph import ContextGraph, NodeKind, NodeRecord, Relation
 from infoalign.errors import NotAMoleculeError
 from infoalign.diffcore import seeded_rng
 from infoalign.walker import WalkConfig, WalkPath, batch_walks
-from tests.oracles import neighbors, stored_edges, walk_targets
+from tests.oracles import add_edge, add_node, neighbors, stored_edges, walk_targets
 
 
 # --- the per-step oracle ---------------------------------------------------------
@@ -94,23 +94,23 @@ def feat(v=0.5):
 def line_graph(weights):
     """m0 - c0 - c1 - ... chain with given edge weights; start is a molecule."""
     g = ContextGraph()
-    g.add_node(NodeRecord("m0", NodeKind.MOLECULE, np.zeros(0, dtype=np.float32), smiles="C"))
+    add_node(g, NodeRecord("m0", NodeKind.MOLECULE, np.zeros(0, dtype=np.float32), smiles="C"))
     prev = "m0"
     for i, w in enumerate(weights):
         nid = f"c{i}"
-        g.add_node(NodeRecord(nid, NodeKind.CELL_MORPHOLOGY, feat()))
-        g.add_edge(prev, nid, Relation.SIMILARITY, w)
+        add_node(g, NodeRecord(nid, NodeKind.CELL_MORPHOLOGY, feat()))
+        add_edge(g, prev, nid, Relation.SIMILARITY, w)
         prev = nid
     return g.finalize()
 
 
 def star_graph(weights):
     g = ContextGraph()
-    g.add_node(NodeRecord("m0", NodeKind.MOLECULE, np.zeros(0, dtype=np.float32), smiles="C"))
+    add_node(g, NodeRecord("m0", NodeKind.MOLECULE, np.zeros(0, dtype=np.float32), smiles="C"))
     for i, w in enumerate(weights):
         nid = f"c{i}"
-        g.add_node(NodeRecord(nid, NodeKind.CELL_MORPHOLOGY, feat()))
-        g.add_edge("m0", nid, Relation.SIMILARITY, w)
+        add_node(g, NodeRecord(nid, NodeKind.CELL_MORPHOLOGY, feat()))
+        add_edge(g, "m0", nid, Relation.SIMILARITY, w)
     return g.finalize()
 
 
@@ -153,7 +153,7 @@ def test_single_neighbor_deterministic():
 def test_isolated_node():
     """An isolated start draws nothing and walks only itself, flagged truncated."""
     g = ContextGraph()
-    g.add_node(NodeRecord("m0", NodeKind.MOLECULE, np.zeros(0, dtype=np.float32), smiles="C"))
+    add_node(g, NodeRecord("m0", NodeKind.MOLECULE, np.zeros(0, dtype=np.float32), smiles="C"))
     g.finalize()
     walks = batch_walks(g, ["m0"], WalkConfig(length=4, walks_per_molecule=3))
     assert [(p.nodes, p.edge_weights, p.alphas, p.truncated) for p in walks] == \
@@ -206,9 +206,9 @@ def test_walk_structure_and_alphas():
 
 def test_walk_length_two_perturbation():
     g = ContextGraph()
-    g.add_node(NodeRecord("m0", NodeKind.MOLECULE, np.zeros(0, dtype=np.float32), smiles="C"))
-    g.add_node(NodeRecord("c0", NodeKind.CELL_MORPHOLOGY, feat()))
-    g.add_edge("m0", "c0", Relation.PERTURBATION, 1.0)
+    add_node(g, NodeRecord("m0", NodeKind.MOLECULE, np.zeros(0, dtype=np.float32), smiles="C"))
+    add_node(g, NodeRecord("c0", NodeKind.CELL_MORPHOLOGY, feat()))
+    add_edge(g, "m0", "c0", Relation.PERTURBATION, 1.0)
     g.finalize()
     p = batch_walks(g, ["m0"], WalkConfig(length=2, walks_per_molecule=1))[0]
     assert walk_targets(p) == [("c0", 1.0)]
@@ -256,15 +256,16 @@ def test_position_distribution_matches_markov_chain():
 def branching_graph():
     g = ContextGraph()
     for i in range(4):
-        g.add_node(NodeRecord(f"m{i}", NodeKind.MOLECULE, np.zeros(0, dtype=np.float32), smiles="C"))
+        add_node(g, NodeRecord(f"m{i}", NodeKind.MOLECULE, np.zeros(0, dtype=np.float32),
+                               smiles="C"))
     for i in range(6):
-        g.add_node(NodeRecord(f"c{i}", NodeKind.CELL_MORPHOLOGY, feat()))
+        add_node(g, NodeRecord(f"c{i}", NodeKind.CELL_MORPHOLOGY, feat()))
     rng = np.random.default_rng(0)
     for i in range(4):
         for j in range(6):
             if rng.random() < 0.7:
-                g.add_edge(f"m{i}", f"c{j}", Relation.SIMILARITY,
-                           float(rng.uniform(0.2, 1.0)))
+                add_edge(g, f"m{i}", f"c{j}", Relation.SIMILARITY,
+                            float(rng.uniform(0.2, 1.0)))
     return g.finalize()
 
 
@@ -307,11 +308,11 @@ def test_per_start_streams_order_stable():
 
 def test_dead_end_truncation():
     g = ContextGraph()
-    g.add_node(NodeRecord("m0", NodeKind.MOLECULE, np.zeros(0, dtype=np.float32), smiles="C"))
-    g.add_node(NodeRecord("c0", NodeKind.CELL_MORPHOLOGY, feat()))
+    add_node(g, NodeRecord("m0", NodeKind.MOLECULE, np.zeros(0, dtype=np.float32), smiles="C"))
+    add_node(g, NodeRecord("c0", NodeKind.CELL_MORPHOLOGY, feat()))
     # The graph is undirected, so a degree-1 node is never a dead end: the
     # walk bounces back instead of truncating.
-    g.add_edge("m0", "c0", Relation.PERTURBATION, 1.0)
+    add_edge(g, "m0", "c0", Relation.PERTURBATION, 1.0)
     g.finalize()
     p = batch_walks(g, ["m0"], WalkConfig(length=5))[0]
     assert len(p.nodes) == 5 and not p.truncated  # bouncing is allowed
@@ -325,14 +326,14 @@ def many_weights_graph():
     mols = [f"m{i}" for i in range(30)]
     profs = [f"p{i}" for i in range(40)]
     for m in mols:
-        g.add_node(NodeRecord(m, NodeKind.MOLECULE, np.zeros(0, dtype=np.float32), smiles="C"))
+        add_node(g, NodeRecord(m, NodeKind.MOLECULE, np.zeros(0, dtype=np.float32), smiles="C"))
     for p in profs:
-        g.add_node(NodeRecord(p, NodeKind.CELL_MORPHOLOGY, feat()))
+        add_node(g, NodeRecord(p, NodeKind.CELL_MORPHOLOGY, feat()))
     nodes = mols + profs
     for a in nodes:
         for b in rng.choice(nodes, size=int(rng.integers(2, 9)), replace=False):
             if a != b:
-                g.add_edge(a, str(b), Relation.SIMILARITY, float(rng.uniform(1e-3, 1.0)))
+                add_edge(g, a, str(b), Relation.SIMILARITY, float(rng.uniform(1e-3, 1.0)))
     return g.finalize(), mols
 
 
@@ -357,16 +358,16 @@ def walk_cases(draw):
     g = ContextGraph()
     for i, nid in enumerate(names):
         if i < n_mols:
-            g.add_node(NodeRecord(nid, NodeKind.MOLECULE, np.zeros(0, dtype=np.float32),
-                                  smiles="C"))
+            add_node(g, NodeRecord(nid, NodeKind.MOLECULE, np.zeros(0, dtype=np.float32),
+                                   smiles="C"))
         else:
-            g.add_node(NodeRecord(nid, NodeKind.CELL_MORPHOLOGY, feat()))
+            add_node(g, NodeRecord(nid, NodeKind.CELL_MORPHOLOGY, feat()))
     weight = st.sampled_from([1.0, 0.5, 0.25]) | st.floats(1e-6, 1.0)
     edges = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names),
                                     st.sampled_from(list(Relation)), weight), max_size=20))
     for a, b, rel, w in edges:
         if a != b:
-            g.add_edge(a, b, rel, w)
+            add_edge(g, a, b, rel, w)
     starts = draw(st.lists(st.sampled_from(names[:n_mols]), max_size=6))
     cfg = WalkConfig(length=draw(st.integers(2, 6)),
                      walks_per_molecule=draw(st.integers(1, 4)),
