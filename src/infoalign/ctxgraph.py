@@ -20,10 +20,10 @@ radius of its fingerprints as `fp_radius`.
 A saved graph (`.ctxg`, graph format 2) holds these columns as they are: ids,
 source tags and SMILES as JSON lists, kind codes and dims as arrays, each
 (kind, dim) matrix as float32 or, when it is exactly +0.0/1.0 bit for bit as
-fingerprints are, as `np.packbits` rows; then the radius, the stats and the
-edges as a JSON list in `finalize`'s order. `load` checks the file against
-itself and builds the finalized graph from it without sorting the edges
-again.
+fingerprints are, as `np.packbits` rows; then the radius and the edges as a
+JSON list in `finalize`'s order. `load` checks the file against itself and
+builds the finalized graph from it without sorting the edges again. The
+stats are counted from the columns, saved or not.
 """
 
 from __future__ import annotations
@@ -192,7 +192,6 @@ class ContextGraph:
         self._edges = Edges(*(np.zeros(0, dtype=dt) for dt in _EDGE_DTYPES))
         self._finalized = False
         self._csr: Optional[CsrAdjacency] = None
-        self._stats: Optional[dict] = None
         self._molecules: Optional[Tuple[MoleculeSet, Dict[str, int]]] = None
         # The Morgan radius of the molecules' features, if the tables built them.
         self.fp_radius: Optional[int] = None
@@ -261,31 +260,56 @@ class ContextGraph:
         """Append nodes given as columns: ids, kind codes, source tags and
         SMILES (None off molecules), and per (kind, dim) the ascending
         positions of its nodes and their feature rows as one matrix. An id
-        already present or given twice raises DuplicateIdError, and no node
-        is added. A matrix appended to a (kind, dim) that has no rows yet is
-        kept as given when it is float32."""
+        already present or given twice raises DuplicateIdError. Columns of
+        different lengths, a kind code that is no index of `KINDS`, a group
+        whose positions are out of range, not ascending or of another kind,
+        a matrix that is not one row of dim features per position, or a
+        node in no group or in two raise ValueError naming the first fault.
+        Either way no node is added. A matrix appended to a (kind, dim) that
+        has no rows yet is kept as given when it is float32."""
         self._check_mutable()
-        n = len(self._ids)
+        if not len(ids) == len(kinds) == len(tags) == len(smiles):
+            raise ValueError(f"{len(ids)} node ids, but {len(kinds)} kinds, {len(tags)} tags "
+                             f"and {len(smiles)} SMILES")
+        kinds = np.asarray(kinds, dtype=np.intp)
+        bad = np.flatnonzero((kinds < 0) | (kinds >= len(KINDS)))
+        if len(bad):
+            raise ValueError(f"node {ids[bad[0]]!r} has unknown kind code {kinds[bad[0]]}")
         fresh: Dict[str, int] = {}
-        for i, nid in enumerate(ids, n):
+        for i, nid in enumerate(ids, len(self._ids)):
             if nid in self._index or fresh.setdefault(nid, i) != i:
                 raise DuplicateIdError(f"node id {nid!r} already present")
-        dim = np.zeros(len(ids), dtype=np.intp)
-        row = np.zeros(len(ids), dtype=np.intp)
-        for key, (pos, mat) in features.items():
-            used = len(self._features.get(key, ()))
-            dim[pos] = key[1]
-            row[pos] = used + np.arange(len(pos))
-            if len(pos):
-                self._features[key] = _joined(self._features.get(key, ()),
-                                              np.asarray(mat, dtype=np.float32))
+        dim, row, placed = np.zeros((3, len(ids)), dtype=np.intp)
+        groups = []
+        for (kind, d), (pos, mat) in features.items():
+            pos, mat = np.asarray(pos, dtype=np.intp), np.asarray(mat, dtype=np.float32)
+            group = f"the {kind.value} group of dim {d}"
+            if len(pos) and (pos[0] < 0 or pos[-1] >= len(ids) or (np.diff(pos) <= 0).any()):
+                raise ValueError(f"{group} has positions out of range or not ascending "
+                                 f"for {len(ids)} nodes")
+            other = pos[kinds[pos] != KINDS.index(kind)]
+            if len(other):
+                raise ValueError(f"{group} holds node {ids[other[0]]!r} of kind "
+                                 f"{_KIND_VALUES[kinds[other[0]]]}")
+            if mat.shape != (len(pos), d):
+                raise ValueError(f"{group} has a {mat.shape} matrix for {len(pos)} positions")
+            dim[pos], row[pos] = d, len(self._features.get((kind, d), ())) + np.arange(len(pos))
+            placed[pos] += 1
+            groups.append(((kind, d), mat))
+        bad = np.flatnonzero(placed != 1)
+        if len(bad):
+            raise ValueError(f"node {ids[bad[0]]!r} is in {placed[bad[0]]} feature groups, "
+                             f"not one")
+        for key, mat in groups:
+            if len(mat):
+                self._features[key] = _joined(self._features.get(key, ()), mat)
         self._index.update(fresh)
         self._ids.extend(ids)
         self._tags.extend(tags)
         self._smiles.extend(smiles)
         self._kind, self._dim, self._row = (
             _joined(col, new) for col, new in
-            zip((self._kind, self._dim, self._row), (np.array(kinds, dtype=np.int8), dim, row)))
+            zip((self._kind, self._dim, self._row), (kinds.astype(np.int8), dim, row)))
         self._molecules = None
 
     def add_edges(self, a, b, rel, w) -> None:
@@ -385,7 +409,7 @@ class ContextGraph:
 
     def finalize(self) -> "ContextGraph":
         """Freeze the graph: validate invariants, sort the edges, build
-        adjacency, compute stats.
+        adjacency.
 
         Idempotent; all mutating operations raise FinalizedError afterwards.
         """
@@ -395,9 +419,6 @@ class ContextGraph:
         rank = _id_ranks(self._ids)
         self._edges = self._merged_edges(rank)
         self._csr = self._build_csr(rank)
-        self._stats = {"nodes": len(self._ids), "edges": len(self._edges.w),
-                       "nodes_by_kind": _counts(self._kind, _KIND_VALUES),
-                       "edges_by_relation": _counts(self._edges.rel, _RELATION_VALUES)}
         self._finalized = True
         return self
 
@@ -475,9 +496,12 @@ class ContextGraph:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def stats(self) -> dict:
+        """The node and edge counts, in all, by kind and by relation."""
         if not self._finalized:
             raise FinalizedError("stats available after finalize()")
-        return dict(self._stats)
+        return {"nodes": len(self._ids), "edges": len(self._edges.w),
+                "nodes_by_kind": _counts(self._kind, _KIND_VALUES),
+                "edges_by_relation": _counts(self._edges.rel, _RELATION_VALUES)}
 
     # --- persistence -----------------------------------------------------
 
@@ -485,8 +509,8 @@ class ContextGraph:
         """Write the graph in container format `GRAPH_FORMAT`: the ids, source
         tags and SMILES as JSON lists, the kind codes and dims as arrays,
         each (kind, dim) matrix as float32, or as `np.packbits` rows when it
-        is exactly +0.0/1.0 bit for bit, the fingerprint radius, the stats,
-        and the edges as a JSON list in `finalize`'s order."""
+        is exactly +0.0/1.0 bit for bit, the fingerprint radius and the
+        edges as a JSON list in `finalize`'s order."""
         if not self._finalized:
             raise FinalizedError("only finalized graphs are saved")
         groups, mats = [], []
@@ -497,8 +521,7 @@ class ContextGraph:
             mats.append(np.packbits(mat != 0, axis=1) if bits else mat)
         meta = {"format": GRAPH_FORMAT, "fp_radius": self.fp_radius, "ids": self._ids,
                 "source_tags": self._tags, "smiles": self._smiles, "groups": groups,
-                "edges": self._edge_rows(self._edges),
-                "stats": self._stats}
+                "edges": self._edge_rows(self._edges)}
         serialize.write_container(path, MAGIC, meta, [self._kind, self._dim, *mats])
 
     @classmethod
@@ -582,7 +605,6 @@ class ContextGraph:
             raise ValueError(f"edge {bad[0]} {edges[bad[0]]} is not lower id first, or not "
                              f"after the edge before it by (low id, high id, relation)")
         g._csr = g._build_csr(rank)
-        g._stats = meta["stats"]
         g.fp_radius = meta["fp_radius"]
         g._finalized = True
         return g

@@ -3,19 +3,20 @@
 Every array is float64 (the gradient checks demand it). The primitive set is
 deliberately small: matmul, broadcast mul, row gather and index-scatter-add
 for message passing, and clip. The training step's layers and loss terms are
-one node each: `affine` (matmul, bias add and ReLU), and the Gaussian
-bottleneck's `gaussian_kl` and `gaussian_sample` (Paszke et al. 2019, arXiv
-1912.01703, fuse a linear layer's bias the same way; Alemi et al. 2017, arXiv
-1612.00410, give the rate term in closed form). So are a whole GIN
-message-passing layer, `gin_layer` (gather, bond embedding, scatter, residual
-add and MLP, as PyG fuses message passing; Fey & Lenssen 2019, arXiv
-1903.02428), one decoded group of targets, `decode_group` (gather, MLP,
-Bernoulli or Gaussian NLL and weighted sum: the variational decoder of Alemi
-et al., which is also the probe's head), and a running total of terms,
-`add_n`. Each fused node does the floating-point operations of the chain of
-primitives it replaced, in their order, so the values and gradients are the
-same bits; `tests/oracles.py` keeps those chains to check it. Every
-primitive and every fused node has a finite-difference test.
+one node each: a whole MLP, `mlp_forward` (per layer a matmul, bias add and
+ReLU), and the Gaussian bottleneck's `gaussian_kl` and `gaussian_sample`
+(Paszke et al. 2019, arXiv 1912.01703, fuse a linear layer's bias the same
+way; Alemi et al. 2017, arXiv 1612.00410, give the rate term in closed
+form). So are a whole GIN message-passing layer, `gin_layer` (gather, bond
+embedding, scatter, residual add and MLP, as PyG fuses message passing; Fey
+& Lenssen 2019, arXiv 1903.02428), one decoded group of targets,
+`decode_group` (gather, MLP, Bernoulli or Gaussian NLL and weighted sum: the
+variational decoder of Alemi et al., which is also the probe's head), and a
+running total of terms, `add_n`. Each fused node does the floating-point
+operations of the chain of primitives it replaced, in their order, so the
+values and gradients are the same bits; `tests/oracles.py` keeps those
+chains to check it. Every primitive and every fused node has a
+finite-difference test.
 
 Primitives do not check their outputs. Finiteness is checked where values
 leave the tape: `backward` raises FloatingPointError for a non-finite loss,
@@ -332,65 +333,33 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
 # order. Parents are listed as the chain's were met from left to right, so
 # the tape visits them, and runs every other node, in the chain's order.
 
-def _affine_data(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np.ndarray:
-    data = x @ w
-    data += b
-    if relu:
-        # max(pre, 0) > 0 exactly where pre > 0, so the mask needs no copy of pre
-        np.maximum(data, 0.0, out=data)
-    return data
-
-
-def _affine_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray, out: np.ndarray,
-                  relu: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The bias, input and weight gradients of an affine layer of output
-    `out`, in the order `affine` sends them."""
-    if relu:
-        g = g * (out > 0)
-    return g.sum(axis=0), g @ w.T, x.T @ g
-
-
-def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
-    """x @ w + b, then ReLU if `relu` (subgradient 0 at 0)."""
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ShapeMismatchError(f"affine: {x.shape} @ {w.shape}")
-    if b.shape != w.shape[1:]:
-        raise ShapeMismatchError(f"affine: bias {b.shape} for {w.shape[1]} outputs")
-    data = _affine_data(x.data, w.data, b.data, relu)
-    out = Tensor(data, (x, w, b))
-
-    def bw(g):
-        gb, gx, gw = _affine_grads(g, x.data, w.data, data, relu)
-        _acc(b, gb)
-        _acc(x, gx)
-        _acc(w, gw)
-
-    out._bw = bw
-    return out
-
-
 Layers = Sequence[Tuple[Tensor, Tensor]]
 
 
 def _mlp_data(x: np.ndarray, layers: Layers) -> List[np.ndarray]:
-    """Each layer's output of the affine stack `layers` on x, ReLU after all
-    but the last: `mlp_forward`'s values."""
+    """Each layer's output of the affine stack `layers` on x: x @ w + b, then
+    ReLU after all but the last layer."""
     outs = []
     for k, (w, b) in enumerate(layers):
-        x = _affine_data(x, w.data, b.data, k < len(layers) - 1)
+        x = x @ w.data
+        x += b.data
+        if k < len(layers) - 1:
+            # max(pre, 0) > 0 exactly where pre > 0, so the mask needs no copy of pre
+            np.maximum(x, 0.0, out=x)
         outs.append(x)
     return outs
 
 
 def _mlp_grads(g: np.ndarray, x: np.ndarray, outs: List[np.ndarray], layers: Layers) -> np.ndarray:
     """Send each layer's bias and weight their gradients, last layer first,
-    as `mlp_forward`'s `affine` nodes did, and return the input's."""
+    and return the input's. A ReLU's subgradient at 0 is 0."""
     for k in reversed(range(len(layers))):
         w, b = layers[k]
-        gb, g, gw = _affine_grads(g, outs[k - 1] if k else x, w.data, outs[k],
-                                  k < len(layers) - 1)
-        _acc(b, gb)
-        _acc(w, gw)
+        if k < len(layers) - 1:
+            g = g * (outs[k] > 0)
+        _acc(b, g.sum(axis=0))
+        _acc(w, (outs[k - 1] if k else x).T @ g)
+        g = g @ w.data.T
     return g
 
 
@@ -406,8 +375,9 @@ def gin_layer(h: Tensor, bond_embed: Tensor, layers: Layers, out_of: RowIndex,
     it is MLP(h), and `bond_embed` gets no gradient.
 
     Replaces gather, gather, add, scatter_add_rows, add (the residual) and
-    one `affine` per layer. Backward sends h the residual's gradient first,
-    then adds the messages' into it in `out_of`'s order.
+    the MLP's matmul, add and ReLU per layer. Backward sends h the
+    residual's gradient first, then adds the messages' into it in `out_of`'s
+    order.
     """
     bonded = len(into.index) > 0
     if bonded:
@@ -446,10 +416,10 @@ def decode_group(z: Tensor, rows, layers: Layers, targets: np.ndarray, weight,
 
     `rows` is an index array or a RowIndex over z's rows, or None for z's
     rows in order, which gathers nothing. `weight` is one weight per target
-    row, or a scalar for every row. Replaces gather_rows, one `affine` per
-    layer, the NLL node, the weight constant, mul and tsum; the weighted
-    sum is `(nll * weight).sum()`, tsum's pairwise order over the same
-    array.
+    row, or a scalar for every row. Replaces gather_rows, the MLP's matmul,
+    add and ReLU per layer, the NLL node, the weight constant, mul and
+    tsum; the weighted sum is `(nll * weight).sum()`, tsum's pairwise order
+    over the same array.
     """
     if rows is None:
         x = z.data
@@ -652,12 +622,16 @@ def mlp_layers(bound: Dict[str, Tensor], prefix: str) -> List[Tuple[Tensor, Tens
 
 
 def mlp_forward(bound: Dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
-    """Affine + ReLU stack, one `affine` node per layer; the final layer
-    stays linear."""
+    """The affine stack under `prefix` on x, ReLU after all but the last
+    layer, as one node. x must be 2-D, as wide as the first layer's input."""
     layers = mlp_layers(bound, prefix)
-    for k, (w, b) in enumerate(layers):
-        x = affine(x, w, b, relu=k < len(layers) - 1)
-    return x
+    w = layers[0][0]
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeMismatchError(f"mlp_forward {prefix!r}: {x.shape} @ {w.shape}")
+    outs = _mlp_data(x.data, layers)
+    out = Tensor(outs[-1], (x,) + _params(layers))
+    out._bw = lambda g: _acc(x, _mlp_grads(g, x.data, outs, layers))
+    return out
 
 
 def adam_step(store: ParamStore, lr: float = 1e-3, beta1: float = 0.9,

@@ -185,7 +185,10 @@ def prop1_report(joints: Sequence[JointTable], k_list: Sequence[int],
     exact conditional, so DLB hits true MI); if ``critic_rng`` is given a
     random critic is also checked, since the chain holds for any critic.
     Violations are report entries; the harness passes only if there are none.
+    A `tol` that is not a finite number >= 0 raises ValueError naming it.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     entries: List[dict] = []
     violations: List[str] = []
     for ji, jt in enumerate(joints):

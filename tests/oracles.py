@@ -15,7 +15,7 @@ target at a time (`walk_targets`), which `batch_loss` computes for a whole
 minibatch at once.
 `add`, `tsum`, `neg`, `relu`, `exp` and `softplus` are the primitives, and
 the `composed_*` functions the chains of primitives, that diffcore's fused
-nodes (`affine`, `gaussian_kl`, `gaussian_sample`, `gin_layer`,
+nodes (`mlp_forward`, `gaussian_kl`, `gaussian_sample`, `gin_layer`,
 `decode_group`, `add_n`) replaced; the slow-path oracles build their tapes
 from these chains (`composed_encode` is `encode_union` on them), so they
 check the fused nodes and not themselves. The BCE and squared-error chains

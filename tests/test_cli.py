@@ -1084,6 +1084,16 @@ def test_mi_bench_exact_zero_violations(tmp_path):
     assert rep["mode"] == "exact"
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_mi_bench_bad_tolerance_exit_1(tmp_path, capsys, tol):
+    """A tolerance that is NaN, infinite or negative is refused by name; it
+    would pass or fail every bound whatever the bounds are."""
+    out = tmp_path / "mi.json"
+    assert run(["mi-bench", "--num-joints", 2, "--tol", tol, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: tol must be a finite number >= 0, got {float(tol)}\n"
+    assert not out.exists()
+
+
 def test_mi_bench_rejects_no_exact(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["mi-bench", "--no-exact", "--out", tmp_path / "mi.json"])

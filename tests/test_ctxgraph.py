@@ -104,6 +104,50 @@ def test_one_call_onto_an_empty_graph_keeps_the_given_matrix():
     assert g.node("c4").features.tobytes() == mat[4].tobytes()
 
 
+_CELL, _GENE = KINDS.index(NodeKind.CELL_MORPHOLOGY), KINDS.index(NodeKind.GENE)
+_ROWS = np.array([[0.5], [0.25]])
+
+
+@pytest.mark.parametrize("columns,message", [
+    (dict(tags=["t"]), r"^2 node ids, but 2 kinds, 1 tags and 2 SMILES$"),
+    (dict(kinds=[_CELL, 9]), r"^node 'b' has unknown kind code 9$"),
+    (dict(kinds=[-1, _CELL]), r"^node 'a' has unknown kind code -1$"),
+    (dict(features={(NodeKind.CELL_MORPHOLOGY, 1): ([0, 2], _ROWS)}),
+     r"^the cell_morphology group of dim 1 has positions out of range or not ascending"),
+    (dict(features={(NodeKind.CELL_MORPHOLOGY, 1): ([1, 0], _ROWS)}), r"not ascending"),
+    (dict(features={(NodeKind.CELL_MORPHOLOGY, 1): ([0, 0], _ROWS)}), r"not ascending"),
+    (dict(kinds=[_CELL, _GENE]), r"^the cell_morphology group of dim 1 holds node 'b' of "
+                                 r"kind gene$"),
+    (dict(features={(NodeKind.CELL_MORPHOLOGY, 1): ([0], _ROWS[:1])}),
+     r"^node 'b' is in 0 feature groups, not one$"),
+    (dict(features={(NodeKind.CELL_MORPHOLOGY, 1): ([0, 1], _ROWS),
+                    (NodeKind.CELL_MORPHOLOGY, 2): ([1], [[0.1, 0.2]])}),
+     r"^node 'b' is in 2 feature groups, not one$"),
+    (dict(features={(NodeKind.CELL_MORPHOLOGY, 1): ([0, 1], _ROWS[:1])}),
+     r"^the cell_morphology group of dim 1 has a \(1, 1\) matrix for 2 positions$"),
+    (dict(features={(NodeKind.CELL_MORPHOLOGY, 1): ([0, 1], np.ones((2, 2)))}),
+     r"has a \(2, 2\) matrix for 2 positions$"),
+], ids=["tags-short", "kind-code-over", "kind-code-negative", "position-over",
+        "position-descending", "position-twice", "other-kind", "in-no-group",
+        "in-two-groups", "matrix-rows", "matrix-width"])
+def test_add_nodes_rejects_bad_columns_and_adds_none(columns, message):
+    """A fault in any column raises ValueError naming it, and the graph
+    stays as it was."""
+    g = ContextGraph()
+    add_node(g, rec("x"))
+    given = dict(ids=["a", "b"], kinds=[_CELL, _CELL], tags=["t", "t"], smiles=[None, None],
+                 features={(NodeKind.CELL_MORPHOLOGY, 1): ([0, 1], _ROWS)})
+    given.update(columns)
+    with pytest.raises(ValueError, match=message):
+        g.add_nodes(**given)
+    assert g.node_ids() == ["x"] and g.kinds().tolist() == [_CELL]
+    dims, rows, mats = g.features()
+    assert dims.tolist() == [1] and rows.tolist() == [0]
+    assert {key: mat.shape for key, mat in mats.items()} == {(NodeKind.CELL_MORPHOLOGY, 1): (1, 1)}
+    g.add_nodes(["a"], [_CELL], ["t"], [None], {(NodeKind.CELL_MORPHOLOGY, 1): ([0], _ROWS[:1])})
+    assert g.finalize().stats()["nodes_by_kind"] == {"cell_morphology": 2}
+
+
 _SIM, _PERT = RELATIONS.index(Relation.SIMILARITY), RELATIONS.index(Relation.PERTURBATION)
 
 
@@ -555,6 +599,19 @@ def test_stats_counts():
     assert s["nodes_by_kind"]["cell_morphology"] == 30
     assert s["edges_by_relation"]["perturbation"] == 30
     assert s["nodes"] == len(g.node_ids()) and s["edges"] == len(stored_edges(g))
+
+
+def test_loaded_stats_are_counted_from_the_columns(tmp_path):
+    """A stats entry in the file is not read: the loaded graph counts its
+    own nodes and edges."""
+    g = build_random_graph(seed=1)
+    p = tmp_path / "g.ctxg"
+    g.save(p)
+    meta, arrays = serialize.read_container(p, ctxgraph.MAGIC)
+    meta["stats"] = {"nodes": 999, "edges": 0, "nodes_by_kind": {}, "edges_by_relation": {}}
+    serialize.write_container(p, ctxgraph.MAGIC, meta, arrays)
+    assert ContextGraph.load(p).stats() == g.stats()
+    assert g.stats()["nodes"] == 60
 
 
 def test_finalize_validates_ranges():

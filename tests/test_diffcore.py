@@ -19,7 +19,6 @@ import infoalign.diffcore as dc
 from infoalign.errors import CorruptFileError, ShapeMismatchError
 from tests.oracles import (
     add,
-    composed_affine,
     composed_bce,
     composed_decode_group,
     composed_gin_layer,
@@ -75,6 +74,21 @@ def check_gradient(build, x0, rtol=1e-5, eps=1e-6):
 def _c(shape, seed):
     """Frozen random constant (the same array on every call)."""
     return dc.constant(np.random.default_rng(seed).standard_normal(shape))
+
+
+def _stack(params):
+    """The leaves (w0, b0, w1, b1, ...) bound under the prefix "f"."""
+    return {f"f.{'wb'[k % 2]}{k // 2}": p for k, p in enumerate(params)}
+
+
+def _mlp(x, *params):
+    """`mlp_forward` of x through the stack `params`."""
+    return dc.mlp_forward(_stack(params), "f", x)
+
+
+def _mlp_chain(x, *params):
+    """The same stack as `composed_mlp_forward`'s chain of primitives."""
+    return composed_mlp_forward(_stack(params), "f", x)
 
 
 def _messages(bonds, order, atoms):
@@ -139,12 +153,12 @@ def test_square_gradient_closed_form():
     ("gather", lambda t: tsum(dc.mul(dc.gather_rows(t, [0, 2, 2, 1]), _c((4, 4), 25)))),
     ("scatter", lambda t: tsum(dc.mul(dc.scatter_add_rows(t, [1, 0, 1], 2), _c((2, 4), 26)))),
     ("clip", lambda t: tsum(dc.mul(dc.clip(t, -0.5, 0.5), _c((3, 4), 27)))),
-    ("affine_relu_x", lambda t: tsum(dc.mul(
-        dc.affine(t, _c((4, 5), 30), _c((5,), 31), relu=True), _c((3, 5), 32)))),
-    ("affine_relu_w", lambda t: tsum(dc.mul(
-        dc.affine(_c((2, 3), 33), t, _c((4,), 34), relu=True), _c((2, 4), 35)))),
+    ("affine_relu_x", lambda t: tsum(dc.mul(_mlp(
+        t, _c((4, 5), 30), _c((5,), 31), _c((5, 2), 101), _c((2,), 102)), _c((3, 2), 32)))),
+    ("affine_relu_w", lambda t: tsum(dc.mul(_mlp(
+        _c((2, 3), 33), t, _c((4,), 34), _c((4, 3), 103), _c((3,), 104)), _c((2, 3), 35)))),
     ("affine_linear", lambda t: tsum(dc.mul(
-        dc.affine(t, _c((4, 2), 36), _c((2,), 37)), _c((3, 2), 38)))),
+        _mlp(t, _c((4, 2), 36), _c((2,), 37)), _c((3, 2), 38)))),
     ("gaussian_kl_mu", lambda t: dc.gaussian_kl(t, _c((3, 4), 41))),
     ("gaussian_kl_logvar", lambda t: dc.gaussian_kl(_c((3, 4), 42), t)),
     ("gaussian_sample_mu", lambda t: tsum(dc.mul(
@@ -198,7 +212,8 @@ def test_clip_gradient_pass_through():
 
 def test_relu_subgradient_zero_at_zero():
     x = dc.Tensor(np.array([[0.0, -1e-12]]))
-    y = tsum(dc.affine(x, dc.constant(np.eye(2)), dc.constant(np.zeros(2)), relu=True))
+    y = tsum(_mlp(x, dc.constant(np.eye(2)), dc.constant(np.zeros(2)),
+                  dc.constant(np.eye(2)), dc.constant(np.zeros(2))))
     y.backward()
     assert x.grad[0, 0] == 0.0 and x.grad[0, 1] == 0.0
 
@@ -218,6 +233,11 @@ def test_shape_mismatch_errors():
         dc.mul(dc.constant(np.ones((2, 3))), dc.constant(np.ones((4, 5))))
     with pytest.raises(ShapeMismatchError):
         dc.matmul(dc.constant(np.ones((2, 3))), dc.constant(np.ones((2, 3))))
+    store = dc.ParamStore(seed=0)
+    dc.init_mlp(store, "f", [3, 2])
+    for x in (np.ones((2, 4)), np.ones(3), np.ones((1, 2, 3))):
+        with pytest.raises(ShapeMismatchError, match="mlp_forward 'f'"):
+            dc.mlp_forward(store.bind(), "f", dc.constant(x))
 
 
 def test_backward_rejects_non_finite_loss():
@@ -260,10 +280,9 @@ def test_exp_overflow_clamped_finite():
 
 # name: (input shapes, how many of them are leaves, fused node, unfused chain)
 FUSED = {
-    "affine_relu": ([(5, 4), (4, 3), (3,)], 3,
-                    lambda x, w, b: dc.affine(x, w, b, relu=True),
-                    lambda x, w, b: composed_affine(x, w, b, True)),
-    "affine_linear": ([(5, 4), (4, 3), (3,)], 3, dc.affine, composed_affine),
+    "affine_relu": ([(5, 4), (4, 3), (3,), (3, 2), (2,)], 5, _mlp, _mlp_chain),
+    "affine_linear": ([(5, 4), (4, 3), (3,)], 3, _mlp, _mlp_chain),
+    "mlp_forward": ([(5, 4), (4, 6), (6,), (6, 3), (3,), (3, 2), (2,)], 7, _mlp, _mlp_chain),
     "gaussian_kl": ([(5, 4), (5, 4)], 2, dc.gaussian_kl, composed_kl),
     "gaussian_sample": ([(5, 4), (5, 4), (5, 4)], 2, dc.gaussian_sample, composed_sample),
     "gin_layer": ([(5, 4), (3, 4), (4, 6), (6,), (6, 3), (3,)], 6,
@@ -610,6 +629,20 @@ def test_mlp_zero_weights_bias():
     store.params["f.b0"][...] = [1.5, -2.0]
     out = dc.mlp_forward(store.bind(), "f", dc.constant(np.ones((4, 3))))
     assert np.allclose(out.data, np.tile([1.5, -2.0], (4, 1)))
+
+
+def test_mlp_forward_is_one_node():
+    """A three-layer stack builds one tape node, whose parents are x and each
+    layer's w and b in order; its value and gradients are the chain's bits
+    (the `mlp_forward` case of `test_fused_node_equals_its_chain_bit_for_bit`)."""
+    store = dc.ParamStore(seed=5)
+    dc.init_mlp(store, "f", [4, 6, 5, 2])
+    bound = store.bind()
+    x = dc.Tensor(np.random.default_rng(8).standard_normal((3, 4)))
+    with mock.patch.object(dc, "Tensor", wraps=dc.Tensor) as tensor:
+        out = dc.mlp_forward(bound, "f", x)
+    assert tensor.call_count == 1
+    assert out._parents == (x, *(bound[f"f.{p}{k}"] for k in range(3) for p in "wb"))
 
 
 def test_mlp_gradient_finite_difference():

@@ -10,8 +10,9 @@ similarity graph's from the full sort of every candidate pair that the
 partition cut replaced, and the training digests from the loss as it stood
 before `batch_loss` decoded through `decode_nll`. The two `.ctxg` digests
 were taken again when the container moved to graph format 2 (node columns
-and packed fingerprint bits); the stats digest and the training digests,
-which read those graphs, did not move. A change to the fingerprint, the
+and packed fingerprint bits), and again when it stopped storing the stats,
+which are counted from the columns; the stats digest and the training
+digests, which read those graphs, did not move. A change to the fingerprint, the
 `.ctxg` format or the training arithmetic changes them on purpose and must
 say so.
 """
@@ -70,7 +71,7 @@ GRAPH_EDGES = "".join(f"m{i:02d}\tc{i % 3}\tperturbation\t0.5\n"
     "g0\tm02\tgene_molecule\t0.3\n"
     "g0\te1\tgene_gene\t0.7\n"
 )
-GRAPH_SHA256 = "324776a449d2c3852678db4343ffb2d35db113ab204803ab2758beffdd8714d3"
+GRAPH_SHA256 = "419ec22a2213f85159ad9119087a4ee79d4162257da6c61517d53594f19eedb9"
 
 
 def test_ctxg_without_similarity_edges_golden(tmp_path):
@@ -101,7 +102,7 @@ SIM_NODES = "".join(f"m{i:02d}\tmolecule\tfixed\t{s}\n" for i, s in enumerate(FI
 SIM_EDGES = "".join(f"m{i:02d}\tc{i % 16}\tperturbation\t1\n"
                     f"m{i:02d}\te{(i * 5) % 16}\tperturbation\t1\n"
                     for i in range(len(FIXED_SMILES)))
-SIM_GRAPH_SHA256 = "b01cf44ca032be0c5a52ed10546247a7913c953755fe89db26fd762424fc62a4"
+SIM_GRAPH_SHA256 = "ff0a4f18485d15d0b76f5d60eba499e0b6c73eb9302bb4941c2d237f6210bb39"
 SIM_STATS_SHA256 = "8f484f98ae8ce09c72d30df2dd55ceae801781672e1b90faaf4f9c1f32283e3d"
 
 

@@ -127,6 +127,19 @@ def reached(work: Path) -> set:
     return hits
 
 
+def test_wrapped_reasons_name_a_wrap():
+    """Each entry kept because the tracer wraps it is a (module, qualname)
+    that `perfbench/tracer.py`'s `WRAPS` lists, so a dropped wrap names the
+    entries that may go."""
+    from tests.test_tracer_names import WRAPS  # loaded by path; a script run needs no tests/
+
+    wrapped = {(module, path) for module, path, *_ in WRAPS}
+    stale = sorted(name for name, reason in UNREACHED.items() if reason == _WRAPPED
+                   and ("infoalign." + name.split(".", 1)[0], name.split(".", 1)[1])
+                   not in wrapped)
+    assert not stale, f"listed as wrapped, but perfbench/tracer.py does not wrap: {stale}"
+
+
 def test_every_uncalled_function_is_listed(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent),
                                                         os.environ.get("PYTHONPATH", "")])}
