@@ -469,6 +469,9 @@ def cmd_mi_bench(args) -> int:
     opt, _given = _resolve(args)
     if not opt.exact:
         raise InfoAlignError('only exact-mode verification is supported; drop "exact": false')
+    for key in ("nz", "ny"):
+        if getattr(opt, key) < 1:
+            raise InfoAlignError(f"{key} must be >= 1, got {getattr(opt, key)}")
     rng = dc.seeded_rng(opt.seed)
     joints = [mibounds.random_joint(rng, opt.nz, opt.ny)
               for _ in range(opt.num_joints)]

@@ -29,7 +29,6 @@ stats are counted from the columns, saved or not.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -275,10 +274,13 @@ class ContextGraph:
         bad = np.flatnonzero((kinds < 0) | (kinds >= len(KINDS)))
         if len(bad):
             raise ValueError(f"node {ids[bad[0]]!r} has unknown kind code {kinds[bad[0]]}")
-        fresh: Dict[str, int] = {}
-        for i, nid in enumerate(ids, len(self._ids)):
-            if nid in self._index or fresh.setdefault(nid, i) != i:
-                raise DuplicateIdError(f"node id {nid!r} already present")
+        fresh = dict(zip(ids, range(len(self._ids), len(self._ids) + len(ids))))
+        if len(fresh) < len(ids) or not fresh.keys().isdisjoint(self._index):
+            seen = set(self._index)
+            for nid in ids:
+                if nid in seen:
+                    raise DuplicateIdError(f"node id {nid!r} already present")
+                seen.add(nid)
         dim, row, placed = np.zeros((3, len(ids)), dtype=np.intp)
         groups = []
         for (kind, d), (pos, mat) in features.items():
@@ -303,7 +305,10 @@ class ContextGraph:
         for key, mat in groups:
             if len(mat):
                 self._features[key] = _joined(self._features.get(key, ()), mat)
-        self._index.update(fresh)
+        if self._index:
+            self._index.update(fresh)
+        else:
+            self._index = fresh
         self._ids.extend(ids)
         self._tags.extend(tags)
         self._smiles.extend(smiles)
@@ -540,49 +545,36 @@ class ContextGraph:
                                    f"version reads format {GRAPH_FORMAT}; build the graph again")
         try:
             return cls._from_saved(meta, arrays)
-        except ValueError as exc:
+        except (ValueError, DuplicateIdError) as exc:
             raise CorruptFileError(f"{path}: {exc}") from None
 
     @classmethod
     def _from_saved(cls, meta: dict, arrays: List[np.ndarray]) -> "ContextGraph":
         """The finalized graph of `save`'s metadata and arrays; ValueError
-        names the first contradiction."""
-        ids, tags, smiles = meta["ids"], meta["source_tags"], meta["smiles"]
-        g = cls()
-        g._ids, g._tags, g._smiles = ids, tags, smiles
+        or DuplicateIdError names the first contradiction. The node columns
+        go through `add_nodes`, the bit-packed matrices unpacked first."""
         kind, dim, *mats = arrays
-        n = len(ids)
-        if not len(kind) == len(dim) == len(tags) == len(smiles) == n:
-            raise ValueError(f"{n} node ids, but {len(kind)} kinds, {len(dim)} dims, "
-                             f"{len(tags)} tags and {len(smiles)} SMILES")
-        g._index = dict(zip(ids, range(n)))
-        if len(g._index) < n:
-            twice = next(i for i, count in Counter(ids).items() if count > 1)
-            raise ValueError(f"node id {twice!r} appears twice")
-        bad = np.flatnonzero((kind < 0) | (kind >= len(KINDS)))
-        if len(bad):
-            raise ValueError(f"node {ids[bad[0]]!r} has unknown kind code {kind[bad[0]]}")
-        g._kind, g._dim = kind.astype(np.int8, copy=False), dim.astype(np.intp, copy=False)
-        g._row = np.zeros(n, dtype=np.intp)
-        placed, floats = 0, []
+        if len(dim) != len(kind):
+            raise ValueError(f"{len(kind)} kind codes, but {len(dim)} dims")
+        if len(mats) != len(meta["groups"]):
+            raise ValueError(f"{len(meta['groups'])} feature groups, but {len(mats)} matrices")
+        features, floats = {}, []
         for (kind_value, d, bits), mat in zip(meta["groups"], mats):
             if kind_value not in _KIND_CODE:
                 raise ValueError(f"unknown node kind {kind_value!r}")
             key = (KINDS[_KIND_CODE[kind_value]], d)
-            pos = np.flatnonzero((g._kind == _KIND_CODE[kind_value]) & (g._dim == d))
-            want = (len(pos), -(-d // 8) if bits else d)
-            if key in g._features or d < 0 or mat.shape != want:
-                raise ValueError(f"the {kind_value} matrix of dim {d} holds {mat.shape}, "
-                                 f"but {len(pos)} nodes have that kind and dim")
-            g._row[pos] = np.arange(len(pos))
-            placed += len(pos)
+            if key in features:
+                raise ValueError(f"the {kind_value} group of dim {d} is given twice")
+            if d < 0 or (bits and mat.shape[1:] != (-(-d // 8),)):
+                raise ValueError(f"the {kind_value} group of dim {d} has a {mat.shape} "
+                                 f"{'bit-packed ' if bits else ''}matrix")
             if bits:
-                g._features[key] = np.unpackbits(mat, axis=1, count=d).astype(np.float32)
+                mat = np.unpackbits(mat, axis=1, count=d).astype(np.float32)
             else:
-                g._features[key] = mat.astype(np.float32, copy=False)
                 floats.append(key)
-        if len(mats) != len(meta["groups"]) or placed != n:
-            raise ValueError(f"{placed} of {n} nodes have a feature matrix")
+            features[key] = (np.flatnonzero((kind == _KIND_CODE[kind_value]) & (dim == d)), mat)
+        g = cls()
+        g.add_nodes(meta["ids"], kind, meta["source_tags"], meta["smiles"], features)
         g._check_features(floats)
         edges = meta["edges"]
         a, b, rel, w = zip(*edges) if edges else ((), (), (), ())
@@ -595,7 +587,7 @@ class ContextGraph:
         except KeyError as exc:
             raise ValueError(f"unknown relation {exc.args[0]!r}") from None
         g._edges = Edges(ia, ib, codes, np.array(w, dtype=np.float64))
-        rank = _id_ranks(ids)
+        rank = _id_ranks(g._ids)
         lo, hi = rank[ia], rank[ib]
         ok = lo < hi
         ok[1:] &= (lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (

@@ -236,9 +236,15 @@ def match_zero_shot(store: dc.ParamStore, queries: MoleculeSet,
     scores are one mat-vec against the candidates. A query's true rank is 1
     plus the number of candidates scoring above its true candidate, plus the
     number scoring the same whose id sorts before the true id: ties break by
-    candidate id. Candidate ids must be distinct. Raises FloatingPointError
-    if a decoder output is not finite.
+    candidate id. Candidate ids must be distinct. An empty `k_list`, or a
+    cutoff in it below 1, raises ValueError naming the first. Raises
+    FloatingPointError if a decoder output is not finite.
     """
+    if not len(k_list):
+        raise ValueError("k must list at least one cutoff")
+    low = [k for k in k_list if k < 1]
+    if low:
+        raise ValueError(f"k must be >= 1, got {low[0]}")
     candidates = np.asarray(candidates, dtype=np.float64)
     if candidates.ndim != 2:
         raise DimensionMismatchError("candidates must be a 2-D matrix")

@@ -185,10 +185,15 @@ def prop1_report(joints: Sequence[JointTable], k_list: Sequence[int],
     exact conditional, so DLB hits true MI); if ``critic_rng`` is given a
     random critic is also checked, since the chain holds for any critic.
     Violations are report entries; the harness passes only if there are none.
-    A `tol` that is not a finite number >= 0 raises ValueError naming it.
+    A `tol` that is not a finite number >= 0 raises ValueError naming it,
+    and so does an empty `joints` or `k_list`: a check of nothing passes.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
+    if not len(joints):
+        raise ValueError("no joint tables to check")
+    if not len(k_list):
+        raise ValueError("no K values to check")
     entries: List[dict] = []
     violations: List[str] = []
     for ji, jt in enumerate(joints):

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .diffcore import seeded_rng
-from .molparse import parse_smiles
+from .molparse import parse_many
 
 # Motifs differ by one heteroatom or a small structural feature so that the
 # decoration atoms, not the motif, dominate raw structural variance.
@@ -103,7 +103,6 @@ def generate(spec: SyntheticSpec) -> SyntheticData:
             idx = c * spec.per_cluster + m
             mol_id = f"mol{idx:04d}"
             smi = _decorate(motif, rng, spec.decoration_min, spec.decoration_max)
-            parse_smiles(smi)  # self-check: every generated SMILES must parse
             morph = np.clip(
                 morph_centroids[c] + spec.noise * rng.standard_normal(spec.morph_dim),
                 0.0, 1.0)
@@ -124,6 +123,7 @@ def generate(spec: SyntheticSpec) -> SyntheticData:
             smiles_list.append(smi)
             cluster_of.append(c)
 
+    parse_many(smiles_list)  # self-check: every generated SMILES must parse
     return SyntheticData(node_rows, edge_rows, label_rows, molecule_ids,
                          smiles_list, cluster_of, morph_centroids)
 

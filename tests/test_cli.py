@@ -858,6 +858,25 @@ def test_match_report(synth_graph, tmp_path):
     assert set(rep["hit"]) == {"1", "10"}
 
 
+@pytest.mark.parametrize("k,message", [
+    ("0,-3", "k must be >= 1, got 0"),
+    ("5,-3", "k must be >= 1, got -3"),
+    ("", "k must list at least one cutoff"),
+], ids=["zero-first", "negative", "none"])
+def test_match_bad_cutoffs_exit_1(small_checkpoint, tmp_path, capsys, k, message):
+    """A cutoff below 1 has no hits to count, and no cutoff reports nothing:
+    `match` names the first such k, exits 1 and writes no report."""
+    (tmp_path / "cands.tsv").write_text("c0\t" + "\t".join(["0.5"] * 6) + "\n")
+    (tmp_path / "q.smi").write_text("CCO\n")
+    (tmp_path / "true.txt").write_text("c0\n")
+    out = tmp_path / "m.json"
+    assert run(["match", "--checkpoint", small_checkpoint, "--queries", tmp_path / "q.smi",
+                "--candidates", tmp_path / "cands.tsv", "--true-ids", tmp_path / "true.txt",
+                "--k", k, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_match_ranks_a_gaussian_checkpoint_by_squared_error(synth_graph, tmp_path):
     """`match` of a Gaussian checkpoint ranks the candidates y of a query by
     -|y - o|^2 / 2 of the decoder outputs o, ties broken by candidate id,
@@ -922,7 +941,8 @@ def test_no_molecules_exit_1(synth_graph, tmp_path, capsys, command):
 
 def test_each_smiles_parsed_once_per_command(synth_graph, tmp_path, monkeypatch):
     """build-graph, embed and match parse every SMILES of their input exactly
-    once: `load_node_table` fingerprints the set it parsed."""
+    once: `load_node_table` fingerprints the set it parsed. Each block of the
+    array pass is counted; valid input never reaches the token parser."""
     import infoalign.molparse as molparse
 
     ck = tmp_path / "ck.iapt"
@@ -936,13 +956,17 @@ def test_each_smiles_parsed_once_per_command(synth_graph, tmp_path, monkeypatch)
     (tmp_path / "cands.tsv").write_text("c0\t" + "\t".join(["0.5"] * 6) + "\n")
     (tmp_path / "true.txt").write_text("c0\n" * len(smiles))
     parsed = []
-    parse_into = molparse._parse_into
+    parse_block = molparse._parse_block
 
-    def counting(text, *lists):
-        parsed.append(text)
-        return parse_into(text, *lists)
+    def counting(texts):
+        parsed.extend(texts)
+        return parse_block(texts)
 
-    monkeypatch.setattr(molparse, "_parse_into", counting)
+    def unreached(*args):
+        raise AssertionError("the token parser ran on valid input")
+
+    monkeypatch.setattr(molparse, "_parse_block", counting)
+    monkeypatch.setattr(molparse, "_parse_into", unreached)
     for argv in (["build-graph", "--nodes", nodes, "--edges", nodes.parent / "edges.tsv",
                   "--fp-bits", 64, "--out", tmp_path / "g.ctxg"],
                  ["embed", "--checkpoint", ck, "--input", smi, "--out", tmp_path / "e.tsv"],
@@ -1091,6 +1115,22 @@ def test_mi_bench_bad_tolerance_exit_1(tmp_path, capsys, tol):
     out = tmp_path / "mi.json"
     assert run(["mi-bench", "--num-joints", 2, "--tol", tol, "--out", out]) == 1
     assert capsys.readouterr().err == f"error: tol must be a finite number >= 0, got {float(tol)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--num-joints", 0], "no joint tables to check"),
+    (["--k", ""], "no K values to check"),
+    (["--nz", 0], "nz must be >= 1, got 0"),
+    (["--ny", -2], "ny must be >= 1, got -2"),
+], ids=["no-joints", "no-k", "nz", "ny"])
+def test_mi_bench_checks_something_or_exit_1(tmp_path, capsys, argv, message):
+    """A bench over no joint table or no K would pass by checking nothing,
+    and a table with no rows or columns has no MI: each exits 1, naming the
+    setting, and writes no report."""
+    out = tmp_path / "mi.json"
+    assert run(["mi-bench", "--num-joints", 2, *argv, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

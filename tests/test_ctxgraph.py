@@ -898,6 +898,16 @@ def _edit_meta(meta, arrays, case):
         arrays[3][2, 1] = 1.5
     elif case == "matrix-missing":
         arrays.pop()
+    elif case == "dims-short":
+        arrays[1] = arrays[1][:-1]
+    elif case == "group-dropped":
+        meta["groups"].pop()
+        arrays.pop()
+    elif case == "group-repeated":
+        meta["groups"].append(list(meta["groups"][1]))
+        arrays.append(arrays[3].copy())
+    elif case == "packed-width":
+        meta["groups"][1][2] = True
     elif case == "format-3":
         meta["format"] = 3
 
@@ -905,19 +915,23 @@ def _edit_meta(meta, arrays, case):
 # Each edit of `_edit_meta`, and what the error says.
 CONTRADICTIONS = {
     "unknown-node": "unknown edge node 'zz'",
-    "dims-over": "the cell_morphology matrix of dim 4 holds (30, 4), but 29 nodes",
-    "dims-under": "the cell_morphology matrix of dim 4 holds (30, 4), but 29 nodes",
+    "dims-over": "the cell_morphology group of dim 4 has a (30, 4) matrix for 29 positions",
+    "dims-under": "the cell_morphology group of dim 4 has a (30, 4) matrix for 29 positions",
     "unknown-relation": "unknown relation 'bogus'",
     "unknown-kind": "unknown node kind 'protein'",
     "unknown-kind-code": f"has unknown kind code {len(KINDS)}",
-    "repeated-id": "node id 'm00' appears twice",
+    "repeated-id": "node id 'm00' already present",
     "edges-out-of-order": "edge 4 ",
     "edge-repeated": "edge 4 ",
     "edge-higher-id-first": "edge 3 ",
     "weight-over": "weight 1.5 outside (0, 1]",
     "weight-zero": "weight 0.0 outside (0, 1]",
     "feature-over": "node 'c02' has features outside [0, 1]",
-    "matrix-missing": ": 30 of 60 nodes have a feature matrix",
+    "matrix-missing": ": 2 feature groups, but 1 matrices",
+    "dims-short": ": 60 kind codes, but 59 dims",
+    "group-dropped": ": node 'c00' is in 0 feature groups, not one",
+    "group-repeated": ": the cell_morphology group of dim 4 is given twice",
+    "packed-width": ": the cell_morphology group of dim 4 has a (30, 4) bit-packed matrix",
     "format-3": "graph format 3, but this version reads format 2",
 }
 

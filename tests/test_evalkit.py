@@ -471,3 +471,8 @@ def test_match_errors():
     with pytest.raises(ValueError, match="unknown likelihood 'poisson'"):
         match_zero_shot(store, molecule_set(query), np.zeros((2, 6)), ["a", "b"], ["a"],
                         likelihood="poisson")
+    for k_list, message in (((), "k must list at least one cutoff"),
+                            ((1, 0, -3), "k must be >= 1, got 0")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            match_zero_shot(store, molecule_set(query), np.zeros((2, 6)), ["a", "b"], ["a"],
+                            k_list=k_list)

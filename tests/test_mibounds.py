@@ -292,3 +292,14 @@ def test_prop1_report_flags_violation():
     assert e["true_mi"] == pytest.approx(np.log(4), abs=1e-12)
     assert e["i_dlb"] == pytest.approx(np.log(4), abs=1e-10)
     assert e["i_nce"] <= np.log(2) + 1e-9
+
+
+@pytest.mark.parametrize("joints,k_list,message", [
+    ([], (2,), "no joint tables to check"),
+    ([None], (), "no K values to check"),
+], ids=["no-joints", "no-k"])
+def test_prop1_report_of_nothing_raises(joints, k_list, message):
+    """A report over no joint or no K would pass with no entry checked."""
+    joints = [diagonal_joint(2) if jt is None else jt for jt in joints]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        prop1_report(joints, k_list=k_list)

@@ -403,6 +403,71 @@ def test_parse_many_names_the_failing_index(before, text, after):
     check_parse_many(before + [text] + after)
 
 
+def block_sizes(texts, monkeypatch):
+    """`check_parse_many(texts)`, and the number of texts in each block of
+    the array pass, in order."""
+    import infoalign.molparse as molparse
+
+    sizes = []
+    parse_block = molparse._parse_block
+
+    def recording(block):
+        sizes.append(len(block))
+        return parse_block(block)
+
+    monkeypatch.setattr(molparse, "_parse_block", recording)
+    check_parse_many(texts)
+    monkeypatch.undo()
+    return sizes
+
+
+def synth_smiles(seed):
+    """Synth SMILES of about 16 bytes each, enough for several blocks of the
+    array pass, and at least 600."""
+    from infoalign.molparse import _PARSE_BLOCK
+    from infoalign.synth import SyntheticSpec, generate
+
+    n = max(600, 3 * _PARSE_BLOCK // 10)
+    return generate(SyntheticSpec(clusters=8, per_cluster=-(-n // 8), seed=seed)).smiles[:n]
+
+
+def test_parse_many_across_blocks(monkeypatch):
+    """A list of synth SMILES long enough to fill several blocks is the
+    oracle's union, offsets and all."""
+    texts = synth_smiles(seed=2)
+    sizes = block_sizes(texts, monkeypatch)
+    assert len(sizes) >= 3 and sum(sizes) == len(texts)
+
+
+def test_parse_many_names_a_fault_in_a_later_block(monkeypatch):
+    """One bad SMILES in the third block is reported with its list index."""
+    texts = synth_smiles(seed=2)
+    sizes = block_sizes(texts, monkeypatch)
+    bad = sizes[0] + sizes[1] + 5
+    texts[bad] = "CC(C"
+    check_parse_many(texts)
+    with pytest.raises(UnbalancedParenError) as exc:
+        parse_many(texts)
+    assert exc.value.index == bad
+
+
+def test_ring_number_reused_across_a_block_boundary(monkeypatch):
+    """Ring 1 of the molecules on either side of a block boundary pairs
+    within each; a ring left open before the boundary is not closed by the
+    molecule after it."""
+    from infoalign.molparse import _PARSE_BLOCK
+
+    texts = ["C1CCCCC1", "c1ccccc1"] * (_PARSE_BLOCK // 9 + 1)
+    sizes = block_sizes(texts, monkeypatch)
+    assert len(sizes) >= 2
+    edge = sizes[0]  # the first text of the second block
+    texts[edge - 1], texts[edge] = "CCC1", "C1CC"
+    check_parse_many(texts)
+    with pytest.raises(RingUnclosedError) as exc:
+        parse_many(texts)
+    assert exc.value.index == edge - 1
+
+
 def test_parse_many_of_nothing_is_empty():
     got = parse_many([])
     assert len(got) == 0 and got.atom_start.tolist() == [0] and got.bond_start.tolist() == [0]
