@@ -59,6 +59,8 @@ from .serialize import table_rows, text_lines
 from .walker import WalkConfig, batch_walks
 
 CONFIG_ENV = "INFOALIGN_CONFIG"
+# Walks whose TSV rows `walk` joins and writes at a time.
+_WALK_BLOCK = 1024
 
 
 def _defaults(cls, **extra) -> dict:
@@ -146,12 +148,20 @@ def _write_json(path, obj):
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _floats(csv: str):
-    return [float(x) for x in csv.split(",") if x]
-
-
-def _ints(csv: str):
-    return [int(x) for x in csv.split(",") if x]
+def _numbers(key: str, csv: str, convert) -> list:
+    """The entries of the comma-separated option `key`, each read by
+    `convert` (int or float). An entry that is not one raises InfoAlignError
+    naming the flag, the list and the entry."""
+    values = []
+    for x in csv.split(","):
+        if x:
+            try:
+                values.append(convert(x))
+            except ValueError:
+                what = "an integer" if convert is int else "a number"
+                raise InfoAlignError(f"--{key.replace('_', '-')} {csv!r}: "
+                                     f"entry {x!r} is not {what}") from None
+    return values
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -191,19 +201,27 @@ def cmd_walk(args) -> int:
     starts = g.molecule_ids() if args.starts == "all" else args.starts.split(",")
     cfg = WalkConfig(**vars(opt))
     walks = batch_walks(g, starts, cfg)
-    ids = np.array(walks.ids, dtype=object)[walks.nodes].tolist()
+    del g  # the walks hold all the text needs
+    ids = np.array(walks.ids, dtype=object)[walks.nodes]
     weights, alphas = _float_texts(walks.weights), _float_texts(walks.alphas)
-    lines = ["start\twalk\tnodes\tweights\talphas\ttruncated"]
-    per = cfg.walks_per_molecule
-    for i, n in enumerate(walks.sizes.tolist()):
-        lines.append("\t".join([
-            starts[i // per], str(i % per),
-            "|".join(ids[i][:n]),
-            "|".join(weights[i][: n - 1]),
-            "|".join(alphas[i][: n - 1]),
-            "1" if n < cfg.length else "0",
-        ]))
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    per, sizes = cfg.walks_per_molecule, walks.sizes.tolist()
+    # Opened only now, so a walk that fails leaves no file; the rows are
+    # listed, joined and written _WALK_BLOCK walks at a time.
+    with open(args.out, "w", encoding="utf-8") as f:
+        f.write("start\twalk\tnodes\tweights\talphas\ttruncated\n")
+        for first in range(0, len(sizes), _WALK_BLOCK):
+            rows = slice(first, first + _WALK_BLOCK)
+            f.write("".join([
+                "\t".join([
+                    starts[i // per], str(i % per),
+                    "|".join(node_ids[:n]),
+                    "|".join(w[: n - 1]),
+                    "|".join(a[: n - 1]),
+                    "1\n" if n < cfg.length else "0\n",
+                ])
+                for i, n, node_ids, w, a in zip(
+                    range(first, len(sizes)), sizes[rows], ids[rows].tolist(),
+                    weights[rows].tolist(), alphas[rows].tolist())]))
     return 0
 
 
@@ -221,12 +239,12 @@ def _read_molecules(path) -> tuple[list, MoleculeSet]:
         raise type(exc)(f"{path}:{entries[exc.index][0]}: {exc}") from None
 
 
-def _float_texts(x: np.ndarray) -> list:
-    """The rows of `x` as lists of `f"{v:.12g}"` texts, each distinct value
+def _float_texts(x: np.ndarray) -> np.ndarray:
+    """`x` as an object array of `f"{v:.12g}"` texts, each distinct value
     formatted once."""
     values, inverse = np.unique(x, return_inverse=True)
     texts = np.array([f"{v:.12g}" for v in values.tolist()], dtype=object)
-    return texts[inverse.reshape(x.shape)].tolist()
+    return texts[inverse.reshape(x.shape)]
 
 
 def cmd_fingerprint(args) -> int:
@@ -363,7 +381,7 @@ def cmd_pretrain(args) -> int:
             raise InfoAlignError(f"fp_bits {opt.fp_bits} disagrees with the {bits}-bit "
                                  f"molecule fingerprints of the graph {args.graph}")
     if opt.beta_sweep:
-        for beta in _floats(opt.beta_sweep):
+        for beta in _numbers("beta_sweep", opt.beta_sweep, float):
             opt.beta = beta
             _run_pretrain(graph, args.graph, opt, given | {"beta"},
                           f"{args.out}.beta{beta:g}", args.resume)
@@ -455,7 +473,7 @@ def cmd_match(args) -> int:
                                  f"candidate id in {args.candidates}")
     true_ids = [tid for _n, tid in true_lines]
     res = match_zero_shot(store, queries, cand, cand_ids, true_ids,
-                          k_list=_ints(opt.k), likelihood=cfg.likelihood)
+                          k_list=_numbers("k", opt.k, int), likelihood=cfg.likelihood)
     report = {
         "ndcg": {str(k): v for k, v in res["ndcg"].items()},
         "hit": {str(k): v for k, v in res["hit"].items()},
@@ -476,7 +494,7 @@ def cmd_mi_bench(args) -> int:
     joints = [mibounds.random_joint(rng, opt.nz, opt.ny)
               for _ in range(opt.num_joints)]
     critic_rng = rng if opt.random_critic else None
-    report = mibounds.prop1_report(joints, _ints(opt.k), tol=opt.tol,
+    report = mibounds.prop1_report(joints, _numbers("k", opt.k, int), tol=opt.tol,
                                    critic_rng=critic_rng)
     _write_json(args.out, report)
     return 0 if report["pass"] else 1

@@ -359,10 +359,12 @@ class ContextGraph:
 
         The cosines are computed _SIM_BLOCK rows at a time against the rows
         that follow, and each block keeps only its own best `keep` candidates
-        before the global cut. A cut partitions the candidates' cosines and
-        sorts only the pairs at or above the keep-th largest, so besides the
-        O(n * _SIM_BLOCK) block and its candidate list, memory is
-        O(blocks * keep) plus the tie group at each cut.
+        before the global cut. Within a block every entry that is no
+        candidate is set to -inf, one partition of the block finds the
+        keep-th largest cosine, and only the entries at or above it are
+        gathered and sorted. So memory is the O(n * _SIM_BLOCK) block plus one
+        partition copy of it, and O(blocks * keep) kept pairs plus the tie
+        group at each cut, however many pairs pass the threshold.
         """
         self._check_mutable()
         if not math.isfinite(threshold):
@@ -385,16 +387,24 @@ class ContextGraph:
 
         total_pairs = n * (n - 1) // 2
         keep = math.ceil(keep_fraction * total_pairs)
+        if keep == 0:
+            return 0
         floor = max(threshold, math.ulp(0.0))  # weights are > 0; zero-norm rows have cosines of 0
         # Per row block: the candidates of pairs (i, j > i) with i in the
         # block, cut to the block's best `keep` by (-s, lo id, hi id).
         parts = []
         for start in range(0, n, _SIM_BLOCK):
             stop = min(start + _SIM_BLOCK, n)
-            sims = np.minimum(unit[start:stop] @ unit[start:].T, 1.0)
+            sims = unit[start:stop] @ unit[start:].T
+            np.minimum(sims, 1.0, out=sims)
             sims[sims >= 1.0 - 1e-12] = 1.0  # identical directions must yield exactly weight 1
-            upper = np.arange(start, n)[None, :] > np.arange(start, stop)[:, None]
-            li, lj = np.nonzero(upper & (sims >= floor))
+            # No candidate: a pair (i, j <= i), or a cosine below the floor.
+            later = np.arange(start, n)[None, :] > np.arange(start, stop)[:, None]
+            sims[~(later & (sims >= floor))] = -np.inf
+            flat, cut = sims.ravel(), floor
+            if flat.size > keep:  # the keep-th largest; -inf, so the floor, if fewer pass
+                cut = max(np.partition(flat, flat.size - keep)[flat.size - keep], floor)
+            li, lj = np.nonzero(sims >= cut)
             i, j, s = li + start, lj + start, sims[li, lj]
             part = _top_pairs(s, rank[i], rank[j], keep)
             parts.append((i[part], j[part], s[part]))

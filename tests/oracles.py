@@ -41,6 +41,8 @@ place the tests read the graph's private fields.
 `add_node` and `add_edge` build a graph one node or edge at a time, as the
 graph's own `add_node` and `add_edge` did, through its columnar `add_nodes`
 and `add_edges`; `walk_batch` is the `WalkBatch` of a list of `WalkPath`s.
+`reference_walk_tsv` is the `walk` table built as one string, each float
+formatted where it appears, that the block-at-a-time writer replaced.
 `gaussian_mi` and `i_nwj` are the closed-form Gaussian MI and the NWJ bound,
 which no command reports.
 """
@@ -257,6 +259,21 @@ def walk_batch(graph, paths) -> WalkBatch:
         weights[r, : n - 1] = p.edge_weights
         alphas[r, : n - 1] = p.alphas
     return WalkBatch(ids, nodes, weights, alphas, np.array([len(p.nodes) for p in paths]))
+
+
+def reference_walk_tsv(walks: WalkBatch, starts, cfg) -> str:
+    """The text `walk` writes for the walks `batch_walks(graph, starts, cfg)`."""
+    lines = ["start\twalk\tnodes\tweights\talphas\ttruncated"]
+    per = cfg.walks_per_molecule
+    for i, n in enumerate(walks.sizes.tolist()):
+        lines.append("\t".join([
+            starts[i // per], str(i % per),
+            "|".join(walks.ids[k] for k in walks.nodes[i, :n].tolist()),
+            "|".join(f"{v:.12g}" for v in walks.weights[i, : n - 1].tolist()),
+            "|".join(f"{v:.12g}" for v in walks.alphas[i, : n - 1].tolist()),
+            "1" if n < cfg.length else "0",
+        ]))
+    return "\n".join(lines) + "\n"
 
 
 def gaussian_mi(rho: float) -> float:

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,9 +19,11 @@ from hypothesis import strategies as st
 
 import infoalign
 from infoalign.cli import _read_matrix_tsv, main
+from infoalign.ctxgraph import ContextGraph
 from infoalign.errors import TableFormatError
 from infoalign.molparse import read_smiles_file
-from tests.oracles import reference_probe_train
+from infoalign.walker import WalkConfig, batch_walks
+from tests.oracles import reference_probe_train, reference_walk_tsv
 from tests.test_molparse import smiles_strings
 
 TOY_NODES = """\
@@ -209,6 +212,60 @@ def test_isolated_molecule_walks_and_trains(toy_tables, tmp_path):
     assert run(["pretrain", "--graph", g, "--out", ck, "--epochs", 1,
                 *PRETRAIN_SMALL]) == 0
     assert ck.exists()
+
+
+@pytest.mark.parametrize("block", [1, 3, 5, 6, 7])
+def test_walk_blocks_equal_one_string_writer(toy_tables, tmp_path, monkeypatch, block):
+    """`walk` writes its rows a block of walks at a time; the table equals
+    the one-string writer's whatever the block size. Rows 2 and 3 are the
+    truncated walks of a molecule with no edges, on either side of the
+    boundary of 3-walk blocks."""
+    nodes, _edges = toy_tables
+    nodes.write_text(TOY_NODES + "molX\tmolecule\tsyn\tCCO\n", encoding="utf-8")
+    g = make_graph(tmp_path, toy_tables)
+    starts, out = ["m0", "molX", "m1"], tmp_path / "walks.tsv"
+    monkeypatch.setattr("infoalign.cli._WALK_BLOCK", block)
+    assert run(["walk", "--graph", g, "--starts", ",".join(starts), "--length", 4,
+                "--walks-per-molecule", 2, "--seed", 5, "--out", out]) == 0
+    cfg = WalkConfig(length=4, walks_per_molecule=2, seed=5)
+    text = out.read_text(encoding="utf-8")
+    assert text == reference_walk_tsv(batch_walks(ContextGraph.load(g), starts, cfg), starts, cfg)
+    rows = [line.split("\t") for line in text.splitlines()[1:]]
+    assert [r[0] for r in rows] == ["m0", "m0", "molX", "molX", "m1", "m1"]
+    assert rows[2][-1] == rows[3][-1] == "1"
+
+
+def test_walk_unknown_start_exit_1_no_file(toy_tables, tmp_path, capsys):
+    """A start that is no node fails before the table is opened, so no
+    partial table is left behind."""
+    g = make_graph(tmp_path, toy_tables)
+    out = tmp_path / "walks.tsv"
+    assert run(["walk", "--graph", g, "--starts", "m0,nope", "--out", out]) == 1
+    assert capsys.readouterr().err == "error: unknown node id 'nope'\n"
+    assert not out.exists()
+
+
+def test_walk_peak_memory_below_table_size(tmp_path):
+    """`walk` never holds its whole table: over eight blocks of walks whose
+    rows are mostly long node ids, its peak traced allocation stays below
+    the size of the table it writes. A writer that joins every row into one
+    string holds the rows and the string at once, more than twice that."""
+    pad = "x" * 100
+    nodes, edges = tmp_path / "nodes.tsv", tmp_path / "edges.tsv"
+    nodes.write_text(re.sub(r"^(\w+)", rf"\1{pad}", TOY_NODES, flags=re.M), encoding="utf-8")
+    edges.write_text(re.sub(r"^(\w+)\t(\w+)", rf"\1{pad}\t\2{pad}", TOY_EDGES, flags=re.M),
+                     encoding="utf-8")
+    g = make_graph(tmp_path, (nodes, edges))
+    out = tmp_path / "walks.tsv"
+    tracemalloc.start()
+    try:
+        assert run(["walk", "--graph", g, "--length", 8, "--walks-per-molecule", 4096,
+                    "--out", out]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_text(encoding="utf-8").count(pad) == 9 * 8192  # a start and 8 nodes a row
+    assert peak < out.stat().st_size
 
 
 def test_fingerprint_stdout(capsys):
@@ -1132,6 +1189,29 @@ def test_mi_bench_checks_something_or_exit_1(tmp_path, capsys, argv, message):
     assert run(["mi-bench", "--num-joints", 2, *argv, "--out", out]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["mi-bench", "--k", "2,x"], "--k '2,x': entry 'x' is not an integer"),
+    (["match", "--k", "1,2.5"], "--k '1,2.5': entry '2.5' is not an integer"),
+    (["pretrain", "--beta-sweep", "0.1,y"], "--beta-sweep '0.1,y': entry 'y' is not a number"),
+], ids=["mi-bench-k", "match-k", "pretrain-beta-sweep"])
+def test_list_option_bad_entry_exit_1(synth_graph, small_checkpoint, tmp_path, capsys, argv,
+                                      message):
+    """An entry of a comma-separated option that is not a number is named
+    with its flag and list; the command exits 1 and writes nothing."""
+    (tmp_path / "cands.tsv").write_text("c0\t" + "\t".join(["0.5"] * 6) + "\n")
+    (tmp_path / "q.smi").write_text("CCO\n")
+    (tmp_path / "true.txt").write_text("c0\n")
+    inputs = {"mi-bench": [],
+              "match": ["--checkpoint", small_checkpoint, "--queries", tmp_path / "q.smi",
+                        "--candidates", tmp_path / "cands.tsv",
+                        "--true-ids", tmp_path / "true.txt"],
+              "pretrain": ["--graph", synth_graph, *PRETRAIN_SMALL, "--epochs", 1]}
+    out = tmp_path / "out"
+    assert run([*argv, *inputs[argv[0]], "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not [p for p in tmp_path.iterdir() if p.name.startswith("out")]
 
 
 def test_mi_bench_rejects_no_exact(tmp_path, capsys):

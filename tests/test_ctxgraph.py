@@ -3,6 +3,7 @@ oracle and the full-sort oracle of its keep cut, merging, persistence, the
 deferred molecule parse, and TSV ingestion."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -569,6 +570,29 @@ def test_given_similarity_edge_keeps_its_weight():
     assert similarity_edges(g) == {("a", "b"): 0.3, ("a", "c"): 1.0, ("b", "c"): 1.0}
     g.finalize()
     assert neighbors(g, "a") == [("b", 0.3), ("c", 1.0)]
+
+
+def test_similarity_peak_memory_bounded_by_block():
+    """With every one of a kind's 179,700 pairs above the threshold, the
+    traced peak of `build_similarity_edges` stays under three cosine blocks
+    (the block, a partition copy and masks): it gathers indices only for
+    the pairs at or above each block's cut, not for every candidate."""
+    n = 600
+    feats = np.clip(0.5 + 0.05 * np.random.default_rng(0).standard_normal((n, 8)), 0, 1)
+    g = ContextGraph()
+    g.add_nodes([f"c{i:03d}" for i in range(n)], [KINDS.index(NodeKind.CELL_MORPHOLOGY)] * n,
+                ["t"] * n, [None] * n,
+                {(NodeKind.CELL_MORPHOLOGY, 8): (np.arange(n), feats.astype(np.float32))})
+    unit = feats / np.linalg.norm(feats, axis=1, keepdims=True)
+    assert (unit @ unit.T).min() >= 0.8  # every pair is a candidate
+    tracemalloc.start()
+    try:
+        added = g.build_similarity_edges(NodeKind.CELL_MORPHOLOGY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert added == math.ceil(0.005 * (n * (n - 1) // 2))
+    assert peak < 3 * ctxgraph._SIM_BLOCK * n * 8
 
 
 def test_zero_norm_rows_skipped():

@@ -4,6 +4,9 @@ them on both profile kinds, and of a short `pretrain` and `embed` on the
 second graph. The first two paths do no BLAS product, so their bytes do not
 depend on the BLAS build; the similarity weights and training do.
 
+It also pins the bytes of a weighted and a `--uniform` `walk` table over
+the first graph.
+
 The fingerprint and first graph digests were taken from the per-atom parser,
 featuriser and identifier builder that the array path replaced, the
 similarity graph's from the full sort of every candidate pair that the
@@ -14,7 +17,8 @@ and packed fingerprint bits), and again when it stopped storing the stats,
 which are counted from the columns; the stats digest and the training
 digests, which read those graphs, did not move. A change to the fingerprint, the
 `.ctxg` format or the training arithmetic changes them on purpose and must
-say so.
+say so. The walk digests were taken from the writer that built the whole
+table as one string, before it wrote its rows in blocks.
 """
 
 import hashlib
@@ -82,6 +86,31 @@ def test_ctxg_without_similarity_edges_golden(tmp_path):
                  "--edges", str(tmp_path / "edges.tsv"), "--fp-bits", "64",
                  "--out", str(out)]) == 0
     assert sha256(out) == GRAPH_SHA256
+
+
+# The graph above plus a molecule with no edges, whose walks stop at their
+# start. No BLAS product reaches these tables, so their bytes do not depend
+# on the BLAS build.
+WALK_SHA256 = {
+    "weighted": "74dfed966941091f7d62ed5d22727c5f693225bb07df0e71e6a9c0c383e725ac",
+    "uniform": "256c5f01311eb6c9785cfd910147210b67f184493088688d4ac815e84138d674",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(WALK_SHA256))
+def test_walk_tsv_golden(tmp_path, mode):
+    (tmp_path / "nodes.tsv").write_text(GRAPH_NODES + "m99\tmolecule\tfixed\tCCO\n",
+                                        encoding="utf-8")
+    (tmp_path / "edges.tsv").write_text(GRAPH_EDGES, encoding="utf-8")
+    graph, out = tmp_path / "g.ctxg", tmp_path / "walks.tsv"
+    assert main(["build-graph", "--nodes", str(tmp_path / "nodes.tsv"),
+                 "--edges", str(tmp_path / "edges.tsv"), "--fp-bits", "64",
+                 "--out", str(graph)]) == 0
+    assert main(["walk", "--graph", str(graph), "--length", "6", "--walks-per-molecule", "5",
+                 "--seed", "11", *(["--uniform"] if mode == "uniform" else []),
+                 "--out", str(out)]) == 0
+    assert "m99\t4\tm99\t\t\t1\n" in out.read_text(encoding="utf-8")
+    assert sha256(out) == WALK_SHA256[mode]
 
 
 # 16 rows per profile kind, a multiple of 8: with OpenBLAS every cosine of a
