@@ -16,8 +16,8 @@ a given value that disagrees with the graph's is an error. `pretrain
 epochs and lr from the flags, config or defaults and each other key that a
 flag or the config gives (a beta sweep gives beta); a seed other than the
 checkpoint's draws fresh generators. A given architecture key that disagrees
-with the checkpoint is an error, and so is a graph whose recorded fingerprint
-radius disagrees with the checkpoint's.
+with the checkpoint is an error, and so is a graph whose fingerprint width or
+recorded radius disagrees with the checkpoint's.
 
 Primary outputs are deterministic given identical inputs and seed. Exit
 codes: 0 success, 1 domain error, 2 usage error.
@@ -278,7 +278,8 @@ def _run_pretrain(graph, graph_path: str, opt, given: set, out: str, resume: str
     checkpoint and takes epochs, lr and the `given` keys, and with a seed
     other than the checkpoint's, fresh generators. A run resumed into its
     own checkpoint keeps its log's rows of the epochs that checkpoint holds.
-    A radius, given or the checkpoint's, that is not the graph's is an error.
+    A fingerprint width or radius, given or the checkpoint's, that is not
+    the graph's is an error.
     """
     settings = {k: v for k, v in vars(opt).items() if k != "beta_sweep"}
     kept = []
@@ -294,11 +295,14 @@ def _run_pretrain(graph, graph_path: str, opt, given: set, out: str, resume: str
     else:
         store, base, state = None, ModelConfig(), TrainState()
     cfg = replace(base, **settings)
-    radius = graph.fp_radius
-    if radius is not None and cfg.fp_radius != radius and (resume or "fp_radius" in given):
-        held = f" in the checkpoint {resume}" if resume else ""
-        raise InfoAlignError(f"fp_radius {cfg.fp_radius}{held} disagrees with the radius-{radius} "
-                             f"molecule fingerprints of the graph {graph_path}")
+    for key, of_graph, form in (("fp_bits", fingerprint_bits(graph, cfg.fp_bits), "{}-bit"),
+                                ("fp_radius", graph.fp_radius, "radius-{}")):
+        value = getattr(cfg, key)
+        if of_graph is not None and value != of_graph and (resume or key in given):
+            held = f" in the checkpoint {resume}" if resume else ""
+            raise InfoAlignError(f"{key} {value}{held} disagrees with the "
+                                 f"{form.format(of_graph)} molecule fingerprints of the graph "
+                                 f"{graph_path}")
     if cfg.seed != base.seed:  # fresh generators from the new seed
         state = TrainState(state.epoch)
     with _EpochLog(out + ".log.tsv", kept) as log:
@@ -370,18 +374,16 @@ def cmd_pretrain(args) -> int:
     if opt.beta_sweep is not None and not isinstance(opt.beta_sweep, str):
         raise InfoAlignError(f"config key 'beta_sweep': expected a comma-separated string, "
                              f"got {opt.beta_sweep!r}")
+    betas = None if opt.beta_sweep is None else _numbers("beta_sweep", opt.beta_sweep, float)
+    if betas == []:
+        raise InfoAlignError(f"--beta-sweep {opt.beta_sweep!r} lists no value")
     graph = ContextGraph.load(args.graph)
     try:
         graph.molecules()
     except SmilesError as exc:
         raise CorruptFileError(f"{args.graph}: {exc}") from None
-    if not args.resume:  # a resume keeps the checkpoint's, which must have its decoder
-        bits = fingerprint_bits(graph, opt.fp_bits)
-        if "fp_bits" in given and opt.fp_bits != bits:
-            raise InfoAlignError(f"fp_bits {opt.fp_bits} disagrees with the {bits}-bit "
-                                 f"molecule fingerprints of the graph {args.graph}")
-    if opt.beta_sweep:
-        for beta in _numbers("beta_sweep", opt.beta_sweep, float):
+    if betas:
+        for beta in betas:
             opt.beta = beta
             _run_pretrain(graph, args.graph, opt, given | {"beta"},
                           f"{args.out}.beta{beta:g}", args.resume)

@@ -13,9 +13,10 @@ top-fraction sparsity filter (keep 0.5% of all intra-kind pairs).
 the graph and builds the walker's CSR arrays, in which a pair joined by
 several relations is one edge at the max weight. `molecules()` parses the
 molecule SMILES into one `MoleculeSet` on first use. A graph grows by
-whole columns (`add_nodes`, `add_edges`), and an append onto an empty column
-takes the given array as it is. A graph built from tables records the Morgan
-radius of its fingerprints as `fp_radius`.
+whole columns (`add_nodes`, `add_edges`): every edge enters through
+`add_edges`, a loaded graph's too. An append onto an empty column takes the
+given array as it is. A graph built from tables records the Morgan radius
+of its fingerprints as `fp_radius`.
 
 A saved graph (`.ctxg`, graph format 2) holds these columns as they are: ids,
 source tags and SMILES as JSON lists, kind codes and dims as arrays, each
@@ -467,11 +468,6 @@ class ContextGraph:
         """Both directions of every edge, sorted by (node, neighbour id), one
         entry per pair at its max weight, and each row's running weight sum."""
         e = self._edges
-        bad = np.flatnonzero(~((e.w > 0.0) & (e.w <= 1.0)))
-        if len(bad):
-            k = bad[0]
-            raise ValueError(f"edge ({self._ids[e.a[k]]}, {self._ids[e.b[k]]}) "
-                             f"weight {e.w[k].item()} outside (0, 1]")
         n = len(self._ids)
         src, dst = np.concatenate([e.a, e.b]), np.concatenate([e.b, e.a])
         w = np.concatenate([e.w, e.w])
@@ -545,24 +541,27 @@ class ContextGraph:
         are taken in their saved order, not merged and sorted again. A file
         of another format, or whose contents contradict themselves (an
         unknown kind, relation or edge node, a repeated id, dims that do not
-        match the matrices, a feature outside [0, 1], a weight outside
-        (0, 1], edges not rising strictly by (low id, high id, relation)),
-        raises CorruptFileError naming the file. Molecule SMILES are parsed
-        on first use, by `molecules()`: walking needs none of them."""
+        match the matrices, a feature outside [0, 1], a self-loop, a weight
+        outside (0, 1], edges not rising strictly by (low id, high id,
+        relation)), raises CorruptFileError naming the file. Every edge
+        enters through `add_edges`, as a built graph's do. Molecule SMILES
+        are parsed on first use, by `molecules()`: walking needs none of
+        them."""
         meta, arrays = serialize.read_container(path, MAGIC)
         if meta.get("format", 1) != GRAPH_FORMAT:
             raise CorruptFileError(f"{path}: graph format {meta.get('format', 1)}, but this "
                                    f"version reads format {GRAPH_FORMAT}; build the graph again")
         try:
             return cls._from_saved(meta, arrays)
-        except (ValueError, DuplicateIdError) as exc:
+        except (ValueError, DuplicateIdError, SelfLoopError) as exc:
             raise CorruptFileError(f"{path}: {exc}") from None
 
     @classmethod
     def _from_saved(cls, meta: dict, arrays: List[np.ndarray]) -> "ContextGraph":
-        """The finalized graph of `save`'s metadata and arrays; ValueError
-        or DuplicateIdError names the first contradiction. The node columns
-        go through `add_nodes`, the bit-packed matrices unpacked first."""
+        """The finalized graph of `save`'s metadata and arrays; ValueError,
+        DuplicateIdError or SelfLoopError names the first contradiction. The
+        node columns go through `add_nodes`, the bit-packed matrices unpacked
+        first, and the edges through `add_edges`."""
         kind, dim, *mats = arrays
         if len(dim) != len(kind):
             raise ValueError(f"{len(kind)} kind codes, but {len(dim)} dims")
@@ -589,19 +588,19 @@ class ContextGraph:
         edges = meta["edges"]
         a, b, rel, w = zip(*edges) if edges else ((), (), (), ())
         try:
-            ia, ib = (np.array([g._index[x] for x in ends], dtype=np.intp) for ends in (a, b))
+            ia, ib = ([g._index[x] for x in ends] for ends in (a, b))
         except KeyError as exc:
             raise ValueError(f"unknown edge node {exc.args[0]!r}") from None
         try:
-            codes = np.array([_RELATION_CODE[r] for r in rel], dtype=np.int8)
+            codes = [_RELATION_CODE[r] for r in rel]
         except KeyError as exc:
             raise ValueError(f"unknown relation {exc.args[0]!r}") from None
-        g._edges = Edges(ia, ib, codes, np.array(w, dtype=np.float64))
-        rank = _id_ranks(g._ids)
-        lo, hi = rank[ia], rank[ib]
+        g.add_edges(ia, ib, codes, w)
+        e, rank = g._edges, _id_ranks(g._ids)
+        lo, hi = rank[e.a], rank[e.b]
         ok = lo < hi
         ok[1:] &= (lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (
-            (hi[1:] > hi[:-1]) | ((hi[1:] == hi[:-1]) & (codes[1:] > codes[:-1]))))
+            (hi[1:] > hi[:-1]) | ((hi[1:] == hi[:-1]) & (e.rel[1:] > e.rel[:-1]))))
         bad = np.flatnonzero(~ok)
         if len(bad):
             raise ValueError(f"edge {bad[0]} {edges[bad[0]]} is not lower id first, or not "

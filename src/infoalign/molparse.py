@@ -17,14 +17,13 @@ token bonds to is found by pointer jumping, ring numbers pair up per
 (molecule, number) in order, and the bonds are laid out in the order of the
 tokens that make them. The same pass decides which molecules are valid.
 
-The token parser `_parse_into` reports the faults; valid input never
-reaches it. When a molecule fails, it runs over the molecules up to that one
-and raises the first fault. It reads tokens, not characters: one pattern
+The token parser `_raise_first_fault` names the faults; valid input never
+reaches it. When the array pass rejects a molecule, it reads that one string
+and raises its first fault. It reads tokens, not characters: one pattern
 splits the input into ``Cl``, ``Br``, ``%nn``, whole bracket atoms and
-single characters; one pattern reads a bracket atom's element, hydrogen
-count and charge; one table maps each atom token to its element index and
-aromatic flag. Tokens are handled left to right and the first offending one
-is reported, with its start as "position N" where the message gives one;
+single characters, and one pattern reads a bracket atom's element, hydrogen
+count and charge. Tokens are handled left to right and the first offending
+one is reported, with its start as "position N" where the message gives one;
 the checks that need the whole input (unclosed branches and rings, a
 trailing bond) come after the last token. A bond symbol must sit between two
 atoms of one chain: one before the first atom or before a ')' is an error,
@@ -69,8 +68,7 @@ _CHARGE_LIMIT = 2**31 - 1
 # 1024 bytes, 1.9 and 2.7 ms at 4096, 1.6 and 2.3 ms at 8192, 1.3 and 2.0 ms
 # for the whole list in one pass; tracemalloc peaks 0.47 and 0.75 MB at
 # 1024, 0.46 and 0.74 MB at 4096, 0.61 and 0.73 MB at 8192, 0.78 and 1.19 MB
-# in one pass. The token loop took 6.0 and 9.2 ms and peaked at 0.92 and
-# 1.45 MB.
+# in one pass.
 _PARSE_BLOCK = 8192
 
 
@@ -85,10 +83,9 @@ class BondOrder(IntEnum):
 _BOND_SYMBOLS = {"-": BondOrder.SINGLE.value, "=": BondOrder.DOUBLE.value,
                  "#": BondOrder.TRIPLE.value, ":": BondOrder.AROMATIC.value}
 _SINGLE, _AROMATIC = BondOrder.SINGLE.value, BondOrder.AROMATIC.value
-# Atom token -> (index into ELEMENTS, aromatic flag, formal charge 0), inside
-# brackets too.
-_ATOMS = {**{e: (k, False, 0) for k, e in enumerate(ELEMENTS)},
-          **{a: (ELEMENTS.index(a.upper()), True, 0) for a in AROMATIC_ELEMENTS}}
+# Atom token -> (index into ELEMENTS, aromatic flag), inside brackets too.
+_ATOMS = {**{e: (k, False) for k, e in enumerate(ELEMENTS)},
+          **{a: (ELEMENTS.index(a.upper()), True) for a in AROMATIC_ELEMENTS}}
 # Two-letter elements, %nn ring numbers and bracket atoms (to the first ']',
 # or to the end when it is unterminated), else one character, newline too:
 # under DOTALL the tokens tile the input, so their lengths give positions.
@@ -111,7 +108,7 @@ def _byte_tables() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     kind = np.full(256, _BAD, dtype=np.int8)
     value = np.zeros(256, dtype=np.int8)
     aromatic = np.zeros(256, dtype=bool)
-    for tok, (element, arom, _) in _ATOMS.items():
+    for tok, (element, arom) in _ATOMS.items():
         if len(tok) == 1:
             kind[ord(tok)], value[ord(tok)], aromatic[ord(tok)] = _ATOM, element, arom
     for sym, order in _BOND_SYMBOLS.items():
@@ -207,39 +204,39 @@ def _parse_bracket_atom(token: str, pos: int) -> Tuple[int, bool, int]:
         charge = size if m["sign"] == "+" else -size
     if abs(charge) > _CHARGE_LIMIT:
         raise SmilesSyntaxError(f"formal charge out of range in bracket atom [{body}]")
-    element, aromatic, _ = _ATOMS[m["element"]]
+    element, aromatic = _ATOMS[m["element"]]
     return element, aromatic, charge
 
 
-def _parse_into(text: str, atoms: List[Tuple[int, bool, int]], ends: List[int],
-                orders: List[int]) -> None:
-    """Append the atoms of one SMILES to `atoms` as (element, aromatic,
-    charge), and its bonds to `ends` as endpoint pairs a < b and to `orders`
-    as BondOrder values, in parse order. Endpoints count from the molecule's
-    own first atom, so they stay small ints."""
+def _raise_first_fault(text: str) -> None:
+    """Raise the first fault of one SMILES, or return if it parses. Only
+    what the checks read is followed: the atom count, the open branches and
+    rings, the bond symbol read for the next bond, and the bonded pairs
+    (a, b), numbered from the molecule's first atom."""
     if not isinstance(text, str) or not text:
         raise SmilesSyntaxError("input must be a non-empty string")
     if not text.isascii():
         raise SmilesSyntaxError("input must be ASCII")
-    first = len(atoms)
-    bonds = set()  # this molecule's (a, b) pairs
+    atoms = 0
+    bonds = set()
     branches: List[int] = []
     # ring number -> (open atom, bond symbol written at the opening or None)
-    rings: Dict[int, Tuple[int, Optional[int]]] = {}
+    rings: Dict[int, Tuple[int, Optional[str]]] = {}
     prev = pending = None  # the atom the next bonds to; the bond symbol read for it
     end = 0
     for tok in _TOKEN.findall(text):
         pos, end = end, end + len(tok)
-        atom = _ATOMS.get(tok)
-        if atom is not None or tok[0] == "[":
-            atoms.append(atom or _parse_bracket_atom(tok, pos))
-            link, prev = prev, len(atoms) - 1 - first
+        if tok in _ATOMS or tok[0] == "[":
+            if tok[0] == "[":
+                _parse_bracket_atom(tok, pos)
+            link, prev = prev, atoms
+            atoms += 1
         elif tok in _BOND_SYMBOLS:
             if prev is None:
                 raise SmilesSyntaxError(f"bond symbol before any atom at position {pos}")
             if pending is not None:
                 raise SmilesSyntaxError(f"two consecutive bond symbols at position {pos}")
-            pending, pending_pos = _BOND_SYMBOLS[tok], pos
+            pending, pending_pos = tok, pos
             continue
         elif tok == "(":
             if prev is None:
@@ -266,7 +263,6 @@ def _parse_into(text: str, atoms: List[Tuple[int, bool, int]], ends: List[int],
             link, opened = rings.pop(num)
             if opened is not None and pending is not None and opened != pending:
                 raise SmilesSyntaxError(f"conflicting bond orders for ring closure {num}")
-            pending = opened if pending is None else pending
         elif tok == ".":
             raise UnsupportedFeatureError("multi-fragment SMILES ('.') not supported")
         elif tok in "@/\\*~":
@@ -280,10 +276,6 @@ def _parse_into(text: str, atoms: List[Tuple[int, bool, int]], ends: List[int],
             if key in bonds:
                 raise SmilesSyntaxError(f"duplicate bond between atoms {prev} and {link}")
             bonds.add(key)
-            ends += key
-            orders.append(pending if pending is not None
-                          else _AROMATIC if atoms[first + link][1] and atoms[first + prev][1]
-                          else _SINGLE)
         pending = None
 
     if branches:
@@ -292,7 +284,7 @@ def _parse_into(text: str, atoms: List[Tuple[int, bool, int]], ends: List[int],
         raise RingUnclosedError(f"dangling ring closure digit(s): {sorted(rings)}")
     if pending is not None:
         raise SmilesSyntaxError("trailing bond symbol")
-    if len(atoms) == first:
+    if not atoms:
         raise SmilesSyntaxError("no atoms parsed")
 
 
@@ -493,12 +485,11 @@ def parse_many(texts: Sequence[str]) -> MoleculeSet:
         lo = hi
     if len(lengths) < len(texts):
         # Text len(lengths) does not parse: the token parser names its fault.
-        for index in range(len(lengths) + 1):
-            try:
-                _parse_into(texts[index], [], [], [])
-            except SmilesError as exc:
-                exc.index = index
-                raise
+        try:
+            _raise_first_fault(texts[len(lengths)])
+        except SmilesError as exc:
+            exc.index = len(lengths)
+            raise
         raise AssertionError(f"the array pass rejects SMILES {len(lengths)}, "
                              f"which the token parser takes")
     element, aromatic, charge, edges, order, atoms, bonds = (

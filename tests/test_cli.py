@@ -552,6 +552,24 @@ def test_pretrain_resume_onto_graph_of_another_radius_exit_1(synth_graph, tmp_pa
     assert load_checkpoint(tmp_path / "more.iapt")[1].fp_radius == 2
 
 
+def test_pretrain_resume_onto_graph_of_another_width_exit_1(synth_graph, tmp_path, capsys):
+    """A resume onto a graph whose fingerprints have another width exits 1,
+    naming both widths, the checkpoint and the graph, and writes nothing."""
+    out = synth_graph.parent / "synth"
+    g128 = tmp_path / "g128.ctxg"
+    assert run(["build-graph", "--nodes", out / "nodes.tsv", "--edges", out / "edges.tsv",
+                "--fp-bits", 128, "--out", g128]) == 0
+    ck = tmp_path / "b64.iapt"
+    assert run(["pretrain", "--graph", synth_graph, "--out", ck, "--epochs", 1,
+                *PRETRAIN_SMALL]) == 0
+    assert run(["pretrain", "--graph", g128, "--resume", ck, "--out", tmp_path / "bad.iapt",
+                "--epochs", 2]) == 1
+    assert capsys.readouterr().err == (f"error: fp_bits 64 in the checkpoint {ck} disagrees "
+                                       f"with the 128-bit molecule fingerprints of the graph "
+                                       f"{g128}\n")
+    assert not list(tmp_path.glob("bad.iapt*"))
+
+
 def test_pretrain_resume_beta_sweep_distinct(synth_graph, tmp_path):
     """Each beta of a sweep over one resumed checkpoint trains at that beta."""
     from infoalign.model import load_checkpoint
@@ -1023,7 +1041,7 @@ def test_each_smiles_parsed_once_per_command(synth_graph, tmp_path, monkeypatch)
         raise AssertionError("the token parser ran on valid input")
 
     monkeypatch.setattr(molparse, "_parse_block", counting)
-    monkeypatch.setattr(molparse, "_parse_into", unreached)
+    monkeypatch.setattr(molparse, "_raise_first_fault", unreached)
     for argv in (["build-graph", "--nodes", nodes, "--edges", nodes.parent / "edges.tsv",
                   "--fp-bits", 64, "--out", tmp_path / "g.ctxg"],
                  ["embed", "--checkpoint", ck, "--input", smi, "--out", tmp_path / "e.tsv"],
@@ -1212,6 +1230,22 @@ def test_list_option_bad_entry_exit_1(synth_graph, small_checkpoint, tmp_path, c
     assert run([*argv, *inputs[argv[0]], "--out", out]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not [p for p in tmp_path.iterdir() if p.name.startswith("out")]
+
+
+@pytest.mark.parametrize("argv,config,sweep", [
+    (["--beta-sweep", ","], {}, ","),
+    ([], {"beta_sweep": ","}, ","),
+    (["--beta-sweep", ""], {}, ""),
+], ids=["flag", "config", "empty"])
+def test_pretrain_beta_sweep_of_no_value_exit_1(synth_graph, tmp_path, capsys, argv, config,
+                                                sweep):
+    """A beta sweep that lists no value exits 1 naming --beta-sweep, and
+    writes nothing."""
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert run(["pretrain", "--graph", synth_graph, "--config", tmp_path / "cfg.json",
+                "--out", tmp_path / "ck.iapt", "--epochs", 1, *PRETRAIN_SMALL, *argv]) == 1
+    assert capsys.readouterr().err == f"error: --beta-sweep {sweep!r} lists no value\n"
+    assert not list(tmp_path.glob("ck.iapt*"))
 
 
 def test_mi_bench_rejects_no_exact(tmp_path, capsys):

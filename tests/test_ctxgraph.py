@@ -916,6 +916,8 @@ def _edit_meta(meta, arrays, case):
         edges.insert(4, list(edges[3]))
     elif case == "edge-higher-id-first":
         edges[3][0], edges[3][1] = edges[3][1], edges[3][0]
+    elif case == "self-loop":
+        edges[3][1] = edges[3][0]
     elif case in ("weight-over", "weight-zero"):
         edges[5][3] = 1.5 if case == "weight-over" else 0.0
     elif case == "feature-over":
@@ -948,8 +950,9 @@ CONTRADICTIONS = {
     "edges-out-of-order": "edge 4 ",
     "edge-repeated": "edge 4 ",
     "edge-higher-id-first": "edge 3 ",
-    "weight-over": "weight 1.5 outside (0, 1]",
-    "weight-zero": "weight 0.0 outside (0, 1]",
+    "self-loop": "edge 3 ",
+    "weight-over": "weight 1.5) has a weight outside (0, 1]",
+    "weight-zero": "weight 0.0) has a weight outside (0, 1]",
     "feature-over": "node 'c02' has features outside [0, 1]",
     "matrix-missing": ": 2 feature groups, but 1 matrices",
     "dims-short": ": 60 kind codes, but 59 dims",

@@ -468,6 +468,25 @@ def test_ring_number_reused_across_a_block_boundary(monkeypatch):
     assert exc.value.index == edge - 1
 
 
+def test_parse_many_names_the_fault_of_the_bad_string_only(monkeypatch):
+    """Of 1000 SMILES whose last is bad, the token parser reads that one
+    alone, once, and the error carries its index."""
+    import infoalign.molparse as molparse
+
+    texts = synth_smiles(seed=3)[:999] + ["CC(C"]
+    read = []
+    raise_first_fault = molparse._raise_first_fault
+
+    def recording(text):
+        read.append(text)
+        return raise_first_fault(text)
+
+    monkeypatch.setattr(molparse, "_raise_first_fault", recording)
+    with pytest.raises(UnbalancedParenError) as exc:
+        parse_many(texts)
+    assert exc.value.index == 999 and read == ["CC(C"]
+
+
 def test_parse_many_of_nothing_is_empty():
     got = parse_many([])
     assert len(got) == 0 and got.atom_start.tolist() == [0] and got.bond_start.tolist() == [0]

@@ -40,8 +40,8 @@ UNREACHED = {
     "molparse._parse_bracket_atom": "synth writes no bracket atoms",
     "molparse.parse_smiles": "perfbench/tracer.py wraps it where `cli` and `ctxgraph` import "
                              "it (ROADMAP item 1); every command parses a list",
-    "molparse._parse_into": "it names the fault of a SMILES that does not parse; every "
-                            "command here is given valid SMILES",
+    "molparse._raise_first_fault": "it names the fault of a SMILES that does not parse; "
+                                   "every command here is given valid SMILES",
     "mibounds.i_eub": "the encoder upper bound, waiting for a caller in the run records "
                       "(ROADMAP item 7)",
 }
