@@ -226,15 +226,15 @@ def cmd_walk(args) -> int:
 
 
 def _read_molecules(path) -> tuple[list, MoleculeSet]:
-    """The SMILES of a file, as `read_smiles_file` reads them, and their
-    `parse_many` set. A SMILES that does not parse raises the parser's error
-    naming the file and line, and a file with none raises InfoAlignError."""
+    """The (line number, SMILES, id) entries of a file, as `read_smiles_file`
+    reads them, and the `parse_many` set of their SMILES. A SMILES that does
+    not parse raises the parser's error naming the file and line, and a file
+    with none raises InfoAlignError."""
     entries = read_smiles_file(path)
     if not entries:
         raise InfoAlignError(f"{path}: no molecules")
-    smiles = [smi for _lineno, smi in entries]
     try:
-        return smiles, parse_many(smiles)
+        return entries, parse_many([smi for _lineno, smi, _id in entries])
     except SmilesError as exc:
         raise type(exc)(f"{path}:{entries[exc.index][0]}: {exc}") from None
 
@@ -252,7 +252,8 @@ def cmd_fingerprint(args) -> int:
     if args.smiles:
         smiles, mols = [args.smiles], parse_many([args.smiles])
     elif args.input:
-        smiles, mols = _read_molecules(args.input)
+        entries, mols = _read_molecules(args.input)
+        smiles = [smi for _lineno, smi, _id in entries]
     else:
         raise InfoAlignError("fingerprint needs --smiles or --input")
     fps = morgan_fingerprint(mols, opt.radius, opt.nbits)
@@ -377,16 +378,22 @@ def cmd_pretrain(args) -> int:
     betas = None if opt.beta_sweep is None else _numbers("beta_sweep", opt.beta_sweep, float)
     if betas == []:
         raise InfoAlignError(f"--beta-sweep {opt.beta_sweep!r} lists no value")
+    runs = {}  # checkpoint -> beta
+    for beta in betas or ():
+        out = f"{args.out}.beta{beta:g}"
+        if out in runs:
+            raise InfoAlignError(f"--beta-sweep {opt.beta_sweep!r}: betas {runs[out]!r} and "
+                                 f"{beta!r} would both write {out}")
+        runs[out] = beta
     graph = ContextGraph.load(args.graph)
     try:
         graph.molecules()
     except SmilesError as exc:
         raise CorruptFileError(f"{args.graph}: {exc}") from None
-    if betas:
-        for beta in betas:
+    if runs:
+        for out, beta in runs.items():
             opt.beta = beta
-            _run_pretrain(graph, args.graph, opt, given | {"beta"},
-                          f"{args.out}.beta{beta:g}", args.resume)
+            _run_pretrain(graph, args.graph, opt, given | {"beta"}, out, args.resume)
     else:
         _run_pretrain(graph, args.graph, opt, given, args.out, args.resume)
     return 0
@@ -394,20 +401,46 @@ def cmd_pretrain(args) -> int:
 
 def cmd_embed(args) -> int:
     store = load_checkpoint(args.checkpoint)[0]
-    z = embed(store, _read_molecules(args.input)[1])
-    lines = ["\t".join(f"{v:.12g}" for v in row) for row in z]
+    entries, mols = _read_molecules(args.input)
+    named = _have_ids(args.input, [e[0] for e in entries], [e[2] for e in entries])
+    # Rows start with their ids only when every line has one; `eval` would
+    # read an id that reads as a number as one more value.
+    for lineno, _smi, nid in entries if named else ():
+        try:
+            float(nid)
+        except ValueError:
+            continue
+        raise InfoAlignError(f"{args.input}:{lineno}: the id {nid!r} reads as a number, so the "
+                             f"embeddings could not be read back with their ids")
+    lines = ["\t".join(f"{v:.12g}" for v in row) for row in embed(store, mols)]
+    if named:
+        lines = [f"{e[2]}\t{line}" for e, line in zip(entries, lines)]
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
 
+def _have_ids(path, lines, ids) -> bool:
+    """True if every row of the file `path` has an id, False if none has,
+    `ids` being each row's id or None and `lines` its line number. A row
+    that differs from the first raises TableFormatError naming its line."""
+    for lineno, nid in zip(lines, ids):
+        if (nid is None) != (ids[0] is None):
+            has = "no id" if nid is None else f"the id {nid!r}"
+            raise TableFormatError(f"{path}:{lineno}: {has}, but line {lines[0]} "
+                                   f"{'has one' if nid is None else 'has none'}")
+    return ids[0] is not None
+
+
 def _read_matrix_tsv(path):
-    """Rows of floats; a non-numeric first column is treated as an id column.
+    """Each row's id (None if it has none), the rows of floats as a matrix,
+    and each row's line number; a non-numeric first column is treated as an
+    id column.
 
     A table with no rows, a row with no values, a value that is not a finite
-    number, or rows of different lengths raise TableFormatError naming the
-    file (and the line).
+    number, rows of different lengths, or a row that differs from the first
+    in having an id raise TableFormatError naming the file (and the line).
     """
-    ids, rows = [], []
+    ids, rows, lines = [], [], []
     first = None  # (line number, value count) of the first row
     for lineno, cols in table_rows(path):
         try:
@@ -430,16 +463,47 @@ def _read_matrix_tsv(path):
             raise TableFormatError(f"{path}:{lineno}: {len(row)} values, "
                                    f"but line {first[0]} has {first[1]}")
         rows.append(row)
+        lines.append(lineno)
     if not rows:
         raise TableFormatError(f"{path}: no data rows")
-    return ids, np.array(rows, dtype=np.float64)
+    _have_ids(path, lines, ids)
+    return ids, np.array(rows, dtype=np.float64), lines
+
+
+def _row_of_id(path, ids, lines) -> dict:
+    """{id: row} of a table's rows; an id given twice raises TableFormatError
+    naming the file and both lines."""
+    rows = {}
+    for k, nid in enumerate(ids):
+        if rows.setdefault(nid, k) != k:
+            raise TableFormatError(f"{path}:{lines[k]}: id {nid!r} is given again, "
+                                   f"after line {lines[rows[nid]]}")
+    return rows
+
+
+def _joined_on_ids(emb_path, emb_ids, emb_lines, label_path, label_ids, label_lines) -> list:
+    """The label row of each embedding row, matched by id. An id given twice
+    in a table, or given in one table and not the other, raises
+    TableFormatError naming the file and the line."""
+    emb_rows = _row_of_id(emb_path, emb_ids, emb_lines)
+    label_rows = _row_of_id(label_path, label_ids, label_lines)
+    for path, lines, rows, other, other_rows in (
+            (emb_path, emb_lines, emb_rows, label_path, label_rows),
+            (label_path, label_lines, label_rows, emb_path, emb_rows)):
+        for nid, k in rows.items():
+            if nid not in other_rows:
+                raise TableFormatError(f"{path}:{lines[k]}: id {nid!r} has no row in {other}")
+    return [label_rows[nid] for nid in emb_ids]
 
 
 def cmd_eval(args) -> int:
     opt, _given = _resolve(args)
-    _ids, emb = _read_matrix_tsv(args.embeddings)
-    _lids, labels = _read_matrix_tsv(args.labels)
-    if len(labels) != len(emb):
+    ids, emb, lines = _read_matrix_tsv(args.embeddings)
+    label_ids, labels, label_lines = _read_matrix_tsv(args.labels)
+    if ids[0] is not None and label_ids[0] is not None:
+        labels = labels[_joined_on_ids(args.embeddings, ids, lines,
+                                       args.labels, label_ids, label_lines)]
+    elif len(labels) != len(emb):
         raise LengthMismatchError(f"{args.labels}: {len(labels)} label rows for {len(emb)} "
                                   f"embeddings in {args.embeddings}")
     task_types = [t.strip() for t in opt.task_types.split(",")]
@@ -464,8 +528,8 @@ def cmd_match(args) -> int:
     opt, _given = _resolve(args)
     store, cfg, _state = load_checkpoint(args.checkpoint)
     queries = _read_molecules(args.queries)[1]
-    cand_ids, cand = _read_matrix_tsv(args.candidates)
-    if any(i is None for i in cand_ids):
+    cand_ids, cand, _lines = _read_matrix_tsv(args.candidates)
+    if cand_ids[0] is None:
         raise InfoAlignError(f"{args.candidates}: candidate table needs an id column")
     true_lines = [(n, line.strip()) for n, line in text_lines(args.true_ids) if line.strip()]
     known = set(cand_ids)

@@ -9,22 +9,22 @@ into `RELATIONS`, in value order) and the weight; a (pair, relation) given
 twice keeps its last weight. Perturbation edges are always weight 1.
 Similarity edges come from a cosine threshold (0.8) combined with a
 top-fraction sparsity filter (keep 0.5% of all intra-kind pairs).
-`finalize()` sorts the edges by (low id, high id, relation value), freezes
-the graph and builds the walker's CSR arrays, in which a pair joined by
-several relations is one edge at the max weight. `molecules()` parses the
-molecule SMILES into one `MoleculeSet` on first use. A graph grows by
-whole columns (`add_nodes`, `add_edges`): every edge enters through
-`add_edges`, a loaded graph's too. An append onto an empty column takes the
-given array as it is. A graph built from tables records the Morgan radius
-of its fingerprints as `fp_radius`.
+The nodes are given once, to the constructor; edges are appended by
+`add_edges`, a loaded graph's too, until `finalize()` sorts them by (low
+id, high id, relation value), freezes the graph and builds the walker's CSR
+arrays, in which a pair joined by several relations is one edge at the max
+weight. `molecules()` parses the molecule SMILES into one `MoleculeSet` on
+first use. A graph built from tables records the Morgan radius of its
+fingerprints as `fp_radius`.
 
 A saved graph (`.ctxg`, graph format 2) holds these columns as they are: ids,
 source tags and SMILES as JSON lists, kind codes and dims as arrays, each
 (kind, dim) matrix as float32 or, when it is exactly +0.0/1.0 bit for bit as
 fingerprints are, as `np.packbits` rows; then the radius and the edges as a
-JSON list in `finalize`'s order. `load` checks the file against itself and
-builds the finalized graph from it without sorting the edges again. The
-stats are counted from the columns, saved or not.
+JSON list in `finalize`'s order. `load` checks the file against itself, the
+edge order by passing the saved edges through `finalize`'s merge, and builds
+the finalized graph from it. The stats are counted from the columns, saved
+or not.
 """
 
 from __future__ import annotations
@@ -145,12 +145,6 @@ def min_max_scale(columns) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def _joined(col, new: np.ndarray) -> np.ndarray:
-    """`new` appended to the column `col`; an empty `col` gives `new` itself,
-    so a graph built in one call copies none of its columns."""
-    return np.concatenate([col, new]) if len(col) else new
-
-
 def _id_ranks(ids: Sequence[str]) -> np.ndarray:
     """Each of the distinct `ids`' position in sorted order."""
     rank = np.empty(len(ids), dtype=np.intp)
@@ -180,18 +174,58 @@ def _top_pairs(s: np.ndarray, rank_i: np.ndarray, rank_j: np.ndarray, keep: int)
 
 
 class ContextGraph:
-    def __init__(self):
-        self._ids: List[str] = []
-        self._index: Dict[str, int] = {}
-        self._tags: List[str] = []
-        self._smiles: List[Optional[str]] = []
-        self._kind = np.zeros(0, dtype=np.int8)
-        self._dim = np.zeros(0, dtype=np.intp)
-        self._row = np.zeros(0, dtype=np.intp)  # each node's row in its (kind, dim) matrix
+    def __init__(self, ids: List[str], kinds, tags: List[str], smiles: List[Optional[str]],
+                 features: Dict[Tuple[NodeKind, int], tuple]):
+        """The open graph of the nodes given as columns: ids, kind codes,
+        source tags and SMILES (None off molecules), and per (kind, dim) the
+        ascending positions of its nodes and their feature rows as one
+        matrix, kept as given when it is float32. An id given twice raises
+        DuplicateIdError. Columns of different lengths, a kind code that is
+        no index of `KINDS`, a group whose positions are out of range, not
+        ascending or of another kind, a matrix that is not one row of dim
+        features per position, or a node in no group or in two raise
+        ValueError naming the first fault. Edges enter through `add_edges`."""
+        if not len(ids) == len(kinds) == len(tags) == len(smiles):
+            raise ValueError(f"{len(ids)} node ids, but {len(kinds)} kinds, {len(tags)} tags "
+                             f"and {len(smiles)} SMILES")
+        kinds = np.asarray(kinds, dtype=np.intp)
+        bad = np.flatnonzero((kinds < 0) | (kinds >= len(KINDS)))
+        if len(bad):
+            raise ValueError(f"node {ids[bad[0]]!r} has unknown kind code {kinds[bad[0]]}")
+        self._index: Dict[str, int] = dict(zip(ids, range(len(ids))))
+        if len(self._index) < len(ids):
+            seen = set()
+            for nid in ids:
+                if nid in seen:
+                    raise DuplicateIdError(f"node id {nid!r} already present")
+                seen.add(nid)
+        dim, row, placed = np.zeros((3, len(ids)), dtype=np.intp)
         self._features: Dict[Tuple[NodeKind, int], np.ndarray] = {}
+        for (kind, d), (pos, mat) in features.items():
+            pos, mat = np.asarray(pos, dtype=np.intp), np.asarray(mat, dtype=np.float32)
+            group = f"the {kind.value} group of dim {d}"
+            if len(pos) and (pos[0] < 0 or pos[-1] >= len(ids) or (np.diff(pos) <= 0).any()):
+                raise ValueError(f"{group} has positions out of range or not ascending "
+                                 f"for {len(ids)} nodes")
+            other = pos[kinds[pos] != KINDS.index(kind)]
+            if len(other):
+                raise ValueError(f"{group} holds node {ids[other[0]]!r} of kind "
+                                 f"{_KIND_VALUES[kinds[other[0]]]}")
+            if mat.shape != (len(pos), d):
+                raise ValueError(f"{group} has a {mat.shape} matrix for {len(pos)} positions")
+            dim[pos], row[pos] = d, np.arange(len(pos))
+            placed[pos] += 1
+            if len(mat):
+                self._features[kind, d] = mat
+        bad = np.flatnonzero(placed != 1)
+        if len(bad):
+            raise ValueError(f"node {ids[bad[0]]!r} is in {placed[bad[0]]} feature groups, "
+                             f"not one")
+        self._ids, self._tags, self._smiles = list(ids), list(tags), list(smiles)
+        self._kind = kinds.astype(np.int8)
+        self._dim, self._row = dim, row  # each node's dim, and its row in its (kind, dim) matrix
         self._edges = Edges(*(np.zeros(0, dtype=dt) for dt in _EDGE_DTYPES))
-        self._finalized = False
-        self._csr: Optional[CsrAdjacency] = None
+        self._csr: Optional[CsrAdjacency] = None  # set by finalize, or by load
         self._molecules: Optional[Tuple[MoleculeSet, Dict[str, int]]] = None
         # The Morgan radius of the molecules' features, if the tables built them.
         self.fp_radius: Optional[int] = None
@@ -245,78 +279,15 @@ class ContextGraph:
 
     def csr(self) -> CsrAdjacency:
         """The walker's neighbour arrays; requires a finalized graph."""
-        if not self._finalized:
+        if self._csr is None:
             raise FinalizedError("neighbors are available after finalize()")
         return self._csr
 
     # --- mutation --------------------------------------------------------
 
     def _check_mutable(self):
-        if self._finalized:
+        if self._csr is not None:
             raise FinalizedError("graph is finalized; mutation rejected")
-
-    def add_nodes(self, ids: List[str], kinds, tags: List[str], smiles: List[Optional[str]],
-                  features: Dict[Tuple[NodeKind, int], tuple]) -> None:
-        """Append nodes given as columns: ids, kind codes, source tags and
-        SMILES (None off molecules), and per (kind, dim) the ascending
-        positions of its nodes and their feature rows as one matrix. An id
-        already present or given twice raises DuplicateIdError. Columns of
-        different lengths, a kind code that is no index of `KINDS`, a group
-        whose positions are out of range, not ascending or of another kind,
-        a matrix that is not one row of dim features per position, or a
-        node in no group or in two raise ValueError naming the first fault.
-        Either way no node is added. A matrix appended to a (kind, dim) that
-        has no rows yet is kept as given when it is float32."""
-        self._check_mutable()
-        if not len(ids) == len(kinds) == len(tags) == len(smiles):
-            raise ValueError(f"{len(ids)} node ids, but {len(kinds)} kinds, {len(tags)} tags "
-                             f"and {len(smiles)} SMILES")
-        kinds = np.asarray(kinds, dtype=np.intp)
-        bad = np.flatnonzero((kinds < 0) | (kinds >= len(KINDS)))
-        if len(bad):
-            raise ValueError(f"node {ids[bad[0]]!r} has unknown kind code {kinds[bad[0]]}")
-        fresh = dict(zip(ids, range(len(self._ids), len(self._ids) + len(ids))))
-        if len(fresh) < len(ids) or not fresh.keys().isdisjoint(self._index):
-            seen = set(self._index)
-            for nid in ids:
-                if nid in seen:
-                    raise DuplicateIdError(f"node id {nid!r} already present")
-                seen.add(nid)
-        dim, row, placed = np.zeros((3, len(ids)), dtype=np.intp)
-        groups = []
-        for (kind, d), (pos, mat) in features.items():
-            pos, mat = np.asarray(pos, dtype=np.intp), np.asarray(mat, dtype=np.float32)
-            group = f"the {kind.value} group of dim {d}"
-            if len(pos) and (pos[0] < 0 or pos[-1] >= len(ids) or (np.diff(pos) <= 0).any()):
-                raise ValueError(f"{group} has positions out of range or not ascending "
-                                 f"for {len(ids)} nodes")
-            other = pos[kinds[pos] != KINDS.index(kind)]
-            if len(other):
-                raise ValueError(f"{group} holds node {ids[other[0]]!r} of kind "
-                                 f"{_KIND_VALUES[kinds[other[0]]]}")
-            if mat.shape != (len(pos), d):
-                raise ValueError(f"{group} has a {mat.shape} matrix for {len(pos)} positions")
-            dim[pos], row[pos] = d, len(self._features.get((kind, d), ())) + np.arange(len(pos))
-            placed[pos] += 1
-            groups.append(((kind, d), mat))
-        bad = np.flatnonzero(placed != 1)
-        if len(bad):
-            raise ValueError(f"node {ids[bad[0]]!r} is in {placed[bad[0]]} feature groups, "
-                             f"not one")
-        for key, mat in groups:
-            if len(mat):
-                self._features[key] = _joined(self._features.get(key, ()), mat)
-        if self._index:
-            self._index.update(fresh)
-        else:
-            self._index = fresh
-        self._ids.extend(ids)
-        self._tags.extend(tags)
-        self._smiles.extend(smiles)
-        self._kind, self._dim, self._row = (
-            _joined(col, new) for col, new in
-            zip((self._kind, self._dim, self._row), (kinds.astype(np.int8), dim, row)))
-        self._molecules = None
 
     def add_edges(self, a, b, rel, w) -> None:
         """Append edges given as columns: each edge's two node indices, its
@@ -339,7 +310,7 @@ class ContextGraph:
                 k = int(np.argmax(bad))
                 raise error(f"edge {k} (nodes {a[k]} and {b[k]}, relation code {rel[k]}, "
                             f"weight {w[k]}) has {fault}")
-        self._edges = Edges(*(_joined(col, new.astype(dt, copy=False)) for col, new, dt
+        self._edges = Edges(*(np.concatenate([col, new.astype(dt, copy=False)]) for col, new, dt
                               in zip(self._edges, (a, b, rel, w), _EDGE_DTYPES)))
 
     def build_similarity_edges(
@@ -429,13 +400,11 @@ class ContextGraph:
 
         Idempotent; all mutating operations raise FinalizedError afterwards.
         """
-        if self._finalized:
-            return self
-        self._check_features()
-        rank = _id_ranks(self._ids)
-        self._edges = self._merged_edges(rank)
-        self._csr = self._build_csr(rank)
-        self._finalized = True
+        if self._csr is None:
+            self._check_features()
+            rank = _id_ranks(self._ids)
+            self._edges = self._merged_edges(rank)
+            self._csr = self._build_csr(rank)
         return self
 
     def _check_features(self, keys=None) -> None:
@@ -495,20 +464,22 @@ class ContextGraph:
                 zip(e.a.tolist(), e.b.tolist(), e.rel.tolist(), e.w.tolist())]
 
     def checksum(self) -> str:
-        """Content hash over node ids/kinds and the edge set (not features)."""
+        """Content hash over node ids/kinds and the edge set (not features);
+        requires a finalized graph."""
         import hashlib
 
+        if self._csr is None:
+            raise FinalizedError("checksum available after finalize()")
         ids = self._ids
-        e = self._edges if self._finalized else self._merged_edges(_id_ranks(ids))
         order = sorted(range(len(ids)), key=ids.__getitem__)
         text = "".join(f"{ids[i]}:{_KIND_VALUES[k]}:{d};" for i, k, d in
                        zip(order, self._kind[order].tolist(), self._dim[order].tolist()))
-        text += "".join(f"{a}-{b}:{r}:{w!r};" for a, b, r, w in self._edge_rows(e))
+        text += "".join(f"{a}-{b}:{r}:{w!r};" for a, b, r, w in self._edge_rows(self._edges))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def stats(self) -> dict:
         """The node and edge counts, in all, by kind and by relation."""
-        if not self._finalized:
+        if self._csr is None:
             raise FinalizedError("stats available after finalize()")
         return {"nodes": len(self._ids), "edges": len(self._edges.w),
                 "nodes_by_kind": _counts(self._kind, _KIND_VALUES),
@@ -522,7 +493,7 @@ class ContextGraph:
         each (kind, dim) matrix as float32, or as `np.packbits` rows when it
         is exactly +0.0/1.0 bit for bit, the fingerprint radius and the
         edges as a JSON list in `finalize`'s order."""
-        if not self._finalized:
+        if self._csr is None:
             raise FinalizedError("only finalized graphs are saved")
         groups, mats = [], []
         for (kind, dim), mat in self._features.items():
@@ -537,16 +508,14 @@ class ContextGraph:
 
     @classmethod
     def load(cls, path) -> "ContextGraph":
-        """Read a graph `save` wrote, finalized as it was saved: the edges
-        are taken in their saved order, not merged and sorted again. A file
-        of another format, or whose contents contradict themselves (an
-        unknown kind, relation or edge node, a repeated id, dims that do not
-        match the matrices, a feature outside [0, 1], a self-loop, a weight
-        outside (0, 1], edges not rising strictly by (low id, high id,
-        relation)), raises CorruptFileError naming the file. Every edge
-        enters through `add_edges`, as a built graph's do. Molecule SMILES
-        are parsed on first use, by `molecules()`: walking needs none of
-        them."""
+        """Read a graph `save` wrote, finalized as it was saved. A file of
+        another format, or whose contents contradict themselves (an unknown
+        kind, relation or edge node, a repeated id, dims that do not match
+        the matrices, a feature outside [0, 1], a self-loop, a weight outside
+        (0, 1], an edge list that `finalize`'s merge would reorder or
+        shorten), raises CorruptFileError naming the file. Every edge enters
+        through `add_edges`, as a built graph's do. Molecule SMILES are
+        parsed on first use, by `molecules()`: walking needs none of them."""
         meta, arrays = serialize.read_container(path, MAGIC)
         if meta.get("format", 1) != GRAPH_FORMAT:
             raise CorruptFileError(f"{path}: graph format {meta.get('format', 1)}, but this "
@@ -560,8 +529,9 @@ class ContextGraph:
     def _from_saved(cls, meta: dict, arrays: List[np.ndarray]) -> "ContextGraph":
         """The finalized graph of `save`'s metadata and arrays; ValueError,
         DuplicateIdError or SelfLoopError names the first contradiction. The
-        node columns go through `add_nodes`, the bit-packed matrices unpacked
-        first, and the edges through `add_edges`."""
+        nodes go to the constructor, the bit-packed matrices unpacked first,
+        and the edges through `add_edges` and `_merged_edges`, which must
+        give them back as they were saved."""
         kind, dim, *mats = arrays
         if len(dim) != len(kind):
             raise ValueError(f"{len(kind)} kind codes, but {len(dim)} dims")
@@ -582,8 +552,7 @@ class ContextGraph:
             else:
                 floats.append(key)
             features[key] = (np.flatnonzero((kind == _KIND_CODE[kind_value]) & (dim == d)), mat)
-        g = cls()
-        g.add_nodes(meta["ids"], kind, meta["source_tags"], meta["smiles"], features)
+        g = cls(meta["ids"], kind, meta["source_tags"], meta["smiles"], features)
         g._check_features(floats)
         edges = meta["edges"]
         a, b, rel, w = zip(*edges) if edges else ((), (), (), ())
@@ -596,18 +565,18 @@ class ContextGraph:
         except KeyError as exc:
             raise ValueError(f"unknown relation {exc.args[0]!r}") from None
         g.add_edges(ia, ib, codes, w)
-        e, rank = g._edges, _id_ranks(g._ids)
-        lo, hi = rank[e.a], rank[e.b]
-        ok = lo < hi
-        ok[1:] &= (lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (
-            (hi[1:] > hi[:-1]) | ((hi[1:] == hi[:-1]) & (e.rel[1:] > e.rel[:-1]))))
-        bad = np.flatnonzero(~ok)
-        if len(bad):
-            raise ValueError(f"edge {bad[0]} {edges[bad[0]]} is not lower id first, or not "
-                             f"after the edge before it by (low id, high id, relation)")
+        rank = _id_ranks(g._ids)
+        merged = g._merged_edges(rank)
+        m = len(merged.w)
+        differs = np.ones(len(edges), dtype=bool)  # an edge past the merged ones was dropped
+        differs[:m] = np.any([col[:m] != kept for col, kept in zip(g._edges, merged)], axis=0)
+        if differs.any():
+            k = int(np.argmax(differs))
+            raise ValueError(f"edge {k} {edges[k]} is not where the merge puts it: lower id "
+                             f"first, by (low id, high id, relation), each (pair, relation) once")
+        g._edges = merged
         g._csr = g._build_csr(rank)
         g.fp_radius = meta["fp_radius"]
-        g._finalized = True
         return g
 
 
@@ -686,8 +655,7 @@ def load_node_table(path, fp_radius: int = 2, fp_bits: int = 1024,
         raise TableFormatError(f"{path}:{mol_rows[exc.index][0]}: bad SMILES: {exc}") from exc
     fps = morgan_fingerprint(mols, fp_radius, fp_bits)
     features[NodeKind.MOLECULE, fps.shape[1]] = ([pos for _lineno, pos in mol_rows], fps)
-    g = ContextGraph()
-    g.add_nodes(ids, kinds, tags, smiles, features)
+    g = ContextGraph(ids, kinds, tags, smiles, features)
     g.fp_radius = fp_radius
     return g
 

@@ -514,13 +514,13 @@ def parse_smiles(text: str) -> MolecularGraph:
     return parse_many([text]).graph
 
 
-def read_smiles_file(path) -> List[Tuple[int, str]]:
-    """(line number, SMILES) per SMILES line of a file. Blank lines and '#'
-    comment lines are skipped; a line's SMILES is its first
-    whitespace-separated field."""
+def read_smiles_file(path) -> List[Tuple[int, str, Optional[str]]]:
+    """(line number, SMILES, id) per SMILES line of a file. Blank lines and
+    '#' comment lines are skipped; a line's SMILES is its first
+    whitespace-separated field, and its id the second, None if it has none."""
     out = []
     for lineno, line in text_lines(path):
         fields = line.split()
         if fields and not fields[0].startswith("#"):
-            out.append((lineno, fields[0]))
+            out.append((lineno, fields[0], fields[1] if len(fields) > 1 else None))
     return out

@@ -38,9 +38,10 @@ replaced.
 `stored_edges` the graph's edge arrays as the {(low id, high id, relation):
 weight} dict the graph kept before its edges were arrays; it is the one
 place the tests read the graph's private fields.
-`add_node` and `add_edge` build a graph one node or edge at a time, as the
-graph's own `add_node` and `add_edge` did, through its columnar `add_nodes`
-and `add_edges`; `walk_batch` is the `WalkBatch` of a list of `WalkPath`s.
+`graph_of` gathers node rows and edges given by id, as the graph's own
+`add_node` and `add_edge` once took them one at a time, into one constructor
+call and one `add_edges` call; `walk_batch` is the `WalkBatch` of a list of
+`WalkPath`s.
 `reference_walk_tsv` is the `walk` table built as one string, each float
 formatted where it appears, that the block-at-a-time writer replaced.
 `gaussian_mi` and `i_nwj` are the closed-form Gaussian MI and the NWJ bound,
@@ -60,7 +61,7 @@ from infoalign.errors import (
     UnbalancedParenError,
     UnsupportedFeatureError,
 )
-from infoalign.ctxgraph import KINDS, RELATIONS
+from infoalign.ctxgraph import KINDS, RELATIONS, ContextGraph
 from infoalign.evalkit import CLASSIFICATION, ProbeHead
 from infoalign.model import (ATOM_FEATURE_DIM, LOGVAR_CLAMP, EncoderOutput, LossBreakdown,
                              atom_features, decoder_prefix)
@@ -235,16 +236,30 @@ def neighbors(g, node_id: str) -> List[Tuple[str, float]]:
                     csr.weights[lo:hi].tolist()))
 
 
-def add_node(g, rec) -> None:
-    """Append the `NodeRecord` `rec` to the graph `g`."""
-    g.add_nodes([rec.id], [KINDS.index(rec.kind)], [rec.source_tag], [rec.smiles],
-                {(rec.kind, rec.modality_dim): ([0], rec.features[None])})
-
-
-def add_edge(g, a: str, b: str, relation, weight: float) -> None:
-    """Append the edge a-b of `relation` to the graph `g`."""
-    ids = g.node_ids()
-    g.add_edges([ids.index(a)], [ids.index(b)], [RELATIONS.index(relation)], [weight])
+def graph_of(nodes, edges=()) -> ContextGraph:
+    """The open graph of `nodes`, each (id, kind, features[, source tag[,
+    SMILES]]) with the tag "" and the SMILES None when not given, and of
+    `edges`, each (id, id, relation, weight). Every (kind, dim) group's rows
+    are gathered in node order into one matrix, the graph is constructed
+    once, and the edges are appended in the order given by one `add_edges`."""
+    ids, kinds, tags, smiles, groups = [], [], [], [], {}
+    for pos, node in enumerate(nodes):
+        nid, kind, feats, tag, smi = (*node, *("", None)[len(node) - 3:])
+        feats = np.asarray(feats, dtype=np.float32)
+        ids.append(nid)
+        kinds.append(KINDS.index(kind))
+        tags.append(tag)
+        smiles.append(smi)
+        positions, rows = groups.setdefault((kind, len(feats)), ([], []))
+        positions.append(pos)
+        rows.append(feats)
+    g = ContextGraph(ids, kinds, tags, smiles, {
+        (kind, dim): (positions, np.array(rows, dtype=np.float32).reshape(len(rows), dim))
+        for (kind, dim), (positions, rows) in groups.items()})
+    index = {nid: i for i, nid in enumerate(ids)}
+    g.add_edges([index[e[0]] for e in edges], [index[e[1]] for e in edges],
+                [RELATIONS.index(e[2]) for e in edges], [e[3] for e in edges])
+    return g
 
 
 def walk_batch(graph, paths) -> WalkBatch:

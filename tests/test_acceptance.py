@@ -26,7 +26,7 @@ import pytest
 
 import infoalign.diffcore as dc
 from infoalign.cli import main as cli_main
-from infoalign.ctxgraph import ContextGraph, NodeKind, NodeRecord, Relation, build_graph_from_tables
+from infoalign.ctxgraph import NodeKind, Relation, build_graph_from_tables
 from infoalign.evalkit import (
     LabeledSet,
     ProbeConfig,
@@ -59,7 +59,7 @@ from infoalign.molparse import parse_many
 from infoalign.synth import SyntheticSpec, generate, write_tables
 
 from tests.test_evalkit import auc_pairwise_oracle, rerank_oracle
-from tests.oracles import add_node, gaussian_mi, stored_edges
+from tests.oracles import gaussian_mi, graph_of, stored_edges
 from tests.test_mibounds import gaussian_mi_quadrature
 from tests.test_model import mk_out, kl_quadrature
 
@@ -192,15 +192,12 @@ def test_similarity_edges_match_brute_force(seed):
     randomized 200-node instances (threshold 0.8, 99.5% sparsity default)."""
     rng = np.random.default_rng(1000 + seed)
     n = 200
-    g = ContextGraph()
     ids, feats = [], []
     for i in range(n):
         base = rng.uniform(0.2, 0.8, size=12)
-        f = np.clip(base + 0.1 * rng.standard_normal(12), 0.0, 1.0).astype(np.float32)
-        nid = f"n{i:03d}"
-        ids.append(nid)
-        feats.append(f)
-        add_node(g, NodeRecord(nid, NodeKind.CELL_MORPHOLOGY, f))
+        ids.append(f"n{i:03d}")
+        feats.append(np.clip(base + 0.1 * rng.standard_normal(12), 0.0, 1.0).astype(np.float32))
+    g = graph_of([(nid, NodeKind.CELL_MORPHOLOGY, f) for nid, f in zip(ids, feats)])
     keep_fraction = float(rng.choice([0.005, 0.02, 0.1]))
     expected = _similarity_oracle(ids, feats, 0.8, keep_fraction)
     g.build_similarity_edges(NodeKind.CELL_MORPHOLOGY, 0.8, keep_fraction)

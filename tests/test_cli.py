@@ -758,6 +758,39 @@ def test_embed_three_molecules(synth_graph, tmp_path):
     float(rows[0][0])
 
 
+def test_embed_writes_the_id_of_each_smiles_line(small_checkpoint, tmp_path):
+    """When every SMILES line has an id, its row is `id<TAB>values`, with the
+    values of the same SMILES given without ids."""
+    plain, named = tmp_path / "plain.smi", tmp_path / "named.smi"
+    plain.write_text("CCO\nCCN\nc1ccccc1\n")
+    named.write_text("CCO ethanol\n# comment\nCCN\tethylamine\nc1ccccc1 benzene extra\n")
+    for smi in (plain, named):
+        assert run(["embed", "--checkpoint", small_checkpoint, "--input", smi,
+                    "--out", f"{smi}.tsv"]) == 0
+    rows = Path(f"{plain}.tsv").read_text().splitlines()
+    assert Path(f"{named}.tsv").read_text().splitlines() == [
+        f"{nid}\t{row}" for nid, row in zip(["ethanol", "ethylamine", "benzene"], rows)]
+
+
+@pytest.mark.parametrize("text,message", [
+    ("CCO a\nCCN\n", "2: no id, but line 1 has one"),
+    ("CCO\n\nCCN b\n", "3: the id 'b', but line 1 has none"),
+    ("CCO a\nCCN 2\n", "2: the id '2' reads as a number, so the embeddings could not be "
+                        "read back with their ids"),
+], ids=["missing", "extra", "numeric"])
+def test_embed_of_mixed_or_numeric_ids_exit_1(small_checkpoint, tmp_path, capsys, text,
+                                              message):
+    """A SMILES file in which some lines have an id and some do not, or an id
+    reads as a number, exits 1 naming the file and the line, and writes
+    nothing."""
+    smi = tmp_path / "q.smi"
+    smi.write_text(text)
+    assert run(["embed", "--checkpoint", small_checkpoint, "--input", smi,
+                "--out", tmp_path / "z.tsv"]) == 1
+    assert capsys.readouterr().err == f"error: {smi}:{message}\n"
+    assert not (tmp_path / "z.tsv").exists()
+
+
 # --- eval / match ----------------------------------------------------------------------
 
 def test_eval_report(tmp_path):
@@ -884,6 +917,8 @@ def test_eval_diverging_probe_exit_1_without_warnings(tmp_path):
     ("a\nb\nc\n", 1, "no values"),
     ("a\t0.1\nb\tx\nc\t0.3\n", 2, "malformed value"),
     ("0.1\t0.2\n0.3\t\n0.5\t0.6\n", 2, "malformed value"),
+    ("a\t0.1\n0.2\nc\t0.3\n", 2, "no id, but line 1 has one"),
+    ("0.1\n\nb\t0.2\n0.3\n", 3, "the id 'b', but line 1 has none"),
 ])
 def test_eval_bad_cell_names_file_and_line(tmp_path, capsys, emb, where, message):
     (tmp_path / "emb.tsv").write_text(emb)
@@ -892,6 +927,60 @@ def test_eval_bad_cell_names_file_and_line(tmp_path, capsys, emb, where, message
                 "--labels", tmp_path / "lab.tsv", "--out", tmp_path / "r.json"]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {tmp_path / 'emb.tsv'}:{where}: {message}\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_eval_joins_shuffled_labels_on_their_ids(small_checkpoint, tmp_path):
+    """`embed` of a SMILES file with ids, then `eval` against synth's label
+    table: reversed label rows give the report of the rows in order. With
+    ids in the label table only, rows pair by position."""
+    data = tmp_path / "synth"
+    assert run(["synth", "--out", data, "--clusters", 2, "--per-cluster", 30,
+                "--morph-dim", 6, "--gexp-dim", 6, "--seed", 1]) == 0
+    mols = [r.split("\t") for r in (data / "nodes.tsv").read_text().splitlines()
+            if r.split("\t")[1] == "molecule"]
+    labels = (data / "labels.tsv").read_text().splitlines()
+    assert [r.split("\t")[0] for r in labels] == [m[0] for m in mols]
+    for name, text in [("named.smi", "".join(f"{m[3]} {m[0]}\n" for m in mols)),
+                       ("plain.smi", "".join(f"{m[3]}\n" for m in mols)),
+                       ("reversed.tsv", "".join(f"{r}\n" for r in reversed(labels)))]:
+        (tmp_path / name).write_text(text)
+    for smi in ("named", "plain"):
+        assert run(["embed", "--checkpoint", small_checkpoint, "--input", tmp_path / f"{smi}.smi",
+                    "--out", tmp_path / f"{smi}.tsv"]) == 0
+
+    def report(emb, lab):
+        out = tmp_path / f"{emb}-{lab.name}.json"
+        assert run(["eval", "--embeddings", tmp_path / f"{emb}.tsv", "--labels", lab,
+                    "--probe-epochs", 20, "--out", out]) == 0
+        return out.read_bytes()
+
+    joined = report("named", data / "labels.tsv")
+    assert report("named", tmp_path / "reversed.tsv") == joined
+    assert report("plain", data / "labels.tsv") == joined
+    assert report("plain", tmp_path / "reversed.tsv") != joined
+
+
+@pytest.mark.parametrize("emb,lab,where,message", [
+    ("a\t0.1\nb\t0.2\nc\t0.3\n", "c\t1\na\t0\n", "emb.tsv:2", "id 'b' has no row in "),
+    ("a\t0.1\nb\t0.2\n", "b\t1\n# x\nz\t0\na\t1\n", "lab.tsv:3", "id 'z' has no row in "),
+    ("a\t0.1\nb\t0.2\na\t0.3\n", "a\t1\nb\t0\n", "emb.tsv:3",
+     "id 'a' is given again, after line 1"),
+    ("a\t0.1\nb\t0.2\n", "b\t1\na\t0\n\nb\t0\n", "lab.tsv:4",
+     "id 'b' is given again, after line 1"),
+], ids=["embedding-without-label", "label-without-embedding", "embedding-repeated",
+        "label-repeated"])
+def test_eval_id_without_partner_or_repeated_exit_1(tmp_path, capsys, emb, lab, where,
+                                                    message):
+    """When both tables have ids, an id missing from the other table or given
+    twice exits 1 naming the file and the line, and writes no report."""
+    (tmp_path / "emb.tsv").write_text(emb)
+    (tmp_path / "lab.tsv").write_text(lab)
+    assert run(["eval", "--embeddings", tmp_path / "emb.tsv", "--labels", tmp_path / "lab.tsv",
+                "--out", tmp_path / "r.json"]) == 1
+    other = {"emb.tsv": "lab.tsv", "lab.tsv": "emb.tsv"}[where.split(":")[0]]
+    tail = tmp_path / other if message.endswith("row in ") else ""
+    assert capsys.readouterr().err == f"error: {tmp_path / where}: {message}{tail}\n"
     assert not (tmp_path / "r.json").exists()
 
 
@@ -1248,6 +1337,24 @@ def test_pretrain_beta_sweep_of_no_value_exit_1(synth_graph, tmp_path, capsys, a
     assert not list(tmp_path.glob("ck.iapt*"))
 
 
+@pytest.mark.parametrize("argv,config,sweep,betas,name", [
+    (["--beta-sweep", "0,0.1,0.1000001"], {}, "0,0.1,0.1000001", "0.1 and 0.1000001", "0.1"),
+    ([], {"beta_sweep": "1,0.001,1e-3"}, "1,0.001,1e-3", "0.001 and 0.001", "0.001"),
+    (["--beta-sweep", "0.1,0.1"], {}, "0.1,0.1", "0.1 and 0.1", "0.1"),
+], ids=["flag", "config", "repeated"])
+def test_pretrain_beta_sweep_of_one_name_twice_exit_1(synth_graph, tmp_path, capsys, argv,
+                                                     config, sweep, betas, name):
+    """Two betas of a sweep whose checkpoints would have one name exit 1
+    naming both values and the file, before any run trains or writes."""
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    out = tmp_path / "ck.iapt"
+    assert run(["pretrain", "--graph", synth_graph, "--config", tmp_path / "cfg.json",
+                "--out", out, "--epochs", 1, *PRETRAIN_SMALL, *argv]) == 1
+    assert capsys.readouterr().err == (f"error: --beta-sweep {sweep!r}: betas {betas} would "
+                                       f"both write {out}.beta{name}\n")
+    assert not list(tmp_path.glob("ck.iapt*"))
+
+
 def test_mi_bench_rejects_no_exact(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["mi-bench", "--no-exact", "--out", tmp_path / "mi.json"])
@@ -1531,19 +1638,20 @@ MATRIX_CELL = mostly(st.floats(allow_nan=False, allow_infinity=False).map(repr),
 def test_read_matrix_tsv_fuzzed(tmp_path_factory, text):
     """Id-only and ragged rows, non-numeric, non-finite and empty cells, and
     empty files: the reader returns a finite matrix with at least one row
-    and one column, or raises TableFormatError naming the file; no numpy
-    warning."""
+    and one column, whose rows all have an id or none has, or raises
+    TableFormatError naming the file; no numpy warning."""
     path = tmp_path_factory.mktemp("matrix") / "m.tsv"
     path.write_text(text, encoding="utf-8")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            ids, x = _read_matrix_tsv(path)
+            ids, x, lines = _read_matrix_tsv(path)
         except TableFormatError as exc:
             assert str(exc).startswith(f"{path}:")
             return
-    assert x.ndim == 2 and x.shape[0] == len(ids) and min(x.shape) >= 1
+    assert x.ndim == 2 and x.shape[0] == len(ids) == len(lines) and min(x.shape) >= 1
     assert np.isfinite(x).all()
+    assert len({i is None for i in ids}) == 1
 
 
 SMILES_LINE = mostly(smiles_strings().flatmap(

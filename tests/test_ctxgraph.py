@@ -1,6 +1,7 @@
 """Context-graph tests: construction rules, the brute-force similarity-edge
-oracle and the full-sort oracle of its keep cut, merging, persistence, the
-deferred molecule parse, and TSV ingestion."""
+oracle and the full-sort oracle of its keep cut, merging, persistence and the
+merge check of a saved edge list, the deferred molecule parse, and TSV
+ingestion."""
 
 import math
 import tracemalloc
@@ -16,7 +17,6 @@ from infoalign.ctxgraph import (
     RELATIONS,
     ContextGraph,
     NodeKind,
-    NodeRecord,
     Relation,
     _top_pairs,
     build_graph_from_tables,
@@ -37,70 +37,52 @@ from infoalign.errors import (
 )
 from infoalign.molparse import parse_many
 from infoalign.walker import WalkConfig, batch_walks
-from tests.oracles import (add_edge, add_node, molecule, neighbors, reference_top_pairs,
-                           stored_edges)
+from tests.oracles import graph_of, molecule, neighbors, reference_top_pairs, stored_edges
 
 
 def rec(nid, kind=NodeKind.CELL_MORPHOLOGY, feats=(0.5,)):
-    return NodeRecord(nid, kind, np.array(feats, dtype=np.float32))
+    return (nid, kind, np.array(feats, dtype=np.float32))
 
 
 def mol(nid, smiles="CCO"):
-    return NodeRecord(nid, NodeKind.MOLECULE, np.zeros(0, dtype=np.float32), smiles=smiles)
+    return (nid, NodeKind.MOLECULE, (), "", smiles)
 
 
 # --- nodes/edges ---------------------------------------------------------------
 
 def test_add_nodes():
-    g = ContextGraph()
-    add_node(g, rec("a"))
-    add_node(g, rec("b"))
-    assert g.node_ids() == ["a", "b"]
-    with pytest.raises(DuplicateIdError):
-        add_node(g, rec("a"))
+    """The constructor takes the nodes once, in the order given; an id given
+    twice raises DuplicateIdError."""
+    assert graph_of([rec("a"), rec("b")]).node_ids() == ["a", "b"]
+    with pytest.raises(DuplicateIdError, match=r"^node id 'a' already present$"):
+        graph_of([rec("a"), rec("b"), rec("a")])
 
 
 def test_appends_one_at_a_time_equal_one_bulk_append():
-    """Nodes and edges added one `add_nodes` or `add_edges` call each give
-    the graph one call of each gives."""
+    """Edges added one `add_edges` call each give the graph one call gives,
+    and every node keeps the features it was given."""
     rng = np.random.default_rng(1)
     kinds = [NodeKind.CELL_MORPHOLOGY, NodeKind.GENE_EXPRESSION, NodeKind.GENE]
     recs = [rec(f"n{i}", kinds[i % 3], rng.uniform(0, 1, 3 + i % 2)) for i in range(37)]
     edges = [(f"n{i}", f"n{(5 * i + 3) % 37}", Relation.SIMILARITY, 0.25 + (i % 3) / 4)
              for i in range(37) if (5 * i + 3) % 37 != i]
-    one_by_one = ContextGraph()
-    for r in recs:
-        add_node(one_by_one, r)
-    for e in edges:
-        add_edge(one_by_one, *e)
-    features = {}
-    for i, r in enumerate(recs):
-        pos, rows = features.setdefault((r.kind, r.modality_dim), ([], []))
-        pos.append(i)
-        rows.append(r.features)
-    bulk = ContextGraph()
-    bulk.add_nodes([r.id for r in recs], [KINDS.index(r.kind) for r in recs],
-                   [""] * len(recs), [None] * len(recs),
-                   {key: (pos, np.array(rows)) for key, (pos, rows) in features.items()})
-    ids = bulk.node_ids()
-    bulk.add_edges([ids.index(e[0]) for e in edges], [ids.index(e[1]) for e in edges],
-                   [RELATIONS.index(e[2]) for e in edges], [e[3] for e in edges])
-    for g in (one_by_one, bulk):
-        g.finalize()
+    one_by_one, bulk = graph_of(recs), graph_of(recs, edges).finalize()
+    ids = one_by_one.node_ids()
+    for a, b, relation, w in edges:
+        one_by_one.add_edges([ids.index(a)], [ids.index(b)], [RELATIONS.index(relation)], [w])
+    one_by_one.finalize()
     assert one_by_one.checksum() == bulk.checksum()
     assert stored_edges(one_by_one) == stored_edges(bulk)
-    for r in recs:
-        assert one_by_one.node(r.id).features.tobytes() == r.features.tobytes()
-        assert bulk.node(r.id).features.tobytes() == r.features.tobytes()
+    for nid, _kind, feats in recs:
+        assert bulk.node(nid).features.tobytes() == feats.tobytes()
 
 
 def test_one_call_onto_an_empty_graph_keeps_the_given_matrix():
-    """`add_nodes` onto an empty graph takes a float32 matrix as it is: a
-    graph built in one call copies none of its features."""
+    """The constructor takes a float32 matrix as it is: a graph copies none
+    of its features."""
     mat = np.random.default_rng(2).uniform(0, 1, (5, 3)).astype(np.float32)
-    g = ContextGraph()
-    g.add_nodes([f"c{i}" for i in range(5)], [KINDS.index(NodeKind.CELL_MORPHOLOGY)] * 5,
-                [""] * 5, [None] * 5, {(NodeKind.CELL_MORPHOLOGY, 3): (range(5), mat)})
+    g = ContextGraph([f"c{i}" for i in range(5)], [KINDS.index(NodeKind.CELL_MORPHOLOGY)] * 5,
+                     [""] * 5, [None] * 5, {(NodeKind.CELL_MORPHOLOGY, 3): (range(5), mat)})
     assert np.shares_memory(g.features()[2][NodeKind.CELL_MORPHOLOGY, 3], mat)
     assert g.node("c4").features.tobytes() == mat[4].tobytes()
 
@@ -132,21 +114,14 @@ _ROWS = np.array([[0.5], [0.25]])
         "position-descending", "position-twice", "other-kind", "in-no-group",
         "in-two-groups", "matrix-rows", "matrix-width"])
 def test_add_nodes_rejects_bad_columns_and_adds_none(columns, message):
-    """A fault in any column raises ValueError naming it, and the graph
-    stays as it was."""
-    g = ContextGraph()
-    add_node(g, rec("x"))
+    """A fault in any column raises ValueError naming it, so no graph is
+    made; the same columns without it make one."""
     given = dict(ids=["a", "b"], kinds=[_CELL, _CELL], tags=["t", "t"], smiles=[None, None],
                  features={(NodeKind.CELL_MORPHOLOGY, 1): ([0, 1], _ROWS)})
+    assert ContextGraph(**given).finalize().stats()["nodes_by_kind"] == {"cell_morphology": 2}
     given.update(columns)
     with pytest.raises(ValueError, match=message):
-        g.add_nodes(**given)
-    assert g.node_ids() == ["x"] and g.kinds().tolist() == [_CELL]
-    dims, rows, mats = g.features()
-    assert dims.tolist() == [1] and rows.tolist() == [0]
-    assert {key: mat.shape for key, mat in mats.items()} == {(NodeKind.CELL_MORPHOLOGY, 1): (1, 1)}
-    g.add_nodes(["a"], [_CELL], ["t"], [None], {(NodeKind.CELL_MORPHOLOGY, 1): ([0], _ROWS[:1])})
-    assert g.finalize().stats()["nodes_by_kind"] == {"cell_morphology": 2}
+        ContextGraph(**given)
 
 
 _SIM, _PERT = RELATIONS.index(Relation.SIMILARITY), RELATIONS.index(Relation.PERTURBATION)
@@ -167,10 +142,7 @@ _SIM, _PERT = RELATIONS.index(Relation.SIMILARITY), RELATIONS.index(Relation.PER
 def test_add_edges_rejects_a_bad_edge_and_adds_none(edge, error, message):
     """A bad edge among good ones raises, and the graph's edges stay as
     they were."""
-    g = ContextGraph()
-    for nid in ("a", "b", "c"):
-        add_node(g, rec(nid))
-    g.add_edges([0], [1], [_PERT], [1.0])
+    g = graph_of([rec("a"), rec("b"), rec("c")], [("a", "b", Relation.PERTURBATION, 1.0)])
     if error is FinalizedError:
         g.finalize()
     before = stored_edges(g)
@@ -181,63 +153,55 @@ def test_add_edges_rejects_a_bad_edge_and_adds_none(edge, error, message):
 
 
 def test_finalized_rejects_mutation():
-    g = ContextGraph()
-    add_node(g, rec("a"))
-    g.finalize()
+    g = graph_of([rec("a")]).finalize()
     with pytest.raises(FinalizedError):
-        add_node(g, rec("b"))
-    with pytest.raises(FinalizedError):
-        add_edge(g, "a", "a", Relation.SIMILARITY, 0.9)
+        g.add_edges([0], [0], [_SIM], [0.9])
     # idempotent
     assert g.finalize() is g
 
 
+def test_open_graph_has_no_checksum_stats_csr_or_file(tmp_path):
+    """Before `finalize` the edges are not merged: `checksum`, `stats`,
+    `csr` and `save` raise FinalizedError, and `save` writes nothing."""
+    g = graph_of([rec("a"), rec("b")], [("a", "b", Relation.SIMILARITY, 0.5)])
+    for call in (g.checksum, g.stats, g.csr, lambda: g.save(tmp_path / "g.ctxg")):
+        with pytest.raises(FinalizedError, match="finalize"):
+            call()
+    assert not (tmp_path / "g.ctxg").exists()
+
+
 def test_molecule_node_parses_smiles():
-    g = ContextGraph()
-    add_node(g, mol("m1", "c1ccccc1"))
+    g = graph_of([mol("m1", "c1ccccc1")])
     mols, row = g.molecules()
     assert row == {"m1": 0}
     assert len(molecule(mols, 0).element) == 6
 
 
 def test_perturbation_edge_weight_forced_one():
-    g = ContextGraph()
-    add_node(g, rec("a"))
-    add_node(g, rec("b"))
-    assert add_edge(g, "b", "a", Relation.PERTURBATION, 1.0) is None
+    g = graph_of([rec("a"), rec("b")], [("b", "a", Relation.PERTURBATION, 1.0)])
     assert stored_edges(g) == {("a", "b", Relation.PERTURBATION): 1.0}
     with pytest.raises(SelfLoopError):
-        add_edge(g, "a", "a", Relation.PERTURBATION, 1.0)
+        g.add_edges([0], [0], [_PERT], [1.0])
 
 
 def test_edge_weight_range():
-    g = ContextGraph()
-    add_node(g, rec("a"))
-    add_node(g, rec("b"))
+    g = graph_of([rec("a"), rec("b")])
     with pytest.raises(ValueError):
-        add_edge(g, "a", "b", Relation.SIMILARITY, 0.0)
+        g.add_edges([0], [1], [_SIM], [0.0])
     with pytest.raises(ValueError):
-        add_edge(g, "a", "b", Relation.SIMILARITY, 1.5)
+        g.add_edges([0], [1], [_SIM], [1.5])
 
 
 def test_undirected_neighbors_same_weight():
-    g = ContextGraph()
-    add_node(g, rec("a"))
-    add_node(g, rec("b"))
-    add_edge(g, "a", "b", Relation.SIMILARITY, 0.9)
-    g.finalize()
+    g = graph_of([rec("a"), rec("b")], [("a", "b", Relation.SIMILARITY, 0.9)]).finalize()
     assert neighbors(g, "a") == [("b", 0.9)]
     assert neighbors(g, "b") == [("a", 0.9)]
 
 
 def test_max_weight_effective_edge():
     """A pair linked by two relations shows one effective max-weight edge."""
-    g = ContextGraph()
-    add_node(g, rec("a"))
-    add_node(g, rec("b"))
-    add_edge(g, "a", "b", Relation.SIMILARITY, 0.85)
-    add_edge(g, "a", "b", Relation.PERTURBATION, 1.0)
-    g.finalize()
+    g = graph_of([rec("a"), rec("b")], [("a", "b", Relation.SIMILARITY, 0.85),
+                                         ("a", "b", Relation.PERTURBATION, 1.0)]).finalize()
     assert len(stored_edges(g)) == 2   # both relations stored
     assert neighbors(g, "a") == [("b", 1.0)]  # walker sees max weight
 
@@ -245,20 +209,14 @@ def test_max_weight_effective_edge():
 def test_repeated_pair_and_relation_keeps_its_last_weight():
     """A (pair, relation) added twice, in either direction, is one edge at
     the last weight, not the max."""
-    g = ContextGraph()
-    for nid in ("a", "b"):
-        add_node(g, rec(nid))
-    add_edge(g, "a", "b", Relation.SIMILARITY, 0.7)
-    add_edge(g, "b", "a", Relation.SIMILARITY, 0.5)
+    g = graph_of([rec("a"), rec("b")], [("a", "b", Relation.SIMILARITY, 0.7),
+                                         ("b", "a", Relation.SIMILARITY, 0.5)])
     assert stored_edges(g) == {("a", "b", Relation.SIMILARITY): 0.5}
     g.finalize()
     assert stored_edges(g) == {("a", "b", Relation.SIMILARITY): 0.5}
     assert g.stats()["edges"] == 1
     assert neighbors(g, "a") == [("b", 0.5)]
-    once = ContextGraph()
-    for nid in ("a", "b"):
-        add_node(once, rec(nid))
-    add_edge(once, "a", "b", Relation.SIMILARITY, 0.5)
+    once = graph_of([rec("a"), rec("b")], [("a", "b", Relation.SIMILARITY, 0.5)])
     assert g.checksum() == once.finalize().checksum()
 
 
@@ -294,12 +252,12 @@ def brute_force_similarity(recs, threshold, keep_fraction):
     total_pairs = n * (n - 1) // 2
     cands = []
     for i in range(n):
-        fi = recs[i].features.astype(np.float64)
+        fi = recs[i][2].astype(np.float64)
         ni = np.linalg.norm(fi)
         if ni == 0:
             continue
         for j in range(i + 1, n):
-            fj = recs[j].features.astype(np.float64)
+            fj = recs[j][2].astype(np.float64)
             nj = np.linalg.norm(fj)
             if nj == 0:
                 continue
@@ -307,7 +265,7 @@ def brute_force_similarity(recs, threshold, keep_fraction):
             if s >= 1.0 - 1e-12:
                 s = 1.0
             if s >= threshold and s > 0:
-                a, b = sorted((recs[i].id, recs[j].id))
+                a, b = sorted((recs[i][0], recs[j][0]))
                 cands.append((s, a, b))
     cands.sort(key=lambda c: (-c[0], c[1], c[2]))
     keep = math.ceil(keep_fraction * total_pairs)
@@ -315,9 +273,7 @@ def brute_force_similarity(recs, threshold, keep_fraction):
 
 
 def test_identical_vectors_edge_weight_one():
-    g = ContextGraph()
-    add_node(g, rec("a", feats=(0.5, 0.5)))
-    add_node(g, rec("b", feats=(1.0, 1.0)))
+    g = graph_of([rec("a", feats=(0.5, 0.5)), rec("b", feats=(1.0, 1.0))])
     added = g.build_similarity_edges(NodeKind.CELL_MORPHOLOGY, keep_fraction=1.0)
     assert added == 1
     g.finalize()
@@ -325,16 +281,12 @@ def test_identical_vectors_edge_weight_one():
 
 
 def test_below_threshold_no_edge():
-    g = ContextGraph()
-    add_node(g, rec("a", feats=(1.0, 0.0)))
-    add_node(g, rec("b", feats=(1.0, 1.0)))  # cosine ~ 0.707 < 0.8
+    g = graph_of([rec("a", feats=(1.0, 0.0)), rec("b", feats=(1.0, 1.0))])  # cosine ~ 0.707
     assert g.build_similarity_edges(NodeKind.CELL_MORPHOLOGY, keep_fraction=1.0) == 0
 
 
 def test_mixed_dimensions_rejected():
-    g = ContextGraph()
-    add_node(g, rec("a", feats=(1.0, 0.0)))
-    add_node(g, rec("b", feats=(1.0, 0.0, 0.0)))
+    g = graph_of([rec("a", feats=(1.0, 0.0)), rec("b", feats=(1.0, 0.0, 0.0))])
     with pytest.raises(MixedDimensionsError):
         g.build_similarity_edges(NodeKind.CELL_MORPHOLOGY)
 
@@ -343,15 +295,12 @@ def test_mixed_dimensions_rejected():
 def test_similarity_matches_brute_force_oracle(seed):
     rng = np.random.default_rng(seed)
     n = 50
-    g = ContextGraph()
     recs = []
     for i in range(n):
         # correlated features so the 0.8 threshold has plenty of hits
         base = rng.uniform(0.2, 0.8, size=8)
-        f = np.clip(base + 0.15 * rng.standard_normal(8), 0.0, 1.0)
-        r = rec(f"n{i:03d}", feats=f)
-        recs.append(r)
-        add_node(g, r)
+        recs.append(rec(f"n{i:03d}", feats=np.clip(base + 0.15 * rng.standard_normal(8), 0, 1)))
+    g = graph_of(recs)
     keep_fraction = rng.choice([0.005, 0.02, 0.1, 1.0])
     expected = brute_force_similarity(recs, 0.8, keep_fraction)
     g.build_similarity_edges(NodeKind.CELL_MORPHOLOGY, 0.8, keep_fraction)
@@ -394,9 +343,7 @@ def similarity_edges(g):
 
 
 def assert_matches_reference(feats, ids, keep_fraction, threshold=0.8, ulps=0):
-    g = ContextGraph()
-    for nid, f in zip(ids, feats):
-        add_node(g, rec(nid, feats=f))
+    g = graph_of([rec(nid, feats=f) for nid, f in zip(ids, feats)])
     expected = reference_similarity_edges(g, NodeKind.CELL_MORPHOLOGY, threshold, keep_fraction)
     added = g.build_similarity_edges(NodeKind.CELL_MORPHOLOGY, threshold, keep_fraction)
     got = similarity_edges(g)
@@ -532,9 +479,7 @@ def test_top_pairs_equals_full_sort_on_tie_heavy_features(data):
         mp.setattr(ctxgraph, "_SIM_BLOCK", data.draw(st.sampled_from([3, 5, 8]), label="block"))
         for top_pairs in (_top_pairs, reference_top_pairs):
             mp.setattr(ctxgraph, "_top_pairs", top_pairs)
-            g = ContextGraph()
-            for nid, f in zip(ids, feats):
-                add_node(g, rec(nid, feats=f))
+            g = graph_of([rec(nid, feats=f) for nid, f in zip(ids, feats)])
             added = g.build_similarity_edges(NodeKind.CELL_MORPHOLOGY, threshold, keep_fraction)
             assert added == min(keep, len(s))
             graphs.append(g)
@@ -552,9 +497,8 @@ def test_top_pairs_keep_zero_is_empty():
 def test_zero_cosine_is_no_edge_at_threshold_zero():
     """Edge weights are in (0, 1]: orthogonal rows get no edge, even at
     threshold 0 and keep_fraction 1."""
-    g = ContextGraph()
-    for nid, f in [("a", (1.0, 0.0)), ("b", (0.0, 1.0)), ("c", (1.0, 1.0))]:
-        add_node(g, rec(nid, feats=f))
+    g = graph_of([rec(nid, feats=f) for nid, f in [("a", (1.0, 0.0)), ("b", (0.0, 1.0)),
+                                                    ("c", (1.0, 1.0))]])
     assert g.build_similarity_edges(NodeKind.CELL_MORPHOLOGY, 0.0, 1.0) == 2
     assert set(similarity_edges(g)) == {("a", "c"), ("b", "c")}
 
@@ -562,10 +506,8 @@ def test_zero_cosine_is_no_edge_at_threshold_zero():
 def test_given_similarity_edge_keeps_its_weight():
     """A similarity edge added before `build_similarity_edges`, as the tables
     add theirs, keeps its weight, and the returned count leaves it out."""
-    g = ContextGraph()
-    for nid in ("a", "b", "c"):
-        add_node(g, rec(nid, feats=(0.5, 0.5)))
-    add_edge(g, "b", "a", Relation.SIMILARITY, 0.3)
+    g = graph_of([rec(nid, feats=(0.5, 0.5)) for nid in ("a", "b", "c")],
+                 [("b", "a", Relation.SIMILARITY, 0.3)])
     assert g.build_similarity_edges(NodeKind.CELL_MORPHOLOGY, keep_fraction=1.0) == 2
     assert similarity_edges(g) == {("a", "b"): 0.3, ("a", "c"): 1.0, ("b", "c"): 1.0}
     g.finalize()
@@ -579,10 +521,9 @@ def test_similarity_peak_memory_bounded_by_block():
     the pairs at or above each block's cut, not for every candidate."""
     n = 600
     feats = np.clip(0.5 + 0.05 * np.random.default_rng(0).standard_normal((n, 8)), 0, 1)
-    g = ContextGraph()
-    g.add_nodes([f"c{i:03d}" for i in range(n)], [KINDS.index(NodeKind.CELL_MORPHOLOGY)] * n,
-                ["t"] * n, [None] * n,
-                {(NodeKind.CELL_MORPHOLOGY, 8): (np.arange(n), feats.astype(np.float32))})
+    g = ContextGraph([f"c{i:03d}" for i in range(n)], [KINDS.index(NodeKind.CELL_MORPHOLOGY)] * n,
+                     ["t"] * n, [None] * n,
+                     {(NodeKind.CELL_MORPHOLOGY, 8): (np.arange(n), feats.astype(np.float32))})
     unit = feats / np.linalg.norm(feats, axis=1, keepdims=True)
     assert (unit @ unit.T).min() >= 0.8  # every pair is a candidate
     tracemalloc.start()
@@ -596,10 +537,8 @@ def test_similarity_peak_memory_bounded_by_block():
 
 
 def test_zero_norm_rows_skipped():
-    g = ContextGraph()
-    add_node(g, rec("a", feats=(0.0, 0.0)))
-    add_node(g, rec("b", feats=(1.0, 0.0)))
-    add_node(g, rec("c", feats=(1.0, 0.0)))
+    g = graph_of([rec("a", feats=(0.0, 0.0)), rec("b", feats=(1.0, 0.0)),
+                  rec("c", feats=(1.0, 0.0))])
     assert g.build_similarity_edges(NodeKind.CELL_MORPHOLOGY, keep_fraction=1.0) == 1
 
 
@@ -607,11 +546,11 @@ def test_zero_norm_rows_skipped():
 
 def build_random_graph(seed=0, n=30):
     rng = np.random.default_rng(seed)
-    g = ContextGraph()
+    nodes = []
     for i in range(n):
-        add_node(g, mol(f"m{i:02d}", "CCO"))
-        add_node(g, rec(f"c{i:02d}", feats=tuple(rng.uniform(0, 1, 4))))
-        add_edge(g, f"m{i:02d}", f"c{i:02d}", Relation.PERTURBATION, 1.0)
+        nodes += [mol(f"m{i:02d}", "CCO"), rec(f"c{i:02d}", feats=tuple(rng.uniform(0, 1, 4)))]
+    g = graph_of(nodes, [(f"m{i:02d}", f"c{i:02d}", Relation.PERTURBATION, 1.0)
+                         for i in range(n)])
     g.build_similarity_edges(NodeKind.CELL_MORPHOLOGY, 0.8, 0.1)
     return g.finalize()
 
@@ -639,17 +578,13 @@ def test_loaded_stats_are_counted_from_the_columns(tmp_path):
 
 
 def test_finalize_validates_ranges():
-    g = ContextGraph()
-    add_node(g, NodeRecord("bad", NodeKind.CELL_MORPHOLOGY,
-                           np.array([1.5], dtype=np.float32)))
+    g = graph_of([rec("bad", feats=[1.5])])
     with pytest.raises(ValueError):
         g.finalize()
 
 
 def test_finalize_rejects_nan_features():
-    g = ContextGraph()
-    add_node(g, NodeRecord("nan", NodeKind.CELL_MORPHOLOGY,
-                           np.array([0.5, np.nan], dtype=np.float32)))
+    g = graph_of([rec("nan", feats=[0.5, np.nan])])
     with pytest.raises(ValueError, match="outside"):
         g.finalize()
 
@@ -689,14 +624,10 @@ def assert_same_graph(got, want):
 
 
 def _graph_of(nodes, edges=()):
-    """A finalized graph of (id, kind, features, smiles) nodes and
-    (a, b, relation, weight) edges."""
-    g = ContextGraph()
-    for nid, kind, feats, smiles in nodes:
-        add_node(g, NodeRecord(nid, kind, np.array(feats, dtype=np.float32), "t-" + nid, smiles))
-    for e in edges:
-        add_edge(g, *e)
-    return g.finalize()
+    """A finalized graph of (id, kind, features, smiles) nodes, each tagged
+    "t-" and its id, and (a, b, relation, weight) edges."""
+    return graph_of([(nid, kind, feats, "t-" + nid, smiles) for nid, kind, feats, smiles in nodes],
+                    edges).finalize()
 
 
 _M, _C, _E = NodeKind.MOLECULE, NodeKind.CELL_MORPHOLOGY, NodeKind.GENE_EXPRESSION
@@ -751,20 +682,6 @@ def test_save_load_round_trip_bit_for_bit(tmp_path, case):
     assert (tmp_path / "again.ctxg").read_bytes() == p.read_bytes()
 
 
-def test_load_takes_the_saved_edge_order_without_finalize(tmp_path, monkeypatch):
-    """`load` builds the finalized graph from the file: no merge or sort of
-    the edges, and the same graph as the one saved."""
-    g = build_random_graph(seed=2)
-    p = tmp_path / "g.ctxg"
-    g.save(p)
-
-    def no_merge(*_args):
-        raise AssertionError("load merged the edges again")
-
-    monkeypatch.setattr(ContextGraph, "_merged_edges", no_merge)
-    assert_same_graph(ContextGraph.load(p), g)
-
-
 def test_load_rejects_the_first_format_naming_both_numbers(tmp_path, capsys):
     """A graph of the first format (per-node records, no format number) is
     rejected with both format numbers and the file, and `walk` exits 1."""
@@ -781,7 +698,7 @@ def test_load_rejects_the_first_format_naming_both_numbers(tmp_path, capsys):
 
 
 def test_graph_records_the_fingerprint_radius_of_its_tables(tmp_path):
-    """The tables' radius is saved and loaded; a graph built node by node has none."""
+    """The tables' radius is saved and loaded; a graph constructed from columns has none."""
     nodes, edges = write_tables(tmp_path)
     g = build_graph_from_tables(nodes, edges, fp_radius=3, fp_bits=64)
     assert g.fp_radius == 3
@@ -816,21 +733,15 @@ def test_load_parses_each_molecule_once_on_first_use(tmp_path, monkeypatch):
 
 
 def test_molecules_parses_every_molecule_node_in_one_call():
-    """The set is `parse_many` of the molecule nodes' SMILES in node order; a
-    molecule node without SMILES gets no row, and adding a node drops the
-    set parsed before it."""
-    g = ContextGraph()
-    for nid, smiles in [("m2", "c1ccccc1"), ("c0", None), ("m0", "CCO"), ("bare", None)]:
-        add_node(g, mol(nid, smiles) if smiles or nid == "bare" else rec(nid))
+    """The set is `parse_many` of the molecule nodes' SMILES in node order,
+    and a molecule node without SMILES gets no row."""
+    g = graph_of([mol("m2", "c1ccccc1"), rec("c0"), mol("m0", "CCO"), mol("bare", None)])
     mols, row = g.molecules()
     assert row == {"m2": 0, "m0": 1}
     want = parse_many(["c1ccccc1", "CCO"])
     for name in ("element", "charge", "aromatic", "degree", "bonds", "order"):
         assert getattr(mols.graph, name).tobytes() == getattr(want.graph, name).tobytes()
     assert mols.atom_start.tolist() == want.atom_start.tolist()
-    add_node(g, mol("m1", "C"))
-    assert g.molecules()[1] == {"m2": 0, "m0": 1, "m1": 2}
-    assert len(g.molecules()[0]) == 3
 
 
 def test_molecules_names_the_node_of_a_bad_smiles(tmp_path):
@@ -848,16 +759,12 @@ def test_molecules_names_the_node_of_a_bad_smiles(tmp_path):
 
 
 def test_add_node_defers_a_bad_smiles_to_molecules(tmp_path):
-    """A graph built by `add_node` with a SMILES that does not parse can be
+    """A graph constructed with a SMILES that does not parse can be
     finalized, saved, loaded and walked; `molecules()` then raises, naming
     the node."""
-    g = ContextGraph()
-    add_node(g, mol("m0", "CCO"))
-    add_node(g, mol("m1", "C(C"))
-    add_node(g, rec("c0"))
-    add_edge(g, "m0", "c0", Relation.PERTURBATION, 1.0)
-    add_edge(g, "m1", "c0", Relation.PERTURBATION, 1.0)
-    g.finalize()
+    g = graph_of([mol("m0", "CCO"), mol("m1", "C(C"), rec("c0")],
+                 [("m0", "c0", Relation.PERTURBATION, 1.0),
+                  ("m1", "c0", Relation.PERTURBATION, 1.0)]).finalize()
     p = tmp_path / "g.ctxg"
     g.save(p)
     g2 = ContextGraph.load(p)
@@ -947,7 +854,7 @@ CONTRADICTIONS = {
     "unknown-kind": "unknown node kind 'protein'",
     "unknown-kind-code": f"has unknown kind code {len(KINDS)}",
     "repeated-id": "node id 'm00' already present",
-    "edges-out-of-order": "edge 4 ",
+    "edges-out-of-order": "edge 3 ",
     "edge-repeated": "edge 4 ",
     "edge-higher-id-first": "edge 3 ",
     "self-loop": "edge 3 ",
@@ -983,6 +890,49 @@ def test_load_names_the_file_of_contradicting_metadata(tmp_path, capsys, case):
     assert not (tmp_path / "w.tsv").exists()
 
 
+def mutate_edges(data, edges: list) -> list:
+    """A copy of the saved edge list with 0 to 3 edits: two entries swapped,
+    one moved, one repeated somewhere, or one with its ends swapped (an edit
+    may leave the list as it was)."""
+    edges = [list(e) for e in edges]
+    position = st.integers(0, len(edges) - 1)
+    for op in data.draw(st.lists(st.sampled_from(["swap", "move", "repeat", "ends"]),
+                                 max_size=3), label="ops"):
+        i, j = data.draw(position, label="i"), data.draw(position, label="j")
+        if op == "swap":
+            edges[i], edges[j] = edges[j], edges[i]
+        elif op == "move":
+            edges.insert(j, edges.pop(i))
+        elif op == "repeat":
+            edges.insert(j, list(edges[i]))
+        else:
+            edges[i][:2] = edges[i][1::-1]
+    return edges
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_load_accepts_exactly_the_merge_order(tmp_path_factory, data):
+    """A saved edge list permuted, repeated in places or with the ends of an
+    edge swapped loads exactly when it is still the merge order; otherwise
+    CorruptFileError names the file and the first edge that differs from
+    it."""
+    g = build_random_graph(seed=1)
+    p = tmp_path_factory.mktemp("edges") / "g.ctxg"
+    g.save(p)
+    meta, arrays = serialize.read_container(p, ctxgraph.MAGIC)
+    saved = meta["edges"]
+    meta["edges"] = edges = mutate_edges(data, saved)
+    serialize.write_container(p, ctxgraph.MAGIC, meta, arrays)
+    if edges == saved:
+        assert_same_graph(ContextGraph.load(p), g)
+        return
+    with pytest.raises(CorruptFileError) as exc:
+        ContextGraph.load(p)
+    first = next(k for k, e in enumerate(edges) if k >= len(saved) or e != saved[k])
+    assert str(exc.value).startswith(f"{p}: edge {first} {edges[first]} ")
+
+
 # --- TSV tables ---------------------------------------------------------------------
 
 def write_tables(tmp_path):
@@ -1015,6 +965,14 @@ def test_load_node_table_scaling(tmp_path):
     assert np.allclose(recs["c1"].features, [0.0, 0.0])
     assert np.allclose(recs["c2"].features, [1.0, 0.0])
     assert np.allclose(recs["c3"].features, [0.5, 1.0])
+
+
+def test_node_table_without_molecules_has_no_molecule_matrix(tmp_path):
+    """The fingerprint group of a table without molecules has no rows, and
+    the graph keeps no matrix for it."""
+    p = tmp_path / "nodes.tsv"
+    p.write_text("c1\tcell_morphology\tsrc\t1.0\t5.0\nc2\tcell_morphology\tsrc\t3.0\t4.0\n")
+    assert list(load_node_table(p, fp_bits=64).features()[2]) == [(NodeKind.CELL_MORPHOLOGY, 2)]
 
 
 def test_load_edge_table_perturbation_forced(tmp_path):

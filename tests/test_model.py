@@ -15,7 +15,7 @@ from scipy.integrate import quad
 
 import infoalign.diffcore as dc
 import infoalign.model as model
-from infoalign.ctxgraph import ContextGraph, NodeKind, NodeRecord, Relation
+from infoalign.ctxgraph import ContextGraph, NodeKind, Relation
 from infoalign.errors import NoDecoderError, PathMismatchError, ShapeMismatchError
 from infoalign.model import (
     _EMBED_ATOMS,
@@ -49,8 +49,7 @@ from infoalign.walker import WalkConfig, WalkPath, batch_walks
 from tests.oracles import (
     FIXED_SMILES,
     add,
-    add_edge,
-    add_node,
+    graph_of,
     molecule,
     molecule_set,
     reference_adam_step,
@@ -79,17 +78,14 @@ def tiny_graph(n_mols=6, seed=0, fp_bits=64):
     rng = np.random.default_rng(seed)
     smiles = ["CCO", "CCN", "c1ccccc1", "CC(C)O", "CCCC", "OCCO",
               "CC=O", "CSC", "NCCN", "C1CC1"]
-    g = ContextGraph()
+    nodes = []
     for i in range(n_mols):
         smi = smiles[i % len(smiles)]
-        mol = parse_smiles(smi)
-        add_node(g, NodeRecord(f"m{i}", NodeKind.MOLECULE,
-                               morgan_fingerprint(molecule_set([mol]), 2, fp_bits)[0],
-                               smiles=smi))
-        add_node(g, NodeRecord(f"c{i}", NodeKind.CELL_MORPHOLOGY,
-                               rng.uniform(0, 1, 5).astype(np.float32)))
-        add_edge(g, f"m{i}", f"c{i}", Relation.PERTURBATION, 1.0)
-    return g.finalize()
+        fp = morgan_fingerprint(molecule_set([parse_smiles(smi)]), 2, fp_bits)[0]
+        nodes += [(f"m{i}", NodeKind.MOLECULE, fp, "", smi),
+                  (f"c{i}", NodeKind.CELL_MORPHOLOGY, rng.uniform(0, 1, 5).astype(np.float32))]
+    return graph_of(nodes, [(f"m{i}", f"c{i}", Relation.PERTURBATION, 1.0)
+                            for i in range(n_mols)]).finalize()
 
 
 def encode_batch(mols, bound):
@@ -514,23 +510,19 @@ def walk_graph(n_mols=7):
     from infoalign.fingerprint import morgan_fingerprint
     rng = np.random.default_rng(3)
     smiles = ["CCO", "CCN", "c1ccccc1", "CC(C)O", "CCCC", "OCCO", "CC=O", "CSC"]
-    g = ContextGraph()
-    for j in range(3):
-        add_node(g, NodeRecord(f"g{j}", NodeKind.GENE_EXPRESSION,
-                               rng.uniform(0, 1, 4).astype(np.float32)))
+    nodes = [(f"g{j}", NodeKind.GENE_EXPRESSION, rng.uniform(0, 1, 4).astype(np.float32))
+             for j in range(3)]
+    edges = []
     for i in range(n_mols):
         smi = smiles[i % len(smiles)]
-        mol = parse_smiles(smi)
-        add_node(g, NodeRecord(f"m{i}", NodeKind.MOLECULE,
-                               morgan_fingerprint(molecule_set([mol]), 2, 64)[0],
-                               smiles=smi))
-        add_node(g, NodeRecord(f"c{i}", NodeKind.CELL_MORPHOLOGY,
-                               rng.uniform(0, 1, 5).astype(np.float32)))
-        add_edge(g, f"m{i}", f"c{i}", Relation.PERTURBATION, 1.0)
-        add_edge(g, f"m{i}", f"g{i % 3}", Relation.PERTURBATION, 1.0)
-    for i in range(n_mols):
-        add_edge(g, f"c{i}", f"c{(i + 1) % n_mols}", Relation.SIMILARITY, 0.5 + 0.1 * (i % 3))
-    return g.finalize()
+        fp = morgan_fingerprint(molecule_set([parse_smiles(smi)]), 2, 64)[0]
+        nodes += [(f"m{i}", NodeKind.MOLECULE, fp, "", smi),
+                  (f"c{i}", NodeKind.CELL_MORPHOLOGY, rng.uniform(0, 1, 5).astype(np.float32))]
+        edges += [(f"m{i}", f"c{i}", Relation.PERTURBATION, 1.0),
+                  (f"m{i}", f"g{i % 3}", Relation.PERTURBATION, 1.0)]
+    edges += [(f"c{i}", f"c{(i + 1) % n_mols}", Relation.SIMILARITY, 0.5 + 0.1 * (i % 3))
+              for i in range(n_mols)]
+    return graph_of(nodes, edges).finalize()
 
 
 def per_walk_mean(g, starts, paths, store, beta, noise, likelihood):
@@ -602,16 +594,12 @@ def test_batch_loss_isolated_molecule_trains_on_own_fingerprint(likelihood):
     """A molecule with no context edges walks a 1-node path: its only target
     is its own fingerprint (alpha = 1, L = 1)."""
     from infoalign.fingerprint import morgan_fingerprint
-    g = ContextGraph()
-    for i, smi in enumerate(["CCO", "CCN", "c1ccccc1"]):
-        mol = parse_smiles(smi)
-        add_node(g, NodeRecord(f"m{i}", NodeKind.MOLECULE,
-                               morgan_fingerprint(molecule_set([mol]), 2, 64)[0],
-                               smiles=smi))
-    add_node(g, NodeRecord("c0", NodeKind.CELL_MORPHOLOGY, np.linspace(0, 1, 5)))
-    add_edge(g, "m0", "c0", Relation.PERTURBATION, 1.0)
-    add_edge(g, "m2", "c0", Relation.PERTURBATION, 1.0)
-    g.finalize()
+    nodes = [(f"m{i}", NodeKind.MOLECULE, morgan_fingerprint(molecule_set([parse_smiles(smi)]),
+                                                              2, 64)[0], "", smi)
+             for i, smi in enumerate(["CCO", "CCN", "c1ccccc1"])]
+    g = graph_of(nodes + [("c0", NodeKind.CELL_MORPHOLOGY, np.linspace(0, 1, 5))],
+                 [("m0", "c0", Relation.PERTURBATION, 1.0),
+                  ("m2", "c0", Relation.PERTURBATION, 1.0)]).finalize()
     isolated = batch_walks(g, ["m1"], WalkConfig(length=4))[0]
     assert isolated.nodes == ["m1"] and isolated.alphas == [] and isolated.truncated
     starts = ["m0", "m1", "m2"]

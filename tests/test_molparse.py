@@ -532,4 +532,4 @@ def test_token_count_oracle():
 def test_read_smiles_file(tmp_path):
     p = tmp_path / "mols.smi"
     p.write_text("# comment\nCCO\n\nc1ccccc1 benzene\n")
-    assert read_smiles_file(p) == [(2, "CCO"), (4, "c1ccccc1")]
+    assert read_smiles_file(p) == [(2, "CCO", None), (4, "c1ccccc1", "benzene")]

@@ -4,11 +4,12 @@ listed here with the reason it stays.
 A child process installs a `sys.setprofile` hook, imports the CLI and runs
 every subcommand in-process through `main` on a small synth set: both
 likelihoods, `--resume`, `--beta-sweep`, `walk --uniform`, a mixed-type
-`eval`, `match`, and `mi-bench` with and without `--random-critic`. A
-function counts as reached if any of it runs, at import time included (such
-as `cli._defaults`). The test fails when a function goes uncalled that is not
-listed, or when a listed one is called: a new function needs a caller or a
-reason, and a reason that no longer holds is deleted.
+`eval`, an `embed` and `eval` whose rows are matched by id, `match`, and
+`mi-bench` with and without `--random-critic`. A function counts as reached
+if any of it runs, at import time included (such as `cli._defaults`). The
+test fails when a function goes uncalled that is not listed, or when a
+listed one is called: a new function needs a caller or a reason, and a
+reason that no longer holds is deleted.
 
 Run this file as a script with a scratch directory as its argument to write
 the reached (file, line) pairs there as `reached.json`.
@@ -103,6 +104,11 @@ def _run_every_command(work: Path):
     run("eval", "--embeddings", work / "emb.tsv", "--labels", work / "labels.tsv",
         "--task-types", "classification,regression", "--probe-hidden", 4,
         "--probe-epochs", 5, "--out", work / "eval.json")
+    named = work / "named.smi"
+    named.write_text("".join(f"{row[3]} {row[0]}\n" for row in nodes if row[1] == "molecule"))
+    run("embed", "--checkpoint", ck, "--input", named, "--out", work / "named.tsv")
+    run("eval", "--embeddings", work / "named.tsv", "--labels", synth / "labels.tsv",
+        "--probe-epochs", 5, "--out", work / "joined.json")
     morph = [row for row in nodes if row[1] == "cell_morphology"]
     (work / "cands.tsv").write_text("".join("\t".join([row[0], *row[3:]]) + "\n"
                                             for row in morph))

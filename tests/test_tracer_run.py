@@ -2,7 +2,7 @@
 path and not modified, is installed around in-process `build-graph`,
 `pretrain` and `embed` calls, and the counts it reads from the graph
 (`ContextGraph.node_ids`, `node(...).kind` and `.modality_dim`) agree with the
-graph's own stats."""
+graph's own stats, with one `finalize` in all."""
 
 import importlib.util
 import json
@@ -53,3 +53,6 @@ def test_traced_run_counts_the_similarity_pairs_and_edges(tmp_path):
     assert counts["ctxgraph.similarity_pairs"] == sum(k * (k - 1) // 2 for k in n)
     assert counts["ctxgraph.similarity_edges"] == stats["edges_by_relation"]["similarity"] > 0
     assert counts["ctxgraph.similarity.calls"] == len(KINDS)
+    # `build-graph` merges its edges once; `pretrain`'s load checks the saved
+    # order through the merge, without calling `finalize`.
+    assert counts["ctxgraph.finalize.calls"] == 1 and counts["ctxgraph.load.calls"] == 1

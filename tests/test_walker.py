@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from infoalign.cli import main
-from infoalign.ctxgraph import ContextGraph, NodeKind, NodeRecord, Relation
+from infoalign.ctxgraph import ContextGraph, NodeKind, Relation
 from infoalign.errors import NotAMoleculeError
 from infoalign.diffcore import seeded_rng
 from infoalign.walker import WalkConfig, WalkPath, batch_walks
-from tests.oracles import add_edge, add_node, neighbors, stored_edges, walk_targets
+from tests.oracles import graph_of, neighbors, stored_edges, walk_targets
 
 
 # --- the per-step oracle ---------------------------------------------------------
@@ -87,31 +87,26 @@ def second_nodes(g, start, cfg):
     return [walks.ids[j] for j in walks.nodes[:, 1].tolist()]
 
 
-def feat(v=0.5):
-    return np.array([v], dtype=np.float32)
+def mol(nid):
+    return (nid, NodeKind.MOLECULE, (), "", "C")
+
+
+def cell(nid):
+    return (nid, NodeKind.CELL_MORPHOLOGY, (0.5,))
 
 
 def line_graph(weights):
     """m0 - c0 - c1 - ... chain with given edge weights; start is a molecule."""
-    g = ContextGraph()
-    add_node(g, NodeRecord("m0", NodeKind.MOLECULE, np.zeros(0, dtype=np.float32), smiles="C"))
-    prev = "m0"
-    for i, w in enumerate(weights):
-        nid = f"c{i}"
-        add_node(g, NodeRecord(nid, NodeKind.CELL_MORPHOLOGY, feat()))
-        add_edge(g, prev, nid, Relation.SIMILARITY, w)
-        prev = nid
-    return g.finalize()
+    ids = ["m0"] + [f"c{i}" for i in range(len(weights))]
+    return graph_of([mol("m0")] + [cell(nid) for nid in ids[1:]],
+                    [(a, b, Relation.SIMILARITY, w)
+                     for a, b, w in zip(ids, ids[1:], weights)]).finalize()
 
 
 def star_graph(weights):
-    g = ContextGraph()
-    add_node(g, NodeRecord("m0", NodeKind.MOLECULE, np.zeros(0, dtype=np.float32), smiles="C"))
-    for i, w in enumerate(weights):
-        nid = f"c{i}"
-        add_node(g, NodeRecord(nid, NodeKind.CELL_MORPHOLOGY, feat()))
-        add_edge(g, "m0", nid, Relation.SIMILARITY, w)
-    return g.finalize()
+    return graph_of([mol("m0")] + [cell(f"c{i}") for i in range(len(weights))],
+                    [("m0", f"c{i}", Relation.SIMILARITY, w)
+                     for i, w in enumerate(weights)]).finalize()
 
 
 # --- WalkPath invariants ----------------------------------------------------------
@@ -152,9 +147,7 @@ def test_single_neighbor_deterministic():
 
 def test_isolated_node():
     """An isolated start draws nothing and walks only itself, flagged truncated."""
-    g = ContextGraph()
-    add_node(g, NodeRecord("m0", NodeKind.MOLECULE, np.zeros(0, dtype=np.float32), smiles="C"))
-    g.finalize()
+    g = graph_of([mol("m0")]).finalize()
     walks = batch_walks(g, ["m0"], WalkConfig(length=4, walks_per_molecule=3))
     assert [(p.nodes, p.edge_weights, p.alphas, p.truncated) for p in walks] == \
         [(["m0"], [], [], True)] * 3
@@ -205,11 +198,7 @@ def test_walk_structure_and_alphas():
 
 
 def test_walk_length_two_perturbation():
-    g = ContextGraph()
-    add_node(g, NodeRecord("m0", NodeKind.MOLECULE, np.zeros(0, dtype=np.float32), smiles="C"))
-    add_node(g, NodeRecord("c0", NodeKind.CELL_MORPHOLOGY, feat()))
-    add_edge(g, "m0", "c0", Relation.PERTURBATION, 1.0)
-    g.finalize()
+    g = graph_of([mol("m0"), cell("c0")], [("m0", "c0", Relation.PERTURBATION, 1.0)]).finalize()
     p = batch_walks(g, ["m0"], WalkConfig(length=2, walks_per_molecule=1))[0]
     assert walk_targets(p) == [("c0", 1.0)]
 
@@ -254,19 +243,11 @@ def test_position_distribution_matches_markov_chain():
 # --- batch_walks ---------------------------------------------------------------------
 
 def branching_graph():
-    g = ContextGraph()
-    for i in range(4):
-        add_node(g, NodeRecord(f"m{i}", NodeKind.MOLECULE, np.zeros(0, dtype=np.float32),
-                               smiles="C"))
-    for i in range(6):
-        add_node(g, NodeRecord(f"c{i}", NodeKind.CELL_MORPHOLOGY, feat()))
     rng = np.random.default_rng(0)
-    for i in range(4):
-        for j in range(6):
-            if rng.random() < 0.7:
-                add_edge(g, f"m{i}", f"c{j}", Relation.SIMILARITY,
-                            float(rng.uniform(0.2, 1.0)))
-    return g.finalize()
+    edges = [(f"m{i}", f"c{j}", Relation.SIMILARITY, float(rng.uniform(0.2, 1.0)))
+             for i in range(4) for j in range(6) if rng.random() < 0.7]
+    return graph_of([mol(f"m{i}") for i in range(4)] + [cell(f"c{i}") for i in range(6)],
+                    edges).finalize()
 
 
 def test_batch_determinism():
@@ -307,13 +288,9 @@ def test_per_start_streams_order_stable():
 
 
 def test_dead_end_truncation():
-    g = ContextGraph()
-    add_node(g, NodeRecord("m0", NodeKind.MOLECULE, np.zeros(0, dtype=np.float32), smiles="C"))
-    add_node(g, NodeRecord("c0", NodeKind.CELL_MORPHOLOGY, feat()))
     # The graph is undirected, so a degree-1 node is never a dead end: the
     # walk bounces back instead of truncating.
-    add_edge(g, "m0", "c0", Relation.PERTURBATION, 1.0)
-    g.finalize()
+    g = graph_of([mol("m0"), cell("c0")], [("m0", "c0", Relation.PERTURBATION, 1.0)]).finalize()
     p = batch_walks(g, ["m0"], WalkConfig(length=5))[0]
     assert len(p.nodes) == 5 and not p.truncated  # bouncing is allowed
 
@@ -322,19 +299,15 @@ def many_weights_graph():
     """30 molecules and 40 profiles, each node with several neighbors whose
     weights are all distinct."""
     rng = np.random.default_rng(123)
-    g = ContextGraph()
     mols = [f"m{i}" for i in range(30)]
     profs = [f"p{i}" for i in range(40)]
-    for m in mols:
-        add_node(g, NodeRecord(m, NodeKind.MOLECULE, np.zeros(0, dtype=np.float32), smiles="C"))
-    for p in profs:
-        add_node(g, NodeRecord(p, NodeKind.CELL_MORPHOLOGY, feat()))
     nodes = mols + profs
+    edges = []
     for a in nodes:
         for b in rng.choice(nodes, size=int(rng.integers(2, 9)), replace=False):
             if a != b:
-                add_edge(g, a, str(b), Relation.SIMILARITY, float(rng.uniform(1e-3, 1.0)))
-    return g.finalize(), mols
+                edges.append((a, str(b), Relation.SIMILARITY, float(rng.uniform(1e-3, 1.0))))
+    return graph_of([mol(m) for m in mols] + [cell(p) for p in profs], edges).finalize(), mols
 
 
 @pytest.mark.parametrize("uniform", [False, True])
@@ -355,19 +328,11 @@ def walk_cases(draw):
     names = draw(st.lists(st.text(alphabet="ab19", min_size=1, max_size=3),
                           min_size=2, max_size=9, unique=True))
     n_mols = draw(st.integers(1, len(names)))
-    g = ContextGraph()
-    for i, nid in enumerate(names):
-        if i < n_mols:
-            add_node(g, NodeRecord(nid, NodeKind.MOLECULE, np.zeros(0, dtype=np.float32),
-                                   smiles="C"))
-        else:
-            add_node(g, NodeRecord(nid, NodeKind.CELL_MORPHOLOGY, feat()))
     weight = st.sampled_from([1.0, 0.5, 0.25]) | st.floats(1e-6, 1.0)
     edges = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names),
                                     st.sampled_from(list(Relation)), weight), max_size=20))
-    for a, b, rel, w in edges:
-        if a != b:
-            add_edge(g, a, b, rel, w)
+    g = graph_of([mol(nid) if i < n_mols else cell(nid) for i, nid in enumerate(names)],
+                 [e for e in edges if e[0] != e[1]])
     starts = draw(st.lists(st.sampled_from(names[:n_mols]), max_size=6))
     cfg = WalkConfig(length=draw(st.integers(2, 6)),
                      walks_per_molecule=draw(st.integers(1, 4)),
