@@ -496,10 +496,26 @@ def _joined_on_ids(emb_path, emb_ids, emb_lines, label_path, label_ids, label_li
     return [label_rows[nid] for nid in emb_ids]
 
 
+def _refuse_numbered_rows(path, labels: np.ndarray, lines) -> None:
+    """TableFormatError, naming the file and its first row, if a label
+    table of two or more columns and three or more rows starts with a column
+    that counts k, k + 1, ... down its rows, k being 0 or 1: an id column
+    whose ids read as numbers, which would be read as one more task."""
+    first = labels[:, 0]
+    if (labels.shape[1] >= 2 and len(first) >= 3 and first[0] in (0, 1)
+            and np.array_equal(first, first[0] + np.arange(len(first)))):
+        raise TableFormatError(f"{path}:{lines[0]}: the first column counts the rows "
+                               f"{first[0]:g} to {first[-1]:g}, as an id column does; "
+                               f"ids must not read as numbers, so give each row an id "
+                               f"such as m{first[0]:g}, or drop the column")
+
+
 def cmd_eval(args) -> int:
     opt, _given = _resolve(args)
     ids, emb, lines = _read_matrix_tsv(args.embeddings)
     label_ids, labels, label_lines = _read_matrix_tsv(args.labels)
+    if label_ids[0] is None:
+        _refuse_numbered_rows(args.labels, labels, label_lines)
     if ids[0] is not None and label_ids[0] is not None:
         labels = labels[_joined_on_ids(args.embeddings, ids, lines,
                                        args.labels, label_ids, label_lines)]

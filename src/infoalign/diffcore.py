@@ -28,8 +28,10 @@ they are loaded.
 The scatter of `scatter_add_rows` and of `gather_rows`' backward pass sums
 through a `RowIndex`: the index and a table of each row's entries in
 ascending order, built once per index and read by every pass that shares it
-(as in PyG's CSR message passing). The sums are those of numpy's `add.at`,
-in its order, bit for bit:
+(as in PyG's CSR message passing). `RowIndex.blocks` cuts the indexes of
+many blocks, such as a training epoch's batches, and their tables from one
+sort of all of them. The sums are those of numpy's `add.at`, in its order,
+bit for bit:
 - Small scatters (fewer than `_ADD_AT_SIZE` values) call `np.add.at`
   itself, which beats building a table there.
 - Many rows with few entries each (in-neighbours) loop over the table's
@@ -238,6 +240,65 @@ class RowIndex:
             raise IndexError(f"row index out of range for {num_rows} rows")
         self._positions = positions
         self._table = None
+
+    @classmethod
+    def blocks(cls, index, num_rows, bounds) -> List["RowIndex"]:
+        """The RowIndex of each block of `index`, block k being entries
+        bounds[k]:bounds[k + 1], each naming one of num_rows[k] rows. The
+        range check, the stable sort and the tables run once, over every
+        block: each block's index, positions and table are slices of them,
+        holding what its own `RowIndex` would build. They are int32 where
+        the entries and rows fit, which halves what the blocks hold; numpy
+        indexes with int32 as fast as with intp."""
+        index = np.asarray(index, dtype=np.intp)
+        num_rows = np.asarray(num_rows, dtype=np.intp)
+        bounds = np.asarray(bounds, dtype=np.intp)
+        sizes = np.diff(bounds)
+        if index.ndim != 1 or len(index) != bounds[-1] or len(sizes) != len(num_rows):
+            raise ShapeMismatchError(f"{len(index)} entries in blocks ending at {bounds[-1]} "
+                                     f"over {len(num_rows)} row counts")
+        if len(index) and not ((index >= 0).all() and (index < np.repeat(num_rows, sizes)).all()):
+            raise IndexError("row index out of range for its block's rows")
+        # Block k's rows are rows first[k]:first[k + 1] of all blocks' rows,
+        # and its entries are slots bounds[k]:bounds[k + 1] of their sort.
+        first = np.concatenate([[0], np.cumsum(num_rows)])
+        row_block = np.repeat(np.arange(len(sizes)), num_rows)
+        held = np.int32 if max(len(index), first[-1]) < 2**31 else np.intp
+        key = index + np.repeat(first[:-1], sizes)
+        counts = np.bincount(key, minlength=first[-1])
+        stops = np.cumsum(counts)
+        positions = (np.argsort(key, kind="stable") - np.repeat(bounds[:-1], sizes)).astype(held)
+        width = np.zeros(len(sizes), dtype=np.intp)
+        rowed = num_rows > 0
+        if rowed.any():
+            width[rowed] = np.maximum.reduceat(counts, first[:-1][rowed])
+        columns = width <= num_rows
+        # the column layout: entry j of each row, or its block's pad
+        on = columns[row_block]
+        table = np.empty((width[columns].max(initial=0), first[-1]), dtype=held)
+        table[...] = sizes[row_block]
+        for j, column in enumerate(table):
+            rows = np.flatnonzero(on & (counts > j))
+            column[rows] = positions[stops[rows] - counts[rows] + j]
+        # the list layout: (row, start, stop) of each row with entries
+        listed = np.flatnonzero((counts > 0) & ~on)
+        runs = list(zip((listed - first[row_block[listed]]).tolist(),
+                        (stops - counts - bounds[row_block])[listed].tolist(),
+                        (stops - bounds[row_block])[listed].tolist()))
+        cuts = np.searchsorted(listed, first).tolist()
+        index = index.astype(held)
+        out = []
+        for k, (lo, hi, n, w) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist(),
+                                               num_rows.tolist(), width.tolist())):
+            planned = cls.__new__(cls)
+            planned.index, planned.num_rows = index[lo:hi], n
+            # only the list layout reads the positions; a column table holds them
+            if columns[k]:
+                planned._positions, planned._table = None, table[:w, first[k] : first[k] + n]
+            else:
+                planned._positions, planned._table = positions[lo:hi], runs[cuts[k] : cuts[k + 1]]
+            out.append(planned)
+        return out
 
     def positions(self) -> np.ndarray:
         """The entries grouped by row, ascending within each row."""

@@ -10,15 +10,21 @@ the alpha-weighted reconstruction NLLs over the path length and adds a
 beta-weighted KL to the standard-normal prior. The start molecule's own
 fingerprint is always a target with alpha = 1.
 
-Training evaluates a whole minibatch in one tape (`batch_loss`): the start
-molecules are gathered from the graph's parsed `MoleculeSet` and encoded
-together as one block-diagonal graph (`encode_union`, one `dc.gin_layer`
-node per layer), and every target of one (kind, dim) is taken by index from
-the graph's matrix of that (kind, dim) and decoded as one matrix, by
-`decode_nll`, into one `dc.decode_group` node per group. One `dc.add_n` node
-adds the groups' terms to the KL term. At the benchmark's recovery
-configuration a step's tape holds 18 nodes. `dc.decode_group` is the
-package's one NLL: the evaluation probe fits its head through it too.
+Training evaluates a whole minibatch in one tape. Before an epoch's first
+step its batches are laid out once, as one `EpochPlan` of index arrays: the
+epoch's molecules are gathered from the graph's parsed `MoleculeSet` in one
+`take`, the row indexes of every batch's messages, readout, walks and
+decoded groups are cut from one sort per index (`dc.RowIndex.blocks`), and
+the targets are ordered so that each (kind, dim) group of a batch is one
+slice. A step (`step_loss`) only slices the plan: it encodes the batch's
+molecules together as one block-diagonal graph (`encode_union`, one
+`dc.gin_layer` node per layer), and decodes the targets of each (kind, dim),
+taken by index from the graph's matrix of it, as one matrix, by
+`decode_nll`, into one `dc.decode_group` node per group. One `dc.add_n`
+node adds the groups' terms to the KL term. At the benchmark's recovery
+configuration (2 GIN layers, 3 decoded groups) a step's tape holds 18
+nodes. `dc.decode_group` is the package's one NLL: the evaluation probe
+fits its head through it too.
 """
 
 from __future__ import annotations
@@ -184,39 +190,58 @@ def _infer_num_layers(bound: Dict[str, dc.Tensor]) -> int:
 
 
 def atom_features(g: MolecularGraph) -> np.ndarray:
-    """One-hot encoder inputs of the atoms of `g`: element, charge clipped
-    to [-2, 2], aromatic flag and degree clipped to 5."""
+    """One-hot encoder inputs of the atoms of `g`, as a bool matrix:
+    element, charge clipped to [-2, 2], aromatic flag and degree clipped to
+    5. The encoder reads them as 0.0 and 1.0."""
     rows = np.arange(len(g.element))
-    x = np.zeros((len(rows), ATOM_FEATURE_DIM))
-    x[rows, g.element] = 1.0
-    x[rows, _CHARGE_BASE + 2 + np.clip(g.charge, -2, 2)] = 1.0
+    x = np.zeros((len(rows), ATOM_FEATURE_DIM), dtype=bool)
+    x[rows, g.element] = True
+    x[rows, _CHARGE_BASE + 2 + np.clip(g.charge, -2, 2)] = True
     x[rows, _AROMATIC_COL] = g.aromatic
-    x[rows, _DEGREE_BASE + np.minimum(g.degree, 5)] = 1.0
+    x[rows, _DEGREE_BASE + np.minimum(g.degree, 5)] = True
     return x
 
 
-def encode_union(g: MolecularGraph, segment: np.ndarray, count: int,
+@dataclass(frozen=True)
+class AtomGraph:
+    """Molecules laid out as one graph, as the encoder reads them: each
+    atom's one-hot inputs (`atom_features`), and the row indexes of the two
+    messages of each bond a-b, a -> b then b -> a: the atom each goes into,
+    the atom it comes out of, and its bond type."""
+
+    x: np.ndarray
+    into: dc.RowIndex
+    out_of: dc.RowIndex
+    bond_type: dc.RowIndex
+
+    @classmethod
+    def of(cls, g: MolecularGraph) -> "AtomGraph":
+        n = len(g.element)
+        into = dc.RowIndex(g.bonds[:, ::-1].ravel(), n)
+        # A position's partner (XOR 1) carries the same bond the other way,
+        # so it turns each atom's incoming messages into its outgoing.
+        return cls(atom_features(g), into,
+                   dc.RowIndex(g.bonds.ravel(), n, positions=into.positions() ^ 1),
+                   dc.RowIndex(np.repeat(g.order, 2), NUM_BOND_TYPES))
+
+
+def encode_union(atoms: AtomGraph, segment, count: int,
                  bound: Dict[str, dc.Tensor]) -> EncoderOutput:
     """Sum-readout GIN encoder over the `count` molecules laid out as the one
-    graph `g`, atom i belonging to molecule segment[i]; row k is molecule k.
+    graph `atoms`, atom i belonging to molecule segment[i]; row k is molecule
+    k. `segment` is an index array or a RowIndex over the `count` rows.
 
     Per layer: h_v <- MLP(h_v + sum_{u in N(v)} (h_u + bond_embed(uv))),
-    i.e. the (1 + eps) factor with eps fixed at 0. Each bond a-b gives the
-    messages a->b then b->a, and the readout sums each molecule's atom rows.
-    The depth is the number of `gin.l<n>` layers in `bound`.
+    i.e. the (1 + eps) factor with eps fixed at 0. Every layer and both
+    passes share the row indexes of `atoms`, and the readout sums each
+    molecule's atom rows. The depth is the number of `gin.l<n>` layers in
+    `bound`.
     """
-    n = len(g.element)
-    # The row indexes are built once; every layer and both passes share them.
-    into = dc.RowIndex(g.bonds[:, ::-1].ravel(), n)
-    # Messages 2j and 2j + 1 carry one bond both ways, so a position's
-    # partner (XOR 1) turns each atom's incoming messages into its outgoing.
-    out_of = dc.RowIndex(g.bonds.ravel(), n, positions=into.positions() ^ 1)
-    bond_type = dc.RowIndex(np.repeat(g.order, 2), NUM_BOND_TYPES)
-    h = dc.matmul(dc.constant(atom_features(g)), bound["atom_embed"])
+    h = dc.matmul(dc.constant(atoms.x), bound["atom_embed"])
     for layer in range(_infer_num_layers(bound)):
-        h = dc.gin_layer(h, bound[f"bond_embed.l{layer}"],
-                         dc.mlp_layers(bound, f"gin.l{layer}"), out_of, into, bond_type)
-    readout = dc.scatter_add_rows(h, dc.RowIndex(segment, count))
+        h = dc.gin_layer(h, bound[f"bond_embed.l{layer}"], dc.mlp_layers(bound, f"gin.l{layer}"),
+                         atoms.out_of, atoms.into, atoms.bond_type)
+    readout = dc.scatter_add_rows(h, segment, count)
     mu = dc.mlp_forward(bound, "head_mu", readout)
     logvar = dc.clip(dc.mlp_forward(bound, "head_logvar", readout),
                      -LOGVAR_CLAMP, LOGVAR_CLAMP)
@@ -227,7 +252,7 @@ def gin_encode(g: MolecularGraph, bound: Dict[str, dc.Tensor]) -> EncoderOutput:
     """`encode_union` of one molecule: mu and logvar of shape (1, D). Nothing
     in the package calls it: it stays because perfbench/tracer.py wraps this
     name."""
-    return encode_union(g, np.zeros(len(g.element), dtype=np.intp), 1, bound)
+    return encode_union(AtomGraph.of(g), np.zeros(len(g.element), dtype=np.intp), 1, bound)
 
 
 def reparameterize(out: EncoderOutput, noise) -> dc.Tensor:
@@ -275,46 +300,111 @@ def infoalign_loss(graph: ContextGraph, walk: WalkBatch,
     return batch_loss(graph, [walk.ids[walk.nodes[0, 0]]], walk, bound, beta, noise, likelihood)
 
 
-def batch_loss(graph: ContextGraph, starts: Sequence[str], paths: WalkBatch,
-               bound: Dict[str, dc.Tensor], beta: float, noise,
-               likelihood: str = "bernoulli") -> Tuple[dc.Tensor, LossBreakdown]:
-    """Mean over `starts` of the mean walk loss of each one's walks.
+class EpochPlan:
+    """The batches of one epoch, laid out before its first step.
+
+    `starts` are the epoch's molecules in order and `paths`, a `WalkBatch`
+    of `graph`, the same number of walks of each, grouped in starts order;
+    batch b is molecules b * batch_size onward, with their walks. A path
+    that does not start at its molecule raises PathMismatchError here,
+    before any step. The molecules are gathered from `graph.molecules()` in
+    one `take`, and the plan holds, as arrays over the whole epoch:
+    - their atoms' one-hot inputs;
+    - the row indexes of each batch's messages, readout and walks, cut by
+      `dc.RowIndex.blocks` from one sort of each epoch array;
+    - every target (the start molecule's own features with alpha = 1, then
+      each walked node with its cumulative path weight): its row in the
+      graph's matrix of its (kind, dim), its alpha and its weight
+      alpha / (L * walks in the batch), L being its walk's node count.
+    The targets go by batch, then by the first appearance of their
+    (kind, dim) in the batch, then walk by walk, so each decoded group is one
+    slice: `groups[b]` lists batch b's as (kind, dim, first target, end,
+    the RowIndex of each target's walk in the batch).
+    """
+
+    def __init__(self, graph: ContextGraph, starts: Sequence[str], paths: WalkBatch,
+                 batch_size: int):
+        if not starts or not len(paths) or len(paths) % len(starts):
+            raise ValueError(f"{len(paths)} paths for {len(starts)} start molecules")
+        per_mol = len(paths) // len(starts)
+        mols, row = graph.molecules()
+        for s in starts:
+            if s not in row:
+                raise PathMismatchError(f"path must start at a molecule node, got {s!r}")
+        for w, head in enumerate(paths.nodes[:, 0].tolist()):
+            if paths.ids[head] != starts[w // per_mol]:
+                raise PathMismatchError(f"path {w} starts at {paths.ids[head]!r}, "
+                                        f"expected {starts[w // per_mol]!r}")
+        n = len(starts)
+        mol_bounds = np.append(np.arange(0, n, batch_size), n)
+        count = np.diff(mol_bounds)
+        walks = count * per_mol
+        epoch = mols.take([row[s] for s in starts])
+        g = epoch.graph
+        atom_bounds = epoch.atom_start[mol_bounds]
+        messages = 2 * epoch.bond_start[mol_bounds]
+        atoms = np.diff(atom_bounds)
+        # each bond's ends, and each molecule, counted from its batch's first
+        ends = g.bonds - np.repeat(atom_bounds[:-1], np.diff(messages) // 2)[:, None]
+        mol = np.arange(n) - np.repeat(mol_bounds[:-1], count)
+        self.molecules, self.walks = count.tolist(), walks.tolist()
+        self.atom_bounds = atom_bounds.tolist()
+        self.x = atom_features(g)
+        self.into = dc.RowIndex.blocks(ends[:, ::-1].ravel(), atoms, messages)
+        self.out_of = dc.RowIndex.blocks(ends.ravel(), atoms, messages)
+        self.bond_type = dc.RowIndex.blocks(np.repeat(g.order, 2),
+                                            np.full(len(count), NUM_BOND_TYPES), messages)
+        self.readout = dc.RowIndex.blocks(np.repeat(mol, np.diff(epoch.atom_start)), count,
+                                          atom_bounds)
+        self.walk_mol = dc.RowIndex.blocks(np.repeat(mol, per_mol), count, mol_bounds * per_mol)
+
+        # Every target, walk by walk: its walk, node and alpha, and its
+        # (kind, dim) group within its batch, the groups in the order they
+        # first appear.
+        walk, step = np.nonzero(np.arange(paths.nodes.shape[1]) < paths.sizes[:, None])
+        nodes = paths.nodes[walk, step]
+        alphas = np.hstack([np.ones((len(paths), 1)), paths.alphas])[walk, step]
+        batch = walk // (batch_size * per_mol)
+        kinds = graph.kinds()[nodes]
+        dims, rows, self.matrices = graph.features()
+        key = dims[nodes] * len(KINDS) + kinds
+        _keys, first, group = np.unique(batch * (key.max() + 1) + key, return_index=True,
+                                        return_inverse=True)
+        by_first = np.argsort(first)
+        heads = first[by_first]  # each group's first target
+        bounds = np.append(0, np.cumsum(np.bincount(group)[by_first]))
+        order = np.argsort(first[group], kind="stable")
+        walk, batch = walk[order], batch[order]
+        self.alpha = alphas[order]
+        self.feature_row = rows[nodes[order]]
+        self.weight = self.alpha * (1.0 / walks[batch]) / paths.sizes[walk]
+        group_batch = batch[bounds[:-1]]
+        targets = dc.RowIndex.blocks(walk - batch * (batch_size * per_mol), walks[group_batch],
+                                     bounds)
+        spec = list(zip([KINDS[k] for k in kinds[heads].tolist()], dims[nodes[heads]].tolist(),
+                        bounds[:-1].tolist(), bounds[1:].tolist(), targets))
+        cuts = np.searchsorted(group_batch, np.arange(len(count) + 1)).tolist()
+        self.groups = [spec[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+
+def step_loss(plan: EpochPlan, b: int, bound: Dict[str, dc.Tensor], beta: float, noise,
+              likelihood: str = "bernoulli") -> Tuple[dc.Tensor, LossBreakdown]:
+    """Mean over the molecules of batch b of `plan` of the mean walk loss of
+    each one's walks, as one tape, and its breakdown into the same means.
 
     A walk's loss is (1/L) * sum over its targets of alpha * NLL + beta * KL,
-    where L is the walk's node count and the targets are the start molecule's
-    own features (alpha = 1) plus every walked node with its cumulative path
-    weight. `paths`, a `WalkBatch` of this graph, holds the same number of
-    walks per start, grouped in starts order, and `noise` one row per path.
-    The whole batch is one tape: the start molecules are gathered from
-    `graph.molecules()` and encoded once, together, and the targets of one
-    (kind, dim), in walk order, are taken from the graph's matrix of it and
-    decoded as one matrix, each row weighted by alpha / (L * walks per start
-    * starts); the groups go in the order they first appear, and their terms
-    are added to the KL term in that order. The breakdown holds the same
-    batch means.
+    where L is the walk's node count. `noise` holds one row per walk of the
+    batch. The batch's molecules are encoded once, together, and each
+    (kind, dim) group of its targets is taken from the graph's matrix of it
+    and decoded as one matrix through `decode_nll`, each row weighted as the
+    plan weights it; the groups go in the order they first appear, and their
+    terms are added to the KL term in that order.
     """
-    if not starts or not len(paths) or len(paths) % len(starts):
-        raise ValueError(f"{len(paths)} paths for {len(starts)} start molecules")
-    per_mol = len(paths) // len(starts)
-    mols, row = graph.molecules()
-    for s in starts:
-        if s not in row:
-            raise PathMismatchError(f"path must start at a molecule node, got {s!r}")
-    for w, head in enumerate(paths.nodes[:, 0].tolist()):
-        if paths.ids[head] != starts[w // per_mol]:
-            raise PathMismatchError(f"path {w} starts at {paths.ids[head]!r}, "
-                                    f"expected {starts[w // per_mol]!r}")
-    # Every target, walk by walk: its walk, node and alpha, and its (kind, dim).
-    walk, step = np.nonzero(np.arange(paths.nodes.shape[1]) < paths.sizes[:, None])
-    nodes = paths.nodes[walk, step]
-    alphas = np.hstack([np.ones((len(paths), 1)), paths.alphas])[walk, step]
-    kinds = graph.kinds()[nodes]
-    dims, rows, matrices = graph.features()
-    _keys, first, group = np.unique(dims[nodes] * len(KINDS) + kinds, return_index=True,
-                                    return_inverse=True)
-    batch = mols.take([row[s] for s in starts])
-    out = encode_union(*batch.block(0, len(starts)), len(starts), bound)
-    walk_mol = dc.RowIndex(np.repeat(np.arange(len(starts)), per_mol), len(starts))
+    n = plan.molecules[b]
+    a0, a1 = plan.atom_bounds[b : b + 2]
+    out = encode_union(AtomGraph(plan.x[a0:a1], plan.into[b], plan.out_of[b], plan.bond_type[b]),
+                       plan.readout[b], n, bound)
+    walk_mol = plan.walk_mol[b]
     z = reparameterize(EncoderOutput(dc.gather_rows(out.mu, walk_mol),
                                      dc.gather_rows(out.logvar, walk_mol)), noise)
     kl = kl_standard_normal(out)
@@ -322,24 +412,31 @@ def batch_loss(graph: ContextGraph, starts: Sequence[str], paths: WalkBatch,
     # that added its term to the total so far would depend on the group
     # before it, and backward, which runs a later node first, would then
     # add the groups' gradients into z last group first.
-    terms = [dc.mul(kl, dc.constant(beta / len(starts)))]
+    terms = [dc.mul(kl, dc.constant(beta / n))]
 
-    scale = 1.0 / len(paths)
+    scale = 1.0 / plan.walks[b]
     recon: Dict[str, float] = {}
     recon_total = 0.0
-    for g in np.argsort(first):
-        sel = np.flatnonzero(group == g)
-        kind = KINDS[kinds[sel[0]]]
-        alpha = alphas[sel]
-        weight = alpha * scale / paths.sizes[walk[sel]]
-        feats = matrices[kind, int(dims[nodes[sel[0]]])][rows[nodes[sel]]]
-        term, nll = decode_nll(z, feats.astype(np.float64), kind, bound, walk[sel],
-                               weight, likelihood)
+    for kind, dim, lo, hi, rows in plan.groups[b]:
+        alpha = plan.alpha[lo:hi]
+        term, nll = decode_nll(z, plan.matrices[kind, dim][plan.feature_row[lo:hi]], kind,
+                               bound, rows, plan.weight[lo:hi], likelihood)
         terms.append(term)
         recon[kind.value] = recon.get(kind.value, 0.0) + float(alpha @ nll.sum(axis=1)) * scale
         recon_total += term.item()
-    kl_mean = kl.item() / len(starts)
+    kl_mean = kl.item() / n
     return dc.add_n(terms), LossBreakdown(recon, kl_mean, beta, recon_total + beta * kl_mean)
+
+
+def batch_loss(graph: ContextGraph, starts: Sequence[str], paths: WalkBatch,
+               bound: Dict[str, dc.Tensor], beta: float, noise,
+               likelihood: str = "bernoulli") -> Tuple[dc.Tensor, LossBreakdown]:
+    """`step_loss` of the one batch `starts`, with `paths` (a `WalkBatch`
+    of this graph) holding the same number of walks per start, grouped in
+    starts order, and `noise` one row per path: the plan of that one batch,
+    run through the same step as `pretrain`'s."""
+    return step_loss(EpochPlan(graph, starts, paths, len(starts)), 0, bound, beta, noise,
+                     likelihood)
 
 
 # --- training ----------------------------------------------------------------
@@ -350,10 +447,13 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig, store: Optional[dc.ParamStor
     """Joint encoder/decoder optimization over all molecule nodes.
 
     Epochs iterate molecules in a seeded shuffled order and sample
-    walks_per_molecule walks from each (`cfg.walks(epoch)`). Each minibatch is
-    one `batch_loss` tape, one backward pass and one Adam step on the mean over
-    its molecules of each molecule's mean walk loss; the reparameterization
-    noise is one (walks, latent_dim) draw per minibatch. Passing a store and its
+    walks_per_molecule walks from each (`cfg.walks(epoch)`). Each epoch is
+    laid out once, as an `EpochPlan`, before its first step; each minibatch
+    is then one `step_loss` tape, one backward pass and one Adam step on the
+    mean over its molecules of each molecule's mean walk loss; the
+    reparameterization noise is one (walks, latent_dim) draw per minibatch.
+    A walk that does not start at its molecule raises PathMismatchError
+    before its epoch's first step. Passing a store and its
     `state` resumes training: the Adam step, the epoch index and the
     generators continue, and `state` advances in place by cfg.epochs. A new
     store gets one decoder per featured (kind, dim) of the graph. Every
@@ -386,40 +486,13 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig, store: Optional[dc.ParamStor
             "noise": dc.seeded_rng(cfg.seed, _NOISE_STREAM)}
     for name, saved in (state.streams or {}).items():
         rngs[name].bit_generator.state = saved
-    per_mol = cfg.walks_per_molecule
-
     epoch_logs: List[LossBreakdown] = []
     for epoch in range(state.epoch, state.epoch + cfg.epochs):
         order = [mols[i] for i in rngs["shuffle"].permutation(len(mols))]
         walks = batch_walks(graph, order, cfg.walks(epoch))
-
-        sums: Dict[str, float] = {}
-        kl_sum = 0.0
-        total_sum = 0.0
-        for b0 in range(0, len(order), cfg.batch_size):
-            batch = order[b0 : b0 + cfg.batch_size]
-            paths = walks[b0 * per_mol : (b0 + len(batch)) * per_mol]
-            noise = rngs["noise"].standard_normal((len(paths), cfg.latent_dim))
-            # A diverging step is reported once, by the finiteness check on
-            # the loss, not by numpy's warnings from the ops before it.
-            with np.errstate(over="ignore", invalid="ignore"):
-                bound = store.bind()
-                loss, br = batch_loss(graph, batch, paths, bound, cfg.beta, noise,
-                                      cfg.likelihood)
-                try:
-                    loss.backward()
-                    store.accumulate(bound)
-                except FloatingPointError as exc:
-                    raise FloatingPointError(f"{exc} in epoch {epoch}, "
-                                             f"batch {b0 // cfg.batch_size}") from None
-                dc.adam_step(store, lr=cfg.lr)
-            for kind, v in br.recon_per_modality.items():
-                sums[kind] = sums.get(kind, 0.0) + v * len(batch)
-            kl_sum += br.kl * len(batch)
-            total_sum += br.total * len(batch)
-        n = len(order)
-        epoch_br = LossBreakdown({k: v / n for k, v in sums.items()}, kl_sum / n, cfg.beta,
-                                 total_sum / n)
+        # the plan is an argument, so no two epochs' plans are held at once
+        epoch_br = _train_epoch(store, EpochPlan(graph, order, walks, cfg.batch_size),
+                                rngs["noise"], cfg, epoch)
         epoch_logs.append(epoch_br)
         if log_fn is not None:
             log_fn(epoch, epoch_br)
@@ -428,6 +501,35 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig, store: Optional[dc.ParamStor
                                                  default=np.ndarray.tolist))
                      for name, rng in rngs.items()}
     return store, epoch_logs
+
+
+def _train_epoch(store: dc.ParamStore, plan: EpochPlan, noise_rng: np.random.Generator,
+                 cfg: ModelConfig, epoch: int) -> LossBreakdown:
+    """One `step_loss` tape, backward pass and Adam step per batch of `plan`,
+    in order, and the epoch's mean loss breakdown."""
+    sums: Dict[str, float] = {}
+    kl_sum = 0.0
+    total_sum = 0.0
+    for b, count in enumerate(plan.molecules):
+        noise = noise_rng.standard_normal((plan.walks[b], cfg.latent_dim))
+        # A diverging step is reported once, by the finiteness check on
+        # the loss, not by numpy's warnings from the ops before it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = store.bind()
+            loss, br = step_loss(plan, b, bound, cfg.beta, noise, cfg.likelihood)
+            try:
+                loss.backward()
+                store.accumulate(bound)
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"{exc} in epoch {epoch}, batch {b}") from None
+            dc.adam_step(store, lr=cfg.lr)
+        for kind, v in br.recon_per_modality.items():
+            sums[kind] = sums.get(kind, 0.0) + v * count
+        kl_sum += br.kl * count
+        total_sum += br.total * count
+    n = sum(plan.molecules)
+    return LossBreakdown({k: v / n for k, v in sums.items()}, kl_sum / n, cfg.beta,
+                         total_sum / n)
 
 
 def _embed_blocks(atom_start: np.ndarray, budget: int) -> List[Tuple[int, int]]:
@@ -464,8 +566,10 @@ def embed(store: dc.ParamStore, molecules: MoleculeSet) -> np.ndarray:
     if n == 1:
         molecules = molecules.take([0, 0])
     bound = store.bind()
-    blocks = [encode_union(*molecules.block(lo, hi), hi - lo, bound).mu.data
-              for lo, hi in _embed_blocks(molecules.atom_start, _EMBED_ATOMS)]
+    blocks = []
+    for lo, hi in _embed_blocks(molecules.atom_start, _EMBED_ATOMS):
+        g, segment = molecules.block(lo, hi)
+        blocks.append(encode_union(AtomGraph.of(g), segment, hi - lo, bound).mu.data)
     return dc.require_finite(np.concatenate(blocks)[:n], "embedding")
 
 

@@ -12,7 +12,9 @@ tables and the flat parameter buffer replaced. `reference_top_pairs` is the
 full sort of every similarity candidate that the partition cut replaced.
 `reference_walk_loss` is the loss of one walk on a tape of its own, one
 target at a time (`walk_targets`), which `batch_loss` computes for a whole
-minibatch at once.
+minibatch at once. `reference_batch_loss` is that minibatch loss with every
+structure of the batch (its molecules, row indexes and target groups) built
+inside the step, as it was before `model.EpochPlan` laid each epoch out once.
 `add`, `tsum`, `neg`, `relu`, `exp` and `softplus` are the primitives, and
 the `composed_*` functions the chains of primitives, that diffcore's fused
 nodes (`mlp_forward`, `gaussian_kl`, `gaussian_sample`, `gin_layer`,
@@ -56,6 +58,7 @@ import numpy as np
 
 import infoalign.diffcore as dc
 from infoalign.errors import (
+    PathMismatchError,
     RingUnclosedError,
     SmilesSyntaxError,
     UnbalancedParenError,
@@ -63,8 +66,9 @@ from infoalign.errors import (
 )
 from infoalign.ctxgraph import KINDS, RELATIONS, ContextGraph
 from infoalign.evalkit import CLASSIFICATION, ProbeHead
-from infoalign.model import (ATOM_FEATURE_DIM, LOGVAR_CLAMP, EncoderOutput, LossBreakdown,
-                             atom_features, decoder_prefix)
+from infoalign.model import (ATOM_FEATURE_DIM, LOGVAR_CLAMP, AtomGraph, EncoderOutput,
+                             LossBreakdown, atom_features, decode_nll, decoder_prefix,
+                             encode_union, kl_standard_normal, reparameterize)
 from infoalign.molparse import (AROMATIC_ELEMENTS, ELEMENTS, BondOrder, MolecularGraph,
                                 MoleculeSet, parse_many, parse_smiles)
 from infoalign.walker import WalkBatch
@@ -552,6 +556,58 @@ def reference_walk_loss(graph, path, bound, beta: float, noise, likelihood: str 
         acc = add(acc, term)
     total = add(dc.mul(acc, dc.constant(1.0 / L)), dc.mul(kl, dc.constant(beta)))
     return total, LossBreakdown(recon, kl.item(), beta, sum(recon.values()) / L + beta * kl.item())
+
+
+def reference_batch_loss(graph, starts, paths, bound, beta: float, noise,
+                         likelihood: str = "bernoulli"):
+    """`model.batch_loss` as it was before the epoch plan: every structure
+    of the batch built inside the step. The molecules are gathered with
+    `MoleculeSet.take` and laid out by `AtomGraph.of`, which builds the
+    message and bond-type row indexes; the readout, walk and decoder row
+    indexes are built from plain arrays; and the targets are grouped by
+    `np.unique` over their (kind, dim), the groups decoded in the order they
+    first appear. Same arguments and results as `batch_loss`."""
+    if not starts or not len(paths) or len(paths) % len(starts):
+        raise ValueError(f"{len(paths)} paths for {len(starts)} start molecules")
+    per_mol = len(paths) // len(starts)
+    mols, row = graph.molecules()
+    for s in starts:
+        if s not in row:
+            raise PathMismatchError(f"path must start at a molecule node, got {s!r}")
+    for w, head in enumerate(paths.nodes[:, 0].tolist()):
+        if paths.ids[head] != starts[w // per_mol]:
+            raise PathMismatchError(f"path {w} starts at {paths.ids[head]!r}, "
+                                    f"expected {starts[w // per_mol]!r}")
+    walk, step = np.nonzero(np.arange(paths.nodes.shape[1]) < paths.sizes[:, None])
+    nodes = paths.nodes[walk, step]
+    alphas = np.hstack([np.ones((len(paths), 1)), paths.alphas])[walk, step]
+    kinds = graph.kinds()[nodes]
+    dims, rows, matrices = graph.features()
+    _keys, first, group = np.unique(dims[nodes] * len(KINDS) + kinds, return_index=True,
+                                    return_inverse=True)
+    g, segment = mols.take([row[s] for s in starts]).block(0, len(starts))
+    out = encode_union(AtomGraph.of(g), segment, len(starts), bound)
+    walk_mol = dc.RowIndex(np.repeat(np.arange(len(starts)), per_mol), len(starts))
+    z = reparameterize(EncoderOutput(dc.gather_rows(out.mu, walk_mol),
+                                     dc.gather_rows(out.logvar, walk_mol)), noise)
+    kl = kl_standard_normal(out)
+    terms = [dc.mul(kl, dc.constant(beta / len(starts)))]
+    scale = 1.0 / len(paths)
+    recon = {}
+    recon_total = 0.0
+    for k in np.argsort(first):
+        sel = np.flatnonzero(group == k)
+        kind = KINDS[kinds[sel[0]]]
+        alpha = alphas[sel]
+        weight = alpha * scale / paths.sizes[walk[sel]]
+        feats = matrices[kind, int(dims[nodes[sel[0]]])][rows[nodes[sel]]]
+        term, nll = decode_nll(z, feats.astype(np.float64), kind, bound, walk[sel], weight,
+                               likelihood)
+        terms.append(term)
+        recon[kind.value] = recon.get(kind.value, 0.0) + float(alpha @ nll.sum(axis=1)) * scale
+        recon_total += term.item()
+    kl_mean = kl.item() / len(starts)
+    return dc.add_n(terms), LossBreakdown(recon, kl_mean, beta, recon_total + beta * kl_mean)
 
 
 def reference_probe_train(train, cfg):

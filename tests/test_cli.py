@@ -930,6 +930,33 @@ def test_eval_bad_cell_names_file_and_line(tmp_path, capsys, emb, where, message
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("row,refused", [
+    ("{n}\t{c}", True),
+    ("{i}\t{c}\t{h}", True),
+    ("{m}\t{c}", False),
+    ("{i}", False),
+    ("m{i}\t{n}\t{c}", False),
+], ids=["from-1", "from-0-two-labels", "from-2", "one-column", "after-ids"])
+def test_eval_numbered_label_rows_exit_1(tmp_path, capsys, row, refused):
+    """A label table whose first column counts the rows from 0 or 1 is an id
+    column read as numbers, and exits 1 naming the file and line 1; a count
+    from 2, a single column, or a count after an id column is read."""
+    ids = row.startswith("m")
+    rng = np.random.default_rng(0)
+    (tmp_path / "emb.tsv").write_text("".join(
+        (f"m{i}\t" if ids else "") + f"{a:.6f}\t{b:.6f}\n"
+        for i, (a, b) in enumerate(rng.standard_normal((60, 2)))))
+    (tmp_path / "lab.tsv").write_text("".join(
+        row.format(i=i, n=i + 1, m=i + 2, c=i % 2, h=i * 0.5) + "\n" for i in range(60)))
+    code = run(["eval", "--embeddings", tmp_path / "emb.tsv", "--labels", tmp_path / "lab.tsv",
+                "--task-types", "regression", "--probe-epochs", 2, "--out", tmp_path / "r.json"])
+    err = capsys.readouterr().err
+    assert code == int(refused) and (tmp_path / "r.json").exists() != refused
+    if refused:
+        assert err.startswith(f"error: {tmp_path / 'lab.tsv'}:1: the first column counts")
+        assert "ids must not read as numbers" in err
+
+
 def test_eval_joins_shuffled_labels_on_their_ids(small_checkpoint, tmp_path):
     """`embed` of a SMILES file with ids, then `eval` against synth's label
     table: reversed label rows give the report of the rows in order. With

@@ -587,6 +587,40 @@ def test_few_row_sums_equal_add_at_at_every_width(monkeypatch):
         assert got.tobytes() == reference_scatter_add(base.copy(), index, values).tobytes(), case
 
 
+def test_row_index_blocks_equal_each_blocks_own_index(monkeypatch):
+    """Each RowIndex that `RowIndex.blocks` cuts holds its block's index and
+    rows, and the table (columns or rows) its own `RowIndex` builds, with
+    the positions the list layout reads; its sums are `np.add.at`'s bits.
+    Blocks of no rows or no entries included."""
+    monkeypatch.setattr(dc, "_ADD_AT_SIZE", 0)
+    rng = np.random.default_rng(7)
+    for case in range(300):
+        num_rows = rng.integers(0, 7, int(rng.integers(1, 6)))
+        sizes = np.where(num_rows > 0, rng.integers(0, 30, len(num_rows)), 0)
+        parts = [rng.integers(0, max(n, 1), k) for n, k in zip(num_rows, sizes)]
+        bounds = np.concatenate([[0], np.cumsum(sizes)])
+        planned = dc.RowIndex.blocks(np.concatenate(parts), num_rows, bounds)
+        assert len(planned) == len(parts)
+        for rows, part, n in zip(planned, parts, num_rows.tolist()):
+            own = dc.RowIndex(part, n)
+            own._build()
+            assert np.array_equal(rows.index, part) and rows.num_rows == n
+            if isinstance(own._table, list):
+                assert rows._table == own._table, case
+                assert np.array_equal(rows.positions(), own.positions())
+            else:
+                assert rows._table.shape == own._table.shape
+                assert np.array_equal(rows._table, own._table), case
+            values = rng.standard_normal((len(part), 3))
+            base = rng.standard_normal((n, 3))
+            assert (rows.add_to(base.copy(), values).tobytes()
+                    == reference_scatter_add(base.copy(), part, values).tobytes())
+    with pytest.raises(IndexError, match="out of range for its block's rows"):
+        dc.RowIndex.blocks([0, 1, 2], [3, 2], [0, 1, 3])
+    with pytest.raises(ShapeMismatchError):
+        dc.RowIndex.blocks([0, 1], [3, 2], [0, 1, 3])
+
+
 def test_row_index_rejects_out_of_range_rows():
     for index in ([0, 2], [-1, 0]):
         with pytest.raises(IndexError, match="out of range for 2 rows"):

@@ -21,6 +21,7 @@ from infoalign.model import (
     _EMBED_ATOMS,
     _NOISE_STREAM,
     _SHUFFLE_STREAM,
+    AtomGraph,
     EncoderOutput,
     _embed_blocks,
     LossBreakdown,
@@ -54,6 +55,7 @@ from tests.oracles import (
     molecule_set,
     reference_adam_step,
     reference_atom_features,
+    reference_batch_loss,
     reference_scatter_add,
     reference_walk_loss,
     scanned_neighbors,
@@ -90,7 +92,8 @@ def tiny_graph(n_mols=6, seed=0, fp_bits=64):
 
 def encode_batch(mols, bound):
     """The encoder over a list of molecules laid out by the `union` oracle."""
-    return encode_union(*union(mols), len(mols), bound)
+    g, segment = union(mols)
+    return encode_union(AtomGraph.of(g), segment, len(mols), bound)
 
 
 def make_store(cfg, graph):
@@ -697,30 +700,130 @@ def test_pretrain_matches_per_walk_reference(likelihood, beta):
         assert got.recon_per_modality == pytest.approx(want.recon_per_modality, rel=1e-10)
 
 
+def plan_graph():
+    """Molecules m0-m5 with their own morphology node and one of two shared
+    gene-expression nodes, the morphology nodes in a weighted ring, and m6
+    with no edges, so its walks are the molecule alone."""
+    from infoalign.fingerprint import morgan_fingerprint
+    rng = np.random.default_rng(5)
+    smiles = ["CCO", "c1ccccc1", "CC(C)O", "OCCO", "CSC", "NCCN", "CC=O"]
+    fps = morgan_fingerprint(molecule_set([parse_smiles(s) for s in smiles]), 2, 64)
+    nodes = [(f"g{j}", NodeKind.GENE_EXPRESSION, rng.uniform(0, 1, 4).astype(np.float32))
+             for j in range(2)]
+    nodes += [(f"m{i}", NodeKind.MOLECULE, fps[i], "", smi) for i, smi in enumerate(smiles)]
+    nodes += [(f"c{i}", NodeKind.CELL_MORPHOLOGY, rng.uniform(0, 1, 5).astype(np.float32))
+              for i in range(6)]
+    edges = [(f"m{i}", f"c{i}", Relation.PERTURBATION, 1.0) for i in range(6)]
+    edges += [(f"m{i}", f"g{i % 2}", Relation.PERTURBATION, 0.8) for i in range(6)]
+    edges += [(f"c{i}", f"c{(i + 1) % 6}", Relation.SIMILARITY, 0.5 + 0.1 * (i % 3))
+              for i in range(6)]
+    return graph_of(nodes, edges).finalize()
+
+
+def reference_steps(graph, cfg):
+    """`pretrain`'s steps with `reference_batch_loss` as the loss: per step,
+    the store's flat buffer after Adam, the breakdown, and the order in which
+    the batch's targets first meet each kind."""
+    store = make_store(cfg, graph)
+    mols = graph.molecule_ids()
+    shuffle_rng = dc.seeded_rng(cfg.seed, _SHUFFLE_STREAM)
+    noise_rng = dc.seeded_rng(cfg.seed, _NOISE_STREAM)
+    per_mol = cfg.walks_per_molecule
+    for epoch in range(cfg.epochs):
+        order = [mols[i] for i in shuffle_rng.permutation(len(mols))]
+        walks = batch_walks(graph, order, cfg.walks(epoch))
+        for b0 in range(0, len(order), cfg.batch_size):
+            batch = order[b0 : b0 + cfg.batch_size]
+            paths = walks[b0 * per_mol : (b0 + len(batch)) * per_mol]
+            noise = noise_rng.standard_normal((len(paths), cfg.latent_dim))
+            with np.errstate(over="ignore", invalid="ignore"):
+                bound = store.bind()
+                loss, br = reference_batch_loss(graph, batch, paths, bound, cfg.beta, noise,
+                                                cfg.likelihood)
+                loss.backward()
+                store.accumulate(bound)
+                dc.adam_step(store, lr=cfg.lr)
+            kinds = [graph.node(n).kind.value for path in paths for n in path.nodes]
+            yield store.flat.copy(), br, list(dict.fromkeys(kinds))
+
+
+def breakdown_bits(br):
+    return list(br.recon_per_modality), np.array(
+        [*br.recon_per_modality.values(), br.kl, br.beta, br.total]).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("likelihood,beta", [("bernoulli", 1e-9), ("gaussian", 1.0)])
+def test_planned_steps_equal_per_batch_reference_bit_for_bit(likelihood, beta, monkeypatch):
+    """Each step of `pretrain`, which slices one plan per epoch, leaves the
+    parameters and Adam moments, and gives the breakdown, of the per-step
+    structures of `reference_batch_loss`, bit for bit: 7 molecules in
+    batches of 3 (the last holds one), an isolated molecule whose walks are
+    one node, and batches that meet morphology or gene expression first."""
+    import infoalign.model
+    real_step, real_adam = infoalign.model.step_loss, dc.adam_step
+    steps = []  # per step: the breakdown, then the flat buffer after Adam
+
+    def step(*args):
+        loss, br = real_step(*args)
+        steps.append([br])
+        return loss, br
+
+    def adam(store, **kw):
+        real_adam(store, **kw)
+        steps[-1].append(store.flat.copy())
+
+    g = plan_graph()
+    cfg = small_cfg(likelihood=likelihood, beta=beta, epochs=2, batch_size=3, lr=5e-3, seed=4,
+                    walk_length=4, walks_per_molecule=3)
+    monkeypatch.setattr(infoalign.model, "step_loss", step)
+    monkeypatch.setattr(dc, "adam_step", adam)
+    pretrain(g, cfg)
+    monkeypatch.undo()
+    reference = list(reference_steps(g, cfg))
+    assert len(steps) == len(reference) == 2 * 3
+    firsts = {tuple(k for k in kinds if k != "molecule") for _f, _b, kinds in reference}
+    assert {("cell_morphology", "gene_expression"),
+            ("gene_expression", "cell_morphology")} <= firsts
+    assert (batch_walks(g, ["m6"], cfg.walks(0)).sizes == 1).all()
+    for (br, flat), (ref_flat, ref_br, _kinds) in zip(steps, reference):
+        assert np.array_equal(flat.view(np.uint64), ref_flat.view(np.uint64))
+        assert breakdown_bits(br) == breakdown_bits(ref_br)
+
+
 def test_pretrain_decodes_each_group_once_through_decode_nll(monkeypatch):
-    """Each minibatch decodes once per (kind, dim) of its walks' nodes, through
-    the module's `decode_nll`, the name the per-layer tracer times."""
+    """Each step decodes once per (kind, dim) of its batch's walks' nodes,
+    through the module's `decode_nll`, the name the per-layer tracer times.
+    The groups are read from the walks, not from the plan."""
     from collections import Counter
 
     import infoalign.model
-    real_loss, real_decode = infoalign.model.batch_loss, infoalign.model.decode_nll
-    batches = []  # per batch: (decoded (kind, dim) groups, the batch's groups)
+    real_walks = infoalign.model.batch_walks
+    real_loss, real_decode = infoalign.model.step_loss, infoalign.model.decode_nll
+    cfg = small_cfg(epochs=2, batch_size=3, walk_length=4, walks_per_molecule=2)
+    g = walk_graph(n_mols=7)
+    epochs = []  # each epoch's walks
+    batches = []  # per step: (decoded (kind, dim) groups, the batch's groups)
 
-    def counted_loss(graph, starts, paths, *args):
-        groups = {(graph.node(n).kind, graph.node(n).modality_dim)
-                  for path in paths for n in path.nodes}
+    def sampled(*args):
+        epochs.append(real_walks(*args))
+        return epochs[-1]
+
+    def counted_loss(plan, b, *args):
+        size = cfg.batch_size * cfg.walks_per_molecule
+        groups = {(g.node(n).kind, g.node(n).modality_dim)
+                  for path in epochs[-1][b * size : (b + 1) * size] for n in path.nodes}
         batches.append(([], groups))
-        return real_loss(graph, starts, paths, *args)
+        return real_loss(plan, b, *args)
 
     def counted_decode(z, targets, kind, *args):
         batches[-1][0].append((kind, np.shape(targets)[1]))
         return real_decode(z, targets, kind, *args)
 
-    monkeypatch.setattr(infoalign.model, "batch_loss", counted_loss)
+    monkeypatch.setattr(infoalign.model, "batch_walks", sampled)
+    monkeypatch.setattr(infoalign.model, "step_loss", counted_loss)
     monkeypatch.setattr(infoalign.model, "decode_nll", counted_decode)
-    cfg = small_cfg(epochs=2, batch_size=3, walk_length=4, walks_per_molecule=2)
-    pretrain(walk_graph(n_mols=7), cfg)
-    assert len(batches) == 2 * 3
+    pretrain(g, cfg)
+    assert len(epochs) == 2 and len(batches) == 2 * 3
     assert any(len(groups) == 3 for _calls, groups in batches)
     for calls, groups in batches:
         assert Counter(calls) == Counter(groups)

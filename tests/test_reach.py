@@ -31,7 +31,12 @@ _NODES = "perfbench/tracer.py's `_similarity_counts` reads the graph's nodes thr
 UNREACHED = {
     "model.gin_encode": _WRAPPED,
     "model.infoalign_loss": _WRAPPED,
+    "model.batch_loss": "the loss of one batch, as the tests and `infoalign_loss` call it; "
+                        "it runs the plan of that batch through `step_loss`, as `pretrain` "
+                        "runs each epoch's plan",
     "walker.WalkBatch.__iter__": "perfbench/tracer.py's `_walk_counts` iterates the walks",
+    "walker.WalkBatch.__getitem__": "a `Sequence` needs it, and the tests slice walks into "
+                                    "batches; `pretrain` plans an epoch's walks whole",
     "walker.WalkPath.__post_init__": "the walks `WalkBatch.__iter__` yields",
     "ctxgraph.ContextGraph.node": _NODES,
     "ctxgraph.ContextGraph._node_index": _NODES,
