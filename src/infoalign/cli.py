@@ -273,7 +273,10 @@ _ARCHITECTURE = ("latent_dim", "num_layers", "hidden", "decoder_hidden", "likeli
 
 
 def _run_pretrain(graph, graph_path: str, opt, given: set, out: str, resume: str | None):
-    """Train and write the checkpoint `out` and its log.
+    """Train and write the checkpoint `out` and its log, both as each epoch
+    ends: the log row, then the checkpoint of the epochs finished, so that a
+    run stopped in any epoch can be resumed from the one before it. A run
+    of no epochs writes its checkpoint once.
 
     A fresh run takes every key of `opt`; a resumed run continues the
     checkpoint and takes epochs, lr and the `given` keys, and with a seed
@@ -307,15 +310,20 @@ def _run_pretrain(graph, graph_path: str, opt, given: set, out: str, resume: str
     if cfg.seed != base.seed:  # fresh generators from the new seed
         state = TrainState(state.epoch)
     with _EpochLog(out + ".log.tsv", kept) as log:
-        store, _logs = pretrain(graph, cfg, store=store, log_fn=log, state=state)
-    save_checkpoint(out, store, cfg, graph, state)
+        def epoch_end(epoch, br, trained):
+            log(epoch, br)
+            save_checkpoint(out, trained, cfg, graph, state)
+
+        store, _logs = pretrain(graph, cfg, store=store, log_fn=epoch_end, state=state)
+    if cfg.epochs == 0:
+        save_checkpoint(out, store, cfg, graph, state)
 
 
 def _log_rows_before(path: str, epoch: int) -> list:
     """The rows of the `.log.tsv` at `path` of the epochs below `epoch`, none
-    if there is no such file. Later rows are of a resumed run that was killed
-    before it saved its checkpoint. A row whose epoch is not an integer
-    raises TableFormatError naming its line."""
+    if there is no such file. Later rows are of a run that stopped after
+    writing an epoch's row and before saving that epoch's checkpoint. A row
+    whose epoch is not an integer raises TableFormatError naming its line."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)
     except FileNotFoundError:

@@ -227,6 +227,7 @@ class ContextGraph:
         self._edges = Edges(*(np.zeros(0, dtype=dt) for dt in _EDGE_DTYPES))
         self._csr: Optional[CsrAdjacency] = None  # set by finalize, or by load
         self._molecules: Optional[Tuple[MoleculeSet, Dict[str, int]]] = None
+        self._checksum: Optional[str] = None  # set by the first `checksum()`
         # The Morgan radius of the molecules' features, if the tables built them.
         self.fp_radius: Optional[int] = None
 
@@ -465,17 +466,21 @@ class ContextGraph:
 
     def checksum(self) -> str:
         """Content hash over node ids/kinds and the edge set (not features);
-        requires a finalized graph."""
+        requires a finalized graph. A finalized graph does not change, so
+        the hash is computed once: a pretraining run saves it with every
+        epoch's checkpoint."""
         import hashlib
 
         if self._csr is None:
             raise FinalizedError("checksum available after finalize()")
-        ids = self._ids
-        order = sorted(range(len(ids)), key=ids.__getitem__)
-        text = "".join(f"{ids[i]}:{_KIND_VALUES[k]}:{d};" for i, k, d in
-                       zip(order, self._kind[order].tolist(), self._dim[order].tolist()))
-        text += "".join(f"{a}-{b}:{r}:{w!r};" for a, b, r, w in self._edge_rows(self._edges))
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+        if self._checksum is None:
+            ids = self._ids
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            text = "".join(f"{ids[i]}:{_KIND_VALUES[k]}:{d};" for i, k, d in
+                           zip(order, self._kind[order].tolist(), self._dim[order].tolist()))
+            text += "".join(f"{a}-{b}:{r}:{w!r};" for a, b, r, w in self._edge_rows(self._edges))
+            self._checksum = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return self._checksum
 
     def stats(self) -> dict:
         """The node and edge counts, in all, by kind and by relation."""

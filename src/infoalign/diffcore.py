@@ -27,13 +27,13 @@ they are loaded.
 
 The scatter of `scatter_add_rows` and of `gather_rows`' backward pass sums
 through a `RowIndex`: the index and a table of each row's entries in
-ascending order, built once per index and read by every pass that shares it
-(as in PyG's CSR message passing). `RowIndex.blocks` cuts the indexes of
-many blocks, such as a training epoch's batches, and their tables from one
-sort of all of them. The sums are those of numpy's `add.at`, in its order,
-bit for bit:
+ascending order, read by every pass that shares it (as in PyG's CSR message
+passing). `RowIndex.blocks` is its one builder: it cuts the indexes of many
+blocks, such as a training epoch's batches or `embed`'s blocks of
+molecules, and their tables from one sort of all of them. The sums are
+those of numpy's `add.at`, in its order, bit for bit:
 - Small scatters (fewer than `_ADD_AT_SIZE` values) call `np.add.at`
-  itself, which beats building a table there.
+  itself, which beats the table there.
 - Many rows with few entries each (in-neighbours) loop over the table's
   columns, adding a whole column of rows at a time. Short rows are padded
   with a -0.0 row, which adds nothing to any value: a -0.0 in a running
@@ -74,7 +74,9 @@ _EXP_CLAMP = 36.7
 # 32 entries and 80 against 44 at 64. In a recovery step (latent 8, hidden
 # 32) the walk-to-molecule and z gathers (16-50 entries) fall below it; the
 # 150-400-entry message, bond-type and readout indexes, and `embed`'s
-# 192-atom blocks, stay on the table.
+# 192-atom blocks, stay on the table. These figures date from when a table
+# was built on its first use; `RowIndex.blocks` now builds every table
+# ahead, and the cutoff has not been measured again since.
 _ADD_AT_SIZE = 2048
 
 
@@ -219,27 +221,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 class RowIndex:
     """An index into `num_rows` rows, `index[i]` naming the row of entry i,
-    with the table of each row's entries that `add_to` sums through.
-
-    The table is built on first use, in the layout the module docstring
-    describes: a (width, rows) array of positions padded with one past the
-    last entry when no row has more entries than there are rows, else each
-    row's slice of `positions()`. `positions`, if given, are the entries
-    grouped by row and ascending within each row, the order of
-    `np.argsort(index, kind="stable")`.
+    with the table of each row's entries that `add_to` sums through, in the
+    layout the module docstring describes: a (width, rows) array of
+    positions, padded with one past the last entry, when no row has more
+    entries than there are rows; else the (row, start, stop) of each row
+    with entries in `_positions`, the entries grouped by row and ascending
+    within each row (the order of `np.argsort(index, kind="stable")`).
+    `blocks` is the one constructor, for one block or many.
     """
 
     __slots__ = ("index", "num_rows", "_positions", "_table")
-
-    def __init__(self, index, num_rows: int, positions: Optional[np.ndarray] = None):
-        self.index = np.asarray(index, dtype=np.intp)
-        self.num_rows = int(num_rows)
-        if self.index.ndim != 1:
-            raise ShapeMismatchError(f"row index of shape {self.index.shape}")
-        if len(self.index) and not (0 <= self.index.min() and self.index.max() < num_rows):
-            raise IndexError(f"row index out of range for {num_rows} rows")
-        self._positions = positions
-        self._table = None
 
     @classmethod
     def blocks(cls, index, num_rows, bounds) -> List["RowIndex"]:
@@ -247,7 +238,7 @@ class RowIndex:
         bounds[k]:bounds[k + 1], each naming one of num_rows[k] rows. The
         range check, the stable sort and the tables run once, over every
         block: each block's index, positions and table are slices of them,
-        holding what its own `RowIndex` would build. They are int32 where
+        the same as that block cut alone would hold. They are int32 where
         the entries and rows fit, which halves what the blocks hold; numpy
         indexes with int32 as fast as with intp."""
         index = np.asarray(index, dtype=np.intp)
@@ -290,7 +281,7 @@ class RowIndex:
         out = []
         for k, (lo, hi, n, w) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist(),
                                                num_rows.tolist(), width.tolist())):
-            planned = cls.__new__(cls)
+            planned = cls()
             planned.index, planned.num_rows = index[lo:hi], n
             # only the list layout reads the positions; a column table holds them
             if columns[k]:
@@ -300,59 +291,33 @@ class RowIndex:
             out.append(planned)
         return out
 
-    def positions(self) -> np.ndarray:
-        """The entries grouped by row, ascending within each row."""
-        if self._positions is None:
-            self._positions = np.argsort(self.index, kind="stable")
-        return self._positions
-
-    def _build(self):
-        pos = self.positions()
-        counts = np.bincount(self.index, minlength=self.num_rows)
-        stops = np.cumsum(counts)
-        width = counts.max(initial=0)
-        if self.num_rows < width:
-            rows = np.flatnonzero(counts)
-            self._table = list(zip(rows.tolist(), (stops - counts)[rows].tolist(),
-                                   stops[rows].tolist()))
-        else:
-            rows = self.index[pos]
-            table = np.full((width, self.num_rows), len(pos), dtype=np.intp)
-            table[np.arange(len(pos)) - (stops - counts)[rows], rows] = pos
-            self._table = table
-        return self._table
-
     def add_to(self, base: np.ndarray, values: np.ndarray) -> np.ndarray:
         """base[index[i]] += values[i] in place, for i in ascending order:
         the sums of numpy's `add.at(base, index, values)`, bit for bit.
         (Which NaN a sum of two NaNs keeps is left open, as numpy's own
         loops leave it.) Fewer than `_ADD_AT_SIZE` values go to `add.at`
-        itself, and no table is built for them."""
+        itself, which does not read the table."""
         if values.size < _ADD_AT_SIZE:
             np.add.at(base, self.index, values)
             return base
-        table = self._build() if self._table is None else self._table
-        if isinstance(table, list):
+        if isinstance(self._table, list):
             # a sequential sum: np.add.reduce sums one column pairwise
-            grouped = values[self.positions()]
+            grouped = values[self._positions]
             wide = values.ndim > 1 and values.shape[1] > 1
-            for k, start, stop in table:
+            for k, start, stop in self._table:
                 run = np.concatenate([base[k : k + 1], grouped[start:stop]])
                 base[k] = (np.add.reduce(run, axis=0, initial=-0.0) if wide
                            else np.cumsum(run, axis=0)[-1])
         else:
             # -0.0 pads add nothing, even to a -0.0 (+0.0 would make it +0.0)
             padded = np.concatenate([values, np.full((1,) + values.shape[1:], -0.0)])
-            for column in table:
+            for column in self._table:
                 base += padded[column]
         return base
 
 
-def gather_rows(a: Tensor, index) -> Tensor:
-    """out[i] = a[index[i]]; rows may repeat. `index` is an index array or a
-    RowIndex over a's rows."""
-    if not isinstance(index, RowIndex):
-        index = RowIndex(index, a.shape[0])
+def gather_rows(a: Tensor, index: RowIndex) -> Tensor:
+    """out[i] = a[index.index[i]]; rows may repeat. `index` is over a's rows."""
     out = Tensor(a.data[index.index], (a,))
     out._bw = lambda g: _acc_rows(a, index, g)
     return out
@@ -366,11 +331,9 @@ def _acc_rows(t: Tensor, index: RowIndex, g: np.ndarray):
     t.grad = index.add_to(grad, g)
 
 
-def scatter_add_rows(a: Tensor, index, num_rows: Optional[int] = None) -> Tensor:
-    """out[k] = sum of a[i] over i with index[i] == k (message aggregation).
-    `index` is a RowIndex, or an index array into `num_rows` rows."""
-    if not isinstance(index, RowIndex):
-        index = RowIndex(index, num_rows)
+def scatter_add_rows(a: Tensor, index: RowIndex) -> Tensor:
+    """out[k] = sum of a[i] over i with index.index[i] == k, for each of the
+    index's rows (message aggregation)."""
     if len(index.index) != a.shape[0]:
         raise ShapeMismatchError(f"scatter_add: {len(index.index)} indices for {a.shape[0]} rows")
     data = index.add_to(np.zeros((index.num_rows,) + a.shape[1:]), a.data)
@@ -463,9 +426,9 @@ def gin_layer(h: Tensor, bond_embed: Tensor, layers: Layers, out_of: RowIndex,
     return out
 
 
-def decode_group(z: Tensor, rows, layers: Layers, targets: np.ndarray, weight,
-                 squared_error=False) -> Tuple[Tensor, np.ndarray]:
-    """sum over i of weight[i] * NLL(MLP(z[rows[i]]), targets[i]) as one
+def decode_group(z: Tensor, rows: Optional[RowIndex], layers: Layers, targets: np.ndarray,
+                 weight, squared_error=False) -> Tuple[Tensor, np.ndarray]:
+    """sum over i of weight[i] * NLL(MLP(z[rows.index[i]]), targets[i]) as one
     scalar node, and the NLL of every target entry.
 
     The MLP is the affine stack `layers`. The NLL is the Bernoulli one, the
@@ -475,19 +438,14 @@ def decode_group(z: Tensor, rows, layers: Layers, targets: np.ndarray, weight,
     target column: each entry then takes its column's NLL and gradient, and
     the other NLL never reaches the sum, even where it overflows.
 
-    `rows` is an index array or a RowIndex over z's rows, or None for z's
-    rows in order, which gathers nothing. `weight` is one weight per target
+    `rows` is a RowIndex over z's rows, or None for z's rows in order, which
+    gathers nothing. `weight` is one weight per target
     row, or a scalar for every row. Replaces gather_rows, the MLP's matmul,
     add and ReLU per layer, the NLL node, the weight constant, mul and
     tsum; the weighted sum is `(nll * weight).sum()`, tsum's pairwise order
     over the same array.
     """
-    if rows is None:
-        x = z.data
-    else:
-        if not isinstance(rows, RowIndex):
-            rows = RowIndex(rows, z.shape[0])
-        x = z.data[rows.index]
+    x = z.data if rows is None else z.data[rows.index]
     outs = _mlp_data(x, layers)
     logits = outs[-1]
     y = np.asarray(targets, dtype=np.float64)

@@ -10,20 +10,27 @@ the alpha-weighted reconstruction NLLs over the path length and adds a
 beta-weighted KL to the standard-normal prior. The start molecule's own
 fingerprint is always a target with alpha = 1.
 
+The encoder reads its molecules in one layout, `AtomGraph`: a `MoleculeSet`
+cut into blocks of whole molecules, each block one block-diagonal graph,
+with the row indexes of every block's messages and readout cut from one sort
+per index (`dc.RowIndex.blocks`). `encode_union` encodes one block (one
+`dc.gin_layer` node per layer). Training cuts at its minibatches, `embed`
+at blocks of about `_EMBED_ATOMS` atoms, and `gin_encode` lays out one
+molecule as one block.
+
 Training evaluates a whole minibatch in one tape. Before an epoch's first
 step its batches are laid out once, as one `EpochPlan` of index arrays: the
 epoch's molecules are gathered from the graph's parsed `MoleculeSet` in one
-`take`, the row indexes of every batch's messages, readout, walks and
-decoded groups are cut from one sort per index (`dc.RowIndex.blocks`), and
-the targets are ordered so that each (kind, dim) group of a batch is one
-slice. A step (`step_loss`) only slices the plan: it encodes the batch's
-molecules together as one block-diagonal graph (`encode_union`, one
-`dc.gin_layer` node per layer), and decodes the targets of each (kind, dim),
-taken by index from the graph's matrix of it, as one matrix, by
-`decode_nll`, into one `dc.decode_group` node per group. One `dc.add_n`
-node adds the groups' terms to the KL term. At the benchmark's recovery
-configuration (2 GIN layers, 3 decoded groups) a step's tape holds 18
-nodes. `dc.decode_group` is the package's one NLL: the evaluation probe
+`take` and laid out as an `AtomGraph`, the row indexes of every batch's
+walks and decoded groups are cut by `dc.RowIndex.blocks` too, and the
+targets are ordered so that each (kind, dim) group of a batch is one slice.
+A step (`step_loss`) only slices the plan: it encodes the batch's molecules
+together, block b of the plan's `AtomGraph`, and decodes the targets of
+each (kind, dim), taken by index from the graph's matrix of it, as one
+matrix, by `decode_nll`, into one `dc.decode_group` node per group. One
+`dc.add_n` node adds the groups' terms to the KL term. At the benchmark's
+recovery configuration (2 GIN layers, 3 decoded groups) a step's tape holds
+18 nodes. `dc.decode_group` is the package's one NLL: the evaluation probe
 fits its head through it too.
 """
 
@@ -58,12 +65,15 @@ _NOISE_STREAM = (1 << 40) + 1
 # Atoms per `embed` block. A block's tape keeps every activation of its
 # atoms, so time and peak memory go by atoms, not molecules. Measured on 2
 # cores (numpy 2.4.6, OpenBLAS) with 30-s evaluate benchmark runs (1000
-# molecules of 11.5 atoms, seeds 3 and 4): pipeline_rel 5.93-5.96 at 128
-# atoms, 5.05-5.22 at 192 and 4.83-5.25 at 256; peak RSS 47.4-47.7,
-# 47.4-47.6 and 47.9-48.0 MiB, where blocks of 16 molecules (184 atoms)
-# gave 47.1-47.4. In-process `embed` of 200 recovery molecules (37.6 atoms)
-# took 27-29 ms at 128-192 atoms, 25 ms at 256, and 32 ms at 384 and at
-# 608, the size of a block of 16 of them.
+# molecules of 11.5 atoms, seeds 3 and 4), when each block was laid out on
+# its own: pipeline_rel 5.93-5.96 at 128 atoms, 5.05-5.22 at 192 and
+# 4.83-5.25 at 256; peak RSS 47.4-47.7, 47.4-47.6 and 47.9-48.0 MiB, where
+# blocks of 16 molecules (184 atoms) gave 47.1-47.4. With the blocks cut
+# from one `AtomGraph`, in-process `embed` (median of 7, two runs) of the
+# evaluate seed-1 set took 30-31 ms at 128 atoms, 25 at 192, 22-23 at 256,
+# 26-28 at 384 and 27-35 at 608; of the 200 recovery seed-1 molecules
+# (37.6 atoms), 19 ms at 128, 15-16 at 192, 14-15 at 256, 17 at 384 and 19
+# at 608, the size of a block of 16 of them.
 _EMBED_ATOMS = 192
 
 
@@ -204,44 +214,64 @@ def atom_features(g: MolecularGraph) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AtomGraph:
-    """Molecules laid out as one graph, as the encoder reads them: each
-    atom's one-hot inputs (`atom_features`), and the row indexes of the two
-    messages of each bond a-b, a -> b then b -> a: the atom each goes into,
-    the atom it comes out of, and its bond type."""
+    """Molecules laid out as the encoder reads them, cut into blocks of
+    whole molecules, the block-diagonal batches of PyG. It holds each atom's
+    one-hot inputs (`atom_features`); the atom bounds, block k being atoms
+    atom_bounds[k]:atom_bounds[k + 1]; and each block's row indexes,
+    counted from its first atom and its first molecule: of the two messages
+    of each bond a-b, a -> b then b -> a, the atom each goes into, the atom
+    it comes out of and its bond type, and the readout's molecule of each
+    atom. `blocks` lays them out; `embed`, `EpochPlan` and `gin_encode` all
+    read their molecules through it.
+    """
 
     x: np.ndarray
-    into: dc.RowIndex
-    out_of: dc.RowIndex
-    bond_type: dc.RowIndex
+    atom_bounds: List[int]
+    into: List[dc.RowIndex]
+    out_of: List[dc.RowIndex]
+    bond_type: List[dc.RowIndex]
+    readout: List[dc.RowIndex]
 
     @classmethod
-    def of(cls, g: MolecularGraph) -> "AtomGraph":
-        n = len(g.element)
-        into = dc.RowIndex(g.bonds[:, ::-1].ravel(), n)
-        # A position's partner (XOR 1) carries the same bond the other way,
-        # so it turns each atom's incoming messages into its outgoing.
-        return cls(atom_features(g), into,
-                   dc.RowIndex(g.bonds.ravel(), n, positions=into.positions() ^ 1),
-                   dc.RowIndex(np.repeat(g.order, 2), NUM_BOND_TYPES))
+    def blocks(cls, molecules: MoleculeSet, bounds) -> "AtomGraph":
+        """`molecules` cut into blocks, block k being molecules
+        bounds[k]:bounds[k + 1], with bounds running from 0 to the set's
+        length. Each row index is cut by `dc.RowIndex.blocks` from one sort
+        over every block."""
+        bounds = np.asarray(bounds, dtype=np.intp)
+        count = np.diff(bounds)
+        g = molecules.graph
+        atom_bounds = molecules.atom_start[bounds]
+        messages = 2 * molecules.bond_start[bounds]
+        atoms = np.diff(atom_bounds)
+        # each bond's ends, and each molecule, counted from its block's first
+        ends = g.bonds - np.repeat(atom_bounds[:-1], np.diff(messages) // 2)[:, None]
+        mol = np.arange(len(molecules)) - np.repeat(bounds[:-1], count)
+        return cls(atom_features(g), atom_bounds.tolist(),
+                   dc.RowIndex.blocks(ends[:, ::-1].ravel(), atoms, messages),
+                   dc.RowIndex.blocks(ends.ravel(), atoms, messages),
+                   dc.RowIndex.blocks(np.repeat(g.order, 2),
+                                      np.full(len(count), NUM_BOND_TYPES), messages),
+                   dc.RowIndex.blocks(np.repeat(mol, np.diff(molecules.atom_start)), count,
+                                      atom_bounds))
 
 
-def encode_union(atoms: AtomGraph, segment, count: int,
-                 bound: Dict[str, dc.Tensor]) -> EncoderOutput:
-    """Sum-readout GIN encoder over the `count` molecules laid out as the one
-    graph `atoms`, atom i belonging to molecule segment[i]; row k is molecule
-    k. `segment` is an index array or a RowIndex over the `count` rows.
+def encode_union(atoms: AtomGraph, b: int, bound: Dict[str, dc.Tensor]) -> EncoderOutput:
+    """Sum-readout GIN encoder over the molecules of block b of `atoms`,
+    laid out as one graph; row k is the block's molecule k.
 
     Per layer: h_v <- MLP(h_v + sum_{u in N(v)} (h_u + bond_embed(uv))),
     i.e. the (1 + eps) factor with eps fixed at 0. Every layer and both
-    passes share the row indexes of `atoms`, and the readout sums each
+    passes share the block's row indexes, and the readout sums each
     molecule's atom rows. The depth is the number of `gin.l<n>` layers in
     `bound`.
     """
-    h = dc.matmul(dc.constant(atoms.x), bound["atom_embed"])
+    a0, a1 = atoms.atom_bounds[b : b + 2]
+    h = dc.matmul(dc.constant(atoms.x[a0:a1]), bound["atom_embed"])
     for layer in range(_infer_num_layers(bound)):
         h = dc.gin_layer(h, bound[f"bond_embed.l{layer}"], dc.mlp_layers(bound, f"gin.l{layer}"),
-                         atoms.out_of, atoms.into, atoms.bond_type)
-    readout = dc.scatter_add_rows(h, segment, count)
+                         atoms.out_of[b], atoms.into[b], atoms.bond_type[b])
+    readout = dc.scatter_add_rows(h, atoms.readout[b])
     mu = dc.mlp_forward(bound, "head_mu", readout)
     logvar = dc.clip(dc.mlp_forward(bound, "head_logvar", readout),
                      -LOGVAR_CLAMP, LOGVAR_CLAMP)
@@ -252,7 +282,8 @@ def gin_encode(g: MolecularGraph, bound: Dict[str, dc.Tensor]) -> EncoderOutput:
     """`encode_union` of one molecule: mu and logvar of shape (1, D). Nothing
     in the package calls it: it stays because perfbench/tracer.py wraps this
     name."""
-    return encode_union(AtomGraph.of(g), np.zeros(len(g.element), dtype=np.intp), 1, bound)
+    one = MoleculeSet(g, np.array([0, len(g.element)]), np.array([0, len(g.bonds)]))
+    return encode_union(AtomGraph.blocks(one, [0, 1]), 0, bound)
 
 
 def reparameterize(out: EncoderOutput, noise) -> dc.Tensor:
@@ -281,11 +312,11 @@ def decode_nll(z: dc.Tensor, targets: np.ndarray, kind: NodeKind,
                likelihood: str = "bernoulli") -> Tuple[dc.Tensor, np.ndarray]:
     """The weighted NLL, summed, of the target rows under the decoder of
     `kind` and their width, as one `dc.decode_group` node, and the NLL of
-    every target entry. Target row i is decoded from row rows[i] of z and
-    weighted by weight[i]. The NLL is the Bernoulli one (BCE on the logits,
-    the [0,1]-scaled features as soft labels) or the Gaussian one (a
-    unit-variance squared error on the linear outputs); any other
-    `likelihood` raises ValueError."""
+    every target entry. Target row i is decoded from row rows.index[i] of z,
+    `rows` being a RowIndex over z's rows, and weighted by weight[i]. The
+    NLL is the Bernoulli one (BCE on the logits, the [0,1]-scaled features
+    as soft labels) or the Gaussian one (a unit-variance squared error on
+    the linear outputs); any other `likelihood` raises ValueError."""
     y = np.asarray(targets, dtype=np.float64)
     layers = dc.mlp_layers(bound, decoder_prefix(bound, kind, y.shape[1]))
     return dc.decode_group(z, rows, layers, y, weight, _squared_error(likelihood))
@@ -309,9 +340,9 @@ class EpochPlan:
     that does not start at its molecule raises PathMismatchError here,
     before any step. The molecules are gathered from `graph.molecules()` in
     one `take`, and the plan holds, as arrays over the whole epoch:
-    - their atoms' one-hot inputs;
-    - the row indexes of each batch's messages, readout and walks, cut by
-      `dc.RowIndex.blocks` from one sort of each epoch array;
+    - `atoms`, their `AtomGraph` cut at the batches;
+    - the row index of each batch's walks, cut by `dc.RowIndex.blocks`
+      from one sort of the epoch's;
     - every target (the start molecule's own features with alpha = 1, then
       each walked node with its cumulative path weight): its row in the
       graph's matrix of its (kind, dim), its alpha and its weight
@@ -339,23 +370,10 @@ class EpochPlan:
         mol_bounds = np.append(np.arange(0, n, batch_size), n)
         count = np.diff(mol_bounds)
         walks = count * per_mol
-        epoch = mols.take([row[s] for s in starts])
-        g = epoch.graph
-        atom_bounds = epoch.atom_start[mol_bounds]
-        messages = 2 * epoch.bond_start[mol_bounds]
-        atoms = np.diff(atom_bounds)
-        # each bond's ends, and each molecule, counted from its batch's first
-        ends = g.bonds - np.repeat(atom_bounds[:-1], np.diff(messages) // 2)[:, None]
-        mol = np.arange(n) - np.repeat(mol_bounds[:-1], count)
         self.molecules, self.walks = count.tolist(), walks.tolist()
-        self.atom_bounds = atom_bounds.tolist()
-        self.x = atom_features(g)
-        self.into = dc.RowIndex.blocks(ends[:, ::-1].ravel(), atoms, messages)
-        self.out_of = dc.RowIndex.blocks(ends.ravel(), atoms, messages)
-        self.bond_type = dc.RowIndex.blocks(np.repeat(g.order, 2),
-                                            np.full(len(count), NUM_BOND_TYPES), messages)
-        self.readout = dc.RowIndex.blocks(np.repeat(mol, np.diff(epoch.atom_start)), count,
-                                          atom_bounds)
+        self.atoms = AtomGraph.blocks(mols.take([row[s] for s in starts]), mol_bounds)
+        # each walk's molecule, counted from its batch's first
+        mol = np.arange(n) - np.repeat(mol_bounds[:-1], count)
         self.walk_mol = dc.RowIndex.blocks(np.repeat(mol, per_mol), count, mol_bounds * per_mol)
 
         # Every target, walk by walk: its walk, node and alpha, and its
@@ -401,9 +419,7 @@ def step_loss(plan: EpochPlan, b: int, bound: Dict[str, dc.Tensor], beta: float,
     terms are added to the KL term in that order.
     """
     n = plan.molecules[b]
-    a0, a1 = plan.atom_bounds[b : b + 2]
-    out = encode_union(AtomGraph(plan.x[a0:a1], plan.into[b], plan.out_of[b], plan.bond_type[b]),
-                       plan.readout[b], n, bound)
+    out = encode_union(plan.atoms, b, bound)
     walk_mol = plan.walk_mol[b]
     z = reparameterize(EncoderOutput(dc.gather_rows(out.mu, walk_mol),
                                      dc.gather_rows(out.logvar, walk_mol)), noise)
@@ -455,7 +471,8 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig, store: Optional[dc.ParamStor
     A walk that does not start at its molecule raises PathMismatchError
     before its epoch's first step. Passing a store and its
     `state` resumes training: the Adam step, the epoch index and the
-    generators continue, and `state` advances in place by cfg.epochs. A new
+    generators continue. `state` advances in place as each epoch ends, so
+    it and the store always hold the epochs finished. A new
     store gets one decoder per featured (kind, dim) of the graph. Every
     featured (kind, dim) of the graph needs a decoder in the store, or
     NoDecoderError is raised before any step. The graph's molecules are
@@ -463,9 +480,9 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig, store: Optional[dc.ParamStor
     bad SMILES raises its SmilesError, naming the node, before any step too.
     A non-finite loss or gradient (checked once a step, by `backward` and
     `ParamStore.accumulate`) raises FloatingPointError naming the epoch and
-    the batch. `log_fn(epoch, breakdown)`, if given, is called as each
-    epoch ends, with the epoch numbered over resumes. Returns the store and
-    the per-epoch mean loss breakdowns.
+    the batch. `log_fn(epoch, breakdown, store)`, if given, is called as
+    each epoch ends, after `state` has advanced, with the epoch numbered
+    over resumes. Returns the store and the per-epoch mean loss breakdowns.
     """
     needed = feature_keys(graph)
     if store is None:
@@ -486,6 +503,14 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig, store: Optional[dc.ParamStor
             "noise": dc.seeded_rng(cfg.seed, _NOISE_STREAM)}
     for name, saved in (state.streams or {}).items():
         rngs[name].bit_generator.state = saved
+
+    def finished(epochs: int):
+        state.epoch = epochs
+        state.streams = {name: json.loads(json.dumps(rng.bit_generator.state,
+                                                     default=np.ndarray.tolist))
+                         for name, rng in rngs.items()}
+
+    finished(state.epoch)  # a run of no epochs records the generators it starts from
     epoch_logs: List[LossBreakdown] = []
     for epoch in range(state.epoch, state.epoch + cfg.epochs):
         order = [mols[i] for i in rngs["shuffle"].permutation(len(mols))]
@@ -494,12 +519,9 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig, store: Optional[dc.ParamStor
         epoch_br = _train_epoch(store, EpochPlan(graph, order, walks, cfg.batch_size),
                                 rngs["noise"], cfg, epoch)
         epoch_logs.append(epoch_br)
+        finished(epoch + 1)
         if log_fn is not None:
-            log_fn(epoch, epoch_br)
-    state.epoch += cfg.epochs
-    state.streams = {name: json.loads(json.dumps(rng.bit_generator.state,
-                                                 default=np.ndarray.tolist))
-                     for name, rng in rngs.items()}
+            log_fn(epoch, epoch_br, store)
     return store, epoch_logs
 
 
@@ -553,12 +575,13 @@ def _embed_blocks(atom_start: np.ndarray, budget: int) -> List[Tuple[int, int]]:
 def embed(store: dc.ParamStore, molecules: MoleculeSet) -> np.ndarray:
     """Deterministic embeddings: the posterior means, one row per molecule.
 
-    The set is encoded in blocks of about `_EMBED_ATOMS` atoms through
-    `encode_union`, never a block of one molecule: a 1-row product goes
-    through BLAS gemv, whose last bits can differ from the gemm rows of a
-    larger block, so a lone last molecule joins the block before it and a
-    one-molecule set is encoded beside a copy of itself. Raises
-    FloatingPointError if a row is not finite.
+    The set is laid out once as an `AtomGraph` cut into blocks of about
+    `_EMBED_ATOMS` atoms, each encoded by `encode_union`, never a block of
+    one molecule: a 1-row product goes through BLAS gemv, whose last bits
+    can differ from the gemm rows of a larger block, so a lone last
+    molecule joins the block before it and a one-molecule set is encoded
+    beside a copy of itself. Raises FloatingPointError if a row is not
+    finite.
     """
     n = len(molecules)
     if n == 0:
@@ -566,11 +589,10 @@ def embed(store: dc.ParamStore, molecules: MoleculeSet) -> np.ndarray:
     if n == 1:
         molecules = molecules.take([0, 0])
     bound = store.bind()
-    blocks = []
-    for lo, hi in _embed_blocks(molecules.atom_start, _EMBED_ATOMS):
-        g, segment = molecules.block(lo, hi)
-        blocks.append(encode_union(AtomGraph.of(g), segment, hi - lo, bound).mu.data)
-    return dc.require_finite(np.concatenate(blocks)[:n], "embedding")
+    blocks = _embed_blocks(molecules.atom_start, _EMBED_ATOMS)
+    atoms = AtomGraph.blocks(molecules, [0] + [hi for _, hi in blocks])
+    mu = [encode_union(atoms, b, bound).mu.data for b in range(len(blocks))]
+    return dc.require_finite(np.concatenate(mu)[:n], "embedding")
 
 
 def save_checkpoint(path, store: dc.ParamStore, cfg: ModelConfig, graph: ContextGraph,

@@ -10,6 +10,13 @@ from the bond arrays. `reference_scatter_add` and `reference_adam_step` are
 the `np.add.at` scatter and the per-parameter Adam loop that the row index
 tables and the flat parameter buffer replaced. `reference_top_pairs` is the
 full sort of every similarity candidate that the partition cut replaced.
+`reference_row_table` is a row index's table built on its own, as a
+`RowIndex` once built it on first use, which `RowIndex.blocks` replaced;
+`row_index` is the one-block `RowIndex.blocks`, for tests that build a row
+index from an array. `reference_atom_graph` lays out one block of molecules
+with each row index built from its own array, as `AtomGraph.of` did, and
+`reference_embed` is `embed` on it, one block at a time, where `embed` cuts
+every block from one `AtomGraph`.
 `reference_walk_loss` is the loss of one walk on a tape of its own, one
 target at a time (`walk_targets`), which `batch_loss` computes for a whole
 minibatch at once. `reference_batch_loss` is that minibatch loss with every
@@ -57,6 +64,7 @@ from typing import List, Set, Tuple
 import numpy as np
 
 import infoalign.diffcore as dc
+import infoalign.model as model
 from infoalign.errors import (
     PathMismatchError,
     RingUnclosedError,
@@ -500,19 +508,77 @@ def composed_decode_group(z, rows, layers, targets, weight, squared_error=False)
 def composed_encode(g: MolecularGraph, bound) -> EncoderOutput:
     """`encode_union` of the one molecule `g` on the chains above."""
     n = len(g.element)
-    out_of = dc.RowIndex(g.bonds.ravel(), n)
-    into = dc.RowIndex(g.bonds[:, ::-1].ravel(), n)
-    bond_type = dc.RowIndex(np.repeat(g.order, 2), len(BondOrder))
+    out_of = row_index(g.bonds.ravel(), n)
+    into = row_index(g.bonds[:, ::-1].ravel(), n)
+    bond_type = row_index(np.repeat(g.order, 2), len(BondOrder))
     h = dc.matmul(dc.constant(atom_features(g)), bound["atom_embed"])
     layer = 0
     while f"gin.l{layer}.w0" in bound:
         h = composed_gin_layer(h, bound[f"bond_embed.l{layer}"],
                                dc.mlp_layers(bound, f"gin.l{layer}"), out_of, into, bond_type)
         layer += 1
-    readout = dc.scatter_add_rows(h, np.zeros(n, dtype=np.intp), 1)
+    readout = dc.scatter_add_rows(h, row_index(np.zeros(n, dtype=np.intp), 1))
     logvar = dc.clip(composed_mlp_forward(bound, "head_logvar", readout), -LOGVAR_CLAMP,
                      LOGVAR_CLAMP)
     return EncoderOutput(composed_mlp_forward(bound, "head_mu", readout), logvar)
+
+
+def row_index(index, num_rows: int) -> dc.RowIndex:
+    """The `dc.RowIndex` of the index array `index` into `num_rows` rows:
+    `RowIndex.blocks` of one block."""
+    return dc.RowIndex.blocks(index, [num_rows], [0, len(index)])[0]
+
+
+def reference_row_table(index, num_rows: int):
+    """(table, positions) of `index` into `num_rows` rows, built on their own
+    as a `RowIndex` once built them on first use. The positions are the
+    entries grouped by row, ascending within each row; the table is a
+    (width, rows) array of positions padded with len(index) when no row has
+    more entries than there are rows, else the (row, start, stop) of each
+    row with entries."""
+    index = np.asarray(index, dtype=np.intp)
+    pos = np.argsort(index, kind="stable")
+    counts = np.bincount(index, minlength=num_rows)
+    stops = np.cumsum(counts)
+    width = counts.max(initial=0)
+    if num_rows < width:
+        rows = np.flatnonzero(counts)
+        return list(zip(rows.tolist(), (stops - counts)[rows].tolist(),
+                        stops[rows].tolist())), pos
+    rows = index[pos]
+    table = np.full((width, num_rows), len(pos), dtype=np.intp)
+    table[np.arange(len(pos)) - (stops - counts)[rows], rows] = pos
+    return table, pos
+
+
+def reference_atom_graph(g: MolecularGraph, segment, count: int) -> AtomGraph:
+    """The one-block `AtomGraph` of the `count` molecules laid out as the
+    graph `g`, atom i belonging to molecule segment[i]: each row index
+    built from its own array, as `AtomGraph.of` built them for one block,
+    where `AtomGraph.blocks` cuts every block's from one sort."""
+    n = len(g.element)
+    return AtomGraph(atom_features(g), [0, n], [row_index(g.bonds[:, ::-1].ravel(), n)],
+                     [row_index(g.bonds.ravel(), n)],
+                     [row_index(np.repeat(g.order, 2), len(BondOrder))],
+                     [row_index(segment, count)])
+
+
+def reference_embed(store, molecules: MoleculeSet) -> np.ndarray:
+    """`model.embed` as it was before its blocks shared one layout: each
+    block of `_embed_blocks` (at `model._EMBED_ATOMS`) sliced out of the set
+    with `MoleculeSet.block` and laid out on its own by
+    `reference_atom_graph`."""
+    n = len(molecules)
+    if n == 0:
+        return np.zeros((0, store.params["head_mu.w0"].shape[1]))
+    if n == 1:
+        molecules = molecules.take([0, 0])
+    bound = store.bind()
+    mu = []
+    for lo, hi in model._embed_blocks(molecules.atom_start, model._EMBED_ATOMS):
+        g, segment = molecules.block(lo, hi)
+        mu.append(encode_union(reference_atom_graph(g, segment, hi - lo), 0, bound).mu.data)
+    return np.concatenate(mu)[:n]
 
 
 def walk_targets(path) -> List[Tuple[str, float]]:
@@ -562,11 +628,10 @@ def reference_batch_loss(graph, starts, paths, bound, beta: float, noise,
                          likelihood: str = "bernoulli"):
     """`model.batch_loss` as it was before the epoch plan: every structure
     of the batch built inside the step. The molecules are gathered with
-    `MoleculeSet.take` and laid out by `AtomGraph.of`, which builds the
-    message and bond-type row indexes; the readout, walk and decoder row
-    indexes are built from plain arrays; and the targets are grouped by
-    `np.unique` over their (kind, dim), the groups decoded in the order they
-    first appear. Same arguments and results as `batch_loss`."""
+    `MoleculeSet.take` and laid out by `reference_atom_graph`; the walk and
+    decoder row indexes are built from plain arrays; and the targets are
+    grouped by `np.unique` over their (kind, dim), the groups decoded in the
+    order they first appear. Same arguments and results as `batch_loss`."""
     if not starts or not len(paths) or len(paths) % len(starts):
         raise ValueError(f"{len(paths)} paths for {len(starts)} start molecules")
     per_mol = len(paths) // len(starts)
@@ -586,8 +651,8 @@ def reference_batch_loss(graph, starts, paths, bound, beta: float, noise,
     _keys, first, group = np.unique(dims[nodes] * len(KINDS) + kinds, return_index=True,
                                     return_inverse=True)
     g, segment = mols.take([row[s] for s in starts]).block(0, len(starts))
-    out = encode_union(AtomGraph.of(g), segment, len(starts), bound)
-    walk_mol = dc.RowIndex(np.repeat(np.arange(len(starts)), per_mol), len(starts))
+    out = encode_union(reference_atom_graph(g, segment, len(starts)), 0, bound)
+    walk_mol = row_index(np.repeat(np.arange(len(starts)), per_mol), len(starts))
     z = reparameterize(EncoderOutput(dc.gather_rows(out.mu, walk_mol),
                                      dc.gather_rows(out.logvar, walk_mol)), noise)
     kl = kl_standard_normal(out)
@@ -601,8 +666,8 @@ def reference_batch_loss(graph, starts, paths, bound, beta: float, noise,
         alpha = alphas[sel]
         weight = alpha * scale / paths.sizes[walk[sel]]
         feats = matrices[kind, int(dims[nodes[sel[0]]])][rows[nodes[sel]]]
-        term, nll = decode_nll(z, feats.astype(np.float64), kind, bound, walk[sel], weight,
-                               likelihood)
+        term, nll = decode_nll(z, feats.astype(np.float64), kind, bound,
+                               row_index(walk[sel], len(paths)), weight, likelihood)
         terms.append(term)
         recon[kind.value] = recon.get(kind.value, 0.0) + float(alpha @ nll.sum(axis=1)) * scale
         recon_total += term.item()

@@ -428,6 +428,75 @@ def test_pretrain_resume_into_itself_keeps_earlier_log_rows(synth_graph, tmp_pat
     assert log.read_bytes() == Path(f"{straight}.log.tsv").read_bytes()
 
 
+class _Stop(Exception):
+    """A failure injected into a pretrain run; no handler of the CLI catches
+    it, so the run stops where a killed one would."""
+
+
+def _stop_at_epoch(monkeypatch, finished: int):
+    """Make the epoch that starts after `finished` epochs have been trained
+    in this process raise _Stop."""
+    import infoalign.model as model
+    train, trained = model._train_epoch, []
+
+    def stopping(*args):
+        if len(trained) == finished:
+            raise _Stop
+        trained.append(args[-1])
+        return train(*args)
+
+    monkeypatch.setattr(model, "_train_epoch", stopping)
+
+
+@pytest.mark.parametrize("likelihood", ["bernoulli", "gaussian"])
+@pytest.mark.parametrize("stop", [1, 2])
+def test_pretrain_stopped_run_resumes_to_the_straight_run(synth_graph, tmp_path, monkeypatch,
+                                                          likelihood, stop):
+    """A 3-epoch run stopped by a failure in epoch `stop` keeps the
+    checkpoint of the epochs before it, and --resume X --out X for the rest
+    writes the checkpoint and log of the run that was not stopped, byte for
+    byte."""
+    flags = [*PRETRAIN_SMALL, "--seed", 5, "--lr", 5e-3, "--batch-size", 4,
+             "--likelihood", likelihood]
+    straight, ck = tmp_path / "straight", tmp_path / "ck"
+    assert run(["pretrain", "--graph", synth_graph, "--out", straight, "--epochs", 3,
+                *flags]) == 0
+    with monkeypatch.context() as m:
+        _stop_at_epoch(m, stop)
+        with pytest.raises(_Stop):
+            run(["pretrain", "--graph", synth_graph, "--out", ck, "--epochs", 3, *flags])
+    from infoalign.model import load_checkpoint
+    assert load_checkpoint(ck)[2].epoch == stop
+    assert run(["pretrain", "--graph", synth_graph, "--out", ck, "--resume", ck,
+                "--epochs", 3 - stop, "--lr", 5e-3]) == 0
+    assert ck.read_bytes() == straight.read_bytes()
+    assert Path(f"{ck}.log.tsv").read_bytes() == Path(f"{straight}.log.tsv").read_bytes()
+
+
+def test_pretrain_stopped_beta_sweep_keeps_each_runs_checkpoint(synth_graph, tmp_path,
+                                                                monkeypatch):
+    """A 2-epoch sweep stopped in its second run's epoch 1 leaves the first
+    run's finished checkpoint and log, and the second run's of epoch 0,
+    each in its own file; resuming the second into itself for its last
+    epoch writes the bytes of the sweep that was not stopped."""
+    flags = [*PRETRAIN_SMALL, "--seed", 5, "--lr", 5e-3, "--batch-size", 4, "--epochs", 2,
+             "--beta-sweep", "1e-9,1"]
+    straight, ck = tmp_path / "straight", tmp_path / "ck"
+    assert run(["pretrain", "--graph", synth_graph, "--out", straight, *flags]) == 0
+    with monkeypatch.context() as m:
+        _stop_at_epoch(m, 3)
+        with pytest.raises(_Stop):
+            run(["pretrain", "--graph", synth_graph, "--out", ck, *flags])
+    from infoalign.model import load_checkpoint
+    assert load_checkpoint(f"{ck}.beta1")[2].epoch == 1
+    assert run(["pretrain", "--graph", synth_graph, "--out", f"{ck}.beta1",
+                "--resume", f"{ck}.beta1", "--epochs", 1, "--lr", 5e-3]) == 0
+    for run_file in ("beta1e-09", "beta1"):
+        for suffix in ("", ".log.tsv"):
+            got, want = Path(f"{ck}.{run_file}{suffix}"), Path(f"{straight}.{run_file}{suffix}")
+            assert got.read_bytes() == want.read_bytes(), (run_file, suffix)
+
+
 def test_pretrain_resume_into_itself_bad_log_row_exit_1(synth_graph, tmp_path, capsys):
     ck = tmp_path / "ck"
     assert run(["pretrain", "--graph", synth_graph, "--out", ck, "--epochs", 1,
@@ -734,7 +803,8 @@ def test_pretrain_diverging_run_stderr_is_one_line(synth_graph, tmp_path, capfd)
 
 def test_pretrain_log_keeps_epochs_of_diverging_run(synth_graph, tmp_path, capsys):
     """Rows are flushed as their epochs end: a run of one batch per epoch
-    that diverges in epoch 1 leaves the header and the epoch-0 row."""
+    that diverges in epoch 1 leaves the header and the epoch-0 row, and the
+    checkpoint of epoch 0."""
     ck = tmp_path / "ck.iapt"
     assert run(["pretrain", "--graph", synth_graph, "--out", ck, "--epochs", 2,
                 *PRETRAIN_SMALL, "--batch-size", 100, "--lr", 1e200]) == 1
@@ -742,7 +812,8 @@ def test_pretrain_log_keeps_epochs_of_diverging_run(synth_graph, tmp_path, capsy
     rows = Path(f"{ck}.log.tsv").read_text().splitlines()
     assert rows[0] == "epoch\ttotal\tkl\tbeta\trecon"
     assert [r.split("\t")[0] for r in rows[1:]] == ["0"]
-    assert not ck.exists()
+    from infoalign.model import load_checkpoint
+    assert load_checkpoint(ck)[2].epoch == 1
 
 
 def test_embed_three_molecules(synth_graph, tmp_path):

@@ -29,8 +29,10 @@ from tests.oracles import (
     exp,
     neg,
     reference_adam_step,
+    reference_row_table,
     reference_scatter_add,
     relu,
+    row_index,
     softplus,
     tsum,
 )
@@ -96,8 +98,8 @@ def _messages(bonds, order, atoms):
     laid out as `encode_union` lays them: bond j is messages 2j (a -> b)
     and 2j + 1 (b -> a)."""
     bonds = np.asarray(bonds, dtype=np.intp).reshape(-1, 2)
-    return (dc.RowIndex(bonds.ravel(), atoms), dc.RowIndex(bonds[:, ::-1].ravel(), atoms),
-            dc.RowIndex(np.repeat(order, 2), 3))
+    return (row_index(bonds.ravel(), atoms), row_index(bonds[:, ::-1].ravel(), atoms),
+            row_index(np.repeat(order, 2), 3))
 
 
 # A 3-ring with bond types 0, 2 and 1, for (3, 4) inputs.
@@ -128,7 +130,8 @@ def _decode(rows, squared_error, composed=False):
     return build
 
 
-_DECODE_ROWS = [0, 2, 2, 1, 0]
+# Rows of a three-row z.
+_DECODE_ROWS = row_index([0, 2, 2, 1, 0], 3)
 # One squared-error flag per target column of a three-column group.
 _PER_COLUMN = np.array([False, True, False])
 
@@ -150,8 +153,10 @@ def test_square_gradient_closed_form():
     ("exp", lambda t: tsum(dc.mul(exp(t), _c((3, 4), 19)))),
     ("softplus", lambda t: tsum(dc.mul(softplus(t), _c((3, 4), 21)))),
     ("tsum_axis", lambda t: tsum(dc.mul(tsum(t, axis=0, keepdims=True), _c((1, 4), 22)))),
-    ("gather", lambda t: tsum(dc.mul(dc.gather_rows(t, [0, 2, 2, 1]), _c((4, 4), 25)))),
-    ("scatter", lambda t: tsum(dc.mul(dc.scatter_add_rows(t, [1, 0, 1], 2), _c((2, 4), 26)))),
+    ("gather", lambda t: tsum(dc.mul(dc.gather_rows(t, row_index([0, 2, 2, 1], 3)),
+                                     _c((4, 4), 25)))),
+    ("scatter", lambda t: tsum(dc.mul(dc.scatter_add_rows(t, row_index([1, 0, 1], 2)),
+                                      _c((2, 4), 26)))),
     ("clip", lambda t: tsum(dc.mul(dc.clip(t, -0.5, 0.5), _c((3, 4), 27)))),
     ("affine_relu_x", lambda t: tsum(dc.mul(_mlp(
         t, _c((4, 5), 30), _c((5,), 31), _c((5, 2), 101), _c((2,), 102)), _c((3, 2), 32)))),
@@ -186,7 +191,7 @@ def test_square_gradient_closed_form():
     ("decode_group_squared_error", lambda t: _decode(_DECODE_ROWS, True)(
         t, _c((4, 6), 82), _c((6,), 83), _c((6, 2), 84), _c((2,), 85),
         _c((5, 2), 86).data, np.linspace(0.2, 1.0, 5))),
-    ("decode_group_one_row", lambda t: _decode([1], False)(
+    ("decode_group_one_row", lambda t: _decode(row_index([1], 3), False)(
         t, _c((4, 6), 87), _c((6,), 88), _c((6, 3), 89), _c((3,), 90),
         np.full((1, 3), 0.4), np.array([0.5]))),
     ("decode_group_per_column", lambda t: _decode(_DECODE_ROWS, _PER_COLUMN)(
@@ -295,7 +300,8 @@ FUSED = {
                                    _decode(_DECODE_ROWS, True),
                                    _decode(_DECODE_ROWS, True, composed=True)),
     "decode_group_one_row": ([(3, 4), (4, 6), (6,), (6, 3), (3,), (1, 3), (1,)], 5,
-                             _decode([2], False), _decode([2], False, composed=True)),
+                             _decode(row_index([2], 3), False),
+                             _decode(row_index([2], 3), False, composed=True)),
     "decode_group_per_column": ([(3, 4), (4, 6), (6,), (6, 3), (3,), (5, 3), (5,)], 5,
                                 _decode(_DECODE_ROWS, _PER_COLUMN),
                                 _decode(_DECODE_ROWS, _PER_COLUMN, composed=True)),
@@ -436,9 +442,10 @@ def test_decode_group_per_column_skips_the_other_nll():
 def test_backward_shared_gradient_buffer_not_aliased():
     """add hands one buffer to both parents; later sums must not write into it."""
     for late in (lambda x: dc.mul(x, dc.constant(np.array([7.0, 11.0]))),
-                 lambda x: dc.scatter_add_rows(dc.mul(dc.gather_rows(x, [1, 0, 1]),
-                                                      dc.constant(np.array([4.0, 7.0, 7.0]))),
-                                               [0, 1, 1], 2)):
+                 lambda x: dc.scatter_add_rows(
+                     dc.mul(dc.gather_rows(x, row_index([1, 0, 1], 2)),
+                            dc.constant(np.array([4.0, 7.0, 7.0]))),
+                     row_index([0, 1, 1], 2))):
         x = dc.Tensor(np.array([1.0, 2.0]))
         y = dc.Tensor(np.array([3.0, 4.0]))
         s = add(x, y)
@@ -450,7 +457,7 @@ def test_backward_shared_gradient_buffer_not_aliased():
 
 def test_backward_twice_gives_same_gradient():
     x = dc.Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]))
-    loss = tsum(dc.gather_rows(dc.mul(x, x), [0, 1, 1]))
+    loss = tsum(dc.gather_rows(dc.mul(x, x), row_index([0, 1, 1], 2)))
     loss.backward()
     first = x.grad.copy()
     loss.backward()
@@ -501,7 +508,7 @@ def test_scatter_and_gather_backward_equal_add_at(layout, data):
     into a running one, give `np.add.at`'s bits, on the tables: the cutoff
     below which `add_to` calls `np.add.at` itself is set to 0."""
     index, num_rows, values, base = data.draw(scatter_cases(layout))
-    rows = dc.RowIndex(index, num_rows)
+    rows = row_index(index, num_rows)
     with np.errstate(invalid="ignore", over="ignore"), mock.patch.object(dc, "_ADD_AT_SIZE", 0):
         got = dc.scatter_add_rows(dc.Tensor(values), rows).data
         assert_same_bits(got, reference_scatter_add(np.zeros_like(base), index, values))
@@ -529,7 +536,7 @@ def test_long_row_sums_are_sequential(cols, monkeypatch):
         values = rng.standard_normal((len(index),) + cols) * scale
         base = rng.standard_normal((num_rows,) + cols)
         a = dc.Tensor(np.zeros_like(base))
-        gathered = dc.gather_rows(a, index)
+        gathered = dc.gather_rows(a, row_index(index, num_rows))
         a.grad = base.copy()
         gathered._bw(values)
         assert a.grad.tobytes() == reference_scatter_add(base.copy(), index, values).tobytes()
@@ -538,10 +545,9 @@ def test_long_row_sums_are_sequential(cols, monkeypatch):
 @pytest.mark.parametrize("layout", ["columns", "rows"])
 @pytest.mark.parametrize("width", [1, 8, 32])
 def test_add_to_equals_add_at_on_both_sides_of_the_cutoff(layout, width):
-    """Scatters of one entry fewer than the cutoff's values go to `np.add.at`
-    and build no table; at the cutoff and past it they sum through the table.
-    Both give `np.add.at`'s bits, -0.0 values and -0.0 running rows
-    included."""
+    """Scatters of one entry fewer than the cutoff's values go to `np.add.at`;
+    at the cutoff and past it they sum through the table. Both give
+    `np.add.at`'s bits, -0.0 values and -0.0 running rows included."""
     rng = np.random.default_rng(width)
     per_entry = dc._ADD_AT_SIZE // width
     for entries in (per_entry - 1, per_entry, per_entry + 1, 2 * per_entry):
@@ -553,12 +559,10 @@ def test_add_to_equals_add_at_on_both_sides_of_the_cutoff(layout, width):
         base = np.where(rng.random((num_rows, width)) < 0.5, -0.0,
                         rng.standard_normal((num_rows, width)))
         base[0] = -0.0
-        rows = dc.RowIndex(index, num_rows)
+        rows = row_index(index, num_rows)
         got = rows.add_to(base.copy(), values)
         assert got.tobytes() == reference_scatter_add(base.copy(), index, values).tobytes()
-        assert (rows._table is None) == (values.size < dc._ADD_AT_SIZE), entries
-        if rows._table is not None:
-            assert isinstance(rows._table, list) == (layout == "rows")
+        assert isinstance(rows._table, list) == (layout == "rows")
 
 
 def test_few_row_sums_equal_add_at_at_every_width(monkeypatch):
@@ -581,7 +585,7 @@ def test_few_row_sums_equal_add_at_at_every_width(monkeypatch):
                         rng.standard_normal((num_rows, width)))
         if case % 3 == 0:  # a column of -0.0 sums to -0.0, as in `add.at`
             values[:, -1] = base[:, -1] = -0.0
-        rows = dc.RowIndex(index, num_rows)
+        rows = row_index(index, num_rows)
         got = rows.add_to(base.copy(), values)
         assert isinstance(rows._table, list), case
         assert got.tobytes() == reference_scatter_add(base.copy(), index, values).tobytes(), case
@@ -589,9 +593,9 @@ def test_few_row_sums_equal_add_at_at_every_width(monkeypatch):
 
 def test_row_index_blocks_equal_each_blocks_own_index(monkeypatch):
     """Each RowIndex that `RowIndex.blocks` cuts holds its block's index and
-    rows, and the table (columns or rows) its own `RowIndex` builds, with
-    the positions the list layout reads; its sums are `np.add.at`'s bits.
-    Blocks of no rows or no entries included."""
+    rows, and the table (columns or rows) `reference_row_table` builds from
+    the block's index alone, with the positions the list layout reads; its
+    sums are `np.add.at`'s bits. Blocks of no rows or no entries included."""
     monkeypatch.setattr(dc, "_ADD_AT_SIZE", 0)
     rng = np.random.default_rng(7)
     for case in range(300):
@@ -602,15 +606,14 @@ def test_row_index_blocks_equal_each_blocks_own_index(monkeypatch):
         planned = dc.RowIndex.blocks(np.concatenate(parts), num_rows, bounds)
         assert len(planned) == len(parts)
         for rows, part, n in zip(planned, parts, num_rows.tolist()):
-            own = dc.RowIndex(part, n)
-            own._build()
+            table, positions = reference_row_table(part, n)
             assert np.array_equal(rows.index, part) and rows.num_rows == n
-            if isinstance(own._table, list):
-                assert rows._table == own._table, case
-                assert np.array_equal(rows.positions(), own.positions())
+            if isinstance(table, list):
+                assert rows._table == table, case
+                assert np.array_equal(rows._positions, positions)
             else:
-                assert rows._table.shape == own._table.shape
-                assert np.array_equal(rows._table, own._table), case
+                assert rows._table.shape == table.shape
+                assert np.array_equal(rows._table, table), case
             values = rng.standard_normal((len(part), 3))
             base = rng.standard_normal((n, 3))
             assert (rows.add_to(base.copy(), values).tobytes()
@@ -623,10 +626,10 @@ def test_row_index_blocks_equal_each_blocks_own_index(monkeypatch):
 
 def test_row_index_rejects_out_of_range_rows():
     for index in ([0, 2], [-1, 0]):
-        with pytest.raises(IndexError, match="out of range for 2 rows"):
-            dc.RowIndex(index, 2)
+        with pytest.raises(IndexError, match="out of range for its block's rows"):
+            row_index(index, 2)
     with pytest.raises(ShapeMismatchError):
-        dc.scatter_add_rows(dc.Tensor(np.ones((3, 2))), [0, 1], 2)
+        dc.scatter_add_rows(dc.Tensor(np.ones((3, 2))), row_index([0, 1], 2))
 
 
 def test_bce_matches_scalar_oracle():

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -21,7 +21,6 @@ from infoalign.model import (
     _EMBED_ATOMS,
     _NOISE_STREAM,
     _SHUFFLE_STREAM,
-    AtomGraph,
     EncoderOutput,
     _embed_blocks,
     LossBreakdown,
@@ -55,9 +54,12 @@ from tests.oracles import (
     molecule_set,
     reference_adam_step,
     reference_atom_features,
+    reference_atom_graph,
     reference_batch_loss,
+    reference_embed,
     reference_scatter_add,
     reference_walk_loss,
+    row_index,
     scanned_neighbors,
     tsum,
     union,
@@ -93,7 +95,7 @@ def tiny_graph(n_mols=6, seed=0, fp_bits=64):
 def encode_batch(mols, bound):
     """The encoder over a list of molecules laid out by the `union` oracle."""
     g, segment = union(mols)
-    return encode_union(AtomGraph.of(g), segment, len(mols), bound)
+    return encode_union(reference_atom_graph(g, segment, len(mols)), 0, bound)
 
 
 def make_store(cfg, graph):
@@ -351,7 +353,7 @@ def test_decode_nll_saturated_correct():
     store.params[f"{prefix}.b1"][...] = 36.0
     z = dc.constant(np.zeros((2, 2)))
     term, nll = decode_nll(z, np.ones((2, 3)), NodeKind.CELL_MORPHOLOGY, store.bind(),
-                           [0, 1], np.ones(2))
+                           row_index([0, 1], 2), np.ones(2))
     assert term.shape == () and nll.shape == (2, 3)
     assert term.item() < 1e-10 and np.all(nll < 1e-10)
 
@@ -363,7 +365,7 @@ def test_decode_nll_zero_logits_ln2():
         store.params[name][...] = 0.0
     z = dc.constant(np.random.default_rng(3).standard_normal((3, 2)))
     term, nll = decode_nll(z, np.random.default_rng(4).uniform(0, 1, (3, 4)),
-                           NodeKind.CELL_MORPHOLOGY, store.bind(), [0, 1, 2],
+                           NodeKind.CELL_MORPHOLOGY, store.bind(), row_index([0, 1, 2], 3),
                            np.array([1.0, 0.5, 0.25]))
     np.testing.assert_allclose(nll, np.log(2), rtol=0, atol=1e-12)
     assert term.item() == pytest.approx(1.75 * 4 * np.log(2), abs=1e-12)
@@ -382,8 +384,8 @@ def test_decode_nll_matches_scalar_oracle():
     weight = rng.uniform(0.1, 1.0, 4)
     prefix = decoder_prefix(bound, NodeKind.CELL_MORPHOLOGY, 5)
     for likelihood in ("bernoulli", "gaussian"):
-        term, nll = decode_nll(z, y, NodeKind.CELL_MORPHOLOGY, bound, rows, weight,
-                               likelihood)
+        term, nll = decode_nll(z, y, NodeKind.CELL_MORPHOLOGY, bound, row_index(rows, 3),
+                               weight, likelihood)
         want = []
         for i, k in enumerate(rows):
             logits = dc.mlp_forward(bound, prefix, dc.constant(z.data[k : k + 1])).data[0]
@@ -400,10 +402,11 @@ def test_decode_nll_no_decoder():
     store = store_with_decoder(dim=5)
     with pytest.raises(NoDecoderError):
         decode_nll(dc.constant(np.zeros((1, 4))), np.ones((1, 7)),
-                   NodeKind.CELL_MORPHOLOGY, store.bind(), [0], np.ones(1))
+                   NodeKind.CELL_MORPHOLOGY, store.bind(), row_index([0], 1), np.ones(1))
     with pytest.raises(ValueError, match="unknown likelihood 'poisson'"):
         decode_nll(dc.constant(np.zeros((1, 4))), np.ones((1, 5)),
-                   NodeKind.CELL_MORPHOLOGY, store.bind(), [0], np.ones(1), "poisson")
+                   NodeKind.CELL_MORPHOLOGY, store.bind(), row_index([0], 1), np.ones(1),
+                   "poisson")
 
 
 def test_decode_nll_rejects_bad_shapes_and_likelihoods():
@@ -412,11 +415,11 @@ def test_decode_nll_rejects_bad_shapes_and_likelihoods():
     store = store_with_decoder(dim=3)
     z = dc.constant(np.zeros((2, 4)))
     with pytest.raises(ShapeMismatchError, match=r"decoder output \(3, 3\) vs target \(2, 3\)"):
-        decode_nll(z, np.zeros((2, 3)), NodeKind.CELL_MORPHOLOGY, store.bind(), [0, 1, 1],
-                   np.ones(3))
+        decode_nll(z, np.zeros((2, 3)), NodeKind.CELL_MORPHOLOGY, store.bind(),
+                   row_index([0, 1, 1], 2), np.ones(3))
     with pytest.raises(ValueError, match="unknown likelihood 'poisson'"):
-        decode_nll(z, np.zeros((2, 3)), NodeKind.CELL_MORPHOLOGY, store.bind(), [0, 1],
-                   np.ones(2), "poisson")
+        decode_nll(z, np.zeros((2, 3)), NodeKind.CELL_MORPHOLOGY, store.bind(),
+                   row_index([0, 1], 2), np.ones(2), "poisson")
 
 
 # --- loss -----------------------------------------------------------------------------
@@ -449,9 +452,9 @@ def test_loss_formula_weighted_terms():
     out = gin_encode(parse_smiles(g.node("m0").smiles), bound)
     z = reparameterize(out, noise)
     nll_self = decode_nll(z, g.node("m0").features[None], NodeKind.MOLECULE, bound,
-                          [0], np.ones(1))[1].sum()
+                          row_index([0], 1), np.ones(1))[1].sum()
     nll_c = decode_nll(z, g.node("c0").features[None], NodeKind.CELL_MORPHOLOGY, bound,
-                       [0], np.ones(1))[1].sum()
+                       row_index([0], 1), np.ones(1))[1].sum()
     kl = kl_standard_normal(out).item()
     expect = (1.0 * nll_self + 0.5 * nll_c) / 2 + 0.1 * kl
     for loss, walk in ((reference_walk_loss, path), (infoalign_loss, walk_batch(g, [path]))):
@@ -986,7 +989,7 @@ def test_pretrain_resume_equals_straight_run(tmp_path, uniform):
     assert (loaded.epochs, state.epoch) == (1, 1)
     seen = []
     store, resumed = pretrain(g, replace(cfg, epochs=1), store=store, state=state,
-                              log_fn=lambda e, br: seen.append(e))
+                              log_fn=lambda e, br, _store: seen.append(e))
     save_checkpoint(tmp_path / "resumed.iapt", store, cfg, g, state)
     assert seen == [1] and resumed == logs[1:]
     assert (tmp_path / "resumed.iapt").read_bytes() == (tmp_path / "straight.iapt").read_bytes()
@@ -1107,6 +1110,30 @@ def test_embed_rows_do_not_depend_on_the_atom_budget(evaluate_set, budget, smile
         z = embed(store, mols)
     with mock.patch.object(model, "_EMBED_ATOMS", 10**9):
         assert np.array_equal(z, embed(store, mols))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["one", "below_largest", "default", "huge"]),
+       st.lists(st.one_of(st.sampled_from(EMBED_SMILES), smiles_strings()),
+                min_size=1, max_size=30))
+@example("default", ["CCO"])
+@example("one", ["CCO", "c1ccccc1"])
+@example("one", ["CCO", "c1ccccc1", "CC(=O)O"])  # the lone last molecule joins its block
+@example("below_largest", ["CC(C)CC(=O)O", "CCO", "CC(C)CC(=O)O", "CCO", "CCO"])
+@example("one", ["CCO"] * 5)
+@example("one", ["C", "O", "C", "O", "C", "CCO"])  # blocks with no messages
+@example("default", ["C", "O"] * 20)
+def test_embed_equals_per_block_reference(evaluate_set, budget, smiles):
+    """`embed`, which cuts every block from one `AtomGraph`, gives the bits
+    of `reference_embed`, which lays out each block on its own, at atom
+    budgets of 1, one atom below the largest molecule, the default and
+    10**9."""
+    store, _ = evaluate_set
+    mols = parse_many(smiles)
+    atoms = {"one": 1, "below_largest": int(np.diff(mols.atom_start).max()) - 1,
+             "default": _EMBED_ATOMS, "huge": 10**9}[budget]
+    with mock.patch.object(model, "_EMBED_ATOMS", max(atoms, 1)):
+        assert embed(store, mols).tobytes() == reference_embed(store, mols).tobytes()
 
 
 def test_checkpoint_manifest_round_trip(tmp_path):
