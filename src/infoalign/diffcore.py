@@ -1,37 +1,34 @@
-"""Minimal dense-array reverse-mode autodiff, parameter store, and Adam.
+"""Dense float64 pieces of the training step, the parameter store, and Adam.
 
-Every array is float64 (the gradient checks demand it). The primitive set is
-deliberately small: matmul, broadcast mul, row gather and index-scatter-add
-for message passing, and clip. The training step's layers and loss terms are
-one node each: a whole MLP, `mlp_forward` (per layer a matmul, bias add and
-ReLU), and the Gaussian bottleneck's `gaussian_kl` and `gaussian_sample`
-(Paszke et al. 2019, arXiv 1912.01703, fuse a linear layer's bias the same
-way; Alemi et al. 2017, arXiv 1612.00410, give the rate term in closed
-form). So are a whole GIN message-passing layer, `gin_layer` (gather, bond
-embedding, scatter, residual add and MLP, as PyG fuses message passing; Fey
-& Lenssen 2019, arXiv 1903.02428), one decoded group of targets,
-`decode_group` (gather, MLP, Bernoulli or Gaussian NLL and weighted sum: the
-variational decoder of Alemi et al., which is also the probe's head), and a
-running total of terms, `add_n`. Each fused node does the floating-point
-operations of the chain of primitives it replaced, in their order, so the
-values and gradients are the same bits; `tests/oracles.py` keeps those
-chains to check it. Every primitive and every fused node has a
-finite-difference test.
+Every array is float64 (the gradient checks demand it). The training step
+(`model.train_step`) and the probe fit (`evalkit.probe_train`) run their
+forward and backward passes by hand over these pieces: an affine stack (an
+MLP, per layer a matmul, bias add and ReLU) and its backward pass
+(`mlp_outputs`, `mlp_backward`), and one decoded group of targets,
+`Decoded` (MLP, Bernoulli or Gaussian NLL and weighted sum: the variational
+decoder of Alemi et al. 2017, arXiv 1612.00410, which is also the probe's
+head). A backward pass adds each parameter's one gradient into its zeroed
+slot of the store. `tests/oracles.py` keeps the define-by-run tape (Paszke
+et al. 2019, arXiv 1912.01703) that these steps replaced, one node per
+fused layer, and the tests hold the steps to it bit for bit: each step does
+the tape's floating-point operations, in its order. `Tensor`, the tape's
+node, and `ParamStore.accumulate`, which gathers a tape's leaf gradients,
+stay here because perfbench/tracer.py wraps them by name; nothing in the
+package builds a tape.
 
-Primitives do not check their outputs. Finiteness is checked where values
-leave the tape: `backward` raises FloatingPointError for a non-finite loss,
-`ParamStore.accumulate` checks the store's gradients once per step, and the
-callers that return forward values (embeddings, matching logits, probe
-predictions) check them with `require_finite`. Checkpoints are checked as
-they are loaded.
+Nothing here checks its outputs. Finiteness is checked where values leave a
+step: the training step and the probe fit check their loss and then the
+store's gradients once per step, and the callers that return forward values
+(embeddings, matching logits, probe predictions) check them with
+`require_finite`. Checkpoints are checked as they are loaded.
 
-The scatter of `scatter_add_rows` and of `gather_rows`' backward pass sums
-through a `RowIndex`: the index and a table of each row's entries in
-ascending order, read by every pass that shares it (as in PyG's CSR message
-passing). `RowIndex.blocks` is its one builder: it cuts the indexes of many
-blocks, such as a training epoch's batches or `embed`'s blocks of
-molecules, and their tables from one sort of all of them. The sums are
-those of numpy's `add.at`, in its order, bit for bit:
+Scatters (message aggregation, the readout, and the backward pass of every
+row gather) sum through a `RowIndex`: the index and a table of each row's
+entries in ascending order, read by every pass that shares it (as in PyG's
+CSR message passing). `RowIndex.blocks` is its one builder: it cuts the
+indexes of many blocks, such as a training epoch's batches or `embed`'s
+blocks of molecules, and their tables from one sort of all of them. The
+sums are those of numpy's `add.at`, in its order, bit for bit:
 - Small scatters (fewer than `_ADD_AT_SIZE` values) call `np.add.at`
   itself, which beats the table there.
 - Many rows with few entries each (in-neighbours) loop over the table's
@@ -53,7 +50,7 @@ rows of one flat array, so `adam_step` is a few whole-buffer operations.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -118,7 +115,8 @@ def require_finite(data: np.ndarray, what: str) -> np.ndarray:
 
 
 class Tensor:
-    """Node in the computation tape."""
+    """A node of the define-by-run tape that `tests/oracles.py` builds as the
+    slow path of the training step and the probe fit."""
 
     __slots__ = ("data", "grad", "_parents", "_bw")
 
@@ -127,12 +125,6 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         self._parents = parents
         self._bw = bw
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    # --- graph traversal ---
 
     def backward(self):
         """Gradients of this node into every node of its tape, starting from
@@ -164,59 +156,6 @@ class Tensor:
         for node in reversed(topo):
             if node._bw is not None:
                 node._bw(node.grad)
-
-    def item(self) -> float:
-        return float(self.data)
-
-
-def _acc(t: Tensor, g: np.ndarray):
-    """Add g to t's gradient. The first g is kept as it is, so nothing adds in
-    place: `add_n` hands the same buffer to every term."""
-    t.grad = g if t.grad is None else t.grad + g
-
-
-def constant(x) -> Tensor:
-    return Tensor(x)
-
-
-def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
-    """Sum grad over the dimensions that broadcasting expanded."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad.reshape(shape)
-
-
-# --- primitives --------------------------------------------------------------
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data * b.data
-    except ValueError as exc:
-        raise ShapeMismatchError(f"mul: {a.shape} vs {b.shape}") from exc
-    out = Tensor(data, (a, b))
-
-    def bw(g):
-        _acc(a, _unbroadcast(g * b.data, a.shape))
-        _acc(b, _unbroadcast(g * a.data, b.shape))
-
-    out._bw = bw
-    return out
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError(f"matmul: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data, (a, b))
-
-    def bw(g):
-        _acc(a, g @ b.data.T)
-        _acc(b, a.data.T @ g)
-
-    out._bw = bw
-    return out
 
 
 class RowIndex:
@@ -316,57 +255,18 @@ class RowIndex:
         return base
 
 
-def gather_rows(a: Tensor, index: RowIndex) -> Tensor:
-    """out[i] = a[index.index[i]]; rows may repeat. `index` is over a's rows."""
-    out = Tensor(a.data[index.index], (a,))
-    out._bw = lambda g: _acc_rows(a, index, g)
-    return out
+# --- affine stacks and decoded groups ----------------------------------------
+
+Layers = Sequence[Tuple[np.ndarray, np.ndarray]]
 
 
-def _acc_rows(t: Tensor, index: RowIndex, g: np.ndarray):
-    """Add row i of g to row index[i] of t's gradient: a gather's backward.
-    It adds into a copy of the running gradient, which keeps the order of
-    the sums: adding a separate scatter afterwards moves the last bits."""
-    grad = np.zeros_like(t.data) if t.grad is None else t.grad.copy()
-    t.grad = index.add_to(grad, g)
-
-
-def scatter_add_rows(a: Tensor, index: RowIndex) -> Tensor:
-    """out[k] = sum of a[i] over i with index.index[i] == k, for each of the
-    index's rows (message aggregation)."""
-    if len(index.index) != a.shape[0]:
-        raise ShapeMismatchError(f"scatter_add: {len(index.index)} indices for {a.shape[0]} rows")
-    data = index.add_to(np.zeros((index.num_rows,) + a.shape[1:]), a.data)
-    out = Tensor(data, (a,))
-    out._bw = lambda g: _acc(a, g[index.index])
-    return out
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp with pass-through gradient inside [lo, hi], zero outside."""
-    out = Tensor(np.clip(a.data, lo, hi), (a,))
-    mask = (a.data >= lo) & (a.data <= hi)
-    out._bw = lambda g: _acc(a, g * mask)
-    return out
-
-
-# --- fused nodes -------------------------------------------------------------
-#
-# Each computes what its chain of primitives computed, operation by
-# operation, and sends each parent the contributions that chain sent, in its
-# order. Parents are listed as the chain's were met from left to right, so
-# the tape visits them, and runs every other node, in the chain's order.
-
-Layers = Sequence[Tuple[Tensor, Tensor]]
-
-
-def _mlp_data(x: np.ndarray, layers: Layers) -> List[np.ndarray]:
-    """Each layer's output of the affine stack `layers` on x: x @ w + b, then
-    ReLU after all but the last layer."""
+def mlp_outputs(x: np.ndarray, layers: Layers) -> List[np.ndarray]:
+    """Each layer's output of the affine stack `layers` ((w, b) pairs) on x:
+    x @ w + b, then ReLU after all but the last layer."""
     outs = []
     for k, (w, b) in enumerate(layers):
-        x = x @ w.data
-        x += b.data
+        x = x @ w
+        x += b
         if k < len(layers) - 1:
             # max(pre, 0) > 0 exactly where pre > 0, so the mask needs no copy of pre
             np.maximum(x, 0.0, out=x)
@@ -374,109 +274,84 @@ def _mlp_data(x: np.ndarray, layers: Layers) -> List[np.ndarray]:
     return outs
 
 
-def _mlp_grads(g: np.ndarray, x: np.ndarray, outs: List[np.ndarray], layers: Layers) -> np.ndarray:
-    """Send each layer's bias and weight their gradients, last layer first,
-    and return the input's. A ReLU's subgradient at 0 is 0."""
+def mlp_backward(g: np.ndarray, x: np.ndarray, outs: List[np.ndarray], layers: Layers,
+                 grads: Layers, input_grad: bool = True) -> Optional[np.ndarray]:
+    """The backward pass of `mlp_outputs(x, layers)` from g, the gradient of
+    its last output: adds each layer's bias and weight gradients into
+    `grads`, the (w, b) slots of `layers`, last layer first, and returns the
+    input's gradient, or None if not `input_grad`. A ReLU's subgradient at 0
+    is 0."""
     for k in reversed(range(len(layers))):
-        w, b = layers[k]
         if k < len(layers) - 1:
             g = g * (outs[k] > 0)
-        _acc(b, g.sum(axis=0))
-        _acc(w, (outs[k - 1] if k else x).T @ g)
-        g = g @ w.data.T
-    return g
+        gw, gb = grads[k]
+        gb += g.sum(axis=0)
+        gw += (outs[k - 1] if k else x).T @ g
+        if k or input_grad:
+            g = g @ layers[k][0].T
+    return g if input_grad else None
 
 
-def _params(layers: Layers) -> Tuple[Tensor, ...]:
-    return tuple(t for layer in layers for t in layer)
+def mlp(params: Mapping[str, np.ndarray], prefix: str, x: np.ndarray) -> np.ndarray:
+    """The affine stack under `prefix` of `params` on x, ReLU after all but
+    the last layer. x must be 2-D, as wide as the first layer's input."""
+    layers = mlp_layers(params, prefix)
+    w = layers[0][0]
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeMismatchError(f"mlp {prefix!r}: {x.shape} @ {w.shape}")
+    return mlp_outputs(x, layers)[-1]
 
 
-def gin_layer(h: Tensor, bond_embed: Tensor, layers: Layers, out_of: RowIndex,
-              into: RowIndex, bond_type: RowIndex) -> Tensor:
-    """One GIN layer: MLP(h + sum over messages i into row into[i] of
-    (h[out_of[i]] + bond_embed[bond_type[i]])), the MLP the affine stack
-    `layers` ((w, b) pairs, ReLU after all but the last). With no messages
-    it is MLP(h), and `bond_embed` gets no gradient.
-
-    Replaces gather, gather, add, scatter_add_rows, add (the residual) and
-    the MLP's matmul, add and ReLU per layer. Backward sends h the
-    residual's gradient first, then adds the messages' into it in `out_of`'s
-    order.
-    """
-    bonded = len(into.index) > 0
-    if bonded:
-        msgs = h.data[out_of.index] + bond_embed.data[bond_type.index]
-        x = into.add_to(np.zeros((into.num_rows,) + msgs.shape[1:]), msgs) + h.data
-    else:
-        x = h.data
-    outs = _mlp_data(x, layers)
-    out = Tensor(outs[-1], ((h, bond_embed) if bonded else (h,)) + _params(layers))
-
-    def bw(g):
-        gx = _mlp_grads(g, x, outs, layers)
-        if not bonded:
-            _acc(h, gx)
-            return
-        gm = gx[into.index]
-        # gx and h.grad + gx are fresh, so the gather's copy is not needed
-        h.grad = out_of.add_to(gx if h.grad is None else h.grad + gx, gm)
-        _acc_rows(bond_embed, bond_type, gm)
-
-    out._bw = bw
-    return out
-
-
-def decode_group(z: Tensor, rows: Optional[RowIndex], layers: Layers, targets: np.ndarray,
-                 weight, squared_error=False) -> Tuple[Tensor, np.ndarray]:
-    """sum over i of weight[i] * NLL(MLP(z[rows.index[i]]), targets[i]) as one
-    scalar node, and the NLL of every target entry.
+class Decoded:
+    """The forward pass of one decoded group of targets, with what its
+    backward pass reads: `term`, the sum over i of
+    weight[i] * NLL(MLP(x[i]), targets[i]), and `nll`, the NLL of every
+    target entry.
 
     The MLP is the affine stack `layers`. The NLL is the Bernoulli one, the
     binary cross-entropy softplus(l) - l * y on the logits for soft targets
     in [0, 1], or if `squared_error` the unit-variance Gaussian one up to its
     constant, (o - y)^2 / 2. `squared_error` may instead be one flag per
     target column: each entry then takes its column's NLL and gradient, and
-    the other NLL never reaches the sum, even where it overflows.
-
-    `rows` is a RowIndex over z's rows, or None for z's rows in order, which
-    gathers nothing. `weight` is one weight per target
-    row, or a scalar for every row. Replaces gather_rows, the MLP's matmul,
-    add and ReLU per layer, the NLL node, the weight constant, mul and
-    tsum; the weighted sum is `(nll * weight).sum()`, tsum's pairwise order
-    over the same array.
+    the other NLL never reaches the sum, even where it overflows. `weight`
+    is one weight per target row, or a scalar for every row. The weighted
+    sum is `(nll * weight).sum()`, numpy's pairwise order.
     """
-    x = z.data if rows is None else z.data[rows.index]
-    outs = _mlp_data(x, layers)
-    logits = outs[-1]
-    y = np.asarray(targets, dtype=np.float64)
-    if y.shape != logits.shape:
-        raise ShapeMismatchError(f"decoder output {logits.shape} vs target {y.shape}")
-    w = np.asarray(weight, dtype=np.float64)
-    if w.ndim:
-        w = w[:, None]
-    flags = np.asarray(squared_error, dtype=bool)
-    if flags.shape not in ((), y.shape[1:]):
-        raise ShapeMismatchError(f"{flags.shape} squared-error flags for {y.shape[1]} columns")
-    d = logits + -y if flags.any() else None
-    nll = _pick(flags, lambda: (d * d) * 0.5, lambda: np.logaddexp(0.0, logits) + -(logits * y))
-    out = Tensor((nll * w).sum(), (z,) + _params(layers))
 
-    def bw(g):
-        gw = g * w  # row i of the weighted NLL's gradient, g * weight[i] throughout
+    __slots__ = ("x", "layers", "outs", "y", "w", "flags", "d", "nll", "term")
+
+    def __init__(self, x: np.ndarray, layers: Layers, targets: np.ndarray, weight,
+                 squared_error=False):
+        outs = mlp_outputs(x, layers)
+        logits = outs[-1]
+        y = np.asarray(targets, dtype=np.float64)
+        if y.shape != logits.shape:
+            raise ShapeMismatchError(f"decoder output {logits.shape} vs target {y.shape}")
+        w = np.asarray(weight, dtype=np.float64)
+        if w.ndim:
+            w = w[:, None]
+        flags = np.asarray(squared_error, dtype=bool)
+        if flags.shape not in ((), y.shape[1:]):
+            raise ShapeMismatchError(f"{flags.shape} squared-error flags for {y.shape[1]} columns")
+        d = logits + -y if flags.any() else None
+        nll = _pick(flags, lambda: (d * d) * 0.5,
+                    lambda: np.logaddexp(0.0, logits) + -(logits * y))
+        self.x, self.layers, self.outs, self.y, self.w = x, layers, outs, y, w
+        self.flags, self.d, self.nll = flags, d, nll
+        self.term = (nll * w).sum()
+
+    def backward(self, g, grads: Layers, input_grad: bool = True) -> Optional[np.ndarray]:
+        """The backward pass from g, the gradient of `term`: adds the
+        decoder's gradients into `grads`, the (w, b) slots of its layers, and
+        returns x's gradient, or None if not `input_grad`."""
+        gw = g * self.w  # row i of the weighted NLL's gradient, g * weight[i] throughout
 
         def squared():
-            t = (gw * 0.5) * d
+            t = (gw * 0.5) * self.d
             return t + t
 
-        gl = _pick(flags, squared, lambda: gw * logistic(logits) + (-gw) * y)
-        gx = _mlp_grads(gl, x, outs, layers)
-        if rows is None:
-            _acc(z, gx)
-        else:
-            _acc_rows(z, rows, gx)
-
-    out._bw = bw
-    return out, nll
+        gl = _pick(self.flags, squared, lambda: gw * logistic(self.outs[-1]) + (-gw) * self.y)
+        return mlp_backward(gl, self.x, self.outs, self.layers, grads, input_grad)
 
 
 def _pick(flags: np.ndarray, squared, bce) -> np.ndarray:
@@ -489,23 +364,9 @@ def _pick(flags: np.ndarray, squared, bce) -> np.ndarray:
     return np.where(flags, squared(), bce())
 
 
-def add_n(terms: Sequence[Tensor]) -> Tensor:
-    """((t0 + t1) + t2) + ... over terms of one shape, left to right: the
-    chain of `add`s as one node. Each term's gradient is the output's."""
-    shapes = {t.shape for t in terms}
-    if len(shapes) != 1:
-        raise ShapeMismatchError(f"add_n: shapes {sorted(shapes)}")
-    data = terms[0].data
-    for t in terms[1:]:
-        data = data + t.data
-    out = Tensor(data, tuple(terms))
-
-    def bw(g):
-        for t in terms:
-            _acc(t, g)
-
-    out._bw = bw
-    return out
+def clamped_exp(x: np.ndarray) -> np.ndarray:
+    """exp(x), with x clamped to +-_EXP_CLAMP."""
+    return np.exp(np.clip(x, -_EXP_CLAMP, _EXP_CLAMP))
 
 
 def logistic(l: np.ndarray) -> np.ndarray:
@@ -513,38 +374,7 @@ def logistic(l: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(l, -_EXP_CLAMP, _EXP_CLAMP)))
 
 
-def gaussian_kl(mu: Tensor, logvar: Tensor) -> Tensor:
-    """KL(N(mu, diag exp(logvar)) || N(0, I)) summed over every entry:
-    sum(mu^2 + exp(logvar) - logvar - 1) / 2, a scalar."""
-    m = mu.data
-    e = np.exp(np.clip(logvar.data, -_EXP_CLAMP, _EXP_CLAMP))
-    out = Tensor((((m * m + e) + -logvar.data) + -1.0).sum() * 0.5, (mu, logvar))
-
-    def bw(g):
-        half = np.broadcast_to(g * 0.5, m.shape)
-        _acc(mu, half * m)
-        _acc(mu, half * m)
-        _acc(logvar, half * e)
-        _acc(logvar, -half)
-
-    out._bw = bw
-    return out
-
-
-def gaussian_sample(mu: Tensor, logvar: Tensor, noise: np.ndarray) -> Tensor:
-    """mu + exp(logvar / 2) * noise, the reparameterized draw."""
-    std = np.exp(np.clip(logvar.data * 0.5, -_EXP_CLAMP, _EXP_CLAMP))
-    out = Tensor(mu.data + std * noise, (mu, logvar))
-
-    def bw(g):
-        _acc(mu, g)
-        _acc(logvar, ((g * noise) * std) * 0.5)
-
-    out._bw = bw
-    return out
-
-
-# --- parameters, MLP, optimizer ----------------------------------------------
+# --- parameters, optimizer ---------------------------------------------------
 
 class ParamStore:
     """Named parameter arrays with gradient slots and Adam moments.
@@ -607,10 +437,6 @@ class ParamStore:
             self._m[name][...] = m
             self._v[name][...] = v
 
-    def bind(self) -> Dict[str, Tensor]:
-        """Leaf tensors for one forward/backward pass."""
-        return {name: Tensor(arr) for name, arr in self.params.items()}
-
     def accumulate(self, bound: Dict[str, Tensor]):
         """Add the bound leaves' gradients into the store's gradient slots.
         Raises FloatingPointError if a slot is then not finite."""
@@ -630,27 +456,15 @@ def init_mlp(store: ParamStore, prefix: str, sizes: Sequence[int]):
         store.add(f"{prefix}.b{i}", (sizes[i + 1],), init="zeros")
 
 
-def mlp_layers(bound: Dict[str, Tensor], prefix: str) -> List[Tuple[Tensor, Tensor]]:
-    """The (w, b) leaves of the affine stack under `prefix`, in order."""
+def mlp_layers(params: Mapping, prefix: str) -> list:
+    """The (w, b) entries of the affine stack under `prefix` in `params`, in
+    order: a store's parameters or gradient slots, or a tape's leaves."""
     layers = []
-    while f"{prefix}.w{len(layers)}" in bound:
-        layers.append((bound[f"{prefix}.w{len(layers)}"], bound[f"{prefix}.b{len(layers)}"]))
+    while f"{prefix}.w{len(layers)}" in params:
+        layers.append((params[f"{prefix}.w{len(layers)}"], params[f"{prefix}.b{len(layers)}"]))
     if not layers:
         raise KeyError(f"no parameters found under prefix {prefix!r}")
     return layers
-
-
-def mlp_forward(bound: Dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
-    """The affine stack under `prefix` on x, ReLU after all but the last
-    layer, as one node. x must be 2-D, as wide as the first layer's input."""
-    layers = mlp_layers(bound, prefix)
-    w = layers[0][0]
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ShapeMismatchError(f"mlp_forward {prefix!r}: {x.shape} @ {w.shape}")
-    outs = _mlp_data(x.data, layers)
-    out = Tensor(outs[-1], (x,) + _params(layers))
-    out._bw = lambda g: _acc(x, _mlp_grads(g, x.data, outs, layers))
-    return out
 
 
 def adam_step(store: ParamStore, lr: float = 1e-3, beta1: float = 0.9,

@@ -1,9 +1,9 @@
 """Downstream evaluation: frozen-embedding probing and zero-shot matching.
 
 The probe is a decoder of the frozen embeddings into the labels: its head is
-fitted through `dc.decode_group`, the node that decodes pretraining's
-targets, with the Bernoulli NLL on classification tasks and the Gaussian one
-on regression tasks.
+fitted through `dc.Decoded`, the decoded group of pretraining's targets,
+with the Bernoulli NLL on classification tasks and the Gaussian one on
+regression tasks, and a backward pass by hand.
 
 AUC follows the pairwise definition (probability a random positive outranks a
 random negative, ties counting one half), computed via rank statistics. The
@@ -131,9 +131,7 @@ class ProbeHead:
     def predict(self, embeddings: np.ndarray) -> np.ndarray:
         """Probabilities for classification tasks, values for regression ones;
         FloatingPointError if one is not finite."""
-        bound = self.store.bind()
-        x = dc.constant(np.asarray(embeddings, dtype=np.float64))
-        pred = dc.mlp_forward(bound, "probe", x).data
+        pred = dc.mlp(self.store.params, "probe", np.asarray(embeddings, dtype=np.float64))
         cls = np.array([kind == CLASSIFICATION for kind in self.task_types])
         pred[:, cls] = dc.logistic(pred[:, cls])
         return dc.require_finite(pred, "probe prediction")
@@ -143,30 +141,31 @@ def probe_train(train: LabeledSet, cfg: ProbeConfig = ProbeConfig()) -> ProbeHea
     """Fit a small MLP head on frozen embeddings (full-batch Adam).
 
     The head decodes every embedding into its labels, and each epoch's loss
-    is the mean over entries of their NLL: one `dc.decode_group` node, with
-    the Bernoulli NLL (BCE on logits) in classification columns and the
-    Gaussian one (squared error) in regression columns, times 1 / entries. A
-    non-finite loss raises FloatingPointError.
+    is the mean over entries of their NLL: one `dc.Decoded` group, with the
+    Bernoulli NLL (BCE on logits) in classification columns and the Gaussian
+    one (squared error) in regression columns, times 1 / entries. Its
+    backward pass adds the head's gradients into the store's zeroed slots.
+    A non-finite loss or gradient raises FloatingPointError naming the
+    epoch.
     """
     d = train.embeddings.shape[1]
     t = train.labels.shape[1]
     store = dc.ParamStore(seed=cfg.seed)
     dc.init_mlp(store, "probe", [d, t] if cfg.hidden == 0 else [d, cfg.hidden, t])
-    x = dc.constant(train.embeddings)
     y = train.labels
     squared_error = np.array([kind == REGRESSION for kind in train.task_types])
+    layers, grads = dc.mlp_layers(store.params, "probe"), dc.mlp_layers(store.grads, "probe")
+    scale = 1.0 / y.size
 
     # A diverging fit (embeddings near the float range) is reported once, by
     # the finiteness check on the loss, not by numpy's warnings before it.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
-            bound = store.bind()
-            nll, _ = dc.decode_group(x, None, dc.mlp_layers(bound, "probe"), y, 1.0,
-                                     squared_error)
-            loss = dc.mul(nll, dc.constant(1.0 / y.size))
+            head = dc.Decoded(train.embeddings, layers, y, 1.0, squared_error)
             try:
-                loss.backward()
-                store.accumulate(bound)
+                dc.require_finite(head.term * scale, "loss")
+                head.backward(scale, grads, input_grad=False)
+                dc.require_finite(store.flat[1], "leaf gradient")
             except FloatingPointError as exc:
                 raise FloatingPointError(f"{exc} in probe epoch {epoch}") from None
             dc.adam_step(store, lr=cfg.lr)
@@ -261,8 +260,8 @@ def match_zero_shot(store: dc.ParamStore, queries: MoleculeSet,
     prefix = decoder_prefix(store.params, NodeKind.CELL_MORPHOLOGY, candidates.shape[1])
 
     id_rank = _id_ranks(candidate_ids)  # each candidate's position in candidate-id order
-    mu = dc.constant(embed(store, queries))
-    logits = dc.require_finite(dc.mlp_forward(store.bind(), prefix, mu).data, "decoder logit")
+    logits = dc.require_finite(dc.mlp(store.params, prefix, embed(store, queries)),
+                               "decoder logit")
     if _squared_error(likelihood):
         offsets = [0.5 * (candidates ** 2).sum(axis=1)] * len(queries)
     else:

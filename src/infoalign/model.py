@@ -1,4 +1,4 @@
-"""Encoder/decoder stack and training loss.
+"""Encoder/decoder stack and training step.
 
 A GIN message-passing encoder maps a molecular graph, read straight from the
 parser's atom and bond arrays, to a diagonal-Gaussian latent (mu,
@@ -13,25 +13,26 @@ fingerprint is always a target with alpha = 1.
 The encoder reads its molecules in one layout, `AtomGraph`: a `MoleculeSet`
 cut into blocks of whole molecules, each block one block-diagonal graph,
 with the row indexes of every block's messages and readout cut from one sort
-per index (`dc.RowIndex.blocks`). `encode_union` encodes one block (one
-`dc.gin_layer` node per layer). Training cuts at its minibatches, `embed`
-at blocks of about `_EMBED_ATOMS` atoms, and `gin_encode` lays out one
-molecule as one block.
+per index (`dc.RowIndex.blocks`). `encode_union` runs the encoder's forward
+pass over one block, keeping the activations its backward pass reads.
+Training cuts at its minibatches, `embed` at blocks of about `_EMBED_ATOMS`
+atoms, and `gin_encode` lays out one molecule as one block.
 
-Training evaluates a whole minibatch in one tape. Before an epoch's first
-step its batches are laid out once, as one `EpochPlan` of index arrays: the
-epoch's molecules are gathered from the graph's parsed `MoleculeSet` in one
-`take` and laid out as an `AtomGraph`, the row indexes of every batch's
-walks and decoded groups are cut by `dc.RowIndex.blocks` too, and the
-targets are ordered so that each (kind, dim) group of a batch is one slice.
-A step (`step_loss`) only slices the plan: it encodes the batch's molecules
-together, block b of the plan's `AtomGraph`, and decodes the targets of
-each (kind, dim), taken by index from the graph's matrix of it, as one
-matrix, by `decode_nll`, into one `dc.decode_group` node per group. One
-`dc.add_n` node adds the groups' terms to the KL term. At the benchmark's
-recovery configuration (2 GIN layers, 3 decoded groups) a step's tape holds
-18 nodes. `dc.decode_group` is the package's one NLL: the evaluation probe
-fits its head through it too.
+Before an epoch's first step its batches are laid out once, as one
+`EpochPlan` of index arrays: the epoch's molecules are gathered from the
+graph's parsed `MoleculeSet` in one `take` and laid out as an `AtomGraph`,
+the row indexes of every batch's walks and decoded groups are cut by
+`dc.RowIndex.blocks` too, and the targets are ordered so that each
+(kind, dim) group of a batch is one slice. A step (`train_step`) only
+slices the plan: it encodes the batch's molecules together, block b of the
+plan's `AtomGraph`, draws the reparameterized sample, and decodes the
+targets of each (kind, dim), taken by index from the graph's matrix of it,
+as one matrix, by `decode_nll`. Both terms are in closed form, the KL rate
+(Alemi et al. 2017, arXiv 1612.00410) and each group's NLL, so the step
+runs its backward pass by hand, in the order the define-by-run tape of
+`tests/oracles.py` ran it, and gives the tape's gradients bit for bit.
+`dc.Decoded` is the package's one NLL: the evaluation probe fits its head
+through it too.
 """
 
 from __future__ import annotations
@@ -62,18 +63,23 @@ LOGVAR_INIT = -4.0
 _SHUFFLE_STREAM = 1 << 40
 _NOISE_STREAM = (1 << 40) + 1
 
-# Atoms per `embed` block. A block's tape keeps every activation of its
-# atoms, so time and peak memory go by atoms, not molecules. Measured on 2
-# cores (numpy 2.4.6, OpenBLAS) with 30-s evaluate benchmark runs (1000
+# Atoms per `embed` block. A block's forward pass keeps every activation of
+# its atoms, so time and peak memory go by atoms, not molecules. Measured on
+# 2 cores (numpy 2.4.6, OpenBLAS) with 30-s evaluate benchmark runs (1000
 # molecules of 11.5 atoms, seeds 3 and 4), when each block was laid out on
 # its own: pipeline_rel 5.93-5.96 at 128 atoms, 5.05-5.22 at 192 and
 # 4.83-5.25 at 256; peak RSS 47.4-47.7, 47.4-47.6 and 47.9-48.0 MiB, where
-# blocks of 16 molecules (184 atoms) gave 47.1-47.4. With the blocks cut
-# from one `AtomGraph`, in-process `embed` (median of 7, two runs) of the
-# evaluate seed-1 set took 30-31 ms at 128 atoms, 25 at 192, 22-23 at 256,
-# 26-28 at 384 and 27-35 at 608; of the 200 recovery seed-1 molecules
-# (37.6 atoms), 19 ms at 128, 15-16 at 192, 14-15 at 256, 17 at 384 and 19
-# at 608, the size of a block of 16 of them.
+# blocks of 16 molecules (184 atoms) gave 47.1-47.4. With the array forward
+# pass, in-process `embed` (min of 7 runs, 2026-10-22, two runs each) of
+# the evaluate seed-1 set took 20.4-25.2 ms at 128 atoms, 17.1-17.9 at 192,
+# 15.5-15.7 at 256 and 14.1-14.3 at 384; of the 200 recovery seed-1
+# molecules (37.6 atoms), 12.6-12.9, 10.2-11.2, 10.1-10.4 and 8.7-9.3 ms.
+# On a busier host the same day, 192 was no slower than 256. In 4
+# alternated 30-s evaluate benchmark pairs (seeds 11-14, 2026-10-22), 256
+# against 192 gave pipeline_rel 3.89/3.81/3.66/3.58 against
+# 4.00/3.86/3.83/3.90 but peak RSS 48.86/48.66/48.61/48.80 against
+# 48.68/48.68/48.57/48.99 MiB, higher in 2 pairs: a larger budget holds
+# more atoms' activations at once, so 192 stays.
 _EMBED_ATOMS = 192
 
 
@@ -130,9 +136,16 @@ class TrainState:
 
 
 @dataclass
-class EncoderOutput:
-    mu: dc.Tensor      # shape (molecules, D)
-    logvar: dc.Tensor  # shape (molecules, D), clamped to [-10, 10]
+class Encoded:
+    """The encoder's forward pass over one block: mu and logvar, one row per
+    molecule, and the activations its backward pass reads."""
+
+    mu: np.ndarray      # shape (molecules, D)
+    logvar: np.ndarray  # shape (molecules, D), clamped to [-10, 10]
+    x: np.ndarray       # the atoms' one-hot inputs, as float64
+    layers: List[Tuple[np.ndarray, List[np.ndarray]]]  # per GIN layer: its MLP's input, outputs
+    readout: np.ndarray
+    heads: Tuple[List[np.ndarray], List[np.ndarray]]  # head_mu's and head_logvar's outputs
 
 
 @dataclass
@@ -192,9 +205,9 @@ def init_model(store: dc.ParamStore, cfg: ModelConfig, decoders: Sequence[Tuple[
         dc.init_mlp(store, f"dec.{kind}.{dim}", [cfg.latent_dim, cfg.decoder_hidden, dim])
 
 
-def _infer_num_layers(bound: Dict[str, dc.Tensor]) -> int:
+def _infer_num_layers(params: Mapping) -> int:
     n = 0
-    while f"gin.l{n}.w0" in bound:
+    while f"gin.l{n}.w0" in params:
         n += 1
     return n
 
@@ -256,7 +269,7 @@ class AtomGraph:
                                       atom_bounds))
 
 
-def encode_union(atoms: AtomGraph, b: int, bound: Dict[str, dc.Tensor]) -> EncoderOutput:
+def encode_union(atoms: AtomGraph, b: int, params: Mapping[str, np.ndarray]) -> Encoded:
     """Sum-readout GIN encoder over the molecules of block b of `atoms`,
     laid out as one graph; row k is the block's molecule k.
 
@@ -264,39 +277,65 @@ def encode_union(atoms: AtomGraph, b: int, bound: Dict[str, dc.Tensor]) -> Encod
     i.e. the (1 + eps) factor with eps fixed at 0. Every layer and both
     passes share the block's row indexes, and the readout sums each
     molecule's atom rows. The depth is the number of `gin.l<n>` layers in
-    `bound`.
+    `params`. With no messages in the block, a layer is MLP(h).
     """
     a0, a1 = atoms.atom_bounds[b : b + 2]
-    h = dc.matmul(dc.constant(atoms.x[a0:a1]), bound["atom_embed"])
-    for layer in range(_infer_num_layers(bound)):
-        h = dc.gin_layer(h, bound[f"bond_embed.l{layer}"], dc.mlp_layers(bound, f"gin.l{layer}"),
-                         atoms.out_of[b], atoms.into[b], atoms.bond_type[b])
-    readout = dc.scatter_add_rows(h, atoms.readout[b])
-    mu = dc.mlp_forward(bound, "head_mu", readout)
-    logvar = dc.clip(dc.mlp_forward(bound, "head_logvar", readout),
-                     -LOGVAR_CLAMP, LOGVAR_CLAMP)
-    return EncoderOutput(mu, logvar)
+    into, out_of, bond_type, readout = (atoms.into[b], atoms.out_of[b], atoms.bond_type[b],
+                                        atoms.readout[b])
+    x = atoms.x[a0:a1].astype(np.float64)
+    h = x @ params["atom_embed"]
+    layers = []
+    for layer in range(_infer_num_layers(params)):
+        if len(into.index):
+            msgs = h[out_of.index] + params[f"bond_embed.l{layer}"][bond_type.index]
+            h = into.add_to(np.zeros((into.num_rows,) + msgs.shape[1:]), msgs) + h
+        outs = dc.mlp_outputs(h, dc.mlp_layers(params, f"gin.l{layer}"))
+        layers.append((h, outs))
+        h = outs[-1]
+    pooled = readout.add_to(np.zeros((readout.num_rows,) + h.shape[1:]), h)
+    heads = (dc.mlp_outputs(pooled, dc.mlp_layers(params, "head_mu")),
+             dc.mlp_outputs(pooled, dc.mlp_layers(params, "head_logvar")))
+    return Encoded(heads[0][-1], np.clip(heads[1][-1], -LOGVAR_CLAMP, LOGVAR_CLAMP), x,
+                   layers, pooled, heads)
 
 
-def gin_encode(g: MolecularGraph, bound: Dict[str, dc.Tensor]) -> EncoderOutput:
+def _encoder_backward(enc: Encoded, atoms: AtomGraph, b: int, g_mu: np.ndarray,
+                      g_logvar: np.ndarray, params: Mapping[str, np.ndarray],
+                      grads: Mapping[str, np.ndarray]):
+    """The backward pass of `encode_union(atoms, b, params)` from the
+    gradients of its mu and logvar, adding each parameter's gradient into its
+    slot of `grads`: the clamp's mask, the two heads, the readout, the GIN
+    layers last to first (in each, the residual's gradient, then the
+    messages' added into it in `out_of`'s order, then the bond embedding's),
+    and `atom_embed`. The one-hot inputs get no gradient."""
+    raw = enc.heads[1][-1]
+    g_logvar = g_logvar * ((raw >= -LOGVAR_CLAMP) & (raw <= LOGVAR_CLAMP))
+    from_mu, from_logvar = (dc.mlp_backward(g, enc.readout, outs, dc.mlp_layers(params, prefix),
+                                            dc.mlp_layers(grads, prefix))
+                            for g, outs, prefix in ((g_mu, enc.heads[0], "head_mu"),
+                                                    (g_logvar, enc.heads[1], "head_logvar")))
+    g = (from_mu + from_logvar)[atoms.readout[b].index]
+    into, out_of, bond_type = atoms.into[b], atoms.out_of[b], atoms.bond_type[b]
+    for layer in reversed(range(len(enc.layers))):
+        x, outs = enc.layers[layer]
+        prefix = f"gin.l{layer}"
+        g = dc.mlp_backward(g, x, outs, dc.mlp_layers(params, prefix),
+                            dc.mlp_layers(grads, prefix))
+        if len(into.index):
+            g_msgs = g[into.index]
+            bond = f"bond_embed.l{layer}"
+            # g is fresh from the MLP's backward pass, so the messages add into it
+            g = out_of.add_to(g, g_msgs)
+            grads[bond] += bond_type.add_to(np.zeros_like(params[bond]), g_msgs)
+    grads["atom_embed"] += enc.x.T @ g
+
+
+def gin_encode(g: MolecularGraph, params: Mapping[str, np.ndarray]) -> Encoded:
     """`encode_union` of one molecule: mu and logvar of shape (1, D). Nothing
     in the package calls it: it stays because perfbench/tracer.py wraps this
     name."""
     one = MoleculeSet(g, np.array([0, len(g.element)]), np.array([0, len(g.bonds)]))
-    return encode_union(AtomGraph.blocks(one, [0, 1]), 0, bound)
-
-
-def reparameterize(out: EncoderOutput, noise) -> dc.Tensor:
-    """z = mu + exp(logvar / 2) * noise, with noise of mu's shape."""
-    noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape != out.mu.shape:
-        raise ShapeMismatchError(f"noise {noise.shape} vs mu {out.mu.shape}")
-    return dc.gaussian_sample(out.mu, out.logvar, noise)
-
-
-def kl_standard_normal(out: EncoderOutput) -> dc.Tensor:
-    """KL(N(mu, diag exp(logvar)) || N(0, I)), summed over dimensions and rows."""
-    return dc.gaussian_kl(out.mu, out.logvar)
+    return encode_union(AtomGraph.blocks(one, [0, 1]), 0, params)
 
 
 def _squared_error(likelihood: str) -> bool:
@@ -307,28 +346,30 @@ def _squared_error(likelihood: str) -> bool:
     return likelihood == "gaussian"
 
 
-def decode_nll(z: dc.Tensor, targets: np.ndarray, kind: NodeKind,
-               bound: Dict[str, dc.Tensor], rows, weight: np.ndarray,
-               likelihood: str = "bernoulli") -> Tuple[dc.Tensor, np.ndarray]:
-    """The weighted NLL, summed, of the target rows under the decoder of
-    `kind` and their width, as one `dc.decode_group` node, and the NLL of
-    every target entry. Target row i is decoded from row rows.index[i] of z,
-    `rows` being a RowIndex over z's rows, and weighted by weight[i]. The
-    NLL is the Bernoulli one (BCE on the logits, the [0,1]-scaled features
-    as soft labels) or the Gaussian one (a unit-variance squared error on
-    the linear outputs); any other `likelihood` raises ValueError."""
+def decode_nll(z: np.ndarray, targets: np.ndarray, kind: NodeKind,
+               params: Mapping[str, np.ndarray], rows: dc.RowIndex, weight,
+               likelihood: str = "bernoulli") -> dc.Decoded:
+    """The forward pass of the target rows under the decoder of `kind` and
+    their width, as one `dc.Decoded`: its `term` is the weighted NLL,
+    summed, and its `nll` the NLL of every target entry. Target row i is
+    decoded from row rows.index[i] of z, `rows` being a RowIndex over z's
+    rows, and weighted by weight[i]. The NLL is the Bernoulli one (BCE on
+    the logits, the [0,1]-scaled features as soft labels) or the Gaussian
+    one (a unit-variance squared error on the linear outputs); any other
+    `likelihood` raises ValueError."""
     y = np.asarray(targets, dtype=np.float64)
-    layers = dc.mlp_layers(bound, decoder_prefix(bound, kind, y.shape[1]))
-    return dc.decode_group(z, rows, layers, y, weight, _squared_error(likelihood))
+    layers = dc.mlp_layers(params, decoder_prefix(params, kind, y.shape[1]))
+    return dc.Decoded(z[rows.index], layers, y, weight, _squared_error(likelihood))
 
 
-def infoalign_loss(graph: ContextGraph, walk: WalkBatch,
-                   bound: Dict[str, dc.Tensor], beta: float, noise,
-                   likelihood: str = "bernoulli") -> Tuple[dc.Tensor, LossBreakdown]:
-    """`batch_loss` of the one-walk batch `walk`, with noise of shape
-    (1, latent_dim). Nothing in the package calls it: it stays because
+def infoalign_loss(graph: ContextGraph, walk: WalkBatch, params: Mapping[str, np.ndarray],
+                   beta: float, noise, likelihood: str = "bernoulli") -> LossBreakdown:
+    """The loss breakdown of the one-walk batch `walk`, with noise of shape
+    (1, latent_dim): the forward pass of `train_step` on the plan of that
+    batch. Nothing in the package calls it: it stays because
     perfbench/tracer.py wraps this name."""
-    return batch_loss(graph, [walk.ids[walk.nodes[0, 0]]], walk, bound, beta, noise, likelihood)
+    plan = EpochPlan(graph, [walk.ids[walk.nodes[0, 0]]], walk, 1)
+    return _step_forward(plan, 0, params, beta, noise, likelihood)[-1]
 
 
 class EpochPlan:
@@ -405,54 +446,78 @@ class EpochPlan:
         self.groups = [spec[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
-def step_loss(plan: EpochPlan, b: int, bound: Dict[str, dc.Tensor], beta: float, noise,
-              likelihood: str = "bernoulli") -> Tuple[dc.Tensor, LossBreakdown]:
-    """Mean over the molecules of batch b of `plan` of the mean walk loss of
-    each one's walks, as one tape, and its breakdown into the same means.
+def _step_forward(plan: EpochPlan, b: int, params: Mapping[str, np.ndarray], beta: float,
+                  noise, likelihood: str):
+    """The forward pass of `train_step`: (encoder pass, exp(logvar), the
+    sample's std, the noise, the decoded groups, the loss, its breakdown)."""
+    n = plan.molecules[b]
+    enc = encode_union(plan.atoms, b, params)
+    walk_mol = plan.walk_mol[b].index
+    mu, logvar = enc.mu[walk_mol], enc.logvar[walk_mol]
+    noise = np.asarray(noise, dtype=np.float64)
+    if noise.shape != mu.shape:
+        raise ShapeMismatchError(f"noise {noise.shape} vs mu {mu.shape}")
+    std = dc.clamped_exp(logvar * 0.5)
+    z = mu + std * noise
+    e = dc.clamped_exp(enc.logvar)
+    kl = (((enc.mu * enc.mu + e) + -enc.logvar) + -1.0).sum() * 0.5
+    loss = kl * (beta / n)
+
+    scale = 1.0 / plan.walks[b]
+    recon: Dict[str, float] = {}
+    recon_total = 0.0
+    decoded = []
+    for kind, dim, lo, hi, rows in plan.groups[b]:
+        alpha = plan.alpha[lo:hi]
+        dec = decode_nll(z, plan.matrices[kind, dim][plan.feature_row[lo:hi]], kind, params,
+                         rows, plan.weight[lo:hi], likelihood)
+        decoded.append(dec)
+        loss = loss + dec.term
+        recon[kind.value] = recon.get(kind.value, 0.0) + float(alpha @ dec.nll.sum(axis=1)) * scale
+        recon_total += float(dec.term)
+    kl_mean = float(kl) / n
+    return (enc, e, std, noise, decoded, loss,
+            LossBreakdown(recon, kl_mean, beta, recon_total + beta * kl_mean))
+
+
+def train_step(plan: EpochPlan, b: int, store: dc.ParamStore, beta: float, noise,
+               likelihood: str = "bernoulli") -> LossBreakdown:
+    """One step on batch b of `plan`: the loss, the mean over the batch's
+    molecules of the mean walk loss of each one's walks, with its gradients
+    added into the store's zeroed gradient slots, and its breakdown into the
+    same means.
 
     A walk's loss is (1/L) * sum over its targets of alpha * NLL + beta * KL,
     where L is the walk's node count. `noise` holds one row per walk of the
     batch. The batch's molecules are encoded once, together, and each
     (kind, dim) group of its targets is taken from the graph's matrix of it
     and decoded as one matrix through `decode_nll`, each row weighted as the
-    plan weights it; the groups go in the order they first appear, and their
-    terms are added to the KL term in that order.
+    plan weights it; the groups go in the order they first appear, and
+    their terms are added to the KL term in that order.
+
+    The backward pass runs in the tape's order, which decides the bits:
+    the KL term's two parts into the gradients of mu and logvar; the
+    groups into z's, in plan order; the sample; the walks' gathers of mu and
+    logvar, added into those gradients; then the encoder. Each parameter
+    gets one gradient. Raises FloatingPointError, before any gradient is
+    added, if the loss is not finite, and after, if a gradient is not.
     """
-    n = plan.molecules[b]
-    out = encode_union(plan.atoms, b, bound)
+    params, grads = store.params, store.grads
+    enc, e, std, noise, decoded, loss, br = _step_forward(plan, b, params, beta, noise,
+                                                          likelihood)
+    dc.require_finite(loss, "loss")
+    half = (beta / plan.molecules[b]) * 0.5
+    g_mu = half * enc.mu + half * enc.mu
+    g_logvar = half * e + (-half)
+    g_z = np.zeros(std.shape)
+    for (kind, dim, _lo, _hi, rows), dec in zip(plan.groups[b], decoded):
+        rows.add_to(g_z, dec.backward(1.0, dc.mlp_layers(grads, f"dec.{kind.value}.{dim}")))
     walk_mol = plan.walk_mol[b]
-    z = reparameterize(EncoderOutput(dc.gather_rows(out.mu, walk_mol),
-                                     dc.gather_rows(out.logvar, walk_mol)), noise)
-    kl = kl_standard_normal(out)
-    # The running total is one node after the groups' nodes: a group node
-    # that added its term to the total so far would depend on the group
-    # before it, and backward, which runs a later node first, would then
-    # add the groups' gradients into z last group first.
-    terms = [dc.mul(kl, dc.constant(beta / n))]
-
-    scale = 1.0 / plan.walks[b]
-    recon: Dict[str, float] = {}
-    recon_total = 0.0
-    for kind, dim, lo, hi, rows in plan.groups[b]:
-        alpha = plan.alpha[lo:hi]
-        term, nll = decode_nll(z, plan.matrices[kind, dim][plan.feature_row[lo:hi]], kind,
-                               bound, rows, plan.weight[lo:hi], likelihood)
-        terms.append(term)
-        recon[kind.value] = recon.get(kind.value, 0.0) + float(alpha @ nll.sum(axis=1)) * scale
-        recon_total += term.item()
-    kl_mean = kl.item() / n
-    return dc.add_n(terms), LossBreakdown(recon, kl_mean, beta, recon_total + beta * kl_mean)
-
-
-def batch_loss(graph: ContextGraph, starts: Sequence[str], paths: WalkBatch,
-               bound: Dict[str, dc.Tensor], beta: float, noise,
-               likelihood: str = "bernoulli") -> Tuple[dc.Tensor, LossBreakdown]:
-    """`step_loss` of the one batch `starts`, with `paths` (a `WalkBatch`
-    of this graph) holding the same number of walks per start, grouped in
-    starts order, and `noise` one row per path: the plan of that one batch,
-    run through the same step as `pretrain`'s."""
-    return step_loss(EpochPlan(graph, starts, paths, len(starts)), 0, bound, beta, noise,
-                     likelihood)
+    walk_mol.add_to(g_mu, g_z)
+    walk_mol.add_to(g_logvar, ((g_z * noise) * std) * 0.5)
+    _encoder_backward(enc, plan.atoms, b, g_mu, g_logvar, params, grads)
+    dc.require_finite(store.flat[1], "leaf gradient")
+    return br
 
 
 # --- training ----------------------------------------------------------------
@@ -465,7 +530,7 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig, store: Optional[dc.ParamStor
     Epochs iterate molecules in a seeded shuffled order and sample
     walks_per_molecule walks from each (`cfg.walks(epoch)`). Each epoch is
     laid out once, as an `EpochPlan`, before its first step; each minibatch
-    is then one `step_loss` tape, one backward pass and one Adam step on the
+    is then one `train_step`, forward and backward, and one Adam step on the
     mean over its molecules of each molecule's mean walk loss; the
     reparameterization noise is one (walks, latent_dim) draw per minibatch.
     A walk that does not start at its molecule raises PathMismatchError
@@ -478,11 +543,11 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig, store: Optional[dc.ParamStor
     NoDecoderError is raised before any step. The graph's molecules are
     parsed together before the first step (`ContextGraph.molecules`), so a
     bad SMILES raises its SmilesError, naming the node, before any step too.
-    A non-finite loss or gradient (checked once a step, by `backward` and
-    `ParamStore.accumulate`) raises FloatingPointError naming the epoch and
-    the batch. `log_fn(epoch, breakdown, store)`, if given, is called as
-    each epoch ends, after `state` has advanced, with the epoch numbered
-    over resumes. Returns the store and the per-epoch mean loss breakdowns.
+    A non-finite loss or gradient (checked once a step, by `train_step`)
+    raises FloatingPointError naming the epoch and the batch.
+    `log_fn(epoch, breakdown, store)`, if given, is called as each epoch
+    ends, after `state` has advanced, with the epoch numbered over
+    resumes. Returns the store and the per-epoch mean loss breakdowns.
     """
     needed = feature_keys(graph)
     if store is None:
@@ -527,8 +592,8 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig, store: Optional[dc.ParamStor
 
 def _train_epoch(store: dc.ParamStore, plan: EpochPlan, noise_rng: np.random.Generator,
                  cfg: ModelConfig, epoch: int) -> LossBreakdown:
-    """One `step_loss` tape, backward pass and Adam step per batch of `plan`,
-    in order, and the epoch's mean loss breakdown."""
+    """One `train_step` and Adam step per batch of `plan`, in order, and the
+    epoch's mean loss breakdown."""
     sums: Dict[str, float] = {}
     kl_sum = 0.0
     total_sum = 0.0
@@ -537,11 +602,8 @@ def _train_epoch(store: dc.ParamStore, plan: EpochPlan, noise_rng: np.random.Gen
         # A diverging step is reported once, by the finiteness check on
         # the loss, not by numpy's warnings from the ops before it.
         with np.errstate(over="ignore", invalid="ignore"):
-            bound = store.bind()
-            loss, br = step_loss(plan, b, bound, cfg.beta, noise, cfg.likelihood)
             try:
-                loss.backward()
-                store.accumulate(bound)
+                br = train_step(plan, b, store, cfg.beta, noise, cfg.likelihood)
             except FloatingPointError as exc:
                 raise FloatingPointError(f"{exc} in epoch {epoch}, batch {b}") from None
             dc.adam_step(store, lr=cfg.lr)
@@ -588,10 +650,9 @@ def embed(store: dc.ParamStore, molecules: MoleculeSet) -> np.ndarray:
         return np.zeros((0, store.params["head_mu.w0"].shape[1]))
     if n == 1:
         molecules = molecules.take([0, 0])
-    bound = store.bind()
     blocks = _embed_blocks(molecules.atom_start, _EMBED_ATOMS)
     atoms = AtomGraph.blocks(molecules, [0] + [hi for _, hi in blocks])
-    mu = [encode_union(atoms, b, bound).mu.data for b in range(len(blocks))]
+    mu = [encode_union(atoms, b, store.params).mu for b in range(len(blocks))]
     return dc.require_finite(np.concatenate(mu)[:n], "embedding")
 
 

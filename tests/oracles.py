@@ -17,25 +17,35 @@ index from an array. `reference_atom_graph` lays out one block of molecules
 with each row index built from its own array, as `AtomGraph.of` did, and
 `reference_embed` is `embed` on it, one block at a time, where `embed` cuts
 every block from one `AtomGraph`.
+The tape section is the define-by-run tape (Paszke et al. 2019, arXiv
+1912.01703) that `model.train_step` and `evalkit.probe_train` replaced
+with hand-written backward passes: `Tensor` (a `dc.Tensor` with `shape`
+and `item`), `bind`, the primitives (`mul`, `matmul`, `gather_rows`,
+`scatter_add_rows`, `clip`) and the fused nodes (`mlp_forward`,
+`gin_layer`, `decode_group`, `add_n`, `gaussian_kl`, `gaussian_sample`),
+the encoder on them (`tape_encode_union`, `tape_gin_encode`), the step
+(`step_loss`, and `batch_loss` on the plan of one batch) and the probe fit
+(`tape_probe_train`). The hand-written steps must leave the store these
+leave, bit for bit.
 `reference_walk_loss` is the loss of one walk on a tape of its own, one
 target at a time (`walk_targets`), which `batch_loss` computes for a whole
 minibatch at once. `reference_batch_loss` is that minibatch loss with every
 structure of the batch (its molecules, row indexes and target groups) built
 inside the step, as it was before `model.EpochPlan` laid each epoch out once.
 `add`, `tsum`, `neg`, `relu`, `exp` and `softplus` are the primitives, and
-the `composed_*` functions the chains of primitives, that diffcore's fused
-nodes (`mlp_forward`, `gaussian_kl`, `gaussian_sample`, `gin_layer`,
-`decode_group`, `add_n`) replaced; the slow-path oracles build their tapes
-from these chains (`composed_encode` is `encode_union` on them), so they
-check the fused nodes and not themselves. The BCE and squared-error chains
+the `composed_*` functions the chains of primitives, that the tape's fused
+nodes replaced; the slow-path oracles build their tapes from these chains
+(`composed_encode` is `tape_encode_union` on them), so they check the fused
+nodes and not themselves. The BCE and squared-error chains
 (`composed_bce`, `composed_half_squared_error`) check only `decode_group`,
-the one place `src/` computes an NLL; `columns` and `interleave` put a
-decoded group with one likelihood per column together from them.
+whose arithmetic `dc.Decoded`, the one place `src/` computes an NLL,
+repeats; `columns` and `interleave` put a decoded group with one
+likelihood per column together from them.
 `reference_parse_smiles` is the character-at-a-time SMILES parser that the
 token table replaced; it keeps its own bond-symbol table and charge limit.
 `reference_probe_train` is the probe fit that builds both losses on every
 entry and masks one away, on the unfused chains, where `probe_train` is one
-`decode_group` node that picks each column's loss.
+`dc.Decoded` group that picks each column's loss.
 `union` lays out a list of parsed molecules as one graph one molecule at a
 time, which `molecule_set(mols).block(0, len(mols))` does at once.
 `molecule_set` and `molecule` are the layout of a list of parsed molecules
@@ -58,8 +68,8 @@ which no command reports.
 """
 
 import struct
-from dataclasses import fields
-from typing import List, Set, Tuple
+from dataclasses import dataclass, fields
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -68,15 +78,15 @@ import infoalign.model as model
 from infoalign.errors import (
     PathMismatchError,
     RingUnclosedError,
+    ShapeMismatchError,
     SmilesSyntaxError,
     UnbalancedParenError,
     UnsupportedFeatureError,
 )
 from infoalign.ctxgraph import KINDS, RELATIONS, ContextGraph
 from infoalign.evalkit import CLASSIFICATION, ProbeHead
-from infoalign.model import (ATOM_FEATURE_DIM, LOGVAR_CLAMP, AtomGraph, EncoderOutput,
-                             LossBreakdown, atom_features, decode_nll, decoder_prefix,
-                             encode_union, kl_standard_normal, reparameterize)
+from infoalign.model import (ATOM_FEATURE_DIM, LOGVAR_CLAMP, AtomGraph, LossBreakdown,
+                             atom_features, decoder_prefix)
 from infoalign.molparse import (AROMATIC_ELEMENTS, ELEMENTS, BondOrder, MolecularGraph,
                                 MoleculeSet, parse_many, parse_smiles)
 from infoalign.walker import WalkBatch
@@ -351,27 +361,427 @@ def reference_top_pairs(s: np.ndarray, rank_i: np.ndarray, rank_j: np.ndarray,
     return np.lexsort((hi, lo, -s))[:keep]
 
 
+# --- the tape -------------------------------------------------------------------
+#
+# The define-by-run tape that `model.train_step` and `evalkit.probe_train`
+# replaced: `dc.Tensor` nodes, each with the backward closure of its
+# primitive or fused layer. `bind` gives a store's parameters as leaves, and
+# `dc.ParamStore.accumulate` adds the leaves' gradients into the store.
+
+class Tensor(dc.Tensor):
+    """A tape node, with the shape and value accessors the tests read."""
+
+    __slots__ = ()
+
+    @property
+    def shape(self):
+        return self.data.shape
+
+    def item(self) -> float:
+        return float(self.data)
+
+
+def bind(store) -> dict:
+    """Leaf tensors of the store's parameters for one forward/backward pass."""
+    return {name: Tensor(arr) for name, arr in store.params.items()}
+
+
+def _acc(t: Tensor, g: np.ndarray):
+    """Add g to t's gradient. The first g is kept as it is, so nothing adds in
+    place: `add_n` hands the same buffer to every term."""
+    t.grad = g if t.grad is None else t.grad + g
+
+
+def constant(x) -> Tensor:
+    return Tensor(x)
+
+
+def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
+    """Sum grad over the dimensions that broadcasting expanded."""
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, size in enumerate(shape):
+        if size == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad.reshape(shape)
+
+
+# --- primitives --------------------------------------------------------------
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    try:
+        data = a.data * b.data
+    except ValueError as exc:
+        raise ShapeMismatchError(f"mul: {a.shape} vs {b.shape}") from exc
+    out = Tensor(data, (a, b))
+
+    def bw(g):
+        _acc(a, _unbroadcast(g * b.data, a.shape))
+        _acc(b, _unbroadcast(g * a.data, b.shape))
+
+    out._bw = bw
+    return out
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeMismatchError(f"matmul: {a.shape} @ {b.shape}")
+    out = Tensor(a.data @ b.data, (a, b))
+
+    def bw(g):
+        _acc(a, g @ b.data.T)
+        _acc(b, a.data.T @ g)
+
+    out._bw = bw
+    return out
+
+
+def gather_rows(a: Tensor, index: dc.RowIndex) -> Tensor:
+    """out[i] = a[index.index[i]]; rows may repeat. `index` is over a's rows."""
+    out = Tensor(a.data[index.index], (a,))
+    out._bw = lambda g: _acc_rows(a, index, g)
+    return out
+
+
+def _acc_rows(t: Tensor, index: dc.RowIndex, g: np.ndarray):
+    """Add row i of g to row index[i] of t's gradient: a gather's backward.
+    It adds into a copy of the running gradient, which keeps the order of
+    the sums: adding a separate scatter afterwards moves the last bits."""
+    grad = np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+    t.grad = index.add_to(grad, g)
+
+
+def scatter_add_rows(a: Tensor, index: dc.RowIndex) -> Tensor:
+    """out[k] = sum of a[i] over i with index.index[i] == k, for each of the
+    index's rows (message aggregation)."""
+    if len(index.index) != a.shape[0]:
+        raise ShapeMismatchError(f"scatter_add: {len(index.index)} indices for {a.shape[0]} rows")
+    data = index.add_to(np.zeros((index.num_rows,) + a.shape[1:]), a.data)
+    out = Tensor(data, (a,))
+    out._bw = lambda g: _acc(a, g[index.index])
+    return out
+
+
+def clip(a: Tensor, lo: float, hi: float) -> Tensor:
+    """Clamp with pass-through gradient inside [lo, hi], zero outside."""
+    out = Tensor(np.clip(a.data, lo, hi), (a,))
+    mask = (a.data >= lo) & (a.data <= hi)
+    out._bw = lambda g: _acc(a, g * mask)
+    return out
+
+
+# --- fused nodes -------------------------------------------------------------
+#
+# Each computes what its chain of primitives computed, operation by
+# operation, and sends each parent the contributions that chain sent, in its
+# order. Parents are listed as the chain's were met from left to right, so
+# the tape visits them, and runs every other node, in the chain's order.
+
+Layers = Sequence[Tuple[Tensor, Tensor]]
+
+
+def _mlp_data(x: np.ndarray, layers: Layers) -> List[np.ndarray]:
+    """`dc.mlp_outputs` on the values of the leaves `layers`."""
+    return dc.mlp_outputs(x, [(w.data, b.data) for w, b in layers])
+
+
+def _mlp_grads(g: np.ndarray, x: np.ndarray, outs: List[np.ndarray], layers: Layers) -> np.ndarray:
+    """Send each layer's bias and weight their gradients, last layer first,
+    and return the input's. A ReLU's subgradient at 0 is 0."""
+    for k in reversed(range(len(layers))):
+        w, b = layers[k]
+        if k < len(layers) - 1:
+            g = g * (outs[k] > 0)
+        _acc(b, g.sum(axis=0))
+        _acc(w, (outs[k - 1] if k else x).T @ g)
+        g = g @ w.data.T
+    return g
+
+
+def _params(layers: Layers) -> Tuple[Tensor, ...]:
+    return tuple(t for layer in layers for t in layer)
+
+
+def gin_layer(h: Tensor, bond_embed: Tensor, layers: Layers, out_of: dc.RowIndex,
+              into: dc.RowIndex, bond_type: dc.RowIndex) -> Tensor:
+    """One GIN layer: MLP(h + sum over messages i into row into[i] of
+    (h[out_of[i]] + bond_embed[bond_type[i]])), the MLP the affine stack
+    `layers` ((w, b) pairs, ReLU after all but the last). With no messages
+    it is MLP(h), and `bond_embed` gets no gradient.
+
+    Replaces gather, gather, add, scatter_add_rows, add (the residual) and
+    the MLP's matmul, add and ReLU per layer. Backward sends h the
+    residual's gradient first, then adds the messages' into it in `out_of`'s
+    order.
+    """
+    bonded = len(into.index) > 0
+    if bonded:
+        msgs = h.data[out_of.index] + bond_embed.data[bond_type.index]
+        x = into.add_to(np.zeros((into.num_rows,) + msgs.shape[1:]), msgs) + h.data
+    else:
+        x = h.data
+    outs = _mlp_data(x, layers)
+    out = Tensor(outs[-1], ((h, bond_embed) if bonded else (h,)) + _params(layers))
+
+    def bw(g):
+        gx = _mlp_grads(g, x, outs, layers)
+        if not bonded:
+            _acc(h, gx)
+            return
+        gm = gx[into.index]
+        # gx and h.grad + gx are fresh, so the gather's copy is not needed
+        h.grad = out_of.add_to(gx if h.grad is None else h.grad + gx, gm)
+        _acc_rows(bond_embed, bond_type, gm)
+
+    out._bw = bw
+    return out
+
+
+def decode_group(z: Tensor, rows: Optional[dc.RowIndex], layers: Layers, targets: np.ndarray,
+                 weight, squared_error=False) -> Tuple[Tensor, np.ndarray]:
+    """sum over i of weight[i] * NLL(MLP(z[rows.index[i]]), targets[i]) as one
+    scalar node, and the NLL of every target entry.
+
+    The MLP is the affine stack `layers`. The NLL is the Bernoulli one, the
+    binary cross-entropy softplus(l) - l * y on the logits for soft targets
+    in [0, 1], or if `squared_error` the unit-variance Gaussian one up to its
+    constant, (o - y)^2 / 2. `squared_error` may instead be one flag per
+    target column: each entry then takes its column's NLL and gradient, and
+    the other NLL never reaches the sum, even where it overflows.
+
+    `rows` is a RowIndex over z's rows, or None for z's rows in order, which
+    gathers nothing. `weight` is one weight per target
+    row, or a scalar for every row. Replaces gather_rows, the MLP's matmul,
+    add and ReLU per layer, the NLL node, the weight constant, mul and
+    tsum; the weighted sum is `(nll * weight).sum()`, tsum's pairwise order
+    over the same array.
+    """
+    x = z.data if rows is None else z.data[rows.index]
+    outs = _mlp_data(x, layers)
+    logits = outs[-1]
+    y = np.asarray(targets, dtype=np.float64)
+    if y.shape != logits.shape:
+        raise ShapeMismatchError(f"decoder output {logits.shape} vs target {y.shape}")
+    w = np.asarray(weight, dtype=np.float64)
+    if w.ndim:
+        w = w[:, None]
+    flags = np.asarray(squared_error, dtype=bool)
+    if flags.shape not in ((), y.shape[1:]):
+        raise ShapeMismatchError(f"{flags.shape} squared-error flags for {y.shape[1]} columns")
+    d = logits + -y if flags.any() else None
+    nll = dc._pick(flags, lambda: (d * d) * 0.5, lambda: np.logaddexp(0.0, logits) + -(logits * y))
+    out = Tensor((nll * w).sum(), (z,) + _params(layers))
+
+    def bw(g):
+        gw = g * w  # row i of the weighted NLL's gradient, g * weight[i] throughout
+
+        def squared():
+            t = (gw * 0.5) * d
+            return t + t
+
+        gl = dc._pick(flags, squared, lambda: gw * dc.logistic(logits) + (-gw) * y)
+        gx = _mlp_grads(gl, x, outs, layers)
+        if rows is None:
+            _acc(z, gx)
+        else:
+            _acc_rows(z, rows, gx)
+
+    out._bw = bw
+    return out, nll
+
+
+def add_n(terms: Sequence[Tensor]) -> Tensor:
+    """((t0 + t1) + t2) + ... over terms of one shape, left to right: the
+    chain of `add`s as one node. Each term's gradient is the output's."""
+    shapes = {t.shape for t in terms}
+    if len(shapes) != 1:
+        raise ShapeMismatchError(f"add_n: shapes {sorted(shapes)}")
+    data = terms[0].data
+    for t in terms[1:]:
+        data = data + t.data
+    out = Tensor(data, tuple(terms))
+
+    def bw(g):
+        for t in terms:
+            _acc(t, g)
+
+    out._bw = bw
+    return out
+
+
+def gaussian_kl(mu: Tensor, logvar: Tensor) -> Tensor:
+    """KL(N(mu, diag exp(logvar)) || N(0, I)) summed over every entry:
+    sum(mu^2 + exp(logvar) - logvar - 1) / 2, a scalar."""
+    m = mu.data
+    e = np.exp(np.clip(logvar.data, -dc._EXP_CLAMP, dc._EXP_CLAMP))
+    out = Tensor((((m * m + e) + -logvar.data) + -1.0).sum() * 0.5, (mu, logvar))
+
+    def bw(g):
+        half = np.broadcast_to(g * 0.5, m.shape)
+        _acc(mu, half * m)
+        _acc(mu, half * m)
+        _acc(logvar, half * e)
+        _acc(logvar, -half)
+
+    out._bw = bw
+    return out
+
+
+def gaussian_sample(mu: Tensor, logvar: Tensor, noise: np.ndarray) -> Tensor:
+    """mu + exp(logvar / 2) * noise, the reparameterized draw."""
+    std = np.exp(np.clip(logvar.data * 0.5, -dc._EXP_CLAMP, dc._EXP_CLAMP))
+    out = Tensor(mu.data + std * noise, (mu, logvar))
+
+    def bw(g):
+        _acc(mu, g)
+        _acc(logvar, ((g * noise) * std) * 0.5)
+
+    out._bw = bw
+    return out
+
+
+def mlp_forward(bound: Dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
+    """The affine stack under `prefix` on x, ReLU after all but the last
+    layer, as one node. x must be 2-D, as wide as the first layer's input."""
+    layers = dc.mlp_layers(bound, prefix)
+    w = layers[0][0]
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeMismatchError(f"mlp_forward {prefix!r}: {x.shape} @ {w.shape}")
+    outs = _mlp_data(x.data, layers)
+    out = Tensor(outs[-1], (x,) + _params(layers))
+    out._bw = lambda g: _acc(x, _mlp_grads(g, x.data, outs, layers))
+    return out
+
+
+# --- the training step on the tape ---------------------------------------------
+
+@dataclass
+class EncoderOutput:
+    mu: Tensor      # shape (molecules, D)
+    logvar: Tensor  # shape (molecules, D), clamped to [-10, 10]
+
+
+def tape_encode_union(atoms, b, bound):
+    """Sum-readout GIN encoder over the molecules of block b of `atoms`,
+    laid out as one graph; row k is the block's molecule k.
+
+    Per layer: h_v <- MLP(h_v + sum_{u in N(v)} (h_u + bond_embed(uv))),
+    i.e. the (1 + eps) factor with eps fixed at 0. Every layer and both
+    passes share the block's row indexes, and the readout sums each
+    molecule's atom rows. The depth is the number of `gin.l<n>` layers in
+    `bound`.
+    """
+    a0, a1 = atoms.atom_bounds[b : b + 2]
+    h = matmul(constant(atoms.x[a0:a1]), bound["atom_embed"])
+    for layer in range(model._infer_num_layers(bound)):
+        h = gin_layer(h, bound[f"bond_embed.l{layer}"], dc.mlp_layers(bound, f"gin.l{layer}"),
+                      atoms.out_of[b], atoms.into[b], atoms.bond_type[b])
+    readout = scatter_add_rows(h, atoms.readout[b])
+    mu = mlp_forward(bound, "head_mu", readout)
+    logvar = clip(mlp_forward(bound, "head_logvar", readout), -LOGVAR_CLAMP, LOGVAR_CLAMP)
+    return EncoderOutput(mu, logvar)
+
+
+def tape_gin_encode(g: MolecularGraph, bound):
+    """`tape_encode_union` of one molecule: mu and logvar of shape (1, D)."""
+    one = MoleculeSet(g, np.array([0, len(g.element)]), np.array([0, len(g.bonds)]))
+    return tape_encode_union(AtomGraph.blocks(one, [0, 1]), 0, bound)
+
+
+def reparameterize(out, noise):
+    """z = mu + exp(logvar / 2) * noise, with noise of mu's shape."""
+    noise = np.asarray(noise, dtype=np.float64)
+    if noise.shape != out.mu.shape:
+        raise ShapeMismatchError(f"noise {noise.shape} vs mu {out.mu.shape}")
+    return gaussian_sample(out.mu, out.logvar, noise)
+
+
+def kl_standard_normal(out):
+    """KL(N(mu, diag exp(logvar)) || N(0, I)), summed over dimensions and rows."""
+    return gaussian_kl(out.mu, out.logvar)
+
+
+def tape_decode_nll(z, targets, kind, bound, rows, weight, likelihood="bernoulli"):
+    """The weighted NLL, summed, of the target rows under the decoder of
+    `kind` and their width, as one `decode_group` node, and the NLL of
+    every target entry. Target row i is decoded from row rows.index[i] of z,
+    `rows` being a RowIndex over z's rows, and weighted by weight[i]. The
+    NLL is the Bernoulli one (BCE on the logits, the [0,1]-scaled features
+    as soft labels) or the Gaussian one (a unit-variance squared error on
+    the linear outputs); any other `likelihood` raises ValueError."""
+    y = np.asarray(targets, dtype=np.float64)
+    layers = dc.mlp_layers(bound, decoder_prefix(bound, kind, y.shape[1]))
+    return decode_group(z, rows, layers, y, weight, model._squared_error(likelihood))
+
+
+def step_loss(plan, b, bound, beta, noise, likelihood="bernoulli"):
+    """Mean over the molecules of batch b of `plan` of the mean walk loss of
+    each one's walks, as one tape, and its breakdown into the same means.
+
+    A walk's loss is (1/L) * sum over its targets of alpha * NLL + beta * KL,
+    where L is the walk's node count. `noise` holds one row per walk of the
+    batch. The batch's molecules are encoded once, together, and each
+    (kind, dim) group of its targets is taken from the graph's matrix of it
+    and decoded as one matrix through `tape_decode_nll`, each row weighted
+    as the plan weights it; the groups go in the order they first appear, and their
+    terms are added to the KL term in that order.
+    """
+    n = plan.molecules[b]
+    out = tape_encode_union(plan.atoms, b, bound)
+    walk_mol = plan.walk_mol[b]
+    z = reparameterize(EncoderOutput(gather_rows(out.mu, walk_mol),
+                                     gather_rows(out.logvar, walk_mol)), noise)
+    kl = kl_standard_normal(out)
+    # The running total is one node after the groups' nodes: a group node
+    # that added its term to the total so far would depend on the group
+    # before it, and backward, which runs a later node first, would then
+    # add the groups' gradients into z last group first.
+    terms = [mul(kl, constant(beta / n))]
+
+    scale = 1.0 / plan.walks[b]
+    recon = {}
+    recon_total = 0.0
+    for kind, dim, lo, hi, rows in plan.groups[b]:
+        alpha = plan.alpha[lo:hi]
+        term, nll = tape_decode_nll(z, plan.matrices[kind, dim][plan.feature_row[lo:hi]],
+                                    kind, bound, rows, plan.weight[lo:hi], likelihood)
+        terms.append(term)
+        recon[kind.value] = recon.get(kind.value, 0.0) + float(alpha @ nll.sum(axis=1)) * scale
+        recon_total += term.item()
+    kl_mean = kl.item() / n
+    return add_n(terms), LossBreakdown(recon, kl_mean, beta, recon_total + beta * kl_mean)
+
+
+def batch_loss(graph, starts, paths, bound, beta: float, noise, likelihood="bernoulli"):
+    """`step_loss` of the one batch `starts`, with `paths` (a `WalkBatch`
+    of this graph) holding the same number of walks per start, grouped in
+    starts order, and `noise` one row per path: the plan of that one batch,
+    run through the same step as `pretrain`'s."""
+    return step_loss(model.EpochPlan(graph, starts, paths, len(starts)), 0, bound, beta, noise,
+                     likelihood)
+
+
 # --- the unfused tape ------------------------------------------------------------
 
 def add(a, b):
     """a + b, broadcasting; each parent's gradient is summed over the axes
     broadcasting expanded."""
-    out = dc.Tensor(a.data + b.data, (a, b))
+    out = Tensor(a.data + b.data, (a, b))
 
     def bw(g):
-        dc._acc(a, dc._unbroadcast(g, a.shape))
-        dc._acc(b, dc._unbroadcast(g, b.shape))
+        _acc(a, _unbroadcast(g, a.shape))
+        _acc(b, _unbroadcast(g, b.shape))
 
     out._bw = bw
     return out
 
 
 def tsum(a, axis=None, keepdims=False):
-    out = dc.Tensor(a.data.sum(axis=axis, keepdims=keepdims), (a,))
+    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), (a,))
 
     def bw(g):
         gexp = g if axis is None or keepdims else np.expand_dims(g, axis)
-        dc._acc(a, np.broadcast_to(gexp, a.shape))
+        _acc(a, np.broadcast_to(gexp, a.shape))
 
     out._bw = bw
     return out
@@ -380,12 +790,12 @@ def tsum(a, axis=None, keepdims=False):
 def columns(a, cols):
     """a[:, cols]. Its backward sends -0.0 to the other columns, which adds
     nothing to their gradient, not even to a -0.0."""
-    out = dc.Tensor(a.data[:, cols], (a,))
+    out = Tensor(a.data[:, cols], (a,))
 
     def bw(g):
         grad = np.full_like(a.data, -0.0)
         grad[:, cols] = g
-        dc._acc(a, grad)
+        _acc(a, grad)
 
     out._bw = bw
     return out
@@ -397,45 +807,45 @@ def interleave(parts, shape):
     data = np.empty(shape)
     for cols, part in parts:
         data[:, cols] = part.data
-    out = dc.Tensor(data, tuple(part for _, part in parts))
+    out = Tensor(data, tuple(part for _, part in parts))
 
     def bw(g):
         for cols, part in parts:
-            dc._acc(part, g[:, cols])
+            _acc(part, g[:, cols])
 
     out._bw = bw
     return out
 
 
 def neg(a):
-    out = dc.Tensor(-a.data, (a,))
-    out._bw = lambda g: dc._acc(a, -g)
+    out = Tensor(-a.data, (a,))
+    out._bw = lambda g: _acc(a, -g)
     return out
 
 
 def relu(a):
-    out = dc.Tensor(np.maximum(a.data, 0.0), (a,))
+    out = Tensor(np.maximum(a.data, 0.0), (a,))
     # subgradient at 0 is 0
-    out._bw = lambda g: dc._acc(a, g * (a.data > 0))
+    out._bw = lambda g: _acc(a, g * (a.data > 0))
     return out
 
 
 def exp(a):
     e = np.exp(np.clip(a.data, -dc._EXP_CLAMP, dc._EXP_CLAMP))
-    out = dc.Tensor(e, (a,))
-    out._bw = lambda g: dc._acc(a, g * e)
+    out = Tensor(e, (a,))
+    out._bw = lambda g: _acc(a, g * e)
     return out
 
 
 def softplus(a):
-    out = dc.Tensor(np.logaddexp(0.0, a.data), (a,))
+    out = Tensor(np.logaddexp(0.0, a.data), (a,))
     s = 1.0 / (1.0 + np.exp(-np.clip(a.data, -dc._EXP_CLAMP, dc._EXP_CLAMP)))
-    out._bw = lambda g: dc._acc(a, g * s)
+    out._bw = lambda g: _acc(a, g * s)
     return out
 
 
 def composed_affine(x, w, b, relu_layer: bool = False):
-    h = add(dc.matmul(x, w), b)
+    h = add(matmul(x, w), b)
     return relu(h) if relu_layer else h
 
 
@@ -450,24 +860,24 @@ def composed_mlp_forward(bound, prefix: str, x):
 
 
 def composed_bce(logits, targets):
-    y = dc.constant(targets)
-    return add(softplus(logits), neg(dc.mul(logits, y)))
+    y = constant(targets)
+    return add(softplus(logits), neg(mul(logits, y)))
 
 
 def composed_half_squared_error(outputs, targets):
-    diff = add(outputs, dc.constant(-np.asarray(targets, dtype=np.float64)))
-    return dc.mul(dc.mul(diff, diff), dc.constant(0.5))
+    diff = add(outputs, constant(-np.asarray(targets, dtype=np.float64)))
+    return mul(mul(diff, diff), constant(0.5))
 
 
 def composed_kl(mu, logvar):
-    mu2 = dc.mul(mu, mu)
+    mu2 = mul(mu, mu)
     inner = add(add(mu2, exp(logvar)), neg(logvar))
-    return dc.mul(tsum(add(inner, dc.constant(-1.0))), dc.constant(0.5))
+    return mul(tsum(add(inner, constant(-1.0))), constant(0.5))
 
 
 def composed_sample(mu, logvar, noise):
-    std = exp(dc.mul(logvar, dc.constant(0.5)))
-    return add(mu, dc.mul(std, dc.constant(noise)))
+    std = exp(mul(logvar, constant(0.5)))
+    return add(mu, mul(std, constant(noise)))
 
 
 def composed_gin_layer(h, bond_embed, layers, out_of, into, bond_type):
@@ -475,8 +885,8 @@ def composed_gin_layer(h, bond_embed, layers, out_of, into, bond_type):
     messages' two gathers and add, their scatter, the residual add, and the
     MLP's layers; with no messages only the MLP."""
     if len(into.index):
-        msgs = add(dc.gather_rows(h, out_of), dc.gather_rows(bond_embed, bond_type))
-        h = add(dc.scatter_add_rows(msgs, into), h)
+        msgs = add(gather_rows(h, out_of), gather_rows(bond_embed, bond_type))
+        h = add(scatter_add_rows(msgs, into), h)
     for k, (w, b) in enumerate(layers):
         h = composed_affine(h, w, b, k < len(layers) - 1)
     return h
@@ -489,7 +899,7 @@ def composed_decode_group(z, rows, layers, targets, weight, squared_error=False)
     column, or a scalar for every row), mul and tsum. With one
     `squared_error` flag per column, each likelihood's NLL is taken on its
     own columns and the per-element NLL interleaved from the two."""
-    h = z if rows is None else dc.gather_rows(z, rows)
+    h = z if rows is None else gather_rows(z, rows)
     for k, (w, b) in enumerate(layers):
         h = composed_affine(h, w, b, k < len(layers) - 1)
     y = np.asarray(targets, dtype=np.float64)
@@ -502,7 +912,7 @@ def composed_decode_group(z, rows, layers, targets, weight, squared_error=False)
     else:
         nll = (composed_half_squared_error if flags else composed_bce)(h, y)
     weight = np.asarray(weight, dtype=np.float64)
-    return tsum(dc.mul(nll, dc.constant(weight[:, None] if weight.ndim else weight))), nll
+    return tsum(mul(nll, constant(weight[:, None] if weight.ndim else weight))), nll
 
 
 def composed_encode(g: MolecularGraph, bound) -> EncoderOutput:
@@ -511,14 +921,14 @@ def composed_encode(g: MolecularGraph, bound) -> EncoderOutput:
     out_of = row_index(g.bonds.ravel(), n)
     into = row_index(g.bonds[:, ::-1].ravel(), n)
     bond_type = row_index(np.repeat(g.order, 2), len(BondOrder))
-    h = dc.matmul(dc.constant(atom_features(g)), bound["atom_embed"])
+    h = matmul(constant(atom_features(g)), bound["atom_embed"])
     layer = 0
     while f"gin.l{layer}.w0" in bound:
         h = composed_gin_layer(h, bound[f"bond_embed.l{layer}"],
                                dc.mlp_layers(bound, f"gin.l{layer}"), out_of, into, bond_type)
         layer += 1
-    readout = dc.scatter_add_rows(h, row_index(np.zeros(n, dtype=np.intp), 1))
-    logvar = dc.clip(composed_mlp_forward(bound, "head_logvar", readout), -LOGVAR_CLAMP,
+    readout = scatter_add_rows(h, row_index(np.zeros(n, dtype=np.intp), 1))
+    logvar = clip(composed_mlp_forward(bound, "head_logvar", readout), -LOGVAR_CLAMP,
                      LOGVAR_CLAMP)
     return EncoderOutput(composed_mlp_forward(bound, "head_mu", readout), logvar)
 
@@ -573,11 +983,11 @@ def reference_embed(store, molecules: MoleculeSet) -> np.ndarray:
         return np.zeros((0, store.params["head_mu.w0"].shape[1]))
     if n == 1:
         molecules = molecules.take([0, 0])
-    bound = store.bind()
     mu = []
     for lo, hi in model._embed_blocks(molecules.atom_start, model._EMBED_ATOMS):
         g, segment = molecules.block(lo, hi)
-        mu.append(encode_union(reference_atom_graph(g, segment, hi - lo), 0, bound).mu.data)
+        mu.append(model.encode_union(reference_atom_graph(g, segment, hi - lo), 0,
+                                     store.params).mu)
     return np.concatenate(mu)[:n]
 
 
@@ -613,14 +1023,14 @@ def reference_walk_loss(graph, path, bound, beta: float, noise, likelihood: str 
         y = feats.reshape(1, -1)
         logits = composed_mlp_forward(bound, decoder_prefix(bound, kind, y.shape[1]), z)
         nll = tsum(chain(logits, y))
-        term = dc.mul(nll, dc.constant(alpha))
+        term = mul(nll, constant(alpha))
         weighted_terms.append(term)
         recon[kind.value] = recon.get(kind.value, 0.0) + term.item()
 
     acc = weighted_terms[0]
     for term in weighted_terms[1:]:
         acc = add(acc, term)
-    total = add(dc.mul(acc, dc.constant(1.0 / L)), dc.mul(kl, dc.constant(beta)))
+    total = add(mul(acc, constant(1.0 / L)), mul(kl, constant(beta)))
     return total, LossBreakdown(recon, kl.item(), beta, sum(recon.values()) / L + beta * kl.item())
 
 
@@ -651,12 +1061,12 @@ def reference_batch_loss(graph, starts, paths, bound, beta: float, noise,
     _keys, first, group = np.unique(dims[nodes] * len(KINDS) + kinds, return_index=True,
                                     return_inverse=True)
     g, segment = mols.take([row[s] for s in starts]).block(0, len(starts))
-    out = encode_union(reference_atom_graph(g, segment, len(starts)), 0, bound)
+    out = tape_encode_union(reference_atom_graph(g, segment, len(starts)), 0, bound)
     walk_mol = row_index(np.repeat(np.arange(len(starts)), per_mol), len(starts))
-    z = reparameterize(EncoderOutput(dc.gather_rows(out.mu, walk_mol),
-                                     dc.gather_rows(out.logvar, walk_mol)), noise)
+    z = reparameterize(EncoderOutput(gather_rows(out.mu, walk_mol),
+                                     gather_rows(out.logvar, walk_mol)), noise)
     kl = kl_standard_normal(out)
-    terms = [dc.mul(kl, dc.constant(beta / len(starts)))]
+    terms = [mul(kl, constant(beta / len(starts)))]
     scale = 1.0 / len(paths)
     recon = {}
     recon_total = 0.0
@@ -666,13 +1076,39 @@ def reference_batch_loss(graph, starts, paths, bound, beta: float, noise,
         alpha = alphas[sel]
         weight = alpha * scale / paths.sizes[walk[sel]]
         feats = matrices[kind, int(dims[nodes[sel[0]]])][rows[nodes[sel]]]
-        term, nll = decode_nll(z, feats.astype(np.float64), kind, bound,
-                               row_index(walk[sel], len(paths)), weight, likelihood)
+        term, nll = tape_decode_nll(z, feats.astype(np.float64), kind, bound,
+                                    row_index(walk[sel], len(paths)), weight, likelihood)
         terms.append(term)
         recon[kind.value] = recon.get(kind.value, 0.0) + float(alpha @ nll.sum(axis=1)) * scale
         recon_total += term.item()
     kl_mean = kl.item() / len(starts)
-    return dc.add_n(terms), LossBreakdown(recon, kl_mean, beta, recon_total + beta * kl_mean)
+    return add_n(terms), LossBreakdown(recon, kl_mean, beta, recon_total + beta * kl_mean)
+
+
+def tape_probe_train(train, cfg):
+    """`probe_train` on the tape, as it ran before its hand-written backward
+    pass: per epoch one `decode_group` node over every embedding, with each
+    column's NLL, times 1 / entries, then `backward`, `accumulate` and
+    Adam."""
+    d = train.embeddings.shape[1]
+    t = train.labels.shape[1]
+    store = dc.ParamStore(seed=cfg.seed)
+    dc.init_mlp(store, "probe", [d, t] if cfg.hidden == 0 else [d, cfg.hidden, t])
+    x = constant(train.embeddings)
+    y = train.labels
+    squared_error = np.array([kind != CLASSIFICATION for kind in train.task_types])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            bound = bind(store)
+            nll, _ = decode_group(x, None, dc.mlp_layers(bound, "probe"), y, 1.0, squared_error)
+            loss = mul(nll, constant(1.0 / y.size))
+            try:
+                loss.backward()
+                store.accumulate(bound)
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"{exc} in probe epoch {epoch}") from None
+            dc.adam_step(store, lr=cfg.lr)
+    return ProbeHead(store, list(train.task_types))
 
 
 def reference_probe_train(train, cfg):
@@ -687,13 +1123,13 @@ def reference_probe_train(train, cfg):
     is_cls = np.array([k == CLASSIFICATION for k in train.task_types], dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
-            bound = store.bind()
-            out = composed_mlp_forward(bound, "probe", dc.constant(x))
+            bound = bind(store)
+            out = composed_mlp_forward(bound, "probe", constant(x))
             per_entry = add(
-                dc.mul(composed_bce(out, y), dc.constant(is_cls[None, :])),
-                dc.mul(composed_half_squared_error(out, y), dc.constant(1.0 - is_cls[None, :])),
+                mul(composed_bce(out, y), constant(is_cls[None, :])),
+                mul(composed_half_squared_error(out, y), constant(1.0 - is_cls[None, :])),
             )
-            loss = dc.mul(tsum(per_entry), dc.constant(1.0 / y.size))
+            loss = mul(tsum(per_entry), constant(1.0 / y.size))
             try:
                 loss.backward()
                 store.accumulate(bound)

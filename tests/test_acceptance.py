@@ -51,7 +51,6 @@ from infoalign.model import (
     ModelConfig,
     decoder_keys,
     init_model,
-    kl_standard_normal,
     pretrain,
     embed,
 )
@@ -59,7 +58,7 @@ from infoalign.molparse import parse_many
 from infoalign.synth import SyntheticSpec, generate, write_tables
 
 from tests.test_evalkit import auc_pairwise_oracle, rerank_oracle
-from tests.oracles import gaussian_mi, graph_of, stored_edges
+from tests.oracles import gaussian_mi, graph_of, kl_standard_normal, stored_edges
 from tests.test_mibounds import gaussian_mi_quadrature
 from tests.test_model import mk_out, kl_quadrature
 

@@ -1167,7 +1167,7 @@ def test_match_ranks_a_gaussian_checkpoint_by_squared_error(synth_graph, tmp_pat
 
     store = load_checkpoint(ck)[0]
     prefix = decoder_prefix(store.params, NodeKind.CELL_MORPHOLOGY, 6)
-    o = dc.mlp_forward(store.bind(), prefix, dc.constant(embed(store, parse_many(smiles)))).data
+    o = dc.mlp(store.params, prefix, embed(store, parse_many(smiles)))
 
     def ranks(scores):
         order = sorted(range(len(ids)), key=lambda j: (-scores[j], ids[j]))

@@ -1,8 +1,8 @@
-"""Autodiff substrate tests: central finite differences for every primitive
-and fused node, the fused nodes bit for bit against the chains of primitives
-they replaced, the row-index scatter (on both sides of its `np.add.at`
-cutoff) and the flat Adam against their slow oracles, MLP gradient checks,
-Adam behavior, checkpoint round-trips."""
+"""Array substrate tests: central finite differences for every primitive and
+fused node of the tape in `tests/oracles.py`, the fused nodes bit for bit
+against the chains of primitives they replaced, the row-index scatter (on
+both sides of its `np.add.at` cutoff) and the flat Adam against their slow
+oracles, MLP gradient checks, Adam behavior, checkpoint round-trips."""
 
 import functools
 import zlib
@@ -17,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 import infoalign.diffcore as dc
 from infoalign.errors import CorruptFileError, ShapeMismatchError
+from tests import oracles as tape
 from tests.oracles import (
     add,
     composed_bce,
@@ -59,13 +60,13 @@ def finite_diff(f, x, eps=1e-6):
 
 def check_gradient(build, x0, rtol=1e-5, eps=1e-6):
     """build(Tensor) -> scalar Tensor; compares backward grad to central FD."""
-    leaf = dc.Tensor(x0.copy())
+    leaf = tape.Tensor(x0.copy())
     out = build(leaf)
     out.backward()
     analytic = leaf.grad
 
     def f(x):
-        return build(dc.Tensor(x)).data.sum()
+        return build(tape.Tensor(x)).data.sum()
 
     numeric = finite_diff(f, x0.copy(), eps)
     denom = np.maximum(np.abs(numeric), 1e-6)
@@ -75,7 +76,7 @@ def check_gradient(build, x0, rtol=1e-5, eps=1e-6):
 
 def _c(shape, seed):
     """Frozen random constant (the same array on every call)."""
-    return dc.constant(np.random.default_rng(seed).standard_normal(shape))
+    return tape.constant(np.random.default_rng(seed).standard_normal(shape))
 
 
 def _stack(params):
@@ -85,7 +86,7 @@ def _stack(params):
 
 def _mlp(x, *params):
     """`mlp_forward` of x through the stack `params`."""
-    return dc.mlp_forward(_stack(params), "f", x)
+    return tape.mlp_forward(_stack(params), "f", x)
 
 
 def _mlp_chain(x, *params):
@@ -112,7 +113,7 @@ _NO_BONDS = _messages([], [], 4)
 def _gin(messages, composed=False):
     """A two-layer GIN node over `messages`, or its chain, on (h, bond
     embedding, w0, b0, w1, b1)."""
-    layer = composed_gin_layer if composed else dc.gin_layer
+    layer = composed_gin_layer if composed else tape.gin_layer
 
     def build(h, be, w0, b0, w1, b1):
         return layer(h, be, [(w0, b0), (w1, b1)], *messages)
@@ -126,7 +127,7 @@ def _decode(rows, squared_error, composed=False):
         layers = [(w0, b0), (w1, b1)]
         if composed:
             return composed_decode_group(z, rows, layers, targets, weight, squared_error)[0]
-        return dc.decode_group(z, rows, layers, targets, weight, squared_error)[0]
+        return tape.decode_group(z, rows, layers, targets, weight, squared_error)[0]
     return build
 
 
@@ -137,49 +138,49 @@ _PER_COLUMN = np.array([False, True, False])
 
 
 def test_square_gradient_closed_form():
-    x = dc.Tensor(np.array([3.0]))
-    y = dc.mul(x, x)
+    x = tape.Tensor(np.array([3.0]))
+    y = tape.mul(x, x)
     y.backward()
     assert x.grad[0] == pytest.approx(6.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("name,build", [
-    ("add", lambda t: tsum(dc.mul(add(t, _c((3, 4), 10)), _c((3, 4), 11)))),
-    ("add_broadcast", lambda t: tsum(dc.mul(add(t, _c((1, 4), 12)), _c((3, 4), 13)))),
-    ("neg", lambda t: tsum(dc.mul(neg(t), _c((3, 4), 14)))),
-    ("mul", lambda t: tsum(dc.mul(t, _c((3, 4), 15)))),
-    ("matmul", lambda t: tsum(dc.matmul(t, _c((4, 2), 16)))),
-    ("relu", lambda t: tsum(dc.mul(relu(t), _c((3, 4), 17)))),
-    ("exp", lambda t: tsum(dc.mul(exp(t), _c((3, 4), 19)))),
-    ("softplus", lambda t: tsum(dc.mul(softplus(t), _c((3, 4), 21)))),
-    ("tsum_axis", lambda t: tsum(dc.mul(tsum(t, axis=0, keepdims=True), _c((1, 4), 22)))),
-    ("gather", lambda t: tsum(dc.mul(dc.gather_rows(t, row_index([0, 2, 2, 1], 3)),
+    ("add", lambda t: tsum(tape.mul(add(t, _c((3, 4), 10)), _c((3, 4), 11)))),
+    ("add_broadcast", lambda t: tsum(tape.mul(add(t, _c((1, 4), 12)), _c((3, 4), 13)))),
+    ("neg", lambda t: tsum(tape.mul(neg(t), _c((3, 4), 14)))),
+    ("mul", lambda t: tsum(tape.mul(t, _c((3, 4), 15)))),
+    ("matmul", lambda t: tsum(tape.matmul(t, _c((4, 2), 16)))),
+    ("relu", lambda t: tsum(tape.mul(relu(t), _c((3, 4), 17)))),
+    ("exp", lambda t: tsum(tape.mul(exp(t), _c((3, 4), 19)))),
+    ("softplus", lambda t: tsum(tape.mul(softplus(t), _c((3, 4), 21)))),
+    ("tsum_axis", lambda t: tsum(tape.mul(tsum(t, axis=0, keepdims=True), _c((1, 4), 22)))),
+    ("gather", lambda t: tsum(tape.mul(tape.gather_rows(t, row_index([0, 2, 2, 1], 3)),
                                      _c((4, 4), 25)))),
-    ("scatter", lambda t: tsum(dc.mul(dc.scatter_add_rows(t, row_index([1, 0, 1], 2)),
+    ("scatter", lambda t: tsum(tape.mul(tape.scatter_add_rows(t, row_index([1, 0, 1], 2)),
                                       _c((2, 4), 26)))),
-    ("clip", lambda t: tsum(dc.mul(dc.clip(t, -0.5, 0.5), _c((3, 4), 27)))),
-    ("affine_relu_x", lambda t: tsum(dc.mul(_mlp(
+    ("clip", lambda t: tsum(tape.mul(tape.clip(t, -0.5, 0.5), _c((3, 4), 27)))),
+    ("affine_relu_x", lambda t: tsum(tape.mul(_mlp(
         t, _c((4, 5), 30), _c((5,), 31), _c((5, 2), 101), _c((2,), 102)), _c((3, 2), 32)))),
-    ("affine_relu_w", lambda t: tsum(dc.mul(_mlp(
+    ("affine_relu_w", lambda t: tsum(tape.mul(_mlp(
         _c((2, 3), 33), t, _c((4,), 34), _c((4, 3), 103), _c((3,), 104)), _c((2, 3), 35)))),
-    ("affine_linear", lambda t: tsum(dc.mul(
+    ("affine_linear", lambda t: tsum(tape.mul(
         _mlp(t, _c((4, 2), 36), _c((2,), 37)), _c((3, 2), 38)))),
-    ("gaussian_kl_mu", lambda t: dc.gaussian_kl(t, _c((3, 4), 41))),
-    ("gaussian_kl_logvar", lambda t: dc.gaussian_kl(_c((3, 4), 42), t)),
-    ("gaussian_sample_mu", lambda t: tsum(dc.mul(
-        dc.gaussian_sample(t, _c((3, 4), 43), _c((3, 4), 44).data), _c((3, 4), 45)))),
-    ("gaussian_sample_logvar", lambda t: tsum(dc.mul(
-        dc.gaussian_sample(_c((3, 4), 46), t, _c((3, 4), 47).data), _c((3, 4), 48)))),
-    ("gin_layer_h", lambda t: tsum(dc.mul(_gin(_RING3)(
+    ("gaussian_kl_mu", lambda t: tape.gaussian_kl(t, _c((3, 4), 41))),
+    ("gaussian_kl_logvar", lambda t: tape.gaussian_kl(_c((3, 4), 42), t)),
+    ("gaussian_sample_mu", lambda t: tsum(tape.mul(
+        tape.gaussian_sample(t, _c((3, 4), 43), _c((3, 4), 44).data), _c((3, 4), 45)))),
+    ("gaussian_sample_logvar", lambda t: tsum(tape.mul(
+        tape.gaussian_sample(_c((3, 4), 46), t, _c((3, 4), 47).data), _c((3, 4), 48)))),
+    ("gin_layer_h", lambda t: tsum(tape.mul(_gin(_RING3)(
         t, _c((3, 4), 50), _c((4, 5), 51), _c((5,), 52), _c((5, 2), 53), _c((2,), 54)),
         _c((3, 2), 55)))),
-    ("gin_layer_bond_embed", lambda t: tsum(dc.mul(_gin(_RING3)(
+    ("gin_layer_bond_embed", lambda t: tsum(tape.mul(_gin(_RING3)(
         _c((3, 4), 56), t, _c((4, 5), 57), _c((5,), 58), _c((5, 2), 59), _c((2,), 60)),
         _c((3, 2), 61)))),
-    ("gin_layer_w1", lambda t: tsum(dc.mul(_gin(_RING3)(
+    ("gin_layer_w1", lambda t: tsum(tape.mul(_gin(_RING3)(
         _c((3, 3), 62), _c((3, 3), 63), _c((3, 3), 64), _c((3,), 65), t, _c((4,), 66)),
         _c((3, 4), 67)))),
-    ("gin_layer_no_bonds", lambda t: tsum(dc.mul(_gin(_messages([], [], 3))(
+    ("gin_layer_no_bonds", lambda t: tsum(tape.mul(_gin(_messages([], [], 3))(
         t, _c((3, 4), 68), _c((4, 5), 69), _c((5,), 70), _c((5, 2), 71), _c((2,), 72)),
         _c((3, 2), 73)))),
     ("decode_group_z", lambda t: _decode(_DECODE_ROWS, False)(
@@ -200,7 +201,7 @@ def test_square_gradient_closed_form():
     ("decode_group_all_rows", lambda t: _decode(None, _PER_COLUMN)(
         t, _c((4, 6), 97), _c((6,), 98), _c((6, 3), 99), _c((3,), 100),
         np.tile([-0.6, 0.2, 0.9], (3, 1)), np.float64(0.7))),
-    ("add_n", lambda t: tsum(dc.mul(dc.add_n([t, _c((3, 4), 91), t]), _c((3, 4), 92)))),
+    ("add_n", lambda t: tsum(tape.mul(tape.add_n([t, _c((3, 4), 91), t]), _c((3, 4), 92)))),
 ])
 def test_primitive_gradients(name, build):
     # A fixed seed per case: str hashes are salted per process.
@@ -209,16 +210,16 @@ def test_primitive_gradients(name, build):
 
 
 def test_clip_gradient_pass_through():
-    x = dc.Tensor(np.array([-2.0, 0.5, 2.0]))
-    y = tsum(dc.clip(x, -1.0, 1.0))
+    x = tape.Tensor(np.array([-2.0, 0.5, 2.0]))
+    y = tsum(tape.clip(x, -1.0, 1.0))
     y.backward()
     assert np.array_equal(x.grad, [0.0, 1.0, 0.0])
 
 
 def test_relu_subgradient_zero_at_zero():
-    x = dc.Tensor(np.array([[0.0, -1e-12]]))
-    y = tsum(_mlp(x, dc.constant(np.eye(2)), dc.constant(np.zeros(2)),
-                  dc.constant(np.eye(2)), dc.constant(np.zeros(2))))
+    x = tape.Tensor(np.array([[0.0, -1e-12]]))
+    y = tsum(_mlp(x, tape.constant(np.eye(2)), tape.constant(np.zeros(2)),
+                  tape.constant(np.eye(2)), tape.constant(np.zeros(2))))
     y.backward()
     assert x.grad[0, 0] == 0.0 and x.grad[0, 1] == 0.0
 
@@ -226,28 +227,28 @@ def test_relu_subgradient_zero_at_zero():
 def test_matmul_sum_gradient_structure():
     """grad of sum(A @ B) w.r.t. A is the broadcast of B's row sums."""
     rng = np.random.default_rng(4)
-    A = dc.Tensor(rng.standard_normal((3, 4)))
+    A = tape.Tensor(rng.standard_normal((3, 4)))
     B = rng.standard_normal((4, 2))
-    out = tsum(dc.matmul(A, dc.constant(B)))
+    out = tsum(tape.matmul(A, tape.constant(B)))
     out.backward()
     assert np.allclose(A.grad, np.tile(B.sum(axis=1), (3, 1)), atol=1e-12)
 
 
 def test_shape_mismatch_errors():
     with pytest.raises(ShapeMismatchError):
-        dc.mul(dc.constant(np.ones((2, 3))), dc.constant(np.ones((4, 5))))
+        tape.mul(tape.constant(np.ones((2, 3))), tape.constant(np.ones((4, 5))))
     with pytest.raises(ShapeMismatchError):
-        dc.matmul(dc.constant(np.ones((2, 3))), dc.constant(np.ones((2, 3))))
+        tape.matmul(tape.constant(np.ones((2, 3))), tape.constant(np.ones((2, 3))))
     store = dc.ParamStore(seed=0)
     dc.init_mlp(store, "f", [3, 2])
     for x in (np.ones((2, 4)), np.ones(3), np.ones((1, 2, 3))):
         with pytest.raises(ShapeMismatchError, match="mlp_forward 'f'"):
-            dc.mlp_forward(store.bind(), "f", dc.constant(x))
+            tape.mlp_forward(tape.bind(store), "f", tape.constant(x))
 
 
 def test_backward_rejects_non_finite_loss():
-    x = dc.Tensor(np.array([1.0, 2.0]))
-    loss = tsum(dc.mul(x, dc.constant(np.array([np.nan, 1.0]))))
+    x = tape.Tensor(np.array([1.0, 2.0]))
+    loss = tsum(tape.mul(x, tape.constant(np.array([np.nan, 1.0]))))
     with pytest.raises(FloatingPointError, match="non-finite loss"):
         loss.backward()
 
@@ -258,9 +259,9 @@ def test_accumulate_rejects_non_finite_leaf_gradient():
     store = dc.ParamStore(seed=0)
     store.add("x", (1,))
     store.params["x"][...] = 2.0
-    bound = store.bind()
+    bound = tape.bind(store)
     # clip hides the inf in the forward pass; the gradient 0 * inf is NaN
-    loss = tsum(dc.clip(dc.mul(bound["x"], dc.constant(np.array([np.inf]))), -1.0, 1.0))
+    loss = tsum(tape.clip(tape.mul(bound["x"], tape.constant(np.array([np.inf]))), -1.0, 1.0))
     assert loss.item() == 1.0
     with np.errstate(invalid="ignore"):
         loss.backward()
@@ -272,9 +273,9 @@ def test_accumulate_rejects_non_finite_leaf_gradient():
 def test_exp_overflow_clamped_finite():
     """The exp inside the KL and the sample is clamped: a logvar of +-1e6
     gives finite values and gradients."""
-    for node in (lambda mu, lv: dc.gaussian_kl(mu, lv),
-                 lambda mu, lv: tsum(dc.gaussian_sample(mu, lv, np.ones((1, 2))))):
-        mu, lv = dc.Tensor(np.zeros((1, 2))), dc.Tensor(np.array([[1e6, -1e6]]))
+    for node in (lambda mu, lv: tape.gaussian_kl(mu, lv),
+                 lambda mu, lv: tsum(tape.gaussian_sample(mu, lv, np.ones((1, 2))))):
+        mu, lv = tape.Tensor(np.zeros((1, 2))), tape.Tensor(np.array([[1e6, -1e6]]))
         y = node(mu, lv)
         assert np.all(np.isfinite(y.data))
         y.backward()
@@ -288,8 +289,8 @@ FUSED = {
     "affine_relu": ([(5, 4), (4, 3), (3,), (3, 2), (2,)], 5, _mlp, _mlp_chain),
     "affine_linear": ([(5, 4), (4, 3), (3,)], 3, _mlp, _mlp_chain),
     "mlp_forward": ([(5, 4), (4, 6), (6,), (6, 3), (3,), (3, 2), (2,)], 7, _mlp, _mlp_chain),
-    "gaussian_kl": ([(5, 4), (5, 4)], 2, dc.gaussian_kl, composed_kl),
-    "gaussian_sample": ([(5, 4), (5, 4), (5, 4)], 2, dc.gaussian_sample, composed_sample),
+    "gaussian_kl": ([(5, 4), (5, 4)], 2, tape.gaussian_kl, composed_kl),
+    "gaussian_sample": ([(5, 4), (5, 4), (5, 4)], 2, tape.gaussian_sample, composed_sample),
     "gin_layer": ([(5, 4), (3, 4), (4, 6), (6,), (6, 3), (3,)], 6,
                   _gin(_RING4), _gin(_RING4, composed=True)),
     "gin_layer_no_bonds": ([(4, 4), (3, 4), (4, 6), (6,), (6, 3), (3,)], 6,
@@ -308,7 +309,7 @@ FUSED = {
     "decode_group_all_rows": ([(5, 4), (4, 6), (6,), (6, 3), (3,), (5, 3), ()], 5,
                               _decode(None, _PER_COLUMN),
                               _decode(None, _PER_COLUMN, composed=True)),
-    "add_n": ([(5, 4), (5, 4), (5, 4)], 3, lambda *ts: dc.add_n(ts),
+    "add_n": ([(5, 4), (5, 4), (5, 4)], 3, lambda *ts: tape.add_n(ts),
               lambda *ts: functools.reduce(add, ts)),
 }
 
@@ -353,18 +354,18 @@ def test_fused_node_equals_its_chain_bit_for_bit(name, special, monkeypatch):
             seed_grad = None
             results = []
             for build in (fused, chain):
-                ts = [dc.Tensor(a.copy()) for a in arrays[:leaves]]
+                ts = [tape.Tensor(a.copy()) for a in arrays[:leaves]]
                 with np.errstate(all="ignore"):
                     out = build(*ts, *arrays[leaves:])
                     if seed_grad is None:
                         seed_grad = _draw(rng, out.shape, special)
 
                     def seed_all(_g, out=out, ts=ts):
-                        dc._acc(out, seed_grad)
+                        tape._acc(out, seed_grad)
                         for t, prior in zip(ts, priors):
                             t.grad = None if prior is None else prior.copy()
 
-                    dc.Tensor(0.0, (*ts, out), seed_all).backward()
+                    tape.Tensor(0.0, (*ts, out), seed_all).backward()
                 results.append([out.data] + [t.grad for t in ts])
             for k, (got, want) in enumerate(zip(*results)):
                 assert _same_bits(got, want), (seed, with_prior, "value" if k == 0 else k - 1)
@@ -381,11 +382,11 @@ def test_decode_group_row_sums_equal_its_chain(special, squared_error):
         rng = np.random.default_rng(zlib.crc32(f"rows-{seed}".encode()))
         z, w0, b0, w1, b1, y, weight = (_draw(rng, shape, special) for shape in
                                         [(3, 4), (4, 6), (6,), (6, 3), (3,), (5, 3), (5,)])
-        layers = [(dc.Tensor(w0), dc.Tensor(b0)), (dc.Tensor(w1), dc.Tensor(b1))]
+        layers = [(tape.Tensor(w0), tape.Tensor(b0)), (tape.Tensor(w1), tape.Tensor(b1))]
         with np.errstate(all="ignore"):
-            got = dc.decode_group(dc.Tensor(z), _DECODE_ROWS, layers, y, weight,
+            got = tape.decode_group(tape.Tensor(z), _DECODE_ROWS, layers, y, weight,
                                   squared_error)[1]
-            _, nll = composed_decode_group(dc.Tensor(z), _DECODE_ROWS, layers, y, weight,
+            _, nll = composed_decode_group(tape.Tensor(z), _DECODE_ROWS, layers, y, weight,
                                            squared_error)
             assert _same_bits(got, nll.data), seed
             assert _same_bits(got.sum(axis=1), nll.data.sum(axis=1)), seed
@@ -395,8 +396,8 @@ def _masked_chain(h, y, flags):
     """Both NLLs on every entry, each masked to its columns and added, then
     summed: the probe's chain before it was a decoder."""
     mask = np.asarray(flags, dtype=np.float64)
-    return tsum(add(dc.mul(composed_bce(h, y), dc.constant(1.0 - mask)),
-                    dc.mul(composed_half_squared_error(h, y), dc.constant(mask))))
+    return tsum(add(tape.mul(composed_bce(h, y), tape.constant(1.0 - mask)),
+                    tape.mul(composed_half_squared_error(h, y), tape.constant(mask))))
 
 
 def test_decode_group_per_column_equals_the_masked_chain():
@@ -409,9 +410,9 @@ def test_decode_group_per_column_equals_the_masked_chain():
         y = arrays.pop()
         results = []
         for fused in (True, False):
-            z, w0, b0, w1, b1 = leaves = [dc.Tensor(a) for a in arrays]
+            z, w0, b0, w1, b1 = leaves = [tape.Tensor(a) for a in arrays]
             if fused:
-                out = dc.decode_group(z, None, [(w0, b0), (w1, b1)], y, 1.0, _PER_COLUMN)[0]
+                out = tape.decode_group(z, None, [(w0, b0), (w1, b1)], y, 1.0, _PER_COLUMN)[0]
             else:
                 bound = {"f.w0": w0, "f.b0": b0, "f.w1": w1, "f.b1": b1}
                 out = _masked_chain(composed_mlp_forward(bound, "f", z), y, _PER_COLUMN)
@@ -425,12 +426,12 @@ def test_decode_group_per_column_skips_the_other_nll():
     """An entry's other NLL never reaches the loss: the squared error of a
     logit of 1e200 overflows, but in a cross-entropy column it is not taken,
     where the masked chain's 0 * inf made the loss NaN."""
-    z = dc.Tensor(np.array([[1e200, 0.5], [-1e200, -0.5]]))
-    layers = [(dc.constant(np.eye(2)), dc.constant(np.zeros(2)))]
+    z = tape.Tensor(np.array([[1e200, 0.5], [-1e200, -0.5]]))
+    layers = [(tape.constant(np.eye(2)), tape.constant(np.zeros(2)))]
     y = np.array([[1.0, 0.2], [0.0, -0.3]])
     flags = np.array([False, True])
     with np.errstate(over="ignore", invalid="ignore"):
-        out, nll = dc.decode_group(z, None, layers, y, 1.0, flags)
+        out, nll = tape.decode_group(z, None, layers, y, 1.0, flags)
         out.backward()
         h = composed_mlp_forward({"f.w0": layers[0][0], "f.b0": layers[0][1]}, "f", z)
         masked = _masked_chain(h, y, flags)
@@ -441,23 +442,23 @@ def test_decode_group_per_column_skips_the_other_nll():
 
 def test_backward_shared_gradient_buffer_not_aliased():
     """add hands one buffer to both parents; later sums must not write into it."""
-    for late in (lambda x: dc.mul(x, dc.constant(np.array([7.0, 11.0]))),
-                 lambda x: dc.scatter_add_rows(
-                     dc.mul(dc.gather_rows(x, row_index([1, 0, 1], 2)),
-                            dc.constant(np.array([4.0, 7.0, 7.0]))),
+    for late in (lambda x: tape.mul(x, tape.constant(np.array([7.0, 11.0]))),
+                 lambda x: tape.scatter_add_rows(
+                     tape.mul(tape.gather_rows(x, row_index([1, 0, 1], 2)),
+                            tape.constant(np.array([4.0, 7.0, 7.0]))),
                      row_index([0, 1, 1], 2))):
-        x = dc.Tensor(np.array([1.0, 2.0]))
-        y = dc.Tensor(np.array([3.0, 4.0]))
+        x = tape.Tensor(np.array([1.0, 2.0]))
+        y = tape.Tensor(np.array([3.0, 4.0]))
         s = add(x, y)
-        loss = tsum(add(dc.mul(s, dc.constant(np.array([2.0, 5.0]))), late(x)))
+        loss = tsum(add(tape.mul(s, tape.constant(np.array([2.0, 5.0]))), late(x)))
         loss.backward()
         assert np.array_equal(x.grad, [9.0, 16.0])
         assert np.array_equal(y.grad, [2.0, 5.0])
 
 
 def test_backward_twice_gives_same_gradient():
-    x = dc.Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]))
-    loss = tsum(dc.gather_rows(dc.mul(x, x), row_index([0, 1, 1], 2)))
+    x = tape.Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]))
+    loss = tsum(tape.gather_rows(tape.mul(x, x), row_index([0, 1, 1], 2)))
     loss.backward()
     first = x.grad.copy()
     loss.backward()
@@ -510,12 +511,12 @@ def test_scatter_and_gather_backward_equal_add_at(layout, data):
     index, num_rows, values, base = data.draw(scatter_cases(layout))
     rows = row_index(index, num_rows)
     with np.errstate(invalid="ignore", over="ignore"), mock.patch.object(dc, "_ADD_AT_SIZE", 0):
-        got = dc.scatter_add_rows(dc.Tensor(values), rows).data
+        got = tape.scatter_add_rows(tape.Tensor(values), rows).data
         assert_same_bits(got, reference_scatter_add(np.zeros_like(base), index, values))
         assert isinstance(rows._table, list) == (layout == "rows")
         for running in (None, base):
-            a = dc.Tensor(np.zeros_like(base))
-            gathered = dc.gather_rows(a, rows)
+            a = tape.Tensor(np.zeros_like(base))
+            gathered = tape.gather_rows(a, rows)
             a.grad = None if running is None else running.copy()
             gathered._bw(values)
             start = np.zeros_like(base) if running is None else running.copy()
@@ -535,8 +536,8 @@ def test_long_row_sums_are_sequential(cols, monkeypatch):
         scale = 10.0 ** rng.uniform(-3, 3, (len(index),) + cols)
         values = rng.standard_normal((len(index),) + cols) * scale
         base = rng.standard_normal((num_rows,) + cols)
-        a = dc.Tensor(np.zeros_like(base))
-        gathered = dc.gather_rows(a, row_index(index, num_rows))
+        a = tape.Tensor(np.zeros_like(base))
+        gathered = tape.gather_rows(a, row_index(index, num_rows))
         a.grad = base.copy()
         gathered._bw(values)
         assert a.grad.tobytes() == reference_scatter_add(base.copy(), index, values).tobytes()
@@ -629,7 +630,7 @@ def test_row_index_rejects_out_of_range_rows():
         with pytest.raises(IndexError, match="out of range for its block's rows"):
             row_index(index, 2)
     with pytest.raises(ShapeMismatchError):
-        dc.scatter_add_rows(dc.Tensor(np.ones((3, 2))), row_index([0, 1], 2))
+        tape.scatter_add_rows(tape.Tensor(np.ones((3, 2))), row_index([0, 1], 2))
 
 
 def test_bce_matches_scalar_oracle():
@@ -638,8 +639,8 @@ def test_bce_matches_scalar_oracle():
     rng = np.random.default_rng(5)
     logits = rng.standard_normal((4, 6))
     y = rng.uniform(0, 1, size=(4, 6))
-    identity = [(dc.constant(np.eye(6)), dc.constant(np.zeros(6)))]
-    got = dc.decode_group(dc.constant(logits), None, identity, y, 1.0)[1]
+    identity = [(tape.constant(np.eye(6)), tape.constant(np.zeros(6)))]
+    got = tape.decode_group(tape.constant(logits), None, identity, y, 1.0)[1]
     # independent scalar-loop oracle via explicit probabilities
     for i in range(4):
         for j in range(6):
@@ -655,7 +656,7 @@ def test_mlp_identity_layer():
     dc.init_mlp(store, "f", [3, 3])
     store.params["f.w0"][...] = np.eye(3)
     x = np.random.default_rng(6).standard_normal((2, 3))
-    out = dc.mlp_forward(store.bind(), "f", dc.constant(x))
+    out = tape.mlp_forward(tape.bind(store), "f", tape.constant(x))
     assert np.allclose(out.data, x)
 
 
@@ -664,7 +665,7 @@ def test_mlp_zero_weights_bias():
     dc.init_mlp(store, "f", [3, 2])
     store.params["f.w0"][...] = 0.0
     store.params["f.b0"][...] = [1.5, -2.0]
-    out = dc.mlp_forward(store.bind(), "f", dc.constant(np.ones((4, 3))))
+    out = tape.mlp_forward(tape.bind(store), "f", tape.constant(np.ones((4, 3))))
     assert np.allclose(out.data, np.tile([1.5, -2.0], (4, 1)))
 
 
@@ -674,10 +675,10 @@ def test_mlp_forward_is_one_node():
     (the `mlp_forward` case of `test_fused_node_equals_its_chain_bit_for_bit`)."""
     store = dc.ParamStore(seed=5)
     dc.init_mlp(store, "f", [4, 6, 5, 2])
-    bound = store.bind()
-    x = dc.Tensor(np.random.default_rng(8).standard_normal((3, 4)))
-    with mock.patch.object(dc, "Tensor", wraps=dc.Tensor) as tensor:
-        out = dc.mlp_forward(bound, "f", x)
+    bound = tape.bind(store)
+    x = tape.Tensor(np.random.default_rng(8).standard_normal((3, 4)))
+    with mock.patch.object(tape, "Tensor", wraps=tape.Tensor) as tensor:
+        out = tape.mlp_forward(bound, "f", x)
     assert tensor.call_count == 1
     assert out._parents == (x, *(bound[f"f.{p}{k}"] for k in range(3) for p in "wb"))
 
@@ -688,18 +689,18 @@ def test_mlp_gradient_finite_difference():
     x = np.random.default_rng(7).standard_normal((3, 5))
 
     for pname in store.params:
-        bound = store.bind()
-        out = tsum(dc.mul(dc.mlp_forward(bound, "f", dc.constant(x)),
-                             dc.mlp_forward(bound, "f", dc.constant(x))))
+        bound = tape.bind(store)
+        out = tsum(tape.mul(tape.mlp_forward(bound, "f", tape.constant(x)),
+                             tape.mlp_forward(bound, "f", tape.constant(x))))
         out.backward()
         analytic = bound[pname].grad.copy()
 
         def f(arr, pname=pname):
             saved = store.params[pname].copy()
             store.params[pname][...] = arr
-            b = store.bind()
-            h = dc.mlp_forward(b, "f", dc.constant(x))
-            val = float(tsum(dc.mul(h, h)).data)
+            b = tape.bind(store)
+            h = tape.mlp_forward(b, "f", tape.constant(x))
+            val = float(tsum(tape.mul(h, h)).data)
             store.params[pname][...] = saved
             return val
 
@@ -748,9 +749,9 @@ def test_adam_deterministic_trajectory():
         store.add("w", (3, 2))
         x = np.random.default_rng(8).standard_normal((4, 3))
         for _ in range(10):
-            bound = store.bind()
-            out = tsum(dc.mul(dc.matmul(dc.constant(x), bound["w"]),
-                                 dc.matmul(dc.constant(x), bound["w"])))
+            bound = tape.bind(store)
+            out = tsum(tape.mul(tape.matmul(tape.constant(x), bound["w"]),
+                                 tape.matmul(tape.constant(x), bound["w"])))
             out.backward()
             store.accumulate(bound)
             dc.adam_step(store, lr=0.01)
@@ -861,9 +862,9 @@ def test_checkpoint_round_trip(tmp_path):
     dc.init_mlp(store, "f", [4, 8, 2])
     # take a few steps so moments are nontrivial
     for _ in range(3):
-        bound = store.bind()
-        out = tsum(dc.mul(dc.mlp_forward(bound, "f", dc.constant(np.ones((2, 4)))),
-                             dc.constant(np.ones((2, 2)))))
+        bound = tape.bind(store)
+        out = tsum(tape.mul(tape.mlp_forward(bound, "f", tape.constant(np.ones((2, 4)))),
+                             tape.constant(np.ones((2, 2)))))
         out.backward()
         store.accumulate(bound)
         dc.adam_step(store)

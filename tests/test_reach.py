@@ -31,9 +31,11 @@ _NODES = "perfbench/tracer.py's `_similarity_counts` reads the graph's nodes thr
 UNREACHED = {
     "model.gin_encode": _WRAPPED,
     "model.infoalign_loss": _WRAPPED,
-    "model.batch_loss": "the loss of one batch, as the tests and `infoalign_loss` call it; "
-                        "it runs the plan of that batch through `step_loss`, as `pretrain` "
-                        "runs each epoch's plan",
+    "diffcore.Tensor.backward": _WRAPPED,
+    "diffcore.ParamStore.accumulate": _WRAPPED,
+    "diffcore.Tensor.__init__": "the tape's node, kept with `Tensor.backward`, which "
+                                "perfbench/tracer.py wraps by name; only tests/oracles.py "
+                                "makes one (ROADMAP item 1)",
     "walker.WalkBatch.__iter__": "perfbench/tracer.py's `_walk_counts` iterates the walks",
     "walker.WalkBatch.__getitem__": "a `Sequence` needs it, and the tests slice walks into "
                                     "batches; `pretrain` plans an epoch's walks whole",
