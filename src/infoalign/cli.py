@@ -17,7 +17,8 @@ epochs and lr from the flags, config or defaults and each other key that a
 flag or the config gives (a beta sweep gives beta); a seed other than the
 checkpoint's draws fresh generators. A given architecture key that disagrees
 with the checkpoint is an error, and so is a graph whose fingerprint width or
-recorded radius disagrees with the checkpoint's.
+recorded radius disagrees with the checkpoint's, or any graph other than the
+one the checkpoint was trained on, by its checksum.
 
 Primary outputs are deterministic given identical inputs and seed. Exit
 codes: 0 success, 1 domain error, 2 usage error.
@@ -283,7 +284,8 @@ def _run_pretrain(graph, graph_path: str, opt, given: set, out: str, resume: str
     other than the checkpoint's, fresh generators. A run resumed into its
     own checkpoint keeps its log's rows of the epochs that checkpoint holds.
     A fingerprint width or radius, given or the checkpoint's, that is not
-    the graph's is an error.
+    the graph's is an error, and so, after those checks, is a resume onto a
+    graph whose checksum is not the one the checkpoint was trained on.
     """
     settings = {k: v for k, v in vars(opt).items() if k != "beta_sweep"}
     kept = []
@@ -307,6 +309,10 @@ def _run_pretrain(graph, graph_path: str, opt, given: set, out: str, resume: str
             raise InfoAlignError(f"{key} {value}{held} disagrees with the "
                                  f"{form.format(of_graph)} molecule fingerprints of the graph "
                                  f"{graph_path}")
+    if resume and state.graph != graph.checksum():
+        raise InfoAlignError(f"the checkpoint {resume} was trained on the graph of checksum "
+                             f"{state.graph}, not on the graph {graph_path} of checksum "
+                             f"{graph.checksum()}")
     if cfg.seed != base.seed:  # fresh generators from the new seed
         state = TrainState(state.epoch)
     with _EpochLog(out + ".log.tsv", kept) as log:

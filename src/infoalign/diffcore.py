@@ -8,10 +8,14 @@ MLP, per layer a matmul, bias add and ReLU) and its backward pass
 `Decoded` (MLP, Bernoulli or Gaussian NLL and weighted sum: the variational
 decoder of Alemi et al. 2017, arXiv 1612.00410, which is also the probe's
 head). A backward pass adds each parameter's one gradient into its zeroed
-slot of the store. `tests/oracles.py` keeps the define-by-run tape (Paszke
-et al. 2019, arXiv 1912.01703) that these steps replaced, one node per
-fused layer, and the tests hold the steps to it bit for bit: each step does
-the tape's floating-point operations, in its order. `Tensor`, the tape's
+slot of the store. The pieces take an MLP as its list of (w, b) arrays:
+`mlp_layers` reads one by name out of a store's table, and it runs only
+where a table is built (`model.Net.of`, once per `pretrain`, `embed` or
+`match`; the probe fit, once per fit; `mlp`, once per call), never inside a
+step. `tests/oracles.py` keeps the define-by-run tape (Paszke et al. 2019,
+arXiv 1912.01703) that these steps replaced, one node per fused layer, and
+the tests hold the steps to it bit for bit: each step does the tape's
+floating-point operations, in its order. `Tensor`, the tape's
 node, and `ParamStore.accumulate`, which gathers a tape's leaf gradients,
 stay here because perfbench/tracer.py wraps them by name; nothing in the
 package builds a tape.

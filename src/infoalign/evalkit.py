@@ -34,7 +34,7 @@ from .errors import (
 )
 # `gin_encode` is not called here: perfbench/tracer.py wraps it under this
 # module's name, so a traced run needs it importable from evalkit.
-from .model import _squared_error, decoder_prefix, embed, gin_encode
+from .model import Net, _squared_error, embed, gin_encode
 from .molparse import MoleculeSet
 
 CLASSIFICATION = "classification"
@@ -257,10 +257,10 @@ def match_zero_shot(store: dc.ParamStore, queries: MoleculeSet,
     for tid in true_ids:
         if tid not in column:
             raise UnknownNodeError(f"true id {tid!r} is not a candidate id")
-    prefix = decoder_prefix(store.params, NodeKind.CELL_MORPHOLOGY, candidates.shape[1])
+    decoder = Net.of(store.params).decoder(NodeKind.CELL_MORPHOLOGY, candidates.shape[1])
 
     id_rank = _id_ranks(candidate_ids)  # each candidate's position in candidate-id order
-    logits = dc.require_finite(dc.mlp(store.params, prefix, embed(store, queries)),
+    logits = dc.require_finite(dc.mlp_outputs(embed(store, queries), decoder)[-1],
                                "decoder logit")
     if _squared_error(likelihood):
         offsets = [0.5 * (candidates ** 2).sum(axis=1)] * len(queries)

@@ -4,11 +4,15 @@ A GIN message-passing encoder maps a molecular graph, read straight from the
 parser's atom and bond arrays, to a diagonal-Gaussian latent (mu,
 log-variance); per-modality MLP decoders reconstruct the [0,1]
 feature vectors of nodes visited by a context-graph walk. There is one decoder
-per (node kind, feature dimension), and its parameters, `dec.<kind>.<dim>.*`,
-are the only record of which decoders a model has. The loss averages
-the alpha-weighted reconstruction NLLs over the path length and adds a
-beta-weighted KL to the standard-normal prior. The start molecule's own
-fingerprint is always a target with alpha = 1.
+per (node kind, feature dimension), and its parameters are the only record
+of which decoders a model has. The loss averages the alpha-weighted
+reconstruction NLLs over the path length and adds a beta-weighted KL to the
+standard-normal prior. The start molecule's own fingerprint is always a
+target with alpha = 1.
+
+`init_model` names the parameters and `Net.of` alone reads the names back,
+binding a store's parameters, or its gradient slots, into one table of
+arrays by role; the encoder, the decoders and the step take tables.
 
 The encoder reads its molecules in one layout, `AtomGraph`: a `MoleculeSet`
 cut into blocks of whole molecules, each block one block-diagonal graph,
@@ -127,12 +131,14 @@ class ModelConfig:
 
 @dataclass
 class TrainState:
-    """Where pretraining stands: the epochs trained and the Philox
+    """Where pretraining stands: the epochs trained, the checksum of the
+    graph `pretrain` last trained on (None before it runs), and the Philox
     `bit_generator.state` of the "shuffle" and "noise" generators after them,
     as JSON (int lists for the uint64 arrays). None draws fresh from the seed."""
 
     epoch: int = 0
     streams: Optional[Dict[str, dict]] = None
+    graph: Optional[str] = None
 
 
 @dataclass
@@ -168,22 +174,8 @@ def fingerprint_bits(graph: ContextGraph, default: int) -> int:
 
 
 def decoder_keys(store: dc.ParamStore) -> List[Tuple[str, int]]:
-    """Sorted (kind, dim) of the store's `dec.<kind>.<dim>.*` parameters."""
-    keys = set()
-    for name in store.params:
-        if name.startswith("dec."):
-            _, kind, dim, _ = name.split(".")
-            keys.add((kind, int(dim)))
-    return sorted(keys)
-
-
-def decoder_prefix(params: Mapping[str, object], kind: NodeKind, dim: int) -> str:
-    """`dec.<kind>.<dim>`; NoDecoderError if `params` has no such decoder."""
-    key = (kind.value, int(dim))
-    prefix = f"dec.{key[0]}.{key[1]}"
-    if f"{prefix}.w0" not in params:
-        raise NoDecoderError(f"no decoder registered for {key}")
-    return prefix
+    """Sorted (kind, dim) of the store's decoders."""
+    return sorted(Net.of(store.params).decoders)
 
 
 def init_model(store: dc.ParamStore, cfg: ModelConfig, decoders: Sequence[Tuple[str, int]]):
@@ -205,11 +197,51 @@ def init_model(store: dc.ParamStore, cfg: ModelConfig, decoders: Sequence[Tuple[
         dc.init_mlp(store, f"dec.{kind}.{dim}", [cfg.latent_dim, cfg.decoder_hidden, dim])
 
 
-def _infer_num_layers(params: Mapping) -> int:
-    n = 0
-    while f"gin.l{n}.w0" in params:
-        n += 1
-    return n
+@dataclass(frozen=True)
+class Net:
+    """The model's arrays by role, read from one name-keyed table, a store's
+    `params` or its `grads`, by `of`, the only reader of the names that
+    `init_model` writes: `atom_embed`; per GIN layer k, `bond_embed.l<k>`
+    and the MLP `gin.l<k>`; the MLPs `head_mu` and `head_logvar`; and one
+    MLP `dec.<kind>.<dim>` per decoder, an MLP being its `.w<i>`, `.b<i>`
+    pairs (`dc.mlp_layers`).
+
+    A store's tables are fixed views of its flat array: `adam_step` and
+    `zero_grads` write into them in place, a backward pass adds into them
+    in place, and only adding parameters (`init_model`, `load_params`)
+    moves them. A Net built after that stays bound for the store's life, so
+    a run builds one per table and a step reaches every array by role.
+    """
+
+    atom_embed: np.ndarray
+    gin: List[Tuple[np.ndarray, dc.Layers]]  # per GIN layer: its bond embedding and MLP
+    head_mu: dc.Layers
+    head_logvar: dc.Layers
+    decoders: Dict[Tuple[str, int], dc.Layers]  # (kind, dim) -> layers, in sorted order
+
+    @classmethod
+    def of(cls, table: Mapping[str, np.ndarray]) -> "Net":
+        depth = 0
+        while f"gin.l{depth}.w0" in table:
+            depth += 1
+        keys = set()
+        for name in table:
+            if name.startswith("dec."):
+                _, kind, dim, _ = name.split(".")
+                keys.add((kind, int(dim)))
+        return cls(table["atom_embed"],
+                   [(table[f"bond_embed.l{k}"], dc.mlp_layers(table, f"gin.l{k}"))
+                    for k in range(depth)],
+                   dc.mlp_layers(table, "head_mu"), dc.mlp_layers(table, "head_logvar"),
+                   {key: dc.mlp_layers(table, f"dec.{key[0]}.{key[1]}") for key in sorted(keys)})
+
+    def decoder(self, kind: NodeKind, dim: int) -> dc.Layers:
+        """The layers of the decoder of `kind` and width `dim`; NoDecoderError
+        if there is none."""
+        key = (kind.value, int(dim))
+        if key not in self.decoders:
+            raise NoDecoderError(f"no decoder registered for {key}")
+        return self.decoders[key]
 
 
 def atom_features(g: MolecularGraph) -> np.ndarray:
@@ -269,73 +301,69 @@ class AtomGraph:
                                       atom_bounds))
 
 
-def encode_union(atoms: AtomGraph, b: int, params: Mapping[str, np.ndarray]) -> Encoded:
+def encode_union(atoms: AtomGraph, b: int, net: Net) -> Encoded:
     """Sum-readout GIN encoder over the molecules of block b of `atoms`,
     laid out as one graph; row k is the block's molecule k.
 
     Per layer: h_v <- MLP(h_v + sum_{u in N(v)} (h_u + bond_embed(uv))),
     i.e. the (1 + eps) factor with eps fixed at 0. Every layer and both
     passes share the block's row indexes, and the readout sums each
-    molecule's atom rows. The depth is the number of `gin.l<n>` layers in
-    `params`. With no messages in the block, a layer is MLP(h).
+    molecule's atom rows. The depth is that of `net.gin`. With no messages
+    in the block, a layer is MLP(h).
     """
     a0, a1 = atoms.atom_bounds[b : b + 2]
     into, out_of, bond_type, readout = (atoms.into[b], atoms.out_of[b], atoms.bond_type[b],
                                         atoms.readout[b])
     x = atoms.x[a0:a1].astype(np.float64)
-    h = x @ params["atom_embed"]
+    h = x @ net.atom_embed
     layers = []
-    for layer in range(_infer_num_layers(params)):
+    for bond, mlp in net.gin:
         if len(into.index):
-            msgs = h[out_of.index] + params[f"bond_embed.l{layer}"][bond_type.index]
+            msgs = h[out_of.index] + bond[bond_type.index]
             h = into.add_to(np.zeros((into.num_rows,) + msgs.shape[1:]), msgs) + h
-        outs = dc.mlp_outputs(h, dc.mlp_layers(params, f"gin.l{layer}"))
+        outs = dc.mlp_outputs(h, mlp)
         layers.append((h, outs))
         h = outs[-1]
     pooled = readout.add_to(np.zeros((readout.num_rows,) + h.shape[1:]), h)
-    heads = (dc.mlp_outputs(pooled, dc.mlp_layers(params, "head_mu")),
-             dc.mlp_outputs(pooled, dc.mlp_layers(params, "head_logvar")))
+    heads = (dc.mlp_outputs(pooled, net.head_mu), dc.mlp_outputs(pooled, net.head_logvar))
     return Encoded(heads[0][-1], np.clip(heads[1][-1], -LOGVAR_CLAMP, LOGVAR_CLAMP), x,
                    layers, pooled, heads)
 
 
 def _encoder_backward(enc: Encoded, atoms: AtomGraph, b: int, g_mu: np.ndarray,
-                      g_logvar: np.ndarray, params: Mapping[str, np.ndarray],
-                      grads: Mapping[str, np.ndarray]):
-    """The backward pass of `encode_union(atoms, b, params)` from the
-    gradients of its mu and logvar, adding each parameter's gradient into its
-    slot of `grads`: the clamp's mask, the two heads, the readout, the GIN
-    layers last to first (in each, the residual's gradient, then the
-    messages' added into it in `out_of`'s order, then the bond embedding's),
-    and `atom_embed`. The one-hot inputs get no gradient."""
+                      g_logvar: np.ndarray, net: Net, grads: Net):
+    """The backward pass of `encode_union(atoms, b, net)` from the gradients
+    of its mu and logvar, adding each parameter's gradient into its slot of
+    `grads`, the Net of the gradient slots: the clamp's mask, the two heads,
+    the readout, the GIN layers last to first (in each, the residual's
+    gradient, then the messages' added into it in `out_of`'s order, then the
+    bond embedding's), and `atom_embed`. The one-hot inputs get no
+    gradient."""
     raw = enc.heads[1][-1]
     g_logvar = g_logvar * ((raw >= -LOGVAR_CLAMP) & (raw <= LOGVAR_CLAMP))
-    from_mu, from_logvar = (dc.mlp_backward(g, enc.readout, outs, dc.mlp_layers(params, prefix),
-                                            dc.mlp_layers(grads, prefix))
-                            for g, outs, prefix in ((g_mu, enc.heads[0], "head_mu"),
-                                                    (g_logvar, enc.heads[1], "head_logvar")))
+    from_mu, from_logvar = (dc.mlp_backward(g, enc.readout, outs, layers, slots)
+                            for g, outs, layers, slots in
+                            ((g_mu, enc.heads[0], net.head_mu, grads.head_mu),
+                             (g_logvar, enc.heads[1], net.head_logvar, grads.head_logvar)))
     g = (from_mu + from_logvar)[atoms.readout[b].index]
     into, out_of, bond_type = atoms.into[b], atoms.out_of[b], atoms.bond_type[b]
-    for layer in reversed(range(len(enc.layers))):
-        x, outs = enc.layers[layer]
-        prefix = f"gin.l{layer}"
-        g = dc.mlp_backward(g, x, outs, dc.mlp_layers(params, prefix),
-                            dc.mlp_layers(grads, prefix))
+    for (x, outs), (bond, mlp), (g_bond, g_mlp) in reversed(list(zip(enc.layers, net.gin,
+                                                                      grads.gin))):
+        g = dc.mlp_backward(g, x, outs, mlp, g_mlp)
         if len(into.index):
             g_msgs = g[into.index]
-            bond = f"bond_embed.l{layer}"
             # g is fresh from the MLP's backward pass, so the messages add into it
             g = out_of.add_to(g, g_msgs)
-            grads[bond] += bond_type.add_to(np.zeros_like(params[bond]), g_msgs)
-    grads["atom_embed"] += enc.x.T @ g
+            g_bond += bond_type.add_to(np.zeros_like(bond), g_msgs)
+    grads.atom_embed[...] += enc.x.T @ g
 
 
 def gin_encode(g: MolecularGraph, params: Mapping[str, np.ndarray]) -> Encoded:
-    """`encode_union` of one molecule: mu and logvar of shape (1, D). Nothing
-    in the package calls it: it stays because perfbench/tracer.py wraps this
-    name."""
+    """`encode_union` of one molecule under the name-keyed `params`: mu and
+    logvar of shape (1, D). Nothing in the package calls it: it stays
+    because perfbench/tracer.py wraps this name."""
     one = MoleculeSet(g, np.array([0, len(g.element)]), np.array([0, len(g.bonds)]))
-    return encode_union(AtomGraph.blocks(one, [0, 1]), 0, params)
+    return encode_union(AtomGraph.blocks(one, [0, 1]), 0, Net.of(params))
 
 
 def _squared_error(likelihood: str) -> bool:
@@ -346,30 +374,30 @@ def _squared_error(likelihood: str) -> bool:
     return likelihood == "gaussian"
 
 
-def decode_nll(z: np.ndarray, targets: np.ndarray, kind: NodeKind,
-               params: Mapping[str, np.ndarray], rows: dc.RowIndex, weight,
-               likelihood: str = "bernoulli") -> dc.Decoded:
-    """The forward pass of the target rows under the decoder of `kind` and
-    their width, as one `dc.Decoded`: its `term` is the weighted NLL,
+def decode_nll(z: np.ndarray, targets: np.ndarray, kind: NodeKind, net: Net,
+               rows: dc.RowIndex, weight, likelihood: str = "bernoulli") -> dc.Decoded:
+    """The forward pass of the target rows under the decoder of `net` for
+    `kind` and their width, as one `dc.Decoded`: its `term` is the weighted NLL,
     summed, and its `nll` the NLL of every target entry. Target row i is
     decoded from row rows.index[i] of z, `rows` being a RowIndex over z's
     rows, and weighted by weight[i]. The NLL is the Bernoulli one (BCE on
     the logits, the [0,1]-scaled features as soft labels) or the Gaussian
     one (a unit-variance squared error on the linear outputs); any other
-    `likelihood` raises ValueError."""
+    `likelihood` raises ValueError, and a (kind, width) with no decoder
+    NoDecoderError."""
     y = np.asarray(targets, dtype=np.float64)
-    layers = dc.mlp_layers(params, decoder_prefix(params, kind, y.shape[1]))
-    return dc.Decoded(z[rows.index], layers, y, weight, _squared_error(likelihood))
+    return dc.Decoded(z[rows.index], net.decoder(kind, y.shape[1]), y, weight,
+                      _squared_error(likelihood))
 
 
 def infoalign_loss(graph: ContextGraph, walk: WalkBatch, params: Mapping[str, np.ndarray],
                    beta: float, noise, likelihood: str = "bernoulli") -> LossBreakdown:
-    """The loss breakdown of the one-walk batch `walk`, with noise of shape
-    (1, latent_dim): the forward pass of `train_step` on the plan of that
-    batch. Nothing in the package calls it: it stays because
-    perfbench/tracer.py wraps this name."""
+    """The loss breakdown of the one-walk batch `walk` under the name-keyed
+    `params`, with noise of shape (1, latent_dim): the forward pass of
+    `train_step` on the plan of that batch. Nothing in the package calls
+    it: it stays because perfbench/tracer.py wraps this name."""
     plan = EpochPlan(graph, [walk.ids[walk.nodes[0, 0]]], walk, 1)
-    return _step_forward(plan, 0, params, beta, noise, likelihood)[-1]
+    return _step_forward(plan, 0, Net.of(params), beta, noise, likelihood)[-1]
 
 
 class EpochPlan:
@@ -446,12 +474,11 @@ class EpochPlan:
         self.groups = [spec[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
-def _step_forward(plan: EpochPlan, b: int, params: Mapping[str, np.ndarray], beta: float,
-                  noise, likelihood: str):
+def _step_forward(plan: EpochPlan, b: int, net: Net, beta: float, noise, likelihood: str):
     """The forward pass of `train_step`: (encoder pass, exp(logvar), the
     sample's std, the noise, the decoded groups, the loss, its breakdown)."""
     n = plan.molecules[b]
-    enc = encode_union(plan.atoms, b, params)
+    enc = encode_union(plan.atoms, b, net)
     walk_mol = plan.walk_mol[b].index
     mu, logvar = enc.mu[walk_mol], enc.logvar[walk_mol]
     noise = np.asarray(noise, dtype=np.float64)
@@ -469,8 +496,8 @@ def _step_forward(plan: EpochPlan, b: int, params: Mapping[str, np.ndarray], bet
     decoded = []
     for kind, dim, lo, hi, rows in plan.groups[b]:
         alpha = plan.alpha[lo:hi]
-        dec = decode_nll(z, plan.matrices[kind, dim][plan.feature_row[lo:hi]], kind, params,
-                         rows, plan.weight[lo:hi], likelihood)
+        dec = decode_nll(z, plan.matrices[kind, dim][plan.feature_row[lo:hi]], kind, net, rows,
+                         plan.weight[lo:hi], likelihood)
         decoded.append(dec)
         loss = loss + dec.term
         recon[kind.value] = recon.get(kind.value, 0.0) + float(alpha @ dec.nll.sum(axis=1)) * scale
@@ -480,12 +507,12 @@ def _step_forward(plan: EpochPlan, b: int, params: Mapping[str, np.ndarray], bet
             LossBreakdown(recon, kl_mean, beta, recon_total + beta * kl_mean))
 
 
-def train_step(plan: EpochPlan, b: int, store: dc.ParamStore, beta: float, noise,
+def train_step(plan: EpochPlan, b: int, net: Net, grads: Net, beta: float, noise,
                likelihood: str = "bernoulli") -> LossBreakdown:
-    """One step on batch b of `plan`: the loss, the mean over the batch's
-    molecules of the mean walk loss of each one's walks, with its gradients
-    added into the store's zeroed gradient slots, and its breakdown into the
-    same means.
+    """One step on batch b of `plan` under the parameters `net`: the loss,
+    the mean over the batch's molecules of the mean walk loss of each one's
+    walks, with its gradients added into the zeroed gradient slots `grads`,
+    and its breakdown into the same means.
 
     A walk's loss is (1/L) * sum over its targets of alpha * NLL + beta * KL,
     where L is the walk's node count. `noise` holds one row per walk of the
@@ -500,23 +527,20 @@ def train_step(plan: EpochPlan, b: int, store: dc.ParamStore, beta: float, noise
     groups into z's, in plan order; the sample; the walks' gathers of mu and
     logvar, added into those gradients; then the encoder. Each parameter
     gets one gradient. Raises FloatingPointError, before any gradient is
-    added, if the loss is not finite, and after, if a gradient is not.
+    added, if the loss is not finite; the caller checks the gradients.
     """
-    params, grads = store.params, store.grads
-    enc, e, std, noise, decoded, loss, br = _step_forward(plan, b, params, beta, noise,
-                                                          likelihood)
+    enc, e, std, noise, decoded, loss, br = _step_forward(plan, b, net, beta, noise, likelihood)
     dc.require_finite(loss, "loss")
     half = (beta / plan.molecules[b]) * 0.5
     g_mu = half * enc.mu + half * enc.mu
     g_logvar = half * e + (-half)
     g_z = np.zeros(std.shape)
     for (kind, dim, _lo, _hi, rows), dec in zip(plan.groups[b], decoded):
-        rows.add_to(g_z, dec.backward(1.0, dc.mlp_layers(grads, f"dec.{kind.value}.{dim}")))
+        rows.add_to(g_z, dec.backward(1.0, grads.decoder(kind, dim)))
     walk_mol = plan.walk_mol[b]
     walk_mol.add_to(g_mu, g_z)
     walk_mol.add_to(g_logvar, ((g_z * noise) * std) * 0.5)
-    _encoder_backward(enc, plan.atoms, b, g_mu, g_logvar, params, grads)
-    dc.require_finite(store.flat[1], "leaf gradient")
+    _encoder_backward(enc, plan.atoms, b, g_mu, g_logvar, net, grads)
     return br
 
 
@@ -543,8 +567,10 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig, store: Optional[dc.ParamStor
     NoDecoderError is raised before any step. The graph's molecules are
     parsed together before the first step (`ContextGraph.molecules`), so a
     bad SMILES raises its SmilesError, naming the node, before any step too.
-    A non-finite loss or gradient (checked once a step, by `train_step`)
-    raises FloatingPointError naming the epoch and the batch.
+    A non-finite loss or gradient (each checked once a step) raises
+    FloatingPointError naming the epoch and the batch. The parameters and
+    gradient slots are bound once, as two `Net` tables, after the store is
+    made or passed in, and every step reaches them through the tables.
     `log_fn(epoch, breakdown, store)`, if given, is called as each epoch
     ends, after `state` has advanced, with the epoch numbered over
     resumes. Returns the store and the per-epoch mean loss breakdowns.
@@ -553,11 +579,11 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig, store: Optional[dc.ParamStor
     if store is None:
         store = dc.ParamStore(seed=cfg.seed)
         init_model(store, cfg, needed)
-    decoders = decoder_keys(store)
+    net, grads = Net.of(store.params), Net.of(store.grads)
     for key in needed:
-        if key not in decoders:
+        if key not in net.decoders:
             raise NoDecoderError(f"graph nodes of kind {key[0]!r} with {key[1]} features "
-                                 f"have no decoder; decoders: {decoders}")
+                                 f"have no decoder; decoders: {sorted(net.decoders)}")
 
     mols = graph.molecule_ids()
     if not mols:
@@ -571,6 +597,7 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig, store: Optional[dc.ParamStor
 
     def finished(epochs: int):
         state.epoch = epochs
+        state.graph = graph.checksum()
         state.streams = {name: json.loads(json.dumps(rng.bit_generator.state,
                                                      default=np.ndarray.tolist))
                          for name, rng in rngs.items()}
@@ -581,8 +608,9 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig, store: Optional[dc.ParamStor
         order = [mols[i] for i in rngs["shuffle"].permutation(len(mols))]
         walks = batch_walks(graph, order, cfg.walks(epoch))
         # the plan is an argument, so no two epochs' plans are held at once
-        epoch_br = _train_epoch(store, EpochPlan(graph, order, walks, cfg.batch_size),
-                                rngs["noise"], cfg, epoch)
+        epoch_br = _train_epoch(store, net, grads,
+                                EpochPlan(graph, order, walks, cfg.batch_size), rngs["noise"],
+                                cfg, epoch)
         epoch_logs.append(epoch_br)
         finished(epoch + 1)
         if log_fn is not None:
@@ -590,10 +618,11 @@ def pretrain(graph: ContextGraph, cfg: ModelConfig, store: Optional[dc.ParamStor
     return store, epoch_logs
 
 
-def _train_epoch(store: dc.ParamStore, plan: EpochPlan, noise_rng: np.random.Generator,
-                 cfg: ModelConfig, epoch: int) -> LossBreakdown:
-    """One `train_step` and Adam step per batch of `plan`, in order, and the
-    epoch's mean loss breakdown."""
+def _train_epoch(store: dc.ParamStore, net: Net, grads: Net, plan: EpochPlan,
+                 noise_rng: np.random.Generator, cfg: ModelConfig, epoch: int) -> LossBreakdown:
+    """One `train_step` on the store's tables `net` and `grads`, a check
+    that its gradients are finite, and an Adam step per batch of `plan`, in
+    order, and the epoch's mean loss breakdown."""
     sums: Dict[str, float] = {}
     kl_sum = 0.0
     total_sum = 0.0
@@ -603,7 +632,8 @@ def _train_epoch(store: dc.ParamStore, plan: EpochPlan, noise_rng: np.random.Gen
         # the loss, not by numpy's warnings from the ops before it.
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                br = train_step(plan, b, store, cfg.beta, noise, cfg.likelihood)
+                br = train_step(plan, b, net, grads, cfg.beta, noise, cfg.likelihood)
+                dc.require_finite(store.flat[1], "leaf gradient")
             except FloatingPointError as exc:
                 raise FloatingPointError(f"{exc} in epoch {epoch}, batch {b}") from None
             dc.adam_step(store, lr=cfg.lr)
@@ -645,14 +675,15 @@ def embed(store: dc.ParamStore, molecules: MoleculeSet) -> np.ndarray:
     beside a copy of itself. Raises FloatingPointError if a row is not
     finite.
     """
+    net = Net.of(store.params)
     n = len(molecules)
     if n == 0:
-        return np.zeros((0, store.params["head_mu.w0"].shape[1]))
+        return np.zeros((0, net.head_mu[-1][0].shape[1]))
     if n == 1:
         molecules = molecules.take([0, 0])
     blocks = _embed_blocks(molecules.atom_start, _EMBED_ATOMS)
     atoms = AtomGraph.blocks(molecules, [0] + [hi for _, hi in blocks])
-    mu = [encode_union(atoms, b, store.params).mu for b in range(len(blocks))]
+    mu = [encode_union(atoms, b, net).mu for b in range(len(blocks))]
     return dc.require_finite(np.concatenate(mu)[:n], "embedding")
 
 
@@ -679,8 +710,8 @@ def load_checkpoint(path) -> Tuple[dc.ParamStore, ModelConfig, TrainState]:
     store, manifest = dc.load_params(path)
     model = manifest.get("model")
     current = isinstance(model, dict) and set(model) == {f.name for f in fields(ModelConfig)}
-    if not current or "streams" not in manifest:
+    if not current or not {"streams", "graph_checksum"} <= manifest.keys():
         raise CorruptFileError(f"{path}: not a checkpoint of this version (its manifest "
                                f"keys are {sorted(manifest)}); pretrain it again")
     cfg = ModelConfig(**model)
-    return store, cfg, TrainState(cfg.epochs, manifest["streams"])
+    return store, cfg, TrainState(cfg.epochs, manifest["streams"], manifest["graph_checksum"])

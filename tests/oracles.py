@@ -76,6 +76,7 @@ import numpy as np
 import infoalign.diffcore as dc
 import infoalign.model as model
 from infoalign.errors import (
+    NoDecoderError,
     PathMismatchError,
     RingUnclosedError,
     ShapeMismatchError,
@@ -85,8 +86,8 @@ from infoalign.errors import (
 )
 from infoalign.ctxgraph import KINDS, RELATIONS, ContextGraph
 from infoalign.evalkit import CLASSIFICATION, ProbeHead
-from infoalign.model import (ATOM_FEATURE_DIM, LOGVAR_CLAMP, AtomGraph, LossBreakdown,
-                             atom_features, decoder_prefix)
+from infoalign.model import (ATOM_FEATURE_DIM, LOGVAR_CLAMP, AtomGraph, LossBreakdown, Net,
+                             atom_features)
 from infoalign.molparse import (AROMATIC_ELEMENTS, ELEMENTS, BondOrder, MolecularGraph,
                                 MoleculeSet, parse_many, parse_smiles)
 from infoalign.walker import WalkBatch
@@ -655,6 +656,26 @@ def mlp_forward(bound: Dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
 
 # --- the training step on the tape ---------------------------------------------
 
+# The tape reads its leaves by name, apart from `model.Net`, so that a Net that
+# binds the wrong array disagrees with the tape instead of with itself.
+
+def num_layers(bound) -> int:
+    """The number of GIN layers, `gin.l<n>`, in `bound`."""
+    n = 0
+    while f"gin.l{n}.w0" in bound:
+        n += 1
+    return n
+
+
+def decoder_prefix(params, kind, dim: int) -> str:
+    """`dec.<kind>.<dim>`; NoDecoderError if `params` has no such decoder."""
+    key = (kind.value, int(dim))
+    prefix = f"dec.{key[0]}.{key[1]}"
+    if f"{prefix}.w0" not in params:
+        raise NoDecoderError(f"no decoder registered for {key}")
+    return prefix
+
+
 @dataclass
 class EncoderOutput:
     mu: Tensor      # shape (molecules, D)
@@ -673,7 +694,7 @@ def tape_encode_union(atoms, b, bound):
     """
     a0, a1 = atoms.atom_bounds[b : b + 2]
     h = matmul(constant(atoms.x[a0:a1]), bound["atom_embed"])
-    for layer in range(model._infer_num_layers(bound)):
+    for layer in range(num_layers(bound)):
         h = gin_layer(h, bound[f"bond_embed.l{layer}"], dc.mlp_layers(bound, f"gin.l{layer}"),
                       atoms.out_of[b], atoms.into[b], atoms.bond_type[b])
     readout = scatter_add_rows(h, atoms.readout[b])
@@ -987,7 +1008,7 @@ def reference_embed(store, molecules: MoleculeSet) -> np.ndarray:
     for lo, hi in model._embed_blocks(molecules.atom_start, model._EMBED_ATOMS):
         g, segment = molecules.block(lo, hi)
         mu.append(model.encode_union(reference_atom_graph(g, segment, hi - lo), 0,
-                                     store.params).mu)
+                                     Net.of(store.params)).mu)
     return np.concatenate(mu)[:n]
 
 

@@ -328,6 +328,11 @@ def test_pretrain_resume_continues(synth_graph, tmp_path):
 
 
 def test_pretrain_resume_onto_graph_without_decoder_exit_1(synth_graph, tmp_path, capsys):
+    """A resume onto a graph with a kind of features the checkpoint has no
+    decoder for exits 1 before training: that graph is another graph, so
+    its checksum is refused first (`pretrain` itself refuses the missing
+    decoder, see tests/test_model.py)."""
+    from infoalign.ctxgraph import ContextGraph
     ck = tmp_path / "ck.iapt"
     assert run(["pretrain", "--graph", synth_graph, "--out", ck,
                 "--epochs", 1, *PRETRAIN_SMALL]) == 0
@@ -338,10 +343,45 @@ def test_pretrain_resume_onto_graph_without_decoder_exit_1(synth_graph, tmp_path
     assert run(["build-graph", "--nodes", out / "nodes.tsv",
                 "--edges", out / "edges.tsv", "--fp-bits", 64, "--out", other]) == 0
     ck2 = tmp_path / "ck2.iapt"
+    capsys.readouterr()
     assert run(["pretrain", "--graph", other, "--out", ck2,
                 "--resume", ck, "--epochs", 1, *PRETRAIN_SMALL]) == 1
-    assert "'cell_morphology' with 7 features have no decoder" in capsys.readouterr().err
+    was, now = (ContextGraph.load(g).checksum() for g in (synth_graph, other))
+    assert capsys.readouterr().err == (f"error: the checkpoint {ck} was trained on the graph of "
+                                       f"checksum {was}, not on the graph {other} of checksum "
+                                       f"{now}\n")
     assert not ck2.exists() and not Path(f"{ck2}.log.tsv").exists()
+
+
+def test_pretrain_resume_onto_another_graph_exit_1(synth_graph, tmp_path, capsys):
+    """A resume onto another graph of the same fingerprint width, radius
+    and kinds of features exits 1 before training, naming the checkpoint,
+    the graph and both checksums, and writes nothing: one log is of one
+    graph. The checkpoint's own graph, copied to another file, resumes."""
+    import shutil
+
+    from infoalign.ctxgraph import ContextGraph
+    ck = tmp_path / "ck.iapt"
+    assert run(["pretrain", "--graph", synth_graph, "--out", ck,
+                "--epochs", 1, *PRETRAIN_SMALL]) == 0
+    data, other = tmp_path / "synth7", tmp_path / "g7.ctxg"
+    assert run(["synth", "--out", data, "--clusters", 2, "--per-cluster", 7,
+                "--morph-dim", 6, "--gexp-dim", 6, "--seed", 0]) == 0
+    assert run(["build-graph", "--nodes", data / "nodes.tsv",
+                "--edges", data / "edges.tsv", "--fp-bits", 64, "--out", other]) == 0
+    was, now = (ContextGraph.load(g).checksum() for g in (synth_graph, other))
+    assert was != now
+    capsys.readouterr()
+    assert run(["pretrain", "--graph", other, "--out", tmp_path / "bad.iapt",
+                "--resume", ck, "--epochs", 1]) == 1
+    assert capsys.readouterr().err == (f"error: the checkpoint {ck} was trained on the graph of "
+                                       f"checksum {was}, not on the graph {other} of checksum "
+                                       f"{now}\n")
+    assert not list(tmp_path.glob("bad.iapt*"))
+    copy = tmp_path / "copy.ctxg"
+    shutil.copyfile(synth_graph, copy)
+    assert run(["pretrain", "--graph", copy, "--out", tmp_path / "more.iapt",
+                "--resume", ck, "--epochs", 1]) == 0
 
 
 def test_pretrain_beta_sweep_file_counts(synth_graph, tmp_path):
@@ -1082,16 +1122,20 @@ def test_eval_id_without_partner_or_repeated_exit_1(tmp_path, capsys, emb, lab, 
     assert not (tmp_path / "r.json").exists()
 
 
-@pytest.mark.parametrize("true_ids,message", [
-    ("c1\n", "1 true ids for 2 queries"),
-    ("c1\nzz\n", "true id 'zz' is not a candidate id"),
-])
-def test_match_bad_true_ids_exit_1(synth_graph, tmp_path, capsys, true_ids, message):
+@pytest.mark.parametrize("true_ids,width,message", [
+    ("c1\n", 6, "1 true ids for 2 queries"),
+    ("c1\nzz\n", 6, "true id 'zz' is not a candidate id"),
+    ("c1\nc0\n", 7, "no decoder registered for ('cell_morphology', 7)"),
+], ids=["c1\n-1 true ids for 2 queries", "c1\nzz\n-true id 'zz' is not a candidate id",
+        "no-decoder-of-the-candidates-width"])
+def test_match_bad_true_ids_exit_1(synth_graph, tmp_path, capsys, true_ids, width, message):
+    """Bad true ids, or candidates of a width the checkpoint has no
+    morphology decoder for, exit 1."""
     ck = tmp_path / "ck.iapt"
     assert run(["pretrain", "--graph", synth_graph, "--out", ck,
                 "--epochs", 1, *PRETRAIN_SMALL]) == 0
-    (tmp_path / "cands.tsv").write_text("c0\t" + "\t".join(["0.5"] * 6) + "\n"
-                                        "c1\t" + "\t".join(["0.1"] * 6) + "\n")
+    (tmp_path / "cands.tsv").write_text("c0\t" + "\t".join(["0.5"] * width) + "\n"
+                                        "c1\t" + "\t".join(["0.1"] * width) + "\n")
     (tmp_path / "q.smi").write_text("CCO\nCCN\n")
     (tmp_path / "true.txt").write_text(true_ids)
     assert run(["match", "--checkpoint", ck, "--queries", tmp_path / "q.smi",
@@ -1146,8 +1190,9 @@ def test_match_ranks_a_gaussian_checkpoint_by_squared_error(synth_graph, tmp_pat
     every candidate, so its whole ranking is checked."""
     import infoalign.diffcore as dc
     from infoalign.ctxgraph import NodeKind
-    from infoalign.model import decoder_prefix, embed, load_checkpoint
+    from infoalign.model import embed, load_checkpoint
     from infoalign.molparse import parse_many
+    from tests.oracles import decoder_prefix
     ck = tmp_path / "gauss.iapt"
     assert run(["pretrain", "--graph", synth_graph, "--out", ck, "--likelihood", "gaussian",
                 "--epochs", 1, *PRETRAIN_SMALL]) == 0

@@ -32,9 +32,9 @@ from infoalign.evalkit import (
     probe_train,
     split_random,
 )
-from infoalign.model import decoder_prefix, gin_encode
+from infoalign.model import gin_encode
 from infoalign.molparse import parse_smiles
-from tests.oracles import molecule_set, reference_probe_train
+from tests.oracles import decoder_prefix, molecule_set, reference_probe_train
 
 
 def auc_pairwise_oracle(scores, labels):

@@ -22,6 +22,10 @@ table as one string, before it wrote its rows in blocks.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -187,3 +191,17 @@ def test_pretrain_and_embed_golden(tmp_path, likelihood):
                  "--out", str(emb)]) == 0
     assert (sha256(ck), sha256(tmp_path / "ck.iapt.log.tsv"), sha256(emb)) == (
         PRETRAIN_SHA256[likelihood])
+
+
+def test_digests_hold_on_one_blas_thread():
+    """Every digest above holds with OpenBLAS held to one thread, in a fresh
+    process: the bytes do not depend on the number of threads a BLAS
+    product is cut across."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           __file__, "-k", "not one_blas_thread"],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert " passed" in proc.stdout and " failed" not in proc.stdout

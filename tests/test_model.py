@@ -26,9 +26,9 @@ from infoalign.model import (
     ModelConfig,
     TrainState,
     atom_features,
+    Net,
     decode_nll,
     decoder_keys,
-    decoder_prefix,
     embed,
     encode_union,
     feature_keys,
@@ -50,6 +50,7 @@ from tests.oracles import (
     batch_loss,
     bind,
     constant,
+    decoder_prefix,
     graph_of,
     kl_standard_normal,
     molecule,
@@ -100,7 +101,7 @@ def tiny_graph(n_mols=6, seed=0, fp_bits=64):
 def encode_batch(mols, params):
     """The encoder over a list of molecules laid out by the `union` oracle."""
     g, segment = union(mols)
-    return encode_union(reference_atom_graph(g, segment, len(mols)), 0, params)
+    return encode_union(reference_atom_graph(g, segment, len(mols)), 0, Net.of(params))
 
 
 def make_store(cfg, graph):
@@ -342,8 +343,10 @@ def test_kl_zero_iff_standard():
 # --- decoder NLL -----------------------------------------------------------------------
 
 def store_with_decoder(dim=5, hidden=6, latent=4, seed=0):
+    """A model with no GIN layer and one morphology decoder, of width `dim`."""
     store = dc.ParamStore(seed=seed)
-    dc.init_mlp(store, f"dec.cell_morphology.{dim}", [latent, hidden, dim])
+    init_model(store, ModelConfig(latent_dim=latent, num_layers=0, hidden=hidden,
+                                  decoder_hidden=hidden), [("cell_morphology", dim)])
     return store
 
 
@@ -354,8 +357,8 @@ def test_decode_nll_saturated_correct():
     store.params[f"{prefix}.b0"][...] = 0.0
     store.params[f"{prefix}.w1"][...] = 0.0
     store.params[f"{prefix}.b1"][...] = 36.0
-    dec = decode_nll(np.zeros((2, 2)), np.ones((2, 3)), NodeKind.CELL_MORPHOLOGY, store.params,
-                     row_index([0, 1], 2), np.ones(2))
+    dec = decode_nll(np.zeros((2, 2)), np.ones((2, 3)), NodeKind.CELL_MORPHOLOGY,
+                     Net.of(store.params), row_index([0, 1], 2), np.ones(2))
     term, nll = dec.term, dec.nll
     assert term.shape == () and nll.shape == (2, 3)
     assert term.item() < 1e-10 and np.all(nll < 1e-10)
@@ -368,7 +371,7 @@ def test_decode_nll_zero_logits_ln2():
         store.params[name][...] = 0.0
     z = np.random.default_rng(3).standard_normal((3, 2))
     dec = decode_nll(z, np.random.default_rng(4).uniform(0, 1, (3, 4)),
-                     NodeKind.CELL_MORPHOLOGY, store.params, row_index([0, 1, 2], 3),
+                     NodeKind.CELL_MORPHOLOGY, Net.of(store.params), row_index([0, 1, 2], 3),
                      np.array([1.0, 0.5, 0.25]))
     term, nll = dec.term, dec.nll
     np.testing.assert_allclose(nll, np.log(2), rtol=0, atol=1e-12)
@@ -387,8 +390,8 @@ def test_decode_nll_matches_scalar_oracle():
     weight = rng.uniform(0.1, 1.0, 4)
     prefix = decoder_prefix(store.params, NodeKind.CELL_MORPHOLOGY, 5)
     for likelihood in ("bernoulli", "gaussian"):
-        dec = decode_nll(z, y, NodeKind.CELL_MORPHOLOGY, store.params, row_index(rows, 3),
-                         weight, likelihood)
+        dec = decode_nll(z, y, NodeKind.CELL_MORPHOLOGY, Net.of(store.params),
+                         row_index(rows, 3), weight, likelihood)
         term, nll = dec.term, dec.nll
         want = []
         for i, k in enumerate(rows):
@@ -403,13 +406,18 @@ def test_decode_nll_matches_scalar_oracle():
 
 
 def test_decode_nll_no_decoder():
-    store = store_with_decoder(dim=5)
-    with pytest.raises(NoDecoderError):
-        decode_nll(np.zeros((1, 4)), np.ones((1, 7)),
-                   NodeKind.CELL_MORPHOLOGY, store.params, row_index([0], 1), np.ones(1))
+    """A (kind, width) with no decoder in the table raises NoDecoderError
+    naming it, before the likelihood is read."""
+    net = Net.of(store_with_decoder(dim=5).params)
+    for kind, width, likelihood in ((NodeKind.CELL_MORPHOLOGY, 7, "bernoulli"),
+                                    (NodeKind.GENE_EXPRESSION, 5, "poisson")):
+        with pytest.raises(NoDecoderError,
+                           match=rf"^no decoder registered for \('{kind.value}', {width}\)$"):
+            decode_nll(np.zeros((1, 4)), np.ones((1, width)), kind, net, row_index([0], 1),
+                       np.ones(1), likelihood)
     with pytest.raises(ValueError, match="unknown likelihood 'poisson'"):
         decode_nll(np.zeros((1, 4)), np.ones((1, 5)),
-                   NodeKind.CELL_MORPHOLOGY, store.params, row_index([0], 1), np.ones(1),
+                   NodeKind.CELL_MORPHOLOGY, net, row_index([0], 1), np.ones(1),
                    "poisson")
 
 
@@ -419,10 +427,10 @@ def test_decode_nll_rejects_bad_shapes_and_likelihoods():
     store = store_with_decoder(dim=3)
     z = np.zeros((2, 4))
     with pytest.raises(ShapeMismatchError, match=r"decoder output \(3, 3\) vs target \(2, 3\)"):
-        decode_nll(z, np.zeros((2, 3)), NodeKind.CELL_MORPHOLOGY, store.params,
+        decode_nll(z, np.zeros((2, 3)), NodeKind.CELL_MORPHOLOGY, Net.of(store.params),
                    row_index([0, 1, 1], 2), np.ones(3))
     with pytest.raises(ValueError, match="unknown likelihood 'poisson'"):
-        decode_nll(z, np.zeros((2, 3)), NodeKind.CELL_MORPHOLOGY, store.params,
+        decode_nll(z, np.zeros((2, 3)), NodeKind.CELL_MORPHOLOGY, Net.of(store.params),
                    row_index([0, 1], 2), np.ones(2), "poisson")
 
 
@@ -455,9 +463,10 @@ def test_loss_formula_weighted_terms():
     # recompute the pieces independently
     out = gin_encode(parse_smiles(g.node("m0").smiles), store.params)
     z = out.mu + np.exp(out.logvar / 2) * noise
-    nll_self = decode_nll(z, g.node("m0").features[None], NodeKind.MOLECULE, store.params,
+    net = Net.of(store.params)
+    nll_self = decode_nll(z, g.node("m0").features[None], NodeKind.MOLECULE, net,
                           row_index([0], 1), np.ones(1)).nll.sum()
-    nll_c = decode_nll(z, g.node("c0").features[None], NodeKind.CELL_MORPHOLOGY, store.params,
+    nll_c = decode_nll(z, g.node("c0").features[None], NodeKind.CELL_MORPHOLOGY, net,
                        row_index([0], 1), np.ones(1)).nll.sum()
     kl = kl_standard_normal(EncoderOutput(constant(out.mu), constant(out.logvar))).item()
     expect = (1.0 * nll_self + 0.5 * nll_c) / 2 + 0.1 * kl
@@ -497,7 +506,8 @@ def test_loss_gradient_finite_difference():
         return {pname: leaf.grad for pname, leaf in bound.items()}
 
     def step_grads():
-        train_step(model.EpochPlan(g, ["m0", "m1"], paths, 2), 0, store, 0.05, noise)
+        train_step(model.EpochPlan(g, ["m0", "m1"], paths, 2), 0, Net.of(store.params),
+                   Net.of(store.grads), 0.05, noise)
         grads = {pname: arr.copy() for pname, arr in store.grads.items()}
         store.zero_grads()
         return grads
@@ -1175,6 +1185,74 @@ def test_embed_equals_per_block_reference(evaluate_set, budget, smiles):
              "default": _EMBED_ATOMS, "huge": 10**9}[budget]
     with mock.patch.object(model, "_EMBED_ATOMS", max(atoms, 1)):
         assert embed(store, mols).tobytes() == reference_embed(store, mols).tobytes()
+
+
+def net_arrays(net):
+    """Every array of a `Net`: the atom embedding, each GIN layer's bond
+    embedding and MLP, the two heads and each decoder."""
+    yield net.atom_embed
+    for bond, mlp in net.gin:
+        yield bond
+        yield from (a for layer in mlp for a in layer)
+    for layers in (net.head_mu, net.head_logvar, *net.decoders.values()):
+        yield from (a for layer in layers for a in layer)
+
+
+def assert_binds_row(store, net, row):
+    """Every array of `net` is a view of row `row` of the store's flat
+    array, and together they cover the row once: no parameter is read
+    twice or left unread."""
+    flat = store.flat[row]
+    base = flat.__array_interface__["data"][0]
+    covered = np.zeros(flat.size, dtype=int)
+    for a in net_arrays(net):
+        assert np.shares_memory(a, flat)
+        start = (a.__array_interface__["data"][0] - base) // a.itemsize
+        covered[start : start + a.size] += 1
+    assert sum(a.size for a in net_arrays(net)) == store.flat.shape[1]
+    assert (covered == 1).all()
+
+
+@pytest.mark.parametrize("num_layers", [0, 1, 2, 3])
+def test_net_binds_every_array_of_the_store(tmp_path, num_layers):
+    """`Net.of` over a store's parameters and over its gradient slots binds
+    views of the store's flat rows 0 and 1, one per parameter, for 0-3 GIN
+    layers and three decoders. A step reads no parameter by name. The
+    tables stay bound across a step's gradients, an Adam step and a
+    gradient reset, and the tables of a loaded checkpoint bind the loaded
+    store, with the same values."""
+    g = tiny_graph()
+    cfg = small_cfg(num_layers=num_layers)
+    store = dc.ParamStore(seed=num_layers)
+    init_model(store, cfg, feature_keys(g) + [("gene_expression", 3)])
+    net, grads = Net.of(store.params), Net.of(store.grads)
+    assert len(net.gin) == num_layers
+    assert list(net.decoders) == [("cell_morphology", 5), ("gene_expression", 3),
+                                  ("molecule", 64)]
+    assert_binds_row(store, net, 0)
+    assert_binds_row(store, grads, 1)
+    plan = model.EpochPlan(g, ["m0", "m1"], batch_walks(g, ["m0", "m1"], cfg.walks(0)), 2)
+    with mock.patch.object(dc, "mlp_layers", side_effect=AssertionError("a step read a name")):
+        train_step(plan, 0, net, grads, 0.1, np.ones((plan.walks[0], cfg.latent_dim)))
+    assert np.any(store.flat[1] != 0.0)
+    before = store.flat.copy()
+    dc.adam_step(store)
+    assert not np.array_equal(store.flat[0], before[0])
+    assert np.all(store.flat[1] == 0.0) and all(np.all(a == 0.0) for a in net_arrays(grads))
+    assert_binds_row(store, net, 0)
+    assert_binds_row(store, grads, 1)
+    store.flat[1] = 1.0
+    store.zero_grads()
+    assert all(np.all(a == 0.0) for a in net_arrays(grads))
+    assert_binds_row(store, grads, 1)
+    state = TrainState()
+    pretrain(g, replace(cfg, epochs=0), store=store, state=state)
+    save_checkpoint(tmp_path / "ck.iapt", store, cfg, g, state)
+    loaded = load_checkpoint(tmp_path / "ck.iapt")[0]
+    assert_binds_row(loaded, Net.of(loaded.params), 0)
+    assert_binds_row(loaded, Net.of(loaded.grads), 1)
+    for a, b in zip(net_arrays(net), net_arrays(Net.of(loaded.params))):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_checkpoint_manifest_round_trip(tmp_path):

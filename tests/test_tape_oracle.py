@@ -17,7 +17,7 @@ import infoalign.diffcore as dc
 from infoalign.ctxgraph import NodeKind, Relation
 from infoalign.evalkit import CLASSIFICATION, REGRESSION, LabeledSet, ProbeConfig, probe_train
 from infoalign.fingerprint import morgan_fingerprint
-from infoalign.model import (_NOISE_STREAM, _SHUFFLE_STREAM, EpochPlan, ModelConfig,
+from infoalign.model import (_NOISE_STREAM, _SHUFFLE_STREAM, EpochPlan, ModelConfig, Net,
                              feature_keys, init_model, train_step)
 from infoalign.molparse import parse_many
 from infoalign.walker import batch_walks
@@ -63,6 +63,7 @@ def assert_steps_equal_the_tape(graph, cfg):
         init_model(store, cfg, feature_keys(graph))
         stores.append(store)
     fast, tape = stores
+    net, grads = Net.of(fast.params), Net.of(fast.grads)
     mols = graph.molecule_ids()
     shuffle = dc.seeded_rng(cfg.seed, _SHUFFLE_STREAM)
     noise_rng = dc.seeded_rng(cfg.seed, _NOISE_STREAM)
@@ -73,7 +74,7 @@ def assert_steps_equal_the_tape(graph, cfg):
         for b in range(len(plan.molecules)):
             noise = noise_rng.standard_normal((plan.walks[b], cfg.latent_dim))
             with np.errstate(over="ignore", invalid="ignore"):
-                br = train_step(plan, b, fast, cfg.beta, noise, cfg.likelihood)
+                br = train_step(plan, b, net, grads, cfg.beta, noise, cfg.likelihood)
                 dc.adam_step(fast, lr=cfg.lr)
                 bound = bind(tape)
                 loss, tape_br = step_loss(plan, b, bound, cfg.beta, noise, cfg.likelihood)
